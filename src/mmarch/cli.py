@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from .errors import MMArchError, ModelValidationError
 from .memory import CENTRAL
 from .metrics import metrics, write_metrics
 from .model import ModelDefinition, load_model
-from .runtime import Session
+from .runtime import Session, run_session
 from .trace import write_trace
 from . import demos
 
@@ -26,10 +27,17 @@ def _resolve_model(ref: str) -> ModelDefinition:
                                      f"by that name (have: {', '.join(demos.names())})")])
 
 
+def _cycle_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cycle count must be non-negative, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True,
                         help="model file path or bundled demo name")
-    parser.add_argument("--cycles", type=int, default=200,
+    parser.add_argument("--cycles", type=_cycle_count, default=200,
                         help="number of cycles to execute (default 200)")
     parser.add_argument("--mode", choices=("mm", "pipeline"), default="mm")
     parser.add_argument("--seed", type=int, default=0)
@@ -37,14 +45,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics", help="write run metrics JSON to this file")
 
 
-def _execute(model: ModelDefinition, cycles: int, mode: str, seed: int) -> Session:
-    session = Session(model, mode=mode, seed=seed)
-    for _ in range(cycles):
-        if session.halted:
-            break
-        session.step()
-    session.finish()
-    return session
+def _execute(args, after_step=None) -> Session:
+    session = Session(_resolve_model(args.model), mode=args.mode, seed=args.seed)
+    return run_session(session, args.cycles, after_step)
 
 
 def _emit_artifacts(session: Session, args) -> None:
@@ -73,11 +76,11 @@ def format_state(session: Session, top: int = 5) -> str:
         urgent = " urgent" if buf.urgent else ""
         lines.append(f"  {name} [{buf.owner}]{urgent} {_format_content(buf.content)}")
     t_eval = session._cycle_time(session.cycle + 1)
+    mm = copy.deepcopy(session.mm)  # activation draws noise; showing it must not
     ranked = []
-    for entry_id in sorted(session.mm.entries):
-        entry = session.mm.entries[entry_id]
-        act = session.mm.activation(entry, session.wm, t_eval)
-        ranked.append((entry, act))
+    for entry_id in sorted(mm.entries):
+        entry = mm.entries[entry_id]
+        ranked.append((entry, mm.activation(entry, session.wm, t_eval)))
     ranked.sort(key=lambda item: (-item[1], item[0].id))
     lines.append(f"mm: top {min(top, len(ranked))} of {len(ranked)}")
     for entry, act in ranked[:top]:
@@ -100,11 +103,10 @@ def format_state(session: Session, top: int = 5) -> str:
 
 
 def cmd_run(args) -> int:
-    model = _resolve_model(args.model)
-    session = _execute(model, args.cycles, args.mode, args.seed)
+    session = _execute(args)
     _emit_artifacts(session, args)
     summary = metrics(session.trace)
-    print(f"{model.name}: {summary.cycles} cycles, "
+    print(f"{session.model.name}: {summary.cycles} cycles, "
           f"{summary.central_firings} central firings, "
           f"mean candidates {summary.central_candidates_mean:.2f}, "
           f"mm size {summary.mm_size_final}")
@@ -112,24 +114,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_step(args) -> int:
-    model = _resolve_model(args.model)
-    session = Session(model, mode=args.mode, seed=args.seed)
-    for _ in range(args.cycles):
-        if session.halted:
-            break
-        session.step()
-        if args.verbose:
-            print(format_state(session, top=args.top), end="")
-    session.finish()
+    def show(session: Session) -> None:
+        print(format_state(session, top=args.top), end="")
+
+    session = _execute(args, show if args.verbose else None)
     _emit_artifacts(session, args)
     if not args.verbose:
-        print(format_state(session, top=args.top), end="")
+        show(session)
     return 0
 
 
 def cmd_inspect(args) -> int:
-    model = _resolve_model(args.model)
-    session = _execute(model, args.cycles, args.mode, args.seed)
+    session = _execute(args)
     _emit_artifacts(session, args)
     print(format_state(session, top=args.top), end="")
     return 0

@@ -108,10 +108,6 @@ class Codebook:
             self._roles[name] = vec
         return vec
 
-    def ensure(self, names) -> None:
-        for name in names:
-            self.atom(name)
-
     def _make_atom(self, domain: str, name: str) -> HoloVector:
         rng = _symbol_rng(self.seed, domain, name)
         half = self.dimension // 2

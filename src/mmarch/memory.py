@@ -81,17 +81,6 @@ class WorkingMemory:
     def non_empty(self) -> list[Buffer]:
         return [b for b in self.buffers.values() if b.content is not None]
 
-    def spread_sources(self) -> frozenset[str]:
-        """Spreading sources: slot values held by non-empty buffers."""
-        out: set[str] = set()
-        for buf in self.non_empty():
-            content = buf.content
-            if isinstance(content, Chunk):
-                out.update(content.values())
-            else:  # a pending query spreads its known values
-                out.update(content.known_values())
-        return frozenset(out)
-
 
 @dataclass
 class MMEntry:
@@ -233,9 +222,6 @@ class MiddleMemory:
             return
         a.links.add(id_b)
         b.links.add(id_a)
-
-    def neighbors(self, entry_id: int) -> list[int]:
-        return sorted(self.entry(entry_id).links)
 
     def base_level(self, entry: MMEntry, now: float) -> float:
         """ln of summed power-law decayed presentation recencies."""

@@ -6,156 +6,46 @@ contents of a run.  Loading fills in every default and validates the
 whole document, reporting each violation with a path into the document
 (e.g. ``shadow_systems[1].productions[0].actions[0]``).  The serializer
 uses one canonical key order so load(write(m)) == m.
+
+Every field is declared once, on its dataclass: the default, and a reader
+that type-checks the JSON value, range-checks it and names the message a
+bad value earns.  Parsing, defaulting and :func:`model_to_dict` all walk
+those declarations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 
 from .chunks import TYPE_SLOT, WILDCARD, validate_symbol
+from .codec import DEFAULT_CLEANUP_THRESHOLD, DEFAULT_DIMENSION
 from .errors import ChunkError, ModelValidationError
+from .memory import (
+    CENTRAL,
+    DEFAULT_CAPACITY,
+    DEFAULT_DECAY,
+    DEFAULT_FORGET_THRESHOLD,
+    DEFAULT_RETRIEVAL_THRESHOLD,
+    DEFAULT_SPREAD_WEIGHT,
+)
+from .productions import (
+    ACTION_KINDS,
+    DEFAULT_FORMATION_THRESHOLD,
+    DEFAULT_LEARNING_RATE,
+    DEFAULT_PROVISIONAL_TTL,
+    DEFAULT_TIME_COST,
+)
 
-CENTRAL = "central"
-
-PREDICTOR_KINDS = ("ngram", "associative", "external")
-
-
-@dataclass(frozen=True)
-class PatternDef:
-    """Chunk-shaped pattern or template: a type plus ordered slot pairs."""
-
-    ctype: str
-    slots: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class ConditionDef:
-    pattern: PatternDef | None = None
-    buffer: str | None = None
-    mm_tags: tuple[str, ...] | None = None
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class ActionDef:
-    kind: str
-    target: str | None = None
-    chunk: PatternDef | None = None
-    query: PatternDef | None = None
-    amount: float = 0.0
-    urgent: bool = False
-
-
-@dataclass(frozen=True)
-class ProductionDef:
-    name: str
-    conditions: tuple[ConditionDef, ...]
-    actions: tuple[ActionDef, ...]
-    utility: float = 0.0
-    permanent: bool = True
-
-
-@dataclass(frozen=True)
-class BufferDef:
-    name: str
-    owner: str = CENTRAL
-
-
-@dataclass(frozen=True)
-class ShadowSystemDef:
-    name: str
-    buffer: str
-    subscriptions: tuple[str, ...]
-    productions: tuple[ProductionDef, ...] = ()
-    steps_per_cycle: int = 1
-
-
-@dataclass(frozen=True)
-class PredictorDef:
-    name: str
-    kind: str
-    tag: str
-    rate: int = 1
-    seed: int = 0
-    order: int = 2
-    corpus: tuple[tuple[str, ...], ...] = ()
-    pairs: tuple[tuple, ...] = ()
-    emit_isa: str = "word"
-    emit_slot: str = "value"
-    command: tuple[str, ...] | None = None
-    host: str | None = None
-    port: int | None = None
-
-
-@dataclass(frozen=True)
-class CodebookConfig:
-    dimension: int = 1024
-    seed: int = 0
-    cleanup_threshold: float = 0.2
-
-
-@dataclass(frozen=True)
-class MiddleMemoryConfig:
-    decay: float = 0.5
-    spread_weight: float = 1.0
-    retrieval_threshold: float = -1.0
-    forget_threshold: float = -2.5
-    noise: float = 0.0
-    formation_threshold: float = 2.0
-
-
-@dataclass(frozen=True)
-class LearningConfig:
-    rate: float = 0.2
-    time_cost: float = 0.0
-    provisional_ttl_s: float = 60.0
-
-
-@dataclass(frozen=True)
-class RewardDef:
-    cycle: int
-    amount: float
-
-
-@dataclass(frozen=True)
-class InitialWMDef:
-    buffer: str
-    chunk: PatternDef | None = None
-    query: PatternDef | None = None
-
-
-@dataclass(frozen=True)
-class InitialMMDef:
-    tag: str
-    chunk: PatternDef
-    presentations: tuple[float, ...] = (0.0,)
-    links: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class ModelDefinition:
-    name: str
-    codebook: CodebookConfig = CodebookConfig()
-    wm_capacity: int = 8
-    cycle_length_ms: int = 50
-    buffers: tuple[BufferDef, ...] = ()
-    shadow_systems: tuple[ShadowSystemDef, ...] = ()
-    central_productions: tuple[ProductionDef, ...] = ()
-    predictors: tuple[PredictorDef, ...] = ()
-    middle_memory: MiddleMemoryConfig = MiddleMemoryConfig()
-    learning: LearningConfig = LearningConfig()
-    rewards: tuple[RewardDef, ...] = ()
-    initial_wm: tuple[InitialWMDef, ...] = ()
-    initial_mm: tuple[InitialMMDef, ...] = ()
-
-    def system(self, name: str) -> ShadowSystemDef | None:
-        for system in self.shadow_systems:
-            if system.name == name:
-                return system
-        return None
+# Predictor kind -> the optional fields the canonical form always carries for it.
+PREDICTOR_KINDS = {
+    "ngram": ("order", "corpus", "emit_isa", "emit_slot"),
+    "associative": ("pairs", "emit_isa", "emit_slot"),
+    "external": (),
+}
 
 
 class _Collector:
@@ -172,246 +62,429 @@ class _Collector:
             raise ModelValidationError(self.violations)
 
 
-def _expect(value, types, path: str, errors: _Collector, what: str):
-    if not isinstance(value, types):
-        errors.add(path, f"{what} has wrong type {type(value).__name__}")
-        return None
-    return value
+# --- field readers -----------------------------------------------------------
+#
+# A reader takes (JSON value, path, collector) and returns the field's value,
+# or _INVALID after reporting why the value does not fit.
+
+_INVALID = object()
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], path: str, errors: _Collector) -> None:
-    for key in obj:
-        if key not in allowed:
-            errors.add(f"{path}.{key}", "unknown key")
+def _field(default=MISSING, read=None, *, drop: bool = False):
+    """A model field and its reader; ``drop`` discards the item on a bad value."""
+    return field(default=default, metadata={"read": read, "drop": drop})
 
 
-def _parse_pattern(obj, path: str, errors: _Collector, *,
-                   allow_wildcards: bool, allow_refs: bool) -> PatternDef | None:
-    if _expect(obj, dict, path, errors, "pattern") is None:
-        return None
-    _check_keys(obj, ("isa", "slots"), path, errors)
-    ctype = obj.get("isa")
-    if not isinstance(ctype, str):
-        errors.add(f"{path}.isa", "missing or non-string chunk type")
-        return None
-    if ctype != WILDCARD or not allow_wildcards:
+def _as(kind, value):
+    """``value`` as a JSON ``kind``, or _INVALID.  Ints pass as finite floats;
+    booleans are not numbers."""
+    if kind is float and type(value) in (int, float):
         try:
-            if not (allow_refs and ctype.startswith(WILDCARD) and len(ctype) > 1):
-                validate_symbol(ctype, what="chunk type")
-        except ChunkError as exc:
-            errors.add(f"{path}.isa", str(exc))
-    slots_obj = obj.get("slots", {})
-    if _expect(slots_obj, dict, f"{path}.slots", errors, "slots") is None:
-        return PatternDef(ctype)
-    pairs = []
-    seen = set()
-    for name, value in slots_obj.items():
-        slot_path = f"{path}.slots.{name}"
+            value = float(value)
+        except OverflowError:
+            return _INVALID
+        return value if math.isfinite(value) else _INVALID
+    return value if type(value) is kind else _INVALID
+
+
+def _scalar(kind, message: str, test=None):
+    """One value of type ``kind`` passing ``test``; ``message`` may name {value!r}."""
+    def read(value, path, errors):
+        got = _as(kind, value)
+        if got is not _INVALID and (test is None or test(got)):
+            return got
+        errors.add(path, message.format(value=value))
+        return _INVALID
+    return read
+
+
+def _scalars(kind, message: str, test=None):
+    """A list of ``kind`` values, rejected whole."""
+    def read(value, path, errors):
+        if type(value) is list:
+            got = tuple(_as(kind, x) for x in value)
+            if _INVALID not in got and (test is None or test(got)):
+                return got
+        errors.add(path, message)
+        return _INVALID
+    return read
+
+
+def _symbol(what: str):
+    def read(value, path, errors):
         try:
-            validate_symbol(name, what="slot name")
-            if name == TYPE_SLOT:
-                raise ChunkError(f"slot name {TYPE_SLOT!r} is reserved")
+            return validate_symbol(value, what=what)
         except ChunkError as exc:
-            errors.add(slot_path, str(exc))
-            continue
-        if name in seen:
-            errors.add(slot_path, "duplicate slot name")
-            continue
-        seen.add(name)
-        if not isinstance(value, str):
-            errors.add(slot_path, "slot value must be a string")
-            continue
-        if value == WILDCARD:
-            if not allow_wildcards:
-                errors.add(slot_path, "wildcard not allowed here")
-        elif value.startswith(WILDCARD):
-            if not allow_refs:
-                errors.add(slot_path, "binding reference not allowed here")
-        else:
+            errors.add(path, str(exc))
+            return _INVALID
+    return read
+
+
+def _items(read_item, message: str | None = None):
+    """A list whose bad items are reported at their index and left out."""
+    def read(value, path, errors):
+        if type(value) is not list:
+            key = path.rsplit(".", 1)[-1]
+            errors.add(path, message or f"{key} has wrong type {type(value).__name__}")
+            return _INVALID
+        out = []
+        for i, item in enumerate(value):
+            got = read_item(item, f"{path}[{i}]", errors)
+            if got is not _INVALID:
+                out.append(got)
+        return tuple(out)
+    return read
+
+
+def _record(cls, message: str):
+    """A nested JSON object read as ``cls``; ``message`` may name its {type}."""
+    def read(value, path, errors):
+        if type(value) is not dict:
+            errors.add(path, message.format(type=type(value).__name__))
+            return _INVALID
+        got = _parse_record(cls, value, path, errors)
+        return _INVALID if got is None else got
+    return read
+
+
+def _records(cls, what: str):
+    return _items(_record(cls, what + " has wrong type {type}"))
+
+
+def _pair(value, path, errors):
+    if (type(value) is not list or len(value) not in (2, 3)
+            or not all(isinstance(x, str) for x in value[:2])):
+        errors.add(path, "pairs are [a, b] or [a, b, weight]")
+        return _INVALID
+    try:
+        validate_symbol(value[0], what="pair symbol")
+        validate_symbol(value[1], what="pair symbol")
+    except ChunkError as exc:
+        errors.add(path, str(exc))
+        return _INVALID
+    if len(value) == 3 and (_as(int, value[2]) is _INVALID or value[2] < 1):
+        errors.add(path, "pair weight must be a positive integer")
+        return _INVALID
+    return tuple(value)
+
+
+def _pattern(*, wildcards: bool, refs: bool):
+    """A chunk-shaped pattern or template."""
+    def read(obj, path, errors):
+        if type(obj) is not dict:
+            errors.add(path, f"pattern has wrong type {type(obj).__name__}")
+            return _INVALID
+        for key in obj:
+            if key not in ("isa", "slots"):
+                errors.add(f"{path}.{key}", "unknown key")
+        ctype = obj.get("isa")
+        if not isinstance(ctype, str):
+            errors.add(f"{path}.isa", "missing or non-string chunk type")
+            return _INVALID
+        if ctype != WILDCARD or not wildcards:
             try:
-                validate_symbol(value, what="slot value")
+                if not (refs and ctype.startswith(WILDCARD) and len(ctype) > 1):
+                    validate_symbol(ctype, what="chunk type")
+            except ChunkError as exc:
+                errors.add(f"{path}.isa", str(exc))
+        slots = obj.get("slots", {})
+        if type(slots) is not dict:
+            errors.add(f"{path}.slots", f"slots has wrong type {type(slots).__name__}")
+            return PatternDef(ctype)
+        pairs = []
+        for name, value in slots.items():
+            slot_path = f"{path}.slots.{name}"
+            try:
+                validate_symbol(name, what="slot name")
+                if name == TYPE_SLOT:
+                    raise ChunkError(f"slot name {TYPE_SLOT!r} is reserved")
             except ChunkError as exc:
                 errors.add(slot_path, str(exc))
-        pairs.append((name, value))
-    return PatternDef(ctype, tuple(pairs))
+                continue
+            if not isinstance(value, str):
+                errors.add(slot_path, "slot value must be a string")
+                continue
+            if value == WILDCARD:
+                if not wildcards:
+                    errors.add(slot_path, "wildcard not allowed here")
+            elif value.startswith(WILDCARD):
+                if not refs:
+                    errors.add(slot_path, "binding reference not allowed here")
+            else:
+                try:
+                    validate_symbol(value, what="slot value")
+                except ChunkError as exc:
+                    errors.add(slot_path, str(exc))
+            pairs.append((name, value))
+        return PatternDef(ctype, tuple(pairs))
+    return read
 
 
-def _parse_condition(obj, path: str, errors: _Collector) -> ConditionDef | None:
-    if _expect(obj, dict, path, errors, "condition") is None:
-        return None
-    _check_keys(obj, ("buffer", "mm_tags", "pattern", "negated"), path, errors)
-    buffer = obj.get("buffer")
-    mm_tags = obj.get("mm_tags")
-    if (buffer is None) == (mm_tags is None):
-        errors.add(path, "condition needs exactly one of buffer / mm_tags")
-        return None
-    tags = None
-    if mm_tags is not None:
-        if _expect(mm_tags, list, f"{path}.mm_tags", errors, "mm_tags") is None:
-            return None
-        tags = []
-        for i, tag in enumerate(mm_tags):
-            try:
-                tags.append(validate_symbol(tag, what="tag"))
-            except ChunkError as exc:
-                errors.add(f"{path}.mm_tags[{i}]", str(exc))
-        tags = tuple(tags)
-    pattern = None
-    if obj.get("pattern") is not None:
-        pattern = _parse_pattern(obj["pattern"], f"{path}.pattern", errors,
-                                 allow_wildcards=True, allow_refs=False)
-    negated = bool(obj.get("negated", False))
-    return ConditionDef(pattern=pattern, buffer=buffer, mm_tags=tags, negated=negated)
+_BUFFER_REF = _scalar(str, "unknown buffer {value!r}")
 
 
-def _parse_action(obj, path: str, errors: _Collector) -> ActionDef | None:
-    if _expect(obj, dict, path, errors, "action") is None:
-        return None
-    _check_keys(obj, ("kind", "target", "chunk", "query", "amount", "urgent"), path, errors)
-    kind = obj.get("kind")
-    if kind not in ("write-buffer", "clear-buffer", "post-query", "emit-reward", "halt"):
-        errors.add(f"{path}.kind", f"unknown action kind {kind!r}")
-        return None
-    target = obj.get("target")
-    chunk = query = None
-    amount = 0.0
-    urgent = bool(obj.get("urgent", False))
-    if kind in ("write-buffer", "clear-buffer", "post-query"):
-        if not isinstance(target, str):
-            errors.add(f"{path}.target", "action needs a buffer target")
-    if kind == "write-buffer":
-        if obj.get("chunk") is None:
-            errors.add(f"{path}.chunk", "write-buffer needs a chunk template")
-        else:
-            chunk = _parse_pattern(obj["chunk"], f"{path}.chunk", errors,
-                                   allow_wildcards=False, allow_refs=True)
-    if kind == "post-query":
-        if obj.get("query") is None:
-            errors.add(f"{path}.query", "post-query needs a query template")
-        else:
-            query = _parse_pattern(obj["query"], f"{path}.query", errors,
-                                   allow_wildcards=True, allow_refs=True)
-    if kind == "emit-reward":
-        amount = obj.get("amount")
-        if not isinstance(amount, (int, float)) or not math.isfinite(amount):
-            errors.add(f"{path}.amount", "emit-reward needs a finite amount")
-            amount = 0.0
-        amount = float(amount)
-    return ActionDef(kind=kind, target=target, chunk=chunk, query=query,
-                     amount=amount, urgent=urgent)
+# --- the model ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PatternDef:
+    """Chunk-shaped pattern or template: a type plus ordered slot pairs."""
+
+    ctype: str
+    slots: tuple[tuple[str, str], ...] = ()
 
 
-def _parse_production(obj, path: str, errors: _Collector) -> ProductionDef | None:
-    if _expect(obj, dict, path, errors, "production") is None:
-        return None
-    _check_keys(obj, ("name", "conditions", "actions", "utility", "permanent"),
-                path, errors)
-    name = obj.get("name")
-    if not isinstance(name, str) or not name:
-        errors.add(f"{path}.name", "production needs a name")
-        return None
-    conditions = []
-    for i, cond in enumerate(obj.get("conditions", [])):
-        parsed = _parse_condition(cond, f"{path}.conditions[{i}]", errors)
-        if parsed is not None:
-            conditions.append(parsed)
-    actions = []
-    for i, action in enumerate(obj.get("actions", [])):
-        parsed = _parse_action(action, f"{path}.actions[{i}]", errors)
-        if parsed is not None:
-            actions.append(parsed)
-    utility = obj.get("utility", 0.0)
-    if not isinstance(utility, (int, float)) or not math.isfinite(utility):
-        errors.add(f"{path}.utility", "utility must be finite")
-        utility = 0.0
-    return ProductionDef(name=name, conditions=tuple(conditions),
-                         actions=tuple(actions), utility=float(utility),
-                         permanent=bool(obj.get("permanent", True)))
+@dataclass(frozen=True)
+class ConditionDef:
+    buffer: str | None = _field(None, _BUFFER_REF)
+    mm_tags: tuple[str, ...] | None = _field(None, _items(_symbol("tag")), drop=True)
+    pattern: PatternDef | None = _field(None, _pattern(wildcards=True, refs=False))
+    negated: bool = _field(False, _scalar(bool, "negated must be a boolean"))
 
 
-def _parse_predictor(obj, path: str, errors: _Collector) -> PredictorDef | None:
-    if _expect(obj, dict, path, errors, "predictor") is None:
+@dataclass(frozen=True)
+class ActionDef:
+    kind: str = _field(read=_scalar(str, "unknown action kind {value!r}",
+                                    ACTION_KINDS.__contains__), drop=True)
+    target: str | None = _field(None, _BUFFER_REF)
+    chunk: PatternDef | None = _field(None, _pattern(wildcards=False, refs=True))
+    query: PatternDef | None = _field(None, _pattern(wildcards=True, refs=True))
+    amount: float = _field(0.0, _scalar(float, "emit-reward needs a finite amount"))
+    urgent: bool = _field(False, _scalar(bool, "urgent must be a boolean"))
+
+
+@dataclass(frozen=True)
+class ProductionDef:
+    name: str = _field(read=_scalar(str, "production needs a name", bool), drop=True)
+    conditions: tuple[ConditionDef, ...] = _field((), _records(ConditionDef, "condition"))
+    actions: tuple[ActionDef, ...] = _field((), _records(ActionDef, "action"))
+    utility: float = _field(0.0, _scalar(float, "utility must be finite"))
+    permanent: bool = _field(True, _scalar(bool, "permanent must be a boolean"))
+
+
+@dataclass(frozen=True)
+class BufferDef:
+    name: str = _field(read=_symbol("buffer name"), drop=True)
+    owner: str = _field(CENTRAL, _scalar(str, "unknown owner {value!r}"))
+
+
+@dataclass(frozen=True)
+class ShadowSystemDef:
+    name: str = _field(read=_symbol("system name"), drop=True)
+    buffer: str | None = _field(None, _BUFFER_REF)
+    subscriptions: tuple[str, ...] = _field((), _items(_symbol("subscription tag")))
+    productions: tuple[ProductionDef, ...] = _field((), _records(ProductionDef, "production"))
+    steps_per_cycle: int = _field(1, _scalar(int, "must be a positive integer",
+                                             lambda v: v >= 1))
+
+
+@dataclass(frozen=True)
+class PredictorDef:
+    name: str = _field(read=_scalar(str, "predictor needs a name", bool), drop=True)
+    kind: str = _field(read=_scalar(str, f"kind must be one of {tuple(PREDICTOR_KINDS)}",
+                                    PREDICTOR_KINDS.__contains__), drop=True)
+    tag: str = _field(read=_symbol("origin tag"), drop=True)
+    rate: int = _field(1, _scalar(int, "rate must be a non-negative integer", lambda v: v >= 0))
+    seed: int = _field(0, _scalar(int, "seed must be an integer"))
+    order: int = _field(2, _scalar(int, "order must be a positive integer", lambda v: v >= 1))
+    corpus: tuple[tuple[str, ...], ...] = _field((), _items(_items(
+        _symbol("corpus symbol"), "corpus entries are symbol lists")))
+    pairs: tuple[tuple, ...] = _field((), _items(_pair))
+    emit_isa: str = _field("word", _symbol("emit_isa"))
+    emit_slot: str = _field("value", _symbol("emit_slot"))
+    command: tuple[str, ...] | None = _field(
+        None, _scalars(str, "command must be a list of strings"))
+    host: str | None = _field(None, _scalar(str, "host must be a string"))
+    port: int | None = _field(None, _scalar(int, "port must be an integer in [0, 65535]",
+                                            lambda v: 0 <= v <= 65535))
+
+
+@dataclass(frozen=True)
+class CodebookConfig:
+    dimension: int = _field(DEFAULT_DIMENSION, _scalar(
+        int, "dimension must be a positive even integer", lambda v: v >= 2 and v % 2 == 0))
+    seed: int = _field(0, _scalar(int, "seed must be a non-negative integer", lambda v: v >= 0))
+    cleanup_threshold: float = _field(DEFAULT_CLEANUP_THRESHOLD, _scalar(
+        float, "cleanup threshold must be a finite number"))
+
+
+@dataclass(frozen=True)
+class MiddleMemoryConfig:
+    decay: float = _field(DEFAULT_DECAY, _scalar(float, "decay must be positive",
+                                                 lambda v: v > 0))
+    spread_weight: float = _field(DEFAULT_SPREAD_WEIGHT, _scalar(
+        float, "spread weight must be a finite number"))
+    retrieval_threshold: float = _field(DEFAULT_RETRIEVAL_THRESHOLD, _scalar(
+        float, "retrieval threshold must be a finite number"))
+    forget_threshold: float = _field(DEFAULT_FORGET_THRESHOLD, _scalar(
+        float, "forgetting threshold must be a finite number"))
+    noise: float = _field(0.0, _scalar(float, "noise must be non-negative", lambda v: v >= 0))
+    formation_threshold: float = _field(DEFAULT_FORMATION_THRESHOLD, _scalar(
+        float, "formation threshold must be a finite number"))
+
+
+@dataclass(frozen=True)
+class LearningConfig:
+    rate: float = _field(DEFAULT_LEARNING_RATE, _scalar(
+        float, "learning rate must be in (0, 1]", lambda v: 0.0 < v <= 1.0))
+    time_cost: float = _field(DEFAULT_TIME_COST, _scalar(
+        float, "time cost must be non-negative", lambda v: v >= 0))
+    provisional_ttl_s: float = _field(DEFAULT_PROVISIONAL_TTL, _scalar(
+        float, "ttl must be positive", lambda v: v > 0))
+
+
+@dataclass(frozen=True)
+class RewardDef:
+    cycle: int = _field(read=_scalar(int, "reward cycle must be a non-negative integer",
+                                     lambda v: v >= 0), drop=True)
+    amount: float = _field(read=_scalar(float, "reward amount must be finite"), drop=True)
+
+
+@dataclass(frozen=True)
+class InitialWMDef:
+    buffer: str | None = _field(None, _BUFFER_REF, drop=True)
+    chunk: PatternDef | None = _field(None, _pattern(wildcards=False, refs=False))
+    query: PatternDef | None = _field(None, _pattern(wildcards=True, refs=False))
+
+
+@dataclass(frozen=True)
+class InitialMMDef:
+    tag: str = _field(read=_symbol("origin tag"), drop=True)
+    chunk: PatternDef = _field(read=_pattern(wildcards=False, refs=False), drop=True)
+    presentations: tuple[float, ...] = _field((0.0,), _scalars(
+        float, "presentations must be a non-empty number list", bool))
+    links: tuple[int, ...] = _field((), _scalars(int, "links must be a list of item indices"))
+
+
+@dataclass(frozen=True)
+class ModelDefinition:
+    name: str = _field(read=_scalar(str, "model needs a non-empty name", bool))
+    codebook: CodebookConfig = _field(
+        CodebookConfig(), _record(CodebookConfig, "codebook must be an object"))
+    wm_capacity: int = _field(DEFAULT_CAPACITY, _scalar(
+        int, "capacity must be a positive integer", lambda v: v >= 1))
+    cycle_length_ms: int = _field(50, _scalar(
+        int, "cycle length must be a positive integer (ms)", lambda v: v >= 1))
+    buffers: tuple[BufferDef, ...] = _field((), _records(BufferDef, "buffer"))
+    shadow_systems: tuple[ShadowSystemDef, ...] = _field(
+        (), _records(ShadowSystemDef, "shadow system"))
+    central_productions: tuple[ProductionDef, ...] = _field(
+        (), _records(ProductionDef, "production"))
+    predictors: tuple[PredictorDef, ...] = _field((), _records(PredictorDef, "predictor"))
+    middle_memory: MiddleMemoryConfig = _field(
+        MiddleMemoryConfig(), _record(MiddleMemoryConfig, "middle_memory must be an object"))
+    learning: LearningConfig = _field(
+        LearningConfig(), _record(LearningConfig, "learning must be an object"))
+    rewards: tuple[RewardDef, ...] = _field((), _records(RewardDef, "reward"))
+    initial_wm: tuple[InitialWMDef, ...] = _field((), _records(InitialWMDef, "initial wm item"))
+    initial_mm: tuple[InitialMMDef, ...] = _field((), _records(InitialMMDef, "initial mm item"))
+
+    def system(self, name: str) -> ShadowSystemDef | None:
+        for system in self.shadow_systems:
+            if system.name == name:
+                return system
         return None
-    _check_keys(obj, ("name", "kind", "tag", "rate", "seed", "order", "corpus",
-                      "pairs", "emit_isa", "emit_slot", "command", "host", "port"),
-                path, errors)
-    name = obj.get("name")
-    kind = obj.get("kind")
-    tag = obj.get("tag")
-    if not isinstance(name, str) or not name:
-        errors.add(f"{path}.name", "predictor needs a name")
-        return None
-    if kind not in PREDICTOR_KINDS:
-        errors.add(f"{path}.kind", f"kind must be one of {PREDICTOR_KINDS}")
-        return None
-    try:
-        tag = validate_symbol(tag, what="origin tag")
-    except ChunkError as exc:
-        errors.add(f"{path}.tag", str(exc))
-        return None
-    rate = obj.get("rate", 1)
-    if not isinstance(rate, int) or rate < 0:
-        errors.add(f"{path}.rate", "rate must be a non-negative integer")
-        rate = 1
-    seed = obj.get("seed", 0)
-    order = obj.get("order", 2)
-    if not isinstance(order, int) or order < 1:
-        errors.add(f"{path}.order", "order must be a positive integer")
-        order = 2
-    corpus = []
-    for i, seq in enumerate(obj.get("corpus", [])):
-        if not isinstance(seq, list):
-            errors.add(f"{path}.corpus[{i}]", "corpus entries are symbol lists")
-            continue
-        row = []
-        for j, sym in enumerate(seq):
-            try:
-                row.append(validate_symbol(sym, what="corpus symbol"))
-            except ChunkError as exc:
-                errors.add(f"{path}.corpus[{i}][{j}]", str(exc))
-        corpus.append(tuple(row))
-    pairs = []
-    for i, pair in enumerate(obj.get("pairs", [])):
-        if (not isinstance(pair, list) or len(pair) not in (2, 3)
-                or not all(isinstance(x, str) for x in pair[:2])):
-            errors.add(f"{path}.pairs[{i}]", "pairs are [a, b] or [a, b, weight]")
-            continue
-        try:
-            validate_symbol(pair[0], what="pair symbol")
-            validate_symbol(pair[1], what="pair symbol")
-        except ChunkError as exc:
-            errors.add(f"{path}.pairs[{i}]", str(exc))
-            continue
-        if len(pair) == 3 and (not isinstance(pair[2], int) or pair[2] < 1):
-            errors.add(f"{path}.pairs[{i}]", "pair weight must be a positive integer")
-            continue
-        pairs.append(tuple(pair))
-    command = obj.get("command")
-    if command is not None and (not isinstance(command, list)
-                                or not all(isinstance(x, str) for x in command)):
-        errors.add(f"{path}.command", "command must be a list of strings")
-        command = None
-    host = obj.get("host")
-    port = obj.get("port")
-    if kind == "ngram" and not corpus:
+
+
+# --- parsing -------------------------------------------------------------------
+
+# Items that need exactly one of two fields: (item name, field, field).
+_ONE_OF = {
+    ConditionDef: ("condition", "buffer", "mm_tags"),
+    InitialWMDef: ("initial wm item", "chunk", "query"),
+}
+
+# The violation for an action that lacks a field its kind needs.
+_NEEDED = {
+    "target": "action needs a buffer target",
+    "chunk": "write-buffer needs a chunk template",
+    "query": "post-query needs a query template",
+    "amount": "emit-reward needs a finite amount",
+}
+
+
+def _check_action(values: dict, obj: dict, path: str, errors: _Collector) -> None:
+    # A target is missing unless it read as a string; the rest unless present.
+    for name in ACTION_KINDS[values["kind"]].needs:
+        if (values if name == "target" else obj).get(name) is None:
+            errors.add(f"{path}.{name}", _NEEDED[name])
+
+
+def _check_predictor(values: dict, obj: dict, path: str, errors: _Collector) -> None:
+    kind = values["kind"]
+    if kind == "ngram" and not values["corpus"]:
         errors.add(f"{path}.corpus", "ngram predictor needs a corpus")
-    if kind == "associative" and not pairs:
+    if kind == "associative" and not values["pairs"]:
         errors.add(f"{path}.pairs", "associative predictor needs pairs")
-    if kind == "external":
-        if command is None and (host is None or port is None):
-            errors.add(path, "external predictor needs command or host+port")
-    for key, value in (("emit_isa", obj.get("emit_isa")), ("emit_slot", obj.get("emit_slot"))):
-        if value is not None:
-            try:
-                validate_symbol(value, what=key)
-            except ChunkError as exc:
-                errors.add(f"{path}.{key}", str(exc))
-    return PredictorDef(
-        name=name, kind=kind, tag=tag, rate=rate, seed=seed, order=order,
-        corpus=tuple(corpus), pairs=tuple(pairs),
-        emit_isa=obj.get("emit_isa", "word"), emit_slot=obj.get("emit_slot", "value"),
-        command=tuple(command) if command is not None else None,
-        host=host, port=port)
+    if kind == "external" and values["command"] is None and (
+            values["host"] is None or values["port"] is None):
+        errors.add(path, "external predictor needs command or host+port")
+
+
+def _check_thresholds(values: dict, obj: dict, path: str, errors: _Collector) -> None:
+    if values["forget_threshold"] > values["retrieval_threshold"]:
+        errors.add(f"{path}.forget_threshold",
+                   "forgetting threshold must not exceed retrieval threshold")
+
+
+def _check_history(values: dict, obj: dict, path: str, errors: _Collector) -> None:
+    presentations = values["presentations"]
+    if list(presentations) != sorted(presentations):
+        errors.add(f"{path}.presentations", "presentations must be sorted ascending")
+    if presentations[-1] > 0.0:
+        errors.add(f"{path}.presentations", "initial presentations must be at or before time 0")
+
+
+# Checks that span fields, run after every field has been read.
+_CHECKS = {
+    ActionDef: _check_action,
+    PredictorDef: _check_predictor,
+    MiddleMemoryConfig: _check_thresholds,
+    InitialMMDef: _check_history,
+}
+
+
+@cache
+def _specs(cls) -> tuple[frozenset, tuple]:
+    """(field names, (name, default, reader, drop) per field) of a model class."""
+    specs = tuple((f.name, f.default, f.metadata["read"], f.metadata["drop"])
+                  for f in fields(cls))
+    return frozenset(name for name, *_ in specs), specs
+
+
+def _parse_record(cls, obj: dict, path: str, errors: _Collector):
+    """Read one JSON object as ``cls``, or return None if the item is dropped.
+
+    Unknown keys are reported first, then each field in declaration order:
+    an absent field takes its default, and a bad value is reported and
+    replaced by the default, or drops the item when the field says so.
+    """
+    names, specs = _specs(cls)
+    for key in obj:
+        if key not in names:
+            errors.add(f"{path}.{key}", "unknown key")
+    one_of = _ONE_OF.get(cls)
+    if one_of is not None:
+        what, a, b = one_of
+        if (obj.get(a) is None) == (obj.get(b) is None):
+            errors.add(path, f"{what} needs exactly one of {a} / {b}")
+            return None
+    values = {}
+    for name, default, read, drop in specs:
+        value = obj.get(name, default)
+        if value is default and default is not MISSING:  # absent, or null for None
+            values[name] = default
+            continue
+        got = read(None if value is MISSING else value,
+                   f"{path}.{name}" if path else name, errors)
+        if got is _INVALID:
+            if drop:
+                return None
+            got = None if default is MISSING else default
+        values[name] = got
+    check = _CHECKS.get(cls)
+    if check is not None:
+        check(values, obj, path, errors)
+    return cls(**values)
 
 
 def parse_model(document: dict) -> ModelDefinition:
@@ -423,209 +496,7 @@ def parse_model(document: dict) -> ModelDefinition:
     if not isinstance(document, dict):
         errors.add("", "model document must be a JSON object")
         errors.raise_if_any()
-    _check_keys(document, ("name", "codebook", "wm_capacity", "cycle_length_ms",
-                           "buffers", "shadow_systems", "central_productions",
-                           "predictors", "middle_memory", "learning", "rewards",
-                           "initial_wm", "initial_mm"), "", errors)
-    name = document.get("name")
-    if not isinstance(name, str) or not name:
-        errors.add("name", "model needs a non-empty name")
-        name = "unnamed"
-
-    cb = document.get("codebook", {})
-    if not isinstance(cb, dict):
-        errors.add("codebook", "codebook must be an object")
-        cb = {}
-    _check_keys(cb, ("dimension", "seed", "cleanup_threshold"), "codebook", errors)
-    codebook = CodebookConfig(
-        dimension=cb.get("dimension", 1024),
-        seed=cb.get("seed", 0),
-        cleanup_threshold=cb.get("cleanup_threshold", 0.2))
-    if (not isinstance(codebook.dimension, int) or codebook.dimension < 2
-            or codebook.dimension % 2 != 0):
-        errors.add("codebook.dimension", "dimension must be a positive even integer")
-    if not isinstance(codebook.seed, int) or codebook.seed < 0:
-        errors.add("codebook.seed", "seed must be a non-negative integer")
-
-    wm_capacity = document.get("wm_capacity", 8)
-    if not isinstance(wm_capacity, int) or wm_capacity < 1:
-        errors.add("wm_capacity", "capacity must be a positive integer")
-        wm_capacity = 8
-    cycle_length_ms = document.get("cycle_length_ms", 50)
-    if not isinstance(cycle_length_ms, int) or cycle_length_ms < 1:
-        errors.add("cycle_length_ms", "cycle length must be a positive integer (ms)")
-        cycle_length_ms = 50
-
-    buffers = []
-    for i, obj in enumerate(document.get("buffers", [])):
-        path = f"buffers[{i}]"
-        if _expect(obj, dict, path, errors, "buffer") is None:
-            continue
-        _check_keys(obj, ("name", "owner"), path, errors)
-        bname = obj.get("name")
-        try:
-            bname = validate_symbol(bname, what="buffer name")
-        except ChunkError as exc:
-            errors.add(f"{path}.name", str(exc))
-            continue
-        buffers.append(BufferDef(name=bname, owner=obj.get("owner", CENTRAL)))
-
-    systems = []
-    for i, obj in enumerate(document.get("shadow_systems", [])):
-        path = f"shadow_systems[{i}]"
-        if _expect(obj, dict, path, errors, "shadow system") is None:
-            continue
-        _check_keys(obj, ("name", "buffer", "subscriptions", "productions",
-                          "steps_per_cycle"), path, errors)
-        sname = obj.get("name")
-        try:
-            sname = validate_symbol(sname, what="system name")
-        except ChunkError as exc:
-            errors.add(f"{path}.name", str(exc))
-            continue
-        subs = []
-        for j, tag in enumerate(obj.get("subscriptions", [])):
-            try:
-                subs.append(validate_symbol(tag, what="subscription tag"))
-            except ChunkError as exc:
-                errors.add(f"{path}.subscriptions[{j}]", str(exc))
-        productions = []
-        for j, prod in enumerate(obj.get("productions", [])):
-            parsed = _parse_production(prod, f"{path}.productions[{j}]", errors)
-            if parsed is not None:
-                productions.append(parsed)
-        steps = obj.get("steps_per_cycle", 1)
-        if not isinstance(steps, int) or steps < 1:
-            errors.add(f"{path}.steps_per_cycle", "must be a positive integer")
-            steps = 1
-        systems.append(ShadowSystemDef(
-            name=sname, buffer=obj.get("buffer"), subscriptions=tuple(subs),
-            productions=tuple(productions), steps_per_cycle=steps))
-
-    central = []
-    for i, prod in enumerate(document.get("central_productions", [])):
-        parsed = _parse_production(prod, f"central_productions[{i}]", errors)
-        if parsed is not None:
-            central.append(parsed)
-
-    predictors = []
-    for i, obj in enumerate(document.get("predictors", [])):
-        parsed = _parse_predictor(obj, f"predictors[{i}]", errors)
-        if parsed is not None:
-            predictors.append(parsed)
-
-    mmc = document.get("middle_memory", {})
-    if not isinstance(mmc, dict):
-        errors.add("middle_memory", "middle_memory must be an object")
-        mmc = {}
-    _check_keys(mmc, ("decay", "spread_weight", "retrieval_threshold",
-                      "forget_threshold", "noise", "formation_threshold"),
-                "middle_memory", errors)
-    middle_memory = MiddleMemoryConfig(
-        decay=float(mmc.get("decay", 0.5)),
-        spread_weight=float(mmc.get("spread_weight", 1.0)),
-        retrieval_threshold=float(mmc.get("retrieval_threshold", -1.0)),
-        forget_threshold=float(mmc.get("forget_threshold", -2.5)),
-        noise=float(mmc.get("noise", 0.0)),
-        formation_threshold=float(mmc.get("formation_threshold", 2.0)))
-    if middle_memory.forget_threshold > middle_memory.retrieval_threshold:
-        errors.add("middle_memory.forget_threshold",
-                   "forgetting threshold must not exceed retrieval threshold")
-    if middle_memory.decay <= 0:
-        errors.add("middle_memory.decay", "decay must be positive")
-    if middle_memory.noise < 0:
-        errors.add("middle_memory.noise", "noise must be non-negative")
-
-    lc = document.get("learning", {})
-    if not isinstance(lc, dict):
-        errors.add("learning", "learning must be an object")
-        lc = {}
-    _check_keys(lc, ("rate", "time_cost", "provisional_ttl_s"), "learning", errors)
-    learning = LearningConfig(
-        rate=float(lc.get("rate", 0.2)),
-        time_cost=float(lc.get("time_cost", 0.0)),
-        provisional_ttl_s=float(lc.get("provisional_ttl_s", 60.0)))
-    if not 0.0 < learning.rate <= 1.0:
-        errors.add("learning.rate", "learning rate must be in (0, 1]")
-    if learning.time_cost < 0:
-        errors.add("learning.time_cost", "time cost must be non-negative")
-    if learning.provisional_ttl_s <= 0:
-        errors.add("learning.provisional_ttl_s", "ttl must be positive")
-
-    rewards = []
-    for i, obj in enumerate(document.get("rewards", [])):
-        path = f"rewards[{i}]"
-        if _expect(obj, dict, path, errors, "reward") is None:
-            continue
-        _check_keys(obj, ("cycle", "amount"), path, errors)
-        cycle = obj.get("cycle")
-        amount = obj.get("amount")
-        if not isinstance(cycle, int) or cycle < 0:
-            errors.add(f"{path}.cycle", "reward cycle must be a non-negative integer")
-            continue
-        if not isinstance(amount, (int, float)) or not math.isfinite(amount):
-            errors.add(f"{path}.amount", "reward amount must be finite")
-            continue
-        rewards.append(RewardDef(cycle=cycle, amount=float(amount)))
-
-    initial_wm = []
-    for i, obj in enumerate(document.get("initial_wm", [])):
-        path = f"initial_wm[{i}]"
-        if _expect(obj, dict, path, errors, "initial wm item") is None:
-            continue
-        _check_keys(obj, ("buffer", "chunk", "query"), path, errors)
-        chunk = query = None
-        if (obj.get("chunk") is None) == (obj.get("query") is None):
-            errors.add(path, "initial wm item needs exactly one of chunk / query")
-            continue
-        if obj.get("chunk") is not None:
-            chunk = _parse_pattern(obj["chunk"], f"{path}.chunk", errors,
-                                   allow_wildcards=False, allow_refs=False)
-        else:
-            query = _parse_pattern(obj["query"], f"{path}.query", errors,
-                                   allow_wildcards=True, allow_refs=False)
-        initial_wm.append(InitialWMDef(buffer=obj.get("buffer"), chunk=chunk, query=query))
-
-    initial_mm = []
-    for i, obj in enumerate(document.get("initial_mm", [])):
-        path = f"initial_mm[{i}]"
-        if _expect(obj, dict, path, errors, "initial mm item") is None:
-            continue
-        _check_keys(obj, ("tag", "chunk", "presentations", "links"), path, errors)
-        try:
-            tag = validate_symbol(obj.get("tag"), what="origin tag")
-        except ChunkError as exc:
-            errors.add(f"{path}.tag", str(exc))
-            continue
-        chunk = _parse_pattern(obj.get("chunk"), f"{path}.chunk", errors,
-                               allow_wildcards=False, allow_refs=False)
-        if chunk is None:
-            continue
-        presentations = obj.get("presentations", [0.0])
-        if (not isinstance(presentations, list) or not presentations
-                or not all(isinstance(t, (int, float)) for t in presentations)):
-            errors.add(f"{path}.presentations", "presentations must be a non-empty number list")
-            presentations = [0.0]
-        presentations = [float(t) for t in presentations]
-        if presentations != sorted(presentations):
-            errors.add(f"{path}.presentations", "presentations must be sorted ascending")
-        if presentations and presentations[-1] > 0.0:
-            errors.add(f"{path}.presentations", "initial presentations must be at or before time 0")
-        links = obj.get("links", [])
-        if not isinstance(links, list) or not all(isinstance(x, int) for x in links):
-            errors.add(f"{path}.links", "links must be a list of item indices")
-            links = []
-        initial_mm.append(InitialMMDef(tag=tag, chunk=chunk,
-                                       presentations=tuple(presentations),
-                                       links=tuple(links)))
-
-    model = ModelDefinition(
-        name=name, codebook=codebook, wm_capacity=wm_capacity,
-        cycle_length_ms=cycle_length_ms, buffers=tuple(buffers),
-        shadow_systems=tuple(systems), central_productions=tuple(central),
-        predictors=tuple(predictors), middle_memory=middle_memory,
-        learning=learning, rewards=tuple(rewards),
-        initial_wm=tuple(initial_wm), initial_mm=tuple(initial_mm))
+    model = _parse_record(ModelDefinition, document, "", errors)
     _validate_semantics(model, errors)
     errors.raise_if_any()
     return model
@@ -663,7 +534,8 @@ def _check_production_semantics(production: ProductionDef, path: str, owner: str
     bindable = _bindable_keys(production)
     for i, action in enumerate(production.actions):
         apath = f"{path}.actions[{i}]"
-        if owner != CENTRAL and action.kind in ("emit-reward", "halt"):
+        kind = ACTION_KINDS[action.kind]
+        if owner != CENTRAL and kind.central_only:
             errors.add(f"{apath}.kind",
                        f"{action.kind} is reserved for central productions")
         if action.target is not None:
@@ -686,10 +558,8 @@ def _check_production_semantics(production: ProductionDef, path: str, owner: str
                 if ref not in bindable:
                     errors.add(apath, f"binding reference ?{ref} is not bound by "
                                       "any non-negated condition")
-        if action.urgent and action.kind != "write-buffer":
+        if action.urgent and not kind.may_be_urgent:
             errors.add(apath, "only write-buffer actions can be urgent")
-
-
 def _validate_semantics(model: ModelDefinition, errors: _Collector) -> None:
     if len(model.buffers) > model.wm_capacity:
         errors.add("buffers", f"{len(model.buffers)} buffers exceed capacity "
@@ -784,112 +654,45 @@ def validate_for_mode(model: ModelDefinition, mode: str) -> None:
     errors.raise_if_any()
 
 
+
+
 # --- canonical serialization -------------------------------------------------
 
-def _pattern_to_dict(pattern: PatternDef) -> dict:
-    return {"isa": pattern.ctype, "slots": dict(pattern.slots)}
+_ACTION_FIELDS = {"target", "chunk", "query", "amount", "urgent"}
+_PREDICTOR_FIELDS = {"order", "corpus", "pairs", "emit_isa", "emit_slot",
+                     "command", "host", "port"}
 
 
-def _condition_to_dict(cond: ConditionDef) -> dict:
-    out: dict = {}
-    if cond.buffer is not None:
-        out["buffer"] = cond.buffer
-    else:
-        out["mm_tags"] = list(cond.mm_tags)
-    out["pattern"] = None if cond.pattern is None else _pattern_to_dict(cond.pattern)
-    out["negated"] = cond.negated
+def _optional(record) -> set[str]:
+    """Fields the canonical form leaves out of ``record`` while at their default."""
+    if isinstance(record, ActionDef):
+        kind = ACTION_KINDS[record.kind]
+        return _ACTION_FIELDS - set(kind.needs) - ({"urgent"} if kind.may_be_urgent else set())
+    if isinstance(record, PredictorDef):
+        return _PREDICTOR_FIELDS - set(PREDICTOR_KINDS[record.kind])
+    one_of = _ONE_OF.get(type(record))
+    return set(one_of[1:]) if one_of is not None else set()
+
+
+def _to_json(value):
+    if isinstance(value, PatternDef):
+        return {"isa": value.ctype, "slots": dict(value.slots)}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if not is_dataclass(value):
+        return value
+    optional = _optional(value)
+    out = {}
+    for name, default, _, _ in _specs(type(value))[1]:
+        item = getattr(value, name)
+        if not (name in optional and item == default):
+            out[name] = _to_json(item)
     return out
-
-
-def _action_to_dict(action: ActionDef) -> dict:
-    out: dict = {"kind": action.kind}
-    if action.target is not None:
-        out["target"] = action.target
-    if action.chunk is not None:
-        out["chunk"] = _pattern_to_dict(action.chunk)
-    if action.query is not None:
-        out["query"] = _pattern_to_dict(action.query)
-    if action.kind == "emit-reward":
-        out["amount"] = action.amount
-    if action.kind == "write-buffer":
-        out["urgent"] = action.urgent
-    return out
-
-
-def _production_to_dict(production: ProductionDef) -> dict:
-    return {"name": production.name,
-            "conditions": [_condition_to_dict(c) for c in production.conditions],
-            "actions": [_action_to_dict(a) for a in production.actions],
-            "utility": production.utility,
-            "permanent": production.permanent}
 
 
 def model_to_dict(model: ModelDefinition) -> dict:
     """Canonical JSON document for a model, all defaults explicit."""
-    out: dict = {
-        "name": model.name,
-        "codebook": {"dimension": model.codebook.dimension,
-                     "seed": model.codebook.seed,
-                     "cleanup_threshold": model.codebook.cleanup_threshold},
-        "wm_capacity": model.wm_capacity,
-        "cycle_length_ms": model.cycle_length_ms,
-        "buffers": [{"name": b.name, "owner": b.owner} for b in model.buffers],
-        "shadow_systems": [
-            {"name": s.name, "buffer": s.buffer,
-             "subscriptions": list(s.subscriptions),
-             "productions": [_production_to_dict(p) for p in s.productions],
-             "steps_per_cycle": s.steps_per_cycle}
-            for s in model.shadow_systems],
-        "central_productions": [_production_to_dict(p)
-                                for p in model.central_productions],
-        "predictors": [],
-        "middle_memory": {
-            "decay": model.middle_memory.decay,
-            "spread_weight": model.middle_memory.spread_weight,
-            "retrieval_threshold": model.middle_memory.retrieval_threshold,
-            "forget_threshold": model.middle_memory.forget_threshold,
-            "noise": model.middle_memory.noise,
-            "formation_threshold": model.middle_memory.formation_threshold},
-        "learning": {"rate": model.learning.rate,
-                     "time_cost": model.learning.time_cost,
-                     "provisional_ttl_s": model.learning.provisional_ttl_s},
-        "rewards": [{"cycle": r.cycle, "amount": r.amount} for r in model.rewards],
-        "initial_wm": [],
-        "initial_mm": [],
-    }
-    for predictor in model.predictors:
-        entry: dict = {"name": predictor.name, "kind": predictor.kind,
-                       "tag": predictor.tag, "rate": predictor.rate,
-                       "seed": predictor.seed}
-        if predictor.kind == "ngram":
-            entry["order"] = predictor.order
-            entry["corpus"] = [list(seq) for seq in predictor.corpus]
-            entry["emit_isa"] = predictor.emit_isa
-            entry["emit_slot"] = predictor.emit_slot
-        elif predictor.kind == "associative":
-            entry["pairs"] = [list(pair) for pair in predictor.pairs]
-            entry["emit_isa"] = predictor.emit_isa
-            entry["emit_slot"] = predictor.emit_slot
-        else:
-            if predictor.command is not None:
-                entry["command"] = list(predictor.command)
-            if predictor.host is not None:
-                entry["host"] = predictor.host
-                entry["port"] = predictor.port
-        out["predictors"].append(entry)
-    for item in model.initial_wm:
-        entry = {"buffer": item.buffer}
-        if item.chunk is not None:
-            entry["chunk"] = _pattern_to_dict(item.chunk)
-        else:
-            entry["query"] = _pattern_to_dict(item.query)
-        out["initial_wm"].append(entry)
-    for item in model.initial_mm:
-        out["initial_mm"].append({
-            "tag": item.tag, "chunk": _pattern_to_dict(item.chunk),
-            "presentations": list(item.presentations),
-            "links": list(item.links)})
-    return out
+    return _to_json(model)
 
 
 def load_model(path) -> ModelDefinition:

@@ -144,18 +144,7 @@ class AssociativePredictor:
         best = min(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         return best[0], best[1] / total
 
-    def deliver(self, vector: HoloVector, symbols: list[str],
-                cycle: int) -> list[Prediction]:
-        got = self.predict(symbols)
-        if got is None or self.rate < 1:
-            return []
-        symbol, salience = got
-        return [Prediction(tag=self.tag, predictor=self.name,
-                           produced_at_cycle=cycle, emission_index=i,
-                           ctype=self.emit_ctype,
-                           slots=((self.emit_slot, symbol),),
-                           salience=salience)
-                for i in range(self.rate)]
+    deliver = NgramPredictor.deliver
 
 
 def encode_context(cycle: int, vector: HoloVector, symbols: list[str]) -> str:

@@ -12,7 +12,7 @@ spawn provisional retrieval productions that survive only if rewarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chunks import WILDCARD, Chunk, ChunkFactory, Query, match_query
 from .errors import BindingError
@@ -23,7 +23,28 @@ DEFAULT_TIME_COST = 0.0
 DEFAULT_FORMATION_THRESHOLD = 2.0
 DEFAULT_PROVISIONAL_TTL = 60.0
 
-ACTION_KINDS = ("write-buffer", "clear-buffer", "post-query", "emit-reward", "halt")
+
+@dataclass(frozen=True)
+class ActionKind:
+    """What an action kind needs set, who may use it, and whether it may be urgent.
+
+    ``needs`` names model fields (``target``, ``chunk``, ``query``,
+    ``amount``); a kind that needs ``chunk`` instantiates a chunk template
+    when fired, one that needs ``query`` a query template.
+    """
+
+    needs: tuple[str, ...] = ()
+    central_only: bool = False
+    may_be_urgent: bool = False
+
+
+ACTION_KINDS = {
+    "write-buffer": ActionKind(("target", "chunk"), may_be_urgent=True),
+    "clear-buffer": ActionKind(("target",)),
+    "post-query": ActionKind(("target", "query")),
+    "emit-reward": ActionKind(("amount",), central_only=True),
+    "halt": ActionKind(central_only=True),
+}
 
 
 @dataclass(frozen=True)
@@ -82,7 +103,6 @@ class Production:
     utility: float = 0.0
     permanent: bool = True
     created_at: float | None = None
-    fired_at: list[float] = field(default_factory=list)
 
 
 def _resolve_value(value: str, bindings: dict[str, str], production: str,
@@ -248,30 +268,22 @@ class Effect:
 
 
 def fire(production: Production, bindings: dict[str, str],
-         factory: ChunkFactory, now: float) -> list[Effect]:
+         factory: ChunkFactory) -> list[Effect]:
     """Instantiate the production's actions, in listed order.
 
-    Appends the fire time to the production's history; the caller applies
-    the returned effects and does the engine-specific bookkeeping.
+    Pure apart from allocating ids from ``factory``: the caller applies the
+    returned effects and does the engine-specific bookkeeping.
     """
     effects = []
     for action in production.actions:
-        if action.kind == "write-buffer":
-            chunk = instantiate_chunk(action.template, bindings, factory, production.name)
-            effects.append(Effect("write-buffer", target=action.target,
-                                  content=chunk, urgent=action.urgent))
-        elif action.kind == "clear-buffer":
-            effects.append(Effect("clear-buffer", target=action.target))
-        elif action.kind == "post-query":
-            query = instantiate_query(action.template, bindings, factory, production.name)
-            effects.append(Effect("post-query", target=action.target, content=query))
-        elif action.kind == "emit-reward":
-            effects.append(Effect("emit-reward", amount=action.amount))
-        elif action.kind == "halt":
-            effects.append(Effect("halt"))
-        else:
-            raise ValueError(f"unknown action kind {action.kind!r}")
-    production.fired_at.append(now)
+        needs = ACTION_KINDS[action.kind].needs
+        content = None
+        if "chunk" in needs:
+            content = instantiate_chunk(action.template, bindings, factory, production.name)
+        elif "query" in needs:
+            content = instantiate_query(action.template, bindings, factory, production.name)
+        effects.append(Effect(action.kind, target=action.target, content=content,
+                              amount=action.amount, urgent=action.urgent))
     return effects
 
 

@@ -19,14 +19,22 @@ already has a positive lag.  Time is integer milliseconds internally.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chunks import Chunk, ChunkFactory, Query
 from .codec import Codebook
-from .memory import Buffer, MiddleMemory, WorkingMemory, context_symbols, context_vector
-from .model import CENTRAL, ModelDefinition, PatternDef, validate_for_mode
+from .memory import (
+    CENTRAL,
+    Buffer,
+    MiddleMemory,
+    WorkingMemory,
+    context_symbols,
+    context_vector,
+)
+from .model import ModelDefinition, PatternDef, validate_for_mode
 from .predictors import (
     AssociativePredictor,
     ExternalPredictor,
@@ -37,6 +45,7 @@ from .predictors import (
     encode_context,
 )
 from .productions import (
+    ACTION_KINDS,
     Action,
     Condition,
     MatchView,
@@ -60,32 +69,6 @@ from .shadows import (
 from .trace import Trace, chunk_data, query_data
 
 CONTEXT_SYMBOL_COUNT = 5
-
-
-class _OverlayWM:
-    """Working-memory view with one buffer's content privately overridden.
-
-    Lets a multi-step shadow system see its own intra-cycle writes without
-    exposing them to anyone else.
-    """
-
-    def __init__(self, base: WorkingMemory, override):
-        self._base = base
-        self._override = override
-
-    @property
-    def buffers(self):
-        merged = dict(self._base.buffers)
-        merged[self._override.name] = self._override
-        return merged
-
-    def buffer(self, name: str):
-        if name == self._override.name:
-            return self._override
-        return self._base.buffer(name)
-
-    def non_empty(self):
-        return [b for b in self.buffers.values() if b.content is not None]
 
 
 @dataclass
@@ -180,7 +163,8 @@ class Session:
             for c in pdef.conditions)
         actions = tuple(
             Action(kind=a.kind, target=a.target,
-                   template=_to_template(a.chunk) or _to_template(a.query),
+                   template=_to_template(
+                       a.query if "query" in ACTION_KINDS[a.kind].needs else a.chunk),
                    amount=a.amount, urgent=a.urgent)
             for a in pdef.actions)
         return Production(name=pdef.name, owner=owner, conditions=conditions,
@@ -353,10 +337,12 @@ class Session:
             if decision.kind in ("answer", "miss"):
                 break
             if sub + 1 < system.steps_per_cycle:
+                # Later steps see this system's own write, and nobody else does.
                 content, urgent = _preview_write(decision, scratch)
-                view_wm = _OverlayWM(self.wm, Buffer(
+                view_wm = copy.copy(self.wm)
+                view_wm.buffers = {**self.wm.buffers, system.buffer: Buffer(
                     name=system.buffer, owner=system.name,
-                    content=content, urgent=urgent))
+                    content=content, urgent=urgent)}
         return decisions
 
     def _emit_decision(self, n: int, t_now: float, decision: ShadowDecision,
@@ -364,7 +350,7 @@ class Session:
         system = decision.system
         if decision.kind == "fire":
             production = decision.match.production
-            effects = fire(production, decision.match.bindings, self.factory, t_now)
+            effects = fire(production, decision.match.bindings, self.factory)
             self.trace.append(n, "shadow-fire", {
                 "system": system.name, "production": production.name,
                 "bindings": dict(decision.match.bindings)})
@@ -427,7 +413,7 @@ class Session:
                                           "conflict": conflict_names})
             return []
         production = winner.production
-        effects = fire(production, winner.bindings, self.factory, t_now)
+        effects = fire(production, winner.bindings, self.factory)
         self.learner.record_fire(production, t_now)
         consumed = self._record_consumption(n, winner.sources)
         self.trace.append(n, "central-fire", {
@@ -590,14 +576,19 @@ class Session:
         return self.trace
 
     def conflict_snapshot(self) -> dict[str, list[str]]:
-        """Current conflict sets per engine, computed without side effects."""
+        """Current conflict sets per engine, computed without side effects.
+
+        Shadow matching retrieves from a copy of middle memory, because
+        evaluating activation draws noise and records ``last_activation``.
+        """
         t_eval = self._cycle_time(self.cycle + 1)
+        mm = copy.deepcopy(self.mm)
         view = MatchView(self.wm, None, t_eval,
                          inflows=self.inflows if self.mode == "pipeline" else None)
         out = {CENTRAL: [m.production.name
                          for m in match_all(self.central_productions, view)]}
         for system in self.systems:
-            sview = MatchView(self.wm, self.mm, t_eval,
+            sview = MatchView(self.wm, mm, t_eval,
                               default_tags=system.subscriptions)
             out[system.name] = [m.production.name
                                 for m in match_all(system.productions, sview)]
@@ -613,13 +604,9 @@ def _content_data(content) -> dict | None:
 
 
 def _preview_write(decision: ShadowDecision, scratch: ChunkFactory):
-    """Simulate a fire decision's final buffer content for overlay reads."""
-    production = decision.match.production
-    fired_at = list(production.fired_at)
-    effects = fire(production, decision.match.bindings, scratch, 0.0)
-    production.fired_at[:] = fired_at  # preview must not count as a firing
+    """A fire decision's final buffer content, for the system's later steps."""
     content, urgent = None, False
-    for effect in effects:
+    for effect in fire(decision.match.production, decision.match.bindings, scratch):
         if effect.kind == "write-buffer":
             content, urgent = effect.content, effect.urgent
         elif effect.kind == "clear-buffer":
@@ -638,18 +625,28 @@ def _external_prediction(message, decoded) -> Prediction:
         vector=decoded.get("vector"), salience=decoded["salience"])
 
 
-def run(model: ModelDefinition, cycles: int, mode: str = "mm", seed: int = 0,
-        shadow_step_order: list[int] | None = None) -> Trace:
-    """Execute ``cycles`` cycles (or fewer on halt) and return the trace."""
-    if cycles < 0:
-        raise ValueError("cycle count must be non-negative")
-    session = Session(model, mode=mode, seed=seed,
-                      shadow_step_order=shadow_step_order)
+def run_session(session: Session, cycles: int, after_step=None) -> Session:
+    """Step ``session`` up to ``cycles`` times, stopping early on halt.
+
+    ``after_step(session)`` runs after every cycle.  The session is always
+    finished, so external predictors are closed even when a step raises.
+    """
     try:
         for _ in range(cycles):
             if session.halted:
                 break
             session.step()
+            if after_step is not None:
+                after_step(session)
     finally:
         session.finish()
-    return session.trace
+    return session
+
+
+def run(model: ModelDefinition, cycles: int, mode: str = "mm", seed: int = 0,
+        shadow_step_order: list[int] | None = None) -> Trace:
+    """Execute ``cycles`` cycles (or fewer on halt) and return the trace."""
+    if cycles < 0:
+        raise ValueError("cycle count must be non-negative")
+    session = Session(model, mode=mode, seed=seed, shadow_step_order=shadow_step_order)
+    return run_session(session, cycles).trace

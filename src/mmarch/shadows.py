@@ -125,10 +125,3 @@ class ContributionLedger:
         for record in consumed:
             self._by_chunk.pop(record.chunk_id, None)
         return consumed
-
-    def consumption_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for record in self.records:
-            if record.consumed_cycle is not None:
-                out[record.system] = out.get(record.system, 0) + 1
-        return out

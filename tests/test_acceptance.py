@@ -217,7 +217,8 @@ def test_6_pipeline_load_exceeds_mm_load():
 def test_7_codec_fidelity():
     vocab = [f"s{i:03d}" for i in range(100)]
     book = Codebook(dimension=1024, seed=7)
-    book.ensure(vocab)
+    for name in vocab:
+        book.atom(name)
     factory = ChunkFactory()
     rng = np.random.default_rng(0)
     recovered = total = 0

@@ -101,3 +101,38 @@ def test_demos_lists_bundles(capsys):
     out = capsys.readouterr().out
     for name in ("threat", "retrieval", "wordloop", "bottleneck"):
         assert name in out
+
+
+def _noisy_model(tmp_path, name):
+    from mmarch import demos
+    doc = json.loads(demos.path(name).read_text())
+    doc.setdefault("middle_memory", {})["noise"] = 0.3
+    path = tmp_path / f"{name}-noisy.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("name", ["threat", "retrieval"])
+def test_verbose_step_does_not_change_the_trace(tmp_path, capsys, name):
+    model = str(_noisy_model(tmp_path, name))
+    a = tmp_path / "step.trace"
+    b = tmp_path / "run.trace"
+    assert main(["step", "--model", model, "--cycles", "60", "--seed", "7",
+                 "--verbose", "--trace", str(a)]) == 0
+    assert main(["run", "--model", model, "--cycles", "60", "--seed", "7",
+                 "--trace", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_negative_cycles_exits_2():
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--model", "threat", "--cycles", "-1"])
+    assert err.value.code == 2
+
+
+def test_wrongly_typed_model_field_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "bad", "middle_memory": {"decay": "fast"}}))
+    rc = main(["run", "--model", str(bad), "--cycles", "1"])
+    assert rc == 1
+    assert "middle_memory.decay" in capsys.readouterr().err

@@ -23,7 +23,8 @@ VOCAB = [f"s{i:03d}" for i in range(100)]
 @pytest.fixture(scope="module")
 def book():
     b = Codebook(dimension=1024, seed=7)
-    b.ensure(VOCAB)
+    for name in VOCAB:
+        b.atom(name)
     return b
 
 
@@ -117,7 +118,8 @@ def test_unpack_noiseless_is_stable(book):
 def test_three_slot_example_roundtrip(book):
     factory = ChunkFactory()
     c = factory.make("dog", [("name", "Fido"), ("breed", "labrador")])
-    book.ensure(["dog", "Fido", "labrador"])
+    for name in ("dog", "Fido", "labrador"):
+        book.atom(name)
     result = unpack(pack(c, book), ["name", "breed"], book, factory=factory)
     assert result.ctype == "dog"
     assert result.values == {"name": "Fido", "breed": "labrador"}

@@ -6,7 +6,7 @@ import pytest
 
 from mmarch import demos
 from mmarch.metrics import metrics
-from mmarch.model import load_model
+from mmarch.model import dumps_model, load_model
 from mmarch.runtime import run
 from mmarch.trace import trace_to_bytes
 
@@ -22,6 +22,15 @@ GOLDEN = {
         "5bc098519e362fefd9034e8a816194aabb772e7ddc02482e80bcfd6e3a8e97df",
     ("bottleneck", 500, "pipeline"):
         "0663588d80736f8d7648bea587676b005d02bdfb0d53fbda17d99a463e1d805f",
+}
+
+
+# SHA-256 of each bundled demo's canonical model bytes (``dumps_model``).
+CANONICAL = {
+    "bottleneck": "bcac32bb5457059f81c509fda3ff9694ef378f3dc36e6d51985a73d89049f4fd",
+    "retrieval": "66722d45f4a86a3e9c0b63371ecc21fafb414cc64ed029b8912f30a955364b70",
+    "threat": "cbabb844135417e17e80649483b5a48c4ae9dc9486f66ea78464dd0a2afe9387",
+    "wordloop": "f3d1740fdb7846bcd665510d7e3d6e4bafd742918ce4b8a20be5008ce7e4bf55",
 }
 
 
@@ -41,6 +50,12 @@ def test_demo_models_round_trip(tmp_path):
         path = tmp_path / f"{name}.json"
         write_model(model, path)
         assert load_model(path) == model
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_canonical_model_bytes(name):
+    text = dumps_model(load_model(demos.path(name)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CANONICAL[name]
 
 
 def test_threat_demo_shape():

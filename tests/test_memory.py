@@ -102,14 +102,14 @@ class TestLinks:
         a, _ = mm.deposit(1.0, "t", chunk=factory.make("a"))
         b, _ = mm.deposit(1.0, "t", chunk=factory.make("b"))
         mm.link(a, b)
-        assert mm.neighbors(b) == [a]
-        assert mm.neighbors(a) == [b]
+        assert mm.entry(b).links == {a}
+        assert mm.entry(a).links == {b}
 
     def test_self_link_is_noop(self, factory):
         mm = MiddleMemory()
         a, _ = mm.deposit(1.0, "t", chunk=factory.make("a"))
         mm.link(a, a)
-        assert mm.neighbors(a) == []
+        assert mm.entry(a).links == set()
 
     def test_unknown_id_rejected(self, factory):
         mm = MiddleMemory()

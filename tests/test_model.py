@@ -1,9 +1,12 @@
 """Model loading, validation diagnostics, and serializer round-trip."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mmarch import demos
 from mmarch.errors import ModelValidationError
 from mmarch.model import dumps_model, load_model, model_to_dict, parse_model
 
@@ -197,3 +200,79 @@ def test_shadow_reward_or_halt_rejected():
         {"kind": "emit-reward", "amount": 1.0})
     violations = _violations(doc)
     assert any("central" in msg for _, msg in violations)
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (lambda d: d.update(middle_memory={"decay": "fast"}), "middle_memory.decay"),
+    (lambda d: d.update(middle_memory={"decay": None}), "middle_memory.decay"),
+    (lambda d: d["central_productions"][0].update(conditions=5),
+     "central_productions[0].conditions"),
+    (lambda d: d.update(buffers=5), "buffers"),
+    (lambda d: d["initial_wm"][0].update(buffer=["goal"]), "initial_wm[0].buffer"),
+    (lambda d: d["central_productions"][0]["conditions"][0].update(negated="false"),
+     "central_productions[0].conditions[0].negated"),
+    (lambda d: d["codebook"].update(cleanup_threshold="0.2"), "codebook.cleanup_threshold"),
+    (lambda d: d["predictors"][0].update(seed="1"), "predictors[0].seed"),
+    (lambda d: d["predictors"][0].update(port="80"), "predictors[0].port"),
+    (lambda d: d.update(learning={"rate": True}), "learning.rate"),
+])
+def test_wrong_types_reported_with_path(mutate, path):
+    doc = base_doc()
+    mutate(doc)
+    assert path in [p for p, _ in _violations(doc)]
+
+
+def test_ints_accepted_where_floats_expected():
+    doc = base_doc()
+    doc["middle_memory"] = {"decay": 1, "noise": 0}
+    doc["central_productions"][0]["utility"] = 3
+    model = parse_model(doc)
+    assert model.middle_memory.decay == 1.0
+    assert parse_model(model_to_dict(model)) == model
+
+
+_DEMO_DOCS = [json.loads(demos.path(name).read_text()) for name in demos.names()]
+
+_SYMBOLS = st.sampled_from(["goal", "emotion", "central", "percept", "?", "?value",
+                            "ngram", "external", "write-buffer", "halt", "", "a b"])
+_KEYS = st.sampled_from(["name", "buffer", "mm_tags", "pattern", "negated", "kind",
+                         "target", "chunk", "query", "amount", "urgent", "isa",
+                         "slots", "tag", "pairs", "corpus", "presentations", "links"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _SYMBOLS | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS | st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+
+def _value_paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _value_paths(child, prefix + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_any_single_value_mutation_parses_or_reports(data):
+    doc = data.draw(st.sampled_from(_DEMO_DOCS), label="demo")
+    path = data.draw(st.sampled_from(list(_value_paths(doc))), label="path")
+    mutated = _replace(doc, path, data.draw(_JSON, label="value"))
+    try:
+        model = parse_model(mutated)
+    except ModelValidationError:
+        return
+    assert parse_model(model_to_dict(model)) == model

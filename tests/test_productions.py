@@ -180,24 +180,23 @@ class TestFire:
             Action("emit-reward", amount=10.0),
             Action("halt"),
         ])
-        effects = fire(p, {"level": "high"}, factory, 2.5)
+        effects = fire(p, {"level": "high"}, factory)
         assert [e.kind for e in effects] == ["write-buffer", "emit-reward", "halt"]
         assert effects[0].content.as_dict() == {"state": "flee", "danger": "high"}
         assert effects[1].amount == 10.0
-        assert p.fired_at == [2.5]
 
     def test_unresolved_reference_reports_production(self, factory):
         p = _prod(factory, "broken", [], actions=[
             Action("write-buffer", target="goal",
                    template=Template("goal", (("state", "?missing"),)))])
         with pytest.raises(BindingError, match="broken"):
-            fire(p, {}, factory, 0.0)
+            fire(p, {}, factory)
 
     def test_post_query_keeps_wildcards(self, factory):
         p = _prod(factory, "ask", [], actions=[
             Action("post-query", target="declarative",
                    template=Template("dog", (("name", "?"), ("breed", "labrador"))))])
-        effects = fire(p, {}, factory, 0.0)
+        effects = fire(p, {}, factory)
         query = effects[0].content
         assert query.get("name") == "?"
         assert query.get("breed") == "labrador"

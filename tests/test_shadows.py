@@ -199,11 +199,14 @@ class TestLedger:
         assert p1.utility == pytest.approx(2.0)
         assert p2.utility == pytest.approx(2.0)
 
-    def test_consumption_counts_by_system(self, factory):
+    def test_take_consumed_returns_only_consumed_records(self, factory):
         ledger = ContributionLedger()
         for i in range(3):
             chunk = factory.make("c", [("n", f"v{i}")])
             ledger.note_write("p", "emotion", chunk, i, 0.05 * i)
             if i < 2:
                 ledger.mark_consumed(chunk.id, i + 1)
-        assert ledger.consumption_counts() == {"emotion": 2}
+        taken = ledger.take_consumed()
+        assert [(r.system, r.consumed_cycle) for r in taken] == [("emotion", 1), ("emotion", 2)]
+        assert [r.consumed_cycle for r in ledger.records] == [None]
+        assert ledger.take_consumed() == []
