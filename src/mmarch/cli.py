@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import copy
 import sys
 from pathlib import Path
 
@@ -75,15 +74,12 @@ def format_state(session: Session, top: int = 5) -> str:
         buf = session.wm.buffers[name]
         urgent = " urgent" if buf.urgent else ""
         lines.append(f"  {name} [{buf.owner}]{urgent} {_format_content(buf.content)}")
-    t_eval = session._cycle_time(session.cycle + 1)
-    mm = copy.deepcopy(session.mm)  # activation draws noise; showing it must not
-    ranked = []
-    for entry_id in sorted(mm.entries):
-        entry = mm.entries[entry_id]
-        ranked.append((entry, mm.activation(entry, session.wm, t_eval)))
-    ranked.sort(key=lambda item: (-item[1], item[0].id))
+    mm = session.mm
+    table = mm.activations(session.wm, session._cycle_time(session.cycle + 1))
+    ranked = sorted(table.items(), key=lambda item: (-item[1], item[0]))
     lines.append(f"mm: top {min(top, len(ranked))} of {len(ranked)}")
-    for entry, act in ranked[:top]:
+    for entry_id, act in ranked[:top]:
+        entry = mm.entries[entry_id]
         payload = str(entry.chunk) if entry.chunk is not None else "<vector>"
         lines.append(f"  #{entry.id} act={act:.5f} tag={entry.tag} {payload} "
                      f"pres={len(entry.presentations)}")

@@ -10,6 +10,7 @@ and drives retrieval, forgetting, and the context broadcast.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +37,8 @@ class Buffer:
     owner: str
     content: Chunk | Query | None = None
     urgent: bool = False
+    # (codebook, content kind, type, slots) -> packed vector, for the broadcast
+    _packed: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class WorkingMemory:
@@ -82,6 +85,23 @@ class WorkingMemory:
         return [b for b in self.buffers.values() if b.content is not None]
 
 
+def spread_sources(wm: WorkingMemory) -> tuple[frozenset[str], ...]:
+    """Each non-empty buffer's spreading sources, in buffer order.
+
+    A chunk spreads from its slot values and a query from its known values.
+    A fully wildcarded query gives an empty set, which still takes its share
+    of the spreading weight.
+    """
+    out = []
+    for buf in wm.non_empty():
+        content = buf.content
+        if isinstance(content, Chunk):
+            out.append(frozenset(content.values()))
+        else:
+            out.append(frozenset(content.known_values()))
+    return tuple(out)
+
+
 @dataclass
 class MMEntry:
     """One middle-memory entry: a tagged chunk or prediction vector.
@@ -100,6 +120,10 @@ class MMEntry:
     last_activation: float = 0.0
     salience: float | None = None
     _packed: HoloVector | None = field(default=None, repr=False)
+    _targets: frozenset[str] | None = field(default=None, repr=False, compare=False)
+    # union of the linked entries' target symbols; reset whenever links change
+    _neighbor_targets: frozenset[str] | None = field(default=None, repr=False,
+                                                     compare=False)
 
     def content_key(self) -> tuple:
         if self.chunk is not None:
@@ -107,9 +131,9 @@ class MMEntry:
         return ("vector", self.vector.tobytes(), self.tag)
 
     def target_symbols(self) -> frozenset[str]:
-        if self.chunk is None:
-            return frozenset()
-        return self.chunk.symbols()
+        if self._targets is None:
+            self._targets = self.chunk.symbols() if self.chunk is not None else frozenset()
+        return self._targets
 
     def payload_vector(self, book: Codebook) -> HoloVector:
         """The entry's vector form, packing the chunk once if needed."""
@@ -120,8 +144,26 @@ class MMEntry:
         return self._packed
 
 
+@dataclass
+class _Table:
+    """Every entry's activation at one evaluation point, in id order."""
+
+    sources: tuple[frozenset[str], ...]
+    values: dict[int, float]
+    samples: dict[int, float]  # each entry's noise draw; empty without noise
+
+
 class MiddleMemory:
-    """Activation-ranked store of tagged predictions and graph chunks."""
+    """Activation-ranked store of tagged predictions and graph chunks.
+
+    Activation is read from tables.  A table holds every entry's activation
+    for one evaluation point: a time, working memory's spreading sources,
+    and a version that every deposit, seeded entry and link bumps.  It is
+    built on first use and kept while the time and version hold, so
+    sweeping, shadow retrieval and middle-memory conditions share one, and
+    the two halves of the context broadcast another.  Forgetting patches
+    the table instead of bumping the version.
+    """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
                  spread_weight: float = DEFAULT_SPREAD_WEIGHT,
@@ -137,10 +179,14 @@ class MiddleMemory:
         self.retrieval_threshold = retrieval_threshold
         self.forget_threshold = forget_threshold
         self.noise = noise
+        self._noise_seed = noise_seed
         self.entries: dict[int, MMEntry] = {}
         self._by_key: dict[tuple, int] = {}
         self._next_id = 1
-        self._rng = np.random.default_rng(noise_seed)
+        self._latest: float | None = None  # newest presentation of a live entry
+        self._version = 0
+        self._point: tuple[float, int] | None = None  # (time, version) of _tables
+        self._tables: dict[tuple[frozenset[str], ...], _Table] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -161,12 +207,13 @@ class MiddleMemory:
         """
         if chunk is None and vector is None:
             raise ChunkError("a deposit needs a chunk or a vector payload")
-        latest = self._latest_timestamp()
-        if latest is not None and now < latest:
+        if self._latest is not None and now < self._latest:
             raise TemporalOrderError(
-                f"deposit at {now} precedes existing presentation at {latest}")
+                f"deposit at {now} precedes existing presentation at {self._latest}")
         probe = MMEntry(id=-1, tag=tag, chunk=chunk, vector=vector)
         key = probe.content_key()
+        self._latest = now
+        self._version += 1
         existing = self._by_key.get(key)
         if existing is not None:
             entry = self.entries[existing]
@@ -204,15 +251,10 @@ class MiddleMemory:
         self._next_id += 1
         self.entries[entry.id] = entry
         self._by_key[key] = entry.id
+        if self._latest is None or presentations[-1] > self._latest:
+            self._latest = presentations[-1]
+        self._version += 1
         return entry.id
-
-    def _latest_timestamp(self) -> float | None:
-        latest = None
-        for entry in self.entries.values():
-            t = entry.presentations[-1]
-            if latest is None or t > latest:
-                latest = t
-        return latest
 
     def link(self, id_a: int, id_b: int) -> None:
         """Record a symmetric graph edge; self-links are a no-op."""
@@ -222,6 +264,8 @@ class MiddleMemory:
             return
         a.links.add(id_b)
         b.links.add(id_a)
+        a._neighbor_targets = b._neighbor_targets = None
+        self._version += 1
 
     def base_level(self, entry: MMEntry, now: float) -> float:
         """ln of summed power-law decayed presentation recencies."""
@@ -234,43 +278,101 @@ class MiddleMemory:
             total += (now - t) ** (-self.decay)
         return math.log(total)
 
-    def spreading(self, entry: MMEntry, wm: WorkingMemory) -> float:
-        """Spread from buffers whose values reach the entry or a neighbor."""
-        non_empty = wm.non_empty()
-        if not non_empty:
+    def spreading(self, entry: MMEntry, wm: WorkingMemory, *,
+                  sources: tuple[frozenset[str], ...] | None = None) -> float:
+        """Spread from buffers whose values reach the entry or a neighbor.
+
+        ``sources`` are :func:`spread_sources` of ``wm``, for a caller that
+        built them already.
+        """
+        if sources is None:
+            sources = spread_sources(wm)
+        if not sources:
             return 0.0
         targets = entry.target_symbols()
         neighbor_targets: frozenset[str] | None = None
-        share = self.spread_weight / len(non_empty)
+        share = self.spread_weight / len(sources)
         total = 0.0
-        for buf in non_empty:
-            content = buf.content
-            if isinstance(content, Chunk):
-                sources = frozenset(content.values())
-            else:
-                sources = frozenset(content.known_values())
-            if sources & targets:
+        for symbols in sources:
+            if not symbols.isdisjoint(targets):
                 total += share
                 continue
             if entry.links:
                 if neighbor_targets is None:
-                    acc: set[str] = set()
-                    for nid in entry.links:
-                        other = self.entries.get(nid)
-                        if other is not None:
-                            acc |= other.target_symbols()
-                    neighbor_targets = frozenset(acc)
-                if sources & neighbor_targets:
+                    neighbor_targets = self._neighbor_targets(entry)
+                if not symbols.isdisjoint(neighbor_targets):
                     total += share
         return total
 
-    def activation(self, entry: MMEntry, wm: WorkingMemory, now: float) -> float:
-        """Base-level + spreading + optional seeded logistic noise."""
-        act = self.base_level(entry, now) + self.spreading(entry, wm)
+    def _neighbor_targets(self, entry: MMEntry) -> frozenset[str]:
+        if entry._neighbor_targets is None:
+            acc: set[str] = set()
+            for nid in entry.links:
+                acc |= self.entries[nid].target_symbols()
+            entry._neighbor_targets = frozenset(acc)
+        return entry._neighbor_targets
+
+    def activation(self, entry: MMEntry, wm: WorkingMemory, now: float, *,
+                   sources: tuple[frozenset[str], ...] | None = None,
+                   sample: float | None = None) -> float:
+        """Base-level + spreading + optional seeded logistic noise.
+
+        A table passes the ``sources`` it built once and the entry's noise
+        ``sample``.  Without them the result is the entry's value in a
+        table built now.
+        """
+        if sources is None:
+            sources = spread_sources(wm)
+        act = self.base_level(entry, now) + self.spreading(entry, wm, sources=sources)
         if self.noise > 0.0:
-            act += float(self._rng.logistic(0.0, self.noise))
-        entry.last_activation = act
+            if sample is None:
+                sample = self._noise_sample(self._noise_key(now, sources), entry.id)
+            act += sample
         return act
+
+    def _noise_key(self, now: float, sources: tuple[frozenset[str], ...]) -> bytes:
+        """Digest of the seed and the evaluation point, keying its noise draws."""
+        point = (self._noise_seed, now, self._version, [sorted(s) for s in sources])
+        return hashlib.blake2b(repr(point).encode("utf-8"), digest_size=16).digest()
+
+    def _noise_sample(self, key: bytes, entry_id: int) -> float:
+        """One logistic draw for ``entry_id``, a pure function of ``key``.
+
+        Drawing by hash rather than from a shared stream makes the noise of
+        an evaluation point independent of which tables were built before
+        it, and so of the order in which shadow systems are stepped.
+        """
+        digest = hashlib.blake2b(entry_id.to_bytes(8, "big"), key=key,
+                                 digest_size=8).digest()
+        u = ((int.from_bytes(digest, "big") >> 12) + 0.5) / 2.0 ** 52  # in (0, 1)
+        return self.noise * math.log(u / (1.0 - u))
+
+    def activations(self, wm: WorkingMemory, now: float) -> dict[int, float]:
+        """Every entry's activation at ``now`` under ``wm``, in id order.
+
+        The mapping belongs to the memory's table cache: read, do not mutate.
+        """
+        return self._table(wm, now).values
+
+    def _table(self, wm: WorkingMemory, now: float) -> _Table:
+        point = (now, self._version)
+        if point != self._point:
+            self._point = point
+            self._tables = {}
+        sources = spread_sources(wm)
+        table = self._tables.get(sources)
+        if table is None:
+            ids = sorted(self.entries)
+            samples: dict[int, float] = {}
+            if self.noise > 0.0:
+                key = self._noise_key(now, sources)
+                samples = {entry_id: self._noise_sample(key, entry_id) for entry_id in ids}
+            values = {entry_id: self.activation(self.entries[entry_id], wm, now,
+                                                sources=sources,
+                                                sample=samples.get(entry_id))
+                      for entry_id in ids}
+            table = self._tables[sources] = _Table(sources, values, samples)
+        return table
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None = None,
                  tags: frozenset[str] | set[str] | None = None,
@@ -279,13 +381,14 @@ class MiddleMemory:
 
         Entries must carry any of ``tags`` (None = all tags) and, when a
         pattern is given, have a decoded chunk the pattern matches;
-        vector-only entries are reachable by tag alone.  Result order is
+        vector-only entries are reachable by tag alone.  Each such entry
+        records its activation in ``last_activation``.  Result order is
         (activation desc, id asc) and is a total order.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         hits = []
-        for entry_id in sorted(self.entries):
+        for entry_id, act in self.activations(wm, now).items():
             entry = self.entries[entry_id]
             if tags is not None and entry.tag not in tags:
                 continue
@@ -297,7 +400,7 @@ class MiddleMemory:
                 if matched is None:
                     continue
                 bindings = matched
-            act = self.activation(entry, wm, now)
+            entry.last_activation = act
             if act < self.retrieval_threshold:
                 continue
             hits.append((entry, act, bindings))
@@ -305,32 +408,79 @@ class MiddleMemory:
         return hits[:k]
 
     def sweep(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
-        """Recompute activations and forget entries below the floor.
+        """Forget entries whose activation is below the floor.
 
-        Returns the removed entries with their final activation.
+        Every entry records its activation before forgetting in
+        ``last_activation``.  Returns the removed entries with that value.
         """
+        table = self._table(wm, now)
         removed = []
-        for entry_id in sorted(self.entries):
+        for entry_id, act in table.values.items():
             entry = self.entries[entry_id]
-            act = self.activation(entry, wm, now)
+            entry.last_activation = act
             if act < self.forget_threshold:
                 removed.append((entry, act))
-        for entry, _ in removed:
-            del self.entries[entry.id]
-            del self._by_key[entry.content_key()]
-            for other in self.entries.values():
-                other.links.discard(entry.id)
+        if removed:
+            self._forget([entry for entry, _ in removed], table, wm, now)
         return removed
 
+    def _forget(self, gone: list[MMEntry], table: _Table, wm: WorkingMemory,
+                now: float) -> None:
+        """Remove ``gone`` and patch ``table`` to the remaining state.
+
+        Links are symmetric, so only the removed entries' neighbours are
+        unlinked, and theirs are the only activations that change.
+        """
+        neighbors: set[int] = set()
+        for entry in gone:
+            del self.entries[entry.id]
+            del self._by_key[entry.content_key()]
+            del table.values[entry.id]
+            for nid in entry.links:
+                other = self.entries.get(nid)
+                if other is not None:
+                    other.links.discard(entry.id)
+                    other._neighbor_targets = None
+                    neighbors.add(nid)
+        if any(entry.presentations[-1] == self._latest for entry in gone):
+            self._latest = max((e.presentations[-1] for e in self.entries.values()),
+                               default=None)
+        self._tables = {table.sources: table}
+        for nid in sorted(neighbors.intersection(self.entries)):
+            table.values[nid] = self.activation(
+                self.entries[nid], wm, now, sources=table.sources,
+                sample=table.samples.get(nid))
+
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
-        """All entries at or above the retrieval threshold, id order."""
+        """All entries at or above the retrieval threshold, id order.
+
+        Every entry records its activation in ``last_activation``.
+        """
         out = []
-        for entry_id in sorted(self.entries):
+        for entry_id, act in self.activations(wm, now).items():
             entry = self.entries[entry_id]
-            act = self.activation(entry, wm, now)
+            entry.last_activation = act
             if act >= self.retrieval_threshold:
                 out.append((entry, act))
         return out
+
+
+def _packed_content(buf: Buffer, book: Codebook) -> HoloVector | None:
+    """The buffer's packed content, packed again only when the content changes."""
+    content = buf.content
+    key = (book, isinstance(content, Chunk), content.ctype, content.slots)
+    if buf._packed is None or buf._packed[0] != key:
+        if isinstance(content, Chunk):
+            buf._packed = (key, pack(content, book))
+        else:
+            buf._packed = (key, pack_query(content, book))
+    return buf._packed[1]
+
+
+def _softmax(ranked: list[tuple[MMEntry, float]]) -> np.ndarray:
+    acts = np.array([act for _, act in ranked])
+    weights = np.exp(acts - acts.max())
+    return weights / weights.sum()
 
 
 def context_vector(wm: WorkingMemory, mm: MiddleMemory, book: Codebook,
@@ -348,20 +498,13 @@ def context_vector(wm: WorkingMemory, mm: MiddleMemory, book: Codebook,
         buf = wm.buffers[name]
         if buf.content is None:
             continue
-        if isinstance(buf.content, Chunk):
-            total = total + pack(buf.content, book)
+        packed = _packed_content(buf, book)
+        if packed is not None:
+            total = total + packed
             contributed = True
-        else:
-            packed = pack_query(buf.content, book)
-            if packed is not None:
-                total = total + packed
-                contributed = True
     ranked = mm.retrievable(wm, now)
     if ranked:
-        acts = np.array([act for _, act in ranked])
-        weights = np.exp(acts - acts.max())
-        weights = weights / weights.sum()
-        for (entry, _), w in zip(ranked, weights):
+        for (entry, _), w in zip(ranked, _softmax(ranked)):
             total = total + w * entry.payload_vector(book)
         contributed = True
     if not contributed:
@@ -393,10 +536,7 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
             credit(buf.content.known_values(), 1.0)
     ranked = mm.retrievable(wm, now)
     if ranked:
-        acts = np.array([act for _, act in ranked])
-        weights = np.exp(acts - acts.max())
-        weights = weights / weights.sum()
-        for (entry, _), w in zip(ranked, weights):
+        for (entry, _), w in zip(ranked, _softmax(ranked)):
             if entry.chunk is not None:
                 credit(entry.chunk.values(), float(w))
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))

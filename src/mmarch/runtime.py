@@ -15,6 +15,10 @@ set at exactly cycle n+1, and the order in which systems are stepped is
 unobservable.  Event timestamps use the cycle-start time; activation
 evaluations use the cycle-end time, so a presentation deposited this cycle
 already has a positive lag.  Time is integer milliseconds internally.
+
+Middle memory evaluates activation in tables (see :mod:`.memory`): one
+built by the sweep serves the sweep, shadow retrieval and middle-memory
+conditions, and one built after the commit serves the broadcast.
 """
 
 from __future__ import annotations
@@ -579,7 +583,7 @@ class Session:
         """Current conflict sets per engine, computed without side effects.
 
         Shadow matching retrieves from a copy of middle memory, because
-        evaluating activation draws noise and records ``last_activation``.
+        retrieval records ``last_activation``.
         """
         t_eval = self._cycle_time(self.cycle + 1)
         mm = copy.deepcopy(self.mm)

@@ -1,12 +1,13 @@
 """Bundled demo models: structure, pinned golden traces, key behaviors."""
 
 import hashlib
+import json
 
 import pytest
 
 from mmarch import demos
 from mmarch.metrics import metrics
-from mmarch.model import dumps_model, load_model
+from mmarch.model import dumps_model, load_model, parse_model
 from mmarch.runtime import run
 from mmarch.trace import trace_to_bytes
 
@@ -70,6 +71,19 @@ def test_golden_traces(name, cycles, mode):
     trace = _trace(name, cycles, mode)
     digest = hashlib.sha256(trace_to_bytes(trace)).hexdigest()
     assert digest == GOLDEN[(name, cycles, mode)]
+
+
+# SHA-256 of the retrieval demo's trace with ``noise: 0.3``: pins the noise
+# draws, one per entry per activation table.
+NOISY_RETRIEVAL = "90b43893608d08bd85a8a0c09a9036cafc6f44f8a038b0d758cd2ad0d5c28b03"
+
+
+def test_noisy_retrieval_trace():
+    doc = json.loads(demos.path("retrieval").read_text())
+    doc["middle_memory"]["noise"] = 0.3
+    trace = run(parse_model(doc), 200, mode="mm", seed=7)
+    assert trace.by_kind("forget")
+    assert hashlib.sha256(trace_to_bytes(trace)).hexdigest() == NOISY_RETRIEVAL
 
 
 def test_threat_trace_story():

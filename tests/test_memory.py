@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmarch.chunks import ChunkFactory
-from mmarch.codec import Codebook, cosine, pack
+from mmarch import demos, memory
+from mmarch.chunks import Chunk, ChunkFactory
+from mmarch.codec import Codebook, cosine, normalized, pack, pack_query
 from mmarch.errors import ChunkError, OwnershipError, TemporalOrderError, UnknownEntryError
 from mmarch.memory import MiddleMemory, WorkingMemory, context_symbols, context_vector
+from mmarch.model import load_model
+from mmarch.runtime import Session
 
 
 @pytest.fixture
@@ -348,3 +351,213 @@ class TestContext:
         symbols = context_symbols(wm, mm, 2.0, k=5)
         assert symbols[0] == "the"      # 1.0 buffer + 1.0 softmax
         assert symbols[1] == "listen"   # 1.0 buffer
+
+
+def reference_activation(mm, entry, wm, now):
+    """Noiseless base-level + spreading from scratch, reading no cached state."""
+    total = 0.0
+    for t in entry.presentations:
+        total += (now - t) ** (-mm.decay)
+    base = math.log(total)
+    buffers = [b for b in wm.buffers.values() if b.content is not None]
+    if not buffers:
+        return base + 0.0
+    targets = entry.chunk.symbols() if entry.chunk is not None else frozenset()
+    neighbors = set()
+    for nid in entry.links:
+        neighbors |= mm.entries[nid].chunk.symbols()
+    share = mm.spread_weight / len(buffers)
+    spread = 0.0
+    for buf in buffers:
+        content = buf.content
+        values = set(content.values() if isinstance(content, Chunk)
+                     else content.known_values())
+        if values & targets or (entry.links and values & neighbors):
+            spread += share
+    return base + spread
+
+
+SYMBOLS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+class TestActivationTable:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_reported_value_is_a_fresh_evaluation(self, data):
+        """Sweep, retrieve and retrievable report exactly base-level +
+        spreading on the current state, before and after forgetting,
+        including for the live neighbours of forgotten entries."""
+        factory = ChunkFactory()
+        forget = data.draw(st.floats(-3.0, 0.5))
+        mm = MiddleMemory(spread_weight=data.draw(st.floats(0.0, 3.0)),
+                          forget_threshold=forget,
+                          retrieval_threshold=forget + data.draw(st.floats(0.0, 1.0)))
+        size = data.draw(st.integers(1, 10))
+        for i in range(size):
+            history = sorted(data.draw(st.lists(st.floats(-10.0, 0.0),
+                                                min_size=1, max_size=4)))
+            chunk = factory.make("fact", [("n", f"n{i}"), ("v", data.draw(SYMBOLS))])
+            mm.seed_entry(data.draw(st.sampled_from(["x", "y"])), chunk=chunk,
+                          presentations=history)
+        for a, b in data.draw(st.lists(st.tuples(st.integers(1, size),
+                                                 st.integers(1, size)), max_size=12)):
+            mm.link(a, b)
+        wm = WorkingMemory()
+        for name in ("goal", "left", "right"):
+            wm.add_buffer(name, "central")
+            kind = data.draw(st.sampled_from(["empty", "chunk", "query"]))
+            if kind == "chunk":
+                wm.write("central", name, factory.make("cue", [("v", data.draw(SYMBOLS))]))
+            elif kind == "query":
+                wm.write("central", name, factory.make_query(
+                    "fact", [("v", data.draw(st.sampled_from(["?", "a", "b"])))]))
+        now = data.draw(st.floats(0.01, 20.0))
+        if data.draw(st.booleans()):
+            mm.retrieve(wm, now, tags={"x"}, k=3)  # the sweep reuses this table
+
+        before = {i: reference_activation(mm, e, wm, now) for i, e in mm.entries.items()}
+        removed = mm.sweep(wm, now)
+        assert {e.id: act for e, act in removed} == \
+            {i: act for i, act in before.items() if act < forget}
+        gone = {e.id for e, _ in removed}
+        for e, _ in removed:
+            assert e.last_activation == before[e.id]
+        for i, e in mm.entries.items():
+            assert e.last_activation == before[i]
+            assert not e.links & gone
+
+        for entry, act in mm.retrievable(wm, now):
+            assert act == reference_activation(mm, entry, wm, now)
+        assert {e.id for e, _ in mm.retrievable(wm, now)} == {
+            i for i, e in mm.entries.items()
+            if reference_activation(mm, e, wm, now) >= mm.retrieval_threshold}
+        pattern = factory.make_query("fact", [("v", "?")])
+        for entry, act, _ in mm.retrieve(wm, now, pattern=pattern, tags={"y"}, k=10):
+            assert act == reference_activation(mm, entry, wm, now)
+            assert entry.last_activation == act
+        wm.write("central", "goal", factory.make("cue", [("v", data.draw(SYMBOLS))]))
+        for entry, act in mm.retrievable(wm, now):
+            assert act == reference_activation(mm, entry, wm, now)
+
+    def test_table_follows_deposits_and_links(self, wm, factory):
+        mm = MiddleMemory()
+        x = factory.make("fact", [("about", "x")])
+        a, _ = mm.deposit(1.0, "t", chunk=x)
+        b, _ = mm.deposit(1.0, "t", chunk=factory.make("fact", [("about", "y")]))
+        c, _ = mm.deposit(1.0, "t", chunk=factory.make("fact", [("about", "z")]))
+        mm.link(a, b)
+        wm.write("central", "goal", factory.make("goal", [("topic", "z")]))
+        before = dict(mm.activations(wm, 3.0))
+        mm.deposit(2.0, "t", chunk=x)
+        mm.link(a, c)
+        after = mm.activations(wm, 3.0)
+        assert after[a] > before[a] + 1.0  # one more presentation, and z one hop away
+        assert after[b] == before[b] and after[c] == before[c]
+        for entry_id, act in after.items():
+            assert act == reference_activation(mm, mm.entry(entry_id), wm, 3.0)
+
+    def test_noise_is_one_draw_per_entry_per_table(self, wm, factory):
+        mm = MiddleMemory(noise=0.4, noise_seed=3, forget_threshold=-1.0)
+        hub, _ = mm.deposit(0.0, "t", chunk=factory.make("fact", [("about", "hub")]))
+        stale = mm.seed_entry("t", chunk=factory.make("fact", [("about", "x")]),
+                              presentations=[-1e4])
+        mm.link(hub, stale)
+        wm.write("central", "goal", factory.make("goal", [("topic", "x")]))
+        now = 1.0
+        table = mm.activations(wm, now)
+        assert table is mm.activations(wm, now)  # one table per evaluation point
+        sample = table[hub] - (mm.base_level(mm.entry(hub), now)
+                               + mm.spreading(mm.entry(hub), wm))
+        assert sample != 0.0
+        assert [e.id for e, _ in mm.sweep(wm, now)] == [stale]
+        # the patched neighbour lost its spreading and kept its draw
+        patched = mm.activations(wm, now)[hub]
+        assert patched == mm.activation(mm.entry(hub), wm, now)
+        assert patched - mm.base_level(mm.entry(hub), now) == pytest.approx(sample)
+        # new working memory, new table, new draw
+        wm.write("central", "goal", factory.make("goal", [("topic", "hub")]))
+        fresh = mm.activations(wm, now)[hub]
+        assert fresh == mm.activation(mm.entry(hub), wm, now)
+        assert fresh - reference_activation(mm, mm.entry(hub), wm, now) != sample
+
+    def test_deposit_order_is_checked_against_live_entries(self, factory):
+        wm = WorkingMemory()
+        wm.add_buffer("goal", "central")
+        mm = MiddleMemory(spread_weight=10.0)
+        mm.deposit(0.0, "t", chunk=factory.make("fact", [("about", "kept")]))
+        mm.deposit(5.0, "t", chunk=factory.make("fact", [("about", "lost")]))
+        with pytest.raises(TemporalOrderError):
+            mm.deposit(3.0, "t", chunk=factory.make("fact", [("about", "early")]))
+        wm.write("central", "goal", factory.make("goal", [("topic", "kept")]))
+        removed = mm.sweep(wm, 1000.0)
+        assert [e.chunk.get("about") for e, _ in removed] == ["lost"]
+        mm.deposit(3.0, "t", chunk=factory.make("fact", [("about", "early")]))
+        with pytest.raises(TemporalOrderError):
+            mm.deposit(2.0, "t", chunk=factory.make("fact", [("about", "late")]))
+
+    def test_context_packs_each_unchanged_buffer_once(self, monkeypatch, factory):
+        calls = []
+
+        def counting(fn):
+            def wrapper(content, book):
+                calls.append(content)
+                return fn(content, book)
+            return wrapper
+
+        monkeypatch.setattr(memory, "pack", counting(pack))
+        monkeypatch.setattr(memory, "pack_query", counting(pack_query))
+        wm = WorkingMemory()
+        wm.add_buffer("goal", "central")
+        wm.add_buffer("ask", "central")
+        book = Codebook(dimension=256, seed=5)
+        goal = factory.make("goal", [("state", "x")])
+        query = factory.make_query("fact", [("name", "?"), ("kind", "k")])
+        wm.write("central", "goal", goal)
+        wm.write("central", "ask", query)
+        first, _ = context_vector(wm, MiddleMemory(), book, 1.0)
+        second, _ = context_vector(wm, MiddleMemory(), book, 2.0)
+        assert calls == [query, goal]
+        assert first.tobytes() == second.tobytes()
+        # equal content under a new chunk id is not packed again
+        wm.write("central", "goal", factory.make("goal", [("state", "x")]))
+        context_vector(wm, MiddleMemory(), book, 3.0)
+        assert len(calls) == 2
+        goal = factory.make("goal", [("state", "y")])
+        wm.write("central", "goal", goal)
+        third, _ = context_vector(wm, MiddleMemory(), book, 4.0)
+        assert calls[2:] == [goal]
+        expected = normalized(np.zeros(256) + pack_query(query, book) + pack(goal, book))
+        assert third.tobytes() == expected.tobytes()
+
+
+def test_base_level_evaluated_at_most_twice_per_entry_per_cycle(monkeypatch):
+    """Over the retrieval demo, activation tables evaluate each entry once
+    after the drain and once after the commit, plus the live neighbours of
+    forgotten entries (Buddy, linked to Fido, is forgotten at cycle 100)."""
+    base_level, sweep = MiddleMemory.base_level, MiddleMemory.sweep
+    calls = budget = patched = 0
+
+    def counting_base_level(self, entry, now):
+        nonlocal calls
+        calls += 1
+        return base_level(self, entry, now)
+
+    def budgeted_sweep(self, wm, now):
+        nonlocal budget, patched
+        before = len(self.entries)
+        removed = sweep(self, wm, now)
+        gone = {e.id for e, _ in removed}
+        neighbors = set().union(*(e.links for e, _ in removed)) - gone
+        patched += len(neighbors)
+        budget = before + len(self.entries) + len(neighbors)
+        return removed
+
+    monkeypatch.setattr(MiddleMemory, "base_level", counting_base_level)
+    monkeypatch.setattr(MiddleMemory, "sweep", budgeted_sweep)
+    session = Session(load_model(demos.path("retrieval")), mode="mm", seed=7)
+    for _ in range(200):
+        calls = 0
+        session.step()
+        assert 0 < calls <= budget
+    session.finish()
+    assert patched > 0

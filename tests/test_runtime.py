@@ -1,5 +1,7 @@
 """Cycle scheduler behavior: determinism, phases, staging, modes."""
 
+import random
+
 import pytest
 
 from mmarch.errors import ModelValidationError
@@ -60,6 +62,77 @@ def model():
     return parse_model(two_system_doc())
 
 
+def linked_facts_doc(size=60, seed=1, noise=0.3):
+    """A ring of ``size`` linked facts walked by the centre through a
+    declarative shadow, while an associative predictor deposits cues that
+    an attention shadow reads back from middle memory."""
+    rng = random.Random(seed)
+    order = list(range(size))
+    rng.shuffle(order)
+    successor = {order[i]: order[(i + 1) % size] for i in range(size)}
+    facts = [{
+        "tag": "semantic",
+        "chunk": {"isa": "fact", "slots": {"name": f"f{i}", "next": f"f{successor[i]}",
+                                           "kind": f"k{i % 8}"}},
+        "presentations": sorted(round(-rng.uniform(2.0, 6.0), 3)
+                                for _ in range(rng.randint(4, 5))),
+        "links": sorted({rng.randrange(size) for _ in range(2)} - {i}),
+    } for i in range(size)]
+    first = f"f{order[0]}"
+    walk_query = {"isa": "fact", "slots": {"name": first, "next": "?"}}
+    return {
+        "name": "linked-facts",
+        "codebook": {"dimension": 64, "seed": seed},
+        "middle_memory": {"spread_weight": 1.5, "retrieval_threshold": 0.3,
+                          "forget_threshold": 0.3, "formation_threshold": 2.5,
+                          "noise": noise},
+        "learning": {"provisional_ttl_s": 2.0},
+        "buffers": [{"name": "goal", "owner": "central"},
+                    {"name": "declarative", "owner": "declarative"},
+                    {"name": "attention", "owner": "attention"}],
+        "shadow_systems": [
+            {"name": "declarative", "buffer": "declarative",
+             "subscriptions": ["semantic"], "productions": []},
+            {"name": "attention", "buffer": "attention", "subscriptions": ["percept"],
+             "productions": [{
+                 "name": "notice",
+                 "conditions": [{"mm_tags": ["percept"],
+                                 "pattern": {"isa": "percept", "slots": {"value": "?"}}}],
+                 "actions": [{"kind": "write-buffer", "target": "attention",
+                              "chunk": {"isa": "percept",
+                                        "slots": {"value": "?value"}}}]}]},
+        ],
+        "central_productions": [
+            {"name": "walk",
+             "conditions": [
+                 {"buffer": "goal", "pattern": {"isa": "goal", "slots": {"state": "walk"}}},
+                 {"buffer": "declarative",
+                  "pattern": {"isa": "fact", "slots": {"name": "?", "next": "?"}}}],
+             "actions": [
+                 {"kind": "post-query", "target": "declarative",
+                  "query": {"isa": "fact", "slots": {"name": "?next", "next": "?"}}},
+                 {"kind": "write-buffer", "target": "goal",
+                  "chunk": {"isa": "goal", "slots": {"state": "walk", "at": "?name"}}}]},
+            {"name": "recover",
+             "conditions": [
+                 {"buffer": "goal", "pattern": {"isa": "goal", "slots": {"state": "walk"}}},
+                 {"buffer": "declarative",
+                  "pattern": {"isa": "retrieval-failure", "slots": {}}}],
+             "actions": [{"kind": "post-query", "target": "declarative",
+                          "query": walk_query}]},
+        ],
+        "predictors": [{"name": "sensor", "kind": "associative", "tag": "percept",
+                        "pairs": [[f"f{i}", f"cue{i}"] for i in range(size)],
+                        "emit_isa": "percept", "emit_slot": "value"}],
+        "initial_wm": [
+            {"buffer": "goal", "chunk": {"isa": "goal", "slots": {"state": "walk"}}},
+            {"buffer": "declarative", "query": walk_query},
+            {"buffer": "attention", "chunk": {"isa": "percept", "slots": {"value": "none"}}},
+        ],
+        "initial_mm": facts,
+    }
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, model):
         a = run(model, 30, mode="mm", seed=5)
@@ -77,6 +150,17 @@ class TestDeterminism:
     def test_shadow_step_order_is_unobservable(self, model):
         base = run(model, 30, mode="mm", seed=5)
         permuted = run(model, 30, mode="mm", seed=5, shadow_step_order=[1, 0])
+        assert trace_to_bytes(base) == trace_to_bytes(permuted)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_shadow_step_order_is_unobservable_with_noise(self, noise):
+        """Both shadows read middle memory every cycle while entries are
+        deposited, forgotten and formed into productions; noisy activation
+        must not make the order they are stepped in visible."""
+        linked = parse_model(linked_facts_doc(noise=noise))
+        base = run(linked, 60, mode="mm", seed=1)
+        permuted = run(linked, 60, mode="mm", seed=1, shadow_step_order=[1, 0])
+        assert {"forget", "form"} <= {e.kind for e in base.events}
         assert trace_to_bytes(base) == trace_to_bytes(permuted)
 
     def test_bad_permutation_rejected(self, model):
