@@ -117,7 +117,6 @@ class MMEntry:
     vector: HoloVector | None = None
     presentations: list[float] = field(default_factory=list)
     links: set[int] = field(default_factory=set)
-    last_activation: float = 0.0
     salience: float | None = None
     _packed: HoloVector | None = field(default=None, repr=False)
     _targets: frozenset[str] | None = field(default=None, repr=False, compare=False)
@@ -148,7 +147,7 @@ class MMEntry:
 class _Table:
     """Every entry's activation at one evaluation point, in id order."""
 
-    sources: tuple[frozenset[str], ...]
+    point: tuple  # (time, version, spreading sources)
     values: dict[int, float]
     samples: dict[int, float]  # each entry's noise draw; empty without noise
 
@@ -156,13 +155,12 @@ class _Table:
 class MiddleMemory:
     """Activation-ranked store of tagged predictions and graph chunks.
 
-    Activation is read from tables.  A table holds every entry's activation
-    for one evaluation point: a time, working memory's spreading sources,
-    and a version that every deposit, seeded entry and link bumps.  It is
-    built on first use and kept while the time and version hold, so
-    sweeping, shadow retrieval and middle-memory conditions share one, and
-    the two halves of the context broadcast another.  Forgetting patches
-    the table instead of bumping the version.
+    Reads compute activation and store it on no entry.  A read evaluates
+    every entry at one evaluation point (a time, working memory's spreading
+    sources, and a version that every deposit, seeded entry and link bumps)
+    into a table, kept while its point holds, so sweeping, shadow retrieval
+    and middle-memory conditions share one.  Forgetting patches the table
+    instead of bumping the version, so it stays a fresh evaluation.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -185,8 +183,7 @@ class MiddleMemory:
         self._next_id = 1
         self._latest: float | None = None  # newest presentation of a live entry
         self._version = 0
-        self._point: tuple[float, int] | None = None  # (time, version) of _tables
-        self._tables: dict[tuple[frozenset[str], ...], _Table] = {}
+        self._cached: _Table | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -355,24 +352,20 @@ class MiddleMemory:
         return self._table(wm, now).values
 
     def _table(self, wm: WorkingMemory, now: float) -> _Table:
-        point = (now, self._version)
-        if point != self._point:
-            self._point = point
-            self._tables = {}
         sources = spread_sources(wm)
-        table = self._tables.get(sources)
-        if table is None:
-            ids = sorted(self.entries)
-            samples: dict[int, float] = {}
-            if self.noise > 0.0:
-                key = self._noise_key(now, sources)
-                samples = {entry_id: self._noise_sample(key, entry_id) for entry_id in ids}
-            values = {entry_id: self.activation(self.entries[entry_id], wm, now,
-                                                sources=sources,
-                                                sample=samples.get(entry_id))
-                      for entry_id in ids}
-            table = self._tables[sources] = _Table(sources, values, samples)
-        return table
+        point = (now, self._version, sources)
+        if self._cached is not None and self._cached.point == point:
+            return self._cached
+        ids = sorted(self.entries)
+        samples: dict[int, float] = {}
+        if self.noise > 0.0:
+            key = self._noise_key(now, sources)
+            samples = {entry_id: self._noise_sample(key, entry_id) for entry_id in ids}
+        values = {entry_id: self.activation(self.entries[entry_id], wm, now,
+                                            sources=sources, sample=samples.get(entry_id))
+                  for entry_id in ids}
+        self._cached = _Table(point, values, samples)
+        return self._cached
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None = None,
                  tags: frozenset[str] | set[str] | None = None,
@@ -381,9 +374,9 @@ class MiddleMemory:
 
         Entries must carry any of ``tags`` (None = all tags) and, when a
         pattern is given, have a decoded chunk the pattern matches;
-        vector-only entries are reachable by tag alone.  Each such entry
-        records its activation in ``last_activation``.  Result order is
-        (activation desc, id asc) and is a total order.
+        vector-only entries are reachable by tag alone.  Reads only: the
+        activations come from the current evaluation point's table.  Result
+        order is (activation desc, id asc) and is a total order.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -400,7 +393,6 @@ class MiddleMemory:
                 if matched is None:
                     continue
                 bindings = matched
-            entry.last_activation = act
             if act < self.retrieval_threshold:
                 continue
             hits.append((entry, act, bindings))
@@ -410,23 +402,20 @@ class MiddleMemory:
     def sweep(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """Forget entries whose activation is below the floor.
 
-        Every entry records its activation before forgetting in
-        ``last_activation``.  Returns the removed entries with that value.
+        Returns the removed entries with their activation before forgetting.
+        Afterwards the evaluation point's table holds the survivors'
+        activations, re-evaluated for the neighbours that lost a link.
         """
         table = self._table(wm, now)
-        removed = []
-        for entry_id, act in table.values.items():
-            entry = self.entries[entry_id]
-            entry.last_activation = act
-            if act < self.forget_threshold:
-                removed.append((entry, act))
+        removed = [(self.entries[entry_id], act) for entry_id, act in table.values.items()
+                   if act < self.forget_threshold]
         if removed:
             self._forget([entry for entry, _ in removed], table, wm, now)
         return removed
 
     def _forget(self, gone: list[MMEntry], table: _Table, wm: WorkingMemory,
                 now: float) -> None:
-        """Remove ``gone`` and patch ``table`` to the remaining state.
+        """Remove ``gone`` and patch the cached ``table`` to the remaining state.
 
         Links are symmetric, so only the removed entries' neighbours are
         unlinked, and theirs are the only activations that change.
@@ -445,24 +434,17 @@ class MiddleMemory:
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
                                default=None)
-        self._tables = {table.sources: table}
+        _, _, sources = table.point
         for nid in sorted(neighbors.intersection(self.entries)):
             table.values[nid] = self.activation(
-                self.entries[nid], wm, now, sources=table.sources,
+                self.entries[nid], wm, now, sources=sources,
                 sample=table.samples.get(nid))
 
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
-        """All entries at or above the retrieval threshold, id order.
-
-        Every entry records its activation in ``last_activation``.
-        """
-        out = []
-        for entry_id, act in self.activations(wm, now).items():
-            entry = self.entries[entry_id]
-            entry.last_activation = act
-            if act >= self.retrieval_threshold:
-                out.append((entry, act))
-        return out
+        """All entries at or above the retrieval threshold, id order."""
+        return [(self.entries[entry_id], act)
+                for entry_id, act in self.activations(wm, now).items()
+                if act >= self.retrieval_threshold]
 
 
 def _packed_content(buf: Buffer, book: Codebook) -> HoloVector | None:
@@ -500,12 +482,14 @@ def context_vector(wm: WorkingMemory, mm: MiddleMemory, book: Codebook,
             continue
         packed = _packed_content(buf, book)
         if packed is not None:
-            total = total + packed
+            np.add(total, packed, out=total)
             contributed = True
     ranked = mm.retrievable(wm, now)
     if ranked:
+        weighted = np.empty(book.dimension)
         for (entry, _), w in zip(ranked, _softmax(ranked)):
-            total = total + w * entry.payload_vector(book)
+            np.add(total, np.multiply(w, entry.payload_vector(book), out=weighted),
+                   out=total)
         contributed = True
     if not contributed:
         return total, True

@@ -32,6 +32,7 @@ from .memory import (
     DEFAULT_RETRIEVAL_THRESHOLD,
     DEFAULT_SPREAD_WEIGHT,
 )
+from .predictors import DEFAULT_EMIT_ISA, DEFAULT_EMIT_SLOT, DEFAULT_ORDER
 from .productions import (
     ACTION_KINDS,
     DEFAULT_FORMATION_THRESHOLD,
@@ -56,6 +57,9 @@ class _Collector:
 
     def add(self, path: str, message: str) -> None:
         self.violations.append((path, message))
+
+    def reported(self, path: str) -> bool:
+        return any(p == path for p, _ in self.violations)
 
     def raise_if_any(self) -> None:
         if self.violations:
@@ -285,12 +289,13 @@ class PredictorDef:
     tag: str = _field(read=_symbol("origin tag"), drop=True)
     rate: int = _field(1, _scalar(int, "rate must be a non-negative integer", lambda v: v >= 0))
     seed: int = _field(0, _scalar(int, "seed must be an integer"))
-    order: int = _field(2, _scalar(int, "order must be a positive integer", lambda v: v >= 1))
+    order: int = _field(DEFAULT_ORDER, _scalar(int, "order must be a positive integer",
+                                               lambda v: v >= 1))
     corpus: tuple[tuple[str, ...], ...] = _field((), _items(_items(
         _symbol("corpus symbol"), "corpus entries are symbol lists")))
     pairs: tuple[tuple, ...] = _field((), _items(_pair))
-    emit_isa: str = _field("word", _symbol("emit_isa"))
-    emit_slot: str = _field("value", _symbol("emit_slot"))
+    emit_isa: str = _field(DEFAULT_EMIT_ISA, _symbol("emit_isa"))
+    emit_slot: str = _field(DEFAULT_EMIT_SLOT, _symbol("emit_slot"))
     command: tuple[str, ...] | None = _field(
         None, _scalars(str, "command must be a list of strings"))
     host: str | None = _field(None, _scalar(str, "host must be a string"))
@@ -541,7 +546,8 @@ def _check_production_semantics(production: ProductionDef, path: str, owner: str
         if action.target is not None:
             if action.target not in buffer_names:
                 errors.add(f"{apath}.target", f"unknown buffer {action.target!r}")
-            elif owner != CENTRAL and system is not None and action.target != system.buffer:
+            elif (owner != CENTRAL and system is not None and system.buffer is not None
+                  and action.target != system.buffer):
                 errors.add(f"{apath}.target",
                            f"shadow system {owner!r} may write only its own buffer "
                            f"{system.buffer!r}, not {action.target!r}")
@@ -573,7 +579,6 @@ def _validate_semantics(model: ModelDefinition, errors: _Collector) -> None:
             errors.add(f"buffers[{i}].owner", f"unknown owner {buffer.owner!r}")
 
     seen_systems = set()
-    owned = {}
     for i, system in enumerate(model.shadow_systems):
         path = f"shadow_systems[{i}]"
         if system.name == CENTRAL:
@@ -583,6 +588,8 @@ def _validate_semantics(model: ModelDefinition, errors: _Collector) -> None:
         seen_systems.add(system.name)
         if not system.subscriptions:
             errors.add(f"{path}.subscriptions", "subscriptions must be non-empty")
+        if errors.reported(f"{path}.buffer"):
+            continue  # a buffer that failed to parse is reported once, by the parser
         declared = [b for b in model.buffers if b.owner == system.name]
         if len(declared) != 1 or system.buffer not in {b.name for b in declared}:
             errors.add(f"{path}.buffer",

@@ -29,6 +29,10 @@ from .errors import ChunkError
 PROTOCOL_CONTEXT = "context"
 PROTOCOL_PREDICTION = "prediction"
 
+DEFAULT_ORDER = 2
+DEFAULT_EMIT_ISA = "word"
+DEFAULT_EMIT_SLOT = "value"
+
 
 @dataclass
 class Prediction:
@@ -59,9 +63,9 @@ class NgramPredictor:
 
     kind = "ngram"
 
-    def __init__(self, name: str, tag: str, corpus, order: int = 2,
-                 rate: int = 1, seed: int = 0,
-                 emit_ctype: str = "word", emit_slot: str = "value"):
+    def __init__(self, name: str, tag: str, corpus, order: int = DEFAULT_ORDER,
+                 rate: int = 1, seed: int = 0, emit_ctype: str = DEFAULT_EMIT_ISA,
+                 emit_slot: str = DEFAULT_EMIT_SLOT):
         self.name = name
         self.tag = tag
         self.order = order
@@ -119,7 +123,7 @@ class AssociativePredictor:
     kind = "associative"
 
     def __init__(self, name: str, tag: str, pairs, rate: int = 1, seed: int = 0,
-                 emit_ctype: str = "percept", emit_slot: str = "value"):
+                 emit_ctype: str = DEFAULT_EMIT_ISA, emit_slot: str = DEFAULT_EMIT_SLOT):
         self.name = name
         self.tag = tag
         self.rate = rate

@@ -30,7 +30,8 @@ class ActionKind:
 
     ``needs`` names model fields (``target``, ``chunk``, ``query``,
     ``amount``); a kind that needs ``chunk`` instantiates a chunk template
-    when fired, one that needs ``query`` a query template.
+    when fired, one that needs ``query`` a query template, and one that
+    needs ``target`` writes that buffer (see :func:`buffer_write`).
     """
 
     needs: tuple[str, ...] = ()
@@ -285,6 +286,17 @@ def fire(production: Production, bindings: dict[str, str],
         effects.append(Effect(action.kind, target=action.target, content=content,
                               amount=action.amount, urgent=action.urgent))
     return effects
+
+
+def buffer_write(effect: Effect) -> tuple[Chunk | Query | None, bool] | None:
+    """The ``(content, urgent)`` an effect writes to its target, or None.
+
+    A clear writes ``None``; only a kind that may be urgent writes urgently.
+    """
+    kind = ACTION_KINDS[effect.kind]
+    if "target" not in kind.needs:
+        return None
+    return effect.content, effect.urgent and kind.may_be_urgent
 
 
 @dataclass

@@ -16,9 +16,10 @@ unobservable.  Event timestamps use the cycle-start time; activation
 evaluations use the cycle-end time, so a presentation deposited this cycle
 already has a positive lag.  Time is integer milliseconds internally.
 
-Middle memory evaluates activation in tables (see :mod:`.memory`): one
-built by the sweep serves the sweep, shadow retrieval and middle-memory
-conditions, and one built after the commit serves the broadcast.
+Activation is computed by middle-memory reads (see :mod:`.memory`).  The
+sweep's table, after forgetting, serves shadow retrieval, middle-memory
+conditions and formation, so formation tests the activations the shadows
+saw; a table built after the commit serves the broadcast.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .productions import (
     Production,
     Template,
     UtilityLearner,
+    buffer_write,
     fire,
     form_retrieval_production,
     match_all,
@@ -146,6 +148,7 @@ class Session:
         self.queue = IngestionQueue()
         self.inflows: dict[str, list[Chunk]] = {s.buffer: [] for s in self.systems}
         self._pending_rewards: list[tuple[float, str]] = []
+        self._swept: dict[int, float] = {}  # the sweep's activations, for formation
         self._scheduled: dict[int, list[float]] = {}
         for reward in model.rewards:
             self._scheduled.setdefault(reward.cycle, []).append(reward.amount)
@@ -316,6 +319,7 @@ class Session:
             self.trace.append(n, "forget", {
                 "entry": entry.id, "tag": entry.tag,
                 "activation": activation})
+        self._swept = self.mm.activations(self.wm, t_eval)
 
     # phase 3
     def _shadow_phase(self, n: int, t_now: float, t_eval: float) -> list[_StagedWrite]:
@@ -358,27 +362,17 @@ class Session:
             self.trace.append(n, "shadow-fire", {
                 "system": system.name, "production": production.name,
                 "bindings": dict(decision.match.bindings)})
-            content: Chunk | Query | None = None
-            urgent = False
-            wrote = False
-            for effect in effects:
-                if effect.kind == "write-buffer":
-                    content, urgent, wrote = effect.content, effect.urgent, True
-                elif effect.kind == "clear-buffer":
-                    content, urgent, wrote = None, False, True
-                elif effect.kind == "post-query":
-                    content, urgent, wrote = effect.content, False, True
-                if effect.kind in ("write-buffer", "clear-buffer", "post-query"):
-                    data = _content_data(content)
-                    self.trace.append(n, "wm-write", {
-                        "writer": system.name, "buffer": system.buffer,
-                        "content": data, "urgent": urgent})
-                    if urgent:
-                        self.trace.append(n, "interrupt", {
-                            "system": system.name, "buffer": system.buffer,
-                            "chunk": content.id})
-            if wrote:
-                self._stage(staged, system, content, urgent, production.name)
+            writes = _buffer_writes(effects)
+            for content, urgent in writes:
+                self.trace.append(n, "wm-write", {
+                    "writer": system.name, "buffer": system.buffer,
+                    "content": _content_data(content), "urgent": urgent})
+                if urgent:
+                    self.trace.append(n, "interrupt", {
+                        "system": system.name, "buffer": system.buffer,
+                        "chunk": content.id})
+            if writes:
+                self._stage(staged, system, *writes[-1], production.name)
         elif decision.kind == "answer":
             chunk = answer_chunk(decision, self.factory)
             self.trace.append(n, "wm-write", {
@@ -426,18 +420,13 @@ class Session:
             "matched": [{"buffer": b, "chunk": c} for b, c in winner.sources],
             "consumed": consumed})
         for effect in effects:
-            if effect.kind in ("write-buffer", "post-query"):
-                self.wm.write(CENTRAL, effect.target, effect.content,
-                              urgent=effect.urgent)
+            write = buffer_write(effect)
+            if write is not None:
+                content, urgent = write
+                self.wm.write(CENTRAL, effect.target, content, urgent=urgent)
                 self.trace.append(n, "wm-write", {
                     "writer": CENTRAL, "buffer": effect.target,
-                    "content": _content_data(effect.content),
-                    "urgent": effect.urgent})
-            elif effect.kind == "clear-buffer":
-                self.wm.write(CENTRAL, effect.target, None)
-                self.trace.append(n, "wm-write", {
-                    "writer": CENTRAL, "buffer": effect.target,
-                    "content": None, "urgent": False})
+                    "content": _content_data(content), "urgent": urgent})
             elif effect.kind == "emit-reward":
                 self._pending_rewards.append(
                     (effect.amount, f"production:{production.name}"))
@@ -510,18 +499,18 @@ class Session:
         threshold = self.model.middle_memory.formation_threshold
         ttl = self.model.learning.provisional_ttl_s
         for system in self.systems:
-            for entry_id in sorted(self.mm.entries):
+            for entry_id, activation in self._swept.items():
                 entry = self.mm.entries[entry_id]
                 if entry.tag not in system.subscriptions:
                     continue
                 production = form_retrieval_production(
-                    entry, entry.last_activation, system.name, system.buffer,
+                    entry, activation, system.name, system.buffer,
                     system.productions, t_now, threshold)
                 if production is not None:
                     system.productions.append(production)
                     self.trace.append(n, "form", {
                         "production": production.name, "owner": system.name,
-                        "entry": entry.id, "activation": entry.last_activation})
+                        "entry": entry.id, "activation": activation})
         for system in self.systems:
             kept, pruned = prune_provisional(system.productions, t_now, ttl)
             system.productions[:] = kept
@@ -582,17 +571,16 @@ class Session:
     def conflict_snapshot(self) -> dict[str, list[str]]:
         """Current conflict sets per engine, computed without side effects.
 
-        Shadow matching retrieves from a copy of middle memory, because
-        retrieval records ``last_activation``.
+        Middle-memory reads change nothing that a later step can observe, so
+        shadow conditions match against the live middle memory.
         """
         t_eval = self._cycle_time(self.cycle + 1)
-        mm = copy.deepcopy(self.mm)
         view = MatchView(self.wm, None, t_eval,
                          inflows=self.inflows if self.mode == "pipeline" else None)
         out = {CENTRAL: [m.production.name
                          for m in match_all(self.central_productions, view)]}
         for system in self.systems:
-            sview = MatchView(self.wm, mm, t_eval,
+            sview = MatchView(self.wm, self.mm, t_eval,
                               default_tags=system.subscriptions)
             out[system.name] = [m.production.name
                                 for m in match_all(system.productions, sview)]
@@ -607,17 +595,16 @@ def _content_data(content) -> dict | None:
     return query_data(content)
 
 
+def _buffer_writes(effects) -> list[tuple[Chunk | Query | None, bool]]:
+    """The ``(content, urgent)`` buffer writes among ``effects``, in order."""
+    return [write for write in map(buffer_write, effects) if write is not None]
+
+
 def _preview_write(decision: ShadowDecision, scratch: ChunkFactory):
     """A fire decision's final buffer content, for the system's later steps."""
-    content, urgent = None, False
-    for effect in fire(decision.match.production, decision.match.bindings, scratch):
-        if effect.kind == "write-buffer":
-            content, urgent = effect.content, effect.urgent
-        elif effect.kind == "clear-buffer":
-            content, urgent = None, False
-        elif effect.kind == "post-query":
-            content, urgent = effect.content, False
-    return content, urgent
+    writes = _buffer_writes(fire(decision.match.production,
+                                 decision.match.bindings, scratch))
+    return writes[-1] if writes else (None, False)
 
 
 def _external_prediction(message, decoded) -> Prediction:

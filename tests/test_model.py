@@ -123,6 +123,20 @@ def test_system_must_own_exactly_one_declared_buffer():
                for _, msg in violations)
 
 
+def test_non_string_shadow_buffer_reported_once():
+    doc = json.loads(demos.path("threat").read_text())
+    doc["shadow_systems"][0]["buffer"] = 5
+    assert _violations(doc) == [("shadow_systems[0].buffer", "unknown buffer 5")]
+
+
+def test_missing_shadow_buffer_reported_once():
+    doc = base_doc()
+    del doc["shadow_systems"][0]["buffer"]
+    violations = _violations(doc)
+    assert [p for p, _ in violations] == ["shadow_systems[0].buffer"]
+    assert "must own exactly one declared buffer" in violations[0][1]
+
+
 def test_unknown_buffer_in_condition_rejected():
     doc = base_doc()
     doc["central_productions"][0]["conditions"][0]["buffer"] = "nonesuch"

@@ -377,3 +377,35 @@ class TestMultiRateSystems:
         writes = [e for e in trace.by_kind("wm-write")
                   if e.data["writer"] == "stepper"]
         assert writes[-1].data["content"]["slots"] == {"n": "two"}
+
+
+class TestFormation:
+    def test_formation_sees_no_spreading_from_a_forgotten_entry(self):
+        """The hub is hot only through its link to the weak entry, which the
+        same cycle's sweep forgets; formation then reads the hub's activation
+        without that spreading, as the shadow systems did, and forms nothing."""
+        doc = {
+            "name": "forgotten-link",
+            "buffers": [{"name": "goal", "owner": "central"},
+                        {"name": "watch", "owner": "watcher"}],
+            "shadow_systems": [{"name": "watcher", "buffer": "watch",
+                                "subscriptions": ["t"]}],
+            "middle_memory": {"spread_weight": 2.0, "forget_threshold": -1.5,
+                              "formation_threshold": 3.0},
+            "initial_wm": [{"buffer": "goal",
+                            "chunk": {"isa": "cue", "slots": {"v": "weakval"}}}],
+            "initial_mm": [
+                {"tag": "t", "chunk": {"isa": "fact", "slots": {"n": "hub"}},
+                 "presentations": [-0.06, -0.04, -0.02], "links": [1]},
+                {"tag": "t", "chunk": {"isa": "fact", "slots": {"n": "weak", "v": "weakval"}},
+                 "presentations": [-1000000.0]},
+            ],
+        }
+        session = Session(parse_model(doc), mode="mm")
+        t_eval = session._cycle_time(1)
+        assert session.mm.activations(session.wm, t_eval)[1] > 3.0  # before the sweep
+        session.step()
+        events = session.trace.events
+        assert [e.data["entry"] for e in events if e.kind == "forget"] == [2]
+        assert session.mm.activations(session.wm, t_eval)[1] < 3.0
+        assert not [e for e in events if e.kind == "form"]
