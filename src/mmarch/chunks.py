@@ -36,13 +36,6 @@ def validate_symbol(name: str, *, what: str = "symbol") -> str:
     return name
 
 
-_next_id = itertools.count()
-
-
-def _fresh_id() -> int:
-    return next(_next_id)
-
-
 @dataclass(frozen=True)
 class Chunk:
     """Immutable typed slot/value record.
@@ -153,26 +146,22 @@ class ChunkFactory:
         self._count = itertools.count()
 
     def make(self, ctype: str, slots=()) -> Chunk:
+        """Build a chunk with this factory's next id."""
         validate_symbol(ctype, what="chunk type")
         return Chunk(ctype, _check_slots(slots, allow_wildcard_values=False), next(self._count))
 
     def make_query(self, ctype: str, slots=()) -> Query:
+        """Build a query with this factory's next id."""
         if ctype != WILDCARD:
             validate_symbol(ctype, what="query type")
         return Query(ctype, _check_slots(slots, allow_wildcard_values=True), next(self._count))
 
 
-def make_chunk(ctype: str, slots=()) -> Chunk:
-    """Build a chunk with a fresh process-wide id."""
-    validate_symbol(ctype, what="chunk type")
-    return Chunk(ctype, _check_slots(slots, allow_wildcard_values=False), _fresh_id())
-
-
-def make_query(ctype: str, slots=()) -> Query:
-    """Build a query with a fresh process-wide id."""
-    if ctype != WILDCARD:
-        validate_symbol(ctype, what="query type")
-    return Query(ctype, _check_slots(slots, allow_wildcard_values=True), _fresh_id())
+# Chunks and queries built outside a run take their ids from this one
+# process-wide factory.
+PROCESS_FACTORY = ChunkFactory()
+make_chunk = PROCESS_FACTORY.make
+make_query = PROCESS_FACTORY.make_query
 
 
 def match_query(q: Query, c: Chunk) -> dict[str, str] | None:

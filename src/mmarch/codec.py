@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chunks import TYPE_SLOT, WILDCARD, Chunk, ChunkFactory, Query, validate_symbol
+from .chunks import (
+    PROCESS_FACTORY,
+    TYPE_SLOT,
+    WILDCARD,
+    Chunk,
+    ChunkFactory,
+    Query,
+    validate_symbol,
+)
 from .errors import ChunkError
 
 DEFAULT_DIMENSION = 1024
@@ -190,7 +198,7 @@ def unpack(v: HoloVector, slot_names, book: Codebook,
 
     Each slot is unbound by its name atom and cleaned up against the
     codebook; slots whose best similarity falls below the threshold are
-    reported absent.
+    reported absent.  Without a ``factory``, ids come from ``PROCESS_FACTORY``.
     """
     if threshold is None:
         threshold = book.cleanup_threshold
@@ -211,8 +219,5 @@ def unpack(v: HoloVector, slot_names, book: Codebook,
 
     chunk = None
     if ctype is not None:
-        chunk = (factory or _default_factory).make(ctype, slots)
+        chunk = (factory or PROCESS_FACTORY).make(ctype, slots)
     return UnpackResult(chunk=chunk, ctype=ctype, values=values, similarities=similarities)
-
-
-_default_factory = ChunkFactory()

@@ -52,8 +52,8 @@ def metrics(trace: Trace) -> RunMetrics:
     """Summarize a trace; a pure function of its events."""
     candidates: list[int] = []
     firings = 0
-    interrupts: list[tuple[int, int]] = []  # (cycle, chunk id)
-    consumed_chunks: list[tuple[int, int]] = []  # (cycle, chunk id) at central match
+    latencies: list[int | None] = []  # per interrupt, None until matched
+    waiting: dict[int, list[tuple[int, int]]] = {}  # chunk id -> [(index, cycle)]
     mm_sizes: list[int] = []
     size = 0
     per_cycle_size: dict[int, int] = {}
@@ -68,11 +68,16 @@ def metrics(trace: Trace) -> RunMetrics:
         if kind == "central-fire":
             firings += 1
             for item in data.get("matched", []):
-                consumed_chunks.append((event.cycle, item["chunk"]))
+                for index, cycle in waiting.pop(item["chunk"], []):
+                    if cycle < event.cycle:
+                        latencies[index] = event.cycle - cycle
+                    else:  # a match in the interrupt's own cycle does not count
+                        waiting.setdefault(item["chunk"], []).append((index, cycle))
             for item in data.get("consumed", []):
                 consumption[item["system"]] = consumption.get(item["system"], 0) + 1
         elif kind == "interrupt":
-            interrupts.append((event.cycle, data["chunk"]))
+            waiting.setdefault(data["chunk"], []).append((len(latencies), event.cycle))
+            latencies.append(None)
         elif kind == "deposit":
             if data["new"]:
                 size += 1
@@ -89,12 +94,6 @@ def metrics(trace: Trace) -> RunMetrics:
             last = per_cycle_size.get(cycle, last)
             mm_sizes.append(last)
 
-    latencies = []
-    for cycle, chunk in interrupts:
-        hits = [c for c, matched in consumed_chunks if matched == chunk and c > cycle]
-        if hits:
-            latencies.append(min(hits) - cycle)
-
     mean = sum(candidates) / len(candidates) if candidates else 0.0
     return RunMetrics(
         cycles=len(candidates),
@@ -102,7 +101,7 @@ def metrics(trace: Trace) -> RunMetrics:
         central_candidates_mean=mean,
         central_candidates_max=max(candidates, default=0),
         central_firings=firings,
-        interrupt_latencies=latencies,
+        interrupt_latencies=[lat for lat in latencies if lat is not None],
         mm_size_per_cycle=mm_sizes,
         mm_size_final=size,
         mm_size_max=max(mm_sizes, default=0),

@@ -123,22 +123,18 @@ def _resolve_value(value: str, bindings: dict[str, str], production: str,
     return value
 
 
-def instantiate_chunk(template: Template, bindings: dict[str, str],
-                      factory: ChunkFactory, production: str) -> Chunk:
-    ctype = _resolve_value(template.ctype, bindings, production, allow_wildcard=False)
-    slots = [(n, _resolve_value(v, bindings, production, allow_wildcard=False))
-             for n, v in template.slots]
-    return factory.make(ctype, slots)
+def instantiate(template: Template, bindings: dict[str, str], factory: ChunkFactory,
+                production: str, *, query: bool) -> Chunk | Query:
+    """Resolve a template's binding references into a new chunk or query.
 
-
-def instantiate_query(template: Template, bindings: dict[str, str],
-                      factory: ChunkFactory, production: str) -> Query:
+    Only a query keeps bare wildcards, in its type or its slot values.
+    """
     ctype = template.ctype
-    if ctype != WILDCARD:
+    if not (query and ctype == WILDCARD):
         ctype = _resolve_value(ctype, bindings, production, allow_wildcard=False)
-    slots = [(n, _resolve_value(v, bindings, production, allow_wildcard=True))
+    slots = [(n, _resolve_value(v, bindings, production, allow_wildcard=query))
              for n, v in template.slots]
-    return factory.make_query(ctype, slots)
+    return (factory.make_query if query else factory.make)(ctype, slots)
 
 
 class MatchView:
@@ -279,10 +275,9 @@ def fire(production: Production, bindings: dict[str, str],
     for action in production.actions:
         needs = ACTION_KINDS[action.kind].needs
         content = None
-        if "chunk" in needs:
-            content = instantiate_chunk(action.template, bindings, factory, production.name)
-        elif "query" in needs:
-            content = instantiate_query(action.template, bindings, factory, production.name)
+        if "chunk" in needs or "query" in needs:
+            content = instantiate(action.template, bindings, factory, production.name,
+                                  query="query" in needs)
         effects.append(Effect(action.kind, target=action.target, content=content,
                               amount=action.amount, urgent=action.urgent))
     return effects

@@ -25,7 +25,6 @@ saw; a table built after the commit serves the broadcast.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,14 +74,6 @@ from .shadows import (
 from .trace import Trace, chunk_data, query_data
 
 CONTEXT_SYMBOL_COUNT = 5
-
-
-@dataclass
-class _StagedWrite:
-    system: ShadowSystem
-    content: Chunk | Query | None
-    urgent: bool
-    from_production: str | None  # fired production name, for the ledger
 
 
 def _to_query(pattern: PatternDef | None, factory: ChunkFactory) -> Query | None:
@@ -242,11 +233,9 @@ class Session:
 
         self._drain_predictions(n, t_now)
         self._sweep(n, t_eval)
-        staged: list[_StagedWrite] = []
-        if self.mode == "mm":
-            staged = self._shadow_phase(n, t_now, t_eval)
+        staged = self._shadow_phase(n, t_eval) if self.mode == "mm" else {}
         winner_sources = self._central_phase(n, t_now, t_eval)
-        self._commit_staged(n, t_now, staged)
+        self._commit_staged(t_now, staged)
         self._reward_phase(n, t_now)
         if self.mode == "mm":
             self._formation_phase(n, t_now)
@@ -322,15 +311,22 @@ class Session:
         self._swept = self.mm.activations(self.wm, t_eval)
 
     # phase 3
-    def _shadow_phase(self, n: int, t_now: float, t_eval: float) -> list[_StagedWrite]:
+    def _shadow_phase(self, n: int, t_eval: float) -> dict[int, tuple]:
+        """Each system's one write, ``index -> (content, urgent, production)``.
+
+        A system's last write in the cycle wins; it keeps the position of
+        its first, so writes commit in system order.
+        """
         order = self.shadow_step_order or list(range(len(self.systems)))
         decisions: dict[int, list[ShadowDecision]] = {}
         for index in order:
             decisions[index] = self._decide_system(self.systems[index], t_eval)
-        staged: list[_StagedWrite] = []
+        staged: dict[int, tuple] = {}
         for index in range(len(self.systems)):
             for decision in decisions[index]:
-                self._emit_decision(n, t_now, decision, staged)
+                write = self._emit_decision(n, decision)
+                if write is not None:
+                    staged[index] = write
         return staged
 
     def _decide_system(self, system: ShadowSystem, t_eval: float) -> list[ShadowDecision]:
@@ -345,16 +341,18 @@ class Session:
             if decision.kind in ("answer", "miss"):
                 break
             if sub + 1 < system.steps_per_cycle:
-                # Later steps see this system's own write, and nobody else does.
-                content, urgent = _preview_write(decision, scratch)
+                # Later steps see this system's own last write, and nobody else does.
+                writes = _buffer_writes(fire(decision.match.production,
+                                             decision.match.bindings, scratch))
+                content, urgent = writes[-1] if writes else (None, False)
                 view_wm = copy.copy(self.wm)
                 view_wm.buffers = {**self.wm.buffers, system.buffer: Buffer(
                     name=system.buffer, owner=system.name,
                     content=content, urgent=urgent)}
         return decisions
 
-    def _emit_decision(self, n: int, t_now: float, decision: ShadowDecision,
-                       staged: list[_StagedWrite]) -> None:
+    def _emit_decision(self, n: int, decision: ShadowDecision) -> tuple | None:
+        """Log a decision's writes; return the last as ``(content, urgent, production)``."""
         system = decision.system
         if decision.kind == "fire":
             production = decision.match.production
@@ -371,33 +369,15 @@ class Session:
                     self.trace.append(n, "interrupt", {
                         "system": system.name, "buffer": system.buffer,
                         "chunk": content.id})
-            if writes:
-                self._stage(staged, system, *writes[-1], production.name)
-        elif decision.kind == "answer":
-            chunk = answer_chunk(decision, self.factory)
-            self.trace.append(n, "wm-write", {
-                "writer": system.name, "buffer": system.buffer,
-                "content": chunk_data(chunk), "urgent": False,
-                "answers_query": decision.query.id,
-                "entry": decision.answered_entry})
-            self._stage(staged, system, chunk, False, None)
-        elif decision.kind == "miss":
-            chunk = failure_chunk(decision, self.factory)
-            self.trace.append(n, "wm-write", {
-                "writer": system.name, "buffer": system.buffer,
-                "content": chunk_data(chunk), "urgent": False,
-                "answers_query": decision.query.id, "entry": None})
-            self._stage(staged, system, chunk, False, None)
-
-    def _stage(self, staged: list[_StagedWrite], system: ShadowSystem,
-               content, urgent: bool, production: str | None) -> None:
-        for existing in staged:
-            if existing.system is system:
-                existing.content = content
-                existing.urgent = urgent
-                existing.from_production = production
-                return
-        staged.append(_StagedWrite(system, content, urgent, production))
+            return (*writes[-1], production.name) if writes else None
+        make = answer_chunk if decision.kind == "answer" else failure_chunk
+        chunk = make(decision, self.factory)
+        self.trace.append(n, "wm-write", {
+            "writer": system.name, "buffer": system.buffer,
+            "content": chunk_data(chunk), "urgent": False,
+            "answers_query": decision.query.id,
+            "entry": decision.answered_entry})
+        return chunk, False, None
 
     # phase 4
     def _central_phase(self, n: int, t_now: float, t_eval: float):
@@ -437,10 +417,7 @@ class Session:
     # phase 5 (called from the central phase so the fire event carries it)
     def _record_consumption(self, n: int, sources) -> list[dict]:
         consumed = []
-        shadow_buffers = {s.buffer for s in self.systems}
-        for buffer, chunk_id in sources:
-            if buffer not in shadow_buffers:
-                continue
+        for buffer, chunk_id in sources:  # only shadow chunks are in the ledger
             record = self.ledger.mark_consumed(chunk_id, n)
             if record is not None:
                 consumed.append({"buffer": buffer, "chunk": chunk_id,
@@ -449,14 +426,12 @@ class Session:
         return consumed
 
     # phase 4b
-    def _commit_staged(self, n: int, t_now: float,
-                       staged: list[_StagedWrite]) -> None:
-        for write in staged:
-            self.wm.write(write.system.name, write.system.buffer,
-                          write.content, urgent=write.urgent)
-            if write.from_production is not None and isinstance(write.content, Chunk):
-                self.ledger.note_write(write.from_production, write.system.name,
-                                       write.content, n, t_now)
+    def _commit_staged(self, t_now: float, staged: dict[int, tuple]) -> None:
+        for index, (content, urgent, production) in staged.items():
+            system = self.systems[index]
+            self.wm.write(system.name, system.buffer, content, urgent=urgent)
+            if production is not None and isinstance(content, Chunk):
+                self.ledger.note_write(production, system.name, content, t_now)
 
     # phase 6
     def _reward_phase(self, n: int, t_now: float) -> None:
@@ -483,15 +458,10 @@ class Session:
             "effective_reward": update.effective_reward,
             "made_permanent": update.made_permanent})
 
-    def _find_production(self, owner: str, name: str) -> Production | None:
-        pool = self.central_productions if owner == CENTRAL else []
-        for system in self.systems:
-            if system.name == owner:
-                pool = system.productions
-                break
-        for production in pool:
-            if production.name == name:
-                return production
+    def _find_production(self, system: str, name: str) -> Production | None:
+        for owner in self.systems:
+            if owner.name == system:
+                return next((p for p in owner.productions if p.name == name), None)
         return None
 
     # phase 7
@@ -511,19 +481,14 @@ class Session:
                     self.trace.append(n, "form", {
                         "production": production.name, "owner": system.name,
                         "entry": entry.id, "activation": activation})
-        for system in self.systems:
-            kept, pruned = prune_provisional(system.productions, t_now, ttl)
-            system.productions[:] = kept
+        pools = [(s.name, s.productions) for s in self.systems]
+        for owner, pool in pools + [(CENTRAL, self.central_productions)]:
+            kept, pruned = prune_provisional(pool, t_now, ttl)
+            pool[:] = kept
             for production in pruned:
                 self.trace.append(n, "prune", {
-                    "production": production.name, "owner": system.name,
+                    "production": production.name, "owner": owner,
                     "age_s": t_now - production.created_at})
-        kept, pruned = prune_provisional(self.central_productions, t_now, ttl)
-        self.central_productions[:] = kept
-        for production in pruned:
-            self.trace.append(n, "prune", {
-                "production": production.name, "owner": CENTRAL,
-                "age_s": t_now - production.created_at})
 
     # phase 8
     def _broadcast_phase(self, n: int, t_eval: float) -> None:
@@ -598,13 +563,6 @@ def _content_data(content) -> dict | None:
 def _buffer_writes(effects) -> list[tuple[Chunk | Query | None, bool]]:
     """The ``(content, urgent)`` buffer writes among ``effects``, in order."""
     return [write for write in map(buffer_write, effects) if write is not None]
-
-
-def _preview_write(decision: ShadowDecision, scratch: ChunkFactory):
-    """A fire decision's final buffer content, for the system's later steps."""
-    writes = _buffer_writes(fire(decision.match.production,
-                                 decision.match.bindings, scratch))
-    return writes[-1] if writes else (None, False)
 
 
 def _external_prediction(message, decoded) -> Prediction:

@@ -11,6 +11,7 @@ them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .chunks import Chunk, ChunkFactory, Query, complete_query
@@ -87,8 +88,8 @@ class ContributionRecord:
     production: str
     system: str
     chunk_id: int
-    deposit_cycle: int
     deposit_time: float
+    seq: int  # write order, which credit follows
     consumed_cycle: int | None = None
 
 
@@ -96,32 +97,33 @@ class ContributionLedger:
     """Tracks shadow buffer deposits and their consumption by the centre.
 
     A deposit is consumed when a fired central production's conditions
-    matched that chunk in the shadow's buffer; each deposit is consumed at
-    most once (first central cycle recorded), and each consumed record is
-    credited at most once by the next reward.
+    matched that chunk in the shadow's buffer.  Only a system's latest
+    deposit can still be in its buffer, so ``pending`` keeps one
+    unconsumed record per system; a newer write replaces it.  Each deposit
+    is consumed at most once (first central cycle recorded), and each
+    consumed record is credited at most once, by the next reward.
     """
 
     def __init__(self):
-        self.records: list[ContributionRecord] = []
-        self._by_chunk: dict[int, ContributionRecord] = {}
+        self.pending: dict[str, ContributionRecord] = {}
+        self.consumed: list[ContributionRecord] = []
+        self._seq = itertools.count()
 
-    def note_write(self, production: str, system: str, chunk: Chunk,
-                   cycle: int, time: float) -> None:
-        record = ContributionRecord(production, system, chunk.id, cycle, time)
-        self.records.append(record)
-        self._by_chunk[chunk.id] = record
+    def note_write(self, production: str, system: str, chunk: Chunk, time: float) -> None:
+        self.pending[system] = ContributionRecord(production, system, chunk.id,
+                                                  time, next(self._seq))
 
     def mark_consumed(self, chunk_id: int, cycle: int) -> ContributionRecord | None:
-        record = self._by_chunk.get(chunk_id)
-        if record is None or record.consumed_cycle is not None:
-            return None
-        record.consumed_cycle = cycle
-        return record
+        for system, record in self.pending.items():
+            if record.chunk_id == chunk_id:
+                del self.pending[system]
+                record.consumed_cycle = cycle
+                self.consumed.append(record)
+                return record
+        return None
 
     def take_consumed(self) -> list[ContributionRecord]:
-        """Remove and return every consumed, not-yet-credited record."""
-        consumed = [r for r in self.records if r.consumed_cycle is not None]
-        self.records = [r for r in self.records if r.consumed_cycle is None]
-        for record in consumed:
-            self._by_chunk.pop(record.chunk_id, None)
-        return consumed
+        """Remove and return every consumed, not-yet-credited record, in write order."""
+        taken = sorted(self.consumed, key=lambda record: record.seq)
+        self.consumed = []
+        return taken

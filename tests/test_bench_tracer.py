@@ -1,14 +1,21 @@
 """The benchmark's tracer still fits the program.
 
-``bench/layers.py`` wraps program functions by name while a run is traced.
-Renaming one of them breaks the benchmark, so this test installs and removes
-the tracer here, where the program's own suite notices.
+``bench/layers.py`` wraps program functions by name while a run is traced,
+and its hooks read those functions' arguments and results.  Renaming one of
+them, or changing what a hook reads, breaks the benchmark, so these tests
+install the tracer here, where the program's own suite notices.
 """
 
 import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from mmarch import demos
+from mmarch.model import load_model
+from mmarch.runtime import run
+from mmarch.trace import trace_to_bytes
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = ("chunks", "codec", "memory", "metrics", "model", "predictors",
@@ -37,3 +44,21 @@ def test_tracer_wraps_and_restores_every_function(monkeypatch):
         assert memory.MiddleMemory.retrievable is not retrievable
         assert memory.context_vector is not context_vector
     assert _state() == before
+
+
+@pytest.mark.parametrize("name, mode, counters", [
+    ("threat", "mm", ("memory.base_level.terms", "memory.retrieve.scanned",
+                      "productions.tested", "shadows.decide.")),
+    ("bottleneck", "pipeline", ("productions.tested", "chunks.match_query")),
+])
+def test_traced_run_is_unchanged_and_counted(monkeypatch, name, mode, counters):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from layers import Tracer
+
+    model = load_model(demos.path(name))
+    untraced = trace_to_bytes(run(model, 30, mode=mode, seed=7))
+    with Tracer() as tracer:
+        traced = trace_to_bytes(run(model, 30, mode=mode, seed=7))
+    assert traced == untraced
+    for counter in counters:
+        assert sum(n for key, n in tracer.counts.items() if key.startswith(counter)) > 0, counter

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from mmarch import demos
 from mmarch.errors import ModelValidationError
-from mmarch.model import parse_model
-from mmarch.runtime import Session, run
+from mmarch.model import load_model, parse_model
+from mmarch.runtime import Session, run, run_session
 from mmarch.trace import trace_to_bytes
 
 
@@ -277,6 +278,15 @@ class TestRewardsAndCredit:
         rewards = trace.by_kind("reward")
         assert [(e.cycle, e.data["amount"], e.data["source"])
                 for e in rewards] == [(5, 3.0, "schedule")]
+
+
+    def test_ledger_keeps_one_unconsumed_record_per_system(self):
+        """Only a system's latest write can still be matched, so long runs
+        keep at most one unconsumed record per shadow system."""
+        session = Session(load_model(demos.path("bottleneck")), mode="mm", seed=0)
+        run_session(session, 3000)
+        assert len(session.systems) == 3
+        assert len(session.ledger.pending) <= 3
 
 
 class TestHalt:

@@ -143,7 +143,7 @@ class TestLedger:
     def test_consumption_marks_once_first_cycle(self, factory):
         ledger = ContributionLedger()
         chunk = factory.make("threat", [("level", "high")])
-        ledger.note_write("raise-alarm", "emotion", chunk, cycle=3, time=0.15)
+        ledger.note_write("raise-alarm", "emotion", chunk, time=0.15)
         first = ledger.mark_consumed(chunk.id, cycle=4)
         assert first is not None and first.consumed_cycle == 4
         assert ledger.mark_consumed(chunk.id, cycle=5) is None
@@ -156,12 +156,12 @@ class TestLedger:
         ledger = ContributionLedger()
         used = factory.make("a")
         unused = factory.make("b")
-        ledger.note_write("p1", "s1", used, 1, 0.05)
-        ledger.note_write("p2", "s2", unused, 1, 0.05)
+        ledger.note_write("p1", "s1", used, 0.05)
+        ledger.note_write("p2", "s2", unused, 0.05)
         ledger.mark_consumed(used.id, 2)
         taken = ledger.take_consumed()
         assert [r.production for r in taken] == ["p1"]
-        assert [r.production for r in ledger.records] == ["p2"]
+        assert [r.production for r in ledger.pending.values()] == ["p2"]
         assert ledger.take_consumed() == []
 
     def test_credit_flows_only_to_consumed_contributions(self, factory):
@@ -172,8 +172,8 @@ class TestLedger:
         bystander = Production(name="ignored", owner="vision",
                                conditions=(), actions=())
         c1, c2 = factory.make("a"), factory.make("b")
-        ledger.note_write("helped", "emotion", c1, 1, 0.05)
-        ledger.note_write("ignored", "vision", c2, 1, 0.05)
+        ledger.note_write("helped", "emotion", c1, 0.05)
+        ledger.note_write("ignored", "vision", c2, 0.05)
         ledger.mark_consumed(c1.id, 2)
         by_name = {"helped": contributor, "ignored": bystander}
         for record in ledger.take_consumed():
@@ -188,8 +188,8 @@ class TestLedger:
         p1 = Production(name="p1", owner="s1", conditions=(), actions=())
         p2 = Production(name="p2", owner="s2", conditions=(), actions=())
         c1, c2 = factory.make("a"), factory.make("b")
-        ledger.note_write("p1", "s1", c1, 1, 0.05)
-        ledger.note_write("p2", "s2", c2, 1, 0.05)
+        ledger.note_write("p1", "s1", c1, 0.05)
+        ledger.note_write("p2", "s2", c2, 0.05)
         ledger.mark_consumed(c1.id, 2)
         ledger.mark_consumed(c2.id, 2)
         by_name = {"p1": p1, "p2": p2}
@@ -203,10 +203,42 @@ class TestLedger:
         ledger = ContributionLedger()
         for i in range(3):
             chunk = factory.make("c", [("n", f"v{i}")])
-            ledger.note_write("p", "emotion", chunk, i, 0.05 * i)
+            ledger.note_write("p", "emotion", chunk, 0.05 * i)
             if i < 2:
                 ledger.mark_consumed(chunk.id, i + 1)
         taken = ledger.take_consumed()
         assert [(r.system, r.consumed_cycle) for r in taken] == [("emotion", 1), ("emotion", 2)]
-        assert [r.consumed_cycle for r in ledger.records] == [None]
+        assert [r.consumed_cycle for r in ledger.pending.values()] == [None]
+        assert ledger.take_consumed() == []
+
+    def test_credit_follows_write_order_when_consumed_in_reverse(self, factory):
+        ledger = ContributionLedger()
+        chunks = [factory.make("c", [("n", f"v{i}")]) for i in range(3)]
+        for i, chunk in enumerate(chunks):
+            ledger.note_write(f"p{i}", f"s{i}", chunk, 0.05 * i)
+        for cycle, chunk in enumerate(reversed(chunks), start=4):
+            ledger.mark_consumed(chunk.id, cycle)
+        taken = ledger.take_consumed()
+        assert [(r.production, r.consumed_cycle) for r in taken] == [
+            ("p0", 6), ("p1", 5), ("p2", 4)]
+
+    def test_newer_write_replaces_the_unconsumed_record(self, factory):
+        ledger = ContributionLedger()
+        old, new = factory.make("a"), factory.make("b")
+        ledger.note_write("first", "emotion", old, 0.05)
+        ledger.note_write("second", "emotion", new, 0.10)
+        assert [(s, r.production) for s, r in ledger.pending.items()] == [
+            ("emotion", "second")]
+        assert ledger.mark_consumed(old.id, 3) is None
+        assert ledger.mark_consumed(new.id, 3).production == "second"
+        assert ledger.pending == {}
+
+    def test_chunk_consumed_at_most_once(self, factory):
+        ledger = ContributionLedger()
+        chunk = factory.make("a")
+        ledger.note_write("p", "emotion", chunk, 0.05)
+        assert ledger.mark_consumed(chunk.id, 2) is not None
+        assert ledger.mark_consumed(chunk.id, 3) is None
+        assert [r.consumed_cycle for r in ledger.take_consumed()] == [2]
+        assert ledger.mark_consumed(chunk.id, 4) is None
         assert ledger.take_consumed() == []
