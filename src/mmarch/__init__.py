@@ -27,7 +27,15 @@ from .errors import (
     UnknownEntryError,
     UnsupportedTraceVersion,
 )
-from .memory import Buffer, MiddleMemory, MMEntry, WorkingMemory, context_vector
+from .memory import (
+    Buffer,
+    Context,
+    MiddleMemory,
+    MMEntry,
+    WorkingMemory,
+    context_symbols,
+    context_vector,
+)
 from .metrics import RunMetrics, metrics
 from .model import ModelDefinition, dumps_model, load_model, parse_model, write_model
 from .productions import Action, Condition, Production, Template, UtilityLearner

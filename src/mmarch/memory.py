@@ -11,12 +11,13 @@ and drives retrieval, forgetting, and the context broadcast.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chunks import Chunk, Query, match_query
+from .chunks import WILDCARD, Chunk, Query, match_query
 from .codec import Codebook, HoloVector, normalized, pack, pack_query
 from .errors import ChunkError, OwnershipError, TemporalOrderError, UnknownEntryError
 
@@ -159,8 +160,10 @@ class MiddleMemory:
     every entry at one evaluation point (a time, working memory's spreading
     sources, and a version that every deposit, seeded entry and link bumps)
     into a table, kept while its point holds, so sweeping, shadow retrieval
-    and middle-memory conditions share one.  Forgetting patches the table
-    instead of bumping the version, so it stays a fresh evaluation.
+    and middle-memory conditions share one.  The sweep's table is kept
+    beside the last other table read, so a multi-step shadow's preview does
+    not evict it.  Forgetting patches the sweep's table instead of bumping
+    the version, so it stays a fresh evaluation.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -183,7 +186,8 @@ class MiddleMemory:
         self._next_id = 1
         self._latest: float | None = None  # newest presentation of a live entry
         self._version = 0
-        self._cached: _Table | None = None
+        self._swept: _Table | None = None  # the last sweep's table, patched by forgetting
+        self._cached: _Table | None = None  # the last other table read
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -354,8 +358,9 @@ class MiddleMemory:
     def _table(self, wm: WorkingMemory, now: float) -> _Table:
         sources = spread_sources(wm)
         point = (now, self._version, sources)
-        if self._cached is not None and self._cached.point == point:
-            return self._cached
+        for table in (self._swept, self._cached):
+            if table is not None and table.point == point:
+                return table
         ids = sorted(self.entries)
         samples: dict[int, float] = {}
         if self.noise > 0.0:
@@ -406,7 +411,7 @@ class MiddleMemory:
         Afterwards the evaluation point's table holds the survivors'
         activations, re-evaluated for the neighbours that lost a link.
         """
-        table = self._table(wm, now)
+        table = self._swept = self._table(wm, now)
         removed = [(self.entries[entry_id], act) for entry_id, act in table.values.items()
                    if act < self.forget_threshold]
         if removed:
@@ -415,11 +420,13 @@ class MiddleMemory:
 
     def _forget(self, gone: list[MMEntry], table: _Table, wm: WorkingMemory,
                 now: float) -> None:
-        """Remove ``gone`` and patch the cached ``table`` to the remaining state.
+        """Remove ``gone`` and patch the sweep's ``table`` to the remaining state.
 
         Links are symmetric, so only the removed entries' neighbours are
-        unlinked, and theirs are the only activations that change.
+        unlinked, and theirs are the only activations that change.  Any
+        other table still holds the removed entries, so it is dropped.
         """
+        self._cached = None
         neighbors: set[int] = set()
         for entry in gone:
             del self.entries[entry.id]
@@ -465,63 +472,76 @@ def _softmax(ranked: list[tuple[MMEntry, float]]) -> np.ndarray:
     return weights / weights.sum()
 
 
-def context_vector(wm: WorkingMemory, mm: MiddleMemory, book: Codebook,
-                   now: float) -> tuple[HoloVector, bool]:
-    """Combine working memory and retrievable middle memory into one vector.
+@dataclass
+class Context:
+    """One cycle's context broadcast, read in one pass over the table.
 
-    Non-empty buffers contribute their packed content at weight 1.0;
-    retrievable entries contribute their vectors weighted by a softmax of
-    their activations.  Returns ``(vector, is_zero)``; the zero vector is
-    the valid result of an empty state and is flagged for the trace.
+    ``buffers`` are the non-empty buffers in name order, ``retrievable`` the
+    retrievable entries in id order with their activations, and ``weights``
+    those entries' softmax weights: what :func:`context_vector` reads, for
+    the peers that receive a vector.
     """
-    total = np.zeros(book.dimension)
-    contributed = False
-    for name in sorted(wm.buffers):
-        buf = wm.buffers[name]
-        if buf.content is None:
-            continue
-        packed = _packed_content(buf, book)
-        if packed is not None:
-            np.add(total, packed, out=total)
-            contributed = True
-    ranked = mm.retrievable(wm, now)
-    if ranked:
-        weighted = np.empty(book.dimension)
-        for (entry, _), w in zip(ranked, _softmax(ranked)):
-            np.add(total, np.multiply(w, entry.payload_vector(book), out=weighted),
-                   out=total)
-        contributed = True
-    if not contributed:
-        return total, True
-    return normalized(total), False
+
+    symbols: list[str]
+    zero: bool  # the context's vector is the zero vector
+    buffers: list[Buffer]
+    retrievable: list[tuple[MMEntry, float]]
+    weights: np.ndarray
 
 
 def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
-                    k: int = 5) -> list[str]:
-    """Top-``k`` slot-value symbols by context weight, for small predictors.
+                    k: int = 5) -> Context:
+    """The context broadcast at ``now``, with its top-``k`` slot-value symbols.
 
-    Mirrors :func:`context_vector`'s weighting: buffer contents score 1.0,
-    retrievable entries score their softmax weight; a symbol accumulates
-    the weight of every contributor that carries it.  Ties break by name.
+    Buffer contents score 1.0 and retrievable entries their softmax weight;
+    a symbol accumulates the weight of every contributor that carries it,
+    and ties break by name.  The context is zero when no buffer content
+    packs to a vector and no entry is retrievable; nothing is packed here.
     """
     scores: dict[str, float] = {}
-
-    def credit(symbols, weight: float) -> None:
-        for sym in symbols:
-            scores[sym] = scores.get(sym, 0.0) + weight
-
-    for name in sorted(wm.buffers):
-        buf = wm.buffers[name]
-        if buf.content is None:
-            continue
-        if isinstance(buf.content, Chunk):
-            credit(buf.content.values(), 1.0)
+    buffers = [buf for _, buf in sorted(wm.buffers.items()) if buf.content is not None]
+    zero = True
+    for buf in buffers:
+        content = buf.content
+        if isinstance(content, Chunk):
+            values = content.values()
+            zero = False
         else:
-            credit(buf.content.known_values(), 1.0)
+            values = content.known_values()
+            zero = zero and content.ctype == WILDCARD and not values
+        for sym in values:
+            scores[sym] = scores.get(sym, 0.0) + 1.0
     ranked = mm.retrievable(wm, now)
-    if ranked:
-        for (entry, _), w in zip(ranked, _softmax(ranked)):
-            if entry.chunk is not None:
-                credit(entry.chunk.values(), float(w))
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [sym for sym, _ in ordered[:k]]
+    weights = _softmax(ranked) if ranked else np.empty(0)
+    for (entry, _), w in zip(ranked, weights.tolist()):
+        if entry.chunk is not None:
+            for _, sym in entry.chunk.slots:
+                scores[sym] = scores.get(sym, 0.0) + w
+    top = heapq.nsmallest(k, [(-score, sym) for sym, score in scores.items()])
+    return Context([sym for _, sym in top], zero and not ranked, buffers, ranked, weights)
+
+
+def context_vector(ctx: Context, book: Codebook) -> HoloVector:
+    """Combine a context's buffers and retrievable entries into one vector.
+
+    Non-empty buffers contribute their packed content at weight 1.0 and
+    retrievable entries their vectors at their softmax weight.  The buffer
+    sum is row 0 of a stack whose rows below are the weighted entry vectors;
+    reducing a C-contiguous stack along axis 0 adds the rows in order, so
+    the result has the bits of a left fold.  A zero context gives the zero
+    vector; any other is normalized.
+    """
+    if ctx.zero:
+        return np.zeros(book.dimension)
+    stack = np.empty((len(ctx.retrievable) + 1, book.dimension))
+    total = stack[0]
+    total.fill(0.0)
+    for buf in ctx.buffers:
+        packed = _packed_content(buf, book)
+        if packed is not None:
+            np.add(total, packed, out=total)
+    if ctx.retrievable:
+        rows = stack[1:]
+        np.stack([entry.payload_vector(book) for entry, _ in ctx.retrievable], out=rows)
+        rows *= ctx.weights[:, None]
+    return normalized(np.add.reduce(stack, axis=0))

@@ -1,12 +1,13 @@
 """Generative predictors and the ingestion seam into middle memory.
 
-Predictors consume the per-cycle context broadcast (a vector plus its
-top-ranked symbols) and emit tagged predictions.  Two small reference
-predictors are built in; anything larger runs outside the process and
-speaks a newline-delimited JSON protocol over a child process's stdio or a
-TCP socket.  All emissions land in an ingestion queue that the runtime
-drains at cycle boundaries in a deterministic order; the engines never see
-predictor output except through middle-memory deposits.
+Predictors consume the per-cycle context broadcast and emit tagged
+predictions.  Two small reference predictors are built in and read only its
+top-ranked symbols; anything larger runs outside the process, receives the
+context vector with the symbols, and speaks a newline-delimited JSON
+protocol over a child process's stdio or a TCP socket.  All emissions land
+in an ingestion queue that the runtime drains at cycle boundaries in a
+deterministic order; the engines never see predictor output except through
+middle-memory deposits.
 """
 
 from __future__ import annotations
@@ -98,8 +99,7 @@ class NgramPredictor:
             return best[0], best[1] / total
         return None
 
-    def deliver(self, vector: HoloVector, symbols: list[str],
-                cycle: int) -> list[Prediction]:
+    def deliver(self, symbols: list[str], cycle: int) -> list[Prediction]:
         got = self.predict(symbols)
         if got is None or self.rate < 1:
             return []

@@ -7,7 +7,7 @@ read-only, against the frozen cycle-start state; (4) the central engine
 matches, resolves, and fires; then shadow writes commit, (5) consumption is
 recorded, (6) rewards update utilities and propagate credit, (7) retrieval
 productions form and stale provisional ones are pruned, (8) the context
-vector broadcasts to every predictor, and (9) the clock advances.
+broadcasts to every predictor, and (9) the clock advances.
 
 Shadow decisions read the cycle-start state and commit after central
 matching, so an urgent shadow write at cycle n reaches the central conflict
@@ -19,7 +19,9 @@ already has a positive lag.  Time is integer milliseconds internally.
 Activation is computed by middle-memory reads (see :mod:`.memory`).  The
 sweep's table, after forgetting, serves shadow retrieval, middle-memory
 conditions and formation, so formation tests the activations the shadows
-saw; a table built after the commit serves the broadcast.
+saw; a table built after the commit serves the broadcast.  The broadcast
+reads that table once for its symbols and its ``zero_context`` flag, and
+packs a context vector only for a live external predictor.
 """
 
 from __future__ import annotations
@@ -341,10 +343,13 @@ class Session:
             if decision.kind in ("answer", "miss"):
                 break
             if sub + 1 < system.steps_per_cycle:
-                # Later steps see this system's own last write, and nobody else does.
+                # Later steps see this system's own last write, and nobody else
+                # does; a firing that writes nothing leaves the buffer as it was.
                 writes = _buffer_writes(fire(decision.match.production,
                                              decision.match.bindings, scratch))
-                content, urgent = writes[-1] if writes else (None, False)
+                if not writes:
+                    continue
+                content, urgent = writes[-1]
                 view_wm = copy.copy(self.wm)
                 view_wm.buffers = {**self.wm.buffers, system.buffer: Buffer(
                     name=system.buffer, owner=system.name,
@@ -492,26 +497,25 @@ class Session:
 
     # phase 8
     def _broadcast_phase(self, n: int, t_eval: float) -> None:
-        vector, is_zero = context_vector(self.wm, self.mm, self.book, t_eval)
-        symbols = context_symbols(self.wm, self.mm, t_eval, k=CONTEXT_SYMBOL_COUNT)
-        line = None
+        ctx = context_symbols(self.wm, self.mm, t_eval, k=CONTEXT_SYMBOL_COUNT)
+        line = None  # built, with the context vector, for the first live peer
         for predictor in self.predictors:
             if isinstance(predictor, ExternalPredictor):
                 if predictor.stalled:
                     self._warn_stalled(n, predictor)
                     continue
                 if line is None:
-                    line = encode_context(n, vector, symbols)
+                    line = encode_context(n, context_vector(ctx, self.book), ctx.symbols)
                 if predictor.send_context(line, n):
                     self.trace.append(n, "delivery", {
-                        "predictor": predictor.name, "zero_context": is_zero})
+                        "predictor": predictor.name, "zero_context": ctx.zero})
                 else:
                     self._warn_stalled(n, predictor)
             else:
-                for prediction in predictor.deliver(vector, symbols, n):
+                for prediction in predictor.deliver(ctx.symbols, n):
                     self.queue.push_prediction(prediction)
                 self.trace.append(n, "delivery", {
-                    "predictor": predictor.name, "zero_context": is_zero})
+                    "predictor": predictor.name, "zero_context": ctx.zero})
 
     def _warn_stalled(self, n: int, predictor) -> None:
         if predictor.name in self._stall_warned:

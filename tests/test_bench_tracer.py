@@ -62,3 +62,5 @@ def test_traced_run_is_unchanged_and_counted(monkeypatch, name, mode, counters):
     assert traced == untraced
     for counter in counters:
         assert sum(n for key, n in tracer.counts.items() if key.startswith(counter)) > 0, counter
+    # the broadcast runs every cycle; a span it no longer calls through reads 0
+    assert tracer.calls["memory.context"] > 0

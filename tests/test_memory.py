@@ -15,6 +15,12 @@ from mmarch.model import load_model
 from mmarch.runtime import Session
 
 
+def _context(wm, mm, book, now):
+    """``(vector, zero_context)`` of the broadcast at ``now``."""
+    ctx = context_symbols(wm, mm, now)
+    return context_vector(ctx, book), ctx.zero
+
+
 @pytest.fixture
 def factory():
     return ChunkFactory()
@@ -288,7 +294,7 @@ class TestContext:
         book = Codebook(dimension=256, seed=5)
         chunk = factory.make("word", [("value", "a")])
         mm.deposit(1.0, "t", chunk=chunk)
-        vec, is_zero = context_vector(wm, mm, book, 2.0)
+        vec, is_zero = _context(wm, mm, book, 2.0)
         assert not is_zero
         assert cosine(vec, pack(chunk, book)) == pytest.approx(1.0)
 
@@ -301,7 +307,7 @@ class TestContext:
         c2 = factory.make("word", [("value", "b")])
         mm.deposit(1.0, "t", chunk=c1)
         mm.deposit(1.0, "t", chunk=c2)
-        vec, _ = context_vector(wm, mm, book, 2.0)
+        vec, _ = _context(wm, mm, book, 2.0)
         expected = 0.5 * pack(c1, book) + 0.5 * pack(c2, book)
         expected /= np.linalg.norm(expected)
         assert cosine(vec, expected) == pytest.approx(1.0)
@@ -317,7 +323,7 @@ class TestContext:
         e2 = factory.make("word", [("value", "b")])
         mm.deposit(1.0, "t", chunk=e1)
         mm.deposit(1.0, "t", chunk=e2)
-        vec, _ = context_vector(wm, mm, book, 2.0)
+        vec, _ = _context(wm, mm, book, 2.0)
         wm_cos = cosine(vec, pack(goal, book))
         assert wm_cos > cosine(vec, pack(e1, book))
         assert wm_cos > cosine(vec, pack(e2, book))
@@ -325,7 +331,7 @@ class TestContext:
     def test_empty_state_flagged_zero_vector(self):
         wm = WorkingMemory()
         wm.add_buffer("goal", "central")
-        vec, is_zero = context_vector(wm, MiddleMemory(), Codebook(dimension=64), 1.0)
+        vec, is_zero = _context(wm, MiddleMemory(), Codebook(dimension=64), 1.0)
         assert is_zero
         assert not vec.any()
 
@@ -336,7 +342,7 @@ class TestContext:
         mm = MiddleMemory()
         mm.deposit(1.0, "t", chunk=factory.make("word", [("value", "a")]))
         book = Codebook(dimension=256, seed=5)
-        vec, is_zero = context_vector(wm, mm, book, 2.0)
+        vec, is_zero = _context(wm, mm, book, 2.0)
         assert not is_zero
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
@@ -348,7 +354,7 @@ class TestContext:
         wm.write("language", "language", factory.make("word", [("value", "the")]))
         mm = MiddleMemory()
         mm.deposit(1.0, "language", chunk=factory.make("word", [("value", "the")]))
-        symbols = context_symbols(wm, mm, 2.0, k=5)
+        symbols = context_symbols(wm, mm, 2.0, k=5).symbols
         assert symbols[0] == "the"      # 1.0 buffer + 1.0 softmax
         assert symbols[1] == "listen"   # 1.0 buffer
 
@@ -435,6 +441,23 @@ class TestActivationTable:
         for entry, act in mm.retrievable(wm, now):
             assert act == reference_activation(mm, entry, wm, now)
 
+    def test_no_table_read_after_a_sweep_holds_a_forgotten_entry(self, wm, factory):
+        """Forgetting the weak entry drops the hub below the floor through the
+        lost link; a second sweep at the same point forgets the hub too, and
+        the table read under other sources in between must not keep it."""
+        mm = MiddleMemory(forget_threshold=-1.0)
+        weak, _ = mm.deposit(-1e6, "t", chunk=factory.make("fact", [("v", "cue")]))
+        hub, _ = mm.deposit(0.0, "t", chunk=factory.make("fact", [("n", "hub")]))
+        mm.link(hub, weak)
+        wm.write("central", "goal", factory.make("goal", [("topic", "cue")]))
+        assert [e.id for e, _ in mm.sweep(wm, 20.0)] == [weak]
+        wm.write("central", "goal", None)
+        assert list(mm.activations(wm, 20.0)) == [hub]
+        wm.write("central", "goal", factory.make("goal", [("topic", "cue")]))
+        assert [e.id for e, _ in mm.sweep(wm, 20.0)] == [hub]
+        wm.write("central", "goal", None)
+        assert list(mm.activations(wm, 20.0)) == []
+
     def test_table_follows_deposits_and_links(self, wm, factory):
         mm = MiddleMemory()
         x = factory.make("fact", [("about", "x")])
@@ -510,17 +533,17 @@ class TestActivationTable:
         query = factory.make_query("fact", [("name", "?"), ("kind", "k")])
         wm.write("central", "goal", goal)
         wm.write("central", "ask", query)
-        first, _ = context_vector(wm, MiddleMemory(), book, 1.0)
-        second, _ = context_vector(wm, MiddleMemory(), book, 2.0)
+        first, _ = _context(wm, MiddleMemory(), book, 1.0)
+        second, _ = _context(wm, MiddleMemory(), book, 2.0)
         assert calls == [query, goal]
         assert first.tobytes() == second.tobytes()
         # equal content under a new chunk id is not packed again
         wm.write("central", "goal", factory.make("goal", [("state", "x")]))
-        context_vector(wm, MiddleMemory(), book, 3.0)
+        _context(wm, MiddleMemory(), book, 3.0)
         assert len(calls) == 2
         goal = factory.make("goal", [("state", "y")])
         wm.write("central", "goal", goal)
-        third, _ = context_vector(wm, MiddleMemory(), book, 4.0)
+        third, _ = _context(wm, MiddleMemory(), book, 4.0)
         assert calls[2:] == [goal]
         expected = normalized(np.zeros(256) + pack_query(query, book) + pack(goal, book))
         assert third.tobytes() == expected.tobytes()

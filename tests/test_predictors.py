@@ -1,6 +1,5 @@
 """Reference predictors and the ingestion queue."""
 
-import numpy as np
 import pytest
 
 from mmarch.predictors import (
@@ -55,7 +54,7 @@ class TestNgram:
     def test_empty_model_emits_nothing(self):
         p = NgramPredictor("n", "language", [], order=2)
         assert p.predict(["a"]) is None
-        assert p.deliver(np.zeros(4), ["a"], 0) == []
+        assert p.deliver(["a"], 0) == []
 
     def test_tie_breaks_lexicographically(self):
         p = NgramPredictor("n", "language", [["x", "m"], ["x", "k"]], order=1)
@@ -76,7 +75,7 @@ class TestNgram:
     def test_deliver_wraps_emission_in_chunk_shape(self):
         p = NgramPredictor("n", "language", self.corpus, order=2,
                            emit_ctype="word", emit_slot="value")
-        out = p.deliver(np.zeros(4), ["a"], cycle=7)
+        out = p.deliver(["a"], cycle=7)
         assert len(out) == 1
         em = out[0]
         assert em.tag == "language" and em.produced_at_cycle == 7
@@ -85,10 +84,10 @@ class TestNgram:
 
     def test_rate_repeats_emission(self):
         p = NgramPredictor("n", "language", self.corpus, order=2, rate=3)
-        out = p.deliver(np.zeros(4), ["a"], cycle=0)
+        out = p.deliver(["a"], cycle=0)
         assert [e.emission_index for e in out] == [0, 1, 2]
         silent = NgramPredictor("n", "language", self.corpus, order=2, rate=0)
-        assert silent.deliver(np.zeros(4), ["a"], 0) == []
+        assert silent.deliver(["a"], 0) == []
 
 
 class TestAssociative:
@@ -102,7 +101,7 @@ class TestAssociative:
     def test_disjoint_context_emits_nothing(self):
         p = AssociativePredictor("a", "vision", [["dog", "bone"]])
         assert p.predict(["fish"]) is None
-        assert p.deliver(np.zeros(4), ["fish"], 0) == []
+        assert p.deliver(["fish"], 0) == []
 
     def test_tie_counts_break_lexicographically(self):
         p = AssociativePredictor("a", "vision",

@@ -6,6 +6,7 @@ import pytest
 
 from mmarch import demos
 from mmarch.errors import ModelValidationError
+from mmarch.memory import MiddleMemory
 from mmarch.model import load_model, parse_model
 from mmarch.runtime import Session, run, run_session
 from mmarch.trace import trace_to_bytes
@@ -387,6 +388,84 @@ class TestMultiRateSystems:
         writes = [e for e in trace.by_kind("wm-write")
                   if e.data["writer"] == "stepper"]
         assert writes[-1].data["content"]["slots"] == {"n": "two"}
+
+    def test_a_substep_without_a_write_leaves_the_buffer_as_it_was(self):
+        doc = {
+            "name": "no-write", "codebook": {"dimension": 64},
+            "buffers": [{"name": "goal", "owner": "central"},
+                        {"name": "vision", "owner": "vision"}],
+            "shadow_systems": [
+                {"name": "vision", "buffer": "vision", "subscriptions": ["seen"],
+                 "steps_per_cycle": 2,
+                 "productions": [
+                    {"name": "look", "utility": 1.0,
+                     "conditions": [{"buffer": "vision",
+                                     "pattern": {"isa": "percept",
+                                                 "slots": {"value": "?"}}}],
+                     "actions": []},
+                    {"name": "when-empty",
+                     "conditions": [{"buffer": "vision", "pattern": None,
+                                     "negated": True}],
+                     "actions": [{"kind": "write-buffer", "target": "vision",
+                                  "chunk": {"isa": "empty", "slots": {}}}]}]}],
+            "initial_wm": [{"buffer": "vision",
+                            "chunk": {"isa": "percept", "slots": {"value": "x"}}}],
+        }
+        trace = run(parse_model(doc), 1, mode="mm", seed=0)
+        fires = [e.data["production"] for e in trace.by_kind("shadow-fire")]
+        assert fires == ["look", "look"]
+        assert not [e for e in trace.by_kind("wm-write") if e.data["writer"] == "vision"]
+
+    def test_a_preview_keeps_the_sweeps_table(self, monkeypatch):
+        """A two-step shadow whose first write changes the spreading sources
+        reads a preview table in its second step; the next system still reads
+        the sweep's table, so cycle 0 evaluates 50 entries three times (sweep,
+        preview, broadcast) and not four."""
+        fact = {"mm_tags": ["seed"], "pattern": {"isa": "fact", "slots": {"n": "?"}}}
+        doc = {
+            "name": "preview-table", "codebook": {"dimension": 64},
+            "buffers": [{"name": "goal", "owner": "central"},
+                        {"name": "scratch", "owner": "stepper"},
+                        {"name": "watch", "owner": "watcher"}],
+            "shadow_systems": [
+                {"name": "stepper", "buffer": "scratch",
+                 "subscriptions": ["seed"], "steps_per_cycle": 2,
+                 "productions": [
+                    {"name": "start",
+                     "conditions": [{"buffer": "scratch", "pattern": None,
+                                     "negated": True}, fact],
+                     "actions": [{"kind": "write-buffer", "target": "scratch",
+                                  "chunk": {"isa": "stage", "slots": {"n": "one"}}}]},
+                    {"name": "advance",
+                     "conditions": [{"buffer": "scratch",
+                                     "pattern": {"isa": "stage", "slots": {"n": "one"}}},
+                                    fact],
+                     "actions": [{"kind": "write-buffer", "target": "scratch",
+                                  "chunk": {"isa": "stage", "slots": {"n": "two"}}}]}]},
+                {"name": "watcher", "buffer": "watch", "subscriptions": ["seed"],
+                 "productions": [
+                    {"name": "look",
+                     "conditions": [{"buffer": "watch", "pattern": None,
+                                     "negated": True}, fact],
+                     "actions": [{"kind": "write-buffer", "target": "watch",
+                                  "chunk": {"isa": "seen", "slots": {}}}]}]}],
+            "initial_mm": [{"tag": "seed", "chunk": {"isa": "fact", "slots": {"n": f"f{i}"}},
+                            "presentations": [-0.5]} for i in range(50)],
+        }
+        session = Session(parse_model(doc), mode="mm", seed=0)
+        calls = []
+        base_level = MiddleMemory.base_level
+
+        def counting(self, entry, now):
+            calls.append(entry.id)
+            return base_level(self, entry, now)
+
+        monkeypatch.setattr(MiddleMemory, "base_level", counting)
+        session.step()
+        fires = [e.data["production"] for e in session.trace.by_kind("shadow-fire")]
+        assert fires == ["start", "advance", "look"]
+        assert len(session.mm) == 50
+        assert len(calls) == 150
 
 
 class TestFormation:

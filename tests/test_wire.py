@@ -1,5 +1,6 @@
 """External predictor wire protocol: framing, validation, child processes."""
 
+import hashlib
 import json
 import sys
 import time
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from mmarch.model import parse_model
-from mmarch.predictors import decode_prediction, encode_context
+from mmarch.predictors import ExternalPredictor, decode_prediction, encode_context
 from mmarch.runtime import Session
 
 # A minimal peer: answers every context line with one fixed prediction,
@@ -167,6 +168,62 @@ class TestChildProcess:
         warnings = [e for e in session.trace.events
                     if e.kind == "error" and "stalled" in e.data["message"]]
         assert len(warnings) == 1  # warned once, not every cycle
+
+
+# A peer that reads every line and answers none, so the run stays deterministic.
+SILENT_PEER = "import sys\nfor line in sys.stdin:\n    pass\n"
+
+# SHA-256 of the context lines sent over 20 cycles of the model below,
+# captured when the context vector was still a per-entry left fold.
+CONTEXT_LINES = "1beaaaf59e40fa37a829fdcefa66f4dc2717a6f89e3fb6735963cf442569c272"
+
+
+class TestContextLines:
+    def test_context_lines_are_unchanged(self, monkeypatch):
+        doc = {
+            "name": "wire-lines",
+            "codebook": {"dimension": 64, "seed": 1},
+            "buffers": [{"name": "goal", "owner": "central"},
+                        {"name": "sight", "owner": "vision"},
+                        {"name": "ask", "owner": "central"}],
+            "shadow_systems": [
+                {"name": "vision", "buffer": "sight", "subscriptions": ["vision"],
+                 "productions": [
+                    {"name": "see",
+                     "conditions": [{"mm_tags": ["vision"],
+                                     "pattern": {"isa": "percept",
+                                                 "slots": {"value": "?"}}}],
+                     "actions": [{"kind": "write-buffer", "target": "sight",
+                                  "chunk": {"isa": "percept",
+                                            "slots": {"value": "?value"}}}]}]}],
+            "predictors": [{"name": "peer", "kind": "external", "tag": "vision",
+                            "command": [sys.executable, "-c", SILENT_PEER]}],
+            "initial_wm": [
+                {"buffer": "goal", "chunk": {"isa": "goal", "slots": {"state": "watch"}}},
+                {"buffer": "ask", "query": {"isa": "?", "slots": {"value": "?"}}}],
+            "initial_mm": [
+                {"tag": "vision", "chunk": {"isa": "percept", "slots": {"value": f"p{i}"}},
+                 "presentations": [-0.5 * (i + 1), -0.1 * (i + 1)]}
+                for i in range(6)],
+        }
+        sent = []
+        send = ExternalPredictor.send_context
+
+        def recording(self, line, cycle):
+            sent.append(line)
+            return send(self, line, cycle)
+
+        monkeypatch.setattr(ExternalPredictor, "send_context", recording)
+        session = Session(parse_model(doc), mode="mm", seed=0)
+        try:
+            for _ in range(20):
+                session.step()
+        finally:
+            session.finish()
+        assert len(sent) == 20
+        assert all(json.loads(line)["symbols"] for line in sent)
+        digest = hashlib.sha256("\n".join(sent).encode("utf-8")).hexdigest()
+        assert digest == CONTEXT_LINES
 
 
 class TestTcpTransport:
