@@ -150,7 +150,6 @@ class _Table:
 
     point: tuple  # (time, version, spreading sources)
     values: dict[int, float]
-    samples: dict[int, float]  # each entry's noise draw; empty without noise
 
 
 class MiddleMemory:
@@ -160,10 +159,9 @@ class MiddleMemory:
     every entry at one evaluation point (a time, working memory's spreading
     sources, and a version that every deposit, seeded entry and link bumps)
     into a table, kept while its point holds, so sweeping, shadow retrieval
-    and middle-memory conditions share one.  The sweep's table is kept
-    beside the last other table read, so a multi-step shadow's preview does
-    not evict it.  Forgetting patches the sweep's table instead of bumping
-    the version, so it stays a fresh evaluation.
+    and middle-memory conditions share one.  One table is cached, the last
+    one read.  Forgetting patches it instead of bumping the version, so it
+    stays a fresh evaluation.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -186,8 +184,7 @@ class MiddleMemory:
         self._next_id = 1
         self._latest: float | None = None  # newest presentation of a live entry
         self._version = 0
-        self._swept: _Table | None = None  # the last sweep's table, patched by forgetting
-        self._cached: _Table | None = None  # the last other table read
+        self._cached: _Table | None = None  # the last table read
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -358,18 +355,14 @@ class MiddleMemory:
     def _table(self, wm: WorkingMemory, now: float) -> _Table:
         sources = spread_sources(wm)
         point = (now, self._version, sources)
-        for table in (self._swept, self._cached):
-            if table is not None and table.point == point:
-                return table
-        ids = sorted(self.entries)
-        samples: dict[int, float] = {}
-        if self.noise > 0.0:
-            key = self._noise_key(now, sources)
-            samples = {entry_id: self._noise_sample(key, entry_id) for entry_id in ids}
-        values = {entry_id: self.activation(self.entries[entry_id], wm, now,
-                                            sources=sources, sample=samples.get(entry_id))
-                  for entry_id in ids}
-        self._cached = _Table(point, values, samples)
+        if self._cached is not None and self._cached.point == point:
+            return self._cached
+        key = self._noise_key(now, sources) if self.noise > 0.0 else None
+        values = {entry_id: self.activation(
+                      self.entries[entry_id], wm, now, sources=sources,
+                      sample=None if key is None else self._noise_sample(key, entry_id))
+                  for entry_id in sorted(self.entries)}
+        self._cached = _Table(point, values)
         return self._cached
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None = None,
@@ -411,7 +404,7 @@ class MiddleMemory:
         Afterwards the evaluation point's table holds the survivors'
         activations, re-evaluated for the neighbours that lost a link.
         """
-        table = self._swept = self._table(wm, now)
+        table = self._table(wm, now)
         removed = [(self.entries[entry_id], act) for entry_id, act in table.values.items()
                    if act < self.forget_threshold]
         if removed:
@@ -423,10 +416,10 @@ class MiddleMemory:
         """Remove ``gone`` and patch the sweep's ``table`` to the remaining state.
 
         Links are symmetric, so only the removed entries' neighbours are
-        unlinked, and theirs are the only activations that change.  Any
-        other table still holds the removed entries, so it is dropped.
+        unlinked, and theirs are the only activations that change.  A noise
+        draw depends on the version, which forgetting leaves alone, so a
+        re-evaluated neighbour keeps its draw.
         """
-        self._cached = None
         neighbors: set[int] = set()
         for entry in gone:
             del self.entries[entry.id]
@@ -443,9 +436,8 @@ class MiddleMemory:
                                default=None)
         _, _, sources = table.point
         for nid in sorted(neighbors.intersection(self.entries)):
-            table.values[nid] = self.activation(
-                self.entries[nid], wm, now, sources=sources,
-                sample=table.samples.get(nid))
+            table.values[nid] = self.activation(self.entries[nid], wm, now,
+                                                sources=sources)
 
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """All entries at or above the retrieval threshold, id order."""

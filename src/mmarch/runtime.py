@@ -2,8 +2,10 @@
 
 Every cycle executes a fixed phase order: (1) drain queued predictions into
 middle memory (or, in pipeline mode, straight into module buffers and
-their unbounded inflow lists); (2) sweep/forget; (3) shadow systems decide,
-read-only, against the frozen cycle-start state; (4) the central engine
+their unbounded inflow lists); (2) sweep/forget; (3) shadow systems decide
+their first steps, read-only, against the frozen cycle-start state, and each
+system's decisions are then fired once, in system order, with a multi-step
+system's later steps reading only its own staged write; (4) the central engine
 matches, resolves, and fires; then shadow writes commit, (5) consumption is
 recorded, (6) rewards update utilities and propagate credit, (7) retrieval
 productions form and stale provisional ones are pruned, (8) the context
@@ -287,7 +289,7 @@ class Session:
             if prediction.tag in system.subscriptions:
                 target = system
                 break
-        if target is None:  # validate_for_mode makes this unreachable
+        if target is None:  # an external line names its own tag, unchecked by validation
             self.trace.append(n, "error", {
                 "message": f"no module subscribes to tag {prediction.tag!r}",
                 "predictor": prediction.predictor, "payload": None})
@@ -316,45 +318,35 @@ class Session:
     def _shadow_phase(self, n: int, t_eval: float) -> dict[int, tuple]:
         """Each system's one write, ``index -> (content, urgent, production)``.
 
-        A system's last write in the cycle wins; it keeps the position of
-        its first, so writes commit in system order.
+        Every system's first step is decided against the cycle-start state.
+        Then, in system order, each decision is logged and fired once, and a
+        multi-step system decides its next step against a view in which its
+        own buffer holds the write it has staged so far; nobody else sees
+        that view.  A system's last write in the cycle is the one committed.
         """
-        order = self.shadow_step_order or list(range(len(self.systems)))
-        decisions: dict[int, list[ShadowDecision]] = {}
-        for index in order:
-            decisions[index] = self._decide_system(self.systems[index], t_eval)
+        order = self.shadow_step_order or range(len(self.systems))
+        first = {index: decide_shadow(self.systems[index], self.wm, self.mm, t_eval)
+                 for index in order}
         staged: dict[int, tuple] = {}
-        for index in range(len(self.systems)):
-            for decision in decisions[index]:
+        for index, system in enumerate(self.systems):
+            decision = first[index]
+            for sub in range(system.steps_per_cycle):
+                if decision.kind == "idle":
+                    break
                 write = self._emit_decision(n, decision)
                 if write is not None:
                     staged[index] = write
+                if decision.kind != "fire" or sub + 1 == system.steps_per_cycle:
+                    break
+                view = self.wm
+                if index in staged:
+                    content, urgent, _ = staged[index]
+                    view = copy.copy(self.wm)
+                    view.buffers = {**self.wm.buffers, system.buffer: Buffer(
+                        name=system.buffer, owner=system.name,
+                        content=content, urgent=urgent)}
+                decision = decide_shadow(system, view, self.mm, t_eval)
         return staged
-
-    def _decide_system(self, system: ShadowSystem, t_eval: float) -> list[ShadowDecision]:
-        decisions = []
-        view_wm = self.wm
-        scratch = ChunkFactory()
-        for sub in range(system.steps_per_cycle):
-            decision = decide_shadow(system, view_wm, self.mm, t_eval)
-            if decision.kind == "idle":
-                break
-            decisions.append(decision)
-            if decision.kind in ("answer", "miss"):
-                break
-            if sub + 1 < system.steps_per_cycle:
-                # Later steps see this system's own last write, and nobody else
-                # does; a firing that writes nothing leaves the buffer as it was.
-                writes = _buffer_writes(fire(decision.match.production,
-                                             decision.match.bindings, scratch))
-                if not writes:
-                    continue
-                content, urgent = writes[-1]
-                view_wm = copy.copy(self.wm)
-                view_wm.buffers = {**self.wm.buffers, system.buffer: Buffer(
-                    name=system.buffer, owner=system.name,
-                    content=content, urgent=urgent)}
-        return decisions
 
     def _emit_decision(self, n: int, decision: ShadowDecision) -> tuple | None:
         """Log a decision's writes; return the last as ``(content, urgent, production)``."""
@@ -365,7 +357,7 @@ class Session:
             self.trace.append(n, "shadow-fire", {
                 "system": system.name, "production": production.name,
                 "bindings": dict(decision.match.bindings)})
-            writes = _buffer_writes(effects)
+            writes = [write for write in map(buffer_write, effects) if write is not None]
             for content, urgent in writes:
                 self.trace.append(n, "wm-write", {
                     "writer": system.name, "buffer": system.buffer,
@@ -562,11 +554,6 @@ def _content_data(content) -> dict | None:
     if isinstance(content, Chunk):
         return chunk_data(content)
     return query_data(content)
-
-
-def _buffer_writes(effects) -> list[tuple[Chunk | Query | None, bool]]:
-    """The ``(content, urgent)`` buffer writes among ``effects``, in order."""
-    return [write for write in map(buffer_write, effects) if write is not None]
 
 
 def _external_prediction(message, decoded) -> Prediction:

@@ -64,3 +64,21 @@ def test_traced_run_is_unchanged_and_counted(monkeypatch, name, mode, counters):
         assert sum(n for key, n in tracer.counts.items() if key.startswith(counter)) > 0, counter
     # the broadcast runs every cycle; a span it no longer calls through reads 0
     assert tracer.calls["memory.context"] > 0
+
+
+def test_each_decision_fires_once(monkeypatch):
+    """Every fired production is one ``shadow-fire`` or ``central-fire``
+    event, also for shadows that run several steps a cycle."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from layers import Tracer
+    from test_runtime import multi_step_doc
+
+    from mmarch.model import parse_model
+
+    model = parse_model(multi_step_doc())
+    untraced = trace_to_bytes(run(model, 20, mode="mm", seed=3))
+    with Tracer() as tracer:
+        trace = run(model, 20, mode="mm", seed=3)
+    assert trace_to_bytes(trace) == untraced
+    fired = len(trace.by_kind("shadow-fire")) + len(trace.by_kind("central-fire"))
+    assert tracer.calls["productions.fire"] == fired

@@ -1,8 +1,12 @@
 """Cycle scheduler behavior: determinism, phases, staging, modes."""
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmarch import demos
 from mmarch.errors import ModelValidationError
@@ -132,6 +136,138 @@ def linked_facts_doc(size=60, seed=1, noise=0.3):
             {"buffer": "attention", "chunk": {"isa": "percept", "slots": {"value": "none"}}},
         ],
         "initial_mm": facts,
+    }
+
+
+def multi_step_doc():
+    """Two two-step shadows: ``stepper`` reads middle memory in both of its
+    sub-steps, every cycle, and ``decl`` posts a query in its first and
+    answers it, or misses at the end of the chain, in its second."""
+    names = ["a", "b", "c", "d"]
+    facts = [{"tag": "facts",
+              "chunk": {"isa": "fact", "slots": {"name": name, "next": following}},
+              "presentations": [-2.0, -1.0 + 0.1 * i], "links": [(i + 1) % 4]}
+             for i, (name, following) in enumerate(zip(names, ["b", "c", "d", "e"]))]
+    cue = {"mm_tags": ["cue"], "pattern": {"isa": "percept", "slots": {"value": "?"}}}
+
+    def stage(name, n, holds):
+        return {"name": name,
+                "conditions": [{"buffer": "scratch", "pattern": holds,
+                                "negated": holds is None}, cue],
+                "actions": [{"kind": "write-buffer", "target": "scratch",
+                             "chunk": {"isa": "stage",
+                                       "slots": {"n": n, "cue": "?value"}}}]}
+
+    def move_to(at, *extra):
+        return [{"kind": "clear-buffer", "target": "decl"},
+                {"kind": "write-buffer", "target": "goal",
+                 "chunk": {"isa": "goal", "slots": {"at": at}}}, *extra]
+
+    return {
+        "name": "multi-step", "codebook": {"dimension": 64, "seed": 4},
+        "middle_memory": {"noise": 0.2, "retrieval_threshold": -1.5,
+                          "forget_threshold": -3.0, "formation_threshold": 50.0},
+        "buffers": [{"name": "goal", "owner": "central"},
+                    {"name": "scratch", "owner": "stepper"},
+                    {"name": "decl", "owner": "decl"}],
+        "shadow_systems": [
+            {"name": "stepper", "buffer": "scratch", "subscriptions": ["cue"],
+             "steps_per_cycle": 2,
+             "productions": [
+                stage("start", "one", None),
+                stage("advance", "two", {"isa": "stage", "slots": {"n": "one", "cue": "?"}}),
+                stage("again", "one", {"isa": "stage", "slots": {"n": "two", "cue": "?"}})]},
+            {"name": "decl", "buffer": "decl", "subscriptions": ["facts"],
+             "steps_per_cycle": 2,
+             "productions": [
+                {"name": "ask",
+                 "conditions": [{"buffer": "decl", "pattern": None, "negated": True},
+                                {"buffer": "goal",
+                                 "pattern": {"isa": "goal", "slots": {"at": "?"}}}],
+                 "actions": [{"kind": "post-query", "target": "decl",
+                              "query": {"isa": "fact",
+                                        "slots": {"name": "?at", "next": "?"}}}]}]}],
+        "central_productions": [
+            {"name": "walk", "utility": 1.0,
+             "conditions": [{"buffer": "decl", "pattern": {
+                 "isa": "fact", "slots": {"name": "?", "next": "?"}}}],
+             "actions": move_to("?next")},
+            {"name": "recover", "utility": 1.0,
+             "conditions": [{"buffer": "decl", "pattern": {
+                 "isa": "retrieval-failure", "slots": {}}}],
+             "actions": move_to("a", {"kind": "emit-reward", "amount": 1.0})},
+            {"name": "use",
+             "conditions": [{"buffer": "scratch", "pattern": {
+                 "isa": "stage", "slots": {"n": "two", "cue": "?"}}}],
+             "actions": [{"kind": "clear-buffer", "target": "scratch"}]}],
+        "predictors": [{"name": "sensor", "kind": "associative", "tag": "cue",
+                        "pairs": [[name, f"cue-{name}"] for name in names + ["e"]],
+                        "emit_isa": "percept", "emit_slot": "value"}],
+        "initial_wm": [{"buffer": "goal", "chunk": {"isa": "goal", "slots": {"at": "a"}}}],
+        "initial_mm": facts,
+    }
+
+
+# SHA-256 of 20 cycles of ``multi_step_doc`` at seed 3.
+MULTI_STEP_GOLDEN = "e84adf077e255861fa507bda5d5ec6c39c3192e387b9d11e779d07d214e2924c"
+
+
+def _multi_step_system(draw, i, n_systems):
+    own = f"buf{i}"
+    fact = {"mm_tags": ["facts"], "pattern": {"isa": "fact", "slots": {"name": "?", "next": "?"}}}
+    empty = {"buffer": own, "pattern": None, "negated": True}
+    marked = {"buffer": own, "pattern": {"isa": "mark", "slots": {"at": "?"}}}
+
+    def write(at):
+        return [{"kind": "write-buffer", "target": own,
+                 "chunk": {"isa": "mark", "slots": {"at": at}}}]
+
+    menu = {
+        "see": ([empty, fact], write("?name")),
+        "follow": ([marked, fact], write("?next")),
+        "ask": ([empty], [{"kind": "post-query", "target": own, "query": {
+            "isa": "fact", "slots": {"name": draw(st.sampled_from("abz")), "next": "?"}}}]),
+        "peek": ([{"buffer": f"buf{(i + 1) % n_systems}", "pattern": None}], write("peer")),
+        "drop": ([marked], [{"kind": "clear-buffer", "target": own}]),
+        "wait": ([{"buffer": own, "pattern": None}], []),
+    }
+    chosen = draw(st.lists(st.sampled_from(sorted(menu)), min_size=1, max_size=3,
+                           unique=True))
+    productions = [{"name": f"{name}{i}", "conditions": menu[name][0],
+                    "actions": menu[name][1],
+                    "utility": draw(st.sampled_from([0.0, 1.0]))} for name in chosen]
+    return {"name": f"sys{i}", "buffer": own, "subscriptions": ["facts", "cue"],
+            "steps_per_cycle": draw(st.integers(1, 3)), "productions": productions}
+
+
+@st.composite
+def multi_step_model_docs(draw, noise):
+    """2-3 shadow systems of 1-3 steps a cycle that read middle memory, read
+    each other's buffers, post queries and clear their own buffers, while
+    a predictor deposits and the centre empties one buffer a cycle."""
+    n_systems = draw(st.integers(2, 3))
+    chain = ["a", "b", "c", "d"]
+    return {
+        "name": "generated-multi-step", "codebook": {"dimension": 64, "seed": 1},
+        "middle_memory": {"noise": noise, "retrieval_threshold": -1.5,
+                          "forget_threshold": -3.0},
+        "buffers": [{"name": "goal", "owner": "central"}]
+                   + [{"name": f"buf{i}", "owner": f"sys{i}"} for i in range(n_systems)],
+        "shadow_systems": [_multi_step_system(draw, i, n_systems)
+                           for i in range(n_systems)],
+        "central_productions": [
+            {"name": f"take{i}", "utility": float(i),
+             "conditions": [{"buffer": f"buf{i}", "pattern": None}],
+             "actions": [{"kind": "clear-buffer", "target": f"buf{i}"}]}
+            for i in range(n_systems)],
+        "predictors": [{"name": "sensor", "kind": "associative", "tag": "cue",
+                        "pairs": [[name, f"cue-{name}"] for name in chain],
+                        "emit_isa": "percept", "emit_slot": "value"}],
+        "initial_wm": [{"buffer": "goal", "chunk": {"isa": "goal", "slots": {"at": "a"}}}],
+        "initial_mm": [{"tag": "facts",
+                        "chunk": {"isa": "fact", "slots": {"name": name, "next": following}},
+                        "presentations": [-1.0, -0.5 + 0.1 * i], "links": [(i + 1) % 4]}
+                       for i, (name, following) in enumerate(zip(chain, "bcde"))],
     }
 
 
@@ -357,6 +493,28 @@ class TestPipelineMode:
         first_fire = next(e.cycle for e in trace.by_kind("central-fire"))
         assert first_fire == first_route  # ungated: no one-cycle filter delay
 
+    def test_unroutable_external_lines_are_errors(self):
+        """An external line names its own tag, so validation cannot rule out
+        a tag nobody subscribes to, and a vector-only line has no chunk to
+        route; each costs an error event and the run goes on."""
+        session = Session(load_model(demos.path("bottleneck")), mode="pipeline", seed=0)
+        session.queue.push_raw("peer", 0, json.dumps({
+            "type": "prediction", "tag": "nobody",
+            "chunk": {"isa": "percept", "slots": {"value": "x"}}}))
+        session.queue.push_raw("peer", 0, json.dumps({
+            "type": "prediction", "tag": "vision",
+            "vector": [1.0] + [0.0] * (session.book.dimension - 1)}))
+        session.step()
+        errors = [(e.cycle, e.data["message"], e.data["predictor"])
+                  for e in session.trace.by_kind("error")]
+        assert errors == [
+            (0, "no module subscribes to tag 'nobody'", "peer"),
+            (0, "vector-only prediction cannot be routed to a buffer", "peer")]
+        session.step()
+        assert session.cycle == 2 and not session.halted
+        assert [e for e in session.trace.events if e.cycle == 1
+                and e.kind in ("central-fire", "idle")]
+
 
 class TestMultiRateSystems:
     def test_rate_multiplier_chains_substeps_within_a_cycle(self):
@@ -416,10 +574,76 @@ class TestMultiRateSystems:
         assert fires == ["look", "look"]
         assert not [e for e in trace.by_kind("wm-write") if e.data["writer"] == "vision"]
 
+    @staticmethod
+    def _ask_doc(fact_name):
+        """One fact, ``a -> b``, or ``z -> b`` for a miss; ``decl`` posts
+        ``fact(name:a next:?)`` in its first sub-step while its buffer is
+        empty, and answers or misses it in its second."""
+        return {
+            "name": "ask", "codebook": {"dimension": 64},
+            "buffers": [{"name": "goal", "owner": "central"},
+                        {"name": "decl", "owner": "decl"}],
+            "shadow_systems": [
+                {"name": "decl", "buffer": "decl", "subscriptions": ["facts"],
+                 "steps_per_cycle": 2,
+                 "productions": [
+                    {"name": "ask",
+                     "conditions": [{"buffer": "decl", "pattern": None, "negated": True}],
+                     "actions": [{"kind": "post-query", "target": "decl",
+                                  "query": {"isa": "fact",
+                                            "slots": {"name": "a", "next": "?"}}}]}]}],
+            "initial_wm": [{"buffer": "goal", "chunk": {"isa": "task", "slots": {}}}],
+            "initial_mm": [{"tag": "facts", "chunk": {"isa": "fact", "slots": {
+                "name": fact_name, "next": "b"}}, "presentations": [-0.5]}],
+        }
+
+    def _posted_and_reply(self, fact_name):
+        trace = run(parse_model(self._ask_doc(fact_name)), 1, mode="mm", seed=0)
+        posted, reply = [e.data for e in trace.by_kind("wm-write")
+                         if e.data["writer"] == "decl"]
+        assert posted["content"]["query"]
+        return posted["content"]["id"], reply
+
+    def test_an_answer_names_the_query_posted_in_the_same_cycle(self):
+        query_id, reply = self._posted_and_reply("a")
+        assert reply["content"]["slots"] == {"name": "a", "next": "b"}
+        assert reply["answers_query"] == query_id
+
+    def test_a_miss_names_the_query_posted_in_the_same_cycle(self):
+        query_id, reply = self._posted_and_reply("z")
+        assert reply["content"]["isa"] == "retrieval-failure"
+        assert reply["answers_query"] == query_id
+        assert reply["content"]["slots"] == {"query-id": str(query_id)}
+
+    def test_multi_step_golden(self):
+        """Pinned when each shadow decision was first fired once, in system
+        order; stepping the systems in the other order gives the same bytes."""
+        model = parse_model(multi_step_doc())
+        trace = run(model, 20, mode="mm", seed=3)
+        fires = [e.data["production"] for e in trace.by_kind("shadow-fire")]
+        assert {"start", "advance", "again", "ask"} <= set(fires)
+        replies = [e.data for e in trace.by_kind("wm-write") if "answers_query" in e.data]
+        assert {r["entry"] is None for r in replies} == {True, False}  # answers and misses
+        data = trace_to_bytes(trace)
+        assert hashlib.sha256(data).hexdigest() == MULTI_STEP_GOLDEN
+        assert trace_to_bytes(run(model, 20, mode="mm", seed=3,
+                                  shadow_step_order=[1, 0])) == data
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_step_order_is_unobservable_with_several_steps(self, noise, data):
+        model = parse_model(data.draw(multi_step_model_docs(noise)))
+        base = trace_to_bytes(run(model, 8, mode="mm", seed=2))
+        for order in itertools.permutations(range(len(model.shadow_systems))):
+            assert trace_to_bytes(run(model, 8, mode="mm", seed=2,
+                                      shadow_step_order=list(order))) == base
+
     def test_a_preview_keeps_the_sweeps_table(self, monkeypatch):
         """A two-step shadow whose first write changes the spreading sources
-        reads a preview table in its second step; the next system still reads
-        the sweep's table, so cycle 0 evaluates 50 entries three times (sweep,
+        reads a preview table in its second step.  Every system's first step
+        is decided before any preview, so the next system still reads the
+        sweep's table, and cycle 0 evaluates 50 entries three times (sweep,
         preview, broadcast) and not four."""
         fact = {"mm_tags": ["seed"], "pattern": {"isa": "fact", "slots": {"n": "?"}}}
         doc = {
