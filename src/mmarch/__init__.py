@@ -10,6 +10,7 @@ from .chunks import (
     Chunk,
     ChunkFactory,
     Query,
+    Template,
     complete_query,
     make_chunk,
     make_query,
@@ -38,7 +39,7 @@ from .memory import (
 )
 from .metrics import RunMetrics, metrics
 from .model import ModelDefinition, dumps_model, load_model, parse_model, write_model
-from .productions import Action, Condition, Production, Template, UtilityLearner
+from .productions import Action, Condition, Production, UtilityLearner
 from .runtime import Session, run
 from .shadows import ContributionLedger, ShadowSystem
 from .trace import Trace, TraceEvent, read_trace, trace_to_bytes, write_trace

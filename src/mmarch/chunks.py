@@ -21,19 +21,95 @@ WILDCARD = "?"
 TYPE_SLOT = "isa"
 
 
+def _symbol_error(value) -> str | None:
+    """Why ``value`` is not a legal symbol, or None when it is one."""
+    if not isinstance(value, str) or not value:
+        return f"must be a non-empty string, got {value!r}"
+    if value.startswith(WILDCARD):
+        return f"may not start with the reserved token {WILDCARD!r}"
+    if ":" in value or value.split() != [value]:
+        return f"{value!r} may not contain ':' or whitespace"
+    return None
+
+
 def validate_symbol(name: str, *, what: str = "symbol") -> str:
     """Check that ``name`` is a legal symbol token and return it.
 
     Symbols are non-empty, contain no whitespace and no ``':'``, and are
     never the wildcard token.
     """
-    if not isinstance(name, str) or not name:
-        raise ChunkError(f"{what} must be a non-empty string, got {name!r}")
-    if name.startswith(WILDCARD):
-        raise ChunkError(f"{what} may not start with the reserved token {WILDCARD!r}")
-    if ":" in name or any(ch.isspace() for ch in name):
-        raise ChunkError(f"{what} {name!r} may not contain ':' or whitespace")
+    error = _symbol_error(name)
+    if error is not None:
+        raise ChunkError(f"{what} {error}")
     return name
+
+
+def is_reference(value) -> bool:
+    """Whether ``value`` is a ``"?name"`` reference to a binding."""
+    return isinstance(value, str) and value != WILDCARD and value.startswith(WILDCARD)
+
+
+def pattern_errors(ctype, slots, *, wildcards: bool = False,
+                   references: bool = False) -> list[tuple[str | None, str]]:
+    """Every way ``(ctype, slots)`` breaks the chunk grammar, as ``(slot, message)``.
+
+    ``slot`` is None for the type.  A chunk holds only symbols, under
+    distinct slot names other than ``isa``.  Where ``wildcards`` is set (a
+    pattern or query) the type and slot values may also be ``"?"``; where
+    ``references`` is set (an action template) they may be ``"?name"``.
+    Each slot reports at most one violation.
+    """
+    errors = []
+    if not (wildcards and ctype == WILDCARD or references and is_reference(ctype)):
+        error = _symbol_error(ctype)
+        if error is not None:
+            errors.append((None, f"chunk type {error}"))
+    seen = set()
+    for name, value in slots:
+        error = _symbol_error(name)
+        if error is not None:
+            errors.append((name, f"slot name {error}"))
+            continue
+        if name == TYPE_SLOT:
+            errors.append((name, f"slot name {TYPE_SLOT!r} is reserved for the chunk type"))
+        elif name in seen:
+            errors.append((name, f"duplicate slot name {name!r}"))
+        elif not (wildcards and value == WILDCARD or references and is_reference(value)):
+            error = _symbol_error(value)
+            if error is not None:
+                errors.append((name, f"value of slot {name!r} {error}"))
+        seen.add(name)
+    return errors
+
+
+def binding_keys(ctype: str, slots) -> tuple[str, ...]:
+    """Keys a pattern binds: its wildcard slot names, plus ``isa`` when the
+    type itself is a wildcard."""
+    keys = tuple(name for name, value in slots if value == WILDCARD)
+    return (TYPE_SLOT, *keys) if ctype == WILDCARD else keys
+
+
+def references(ctype: str, slots) -> tuple[str, ...]:
+    """Binding names a template's ``"?name"`` references use, type first."""
+    return tuple(value[1:] for value in (ctype, *(v for _, v in slots))
+                 if is_reference(value))
+
+
+@dataclass(frozen=True)
+class Template:
+    """Chunk-shaped record: a type plus ordered slot pairs.
+
+    Models declare condition patterns and action templates as these, and
+    actions instantiate them into chunks or queries; which of ``"?"`` and
+    ``"?name"`` each may hold is :func:`pattern_errors`'s to say.
+    """
+
+    ctype: str
+    slots: tuple[tuple[str, str], ...] = ()
+
+    @classmethod
+    def from_chunk(cls, chunk: Chunk) -> Template:
+        return cls(chunk.ctype, chunk.slots)
 
 
 @dataclass(frozen=True)
@@ -95,14 +171,6 @@ class Query:
                 return value
         return None
 
-    def wildcard_slots(self) -> tuple[str, ...]:
-        """Binding keys this query produces: wildcard slot names, plus
-        ``isa`` when the type itself is a wildcard."""
-        keys = tuple(name for name, value in self.slots if value == WILDCARD)
-        if self.ctype == WILDCARD:
-            return (TYPE_SLOT, *keys)
-        return keys
-
     def has_wildcards(self) -> bool:
         return self.ctype == WILDCARD or any(v == WILDCARD for _, v in self.slots)
 
@@ -114,25 +182,14 @@ class Query:
         return f"{self.ctype}?({inner})" if inner else f"{self.ctype}?()"
 
 
-def _check_slots(pairs, *, allow_wildcard_values: bool) -> tuple[tuple[str, str], ...]:
-    if hasattr(pairs, "items"):
-        pairs = pairs.items()
-    seen = set()
-    out = []
-    for name, value in pairs:
-        validate_symbol(name, what="slot name")
-        if name == TYPE_SLOT:
-            raise ChunkError(f"slot name {TYPE_SLOT!r} is reserved for the chunk type")
-        if name in seen:
-            raise ChunkError(f"duplicate slot name {name!r}")
-        seen.add(name)
-        if value == WILDCARD:
-            if not allow_wildcard_values:
-                raise ChunkError(f"slot {name!r} has a wildcard value; chunks hold only symbols")
-        else:
-            validate_symbol(value, what=f"value of slot {name!r}")
-        out.append((name, value))
-    return tuple(out)
+def _checked(ctype, slots, *, wildcards: bool) -> tuple[tuple[str, str], ...]:
+    """``slots`` (pairs or a mapping) as a tuple of pairs; raises the first
+    :func:`pattern_errors` violation as a :class:`ChunkError`."""
+    slots = tuple(slots.items() if hasattr(slots, "items") else slots)
+    errors = pattern_errors(ctype, slots, wildcards=wildcards)
+    if errors:
+        raise ChunkError(errors[0][1])
+    return slots
 
 
 class ChunkFactory:
@@ -147,14 +204,11 @@ class ChunkFactory:
 
     def make(self, ctype: str, slots=()) -> Chunk:
         """Build a chunk with this factory's next id."""
-        validate_symbol(ctype, what="chunk type")
-        return Chunk(ctype, _check_slots(slots, allow_wildcard_values=False), next(self._count))
+        return Chunk(ctype, _checked(ctype, slots, wildcards=False), next(self._count))
 
     def make_query(self, ctype: str, slots=()) -> Query:
         """Build a query with this factory's next id."""
-        if ctype != WILDCARD:
-            validate_symbol(ctype, what="query type")
-        return Query(ctype, _check_slots(slots, allow_wildcard_values=True), next(self._count))
+        return Query(ctype, _checked(ctype, slots, wildcards=True), next(self._count))
 
 
 # Chunks and queries built outside a run take their ids from this one

@@ -120,13 +120,6 @@ def cmd_step(args) -> int:
     return 0
 
 
-def cmd_inspect(args) -> int:
-    session = _execute(args)
-    _emit_artifacts(session, args)
-    print(format_state(session, top=args.top), end="")
-    return 0
-
-
 def cmd_demos(args) -> int:
     for name in demos.names():
         print(f"{name}\t{demos.path(name)}")
@@ -154,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_inspect)
     p_inspect.add_argument("--top", type=int, default=5,
                            help="middle-memory rows shown")
-    p_inspect.set_defaults(func=cmd_inspect, cycles=0)
+    p_inspect.set_defaults(func=cmd_step, cycles=0, verbose=False)
 
     p_demos = sub.add_parser("demos", help="list bundled demo models")
     p_demos.set_defaults(func=cmd_demos)
@@ -166,9 +159,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MMArchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 
-from .chunks import TYPE_SLOT, WILDCARD, validate_symbol
+from .chunks import Template, binding_keys, pattern_errors, references, validate_symbol
 from .codec import DEFAULT_CLEANUP_THRESHOLD, DEFAULT_DIMENSION
 from .errors import ChunkError, ModelValidationError
 from .memory import (
@@ -173,7 +173,7 @@ def _pair(value, path, errors):
 
 
 def _pattern(*, wildcards: bool, refs: bool):
-    """A chunk-shaped pattern or template."""
+    """A chunk-shaped pattern or template (see :func:`pattern_errors`)."""
     def read(obj, path, errors):
         if type(obj) is not dict:
             errors.add(path, f"pattern has wrong type {type(obj).__name__}")
@@ -185,42 +185,14 @@ def _pattern(*, wildcards: bool, refs: bool):
         if not isinstance(ctype, str):
             errors.add(f"{path}.isa", "missing or non-string chunk type")
             return _INVALID
-        if ctype != WILDCARD or not wildcards:
-            try:
-                if not (refs and ctype.startswith(WILDCARD) and len(ctype) > 1):
-                    validate_symbol(ctype, what="chunk type")
-            except ChunkError as exc:
-                errors.add(f"{path}.isa", str(exc))
         slots = obj.get("slots", {})
+        pairs = slots.items() if type(slots) is dict else ()
+        for slot, message in pattern_errors(ctype, pairs, wildcards=wildcards,
+                                            references=refs):
+            errors.add(f"{path}.isa" if slot is None else f"{path}.slots.{slot}", message)
         if type(slots) is not dict:
             errors.add(f"{path}.slots", f"slots has wrong type {type(slots).__name__}")
-            return PatternDef(ctype)
-        pairs = []
-        for name, value in slots.items():
-            slot_path = f"{path}.slots.{name}"
-            try:
-                validate_symbol(name, what="slot name")
-                if name == TYPE_SLOT:
-                    raise ChunkError(f"slot name {TYPE_SLOT!r} is reserved")
-            except ChunkError as exc:
-                errors.add(slot_path, str(exc))
-                continue
-            if not isinstance(value, str):
-                errors.add(slot_path, "slot value must be a string")
-                continue
-            if value == WILDCARD:
-                if not wildcards:
-                    errors.add(slot_path, "wildcard not allowed here")
-            elif value.startswith(WILDCARD):
-                if not refs:
-                    errors.add(slot_path, "binding reference not allowed here")
-            else:
-                try:
-                    validate_symbol(value, what="slot value")
-                except ChunkError as exc:
-                    errors.add(slot_path, str(exc))
-            pairs.append((name, value))
-        return PatternDef(ctype, tuple(pairs))
+        return Template(ctype, tuple((n, v) for n, v in pairs if isinstance(v, str)))
     return read
 
 
@@ -230,18 +202,10 @@ _BUFFER_REF = _scalar(str, "unknown buffer {value!r}")
 # --- the model ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PatternDef:
-    """Chunk-shaped pattern or template: a type plus ordered slot pairs."""
-
-    ctype: str
-    slots: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class ConditionDef:
     buffer: str | None = _field(None, _BUFFER_REF)
     mm_tags: tuple[str, ...] | None = _field(None, _items(_symbol("tag")), drop=True)
-    pattern: PatternDef | None = _field(None, _pattern(wildcards=True, refs=False))
+    pattern: Template | None = _field(None, _pattern(wildcards=True, refs=False))
     negated: bool = _field(False, _scalar(bool, "negated must be a boolean"))
 
 
@@ -250,8 +214,8 @@ class ActionDef:
     kind: str = _field(read=_scalar(str, "unknown action kind {value!r}",
                                     ACTION_KINDS.__contains__), drop=True)
     target: str | None = _field(None, _BUFFER_REF)
-    chunk: PatternDef | None = _field(None, _pattern(wildcards=False, refs=True))
-    query: PatternDef | None = _field(None, _pattern(wildcards=True, refs=True))
+    chunk: Template | None = _field(None, _pattern(wildcards=False, refs=True))
+    query: Template | None = _field(None, _pattern(wildcards=True, refs=True))
     amount: float = _field(0.0, _scalar(float, "emit-reward needs a finite amount"))
     urgent: bool = _field(False, _scalar(bool, "urgent must be a boolean"))
 
@@ -347,14 +311,14 @@ class RewardDef:
 @dataclass(frozen=True)
 class InitialWMDef:
     buffer: str | None = _field(None, _BUFFER_REF, drop=True)
-    chunk: PatternDef | None = _field(None, _pattern(wildcards=False, refs=False))
-    query: PatternDef | None = _field(None, _pattern(wildcards=True, refs=False))
+    chunk: Template | None = _field(None, _pattern(wildcards=False, refs=False))
+    query: Template | None = _field(None, _pattern(wildcards=True, refs=False))
 
 
 @dataclass(frozen=True)
 class InitialMMDef:
     tag: str = _field(read=_symbol("origin tag"), drop=True)
-    chunk: PatternDef = _field(read=_pattern(wildcards=False, refs=False), drop=True)
+    chunk: Template = _field(read=_pattern(wildcards=False, refs=False), drop=True)
     presentations: tuple[float, ...] = _field((0.0,), _scalars(
         float, "presentations must be a non-empty number list", bool))
     links: tuple[int, ...] = _field((), _scalars(int, "links must be a list of item indices"))
@@ -423,6 +387,10 @@ def _check_predictor(values: dict, obj: dict, path: str, errors: _Collector) -> 
     if kind == "external" and values["command"] is None and (
             values["host"] is None or values["port"] is None):
         errors.add(path, "external predictor needs command or host+port")
+    # A built-in predictor emits emit_isa chunks holding one symbol at emit_slot.
+    emitted = ((values["emit_slot"], values["emit_isa"]),)
+    for _, message in pattern_errors(values["emit_isa"], emitted):
+        errors.add(f"{path}.emit_slot", message)
 
 
 def _check_thresholds(values: dict, obj: dict, path: str, errors: _Collector) -> None:
@@ -510,13 +478,8 @@ def parse_model(document: dict) -> ModelDefinition:
 def _bindable_keys(production: ProductionDef) -> set[str]:
     keys: set[str] = set()
     for cond in production.conditions:
-        if cond.negated or cond.pattern is None:
-            continue
-        if cond.pattern.ctype == WILDCARD:
-            keys.add(TYPE_SLOT)
-        for slot, value in cond.pattern.slots:
-            if value == WILDCARD:
-                keys.add(slot)
+        if not cond.negated and cond.pattern is not None:
+            keys.update(binding_keys(cond.pattern.ctype, cond.pattern.slots))
     return keys
 
 
@@ -554,13 +517,7 @@ def _check_production_semantics(production: ProductionDef, path: str, owner: str
         for template in (action.chunk, action.query):
             if template is None:
                 continue
-            refs = []
-            if template.ctype.startswith(WILDCARD) and template.ctype != WILDCARD:
-                refs.append(template.ctype[1:])
-            for _, value in template.slots:
-                if value.startswith(WILDCARD) and value != WILDCARD:
-                    refs.append(value[1:])
-            for ref in refs:
+            for ref in references(template.ctype, template.slots):
                 if ref not in bindable:
                     errors.add(apath, f"binding reference ?{ref} is not bound by "
                                       "any non-negated condition")
@@ -682,7 +639,7 @@ def _optional(record) -> set[str]:
 
 
 def _to_json(value):
-    if isinstance(value, PatternDef):
+    if isinstance(value, Template):
         return {"isa": value.ctype, "slots": dict(value.slots)}
     if isinstance(value, tuple):
         return [_to_json(item) for item in value]

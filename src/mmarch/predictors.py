@@ -13,17 +13,16 @@ middle-memory deposits.
 from __future__ import annotations
 
 import json
-import math
 import queue
 import socket
 import subprocess
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chunks import validate_symbol
+from .chunks import pattern_errors, validate_symbol
 from .codec import HoloVector
 from .errors import ChunkError
 
@@ -62,16 +61,13 @@ class NgramPredictor:
     counts and the context; ties break lexicographically.
     """
 
-    kind = "ngram"
-
     def __init__(self, name: str, tag: str, corpus, order: int = DEFAULT_ORDER,
-                 rate: int = 1, seed: int = 0, emit_ctype: str = DEFAULT_EMIT_ISA,
+                 rate: int = 1, emit_ctype: str = DEFAULT_EMIT_ISA,
                  emit_slot: str = DEFAULT_EMIT_SLOT):
         self.name = name
         self.tag = tag
         self.order = order
         self.rate = rate
-        self.seed = seed
         self.emit_ctype = emit_ctype
         self.emit_slot = emit_slot
         self._counts: dict[tuple[str, ...], Counter] = {}
@@ -120,14 +116,11 @@ class AssociativePredictor:
     co-occurrence mass; ties break lexicographically.
     """
 
-    kind = "associative"
-
-    def __init__(self, name: str, tag: str, pairs, rate: int = 1, seed: int = 0,
+    def __init__(self, name: str, tag: str, pairs, rate: int = 1,
                  emit_ctype: str = DEFAULT_EMIT_ISA, emit_slot: str = DEFAULT_EMIT_SLOT):
         self.name = name
         self.tag = tag
         self.rate = rate
-        self.seed = seed
         self.emit_ctype = emit_ctype
         self.emit_slot = emit_slot
         self._table: dict[str, Counter] = {}
@@ -180,8 +173,7 @@ def decode_prediction(line: str, dim: int) -> dict:
     except ChunkError as exc:
         raise ValueError(str(exc)) from None
     salience = msg.get("salience", 1.0)
-    if not isinstance(salience, (int, float)) or not math.isfinite(salience) \
-            or not 0.0 <= salience <= 1.0:
+    if type(salience) not in (int, float) or not 0.0 <= salience <= 1.0:
         raise ValueError("salience must be a finite number in [0, 1]")
     out: dict = {"tag": tag, "salience": float(salience)}
     chunk = msg.get("chunk")
@@ -192,21 +184,17 @@ def decode_prediction(line: str, dim: int) -> dict:
         slots = chunk.get("slots", {})
         if not isinstance(slots, dict):
             raise ValueError("chunk slots must be an object")
-        pairs = []
-        try:
-            validate_symbol(chunk["isa"], what="chunk type")
-            for name, value in slots.items():
-                if not isinstance(value, str):
-                    raise ValueError(f"slot {name!r} value must be a string")
-                validate_symbol(name, what="slot name")
-                validate_symbol(value, what=f"value of slot {name!r}")
-                pairs.append((name, value))
-        except ChunkError as exc:
-            raise ValueError(str(exc)) from None
+        pairs = tuple(slots.items())
+        errors = pattern_errors(chunk["isa"], pairs)
+        if errors:
+            raise ValueError(errors[0][1])
         out["ctype"] = chunk["isa"]
-        out["slots"] = tuple(pairs)
+        out["slots"] = pairs
     if vector is not None:
-        arr = np.asarray(vector, dtype=float)
+        try:
+            arr = np.asarray(vector, dtype=float)
+        except TypeError:
+            raise ValueError("vector must be a list of numbers") from None
         if arr.ndim != 1 or arr.shape[0] != dim:
             raise ValueError(f"vector must have dimension {dim}")
         if not np.all(np.isfinite(arr)):
@@ -229,17 +217,12 @@ class ExternalPredictor:
     run continues and no further sends are attempted.
     """
 
-    kind = "external"
-
     def __init__(self, name: str, tag: str, *, command: list[str] | None = None,
-                 host: str | None = None, port: int | None = None,
-                 rate: int = 1, seed: int = 0):
+                 host: str | None = None, port: int | None = None):
         if command is None and (host is None or port is None):
             raise ValueError("external predictor needs a command or host/port")
         self.name = name
         self.tag = tag
-        self.rate = rate
-        self.seed = seed
         self.command = command
         self.host = host
         self.port = port

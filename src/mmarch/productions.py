@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chunks import WILDCARD, Chunk, ChunkFactory, Query, match_query
+from .chunks import WILDCARD, Chunk, ChunkFactory, Query, Template, is_reference, match_query
 from .errors import BindingError
 from .memory import MiddleMemory, WorkingMemory
 
@@ -63,23 +63,6 @@ class Condition:
 
 
 @dataclass(frozen=True)
-class Template:
-    """Chunk- or query-shaped action payload.
-
-    Values may be literal symbols, ``"?"`` (stays a wildcard; query
-    templates only), or ``"?name"`` references to bindings produced by the
-    production's non-negated conditions.
-    """
-
-    ctype: str
-    slots: tuple[tuple[str, str], ...]
-
-    @classmethod
-    def from_chunk(cls, chunk: Chunk) -> Template:
-        return cls(chunk.ctype, chunk.slots)
-
-
-@dataclass(frozen=True)
 class Action:
     kind: str
     target: str | None = None
@@ -113,10 +96,9 @@ def _resolve_value(value: str, bindings: dict[str, str], production: str,
             raise BindingError(
                 f"production {production!r}: bare wildcard in a chunk template")
         return value
-    if value.startswith(WILDCARD):
-        ref = value[1:]
+    if is_reference(value):
         try:
-            return bindings[ref]
+            return bindings[value[1:]]
         except KeyError:
             raise BindingError(
                 f"production {production!r}: unresolved binding reference {value!r}") from None

@@ -32,7 +32,7 @@ import copy
 
 import numpy as np
 
-from .chunks import Chunk, ChunkFactory, Query
+from .chunks import Chunk, ChunkFactory, Query, Template
 from .codec import Codebook
 from .memory import (
     CENTRAL,
@@ -42,7 +42,7 @@ from .memory import (
     context_symbols,
     context_vector,
 )
-from .model import ModelDefinition, PatternDef, validate_for_mode
+from .model import ModelDefinition, validate_for_mode
 from .predictors import (
     AssociativePredictor,
     ExternalPredictor,
@@ -58,7 +58,6 @@ from .productions import (
     Condition,
     MatchView,
     Production,
-    Template,
     UtilityLearner,
     buffer_write,
     fire,
@@ -75,21 +74,15 @@ from .shadows import (
     decide_shadow,
     failure_chunk,
 )
-from .trace import Trace, chunk_data, query_data
+from .trace import Trace, content_data
 
 CONTEXT_SYMBOL_COUNT = 5
 
 
-def _to_query(pattern: PatternDef | None, factory: ChunkFactory) -> Query | None:
+def _to_query(pattern: Template | None, factory: ChunkFactory) -> Query | None:
     if pattern is None:
         return None
     return factory.make_query(pattern.ctype, pattern.slots)
-
-
-def _to_template(pattern: PatternDef | None) -> Template | None:
-    if pattern is None:
-        return None
-    return Template(pattern.ctype, pattern.slots)
 
 
 class Session:
@@ -165,8 +158,7 @@ class Session:
             for c in pdef.conditions)
         actions = tuple(
             Action(kind=a.kind, target=a.target,
-                   template=_to_template(
-                       a.query if "query" in ACTION_KINDS[a.kind].needs else a.chunk),
+                   template=a.query if "query" in ACTION_KINDS[a.kind].needs else a.chunk,
                    amount=a.amount, urgent=a.urgent)
             for a in pdef.actions)
         return Production(name=pdef.name, owner=owner, conditions=conditions,
@@ -176,32 +168,26 @@ class Session:
     def _build_predictor(self, pdef):
         if pdef.kind == "ngram":
             return NgramPredictor(pdef.name, pdef.tag, pdef.corpus,
-                                  order=pdef.order, rate=pdef.rate, seed=pdef.seed,
+                                  order=pdef.order, rate=pdef.rate,
                                   emit_ctype=pdef.emit_isa, emit_slot=pdef.emit_slot)
         if pdef.kind == "associative":
-            return AssociativePredictor(pdef.name, pdef.tag, pdef.pairs,
-                                        rate=pdef.rate, seed=pdef.seed,
+            return AssociativePredictor(pdef.name, pdef.tag, pdef.pairs, rate=pdef.rate,
                                         emit_ctype=pdef.emit_isa,
                                         emit_slot=pdef.emit_slot)
         return ExternalPredictor(pdef.name, pdef.tag,
                                  command=list(pdef.command) if pdef.command else None,
-                                 host=pdef.host, port=pdef.port,
-                                 rate=pdef.rate, seed=pdef.seed)
+                                 host=pdef.host, port=pdef.port)
 
     def _install_initial_state(self) -> None:
         for item in self.model.initial_wm:
-            if item.chunk is not None:
-                content = self.factory.make(item.chunk.ctype, item.chunk.slots)
-                data = chunk_data(content)
-            else:
-                content = self.factory.make_query(item.query.ctype, item.query.slots)
-                data = query_data(content)
+            content = (_to_query(item.query, self.factory) if item.chunk is None
+                       else self.factory.make(item.chunk.ctype, item.chunk.slots))
             buf = self.wm.buffer(item.buffer)
             buf.content = content
             buf.urgent = False
             self.trace.append(0, "wm-write", {
                 "writer": "initial", "buffer": item.buffer,
-                "content": data, "urgent": False})
+                "content": content_data(content), "urgent": False})
         entry_ids = []
         for item in self.model.initial_mm:
             chunk = self.factory.make(item.chunk.ctype, item.chunk.slots)
@@ -211,7 +197,7 @@ class Session:
             self.trace.append(0, "deposit", {
                 "entry": entry_id, "tag": item.tag, "new": True,
                 "source": "initial", "salience": None,
-                "content": chunk_data(chunk), "has_vector": False})
+                "content": content_data(chunk), "has_vector": False})
         for index, item in enumerate(self.model.initial_mm):
             for link in item.links:
                 self.mm.link(entry_ids[index], entry_ids[link])
@@ -280,7 +266,7 @@ class Session:
             "entry": entry_id, "tag": prediction.tag, "new": created,
             "source": f"predictor:{prediction.predictor}",
             "salience": prediction.salience,
-            "content": chunk_data(chunk) if chunk is not None else None,
+            "content": content_data(chunk),
             "has_vector": prediction.vector is not None})
 
     def _route_prediction(self, n: int, prediction) -> None:
@@ -304,7 +290,7 @@ class Session:
         self.inflows[target.buffer].append(chunk)
         self.trace.append(n, "wm-write", {
             "writer": target.name, "buffer": target.buffer,
-            "content": chunk_data(chunk), "urgent": False, "route": "pipeline"})
+            "content": content_data(chunk), "urgent": False, "route": "pipeline"})
 
     # phase 2
     def _sweep(self, n: int, t_eval: float) -> None:
@@ -361,7 +347,7 @@ class Session:
             for content, urgent in writes:
                 self.trace.append(n, "wm-write", {
                     "writer": system.name, "buffer": system.buffer,
-                    "content": _content_data(content), "urgent": urgent})
+                    "content": content_data(content), "urgent": urgent})
                 if urgent:
                     self.trace.append(n, "interrupt", {
                         "system": system.name, "buffer": system.buffer,
@@ -371,7 +357,7 @@ class Session:
         chunk = make(decision, self.factory)
         self.trace.append(n, "wm-write", {
             "writer": system.name, "buffer": system.buffer,
-            "content": chunk_data(chunk), "urgent": False,
+            "content": content_data(chunk), "urgent": False,
             "answers_query": decision.query.id,
             "entry": decision.answered_entry})
         return chunk, False, None
@@ -403,7 +389,7 @@ class Session:
                 self.wm.write(CENTRAL, effect.target, content, urgent=urgent)
                 self.trace.append(n, "wm-write", {
                     "writer": CENTRAL, "buffer": effect.target,
-                    "content": _content_data(content), "urgent": urgent})
+                    "content": content_data(content), "urgent": urgent})
             elif effect.kind == "emit-reward":
                 self._pending_rewards.append(
                     (effect.amount, f"production:{production.name}"))
@@ -546,14 +532,6 @@ class Session:
             out[system.name] = [m.production.name
                                 for m in match_all(system.productions, sview)]
         return out
-
-
-def _content_data(content) -> dict | None:
-    if content is None:
-        return None
-    if isinstance(content, Chunk):
-        return chunk_data(content)
-    return query_data(content)
 
 
 def _external_prediction(message, decoded) -> Prediction:

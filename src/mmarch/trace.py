@@ -54,13 +54,14 @@ class Trace:
         return self.events[-1].cycle if self.events else 0
 
 
-def chunk_data(chunk: Chunk) -> dict:
-    return {"id": chunk.id, "isa": chunk.ctype, "slots": dict(chunk.slots)}
-
-
-def query_data(query: Query) -> dict:
-    return {"id": query.id, "isa": query.ctype, "slots": dict(query.slots),
-            "query": True}
+def content_data(content: Chunk | Query | None) -> dict | None:
+    """Trace encoding of a chunk, a query (marked ``"query": true``) or None."""
+    if content is None:
+        return None
+    data = {"id": content.id, "isa": content.ctype, "slots": dict(content.slots)}
+    if isinstance(content, Query):
+        data["query"] = True
+    return data
 
 
 def _dump_line(payload: dict) -> str:

@@ -7,10 +7,14 @@ from mmarch.chunks import (
     ChunkFactory,
     Query,
     WILDCARD,
+    binding_keys,
     complete_query,
+    is_reference,
     make_chunk,
     make_query,
     match_query,
+    pattern_errors,
+    references,
     validate_symbol,
 )
 from mmarch.errors import ChunkError
@@ -51,6 +55,31 @@ def test_make_chunk_rejections():
         make_chunk("dog", [("name", WILDCARD)])
     with pytest.raises(ChunkError):
         make_chunk("dog", [("isa", "dog")])  # reserved type slot
+
+
+def test_pattern_errors_lists_every_violation_by_slot():
+    slots = [("isa", "x"), ("v", "?"), ("w", "?y"), ("v", "z"), ("u", 3), ("a b", "x"),
+             ("ok", "x")]
+    errors = pattern_errors("a:b", slots)
+    assert [slot for slot, _ in errors] == [None, "isa", "v", "w", "v", "u", "a b"]
+    assert errors[4] == ("v", "duplicate slot name 'v'")
+
+
+@pytest.mark.parametrize("value,wildcards,refs,legal", [
+    ("?", False, False, False), ("?", True, False, True), ("?", False, True, False),
+    ("?x", False, False, False), ("?x", True, False, False), ("?x", False, True, True),
+])
+def test_wildcards_and_references_appear_only_where_allowed(value, wildcards, refs, legal):
+    for ctype, slots in ((value, ()), ("t", (("s", value),))):
+        errors = pattern_errors(ctype, slots, wildcards=wildcards, references=refs)
+        assert (errors == []) == legal
+
+
+def test_binding_keys_and_references():
+    assert binding_keys(WILDCARD, (("a", "?"), ("b", "x"))) == ("isa", "a")
+    assert binding_keys("t", (("a", "?x"),)) == ()
+    assert references("?t", (("a", "?x"), ("b", "?"), ("c", "y"))) == ("t", "x")
+    assert [is_reference(v) for v in ("?x", "?", "x", 3)] == [True, False, False, False]
 
 
 def test_match_binds_wildcard_slot():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mmarch import demos
 from mmarch.errors import ModelValidationError
 from mmarch.model import dumps_model, load_model, model_to_dict, parse_model
+from mmarch.runtime import Session
 
 
 def base_doc():
@@ -152,6 +153,14 @@ def test_duplicate_predictor_tags_rejected():
     assert any("duplicate origin tag" in msg for _, msg in violations)
 
 
+def test_emit_slot_may_not_be_the_type_slot():
+    """The predictor's chunks would carry the reserved slot and fail mid-run."""
+    doc = base_doc()
+    doc["predictors"][0]["emit_slot"] = "isa"
+    assert _violations(doc) == [("predictors[0].emit_slot",
+                                 "slot name 'isa' is reserved for the chunk type")]
+
+
 def test_threshold_ordering_enforced():
     doc = base_doc()
     doc["middle_memory"] = {"retrieval_threshold": -2.0, "forget_threshold": -1.0}
@@ -290,3 +299,7 @@ def test_any_single_value_mutation_parses_or_reports(data):
     except ModelValidationError:
         return
     assert parse_model(model_to_dict(model)) == model
+    # What loads also runs: the model's chunks, patterns and templates are
+    # built by the same grammar that accepted them.
+    if all(p.kind != "external" for p in model.predictors):
+        Session(model, mode="mm", seed=0)

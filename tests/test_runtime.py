@@ -515,6 +515,24 @@ class TestPipelineMode:
         assert [e for e in session.trace.events if e.cycle == 1
                 and e.kind in ("central-fire", "idle")]
 
+    @pytest.mark.parametrize("demo,mode,tag", [("threat", "mm", "emotion"),
+                                               ("bottleneck", "pipeline", "vision")])
+    @pytest.mark.parametrize("extra", [
+        {"chunk": {"isa": "percept", "slots": {"isa": "bear"}}},
+        {"salience": True, "chunk": {"isa": "percept", "slots": {"value": "bear"}}}])
+    def test_malformed_peer_chunk_costs_only_the_line(self, demo, mode, tag, extra):
+        """A line the chunk grammar rejects is dropped at the wire, before the
+        chunk factory could raise mid-cycle."""
+        session = Session(load_model(demos.path(demo)), mode=mode, seed=0)
+        session.queue.push_raw("peer", 0, json.dumps(
+            {"type": "prediction", "tag": tag, **extra}))
+        session.step()
+        errors = [e.data["message"] for e in session.trace.by_kind("error")]
+        assert len(errors) == 1
+        assert errors[0].startswith("dropped malformed prediction: ")
+        session.step()
+        assert session.cycle == 2 and not session.halted
+
 
 class TestMultiRateSystems:
     def test_rate_multiplier_chains_substeps_within_a_cycle(self):

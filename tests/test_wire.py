@@ -7,7 +7,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mmarch.chunks import ChunkFactory
+from mmarch.errors import ChunkError
 from mmarch.model import parse_model
 from mmarch.predictors import ExternalPredictor, decode_prediction, encode_context
 from mmarch.runtime import Session
@@ -29,6 +32,14 @@ for line in sys.stdin:
     sys.stdout.write(json.dumps(out) + "\n")
     sys.stdout.flush()
 """
+
+# Chunk symbols a peer might send, legal half the time; the rest are the
+# wildcard, a reference, and values that are not symbols at all.
+_WIRE_SYMBOLS = (st.sampled_from(["percept", "bear", "isa"])
+                 | st.sampled_from(["?", "?x", "", "a b", "a:b", 3, 1.5, True, None, [], {}]))
+# Slot names: legal, the reserved type slot, or not symbols.
+_WIRE_SLOT_NAMES = (st.sampled_from(["value", "isa"])
+                    | st.sampled_from(["?", "?x", "", "a b", "a:b"]))
 
 
 class TestFraming:
@@ -70,10 +81,38 @@ class TestFraming:
                     "vector": [1.0, 0.0]}),  # bad symbol
         json.dumps({"type": "prediction", "tag": "vision",
                     "chunk": {"isa": "percept", "slots": {"value": 3}}}),
+        json.dumps({"type": "prediction", "tag": "vision",
+                    "chunk": {"isa": "percept", "slots": {"isa": "bear"}}}),  # reserved slot
+        json.dumps({"type": "prediction", "tag": "vision",
+                    "chunk": {"isa": "percept", "slots": {"value": "?"}}}),  # wildcard
+        json.dumps({"type": "prediction", "tag": "vision", "salience": True,
+                    "vector": [1.0, 0.0]}),  # booleans are not numbers
+        '{"type":"prediction","tag":"vision","salience":1' + "0" * 400
+        + ',"vector":[1.0,0.0]}',  # an integer too large for a float
+        json.dumps({"type": "prediction", "tag": "vision",
+                    "vector": {"x": 1.0}}),  # not a list of numbers
     ])
     def test_malformed_lines_raise(self, line):
         with pytest.raises(ValueError):
             decode_prediction(line, dim=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(isa=_WIRE_SYMBOLS,
+           slots=st.dictionaries(_WIRE_SLOT_NAMES, _WIRE_SYMBOLS, max_size=3))
+    def test_wire_accepts_exactly_the_chunks_the_factory_makes(self, isa, slots):
+        line = json.dumps({"type": "prediction", "tag": "vision",
+                           "chunk": {"isa": isa, "slots": slots}})
+        try:
+            decode_prediction(line, dim=2)
+            decoded = True
+        except ValueError:
+            decoded = False
+        try:
+            ChunkFactory().make(isa, slots)
+            made = True
+        except ChunkError:
+            made = False
+        assert decoded == made
 
 
 def _external_model(command):
