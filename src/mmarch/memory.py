@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,9 +147,15 @@ class MMEntry:
 
 @dataclass
 class _Table:
-    """Every entry's activation at one evaluation point, in id order."""
+    """Every entry's activation at one evaluation point, in id order.
+
+    ``base`` is the base-level column, which depends on the point's time
+    and version only: a table built at the same time and version under
+    other spreading sources shares it.
+    """
 
     point: tuple  # (time, version, spreading sources)
+    base: dict[int, float]
     values: dict[int, float]
 
 
@@ -160,8 +167,13 @@ class MiddleMemory:
     sources, and a version that every deposit, seeded entry and link bumps)
     into a table, kept while its point holds, so sweeping, shadow retrieval
     and middle-memory conditions share one.  One table is cached, the last
-    one read.  Forgetting patches it instead of bumping the version, so it
-    stays a fresh evaluation.
+    one read; the next table at the same time and version reuses its
+    base-level column, so each entry's base level is computed once per
+    time and version.  Forgetting patches the table instead of bumping the
+    version, so it stays a fresh evaluation.
+
+    Entries are also indexed by tag, so a tagged read visits only the
+    entries it can return.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -181,6 +193,7 @@ class MiddleMemory:
         self._noise_seed = noise_seed
         self.entries: dict[int, MMEntry] = {}
         self._by_key: dict[tuple, int] = {}
+        self._by_tag: dict[str, dict[int, None]] = {}  # tag -> ids, in id order
         self._next_id = 1
         self._latest: float | None = None  # newest presentation of a live entry
         self._version = 0
@@ -221,9 +234,7 @@ class MiddleMemory:
             return existing, False
         entry = MMEntry(id=self._next_id, tag=tag, chunk=chunk, vector=vector,
                         presentations=[now], salience=salience)
-        self._next_id += 1
-        self.entries[entry.id] = entry
-        self._by_key[key] = entry.id
+        self._add(entry, key)
         return entry.id, True
 
     def seed_entry(self, tag: str, chunk: Chunk | None = None,
@@ -246,13 +257,24 @@ class MiddleMemory:
         key = entry.content_key()
         if key in self._by_key:
             raise ChunkError(f"duplicate initial entry for tag {tag!r}")
-        self._next_id += 1
-        self.entries[entry.id] = entry
-        self._by_key[key] = entry.id
+        self._add(entry, key)
         if self._latest is None or presentations[-1] > self._latest:
             self._latest = presentations[-1]
         self._version += 1
         return entry.id
+
+    def _add(self, entry: MMEntry, key: tuple) -> None:
+        self._next_id += 1
+        self.entries[entry.id] = entry
+        self._by_key[key] = entry.id
+        self._by_tag.setdefault(entry.tag, {})[entry.id] = None
+
+    def tagged(self, tags: Iterable[str]) -> list[int]:
+        """Ids of the entries carrying any of ``tags``, each tag's in id order."""
+        out: list[int] = []
+        for tag in dict.fromkeys(tags):
+            out.extend(self._by_tag.get(tag, ()))
+        return out
 
     def link(self, id_a: int, id_b: int) -> None:
         """Record a symmetric graph edge; self-links are a no-op."""
@@ -311,21 +333,18 @@ class MiddleMemory:
         return entry._neighbor_targets
 
     def activation(self, entry: MMEntry, wm: WorkingMemory, now: float, *,
-                   sources: tuple[frozenset[str], ...] | None = None,
-                   sample: float | None = None) -> float:
+                   sources: tuple[frozenset[str], ...] | None = None) -> float:
         """Base-level + spreading + optional seeded logistic noise.
 
-        A table passes the ``sources`` it built once and the entry's noise
-        ``sample``.  Without them the result is the entry's value in a
-        table built now.
+        The result is the entry's value in a table built now; ``sources``
+        are :func:`spread_sources` of ``wm``, for a caller that built them
+        already.
         """
         if sources is None:
             sources = spread_sources(wm)
         act = self.base_level(entry, now) + self.spreading(entry, wm, sources=sources)
         if self.noise > 0.0:
-            if sample is None:
-                sample = self._noise_sample(self._noise_key(now, sources), entry.id)
-            act += sample
+            act += self._noise_sample(self._noise_key(now, sources), entry.id)
         return act
 
     def _noise_key(self, now: float, sources: tuple[frozenset[str], ...]) -> bytes:
@@ -355,15 +374,33 @@ class MiddleMemory:
     def _table(self, wm: WorkingMemory, now: float) -> _Table:
         sources = spread_sources(wm)
         point = (now, self._version, sources)
-        if self._cached is not None and self._cached.point == point:
-            return self._cached
-        key = self._noise_key(now, sources) if self.noise > 0.0 else None
-        values = {entry_id: self.activation(
-                      self.entries[entry_id], wm, now, sources=sources,
-                      sample=None if key is None else self._noise_sample(key, entry_id))
-                  for entry_id in sorted(self.entries)}
-        self._cached = _Table(point, values)
+        cached = self._cached
+        if cached is not None and cached.point == point:
+            return cached
+        if cached is not None and cached.point[:2] == point[:2]:
+            base = cached.base
+        else:
+            base = {entry_id: self.base_level(entry, now)
+                    for entry_id, entry in self.entries.items()}
+        self._cached = _Table(point, base, self._values(base, base, wm, now, sources))
         return self._cached
+
+    def _values(self, base: dict[int, float], ids, wm: WorkingMemory, now: float,
+                sources: tuple[frozenset[str], ...]) -> dict[int, float]:
+        """The activations of ``ids`` from their ``base`` levels.
+
+        Each is :meth:`activation`'s sum in its order: the base level plus
+        spreading, plus the entry's draw at the evaluation point.
+        """
+        entries = self.entries
+        key = self._noise_key(now, sources) if self.noise > 0.0 else None
+        values = {}
+        for entry_id in ids:
+            act = base[entry_id] + self.spreading(entries[entry_id], wm, sources=sources)
+            if key is not None:
+                act += self._noise_sample(key, entry_id)
+            values[entry_id] = act
+        return values
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None = None,
                  tags: frozenset[str] | set[str] | None = None,
@@ -373,16 +410,20 @@ class MiddleMemory:
         Entries must carry any of ``tags`` (None = all tags) and, when a
         pattern is given, have a decoded chunk the pattern matches;
         vector-only entries are reachable by tag alone.  Reads only: the
-        activations come from the current evaluation point's table.  Result
-        order is (activation desc, id asc) and is a total order.
+        activations come from the current evaluation point's table, and
+        with ``tags`` only those tags' entries are visited.  Result order is
+        (activation desc, id asc) and is a total order.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
+        table = self.activations(wm, now)
+        threshold = self.retrieval_threshold
         hits = []
-        for entry_id, act in self.activations(wm, now).items():
-            entry = self.entries[entry_id]
-            if tags is not None and entry.tag not in tags:
+        for entry_id in table if tags is None else self.tagged(tags):
+            act = table[entry_id]
+            if act < threshold:
                 continue
+            entry = self.entries[entry_id]
             bindings: dict[str, str] = {}
             if pattern is not None:
                 if entry.chunk is None:
@@ -391,8 +432,6 @@ class MiddleMemory:
                 if matched is None:
                     continue
                 bindings = matched
-            if act < self.retrieval_threshold:
-                continue
             hits.append((entry, act, bindings))
         hits.sort(key=lambda item: (-item[1], item[0].id))
         return hits[:k]
@@ -416,15 +455,18 @@ class MiddleMemory:
         """Remove ``gone`` and patch the sweep's ``table`` to the remaining state.
 
         Links are symmetric, so only the removed entries' neighbours are
-        unlinked, and theirs are the only activations that change.  A noise
-        draw depends on the version, which forgetting leaves alone, so a
-        re-evaluated neighbour keeps its draw.
+        unlinked, and theirs are the only activations that change, in
+        spreading only: a neighbour keeps its base level, and its noise draw
+        too, because the draw depends on the version, which forgetting
+        leaves alone.
         """
         neighbors: set[int] = set()
         for entry in gone:
             del self.entries[entry.id]
             del self._by_key[entry.content_key()]
+            del self._by_tag[entry.tag][entry.id]
             del table.values[entry.id]
+            del table.base[entry.id]
             for nid in entry.links:
                 other = self.entries.get(nid)
                 if other is not None:
@@ -435,9 +477,8 @@ class MiddleMemory:
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
                                default=None)
         _, _, sources = table.point
-        for nid in sorted(neighbors.intersection(self.entries)):
-            table.values[nid] = self.activation(self.entries[nid], wm, now,
-                                                sources=sources)
+        table.values.update(self._values(
+            table.base, sorted(neighbors.intersection(self.entries)), wm, now, sources))
 
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """All entries at or above the retrieval threshold, id order."""

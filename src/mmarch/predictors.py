@@ -13,6 +13,7 @@ middle-memory deposits.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import socket
 import subprocess
@@ -199,7 +200,11 @@ def decode_prediction(line: str, dim: int) -> dict:
             raise ValueError(f"vector must have dimension {dim}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("vector entries must be finite")
-        norm = float(np.linalg.norm(arr))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
+        if not math.isfinite(norm):  # finite entries whose squares overflow
+            arr = arr / np.abs(arr).max()
+            norm = float(np.linalg.norm(arr))
         if norm == 0.0:
             raise ValueError("vector must be non-zero")
         out["vector"] = arr / norm

@@ -21,9 +21,11 @@ already has a positive lag.  Time is integer milliseconds internally.
 Activation is computed by middle-memory reads (see :mod:`.memory`).  The
 sweep's table, after forgetting, serves shadow retrieval, middle-memory
 conditions and formation, so formation tests the activations the shadows
-saw; a table built after the commit serves the broadcast.  The broadcast
-reads that table once for its symbols and its ``zero_context`` flag, and
-packs a context vector only for a live external predictor.
+saw; formation reads only the entries its systems subscribe to, through
+middle memory's tag index.  A table built after the commit serves the
+broadcast, reusing the sweep's base-level column.  The broadcast reads that
+table once for its symbols and its ``zero_context`` flag, and packs a
+context vector only for a live external predictor.
 """
 
 from __future__ import annotations
@@ -451,11 +453,12 @@ class Session:
     def _formation_phase(self, n: int, t_now: float) -> None:
         threshold = self.model.middle_memory.formation_threshold
         ttl = self.model.learning.provisional_ttl_s
+        swept = self._swept
         for system in self.systems:
-            for entry_id, activation in self._swept.items():
-                entry = self.mm.entries[entry_id]
-                if entry.tag not in system.subscriptions:
-                    continue
+            hot = sorted(entry_id for entry_id in self.mm.tagged(system.subscriptions)
+                         if swept[entry_id] > threshold)
+            for entry_id in hot:
+                entry, activation = self.mm.entries[entry_id], swept[entry_id]
                 production = form_retrieval_production(
                     entry, activation, system.name, system.buffer,
                     system.productions, t_now, threshold)

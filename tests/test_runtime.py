@@ -662,7 +662,8 @@ class TestMultiRateSystems:
         reads a preview table in its second step.  Every system's first step
         is decided before any preview, so the next system still reads the
         sweep's table, and cycle 0 evaluates 50 entries three times (sweep,
-        preview, broadcast) and not four."""
+        preview, broadcast) and not four.  The three tables share one time
+        and version, so they compute each base level once."""
         fact = {"mm_tags": ["seed"], "pattern": {"isa": "fact", "slots": {"n": "?"}}}
         doc = {
             "name": "preview-table", "codebook": {"dimension": 64},
@@ -695,22 +696,46 @@ class TestMultiRateSystems:
                             "presentations": [-0.5]} for i in range(50)],
         }
         session = Session(parse_model(doc), mode="mm", seed=0)
-        calls = []
-        base_level = MiddleMemory.base_level
+        calls = {"base_level": [], "spreading": []}
 
-        def counting(self, entry, now):
-            calls.append(entry.id)
-            return base_level(self, entry, now)
+        def counting(name):
+            method = getattr(MiddleMemory, name)
 
-        monkeypatch.setattr(MiddleMemory, "base_level", counting)
+            def wrapper(self, entry, *args, **kwargs):
+                calls[name].append(entry.id)
+                return method(self, entry, *args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(MiddleMemory, name, counting(name))
         session.step()
         fires = [e.data["production"] for e in session.trace.by_kind("shadow-fire")]
         assert fires == ["start", "advance", "look"]
         assert len(session.mm) == 50
-        assert len(calls) == 150
+        assert len(calls["base_level"]) == 50
+        assert len(calls["spreading"]) == 150
 
 
 class TestFormation:
+    def test_hot_entries_form_in_id_order_across_tags(self):
+        """Formation reads a system's tags through the tag index and forms
+        its hot entries in id order, whatever the order of its tags."""
+        doc = {
+            "name": "form-order",
+            "buffers": [{"name": "goal", "owner": "central"},
+                        {"name": "watch", "owner": "watcher"}],
+            "shadow_systems": [{"name": "watcher", "buffer": "watch",
+                                "subscriptions": ["b", "a"]}],
+            "middle_memory": {"formation_threshold": 0.5},
+            "initial_mm": [
+                {"tag": tag, "chunk": {"isa": "fact", "slots": {"n": f"f{i}"}},
+                 "presentations": [-0.06, -0.04, -0.02]}
+                for i, tag in enumerate(["a", "b", "a", "c", "b"])],
+        }
+        session = Session(parse_model(doc), mode="mm")
+        session.step()
+        assert [e.data["entry"] for e in session.trace.by_kind("form")] == [1, 2, 3, 5]
+
     def test_formation_sees_no_spreading_from_a_forgotten_entry(self):
         """The hub is hot only through its link to the weak entry, which the
         same cycle's sweep forgets; formation then reads the hub's activation

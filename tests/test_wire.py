@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import math
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +67,21 @@ class TestFraming:
                            "salience": 1.0, "vector": [3.0, 4.0]})
         out = decode_prediction(line, dim=2)
         assert np.linalg.norm(out["vector"]) == pytest.approx(1.0)
+
+    def test_decode_vector_whose_norm_overflows(self):
+        """Finite entries whose squared sum overflows still give a unit
+        vector; a vector with a finite norm keeps the bits of ``v / |v|``."""
+        line = json.dumps({"type": "prediction", "tag": "vision",
+                           "vector": [1e308, 1e308]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = decode_prediction(line, dim=2)
+        assert out["vector"].tolist() == pytest.approx([math.sqrt(0.5)] * 2)
+        plain = [1e150, -3e150]
+        out = decode_prediction(json.dumps({"type": "prediction", "tag": "vision",
+                                            "vector": plain}), dim=2)
+        arr = np.array(plain)
+        assert out["vector"].tobytes() == (arr / np.linalg.norm(arr)).tobytes()
 
     @pytest.mark.parametrize("line", [
         "not json at all",
