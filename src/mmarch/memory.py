@@ -110,7 +110,8 @@ class MMEntry:
 
     Identity is (payload content, origin tag); re-depositing the same
     content under the same tag appends a presentation instead of creating
-    a new entry.
+    a new entry.  ``_reach`` is the entry's reach set, the symbols that
+    spreading meets: those of its chunk and of every linked chunk.
     """
 
     id: int
@@ -119,22 +120,14 @@ class MMEntry:
     vector: HoloVector | None = None
     presentations: list[float] = field(default_factory=list)
     links: set[int] = field(default_factory=set)
-    salience: float | None = None
     _packed: HoloVector | None = field(default=None, repr=False)
-    _targets: frozenset[str] | None = field(default=None, repr=False, compare=False)
-    # union of the linked entries' target symbols; reset whenever links change
-    _neighbor_targets: frozenset[str] | None = field(default=None, repr=False,
-                                                     compare=False)
+    # built by spreading; reset whenever links change
+    _reach: frozenset[str] | None = field(default=None, repr=False, compare=False)
 
     def content_key(self) -> tuple:
         if self.chunk is not None:
             return ("chunk", self.chunk.content_key(), self.tag)
         return ("vector", self.vector.tobytes(), self.tag)
-
-    def target_symbols(self) -> frozenset[str]:
-        if self._targets is None:
-            self._targets = self.chunk.symbols() if self.chunk is not None else frozenset()
-        return self._targets
 
     def payload_vector(self, book: Codebook) -> HoloVector:
         """The entry's vector form, packing the chunk once if needed."""
@@ -209,8 +202,7 @@ class MiddleMemory:
             raise UnknownEntryError(f"no middle-memory entry {entry_id}") from None
 
     def deposit(self, now: float, tag: str, chunk: Chunk | None = None,
-                vector: HoloVector | None = None,
-                salience: float | None = None) -> tuple[int, bool]:
+                vector: HoloVector | None = None) -> tuple[int, bool]:
         """Record a presentation of (payload, tag) at time ``now``.
 
         Returns ``(entry id, created)``; a deposit whose content and tag
@@ -229,11 +221,9 @@ class MiddleMemory:
         if existing is not None:
             entry = self.entries[existing]
             entry.presentations.append(now)
-            if salience is not None:
-                entry.salience = salience
             return existing, False
         entry = MMEntry(id=self._next_id, tag=tag, chunk=chunk, vector=vector,
-                        presentations=[now], salience=salience)
+                        presentations=[now])
         self._add(entry, key)
         return entry.id, True
 
@@ -284,7 +274,7 @@ class MiddleMemory:
             return
         a.links.add(id_b)
         b.links.add(id_a)
-        a._neighbor_targets = b._neighbor_targets = None
+        a._reach = b._reach = None
         self._version += 1
 
     def base_level(self, entry: MMEntry, now: float) -> float:
@@ -300,37 +290,30 @@ class MiddleMemory:
 
     def spreading(self, entry: MMEntry, wm: WorkingMemory, *,
                   sources: tuple[frozenset[str], ...] | None = None) -> float:
-        """Spread from buffers whose values reach the entry or a neighbor.
+        """An equal share of the spreading weight per source that meets the
+        entry's reach set, added in source order.
 
-        ``sources`` are :func:`spread_sources` of ``wm``, for a caller that
-        built them already.
+        The reach set, built here when unset, holds the symbols (type and
+        slot values) of the entry's chunk and of every linked chunk; a
+        vector-only entry adds none.  ``sources`` are :func:`spread_sources`
+        of ``wm``, for a caller that built them already.
         """
         if sources is None:
             sources = spread_sources(wm)
         if not sources:
             return 0.0
-        targets = entry.target_symbols()
-        neighbor_targets: frozenset[str] | None = None
+        reach = entry._reach
+        if reach is None:
+            chunks = [self.entries[nid].chunk for nid in entry.links]
+            chunks.append(entry.chunk)
+            reach = entry._reach = frozenset().union(
+                *(c.symbols() for c in chunks if c is not None))
         share = self.spread_weight / len(sources)
         total = 0.0
         for symbols in sources:
-            if not symbols.isdisjoint(targets):
+            if not symbols.isdisjoint(reach):
                 total += share
-                continue
-            if entry.links:
-                if neighbor_targets is None:
-                    neighbor_targets = self._neighbor_targets(entry)
-                if not symbols.isdisjoint(neighbor_targets):
-                    total += share
         return total
-
-    def _neighbor_targets(self, entry: MMEntry) -> frozenset[str]:
-        if entry._neighbor_targets is None:
-            acc: set[str] = set()
-            for nid in entry.links:
-                acc |= self.entries[nid].target_symbols()
-            entry._neighbor_targets = frozenset(acc)
-        return entry._neighbor_targets
 
     def activation(self, entry: MMEntry, wm: WorkingMemory, now: float, *,
                    sources: tuple[frozenset[str], ...] | None = None) -> float:
@@ -455,10 +438,10 @@ class MiddleMemory:
         """Remove ``gone`` and patch the sweep's ``table`` to the remaining state.
 
         Links are symmetric, so only the removed entries' neighbours are
-        unlinked, and theirs are the only activations that change, in
-        spreading only: a neighbour keeps its base level, and its noise draw
-        too, because the draw depends on the version, which forgetting
-        leaves alone.
+        unlinked and lose their reach sets, and theirs are the only
+        activations that change, in spreading only: a neighbour keeps its
+        base level, and its noise draw too, because the draw depends on the
+        version, which forgetting leaves alone.
         """
         neighbors: set[int] = set()
         for entry in gone:
@@ -471,7 +454,7 @@ class MiddleMemory:
                 other = self.entries.get(nid)
                 if other is not None:
                     other.links.discard(entry.id)
-                    other._neighbor_targets = None
+                    other._reach = None
                     neighbors.add(nid)
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),

@@ -492,6 +492,8 @@ def _check_production_semantics(production: ProductionDef, path: str, owner: str
         if cond.buffer is not None and cond.buffer not in buffer_names:
             errors.add(f"{cpath}.buffer", f"unknown buffer {cond.buffer!r}")
         if cond.mm_tags is not None:
+            if not cond.mm_tags:
+                errors.add(f"{cpath}.mm_tags", "mm_tags must name at least one tag")
             if owner == CENTRAL:
                 errors.add(cpath, "central productions match working memory only")
             elif system is not None:

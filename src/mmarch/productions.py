@@ -128,12 +128,10 @@ class MatchView:
     """
 
     def __init__(self, wm: WorkingMemory, mm: MiddleMemory | None, now: float,
-                 default_tags: tuple[str, ...] | None = None,
                  inflows: dict[str, list[Chunk]] | None = None):
         self.wm = wm
         self.mm = mm
         self.now = now
-        self.default_tags = default_tags
         self.inflows = inflows
         self.candidates = 0
 
@@ -189,9 +187,8 @@ def _eval_buffer_condition(cond: Condition, view: MatchView):
 
 
 def _eval_mm_condition(cond: Condition, view: MatchView):
-    tags = cond.mm_tags if cond.mm_tags is not None else view.default_tags
     hits = view.mm.retrieve(view.wm, view.now, pattern=cond.pattern,
-                            tags=frozenset(tags) if tags is not None else None, k=1)
+                            tags=frozenset(cond.mm_tags), k=1)
     if cond.negated:
         return (not hits), {}, None
     if not hits:

@@ -262,8 +262,7 @@ class Session:
         if prediction.ctype is not None:
             chunk = self.factory.make(prediction.ctype, prediction.slots)
         entry_id, created = self.mm.deposit(
-            t_now, prediction.tag, chunk=chunk, vector=prediction.vector,
-            salience=prediction.salience)
+            t_now, prediction.tag, chunk=chunk, vector=prediction.vector)
         self.trace.append(n, "deposit", {
             "entry": entry_id, "tag": prediction.tag, "new": created,
             "source": f"predictor:{prediction.predictor}",
@@ -530,8 +529,7 @@ class Session:
         out = {CENTRAL: [m.production.name
                          for m in match_all(self.central_productions, view)]}
         for system in self.systems:
-            sview = MatchView(self.wm, self.mm, t_eval,
-                              default_tags=system.subscriptions)
+            sview = MatchView(self.wm, self.mm, t_eval)
             out[system.name] = [m.production.name
                                 for m in match_all(system.productions, sview)]
         return out

@@ -66,7 +66,7 @@ def decide_shadow(system: ShadowSystem, wm: WorkingMemory, mm: MiddleMemory,
             return ShadowDecision("answer", system, query=content,
                                   answer_bindings=bindings, answered_entry=entry.id)
         return ShadowDecision("miss", system, query=content)
-    view = MatchView(wm, mm, now, default_tags=system.subscriptions)
+    view = MatchView(wm, mm, now)
     winner = resolve(match_all(system.productions, view))
     if winner is None:
         return ShadowDecision("idle", system)

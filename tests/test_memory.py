@@ -371,7 +371,8 @@ def reference_activation(mm, entry, wm, now):
     targets = entry.chunk.symbols() if entry.chunk is not None else frozenset()
     neighbors = set()
     for nid in entry.links:
-        neighbors |= mm.entries[nid].chunk.symbols()
+        if mm.entries[nid].chunk is not None:  # a vector-only neighbour reaches nothing
+            neighbors |= mm.entries[nid].chunk.symbols()
     share = mm.spread_weight / len(buffers)
     spread = 0.0
     for buf in buffers:
@@ -392,22 +393,31 @@ class TestActivationTable:
     def test_every_reported_value_is_a_fresh_evaluation(self, data):
         """Sweep, retrieve and retrievable report exactly base-level +
         spreading on the current state, before and after forgetting,
-        including for the live neighbours of forgotten entries."""
+        including for the live neighbours of forgotten entries, for
+        vector-only entries in the graph, and after links added late."""
         factory = ChunkFactory()
         forget = data.draw(st.floats(-3.0, 0.5))
         mm = MiddleMemory(spread_weight=data.draw(st.floats(0.0, 3.0)),
                           forget_threshold=forget,
                           retrieval_threshold=forget + data.draw(st.floats(0.0, 1.0)))
-        size = data.draw(st.integers(1, 10))
+        chunks = data.draw(st.integers(1, 10))
+        size = chunks + data.draw(st.integers(0, 3))
         for i in range(size):
             history = sorted(data.draw(st.lists(st.floats(-10.0, 0.0),
                                                 min_size=1, max_size=4)))
-            chunk = factory.make("fact", [("n", f"n{i}"), ("v", data.draw(SYMBOLS))])
-            mm.seed_entry(data.draw(st.sampled_from(["x", "y"])), chunk=chunk,
-                          presentations=history)
-        for a, b in data.draw(st.lists(st.tuples(st.integers(1, size),
-                                                 st.integers(1, size)), max_size=12)):
-            mm.link(a, b)
+            tag = data.draw(st.sampled_from(["x", "y"]))
+            if i < chunks:
+                chunk = factory.make("fact", [("n", f"n{i}"), ("v", data.draw(SYMBOLS))])
+                mm.seed_entry(tag, chunk=chunk, presentations=history)
+            else:
+                mm.seed_entry(tag, vector=np.full(4, float(i)), presentations=history)
+
+        def add_links(ids, max_size):
+            pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+            for a, b in data.draw(st.lists(pairs, max_size=max_size)):
+                mm.link(a, b)
+
+        add_links(list(range(1, size + 1)), 12)
         wm = WorkingMemory()
         for name in ("goal", "left", "right"):
             wm.add_buffer(name, "central")
@@ -440,6 +450,10 @@ class TestActivationTable:
         wm.write("central", "goal", factory.make("cue", [("v", data.draw(SYMBOLS))]))
         for entry, act in mm.retrievable(wm, now):
             assert act == reference_activation(mm, entry, wm, now)
+        if mm.entries:  # links added after a read must reach the next table
+            add_links(sorted(mm.entries), 6)
+            for entry_id, act in mm.activations(wm, now).items():
+                assert act == reference_activation(mm, mm.entry(entry_id), wm, now)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

@@ -116,6 +116,13 @@ def test_subscription_mismatch_rejected():
     assert any("subscriptions" in msg for _, msg in violations)
 
 
+def test_empty_mm_tags_rejected():
+    doc = base_doc()
+    doc["shadow_systems"][0]["productions"][0]["conditions"][0]["mm_tags"] = []
+    assert _violations(doc) == [("shadow_systems[0].productions[0].conditions[0].mm_tags",
+                                 "mm_tags must name at least one tag")]
+
+
 def test_system_must_own_exactly_one_declared_buffer():
     doc = base_doc()
     doc["buffers"][1]["owner"] = "central"

@@ -99,21 +99,13 @@ class TestMatching:
         mm = MiddleMemory()
         mm.deposit(1.0, "vision", chunk=factory.make("percept", [("value", "dim")]))
         mm.deposit(2.0, "vision", chunk=factory.make("percept", [("value", "bright")]))
+        mm.deposit(2.5, "motor", chunk=factory.make("percept", [("value", "loud")]))
         p = _prod(factory, "p", [Condition(
             pattern=factory.make_query("percept", [("value", "?")]),
             mm_tags=("vision",))], owner="vision")
         match = match_production(p, MatchView(wm, mm, 3.0))
-        assert match.bindings == {"value": "bright"}  # fresher entry ranks first
-
-    def test_mm_condition_uses_default_tags(self, wm, factory):
-        mm = MiddleMemory()
-        mm.deposit(1.0, "vision", chunk=factory.make("percept", [("value", "x")]))
-        p = _prod(factory, "p", [Condition(
-            pattern=factory.make_query("percept", [("value", "?")]),
-            mm_tags=None, buffer=None)], owner="vision")
-        # subscriptions arrive as the view's default tag filter
-        assert match_production(p, MatchView(wm, mm, 2.0, default_tags=("vision",)))
-        assert match_production(p, MatchView(wm, mm, 2.0, default_tags=("motor",))) is None
+        # the fresher vision entry ranks first; the motor entry is outside the tags
+        assert match.bindings == {"value": "bright"}
 
     def test_candidate_counting_in_buffer_mode(self, wm, factory):
         wm.write("central", "goal", factory.make("goal", [("state", "walk")]))

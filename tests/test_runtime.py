@@ -211,6 +211,12 @@ def multi_step_doc():
 # SHA-256 of 20 cycles of ``multi_step_doc`` at seed 3.
 MULTI_STEP_GOLDEN = "e84adf077e255861fa507bda5d5ec6c39c3192e387b9d11e779d07d214e2924c"
 
+# SHA-256 of 200 mm cycles of ``linked_facts_doc(noise=n)`` at seed 1, by noise n.
+LINKED_FACTS_GOLDENS = {
+    0.0: "dcb97245c25ec9e9484a21cfc15ced55332d012196b7c2f9081159f269fc45b5",
+    0.3: "03a105ffa54556af6af6f0356273d1a455982cbea7e0a470e4dae31fb5ebd341",
+}
+
 
 def _multi_step_system(draw, i, n_systems):
     own = f"buf{i}"
@@ -646,6 +652,15 @@ class TestMultiRateSystems:
         assert hashlib.sha256(data).hexdigest() == MULTI_STEP_GOLDEN
         assert trace_to_bytes(run(model, 20, mode="mm", seed=3,
                                   shadow_step_order=[1, 0])) == data
+
+    @pytest.mark.parametrize("noise", sorted(LINKED_FACTS_GOLDENS))
+    def test_linked_facts_golden(self, noise):
+        """Forgetting linked facts changes their neighbours' reach, so these
+        runs pin spreading over a graph that loses edges as it runs."""
+        trace = run(parse_model(linked_facts_doc(noise=noise)), 200, mode="mm", seed=1)
+        assert sum(e.data["tag"] == "semantic" for e in trace.by_kind("forget")) >= 40
+        assert hashlib.sha256(trace_to_bytes(trace)).hexdigest() == \
+            LINKED_FACTS_GOLDENS[noise]
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     @settings(max_examples=40, deadline=None, derandomize=True)
