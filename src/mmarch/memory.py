@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -30,6 +31,15 @@ DEFAULT_SPREAD_WEIGHT = 1.0
 DEFAULT_RETRIEVAL_THRESHOLD = -1.0
 DEFAULT_FORGET_THRESHOLD = -2.5
 
+# Tables of at least this many entries compute spreading, the thresholds and
+# the broadcast's symbol scores as numpy columns; smaller ones loop over the
+# entries in Python, because a column read costs some thirty numpy calls
+# whatever its length.  Both give the same bits.  On a 2-core Xeon (Python
+# 3.11, numpy 2.4), generated mm-scale models cost the same per cycle either
+# way at about 45 entries, and at 3 entries (wordloop) columns cost about a
+# third more.
+COLUMN_MIN_ENTRIES = 48
+
 
 @dataclass
 class Buffer:
@@ -41,6 +51,8 @@ class Buffer:
     urgent: bool = False
     # (codebook, content kind, type, slots) -> packed vector, for the broadcast
     _packed: tuple | None = field(default=None, repr=False, compare=False)
+    # (content, its spreading sources), for spread_sources
+    _sources: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class WorkingMemory:
@@ -92,15 +104,18 @@ def spread_sources(wm: WorkingMemory) -> tuple[frozenset[str], ...]:
 
     A chunk spreads from its slot values and a query from its known values.
     A fully wildcarded query gives an empty set, which still takes its share
-    of the spreading weight.
+    of the spreading weight.  Each buffer keeps its content's set until the
+    content changes.
     """
     out = []
     for buf in wm.non_empty():
         content = buf.content
-        if isinstance(content, Chunk):
-            out.append(frozenset(content.values()))
-        else:
-            out.append(frozenset(content.known_values()))
+        cached = buf._sources
+        if cached is None or cached[0] is not content:
+            symbols = frozenset(content.values() if isinstance(content, Chunk)
+                                else content.known_values())
+            cached = buf._sources = (content, symbols)
+        out.append(cached[1])
     return tuple(out)
 
 
@@ -121,7 +136,7 @@ class MMEntry:
     presentations: list[float] = field(default_factory=list)
     links: set[int] = field(default_factory=set)
     _packed: HoloVector | None = field(default=None, repr=False)
-    # built by spreading; reset whenever links change
+    # built by MiddleMemory._reach; reset whenever links change
     _reach: frozenset[str] | None = field(default=None, repr=False, compare=False)
 
     def content_key(self) -> tuple:
@@ -144,12 +159,109 @@ class _Table:
 
     ``base`` is the base-level column, which depends on the point's time
     and version only: a table built at the same time and version under
-    other spreading sources shares it.
+    other spreading sources shares it.  A table of fewer than
+    :data:`COLUMN_MIN_ENTRIES` entries keeps both as dicts by id.  A larger
+    one keeps them as arrays by slot of the memory's :class:`_Columns`,
+    NaN at a forgotten entry's slot, and builds ``values`` from ``column``
+    when it is first read.
     """
 
     point: tuple  # (time, version, spreading sources)
-    base: dict[int, float]
-    values: dict[int, float]
+    base: dict[int, float] | np.ndarray
+    values: dict[int, float] | None
+    column: np.ndarray | None = None
+
+
+class _Columns:
+    """Middle memory's entries by slot, with spreading postings and symbol codes.
+
+    Slots are handed out in id order and a forgotten entry leaves its slot
+    empty (None), so slot order is id order; the memory builds new columns
+    once empty slots outnumber live ones.  ``reach`` maps each symbol to the
+    slots whose reach set holds it; the slots in ``stale`` have reach sets
+    that changed since they were posted.  ``codes`` holds the slot values of
+    every chunk as symbol codes, in slot order, with the owning slot of
+    each in ``owners``.
+    """
+
+    def __init__(self, entries: Iterable[MMEntry]):
+        self.entries: list[MMEntry | None] = []
+        self.slot_of: dict[int, int] = {}  # live id -> slot, in id order
+        self.dead = 0
+        self.reach: dict[str, array] = {}
+        self.posted: list[frozenset[str]] = []  # each slot's reach set as posted
+        self.stale: set[int] = set()  # ids to post again
+        self.symbols: dict[str, int] = {}  # symbol -> code
+        self.names: list[str] = []  # code -> symbol
+        self.codes = array("i")
+        self.owners = array("i")
+        for entry in entries:
+            self.add(entry)
+
+    def code(self, symbol: str) -> int:
+        code = self.symbols.get(symbol)
+        if code is None:
+            code = self.symbols[symbol] = len(self.names)
+            self.names.append(symbol)
+        return code
+
+    def add(self, entry: MMEntry) -> None:
+        slot = len(self.entries)
+        self.entries.append(entry)
+        self.posted.append(frozenset())
+        self.slot_of[entry.id] = slot
+        self.stale.add(entry.id)
+        if entry.chunk is not None:
+            for _, value in entry.chunk.slots:
+                self.codes.append(self.code(value))
+                self.owners.append(slot)
+
+    def remove(self, entry: MMEntry) -> int:
+        """Empty ``entry``'s slot and return it; its postings stay until
+        the columns are rebuilt, and read as NaN in every table."""
+        slot = self.slot_of.pop(entry.id)
+        self.entries[slot] = None
+        self.dead += 1
+        return slot
+
+    def post(self, reach_of) -> None:
+        """Move every stale entry's postings to its current reach set."""
+        for entry_id in self.stale:
+            slot = self.slot_of.get(entry_id)
+            if slot is None:
+                continue
+            old, new = self.posted[slot], reach_of(self.entries[slot])
+            for symbol in old - new:
+                self.reach[symbol].remove(slot)
+            for symbol in new - old:
+                posting = self.reach.get(symbol)
+                if posting is None:
+                    posting = self.reach[symbol] = array("i")
+                posting.append(slot)
+            self.posted[slot] = new
+        self.stale.clear()
+
+    def meets(self, sources: tuple[frozenset[str], ...]) -> np.ndarray:
+        """How many of ``sources`` meet each slot's reach set."""
+        count = np.zeros(len(self.entries), np.intp)
+        for symbols in sources:
+            hit = np.zeros(len(self.entries), bool)
+            for symbol in symbols:
+                posting = self.reach.get(symbol)
+                if posting:
+                    hit[np.frombuffer(posting, np.intc)] = True
+            count += hit
+        return count
+
+
+def _content_keys(entry: MMEntry) -> list[tuple]:
+    """The content postings an entry is filed under: its tag with its chunk
+    type, and its tag with each slot and value."""
+    chunk = entry.chunk
+    if chunk is None:
+        return []
+    return [(entry.tag, chunk.ctype),
+            *((entry.tag, name, value) for name, value in chunk.slots)]
 
 
 class MiddleMemory:
@@ -165,8 +277,19 @@ class MiddleMemory:
     time and version.  Forgetting patches the table instead of bumping the
     version, so it stays a fresh evaluation.
 
-    Entries are also indexed by tag, so a tagged read visits only the
-    entries it can return.
+    From :data:`COLUMN_MIN_ENTRIES` entries up, a table is built from
+    columns (:class:`_Columns`), made when first needed and then kept in
+    step by ``_add``, ``link`` and ``_forget``.  Spreading adds ``share``
+    once per source that meets an entry's reach set, so an entry's
+    spreading is ``share`` added k times to 0.0, where k counts the
+    sources whose symbols' reach postings hold the entry's slot: the table
+    is one numpy add of that fold to the base-level column, plus each
+    entry's noise draw.  The base level stays one Python sum per entry:
+    numpy's ``power`` does not give the bits of Python's ``**``.
+
+    Entries are also indexed by tag, and chunks by content postings
+    (tag and type, and tag, slot and value), so a tagged or patterned read
+    visits only the entries it can return.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -187,10 +310,12 @@ class MiddleMemory:
         self.entries: dict[int, MMEntry] = {}
         self._by_key: dict[tuple, int] = {}
         self._by_tag: dict[str, dict[int, None]] = {}  # tag -> ids, in id order
+        self._postings: dict[tuple, list[int]] = {}  # content key -> ids, in id order
         self._next_id = 1
         self._latest: float | None = None  # newest presentation of a live entry
         self._version = 0
         self._cached: _Table | None = None  # the last table read
+        self._cols: _Columns | None = None  # built by the first column table
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -258,12 +383,38 @@ class MiddleMemory:
         self.entries[entry.id] = entry
         self._by_key[key] = entry.id
         self._by_tag.setdefault(entry.tag, {})[entry.id] = None
+        for content in _content_keys(entry):
+            self._postings.setdefault(content, []).append(entry.id)
+        if self._cols is not None:
+            self._cols.add(entry)
 
     def tagged(self, tags: Iterable[str]) -> list[int]:
         """Ids of the entries carrying any of ``tags``, each tag's in id order."""
         out: list[int] = []
         for tag in dict.fromkeys(tags):
             out.extend(self._by_tag.get(tag, ()))
+        return out
+
+    def _candidates(self, pattern: Query | None, tags: Iterable[str] | None) -> list[int]:
+        """Ids a read of ``pattern`` under ``tags`` (None = all) must test.
+
+        Per tag, a pattern with a known type or value probes the smallest of
+        its content postings; one with neither reads the whole tag.  Only
+        :func:`match_query` decides a match, so a candidate may still fail.
+        """
+        tags = self._by_tag if tags is None else dict.fromkeys(tags)
+        if pattern is None:
+            return self.tagged(tags)
+        postings = self._postings
+        out: list[int] = []
+        for tag in tags:
+            best = None if pattern.ctype == WILDCARD else postings.get((tag, pattern.ctype), ())
+            for name, value in pattern.slots:
+                if value != WILDCARD:
+                    posting = postings.get((tag, name, value), ())
+                    if best is None or len(posting) < len(best):
+                        best = posting
+            out.extend(self._by_tag.get(tag, ()) if best is None else best)
         return out
 
     def link(self, id_a: int, id_b: int) -> None:
@@ -275,6 +426,8 @@ class MiddleMemory:
         a.links.add(id_b)
         b.links.add(id_a)
         a._reach = b._reach = None
+        if self._cols is not None:
+            self._cols.stale.update((id_a, id_b))
         self._version += 1
 
     def base_level(self, entry: MMEntry, now: float) -> float:
@@ -302,18 +455,23 @@ class MiddleMemory:
             sources = spread_sources(wm)
         if not sources:
             return 0.0
-        reach = entry._reach
-        if reach is None:
-            chunks = [self.entries[nid].chunk for nid in entry.links]
-            chunks.append(entry.chunk)
-            reach = entry._reach = frozenset().union(
-                *(c.symbols() for c in chunks if c is not None))
+        reach = self._reach(entry)
         share = self.spread_weight / len(sources)
         total = 0.0
         for symbols in sources:
             if not symbols.isdisjoint(reach):
                 total += share
         return total
+
+    def _reach(self, entry: MMEntry) -> frozenset[str]:
+        """The entry's reach set, built when unset."""
+        reach = entry._reach
+        if reach is None:
+            chunks = [self.entries[nid].chunk for nid in entry.links]
+            chunks.append(entry.chunk)
+            reach = entry._reach = frozenset().union(
+                *(c.symbols() for c in chunks if c is not None))
+        return reach
 
     def activation(self, entry: MMEntry, wm: WorkingMemory, now: float, *,
                    sources: tuple[frozenset[str], ...] | None = None) -> float:
@@ -352,7 +510,12 @@ class MiddleMemory:
 
         The mapping belongs to the memory's table cache: read, do not mutate.
         """
-        return self._table(wm, now).values
+        table = self._table(wm, now)
+        if table.values is None:
+            slot_of = self._cols.slot_of
+            slots = np.fromiter(slot_of.values(), np.intp, len(slot_of))
+            table.values = dict(zip(slot_of, table.column[slots].tolist()))
+        return table.values
 
     def _table(self, wm: WorkingMemory, now: float) -> _Table:
         sources = spread_sources(wm)
@@ -362,11 +525,43 @@ class MiddleMemory:
             return cached
         if cached is not None and cached.point[:2] == point[:2]:
             base = cached.base
+            columnar = cached.column is not None
         else:
-            base = {entry_id: self.base_level(entry, now)
-                    for entry_id, entry in self.entries.items()}
-        self._cached = _Table(point, base, self._values(base, base, wm, now, sources))
+            base = None
+            if self._cols is not None and self._cols.dead > len(self.entries):
+                self._cols = None  # built again, without the empty slots, when needed
+            columnar = len(self.entries) >= COLUMN_MIN_ENTRIES
+        if columnar:
+            self._cached = self._column_table(point, base)
+        else:
+            if base is None:
+                base = {entry_id: self.base_level(entry, now)
+                        for entry_id, entry in self.entries.items()}
+            self._cached = _Table(point, base, self._values(base, base, wm, now, sources))
         return self._cached
+
+    def _column_table(self, point: tuple, base: np.ndarray | None) -> _Table:
+        """A table by slot: ``base`` (made here when None) plus each slot's
+        spreading fold, plus its noise draw; the float operations of
+        :meth:`activation` in its order."""
+        now, _, sources = point
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = _Columns(self.entries.values())
+        if base is None:
+            base = np.array([math.nan if entry is None else self.base_level(entry, now)
+                             for entry in cols.entries])
+        cols.post(self._reach)
+        share = self.spread_weight / len(sources) if sources else 0.0
+        fold = [0.0]
+        for _ in sources:
+            fold.append(fold[-1] + share)
+        column = base + np.array(fold)[cols.meets(sources)]
+        if self.noise > 0.0:
+            key = self._noise_key(now, sources)
+            column += np.array([0.0 if entry is None else self._noise_sample(key, entry.id)
+                                for entry in cols.entries])
+        return _Table(point, base, None, column)
 
     def _values(self, base: dict[int, float], ids, wm: WorkingMemory, now: float,
                 sources: tuple[frozenset[str], ...]) -> dict[int, float]:
@@ -394,15 +589,15 @@ class MiddleMemory:
         pattern is given, have a decoded chunk the pattern matches;
         vector-only entries are reachable by tag alone.  Reads only: the
         activations come from the current evaluation point's table, and
-        with ``tags`` only those tags' entries are visited.  Result order is
-        (activation desc, id asc) and is a total order.
+        only the candidates of :meth:`_candidates` are visited.  Result
+        order is (activation desc, id asc) and is a total order.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         table = self.activations(wm, now)
         threshold = self.retrieval_threshold
         hits = []
-        for entry_id in table if tags is None else self.tagged(tags):
+        for entry_id in self._candidates(pattern, tags):
             act = table[entry_id]
             if act < threshold:
                 continue
@@ -427,11 +622,20 @@ class MiddleMemory:
         activations, re-evaluated for the neighbours that lost a link.
         """
         table = self._table(wm, now)
-        removed = [(self.entries[entry_id], act) for entry_id, act in table.values.items()
-                   if act < self.forget_threshold]
+        removed = self._where(table, lambda act: act < self.forget_threshold)
         if removed:
             self._forget([entry for entry, _ in removed], table, wm, now)
         return removed
+
+    def _where(self, table: _Table, keep) -> list[tuple[MMEntry, float]]:
+        """Each entry whose activation passes ``keep``, with it, in id order;
+        ``keep`` tests a float, or each element of a column."""
+        if table.column is None:
+            return [(self.entries[entry_id], act)
+                    for entry_id, act in table.values.items() if keep(act)]
+        slots = np.flatnonzero(keep(table.column))
+        return list(zip(map(self._cols.entries.__getitem__, slots.tolist()),
+                        table.column[slots].tolist()))
 
     def _forget(self, gone: list[MMEntry], table: _Table, wm: WorkingMemory,
                 now: float) -> None:
@@ -443,31 +647,47 @@ class MiddleMemory:
         base level, and its noise draw too, because the draw depends on the
         version, which forgetting leaves alone.
         """
+        cols = self._cols
         neighbors: set[int] = set()
         for entry in gone:
             del self.entries[entry.id]
             del self._by_key[entry.content_key()]
             del self._by_tag[entry.tag][entry.id]
-            del table.values[entry.id]
-            del table.base[entry.id]
+            for content in _content_keys(entry):
+                posting = self._postings[content]
+                posting.remove(entry.id)
+                if not posting:
+                    del self._postings[content]
+            slot = cols.remove(entry) if cols is not None else None
+            if table.column is None:
+                del table.values[entry.id]
+                del table.base[entry.id]
+            else:
+                table.base[slot] = table.column[slot] = math.nan
             for nid in entry.links:
                 other = self.entries.get(nid)
                 if other is not None:
                     other.links.discard(entry.id)
                     other._reach = None
                     neighbors.add(nid)
+        if cols is not None:
+            cols.stale.update(neighbors)
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
                                default=None)
         _, _, sources = table.point
-        table.values.update(self._values(
-            table.base, sorted(neighbors.intersection(self.entries)), wm, now, sources))
+        ids = sorted(neighbors.intersection(self.entries))
+        if table.column is None:
+            table.values.update(self._values(table.base, ids, wm, now, sources))
+            return
+        slots = [cols.slot_of[entry_id] for entry_id in ids]
+        base = dict(zip(ids, table.base[slots].tolist()))
+        table.column[slots] = list(self._values(base, ids, wm, now, sources).values())
+        table.values = None
 
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """All entries at or above the retrieval threshold, id order."""
-        return [(self.entries[entry_id], act)
-                for entry_id, act in self.activations(wm, now).items()
-                if act >= self.retrieval_threshold]
+        return self._where(self._table(wm, now), lambda act: act >= self.retrieval_threshold)
 
 
 def _packed_content(buf: Buffer, book: Codebook) -> HoloVector | None:
@@ -482,8 +702,7 @@ def _packed_content(buf: Buffer, book: Codebook) -> HoloVector | None:
     return buf._packed[1]
 
 
-def _softmax(ranked: list[tuple[MMEntry, float]]) -> np.ndarray:
-    acts = np.array([act for _, act in ranked])
+def _softmax(acts: np.ndarray) -> np.ndarray:
     weights = np.exp(acts - acts.max())
     return weights / weights.sum()
 
@@ -513,28 +732,75 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
     a symbol accumulates the weight of every contributor that carries it,
     and ties break by name.  The context is zero when no buffer content
     packs to a vector and no entry is retrievable; nothing is packed here.
+    A column table scores every symbol with one ``np.bincount`` over symbol
+    codes (:func:`_top_by_codes`), a smaller table entry by entry; both
+    give the same scores, bit for bit.
     """
-    scores: dict[str, float] = {}
     buffers = [buf for _, buf in sorted(wm.buffers.items()) if buf.content is not None]
     zero = True
+    symbols: list[str] = []  # the buffers' contributions, in order
     for buf in buffers:
         content = buf.content
         if isinstance(content, Chunk):
-            values = content.values()
+            symbols.extend(content.values())
             zero = False
         else:
             values = content.known_values()
+            symbols.extend(values)
             zero = zero and content.ctype == WILDCARD and not values
-        for sym in values:
-            scores[sym] = scores.get(sym, 0.0) + 1.0
     ranked = mm.retrievable(wm, now)
-    weights = _softmax(ranked) if ranked else np.empty(0)
+    column = mm._table(wm, now).column
+    if column is None:
+        weights = _softmax(np.array([act for _, act in ranked])) if ranked else np.empty(0)
+    else:
+        keep = column >= mm.retrieval_threshold
+        weights = _softmax(column[keep]) if ranked else np.empty(0)
+    # An infinite activation (a base-level sum that overflows) makes the
+    # weights NaN, and only the per-entry scoring ranks NaN scores as before.
+    if column is not None and np.isfinite(weights).all():
+        top = _top_by_codes(mm._cols, symbols, keep, weights, k)
+    else:
+        top = _top_by_entries(symbols, ranked, weights, k)
+    return Context([sym for _, sym in top], zero and not ranked, buffers, ranked, weights)
+
+
+def _top_by_entries(symbols: list[str], ranked: list[tuple[MMEntry, float]],
+                    weights: np.ndarray, k: int) -> list[tuple[float, str]]:
+    """The ``k`` least ``(-score, symbol)``, scored one contribution at a time."""
+    scores: dict[str, float] = {}
+    for sym in symbols:
+        scores[sym] = scores.get(sym, 0.0) + 1.0
     for (entry, _), w in zip(ranked, weights.tolist()):
         if entry.chunk is not None:
             for _, sym in entry.chunk.slots:
                 scores[sym] = scores.get(sym, 0.0) + w
-    top = heapq.nsmallest(k, [(-score, sym) for sym, score in scores.items()])
-    return Context([sym for _, sym in top], zero and not ranked, buffers, ranked, weights)
+    return heapq.nsmallest(k, [(-score, sym) for sym, score in scores.items()])
+
+
+def _top_by_codes(cols: _Columns, symbols: list[str], keep: np.ndarray,
+                  weights: np.ndarray, k: int) -> list[tuple[float, str]]:
+    """:func:`_top_by_entries` from the symbol codes of the slots in ``keep``.
+
+    ``np.bincount`` sums each bin in input order, so with the buffers'
+    codes first and then the kept slots' codes in slot (id) order, every
+    score is the same left fold.  Only the symbols scoring at least the
+    ``k``-th largest score are ranked by name.
+    """
+    owners = np.frombuffer(cols.owners, np.intc)
+    picked = keep[owners]
+    by_slot = np.zeros(len(keep))
+    by_slot[keep] = weights
+    codes = np.concatenate((np.array([cols.code(sym) for sym in symbols], np.intp),
+                            np.frombuffer(cols.codes, np.intc)[picked]))
+    contributions = np.concatenate((np.ones(len(symbols)), by_slot[owners[picked]]))
+    scores = np.bincount(codes, contributions, minlength=len(cols.names))
+    present = np.flatnonzero(np.bincount(codes, minlength=len(cols.names)))
+    found = scores[present]
+    if 0 < k < len(found):
+        best = found >= np.partition(found, len(found) - k)[len(found) - k]
+        present, found = present[best], found[best]
+    return heapq.nsmallest(k, zip((-found).tolist(),
+                                  map(cols.names.__getitem__, present.tolist())))
 
 
 def context_vector(ctx: Context, book: Codebook) -> HoloVector:

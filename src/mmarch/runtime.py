@@ -22,10 +22,14 @@ Activation is computed by middle-memory reads (see :mod:`.memory`).  The
 sweep's table, after forgetting, serves shadow retrieval, middle-memory
 conditions and formation, so formation tests the activations the shadows
 saw; formation reads only the entries its systems subscribe to, through
-middle memory's tag index.  A table built after the commit serves the
+middle memory's tag index, and retrieval only the entries its pattern's
+content postings name.  A table built after the commit serves the
 broadcast, reusing the sweep's base-level column.  The broadcast reads that
 table once for its symbols and its ``zero_context`` flag, and packs a
-context vector only for a live external predictor.
+context vector only for a live external predictor.  A memory of at least
+``memory.COLUMN_MIN_ENTRIES`` entries builds its tables and the
+broadcast's symbol scores as numpy columns, a smaller one entry by entry;
+the two give the same bits, so the trace does not depend on which runs.
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ into one vector.  The one-pass broadcast must give the same symbols, the
 same ``zero_context`` flag and, when a vector is built, the same bytes.
 """
 
+import math
 import sys
 
 import numpy as np
 import pytest
 
 import mmarch
-from mmarch import codec, demos
+from mmarch import codec, demos, memory
 from mmarch.chunks import Chunk, ChunkFactory
 from mmarch.codec import Codebook, normalized, pack, pack_query
 from mmarch.memory import (
@@ -156,12 +157,14 @@ def test_every_demo_broadcast_matches_the_reference(name, mode):
 
 @pytest.mark.parametrize("noise", [0.0, 0.3])
 def test_linked_facts_broadcast_matches_the_reference(noise):
-    session = Session(parse_model(linked_facts_doc(size=24, noise=noise)), mode="mm", seed=3)
-    for _ in range(40):
-        session.step()
-        assert_matches_reference(session.wm, session.mm, session.book,
-                                 session._cycle_time(session.cycle))
-    session.finish()
+    for size in (24, 80):  # on each side of memory.COLUMN_MIN_ENTRIES
+        session = Session(parse_model(linked_facts_doc(size=size, noise=noise)),
+                          mode="mm", seed=3)
+        for _ in range(40):
+            session.step()
+            assert_matches_reference(session.wm, session.mm, session.book,
+                                     session._cycle_time(session.cycle))
+        session.finish()
 
 
 @pytest.mark.parametrize("contents, entries", [
@@ -184,6 +187,35 @@ def test_inline_states_match_the_reference(contents, entries):
     for i in range(entries):
         mm.deposit(1.0, "t", chunk=factory.make("word", [("value", f"w{i}")]))
     assert_matches_reference(wm, mm, Codebook(dimension=128, seed=2), 2.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+def test_an_infinite_activation_scores_as_the_per_entry_loop(monkeypatch):
+    """Twenty presentations at decay 236 sum past the largest float, so one
+    activation is infinite and every softmax weight NaN; a column table
+    then ranks the symbols as the per-entry loop does."""
+    size = memory.COLUMN_MIN_ENTRIES + 1
+
+    def state():
+        factory = ChunkFactory()
+        wm = WorkingMemory()
+        wm.add_buffer("goal", "central")
+        wm.write("central", "goal",
+                 factory.make("cue", [(f"s{i}", f"v{i}") for i in range(6)]))
+        mm = MiddleMemory(decay=236.0)
+        mm.seed_entry("t", chunk=factory.make("fact", [("a", "hot"), ("b", "v1")]),
+                      presentations=[0.0] * 20)
+        for i in range(size - 1):
+            mm.seed_entry("t", chunk=factory.make("fact", [("a", f"n{i}")]),
+                          presentations=[-1.0])
+        assert mm.activations(wm, 0.05)[1] == math.inf
+        return wm, mm
+
+    by_columns = context_symbols(*state(), 0.05)
+    monkeypatch.setattr(memory, "COLUMN_MIN_ENTRIES", size + 1)
+    by_entries = context_symbols(*state(), 0.05)
+    assert by_columns.symbols == by_entries.symbols
+    assert len(by_columns.symbols) == CONTEXT_SYMBOL_COUNT
 
 
 def _count_packs(monkeypatch):

@@ -1,5 +1,6 @@
 """Working memory ownership and middle-memory activation semantics."""
 
+import functools
 import math
 
 import numpy as np
@@ -387,9 +388,22 @@ def reference_activation(mm, entry, wm, now):
 SYMBOLS = st.sampled_from(["a", "b", "c", "d", "e"])
 
 
+def on_both_table_kinds(test):
+    """Run a ``data`` property with per-entry tables or, drawn, column tables
+    at every size."""
+    @functools.wraps(test)
+    def wrapper(self, data):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(memory, "COLUMN_MIN_ENTRIES", data.draw(
+                st.sampled_from([memory.COLUMN_MIN_ENTRIES, 0]), label="column_min"))
+            test(self, data)
+    return wrapper
+
+
 class TestActivationTable:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
+    @on_both_table_kinds
     def test_every_reported_value_is_a_fresh_evaluation(self, data):
         """Sweep, retrieve and retrievable report exactly base-level +
         spreading on the current state, before and after forgetting,
@@ -457,6 +471,7 @@ class TestActivationTable:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
+    @on_both_table_kinds
     def test_tables_at_one_time_and_version_match_activation(self, data):
         """Tables under several spreading-source sets at one time and version
         share one base-level column, before and after forgetting, with noise

@@ -1,0 +1,92 @@
+"""Differential oracle: middle memory with every cache and index taken out.
+
+:class:`NaiveMiddleMemory` answers every read from scratch.  Each read
+recomputes every entry's activation through :meth:`MiddleMemory.activation`,
+from fresh reach sets and freshly built spreading sources, and every tagged
+read scans the entries.  It keeps no table, reads no column and probes no
+posting.  Put in place of the runtime's middle memory, it must reproduce
+the trace bytes of the real one, whose tables, base-level columns, spreading
+columns, symbol codes and postings are all caches of these definitions.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from mmarch import memory, runtime
+from mmarch.chunks import Chunk
+from mmarch.errors import ModelValidationError
+from mmarch.memory import MiddleMemory, _Table
+from mmarch.model import parse_model
+from mmarch.runtime import run
+from mmarch.trace import trace_to_bytes
+
+from test_acceptance import random_model_docs
+from test_runtime import linked_facts_doc, multi_step_model_docs
+
+
+class NaiveMiddleMemory(MiddleMemory):
+    """Every read evaluates every entry again; tagged reads scan."""
+
+    def _table(self, wm, now):
+        for entry in self.entries.values():
+            entry._reach = None
+        sources = tuple(
+            frozenset(buf.content.values() if isinstance(buf.content, Chunk)
+                      else buf.content.known_values())
+            for buf in wm.non_empty())
+        base = {i: self.base_level(e, now) for i, e in self.entries.items()}
+        values = {i: self.activation(e, wm, now, sources=sources)
+                  for i, e in self.entries.items()}
+        return _Table((now, self._version, sources), base, values)
+
+    def tagged(self, tags):
+        tags = set(tags)
+        return [i for i, e in self.entries.items() if e.tag in tags]
+
+    def _candidates(self, pattern, tags):
+        return list(self.entries) if tags is None else self.tagged(tags)
+
+
+def _same_bytes(model, cycles, seed):
+    """The naive memory's trace equals the real one's, with the real one
+    switching to columns at ``COLUMN_MIN_ENTRIES`` and with it reading
+    columns at every size."""
+    real = trace_to_bytes(run(model, cycles, mode="mm", seed=seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memory, "COLUMN_MIN_ENTRIES", 0)
+        assert trace_to_bytes(run(model, cycles, mode="mm", seed=seed)) == real
+        patch.setattr(runtime, "MiddleMemory", NaiveMiddleMemory)
+        assert trace_to_bytes(run(model, cycles, mode="mm", seed=seed)) == real
+
+
+def oracle(examples):
+    return settings(max_examples=examples, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@oracle(30)
+@given(doc=random_model_docs, seed=st.integers(0, 3))
+def test_generated_models_match_the_naive_memory(doc, seed):
+    try:
+        model = parse_model(doc)
+    except ModelValidationError:
+        return
+    _same_bytes(model, 15, seed)
+
+
+@oracle(15)
+@given(data=st.data())
+def test_multi_step_models_match_the_naive_memory(data):
+    doc = data.draw(multi_step_model_docs(data.draw(st.sampled_from([0.0, 0.3]))))
+    _same_bytes(parse_model(doc), 10, 2)
+
+
+@oracle(15)
+@given(size=st.integers(8, 2 * memory.COLUMN_MIN_ENTRIES),
+       noise=st.sampled_from([0.0, 0.3, 1.0]), links=st.integers(0, 4),
+       seed=st.integers(0, 9))
+def test_linked_facts_match_the_naive_memory(size, noise, links, seed):
+    """Sizes fall on both sides of ``COLUMN_MIN_ENTRIES``; noisy runs also
+    forget their way across it."""
+    doc = linked_facts_doc(size=size, seed=seed, noise=noise, links=links)
+    _same_bytes(parse_model(doc), 30, seed)

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmarch import demos
+from mmarch import demos, memory
 from mmarch.errors import ModelValidationError
 from mmarch.memory import MiddleMemory
 from mmarch.model import load_model, parse_model
@@ -68,10 +68,11 @@ def model():
     return parse_model(two_system_doc())
 
 
-def linked_facts_doc(size=60, seed=1, noise=0.3):
+def linked_facts_doc(size=60, seed=1, noise=0.3, links=2):
     """A ring of ``size`` linked facts walked by the centre through a
     declarative shadow, while an associative predictor deposits cues that
-    an attention shadow reads back from middle memory."""
+    an attention shadow reads back from middle memory.  Each fact draws
+    ``links`` link targets (duplicates and self-links are dropped)."""
     rng = random.Random(seed)
     order = list(range(size))
     rng.shuffle(order)
@@ -82,7 +83,7 @@ def linked_facts_doc(size=60, seed=1, noise=0.3):
                                            "kind": f"k{i % 8}"}},
         "presentations": sorted(round(-rng.uniform(2.0, 6.0), 3)
                                 for _ in range(rng.randint(4, 5))),
-        "links": sorted({rng.randrange(size) for _ in range(2)} - {i}),
+        "links": sorted({rng.randrange(size) for _ in range(links)} - {i}),
     } for i in range(size)]
     first = f"f{order[0]}"
     walk_query = {"isa": "fact", "slots": {"name": first, "next": "?"}}
@@ -215,6 +216,15 @@ MULTI_STEP_GOLDEN = "e84adf077e255861fa507bda5d5ec6c39c3192e387b9d11e779d07d214e
 LINKED_FACTS_GOLDENS = {
     0.0: "dcb97245c25ec9e9484a21cfc15ced55332d012196b7c2f9081159f269fc45b5",
     0.3: "03a105ffa54556af6af6f0356273d1a455982cbea7e0a470e4dae31fb5ebd341",
+}
+
+# SHA-256 of 200 mm cycles of ``linked_facts_doc(size=300, noise=n)`` at seed 1.
+# At noise 0.0 middle memory holds 77-315 entries; at 0.3 it falls from 250
+# to 1, so these runs read middle memory at sizes on both sides of
+# ``memory.COLUMN_MIN_ENTRIES``.
+LARGE_LINKED_FACTS_GOLDENS = {
+    0.0: "f56c0fdb6cb62e560951996bcdc335a9a6bc1fa728cf1b9d73ee5a9f1de34754",
+    0.3: "f5da9b7bf5495cfd66dcb4a98b7cc5b6ac3edc73a296dc03580081749063b5fd",
 }
 
 
@@ -662,6 +672,16 @@ class TestMultiRateSystems:
         assert hashlib.sha256(trace_to_bytes(trace)).hexdigest() == \
             LINKED_FACTS_GOLDENS[noise]
 
+    @pytest.mark.parametrize("noise", sorted(LARGE_LINKED_FACTS_GOLDENS))
+    def test_large_linked_facts_golden(self, noise):
+        """300 linked facts: the same walk over a memory large enough that
+        its reads take the column path for part or all of the run."""
+        trace = run(parse_model(linked_facts_doc(size=300, noise=noise)), 200,
+                    mode="mm", seed=1)
+        assert sum(e.data["tag"] == "semantic" for e in trace.by_kind("forget")) >= 200
+        assert hashlib.sha256(trace_to_bytes(trace)).hexdigest() == \
+            LARGE_LINKED_FACTS_GOLDENS[noise]
+
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -676,9 +696,9 @@ class TestMultiRateSystems:
         """A two-step shadow whose first write changes the spreading sources
         reads a preview table in its second step.  Every system's first step
         is decided before any preview, so the next system still reads the
-        sweep's table, and cycle 0 evaluates 50 entries three times (sweep,
-        preview, broadcast) and not four.  The three tables share one time
-        and version, so they compute each base level once."""
+        sweep's table, and cycle 0 builds three tables of its 50 entries
+        (sweep, preview, broadcast) and not four.  The three tables share
+        one time and version, so they compute each base level once."""
         fact = {"mm_tags": ["seed"], "pattern": {"isa": "fact", "slots": {"n": "?"}}}
         doc = {
             "name": "preview-table", "codebook": {"dimension": 64},
@@ -711,24 +731,24 @@ class TestMultiRateSystems:
                             "presentations": [-0.5]} for i in range(50)],
         }
         session = Session(parse_model(doc), mode="mm", seed=0)
-        calls = {"base_level": [], "spreading": []}
+        base_level, table = MiddleMemory.base_level, memory._Table
+        calls = {"base_level": 0, "tables": 0}
 
-        def counting(name):
-            method = getattr(MiddleMemory, name)
+        def counting_base_level(self, entry, now):
+            calls["base_level"] += 1
+            return base_level(self, entry, now)
 
-            def wrapper(self, entry, *args, **kwargs):
-                calls[name].append(entry.id)
-                return method(self, entry, *args, **kwargs)
-            return wrapper
+        def counting_table(*args, **kwargs):
+            calls["tables"] += 1
+            return table(*args, **kwargs)
 
-        for name in calls:
-            monkeypatch.setattr(MiddleMemory, name, counting(name))
+        monkeypatch.setattr(MiddleMemory, "base_level", counting_base_level)
+        monkeypatch.setattr(memory, "_Table", counting_table)
         session.step()
         fires = [e.data["production"] for e in session.trace.by_kind("shadow-fire")]
         assert fires == ["start", "advance", "look"]
         assert len(session.mm) == 50
-        assert len(calls["base_level"]) == 50
-        assert len(calls["spreading"]) == 150
+        assert calls == {"base_level": 50, "tables": 3}
 
 
 class TestFormation:
