@@ -120,11 +120,13 @@ def instantiate(template: Template, bindings: dict[str, str], factory: ChunkFact
 
 
 class MatchView:
-    """Everything one engine step matches against, plus the test counter.
+    """Everything one engine step matches against, plus the candidate counter.
 
     ``inflows`` (pipeline mode only) maps buffer names to the unbounded
-    lists of directly-routed predictions the engine must also scan;
-    ``candidates`` counts every content test this view evaluated.
+    lists of directly-routed predictions the engine must also consider;
+    ``candidates`` counts every content in scope of the conditions this
+    view evaluated (buffer content plus retained inflow), whether or not
+    it was tested.
     """
 
     def __init__(self, wm: WorkingMemory, mm: MiddleMemory | None, now: float,
@@ -165,20 +167,17 @@ def _eval_buffer_condition(cond: Condition, view: MatchView):
         if matched_bindings is not None and isinstance(buf.content, Chunk):
             matched_chunk_id = buf.content.id
     if view.inflows is not None:
-        # Ungated pipeline routing: every retained prediction is scanned.
-        # The buffer's content is preferred for bindings; failing that, the
-        # most recent matching retained prediction supplies them.
-        inflow_bindings = None
-        inflow_chunk_id = None
-        for item in view.inflows.get(cond.buffer, ()):
-            view.candidates += 1
-            got = _test_content(cond.pattern, item)
-            if got is not None:
-                inflow_bindings = got
-                inflow_chunk_id = item.id
-        if matched_bindings is None and inflow_bindings is not None:
-            matched_bindings = inflow_bindings
-            matched_chunk_id = inflow_chunk_id
+        # Ungated pipeline routing: every retained prediction counts as a
+        # candidate.  The buffer's content is preferred for bindings; failing
+        # that, the newest matching prediction supplies them.
+        inflow = view.inflows.get(cond.buffer, ())
+        view.candidates += len(inflow)
+        if matched_bindings is None:
+            for item in reversed(inflow):
+                matched_bindings = _test_content(cond.pattern, item)
+                if matched_bindings is not None:
+                    matched_chunk_id = item.id
+                    break
     if cond.negated:
         return (matched_bindings is None), {}, None
     if matched_bindings is None:

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mmarch.chunks import ChunkFactory
+from mmarch import demos, productions
+from mmarch.chunks import Chunk, ChunkFactory, match_query
 from mmarch.errors import BindingError
 from mmarch.memory import MiddleMemory, WorkingMemory
+from mmarch.model import load_model
 from mmarch.productions import (
     Action,
     Condition,
@@ -14,6 +17,8 @@ from mmarch.productions import (
     Production,
     Template,
     UtilityLearner,
+    _eval_buffer_condition,
+    _test_content,
     fire,
     form_retrieval_production,
     match_all,
@@ -21,6 +26,7 @@ from mmarch.productions import (
     prune_provisional,
     resolve,
 )
+from mmarch.runtime import Session
 
 
 @pytest.fixture
@@ -41,6 +47,35 @@ def _prod(factory, name, conditions, actions=(), utility=0.0, owner="central",
     return Production(name=name, owner=owner, conditions=tuple(conditions),
                       actions=tuple(actions), utility=utility,
                       permanent=permanent, created_at=created_at)
+
+
+def _full_scan_condition(cond, view):
+    """Reference: test the buffer, then every retained prediction oldest-first."""
+    buf = view.wm.buffer(cond.buffer)
+    matched_bindings = None
+    matched_chunk_id = None
+    if buf.content is not None:
+        view.candidates += 1
+        matched_bindings = _test_content(cond.pattern, buf.content)
+        if matched_bindings is not None and isinstance(buf.content, Chunk):
+            matched_chunk_id = buf.content.id
+    if view.inflows is not None:
+        inflow_bindings = None
+        inflow_chunk_id = None
+        for item in view.inflows.get(cond.buffer, ()):
+            view.candidates += 1
+            got = _test_content(cond.pattern, item)
+            if got is not None:
+                inflow_bindings = got
+                inflow_chunk_id = item.id
+        if matched_bindings is None and inflow_bindings is not None:
+            matched_bindings = inflow_bindings
+            matched_chunk_id = inflow_chunk_id
+    if cond.negated:
+        return (matched_bindings is None), {}, None
+    if matched_bindings is None:
+        return False, {}, None
+    return True, matched_bindings, matched_chunk_id
 
 
 class TestMatching:
@@ -140,6 +175,75 @@ class TestMatching:
         match = match_production(p, view)
         assert match.bindings == {"state": "new"}
         assert match.sources == [("emotion", inflow[1].id)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_newest_first_inflow_read_equals_full_scan(self, data):
+        factory = ChunkFactory()
+        ctypes = st.sampled_from(["mood", "goal"])
+        values = st.sampled_from(["a", "b", "c"])
+
+        def chunk(draw):
+            slots = [("state", draw(values))]
+            if draw(st.booleans()):
+                slots.append(("level", draw(values)))
+            return factory.make(draw(ctypes), slots)
+
+        kind = data.draw(st.sampled_from(["none", "exact", "wild-slot", "wild-type"]))
+        pattern = None
+        if kind == "exact":
+            pattern = factory.make_query(data.draw(ctypes), [("state", data.draw(values))])
+        elif kind == "wild-slot":
+            pattern = factory.make_query(data.draw(ctypes), [("state", "?")])
+        elif kind == "wild-type":
+            pattern = factory.make_query("?", [("level", "?")])
+        cond = Condition(pattern=pattern, buffer="emotion", negated=data.draw(st.booleans()))
+        content = data.draw(st.sampled_from(["none", "query", "chunk"]))
+        wm = WorkingMemory()
+        wm.add_buffer("emotion", "emotion")
+        if content == "query":
+            wm.write("emotion", "emotion", factory.make_query("mood", [("state", "?")]))
+        elif content == "chunk":  # matching or not, as drawn
+            wm.write("emotion", "emotion", chunk(data.draw))
+        inflow = [chunk(data.draw) for _ in range(data.draw(st.integers(0, 8)))]
+        inflows = data.draw(st.sampled_from([None, {}, {"emotion": inflow}]))
+        got_view = MatchView(wm, None, 1.0, inflows=inflows)
+        want_view = MatchView(wm, None, 1.0, inflows=inflows)
+        assert _eval_buffer_condition(cond, got_view) == _full_scan_condition(cond, want_view)
+        assert got_view.candidates == want_view.candidates
+
+    def test_central_match_work_does_not_grow_with_inflow(self, wm, factory, monkeypatch):
+        calls = [0]
+
+        def counting(q, c):
+            calls[0] += 1
+            return match_query(q, c)
+
+        monkeypatch.setattr(productions, "match_query", counting)
+        inflow = [factory.make("other") for _ in range(999)]
+        inflow.append(factory.make("mood", [("state", "new")]))
+        p = _prod(factory, "p", [Condition(
+            pattern=factory.make_query("mood", [("state", "?")]), buffer="emotion")])
+        wm.write("emotion", "emotion", factory.make("other"))
+        view = MatchView(wm, None, 1.0, inflows={"emotion": inflow})
+        assert match_production(p, view).bindings == {"state": "new"}
+        assert calls[0] <= 2
+        assert view.candidates == 1001
+        calls[0] = 0
+        wm.write("emotion", "emotion", factory.make("mood", [("state", "calm")]))
+        assert match_production(p, view).bindings == {"state": "calm"}
+        assert calls[0] == 1
+
+        session = Session(load_model(demos.path("bottleneck")), mode="pipeline", seed=7)
+        per_cycle = []
+        for _ in range(400):
+            before = calls[0]
+            session.step()
+            per_cycle.append(calls[0] - before)
+        assert sum(per_cycle[300:]) <= sum(per_cycle[50:150])
+        counts = [e.data["candidates"] for e in session.trace.events
+                  if e.kind in ("central-fire", "idle")]
+        assert counts[-1] > counts[200] > counts[100]
 
 
 class TestResolve:
