@@ -31,13 +31,13 @@ DEFAULT_SPREAD_WEIGHT = 1.0
 DEFAULT_RETRIEVAL_THRESHOLD = -1.0
 DEFAULT_FORGET_THRESHOLD = -2.5
 
-# Tables of at least this many entries compute spreading, the thresholds and
-# the broadcast's symbol scores as numpy columns; smaller ones loop over the
-# entries in Python, because a column read costs some thirty numpy calls
-# whatever its length.  Both give the same bits.  On a 2-core Xeon (Python
-# 3.11, numpy 2.4), generated mm-scale models cost the same per cycle either
-# way at about 45 entries, and at 3 entries (wordloop) columns cost about a
-# third more.
+# From this many entries up, a new base-level column is an array by slot, so
+# tables compute spreading, the thresholds and the broadcast's symbol scores
+# as numpy columns; a smaller memory loops over its entries in Python,
+# because a column read costs some thirty numpy calls whatever its length.
+# Both give the same bits.  On a 2-core Xeon (Python 3.11, numpy 2.4),
+# generated mm-scale models cost the same per cycle either way at about 45
+# entries, and at 3 entries (wordloop) columns cost about a third more.
 COLUMN_MIN_ENTRIES = 48
 
 
@@ -158,12 +158,11 @@ class _Table:
     """Every entry's activation at one evaluation point, in id order.
 
     ``base`` is the base-level column, which depends on the point's time
-    and version only: a table built at the same time and version under
-    other spreading sources shares it.  A table of fewer than
-    :data:`COLUMN_MIN_ENTRIES` entries keeps both as dicts by id.  A larger
-    one keeps them as arrays by slot of the memory's :class:`_Columns`,
-    NaN at a forgotten entry's slot, and builds ``values`` from ``column``
-    when it is first read.
+    and version only: the tables at one time and version share it, under
+    any spreading sources and after forgetting.  A per-entry table keeps
+    both as dicts by id; a column table keeps them as arrays by slot of
+    the memory's :class:`_Columns`, NaN at a forgotten entry's slot, and
+    builds ``values`` from ``column`` when it is first read.
     """
 
     point: tuple  # (time, version, spreading sources)
@@ -175,13 +174,14 @@ class _Table:
 class _Columns:
     """Middle memory's entries by slot, with spreading postings and symbol codes.
 
-    Slots are handed out in id order and a forgotten entry leaves its slot
-    empty (None), so slot order is id order; the memory builds new columns
-    once empty slots outnumber live ones.  ``reach`` maps each symbol to the
-    slots whose reach set holds it; the slots in ``stale`` have reach sets
-    that changed since they were posted.  ``codes`` holds the slot values of
-    every chunk as symbol codes, in slot order, with the owning slot of
-    each in ``owners``.
+    The memory keeps one from its first entry on.  Slots are handed out in
+    id order and a forgotten entry leaves its slot empty (None), so slot
+    order is id order; the memory builds new columns once empty slots
+    outnumber live ones.  ``reach`` maps each symbol to the slots whose
+    reach set holds it; the entries whose ids are in ``stale`` have reach
+    sets that changed since they were posted.  ``codes`` holds the slot
+    values of every chunk as symbol codes, in slot order, with the owning
+    slot of each in ``owners``.
     """
 
     def __init__(self, entries: Iterable[MMEntry]):
@@ -218,7 +218,7 @@ class _Columns:
 
     def remove(self, entry: MMEntry) -> int:
         """Empty ``entry``'s slot and return it; its postings stay until
-        the columns are rebuilt, and read as NaN in every table."""
+        the columns are rebuilt, and its slot reads NaN in a column table."""
         slot = self.slot_of.pop(entry.id)
         self.entries[slot] = None
         self.dead += 1
@@ -272,20 +272,22 @@ class MiddleMemory:
     sources, and a version that every deposit, seeded entry and link bumps)
     into a table, kept while its point holds, so sweeping, shadow retrieval
     and middle-memory conditions share one.  One table is cached, the last
-    one read; the next table at the same time and version reuses its
-    base-level column, so each entry's base level is computed once per
-    time and version.  Forgetting patches the table instead of bumping the
-    version, so it stays a fresh evaluation.
+    one read.  :meth:`_build` makes every table: a base-level column plus
+    spreading plus noise.  The next table at the same time and version
+    reuses its column, so each entry's base level is computed once per time
+    and version.  Forgetting leaves the version alone: it rebuilds the
+    sweep's table at its point from its column, less the gone entries.
 
-    From :data:`COLUMN_MIN_ENTRIES` entries up, a table is built from
-    columns (:class:`_Columns`), made when first needed and then kept in
-    step by ``_add``, ``link`` and ``_forget``.  Spreading adds ``share``
-    once per source that meets an entry's reach set, so an entry's
-    spreading is ``share`` added k times to 0.0, where k counts the
-    sources whose symbols' reach postings hold the entry's slot: the table
-    is one numpy add of that fold to the base-level column, plus each
-    entry's noise draw.  The base level stays one Python sum per entry:
-    numpy's ``power`` does not give the bits of Python's ``**``.
+    The memory keeps columns (:class:`_Columns`) from its first entry on,
+    in step through ``_add``, ``link`` and ``_forget``.  From
+    :data:`COLUMN_MIN_ENTRIES` entries up a new base-level column is an
+    array by slot and a table is one numpy add to it: spreading adds
+    ``share`` once per source that meets an entry's reach set, so it is
+    ``share`` added k times to 0.0, k counted from the sources' symbols'
+    reach postings; then each entry's noise draw.  A smaller memory's base
+    is a dict by id, and its tables add :meth:`spreading` and the draw
+    entry by entry.  The base level stays one Python sum per entry: numpy's
+    ``power`` does not give the bits of Python's ``**``.
 
     Entries are also indexed by tag, and chunks by content postings
     (tag and type, and tag, slot and value), so a tagged or patterned read
@@ -315,7 +317,7 @@ class MiddleMemory:
         self._latest: float | None = None  # newest presentation of a live entry
         self._version = 0
         self._cached: _Table | None = None  # the last table read
-        self._cols: _Columns | None = None  # built by the first column table
+        self._cols = _Columns(())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -385,8 +387,7 @@ class MiddleMemory:
         self._by_tag.setdefault(entry.tag, {})[entry.id] = None
         for content in _content_keys(entry):
             self._postings.setdefault(content, []).append(entry.id)
-        if self._cols is not None:
-            self._cols.add(entry)
+        self._cols.add(entry)
 
     def tagged(self, tags: Iterable[str]) -> list[int]:
         """Ids of the entries carrying any of ``tags``, each tag's in id order."""
@@ -426,8 +427,7 @@ class MiddleMemory:
         a.links.add(id_b)
         b.links.add(id_a)
         a._reach = b._reach = None
-        if self._cols is not None:
-            self._cols.stale.update((id_a, id_b))
+        self._cols.stale.update((id_a, id_b))
         self._version += 1
 
     def base_level(self, entry: MMEntry, now: float) -> float:
@@ -525,60 +525,44 @@ class MiddleMemory:
             return cached
         if cached is not None and cached.point[:2] == point[:2]:
             base = cached.base
-            columnar = cached.column is not None
         else:
-            base = None
-            if self._cols is not None and self._cols.dead > len(self.entries):
-                self._cols = None  # built again, without the empty slots, when needed
-            columnar = len(self.entries) >= COLUMN_MIN_ENTRIES
-        if columnar:
-            self._cached = self._column_table(point, base)
-        else:
-            if base is None:
+            if self._cols.dead > len(self.entries):
+                self._cols = _Columns(self.entries.values())
+            if len(self.entries) >= COLUMN_MIN_ENTRIES:
+                base = np.array([math.nan if entry is None else self.base_level(entry, now)
+                                 for entry in self._cols.entries])
+            else:
                 base = {entry_id: self.base_level(entry, now)
                         for entry_id, entry in self.entries.items()}
-            self._cached = _Table(point, base, self._values(base, base, wm, now, sources))
+        self._cached = self._build(point, base)
         return self._cached
 
-    def _column_table(self, point: tuple, base: np.ndarray | None) -> _Table:
-        """A table by slot: ``base`` (made here when None) plus each slot's
-        spreading fold, plus its noise draw; the float operations of
-        :meth:`activation` in its order."""
+    def _build(self, point: tuple, base: dict[int, float] | np.ndarray) -> _Table:
+        """The table at ``point``: ``base`` plus each entry's spreading, plus
+        its noise draw, the float operations of :meth:`activation` in its
+        order.  A dict ``base`` gives a per-entry table; an array, by slot
+        of the columns, gives a column table."""
         now, _, sources = point
+        key = self._noise_key(now, sources) if self.noise > 0.0 else None
+        if isinstance(base, dict):
+            values = {}
+            for entry_id, entry in self.entries.items():
+                act = base[entry_id] + self.spreading(entry, None, sources=sources)
+                if key is not None:
+                    act += self._noise_sample(key, entry_id)
+                values[entry_id] = act
+            return _Table(point, base, values)
         cols = self._cols
-        if cols is None:
-            cols = self._cols = _Columns(self.entries.values())
-        if base is None:
-            base = np.array([math.nan if entry is None else self.base_level(entry, now)
-                             for entry in cols.entries])
         cols.post(self._reach)
         share = self.spread_weight / len(sources) if sources else 0.0
         fold = [0.0]
         for _ in sources:
             fold.append(fold[-1] + share)
         column = base + np.array(fold)[cols.meets(sources)]
-        if self.noise > 0.0:
-            key = self._noise_key(now, sources)
+        if key is not None:
             column += np.array([0.0 if entry is None else self._noise_sample(key, entry.id)
                                 for entry in cols.entries])
         return _Table(point, base, None, column)
-
-    def _values(self, base: dict[int, float], ids, wm: WorkingMemory, now: float,
-                sources: tuple[frozenset[str], ...]) -> dict[int, float]:
-        """The activations of ``ids`` from their ``base`` levels.
-
-        Each is :meth:`activation`'s sum in its order: the base level plus
-        spreading, plus the entry's draw at the evaluation point.
-        """
-        entries = self.entries
-        key = self._noise_key(now, sources) if self.noise > 0.0 else None
-        values = {}
-        for entry_id in ids:
-            act = base[entry_id] + self.spreading(entries[entry_id], wm, sources=sources)
-            if key is not None:
-                act += self._noise_sample(key, entry_id)
-            values[entry_id] = act
-        return values
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None = None,
                  tags: frozenset[str] | set[str] | None = None,
@@ -619,12 +603,12 @@ class MiddleMemory:
 
         Returns the removed entries with their activation before forgetting.
         Afterwards the evaluation point's table holds the survivors'
-        activations, re-evaluated for the neighbours that lost a link.
+        activations on the remaining state.
         """
         table = self._table(wm, now)
         removed = self._where(table, lambda act: act < self.forget_threshold)
         if removed:
-            self._forget([entry for entry, _ in removed], table, wm, now)
+            self._forget([entry for entry, _ in removed], table)
         return removed
 
     def _where(self, table: _Table, keep) -> list[tuple[MMEntry, float]]:
@@ -637,18 +621,16 @@ class MiddleMemory:
         return list(zip(map(self._cols.entries.__getitem__, slots.tolist()),
                         table.column[slots].tolist()))
 
-    def _forget(self, gone: list[MMEntry], table: _Table, wm: WorkingMemory,
-                now: float) -> None:
-        """Remove ``gone`` and patch the sweep's ``table`` to the remaining state.
+    def _forget(self, gone: list[MMEntry], table: _Table) -> None:
+        """Remove ``gone`` and rebuild the sweep's ``table`` at its point
+        from its base-level column, less ``gone``.
 
-        Links are symmetric, so only the removed entries' neighbours are
-        unlinked and lose their reach sets, and theirs are the only
-        activations that change, in spreading only: a neighbour keeps its
-        base level, and its noise draw too, because the draw depends on the
-        version, which forgetting leaves alone.
+        Survivors keep their base levels, and their noise draws too, since a
+        draw depends on the version, which forgetting leaves alone.  Only
+        the gone entries' neighbours lose a link, so only their reach sets
+        are reset and posted again.
         """
-        cols = self._cols
-        neighbors: set[int] = set()
+        cols, base = self._cols, table.base
         for entry in gone:
             del self.entries[entry.id]
             del self._by_key[entry.content_key()]
@@ -658,32 +640,21 @@ class MiddleMemory:
                 posting.remove(entry.id)
                 if not posting:
                     del self._postings[content]
-            slot = cols.remove(entry) if cols is not None else None
-            if table.column is None:
-                del table.values[entry.id]
-                del table.base[entry.id]
+            slot = cols.remove(entry)
+            if isinstance(base, dict):
+                del base[entry.id]
             else:
-                table.base[slot] = table.column[slot] = math.nan
+                base[slot] = math.nan
             for nid in entry.links:
                 other = self.entries.get(nid)
                 if other is not None:
                     other.links.discard(entry.id)
                     other._reach = None
-                    neighbors.add(nid)
-        if cols is not None:
-            cols.stale.update(neighbors)
+                    cols.stale.add(nid)
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
                                default=None)
-        _, _, sources = table.point
-        ids = sorted(neighbors.intersection(self.entries))
-        if table.column is None:
-            table.values.update(self._values(table.base, ids, wm, now, sources))
-            return
-        slots = [cols.slot_of[entry_id] for entry_id in ids]
-        base = dict(zip(ids, table.base[slots].tolist()))
-        table.column[slots] = list(self._values(base, ids, wm, now, sources).values())
-        table.values = None
+        self._cached = self._build(table.point, base)
 
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """All entries at or above the retrieval threshold, id order."""

@@ -590,10 +590,10 @@ class TestActivationTable:
                                + mm.spreading(mm.entry(hub), wm))
         assert sample != 0.0
         assert [e.id for e, _ in mm.sweep(wm, now)] == [stale]
-        # the patched neighbour lost its spreading and kept its draw
-        patched = mm.activations(wm, now)[hub]
-        assert patched == mm.activation(mm.entry(hub), wm, now)
-        assert patched - mm.base_level(mm.entry(hub), now) == pytest.approx(sample)
+        # in the rebuilt table the neighbour lost its spreading and kept its draw
+        rebuilt = mm.activations(wm, now)[hub]
+        assert rebuilt == mm.activation(mm.entry(hub), wm, now)
+        assert rebuilt - mm.base_level(mm.entry(hub), now) == pytest.approx(sample)
         # new working memory, new table, new draw
         wm.write("central", "goal", factory.make("goal", [("topic", "hub")]))
         fresh = mm.activations(wm, now)[hub]
@@ -651,12 +651,13 @@ class TestActivationTable:
 
 
 def test_base_level_evaluated_at_most_once_per_entry_per_cycle(monkeypatch):
-    """Over the retrieval demo, the table after the drain computes each
-    entry's base level once; forgetting patches only spreading, and the
-    table after the commit shares the time and version, so it reuses the
-    column (Buddy, linked to Fido, is forgotten at cycle 100)."""
+    """Over the retrieval demo, on both table kinds, the table after the
+    drain computes each entry's base level once; forgetting rebuilds the
+    table from the sweep's base-level column, and the table after the
+    commit shares the time and version, so it reuses the column (Buddy,
+    linked to Fido, is forgotten at cycle 100)."""
     base_level, sweep = MiddleMemory.base_level, MiddleMemory.sweep
-    calls = budget = patched = 0
+    calls = budget = unlinked = 0
 
     def counting_base_level(self, entry, now):
         nonlocal calls
@@ -664,19 +665,48 @@ def test_base_level_evaluated_at_most_once_per_entry_per_cycle(monkeypatch):
         return base_level(self, entry, now)
 
     def budgeted_sweep(self, wm, now):
-        nonlocal budget, patched
+        nonlocal budget, unlinked
         budget = len(self.entries)
         removed = sweep(self, wm, now)
         gone = {e.id for e, _ in removed}
-        patched += len(set().union(*(e.links for e, _ in removed)) - gone)
+        unlinked += len(set().union(*(e.links for e, _ in removed)) - gone)
         return removed
 
     monkeypatch.setattr(MiddleMemory, "base_level", counting_base_level)
     monkeypatch.setattr(MiddleMemory, "sweep", budgeted_sweep)
-    session = Session(load_model(demos.path("retrieval")), mode="mm", seed=7)
-    for _ in range(200):
-        calls = 0
-        session.step()
-        assert 0 < calls <= budget
-    session.finish()
-    assert patched > 0
+    for column_min in (memory.COLUMN_MIN_ENTRIES, 0):
+        monkeypatch.setattr(memory, "COLUMN_MIN_ENTRIES", column_min)
+        unlinked = 0
+        session = Session(load_model(demos.path("retrieval")), mode="mm", seed=7)
+        for _ in range(200):
+            calls = 0
+            session.step()
+            assert 0 < calls <= budget
+        session.finish()
+        assert unlinked > 0
+
+
+def test_column_upkeep_stays_bounded_below_the_cut_over(factory):
+    """Every memory keeps its columns, so one that never reaches
+    ``COLUMN_MIN_ENTRIES`` must still drop its forgotten slots, stale ids
+    and symbol codes; each round deposits, links and forgets."""
+    mm = MiddleMemory()
+    wm = WorkingMemory()
+    wm.add_buffer("goal", "central")
+    wm.write("central", "goal", factory.make("goal", [("topic", "v0")]))
+    previous, forgotten = None, 0
+    for n in range(1000):
+        now = 50.0 * n
+        entry_id, _ = mm.deposit(now, "t", chunk=factory.make("fact", [("v", f"v{n}")]))
+        if previous in mm.entries:
+            mm.link(previous, entry_id)
+        previous = entry_id
+        forgotten += len(mm.sweep(wm, now + 25.0))
+        assert len(mm) < memory.COLUMN_MIN_ENTRIES
+        # dead slots go at the next new base, so a sweep that forgets
+        # several entries may leave a few more dead slots than live ones
+        cols, bound = mm._cols, 2 * len(mm) + 4
+        assert len(cols.entries) <= bound
+        assert len(cols.stale) <= bound
+        assert len(cols.codes) <= bound
+    assert forgotten > 900
