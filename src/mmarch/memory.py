@@ -125,8 +125,7 @@ class MMEntry:
 
     Identity is (payload content, origin tag); re-depositing the same
     content under the same tag appends a presentation instead of creating
-    a new entry.  ``_reach`` is the entry's reach set, the symbols that
-    spreading meets: those of its chunk and of every linked chunk.
+    a new entry.
     """
 
     id: int
@@ -136,8 +135,6 @@ class MMEntry:
     presentations: list[float] = field(default_factory=list)
     links: set[int] = field(default_factory=set)
     _packed: HoloVector | None = field(default=None, repr=False)
-    # built by MiddleMemory._reach; reset whenever links change
-    _reach: frozenset[str] | None = field(default=None, repr=False, compare=False)
 
     def content_key(self) -> tuple:
         if self.chunk is not None:
@@ -155,20 +152,19 @@ class MMEntry:
 
 @dataclass
 class _Table:
-    """Every entry's activation at one evaluation point, in id order.
+    """Every entry's activation at one evaluation point, read by ``_where``.
 
     ``base`` is the base-level column, which depends on the point's time
     and version only: the tables at one time and version share it, under
     any spreading sources and after forgetting.  A per-entry table keeps
-    both as dicts by id; a column table keeps them as arrays by slot of
-    the memory's :class:`_Columns`, NaN at a forgotten entry's slot, and
-    builds ``values`` from ``column`` when it is first read.
+    ``base`` and ``values`` as dicts by id, in id order; a column table
+    keeps them as arrays by slot of the memory's :class:`_Columns`, NaN at
+    a forgotten entry's slot.
     """
 
     point: tuple  # (time, version, spreading sources)
     base: dict[int, float] | np.ndarray
-    values: dict[int, float] | None
-    column: np.ndarray | None = None
+    values: dict[int, float] | np.ndarray
 
 
 class _Columns:
@@ -270,24 +266,28 @@ class MiddleMemory:
     Reads compute activation and store it on no entry.  A read evaluates
     every entry at one evaluation point (a time, working memory's spreading
     sources, and a version that every deposit, seeded entry and link bumps)
-    into a table, kept while its point holds, so sweeping, shadow retrieval
-    and middle-memory conditions share one.  One table is cached, the last
-    one read.  :meth:`_build` makes every table: a base-level column plus
-    spreading plus noise.  The next table at the same time and version
-    reuses its column, so each entry's base level is computed once per time
-    and version.  Forgetting leaves the version alone: it rebuilds the
-    sweep's table at its point from its column, less the gone entries.
+    into a table, kept while its point holds, so sweeping, shadow retrieval,
+    formation and middle-memory conditions share one; each selects
+    ``(entry, activation)`` pairs from it through :meth:`_where`.  One table
+    is cached, the last one read.  :meth:`_build` makes every table: a
+    base-level column plus spreading plus noise.  The next table at the same
+    time and version reuses its column, so each entry's base level is
+    computed once per time and version.  Forgetting leaves the version
+    alone: it rebuilds the sweep's table at its point from its column, less
+    the gone entries.
 
     The memory keeps columns (:class:`_Columns`) from its first entry on,
-    in step through ``_add``, ``link`` and ``_forget``.  From
-    :data:`COLUMN_MIN_ENTRIES` entries up a new base-level column is an
-    array by slot and a table is one numpy add to it: spreading adds
-    ``share`` once per source that meets an entry's reach set, so it is
-    ``share`` added k times to 0.0, k counted from the sources' symbols'
-    reach postings; then each entry's noise draw.  A smaller memory's base
-    is a dict by id, and its tables add :meth:`spreading` and the draw
-    entry by entry.  The base level stays one Python sum per entry: numpy's
-    ``power`` does not give the bits of Python's ``**``.
+    in step through ``_add``, ``link`` and ``_forget``, with each entry's
+    reach set as posted.  Spreading adds ``share`` once per source that
+    meets an entry's reach set, so it is ``share`` added k times to 0.0.
+    From :data:`COLUMN_MIN_ENTRIES` entries up a new base-level column is
+    an array by slot and a table is one numpy add to it, k counted from the
+    sources' symbols' reach postings; then each entry's noise draw.  A
+    smaller memory's base is a dict by id, and its tables count k and add
+    the draw entry by entry.  Both equal the reference definitions,
+    :meth:`spreading` and :meth:`activation`, bit for bit.  The base level
+    stays one Python sum per entry: numpy's ``power`` does not give the
+    bits of Python's ``**``.
 
     Entries are also indexed by tag, and chunks by content postings
     (tag and type, and tag, slot and value), so a tagged or patterned read
@@ -364,7 +364,7 @@ class MiddleMemory:
         """
         if chunk is None and vector is None:
             raise ChunkError("an entry needs a chunk or a vector payload")
-        presentations = list(presentations or [0.0])
+        presentations = [0.0] if presentations is None else list(presentations)
         if not presentations:
             raise ChunkError("presentation history must be non-empty")
         if presentations != sorted(presentations):
@@ -389,23 +389,16 @@ class MiddleMemory:
             self._postings.setdefault(content, []).append(entry.id)
         self._cols.add(entry)
 
-    def tagged(self, tags: Iterable[str]) -> list[int]:
-        """Ids of the entries carrying any of ``tags``, each tag's in id order."""
-        out: list[int] = []
-        for tag in dict.fromkeys(tags):
-            out.extend(self._by_tag.get(tag, ()))
-        return out
-
     def _candidates(self, pattern: Query | None, tags: Iterable[str] | None) -> list[int]:
         """Ids a read of ``pattern`` under ``tags`` (None = all) must test.
 
         Per tag, a pattern with a known type or value probes the smallest of
-        its content postings; one with neither reads the whole tag.  Only
+        its content postings; any other read takes the whole tag.  Only
         :func:`match_query` decides a match, so a candidate may still fail.
         """
         tags = self._by_tag if tags is None else dict.fromkeys(tags)
         if pattern is None:
-            return self.tagged(tags)
+            return [entry_id for tag in tags for entry_id in self._by_tag.get(tag, ())]
         postings = self._postings
         out: list[int] = []
         for tag in tags:
@@ -426,7 +419,6 @@ class MiddleMemory:
             return
         a.links.add(id_b)
         b.links.add(id_a)
-        a._reach = b._reach = None
         self._cols.stale.update((id_a, id_b))
         self._version += 1
 
@@ -437,19 +429,21 @@ class MiddleMemory:
             raise TemporalOrderError(
                 f"activation time {now} not after latest presentation {latest}")
         total = 0.0
-        for t in entry.presentations:
-            total += (now - t) ** (-self.decay)
-        return math.log(total)
+        try:
+            for t in entry.presentations:
+                total += (now - t) ** (-self.decay)
+        except OverflowError:
+            return math.inf
+        return math.log(total) if total > 0.0 else -math.inf
 
     def spreading(self, entry: MMEntry, wm: WorkingMemory, *,
                   sources: tuple[frozenset[str], ...] | None = None) -> float:
         """An equal share of the spreading weight per source that meets the
-        entry's reach set, added in source order.
+        entry's reach set (:meth:`_reach`), added in source order.
 
-        The reach set, built here when unset, holds the symbols (type and
-        slot values) of the entry's chunk and of every linked chunk; a
-        vector-only entry adds none.  ``sources`` are :func:`spread_sources`
-        of ``wm``, for a caller that built them already.
+        The reference definition of a table's spreading.  ``sources`` are
+        :func:`spread_sources` of ``wm``, for a caller that built them
+        already.
         """
         if sources is None:
             sources = spread_sources(wm)
@@ -464,22 +458,19 @@ class MiddleMemory:
         return total
 
     def _reach(self, entry: MMEntry) -> frozenset[str]:
-        """The entry's reach set, built when unset."""
-        reach = entry._reach
-        if reach is None:
-            chunks = [self.entries[nid].chunk for nid in entry.links]
-            chunks.append(entry.chunk)
-            reach = entry._reach = frozenset().union(
-                *(c.symbols() for c in chunks if c is not None))
-        return reach
+        """The symbols (type and slot values) of the entry's chunk and of
+        every linked chunk; a vector-only entry adds none."""
+        chunks = [self.entries[nid].chunk for nid in entry.links]
+        chunks.append(entry.chunk)
+        return frozenset().union(*(c.symbols() for c in chunks if c is not None))
 
     def activation(self, entry: MMEntry, wm: WorkingMemory, now: float, *,
                    sources: tuple[frozenset[str], ...] | None = None) -> float:
         """Base-level + spreading + optional seeded logistic noise.
 
-        The result is the entry's value in a table built now; ``sources``
-        are :func:`spread_sources` of ``wm``, for a caller that built them
-        already.
+        The reference definition of the entry's value in a table built now;
+        ``sources`` are :func:`spread_sources` of ``wm``, for a caller that
+        built them already.
         """
         if sources is None:
             sources = spread_sources(wm)
@@ -506,16 +497,14 @@ class MiddleMemory:
         return self.noise * math.log(u / (1.0 - u))
 
     def activations(self, wm: WorkingMemory, now: float) -> dict[int, float]:
-        """Every entry's activation at ``now`` under ``wm``, in id order.
+        """Every entry's activation at ``now`` under ``wm``, in id order."""
+        return {entry.id: act for entry, act  # NaN marks a forgotten entry's slot
+                in self._where(self._table(wm, now), lambda act: ~np.isnan(act))}
 
-        The mapping belongs to the memory's table cache: read, do not mutate.
-        """
-        table = self._table(wm, now)
-        if table.values is None:
-            slot_of = self._cols.slot_of
-            slots = np.fromiter(slot_of.values(), np.intp, len(slot_of))
-            table.values = dict(zip(slot_of, table.column[slots].tolist()))
-        return table.values
+    def above(self, wm: WorkingMemory, now: float,
+              threshold: float) -> list[tuple[MMEntry, float]]:
+        """Every entry whose activation exceeds ``threshold``, in id order."""
+        return self._where(self._table(wm, now), lambda act: act > threshold)
 
     def _table(self, wm: WorkingMemory, now: float) -> _Table:
         sources = spread_sources(wm)
@@ -544,25 +533,27 @@ class MiddleMemory:
         of the columns, gives a column table."""
         now, _, sources = point
         key = self._noise_key(now, sources) if self.noise > 0.0 else None
-        if isinstance(base, dict):
-            values = {}
-            for entry_id, entry in self.entries.items():
-                act = base[entry_id] + self.spreading(entry, None, sources=sources)
-                if key is not None:
-                    act += self._noise_sample(key, entry_id)
-                values[entry_id] = act
-            return _Table(point, base, values)
         cols = self._cols
         cols.post(self._reach)
         share = self.spread_weight / len(sources) if sources else 0.0
         fold = [0.0]
         for _ in sources:
             fold.append(fold[-1] + share)
-        column = base + np.array(fold)[cols.meets(sources)]
+        if isinstance(base, dict):
+            values = {}
+            for entry_id, slot in cols.slot_of.items():
+                reach = cols.posted[slot]
+                act = base[entry_id] + fold[sum(not symbols.isdisjoint(reach)
+                                                for symbols in sources)]
+                if key is not None:
+                    act += self._noise_sample(key, entry_id)
+                values[entry_id] = act
+            return _Table(point, base, values)
+        values = base + np.array(fold)[cols.meets(sources)]
         if key is not None:
-            column += np.array([0.0 if entry is None else self._noise_sample(key, entry.id)
+            values += np.array([0.0 if entry is None else self._noise_sample(key, entry.id)
                                 for entry in cols.entries])
-        return _Table(point, base, None, column)
+        return _Table(point, base, values)
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None = None,
                  tags: frozenset[str] | set[str] | None = None,
@@ -578,14 +569,10 @@ class MiddleMemory:
         """
         if k < 1:
             raise ValueError("k must be at least 1")
-        table = self.activations(wm, now)
         threshold = self.retrieval_threshold
         hits = []
-        for entry_id in self._candidates(pattern, tags):
-            act = table[entry_id]
-            if act < threshold:
-                continue
-            entry = self.entries[entry_id]
+        for entry, act in self._where(self._table(wm, now), lambda act: act >= threshold,
+                                      self._candidates(pattern, tags)):
             bindings: dict[str, str] = {}
             if pattern is not None:
                 if entry.chunk is None:
@@ -611,15 +598,24 @@ class MiddleMemory:
             self._forget([entry for entry, _ in removed], table)
         return removed
 
-    def _where(self, table: _Table, keep) -> list[tuple[MMEntry, float]]:
-        """Each entry whose activation passes ``keep``, with it, in id order;
-        ``keep`` tests a float, or each element of a column."""
-        if table.column is None:
-            return [(self.entries[entry_id], act)
-                    for entry_id, act in table.values.items() if keep(act)]
-        slots = np.flatnonzero(keep(table.column))
-        return list(zip(map(self._cols.entries.__getitem__, slots.tolist()),
-                        table.column[slots].tolist()))
+    def _where(self, table: _Table, keep,
+               ids: Iterable[int] | None = None) -> list[tuple[MMEntry, float]]:
+        """Each entry whose activation passes ``keep``, with it: among
+        ``ids`` in their order, or among all entries in id order when
+        ``ids`` is None.  ``keep`` tests a float, or each element of an
+        array; this is the one way any reader takes values from a table."""
+        values = table.values
+        if isinstance(values, dict):
+            return [(self.entries[entry_id], values[entry_id])
+                    for entry_id in (values if ids is None else ids) if keep(values[entry_id])]
+        cols = self._cols
+        if ids is None:
+            slots = np.flatnonzero(keep(values))
+        else:
+            slots = np.fromiter(map(cols.slot_of.__getitem__, ids), np.intp)
+            slots = slots[keep(values[slots])]
+        return list(zip(map(cols.entries.__getitem__, slots.tolist()),
+                        values[slots].tolist()))
 
     def _forget(self, gone: list[MMEntry], table: _Table) -> None:
         """Remove ``gone`` and rebuild the sweep's ``table`` at its point
@@ -628,7 +624,7 @@ class MiddleMemory:
         Survivors keep their base levels, and their noise draws too, since a
         draw depends on the version, which forgetting leaves alone.  Only
         the gone entries' neighbours lose a link, so only their reach sets
-        are reset and posted again.
+        are posted again.
         """
         cols, base = self._cols, table.base
         for entry in gone:
@@ -649,7 +645,6 @@ class MiddleMemory:
                 other = self.entries.get(nid)
                 if other is not None:
                     other.links.discard(entry.id)
-                    other._reach = None
                     cols.stale.add(nid)
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
@@ -719,12 +714,13 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
             values = content.known_values()
             symbols.extend(values)
             zero = zero and content.ctype == WILDCARD and not values
-    ranked = mm.retrievable(wm, now)
-    column = mm._table(wm, now).column
+    table, threshold = mm._table(wm, now), mm.retrieval_threshold
+    ranked = mm._where(table, lambda act: act >= threshold)
+    column = table.values if isinstance(table.values, np.ndarray) else None
     if column is None:
         weights = _softmax(np.array([act for _, act in ranked])) if ranked else np.empty(0)
     else:
-        keep = column >= mm.retrieval_threshold
+        keep = column >= threshold
         weights = _softmax(column[keep]) if ranked else np.empty(0)
     # An infinite activation (a base-level sum that overflows) makes the
     # weights NaN, and only the per-entry scoring ranks NaN scores as before.

@@ -19,18 +19,20 @@ evaluations use the cycle-end time, so a presentation deposited this cycle
 already has a positive lag.  Time is integer milliseconds internally.
 
 Activation is computed by middle-memory reads (see :mod:`.memory`), each
-table built one way: spreading and noise added to a base-level column.  The
-sweep's table, rebuilt from its column after forgetting, serves shadow
-retrieval, middle-memory conditions and formation, so formation tests the
-activations the shadows saw; formation reads only the entries its systems
-subscribe to, through middle memory's tag index, and retrieval only the
-entries its pattern's content postings name.  A table built after the commit
-serves the broadcast, reusing the sweep's base-level column.  The broadcast
-reads that table once for its symbols and its ``zero_context`` flag, and
-packs a context vector only for a live external predictor.  A memory of at
-least ``memory.COLUMN_MIN_ENTRIES`` entries builds its tables and the
-broadcast's symbol scores as numpy columns, a smaller one entry by entry;
-both give the same bits, so the trace does not depend on which runs.
+table built one way, spreading and noise added to a base-level column, and
+read one way, through ``MiddleMemory._where``.  The sweep's table, rebuilt
+from its column after forgetting, serves shadow retrieval, middle-memory
+conditions and formation, so formation tests the activations the shadows
+saw: in mm mode, one read right after the sweep takes the entries above the
+formation threshold, and each system forms from those whose tag it
+subscribes to.  Retrieval visits only the entries its pattern's content
+postings name.  A table built after the commit serves the broadcast, reusing
+the sweep's base-level column.  The broadcast reads that table once for its
+symbols and its ``zero_context`` flag, and packs a context vector only for a
+live external predictor.  A memory of at least ``memory.COLUMN_MIN_ENTRIES``
+entries builds its tables and the broadcast's symbol scores as numpy
+columns, a smaller one entry by entry; both give the same bits, so the trace
+does not depend on which runs.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .memory import (
     CENTRAL,
     Buffer,
     MiddleMemory,
+    MMEntry,
     WorkingMemory,
     context_symbols,
     context_vector,
@@ -143,7 +146,7 @@ class Session:
         self.queue = IngestionQueue()
         self.inflows: dict[str, list[Chunk]] = {s.buffer: [] for s in self.systems}
         self._pending_rewards: list[tuple[float, str]] = []
-        self._swept: dict[int, float] = {}  # the sweep's activations, for formation
+        self._hot: list[tuple[MMEntry, float]] = []  # the sweep's entries that may form
         self._scheduled: dict[int, list[float]] = {}
         for reward in model.rewards:
             self._scheduled.setdefault(reward.cycle, []).append(reward.amount)
@@ -304,7 +307,9 @@ class Session:
             self.trace.append(n, "forget", {
                 "entry": entry.id, "tag": entry.tag,
                 "activation": activation})
-        self._swept = self.mm.activations(self.wm, t_eval)
+        if self.mode == "mm":
+            self._hot = self.mm.above(self.wm, t_eval,
+                                      self.model.middle_memory.formation_threshold)
 
     # phase 3
     def _shadow_phase(self, n: int, t_eval: float) -> dict[int, tuple]:
@@ -457,12 +462,10 @@ class Session:
     def _formation_phase(self, n: int, t_now: float) -> None:
         threshold = self.model.middle_memory.formation_threshold
         ttl = self.model.learning.provisional_ttl_s
-        swept = self._swept
         for system in self.systems:
-            hot = sorted(entry_id for entry_id in self.mm.tagged(system.subscriptions)
-                         if swept[entry_id] > threshold)
-            for entry_id in hot:
-                entry, activation = self.mm.entries[entry_id], swept[entry_id]
+            for entry, activation in self._hot:
+                if entry.tag not in system.subscriptions:
+                    continue
                 production = form_retrieval_production(
                     entry, activation, system.name, system.buffer,
                     system.productions, t_now, threshold)

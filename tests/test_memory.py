@@ -99,6 +99,14 @@ class TestDeposit:
         q = factory.make_query("percept", [("value", "?")])
         assert mm.retrieve(wm, 2.0, pattern=q, tags={"vision"}, k=5) == []
 
+    def test_seeded_history_defaults_only_when_absent(self, factory):
+        mm = MiddleMemory()
+        entry_id = mm.seed_entry("t", chunk=factory.make("a"))
+        assert mm.entry(entry_id).presentations == [0.0]
+        with pytest.raises(ChunkError):
+            mm.seed_entry("t", chunk=factory.make("b"), presentations=[])
+        assert len(mm) == 1
+
     def test_deposit_rejects_time_reversal(self, factory):
         mm = MiddleMemory()
         mm.deposit(5.0, "vision", chunk=factory.make("a"))
@@ -405,7 +413,7 @@ class TestActivationTable:
     @given(data=st.data())
     @on_both_table_kinds
     def test_every_reported_value_is_a_fresh_evaluation(self, data):
-        """Sweep, retrieve and retrievable report exactly base-level +
+        """Sweep, retrieve, retrievable and above report exactly base-level +
         spreading on the current state, before and after forgetting,
         including for the live neighbours of forgotten entries, for
         vector-only entries in the graph, and after links added late."""
@@ -461,6 +469,13 @@ class TestActivationTable:
         pattern = factory.make_query("fact", [("v", "?")])
         for entry, act, _ in mm.retrieve(wm, now, pattern=pattern, tags={"y"}, k=10):
             assert act == reference_activation(mm, entry, wm, now)
+        reference = {i: reference_activation(mm, e, wm, now) for i, e in mm.entries.items()}
+        thresholds = st.floats(-5.0, 5.0)
+        if reference:  # a drawn reference value tests the strict comparison
+            thresholds = st.one_of(thresholds, st.sampled_from(list(reference.values())))
+        threshold = data.draw(thresholds)
+        assert [(e.id, act) for e, act in mm.above(wm, now, threshold)] == \
+            [(i, act) for i, act in reference.items() if act > threshold]
         wm.write("central", "goal", factory.make("cue", [("v", data.draw(SYMBOLS))]))
         for entry, act in mm.retrievable(wm, now):
             assert act == reference_activation(mm, entry, wm, now)
@@ -584,8 +599,8 @@ class TestActivationTable:
         mm.link(hub, stale)
         wm.write("central", "goal", factory.make("goal", [("topic", "x")]))
         now = 1.0
+        assert mm._table(wm, now) is mm._table(wm, now)  # one table per evaluation point
         table = mm.activations(wm, now)
-        assert table is mm.activations(wm, now)  # one table per evaluation point
         sample = table[hub] - (mm.base_level(mm.entry(hub), now)
                                + mm.spreading(mm.entry(hub), wm))
         assert sample != 0.0

@@ -2,11 +2,14 @@
 
 :class:`NaiveMiddleMemory` answers every read from scratch.  Each read
 recomputes every entry's activation through :meth:`MiddleMemory.activation`,
-from fresh reach sets and freshly built spreading sources, and every tagged
-read scans the entries.  It keeps no table, reads no column and probes no
-posting.  Put in place of the runtime's middle memory, it must reproduce
-the trace bytes of the real one, whose tables, base-level columns, spreading
-columns, symbol codes and postings are all caches of these definitions.
+the reference definition, from reach sets built from the links and freshly
+built spreading sources, into a per-entry table that the shared
+:meth:`MiddleMemory._where` reads; a retrieval's candidates come from a scan
+of the entries.  It keeps no table, reads no column and probes no posting.
+Put in place of the runtime's middle memory, it must reproduce the trace
+bytes of the real one, whose tables, base-level columns, posted reach sets,
+spreading columns, symbol codes and postings are all caches of these
+definitions.
 """
 
 import pytest
@@ -25,11 +28,9 @@ from test_runtime import linked_facts_doc, multi_step_model_docs
 
 
 class NaiveMiddleMemory(MiddleMemory):
-    """Every read evaluates every entry again; tagged reads scan."""
+    """Every read evaluates every entry again; candidate reads scan."""
 
     def _table(self, wm, now):
-        for entry in self.entries.values():
-            entry._reach = None
         sources = tuple(
             frozenset(buf.content.values() if isinstance(buf.content, Chunk)
                       else buf.content.known_values())
@@ -39,12 +40,8 @@ class NaiveMiddleMemory(MiddleMemory):
                   for i, e in self.entries.items()}
         return _Table((now, self._version, sources), base, values)
 
-    def tagged(self, tags):
-        tags = set(tags)
-        return [i for i, e in self.entries.items() if e.tag in tags]
-
     def _candidates(self, pattern, tags):
-        return list(self.entries) if tags is None else self.tagged(tags)
+        return [i for i, e in self.entries.items() if tags is None or e.tag in tags]
 
 
 def _same_bytes(model, cycles, seed):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -800,3 +801,40 @@ class TestFormation:
         assert [e.data["entry"] for e in events if e.kind == "forget"] == [2]
         assert session.mm.activations(session.wm, t_eval)[1] < 3.0
         assert not [e for e in events if e.kind == "form"]
+
+
+class TestBaseLevelLimits:
+    """A base-level sum that leaves the float range must not stop a run of a
+    valid model: a term that overflows makes the activation +inf, and a sum
+    that underflows to 0.0 makes it -inf, so the first sweep forgets it."""
+
+    @staticmethod
+    def one_fact_doc(decay, presentation):
+        return {
+            "name": "base-level-limit",
+            "buffers": [{"name": "goal", "owner": "central"},
+                        {"name": "watch", "owner": "watcher"}],
+            "shadow_systems": [{"name": "watcher", "buffer": "watch",
+                                "subscriptions": ["t"]}],
+            "middle_memory": {"decay": decay},
+            "initial_mm": [{"tag": "t", "chunk": {"isa": "fact", "slots": {"n": "x"}},
+                            "presentations": [presentation]}],
+        }
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    def test_an_overflowing_term_gives_infinite_activation(self):
+        session = Session(parse_model(self.one_fact_doc(300.0, 0.0)), mode="mm")
+        assert session.mm.activations(session.wm, session._cycle_time(1)) == {1: math.inf}
+        for _ in range(3):
+            session.step()
+        assert len(session.mm) == 1
+        assert not session.trace.by_kind("forget")
+        trace_to_bytes(session.trace)
+
+    def test_an_underflowing_sum_is_forgotten_at_the_first_sweep(self):
+        session = Session(parse_model(self.one_fact_doc(60.0, -1e7)), mode="mm")
+        session.step()
+        assert [(e.data["entry"], e.data["activation"])
+                for e in session.trace.by_kind("forget")] == [(1, -math.inf)]
+        assert len(session.mm) == 0
+        trace_to_bytes(session.trace)
