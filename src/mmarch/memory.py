@@ -156,34 +156,38 @@ class _Table:
 
     ``base`` is the base-level column, which depends on the point's time
     and version only: the tables at one time and version share it, under
-    any spreading sources and after forgetting.  A per-entry table keeps
-    ``base`` and ``values`` as dicts by id, in id order; a column table
-    keeps them as arrays by slot of the memory's :class:`_Columns`, NaN at
-    a forgotten entry's slot.
+    any spreading sources and after forgetting.  ``base`` and ``values``
+    are by slot of the memory's :class:`_Columns`, NaN at a forgotten
+    entry's slot: lists in a per-entry table, arrays in a column table.
     """
 
     point: tuple  # (time, version, spreading sources)
-    base: dict[int, float] | np.ndarray
-    values: dict[int, float] | np.ndarray
+    base: list[float] | np.ndarray
+    values: list[float] | np.ndarray
 
 
 class _Columns:
-    """Middle memory's entries by slot, with spreading postings and symbol codes.
+    """Middle memory's entries by slot, with their postings and symbol codes.
 
-    The memory keeps one from its first entry on.  Slots are handed out in
-    id order and a forgotten entry leaves its slot empty (None), so slot
-    order is id order; the memory builds new columns once empty slots
-    outnumber live ones.  ``reach`` maps each symbol to the slots whose
-    reach set holds it; the entries whose ids are in ``stale`` have reach
-    sets that changed since they were posted.  ``codes`` holds the slot
-    values of every chunk as symbol codes, in slot order, with the owning
-    slot of each in ``owners``.
+    The slot is the one address of an entry inside middle memory.  The
+    memory keeps one ``_Columns`` from its first entry on.  Slots are handed
+    out in id order and a forgotten entry leaves its slot empty (None), so
+    slot order is id order; the memory builds new columns once empty slots
+    outnumber live ones.  Until then a forgotten entry's slot stays in
+    every posting, and every table reads NaN there.  ``postings`` maps
+    ``(tag,)``, ``(tag, type)`` and ``(tag, slot name, value)`` to the slots
+    of the entries filed under it.  ``reach`` maps each symbol to the slots
+    whose reach set holds it; the entries whose ids are in ``stale`` have
+    reach sets that changed since they were posted.  ``codes`` holds the
+    slot values of every chunk as symbol codes, in slot order, with the
+    owning slot of each in ``owners``.
     """
 
     def __init__(self, entries: Iterable[MMEntry]):
         self.entries: list[MMEntry | None] = []
         self.slot_of: dict[int, int] = {}  # live id -> slot, in id order
         self.dead = 0
+        self.postings: dict[tuple, array] = {}
         self.reach: dict[str, array] = {}
         self.posted: list[frozenset[str]] = []  # each slot's reach set as posted
         self.stale: set[int] = set()  # ids to post again
@@ -207,14 +211,18 @@ class _Columns:
         self.posted.append(frozenset())
         self.slot_of[entry.id] = slot
         self.stale.add(entry.id)
+        keys = [(entry.tag,)]
         if entry.chunk is not None:
-            for _, value in entry.chunk.slots:
+            keys.append((entry.tag, entry.chunk.ctype))
+            for name, value in entry.chunk.slots:
+                keys.append((entry.tag, name, value))
                 self.codes.append(self.code(value))
                 self.owners.append(slot)
+        for key in keys:
+            self.postings.setdefault(key, array("i")).append(slot)
 
     def remove(self, entry: MMEntry) -> int:
-        """Empty ``entry``'s slot and return it; its postings stay until
-        the columns are rebuilt, and its slot reads NaN in a column table."""
+        """Empty ``entry``'s slot and return it."""
         slot = self.slot_of.pop(entry.id)
         self.entries[slot] = None
         self.dead += 1
@@ -250,16 +258,6 @@ class _Columns:
         return count
 
 
-def _content_keys(entry: MMEntry) -> list[tuple]:
-    """The content postings an entry is filed under: its tag with its chunk
-    type, and its tag with each slot and value."""
-    chunk = entry.chunk
-    if chunk is None:
-        return []
-    return [(entry.tag, chunk.ctype),
-            *((entry.tag, name, value) for name, value in chunk.slots)]
-
-
 class MiddleMemory:
     """Activation-ranked store of tagged predictions and graph chunks.
 
@@ -273,25 +271,25 @@ class MiddleMemory:
     base-level column plus spreading plus noise.  The next table at the same
     time and version reuses its column, so each entry's base level is
     computed once per time and version.  Forgetting leaves the version
-    alone: it rebuilds the sweep's table at its point from its column, less
-    the gone entries.
+    alone: it rebuilds the sweep's table at its point from its column, NaN
+    at the gone entries' slots.
 
     The memory keeps columns (:class:`_Columns`) from its first entry on,
-    in step through ``_add``, ``link`` and ``_forget``, with each entry's
-    reach set as posted.  Spreading adds ``share`` once per source that
-    meets an entry's reach set, so it is ``share`` added k times to 0.0.
-    From :data:`COLUMN_MIN_ENTRIES` entries up a new base-level column is
-    an array by slot and a table is one numpy add to it, k counted from the
-    sources' symbols' reach postings; then each entry's noise draw.  A
-    smaller memory's base is a dict by id, and its tables count k and add
-    the draw entry by entry.  Both equal the reference definitions,
-    :meth:`spreading` and :meth:`activation`, bit for bit.  The base level
-    stays one Python sum per entry: numpy's ``power`` does not give the
-    bits of Python's ``**``.
-
-    Entries are also indexed by tag, and chunks by content postings
-    (tag and type, and tag, slot and value), so a tagged or patterned read
-    visits only the entries it can return.
+    in step through ``_add``, ``link`` and ``_forget``.  Inside the memory
+    an entry is addressed by its slot there only: every table is by slot,
+    and the postings of tag and content, which a tagged or patterned read
+    probes to visit only the entries it can return, hold slots.  A
+    forgotten entry leaves NaN at its slot in every table, which fails
+    every read's test, and stays in every posting until new columns are
+    built.  Spreading adds ``share`` once per source that meets an entry's
+    reach set, so it is ``share`` added k times to 0.0.  From
+    :data:`COLUMN_MIN_ENTRIES` entries up a new base-level column is an
+    array, and a table is one numpy add to it, k counted from the sources'
+    symbols' reach postings; then each entry's noise draw.  A smaller
+    memory's base is a list, and its tables count k and add the draw entry
+    by entry.  Both equal the reference definitions, :meth:`spreading` and
+    :meth:`activation`, bit for bit.  The base level stays one Python sum
+    per entry: numpy's ``power`` does not give the bits of Python's ``**``.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -311,8 +309,6 @@ class MiddleMemory:
         self._noise_seed = noise_seed
         self.entries: dict[int, MMEntry] = {}
         self._by_key: dict[tuple, int] = {}
-        self._by_tag: dict[str, dict[int, None]] = {}  # tag -> ids, in id order
-        self._postings: dict[tuple, list[int]] = {}  # content key -> ids, in id order
         self._next_id = 1
         self._latest: float | None = None  # newest presentation of a live entry
         self._version = 0
@@ -384,31 +380,31 @@ class MiddleMemory:
         self._next_id += 1
         self.entries[entry.id] = entry
         self._by_key[key] = entry.id
-        self._by_tag.setdefault(entry.tag, {})[entry.id] = None
-        for content in _content_keys(entry):
-            self._postings.setdefault(content, []).append(entry.id)
         self._cols.add(entry)
 
-    def _candidates(self, pattern: Query | None, tags: Iterable[str] | None) -> list[int]:
-        """Ids a read of ``pattern`` under ``tags`` (None = all) must test.
+    def _candidates(self, pattern: Query | None, tags: Iterable[str] | None) -> array | None:
+        """Slots a read of ``pattern`` under ``tags`` must test; None (all
+        slots) when ``tags`` is None.
 
-        Per tag, a pattern with a known type or value probes the smallest of
-        its content postings; any other read takes the whole tag.  Only
-        :func:`match_query` decides a match, so a candidate may still fail.
+        Per tag, the read probes the smallest of the tag's posting and the
+        postings of the pattern's known type and values.  Forgotten slots
+        stay in postings and only :func:`match_query` decides a match, so a
+        candidate may still fail.  Slots are valid until the next new table.
         """
-        tags = self._by_tag if tags is None else dict.fromkeys(tags)
-        if pattern is None:
-            return [entry_id for tag in tags for entry_id in self._by_tag.get(tag, ())]
-        postings = self._postings
-        out: list[int] = []
+        if tags is None:
+            return None
+        postings, out = self._cols.postings, array("i")
         for tag in tags:
-            best = None if pattern.ctype == WILDCARD else postings.get((tag, pattern.ctype), ())
-            for name, value in pattern.slots:
-                if value != WILDCARD:
-                    posting = postings.get((tag, name, value), ())
-                    if best is None or len(posting) < len(best):
-                        best = posting
-            out.extend(self._by_tag.get(tag, ()) if best is None else best)
+            best = postings.get((tag,), ())
+            if pattern is not None:
+                if pattern.ctype != WILDCARD:  # a subset of the tag's posting
+                    best = postings.get((tag, pattern.ctype), ())
+                for name, value in pattern.slots:
+                    if value != WILDCARD:
+                        posting = postings.get((tag, name, value), ())
+                        if len(posting) < len(best):
+                            best = posting
+            out.extend(best)
         return out
 
     def link(self, id_a: int, id_b: int) -> None:
@@ -517,42 +513,36 @@ class MiddleMemory:
         else:
             if self._cols.dead > len(self.entries):
                 self._cols = _Columns(self.entries.values())
+            base = [math.nan if entry is None else self.base_level(entry, now)
+                    for entry in self._cols.entries]
             if len(self.entries) >= COLUMN_MIN_ENTRIES:
-                base = np.array([math.nan if entry is None else self.base_level(entry, now)
-                                 for entry in self._cols.entries])
-            else:
-                base = {entry_id: self.base_level(entry, now)
-                        for entry_id, entry in self.entries.items()}
+                base = np.array(base)
         self._cached = self._build(point, base)
         return self._cached
 
-    def _build(self, point: tuple, base: dict[int, float] | np.ndarray) -> _Table:
+    def _build(self, point: tuple, base: list[float] | np.ndarray) -> _Table:
         """The table at ``point``: ``base`` plus each entry's spreading, plus
         its noise draw, the float operations of :meth:`activation` in its
-        order.  A dict ``base`` gives a per-entry table; an array, by slot
-        of the columns, gives a column table."""
+        order.  A list ``base`` gives a per-entry table; an array gives a
+        column table."""
         now, _, sources = point
-        key = self._noise_key(now, sources) if self.noise > 0.0 else None
         cols = self._cols
         cols.post(self._reach)
         share = self.spread_weight / len(sources) if sources else 0.0
         fold = [0.0]
         for _ in sources:
             fold.append(fold[-1] + share)
-        if isinstance(base, dict):
-            values = {}
-            for entry_id, slot in cols.slot_of.items():
-                reach = cols.posted[slot]
-                act = base[entry_id] + fold[sum(not symbols.isdisjoint(reach)
-                                                for symbols in sources)]
-                if key is not None:
-                    act += self._noise_sample(key, entry_id)
-                values[entry_id] = act
-            return _Table(point, base, values)
-        values = base + np.array(fold)[cols.meets(sources)]
-        if key is not None:
-            values += np.array([0.0 if entry is None else self._noise_sample(key, entry.id)
-                                for entry in cols.entries])
+        if isinstance(base, list):
+            values = [act + fold[sum(not symbols.isdisjoint(reach) for symbols in sources)]
+                      for act, reach in zip(base, cols.posted)]
+        else:
+            values = base + np.array(fold)[cols.meets(sources)]
+        if self.noise > 0.0:
+            key = self._noise_key(now, sources)
+            noise = [0.0 if entry is None else self._noise_sample(key, entry.id)
+                     for entry in cols.entries]
+            values = ([act + draw for act, draw in zip(values, noise)]
+                      if isinstance(base, list) else values + noise)
         return _Table(point, base, values)
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None = None,
@@ -570,8 +560,9 @@ class MiddleMemory:
         if k < 1:
             raise ValueError("k must be at least 1")
         threshold = self.retrieval_threshold
+        table = self._table(wm, now)  # first: a new table may renumber the slots
         hits = []
-        for entry, act in self._where(self._table(wm, now), lambda act: act >= threshold,
+        for entry, act in self._where(table, lambda act: act >= threshold,
                                       self._candidates(pattern, tags)):
             bindings: dict[str, str] = {}
             if pattern is not None:
@@ -599,48 +590,38 @@ class MiddleMemory:
         return removed
 
     def _where(self, table: _Table, keep,
-               ids: Iterable[int] | None = None) -> list[tuple[MMEntry, float]]:
+               slots: Iterable[int] | None = None) -> list[tuple[MMEntry, float]]:
         """Each entry whose activation passes ``keep``, with it: among
-        ``ids`` in their order, or among all entries in id order when
-        ``ids`` is None.  ``keep`` tests a float, or each element of an
-        array; this is the one way any reader takes values from a table."""
-        values = table.values
-        if isinstance(values, dict):
-            return [(self.entries[entry_id], values[entry_id])
-                    for entry_id in (values if ids is None else ids) if keep(values[entry_id])]
-        cols = self._cols
-        if ids is None:
+        ``slots`` in their order, or among all slots in slot (id) order when
+        ``slots`` is None.  ``keep`` tests a float, or each element of an
+        array, and fails the NaN of a forgotten entry's slot; this is the
+        one way any reader takes values from a table."""
+        values, entries = table.values, self._cols.entries
+        if isinstance(values, list):
+            return [(entries[slot], values[slot])
+                    for slot in (range(len(values)) if slots is None else slots)
+                    if keep(values[slot])]
+        if slots is None:
             slots = np.flatnonzero(keep(values))
         else:
-            slots = np.fromiter(map(cols.slot_of.__getitem__, ids), np.intp)
+            slots = np.asarray(slots, np.intp)
             slots = slots[keep(values[slots])]
-        return list(zip(map(cols.entries.__getitem__, slots.tolist()),
-                        values[slots].tolist()))
+        return list(zip(map(entries.__getitem__, slots.tolist()), values[slots].tolist()))
 
     def _forget(self, gone: list[MMEntry], table: _Table) -> None:
         """Remove ``gone`` and rebuild the sweep's ``table`` at its point
-        from its base-level column, less ``gone``.
+        from its base-level column, NaN at the gone entries' slots.
 
-        Survivors keep their base levels, and their noise draws too, since a
-        draw depends on the version, which forgetting leaves alone.  Only
-        the gone entries' neighbours lose a link, so only their reach sets
-        are posted again.
+        Postings keep the gone slots.  Survivors keep their base levels, and
+        their noise draws too, since a draw depends on the version, which
+        forgetting leaves alone.  Only the gone entries' neighbours lose a
+        link, so only their reach sets are posted again.
         """
         cols, base = self._cols, table.base
         for entry in gone:
             del self.entries[entry.id]
             del self._by_key[entry.content_key()]
-            del self._by_tag[entry.tag][entry.id]
-            for content in _content_keys(entry):
-                posting = self._postings[content]
-                posting.remove(entry.id)
-                if not posting:
-                    del self._postings[content]
-            slot = cols.remove(entry)
-            if isinstance(base, dict):
-                del base[entry.id]
-            else:
-                base[slot] = math.nan
+            base[cols.remove(entry)] = math.nan
             for nid in entry.links:
                 other = self.entries.get(nid)
                 if other is not None:
@@ -669,8 +650,10 @@ def _packed_content(buf: Buffer, book: Codebook) -> HoloVector | None:
 
 
 def _softmax(acts: np.ndarray) -> np.ndarray:
-    weights = np.exp(acts - acts.max())
-    return weights / weights.sum()
+    """Softmax weights; an infinite activation makes them all NaN."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        weights = np.exp(acts - acts.max())
+        return weights / weights.sum()
 
 
 @dataclass

@@ -663,9 +663,12 @@ def model_to_dict(model: ModelDefinition) -> dict:
 
 def load_model(path) -> ModelDefinition:
     """Load, default-fill, and validate a model file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        document = json.loads(text)
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ModelValidationError([("", f"cannot read model file: {exc}")]) from None
+    except UnicodeDecodeError as exc:
+        raise ModelValidationError([("", f"not UTF-8: {exc}")]) from None
     except json.JSONDecodeError as exc:
         raise ModelValidationError([("", f"not valid JSON: {exc}")]) from None
     return parse_model(document)

@@ -96,7 +96,9 @@ def read_trace(source) -> Trace:
     """Parse a trace from a path or file object.
 
     Raises :class:`UnsupportedTraceVersion` on a version mismatch and
-    :class:`TraceFormatError` (naming the last good line) on damage.
+    :class:`TraceFormatError` (naming the last good line) on damage,
+    including an event whose cycle or seq is not an int or whose data is
+    not an object.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -129,6 +131,9 @@ def read_trace(source) -> Trace:
                                kind=record["kind"], data=record["data"])
             if event.kind not in EVENT_KINDS:
                 raise KeyError("kind")
+            if not (type(event.cycle) is int and type(event.seq) is int
+                    and isinstance(event.data, dict)):
+                raise TypeError("cycle, seq or data")
         except (json.JSONDecodeError, KeyError, TypeError):
             raise TraceFormatError(
                 f"malformed event; last good line was {number - 1}", line=number) from None

@@ -189,7 +189,6 @@ def test_inline_states_match_the_reference(contents, entries):
     assert_matches_reference(wm, mm, Codebook(dimension=128, seed=2), 2.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
 def test_an_infinite_activation_scores_as_the_per_entry_loop(monkeypatch):
     """Twenty presentations at decay 236 sum past the largest float, so one
     activation is infinite and every softmax weight NaN; a column table

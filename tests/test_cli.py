@@ -136,3 +136,17 @@ def test_wrongly_typed_model_field_exits_1(tmp_path, capsys):
     rc = main(["run", "--model", str(bad), "--cycles", "1"])
     assert rc == 1
     assert "middle_memory.decay" in capsys.readouterr().err
+
+
+def test_model_directory_exits_1(tmp_path, capsys):
+    rc = main(["run", "--model", str(tmp_path), "--cycles", "1"])
+    assert rc == 1
+    assert "error: model validation failed" in capsys.readouterr().err
+
+
+def test_non_utf8_model_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"name": "caf\xe9"}')
+    rc = main(["run", "--model", str(bad), "--cycles", "1"])
+    assert rc == 1
+    assert "not UTF-8" in capsys.readouterr().err

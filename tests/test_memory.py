@@ -574,6 +574,34 @@ class TestActivationTable:
         wm.write("central", "goal", None)
         assert list(mm.activations(wm, 20.0)) == []
 
+    @pytest.mark.parametrize("column_min", [memory.COLUMN_MIN_ENTRIES, 0])
+    def test_content_forgotten_and_deposited_again_is_retrieved_once(
+            self, monkeypatch, wm, factory, column_min):
+        """The forgotten entries' slots stay in their postings; the same
+        content deposited again takes a new id and slot, and every read
+        returns that id only, once.  The first read's table drops the dead
+        slots, which then outnumber live ones, so it must take its slots
+        after that table."""
+        monkeypatch.setattr(memory, "COLUMN_MIN_ENTRIES", column_min)
+        mm = MiddleMemory(forget_threshold=-1.0)
+        fact = factory.make("fact", [("v", "x")])
+        gone = [mm.deposit(0.0, "t", chunk=factory.make("fact", [("v", v)]))[0]
+                for v in ("x", "a", "b")]
+        other, _ = mm.deposit(999.0, "t", chunk=factory.make("fact", [("v", "y")]))
+        assert [e.id for e, _ in mm.sweep(wm, 1000.0)] == gone
+        new, created = mm.deposit(1000.0, "t", chunk=fact)
+        assert created and new not in gone
+        assert len(mm._cols.postings[("t", "v", "x")]) == 2  # the tombstone is still filed
+        for pattern in (factory.make_query("fact", [("v", "x")]),
+                        factory.make_query("?", [("v", "x")])):
+            for tags in ({"t"}, None):
+                hits = mm.retrieve(wm, 1001.0, pattern=pattern, tags=tags, k=5)
+                assert [e.id for e, _, _ in hits] == [new]
+        assert len(mm._cols.postings[("t", "v", "x")]) == 1
+        hits = mm.retrieve(wm, 1001.0, tags={"t"}, k=5)
+        assert sorted(e.id for e, _, _ in hits) == [other, new]
+        assert list(mm.activations(wm, 1001.0)) == [other, new]
+
     def test_table_follows_deposits_and_links(self, wm, factory):
         mm = MiddleMemory()
         x = factory.make("fact", [("about", "x")])
@@ -703,8 +731,8 @@ def test_base_level_evaluated_at_most_once_per_entry_per_cycle(monkeypatch):
 
 def test_column_upkeep_stays_bounded_below_the_cut_over(factory):
     """Every memory keeps its columns, so one that never reaches
-    ``COLUMN_MIN_ENTRIES`` must still drop its forgotten slots, stale ids
-    and symbol codes; each round deposits, links and forgets."""
+    ``COLUMN_MIN_ENTRIES`` must still drop its forgotten slots, stale ids,
+    symbol codes and postings; each round deposits, links and forgets."""
     mm = MiddleMemory()
     wm = WorkingMemory()
     wm.add_buffer("goal", "central")
@@ -724,4 +752,5 @@ def test_column_upkeep_stays_bounded_below_the_cut_over(factory):
         assert len(cols.entries) <= bound
         assert len(cols.stale) <= bound
         assert len(cols.codes) <= bound
+        assert sum(map(len, cols.postings.values())) <= 3 * bound  # tag, type, value
     assert forgotten > 900

@@ -1,16 +1,19 @@
 """Differential oracle: middle memory with every cache and index taken out.
 
 :class:`NaiveMiddleMemory` answers every read from scratch.  Each read
-recomputes every entry's activation through :meth:`MiddleMemory.activation`,
-the reference definition, from reach sets built from the links and freshly
-built spreading sources, into a per-entry table that the shared
+recomputes every live entry's activation through
+:meth:`MiddleMemory.activation`, the reference definition, from reach sets
+built from the links and freshly built spreading sources, into a per-entry
+table by slot of the memory's entries that the shared
 :meth:`MiddleMemory._where` reads; a retrieval's candidates come from a scan
-of the entries.  It keeps no table, reads no column and probes no posting.
-Put in place of the runtime's middle memory, it must reproduce the trace
-bytes of the real one, whose tables, base-level columns, posted reach sets,
-spreading columns, symbol codes and postings are all caches of these
+of the live slots.  It keeps no table, reads no column and probes no
+posting.  Put in place of the runtime's middle memory, it must reproduce the
+trace bytes of the real one, whose tables, base-level columns, posted reach
+sets, spreading columns, symbol codes and postings are all caches of these
 definitions.
 """
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -35,13 +38,15 @@ class NaiveMiddleMemory(MiddleMemory):
             frozenset(buf.content.values() if isinstance(buf.content, Chunk)
                       else buf.content.known_values())
             for buf in wm.non_empty())
-        base = {i: self.base_level(e, now) for i, e in self.entries.items()}
-        values = {i: self.activation(e, wm, now, sources=sources)
-                  for i, e in self.entries.items()}
+        slots = self._cols.entries
+        base = [math.nan if e is None else self.base_level(e, now) for e in slots]
+        values = [math.nan if e is None else self.activation(e, wm, now, sources=sources)
+                  for e in slots]
         return _Table((now, self._version, sources), base, values)
 
     def _candidates(self, pattern, tags):
-        return [i for i, e in self.entries.items() if tags is None or e.tag in tags]
+        return [slot for slot, e in enumerate(self._cols.entries)
+                if e is not None and (tags is None or e.tag in tags)]
 
 
 def _same_bytes(model, cycles, seed):

@@ -821,7 +821,6 @@ class TestBaseLevelLimits:
                             "presentations": [presentation]}],
         }
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     def test_an_overflowing_term_gives_infinite_activation(self):
         session = Session(parse_model(self.one_fact_doc(300.0, 0.0)), mode="mm")
         assert session.mm.activations(session.wm, session._cycle_time(1)) == {1: math.inf}

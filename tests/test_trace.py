@@ -71,6 +71,25 @@ def test_truncated_line_names_last_good_line(tmp_path):
     assert f"last good line was {len(lines) - 1}" in str(err.value)
 
 
+@pytest.mark.parametrize("event", [
+    '{"cycle":"x","seq":0,"kind":"idle","data":{}}',
+    '{"cycle":0,"seq":1.5,"kind":"idle","data":{}}',
+    '{"cycle":true,"seq":0,"kind":"idle","data":{}}',
+    '{"cycle":0,"seq":0,"kind":"idle","data":5}',
+    '{"cycle":0,"seq":0,"kind":"idle","data":null}',
+])
+def test_mistyped_event_fields_rejected(tmp_path, event):
+    path = tmp_path / "run.trace"
+    write_trace(_sample_trace(), path)
+    lines = path.read_text().splitlines()
+    lines.insert(2, event)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert err.value.line == 3
+    assert "last good line was 2" in str(err.value)
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "run.trace"
     path.write_text("")
