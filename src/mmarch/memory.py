@@ -650,10 +650,10 @@ def _packed_content(buf: Buffer, book: Codebook) -> HoloVector | None:
 
 
 def _softmax(acts: np.ndarray) -> np.ndarray:
-    """Softmax weights; an infinite activation makes them all NaN."""
-    with np.errstate(invalid="ignore"):  # inf - inf
-        weights = np.exp(acts - acts.max())
-        return weights / weights.sum()
+    """Softmax weights; ``+inf`` activations share them equally, the limit."""
+    top = acts.max()
+    weights = (acts == top).astype(float) if top == math.inf else np.exp(acts - top)
+    return weights / weights.sum()
 
 
 @dataclass
@@ -702,15 +702,11 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
     column = table.values if isinstance(table.values, np.ndarray) else None
     if column is None:
         weights = _softmax(np.array([act for _, act in ranked])) if ranked else np.empty(0)
+        top = _top_by_entries(symbols, ranked, weights, k)
     else:
         keep = column >= threshold
         weights = _softmax(column[keep]) if ranked else np.empty(0)
-    # An infinite activation (a base-level sum that overflows) makes the
-    # weights NaN, and only the per-entry scoring ranks NaN scores as before.
-    if column is not None and np.isfinite(weights).all():
         top = _top_by_codes(mm._cols, symbols, keep, weights, k)
-    else:
-        top = _top_by_entries(symbols, ranked, weights, k)
     return Context([sym for _, sym in top], zero and not ranked, buffers, ranked, weights)
 
 

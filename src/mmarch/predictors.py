@@ -4,17 +4,16 @@ Predictors consume the per-cycle context broadcast and emit tagged
 predictions.  Two small reference predictors are built in and read only its
 top-ranked symbols; anything larger runs outside the process, receives the
 context vector with the symbols, and speaks a newline-delimited JSON
-protocol over a child process's stdio or a TCP socket.  All emissions land
-in an ingestion queue that the runtime drains at cycle boundaries in a
-deterministic order; the engines never see predictor output except through
-middle-memory deposits.
+protocol over a child process's stdio or a TCP socket.  Built-in emissions
+and the lines external peers send wait for the runtime, which drains them at
+the next cycle boundary in a deterministic order; the engines never see
+predictor output except through middle-memory deposits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import queue
 import socket
 import subprocess
 import threading
@@ -216,10 +215,11 @@ def decode_prediction(line: str, dim: int) -> dict:
 class ExternalPredictor:
     """Bridge to a predictor living in a child process or behind a socket.
 
-    Context lines go out on every broadcast; prediction lines are read by
-    a background thread into the ingestion queue and only become deposits
-    when the runtime drains.  A dead peer marks the predictor stalled: the
-    run continues and no further sends are attempted.
+    Context lines go out on every broadcast; a background thread hands each
+    prediction line, with the cycle of the last context sent, to the sink
+    given to :meth:`start`, and the line only becomes a deposit when the
+    runtime drains.  A dead peer marks the predictor stalled: the run
+    continues and no further sends are attempted.
     """
 
     def __init__(self, name: str, tag: str, *, command: list[str] | None = None,
@@ -240,7 +240,7 @@ class ExternalPredictor:
         self._sink = None
 
     def start(self, sink) -> None:
-        """Connect and begin reading; ``sink(name, cycle, line)`` enqueues."""
+        """Connect and begin reading; ``sink((name, cycle, line))`` takes each line."""
         self._sink = sink
         try:
             if self.command is not None:
@@ -251,6 +251,7 @@ class ExternalPredictor:
                 reader = self._proc.stdout
             else:
                 self._sock = socket.create_connection((self.host, self.port), timeout=5.0)
+                self._sock.settimeout(None)  # the bound is for connecting; a peer may be quiet
                 handle = self._sock.makefile("rw", encoding="utf-8", newline="\n")
                 self._writer = handle
                 reader = handle
@@ -263,10 +264,11 @@ class ExternalPredictor:
 
     def _read_loop(self, reader) -> None:
         try:
-            for line in reader:
-                line = line.strip()
-                if line:
-                    self._sink(self.name, self.last_context_cycle, line)
+            with reader:
+                for line in reader:
+                    line = line.strip()
+                    if line:
+                        self._sink((self.name, self.last_context_cycle, line))
         except (OSError, ValueError):
             pass
         self.stalled = True
@@ -285,59 +287,19 @@ class ExternalPredictor:
         return True
 
     def close(self) -> None:
+        """Disconnect the peer and wait, briefly, for the reader to end."""
         if self._proc is not None:
             try:
-                if self._proc.stdin:
-                    self._proc.stdin.close()
+                self._proc.stdin.close()
                 self._proc.terminate()
                 self._proc.wait(timeout=2.0)
             except (OSError, subprocess.TimeoutExpired):
                 self._proc.kill()
         if self._sock is not None:
-            try:
-                self._sock.close()
+            try:  # the reader's file still holds the socket, so close alone sends nothing
+                self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-
-
-@dataclass
-class RawMessage:
-    predictor: str
-    produced_at_cycle: int
-    arrival_index: int
-    line: str
-
-
-class IngestionQueue:
-    """Thread-safe mailbox between predictors and the cycle loop.
-
-    Reference emissions are appended inline; external lines arrive from
-    reader threads.  :meth:`drain` empties both and returns raw messages
-    in arrival order alongside the queued predictions; the runtime sorts
-    predictions by (cycle, predictor, emission index) before depositing.
-    """
-
-    def __init__(self):
-        self._predictions: list[Prediction] = []
-        self._raw: queue.SimpleQueue = queue.SimpleQueue()
-        self._arrivals = 0
-        self._lock = threading.Lock()
-
-    def push_prediction(self, prediction: Prediction) -> None:
-        self._predictions.append(prediction)
-
-    def push_raw(self, predictor: str, cycle: int, line: str) -> None:
-        with self._lock:
-            index = self._arrivals
-            self._arrivals += 1
-        self._raw.put(RawMessage(predictor, cycle, index, line))
-
-    def drain(self) -> tuple[list[Prediction], list[RawMessage]]:
-        predictions, self._predictions = self._predictions, []
-        raw = []
-        while True:
-            try:
-                raw.append(self._raw.get_nowait())
-            except queue.Empty:
-                break
-        return predictions, raw
+            self._sock.close()
+        if self._reader_thread is not None:
+            self._reader_thread.join(timeout=2.0)

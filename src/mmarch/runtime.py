@@ -1,11 +1,13 @@
 """The cycle scheduler: clock, phase order, event logging, run entry point.
 
-Every cycle executes a fixed phase order: (1) drain queued predictions into
-middle memory (or, in pipeline mode, straight into module buffers and
-their unbounded inflow lists); (2) sweep/forget; (3) shadow systems decide
-their first steps, read-only, against the frozen cycle-start state, and each
-system's decisions are then fired once, in system order, with a multi-step
-system's later steps reading only its own staged write; (4) the central engine
+Every cycle executes a fixed phase order: (1) drain the predictions made
+since the last drain, built-in emissions and external peers' lines numbered
+in arrival order, into middle memory (or, in pipeline mode, straight into
+module buffers and their unbounded inflow lists) in (cycle, predictor,
+index) order; (2) sweep/forget; (3) shadow systems decide their first
+steps, read-only, against the frozen cycle-start state, and each system's
+decisions are then fired once, in system order, with a multi-step system's
+later steps reading only its own staged write; (4) the central engine
 matches, resolves, and fires; then shadow writes commit, (5) consumption is
 recorded, (6) rewards update utilities and propagate credit, (7) retrieval
 productions form and stale provisional ones are pruned, (8) the context
@@ -38,6 +40,7 @@ does not depend on which runs.
 from __future__ import annotations
 
 import copy
+import queue
 
 import numpy as np
 
@@ -56,7 +59,6 @@ from .model import ModelDefinition, validate_for_mode
 from .predictors import (
     AssociativePredictor,
     ExternalPredictor,
-    IngestionQueue,
     NgramPredictor,
     Prediction,
     decode_prediction,
@@ -143,7 +145,8 @@ class Session:
         self.learner = UtilityLearner(alpha=model.learning.rate,
                                       rho=model.learning.time_cost)
         self.ledger = ContributionLedger()
-        self.queue = IngestionQueue()
+        self._predicted: list[Prediction] = []  # built-in emissions since the last drain
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()  # peers' (predictor, cycle, line)
         self.inflows: dict[str, list[Chunk]] = {s.buffer: [] for s in self.systems}
         self._pending_rewards: list[tuple[float, str]] = []
         self._hot: list[tuple[MMEntry, float]] = []  # the sweep's entries that may form
@@ -155,7 +158,7 @@ class Session:
         self._stall_warned: set[str] = set()
         for predictor in self.predictors:
             if isinstance(predictor, ExternalPredictor):
-                predictor.start(self.queue.push_raw)
+                predictor.start(self.inbox.put)
 
         self._install_initial_state()
 
@@ -248,16 +251,18 @@ class Session:
 
     # phase 1
     def _drain_predictions(self, n: int, t_now: float) -> None:
-        predictions, raw = self.queue.drain()
-        for message in raw:
+        predictions, self._predicted = self._predicted, []
+        for index in range(self.inbox.qsize()):  # only this thread takes from the inbox
+            predictor, cycle, line = self.inbox.get_nowait()
             try:
-                decoded = decode_prediction(message.line, self.book.dimension)
+                decoded = decode_prediction(line, self.book.dimension)
             except ValueError as exc:
                 self.trace.append(n, "error", {
                     "message": f"dropped malformed prediction: {exc}",
-                    "predictor": message.predictor, "payload": message.line})
+                    "predictor": predictor, "payload": line})
                 continue
-            predictions.append(_external_prediction(message, decoded))
+            predictions.append(Prediction(predictor=predictor, produced_at_cycle=cycle,
+                                          emission_index=index, **decoded))
         predictions.sort(key=lambda p: p.sort_key())
         for prediction in predictions:
             if self.mode == "mm":
@@ -489,21 +494,15 @@ class Session:
         line = None  # built, with the context vector, for the first live peer
         for predictor in self.predictors:
             if isinstance(predictor, ExternalPredictor):
-                if predictor.stalled:
+                if line is None and not predictor.stalled:
+                    line = encode_context(n, context_vector(ctx, self.book), ctx.symbols)
+                if not predictor.send_context(line, n):  # False at once when stalled
                     self._warn_stalled(n, predictor)
                     continue
-                if line is None:
-                    line = encode_context(n, context_vector(ctx, self.book), ctx.symbols)
-                if predictor.send_context(line, n):
-                    self.trace.append(n, "delivery", {
-                        "predictor": predictor.name, "zero_context": ctx.zero})
-                else:
-                    self._warn_stalled(n, predictor)
             else:
-                for prediction in predictor.deliver(ctx.symbols, n):
-                    self.queue.push_prediction(prediction)
-                self.trace.append(n, "delivery", {
-                    "predictor": predictor.name, "zero_context": ctx.zero})
+                self._predicted.extend(predictor.deliver(ctx.symbols, n))
+            self.trace.append(n, "delivery", {
+                "predictor": predictor.name, "zero_context": ctx.zero})
 
     def _warn_stalled(self, n: int, predictor) -> None:
         if predictor.name in self._stall_warned:
@@ -541,15 +540,6 @@ class Session:
             out[system.name] = [m.production.name
                                 for m in match_all(system.productions, sview)]
         return out
-
-
-def _external_prediction(message, decoded) -> Prediction:
-    return Prediction(
-        tag=decoded["tag"], predictor=message.predictor,
-        produced_at_cycle=message.produced_at_cycle,
-        emission_index=message.arrival_index,
-        ctype=decoded.get("ctype"), slots=decoded.get("slots", ()),
-        vector=decoded.get("vector"), salience=decoded["salience"])
 
 
 def run_session(session: Session, cycles: int, after_step=None) -> Session:

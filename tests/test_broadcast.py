@@ -191,8 +191,9 @@ def test_inline_states_match_the_reference(contents, entries):
 
 def test_an_infinite_activation_scores_as_the_per_entry_loop(monkeypatch):
     """Twenty presentations at decay 236 sum past the largest float, so one
-    activation is infinite and every softmax weight NaN; a column table
-    then ranks the symbols as the per-entry loop does."""
+    activation is infinite; that entry takes the whole softmax weight, the
+    limit of the softmax, and a column table ranks the symbols as the
+    per-entry loop does."""
     size = memory.COLUMN_MIN_ENTRIES + 1
 
     def state():
@@ -215,6 +216,9 @@ def test_an_infinite_activation_scores_as_the_per_entry_loop(monkeypatch):
     by_entries = context_symbols(*state(), 0.05)
     assert by_columns.symbols == by_entries.symbols
     assert len(by_columns.symbols) == CONTEXT_SYMBOL_COUNT
+    for ctx in (by_columns, by_entries):
+        assert np.isfinite(ctx.weights).all()
+        assert ctx.weights[0] == 1.0 and not ctx.weights[1:].any()
 
 
 def _count_packs(monkeypatch):

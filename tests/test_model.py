@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mmarch import demos
 from mmarch.errors import ModelValidationError
 from mmarch.model import dumps_model, load_model, model_to_dict, parse_model
-from mmarch.runtime import Session
+from mmarch.runtime import Session, run
 
 
 def base_doc():
@@ -195,6 +195,49 @@ def test_unknown_keys_rejected():
     doc = base_doc()
     doc["mystery"] = 1
     assert any(path == ".mystery" for path, _ in _violations(doc))
+
+
+def _append_copy(key, index=0):
+    return lambda d: d[key].append(copy.deepcopy(d[key][index]))
+
+
+@pytest.mark.parametrize("mutate, mode, violation", [
+    (lambda d: d["buffers"].append({"name": "goal", "owner": "central"}), "mm",
+     ("buffers[3].name", "duplicate buffer 'goal'")),
+    (lambda d: d["shadow_systems"][1].update(name="central"), "mm",
+     ("shadow_systems[1].name", "'central' is reserved")),
+    (_append_copy("shadow_systems", 1), "mm",
+     ("shadow_systems[2].name", "duplicate system 'vision'")),
+    (lambda d: d["shadow_systems"][0]["productions"].append(
+        copy.deepcopy(d["shadow_systems"][0]["productions"][0])), "mm",
+     ("shadow_systems[0].productions[1].name", "duplicate production 'alarm'")),
+    (lambda d: d["predictors"].append({"name": "scene", "kind": "associative",
+                                       "tag": "vision", "pairs": [["a", "b"]]}), "mm",
+     ("predictors[1].name", "duplicate predictor 'scene'")),
+    (_append_copy("initial_wm"), "mm",
+     ("initial_wm[1].buffer", "buffer 'goal' initialized twice")),
+    (_append_copy("initial_mm"), "mm",
+     ("initial_mm[1]", "duplicate (tag, content) entry")),
+    (lambda d: d["initial_mm"][0].update(links=[0]), "mm",
+     ("initial_mm[0].links[0]", "self-links are not allowed")),
+    (lambda d: d["central_productions"][0]["actions"].append(
+        {"kind": "halt", "urgent": True}), "mm",
+     ("central_productions[0].actions[1]", "only write-buffer actions can be urgent")),
+    (lambda d: d["predictors"][0].update(kind="ngram", pairs=[]), "mm",
+     ("predictors[0].corpus", "ngram predictor needs a corpus")),
+    (lambda d: d["predictors"][0].update(kind="external", pairs=[], host="localhost"),
+     "mm", ("predictors[0]", "external predictor needs command or host+port")),
+    (lambda d: d["predictors"][0].update(pairs=[["campsite", "bear", 0]]), "mm",
+     ("predictors[0].pairs[0]", "pair weight must be a positive integer")),
+    (lambda d: None, "dream",
+     ("mode", "mode must be 'mm' or 'pipeline', got 'dream'")),
+])
+def test_model_rule_reported_with_path(mutate, mode, violation):
+    doc = base_doc()
+    mutate(doc)
+    with pytest.raises(ModelValidationError) as err:
+        run(parse_model(doc), 1, mode=mode)
+    assert violation in err.value.violations
 
 
 def test_all_violations_reported_together():

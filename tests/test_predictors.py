@@ -1,13 +1,8 @@
-"""Reference predictors and the ingestion queue."""
+"""Reference predictors and the order their predictions are drained in."""
 
 import pytest
 
-from mmarch.predictors import (
-    AssociativePredictor,
-    IngestionQueue,
-    NgramPredictor,
-    Prediction,
-)
+from mmarch.predictors import AssociativePredictor, NgramPredictor, Prediction
 
 
 def _counts_oracle(corpus, context, order):
@@ -129,24 +124,9 @@ class TestIngestionQueue:
                           emission_index=index, ctype="word",
                           slots=(("value", "x"),))
 
-    def test_drain_empties_queue(self):
-        queue = IngestionQueue()
-        queue.push_prediction(self._prediction(0, "a", 0))
-        predictions, raw = queue.drain()
-        assert len(predictions) == 1 and raw == []
-        assert queue.drain() == ([], [])
-
     def test_sort_key_orders_cycle_then_name_then_index(self):
         items = [self._prediction(1, "b", 0), self._prediction(0, "b", 1),
                  self._prediction(0, "a", 2), self._prediction(0, "b", 0)]
         ordered = sorted(items, key=lambda p: p.sort_key())
         assert [(p.produced_at_cycle, p.predictor, p.emission_index)
                 for p in ordered] == [(0, "a", 2), (0, "b", 0), (0, "b", 1), (1, "b", 0)]
-
-    def test_raw_messages_carry_arrival_order(self):
-        queue = IngestionQueue()
-        queue.push_raw("ext", 3, '{"type":"prediction"}')
-        queue.push_raw("ext", 3, '{"type":"other"}')
-        _, raw = queue.drain()
-        assert [m.arrival_index for m in raw] == [0, 1]
-        assert [m.produced_at_cycle for m in raw] == [3, 3]

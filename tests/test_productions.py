@@ -142,6 +142,17 @@ class TestMatching:
         # the fresher vision entry ranks first; the motor entry is outside the tags
         assert match.bindings == {"value": "bright"}
 
+    def test_negated_mm_condition_holds_only_without_a_hit(self, wm, factory):
+        mm = MiddleMemory()
+        mm.deposit(1.0, "motor", chunk=factory.make("percept", [("value", "loud")]))
+        p = _prod(factory, "p", [Condition(
+            pattern=factory.make_query("percept", [("value", "?")]),
+            mm_tags=("vision",), negated=True)], owner="vision")
+        match = match_production(p, MatchView(wm, mm, 2.0))
+        assert match is not None and match.bindings == {}  # the hit is outside the tags
+        mm.deposit(1.5, "vision", chunk=factory.make("percept", [("value", "dim")]))
+        assert match_production(p, MatchView(wm, mm, 2.0)) is None
+
     def test_candidate_counting_in_buffer_mode(self, wm, factory):
         wm.write("central", "goal", factory.make("goal", [("state", "walk")]))
         wm.write("emotion", "emotion", factory.make("mood", [("state", "calm")]))

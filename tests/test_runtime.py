@@ -13,6 +13,7 @@ from mmarch import demos, memory
 from mmarch.errors import ModelValidationError
 from mmarch.memory import MiddleMemory
 from mmarch.model import load_model, parse_model
+from mmarch.productions import Condition, Production
 from mmarch.runtime import Session, run, run_session
 from mmarch.trace import trace_to_bytes
 
@@ -415,6 +416,35 @@ class TestPredictorIsolation:
                         f"shadow wrote {key} before any deposit carried it")
 
 
+class TestInbox:
+    def test_peer_lines_are_drained_once_in_arrival_order(self):
+        """A peer's lines are numbered as they arrive, so they deposit in
+        that order whatever their content; a malformed line costs an error
+        event in the same order, and the next cycle drains nothing again."""
+        session = Session(load_model(demos.path("threat")), mode="mm", seed=0)
+
+        def percept(value):
+            return json.dumps({"type": "prediction", "tag": "emotion",
+                               "chunk": {"isa": "percept", "slots": {"value": value}}})
+
+        for line in (percept("zeta"), "not json", percept("alpha"),
+                     '{"type":"other"}', percept("mid")):
+            session.inbox.put(("peer", 0, line))
+        session.step()
+        session.step()
+
+        def from_peer(kind):
+            return [e for e in session.trace.by_kind(kind)
+                    if e.data.get("predictor") == "peer"
+                    or e.data.get("source") == "predictor:peer"]
+
+        assert [(e.cycle, e.data["content"]["slots"]["value"])
+                for e in from_peer("deposit")] == [(0, "zeta"), (0, "alpha"), (0, "mid")]
+        assert [(e.cycle, e.data["payload"]) for e in from_peer("error")] == [
+            (0, "not json"), (0, '{"type":"other"}')]
+        assert session.inbox.empty()
+
+
 class TestRewardsAndCredit:
     def test_shadow_credit_arrives_with_reward(self, model):
         trace = run(model, 10, mode="mm", seed=0)
@@ -423,6 +453,30 @@ class TestRewardsAndCredit:
         assert hear and hear[0].data["new"] > 0
         see = [u for u in updates if u.data["production"] == "see"]
         assert see == []  # vision deposits were never consumed
+
+    def test_credit_for_a_pruned_production_is_skipped(self, model):
+        """A consumed write whose production was pruned before the reward
+        earns nothing, and the reward still reaches the rest."""
+        session = Session(model, mode="mm", seed=0)
+        vision = session.systems[0]
+        stale = Production(
+            name="stale", owner="vision",
+            conditions=(Condition(pattern=session.factory.make_query("never"),
+                                  buffer="sight"),),
+            actions=(), utility=0.0, permanent=False, created_at=-1000.0)
+        vision.productions.append(stale)
+        chunk = session.factory.make("percept", [("value", "x")])
+        session.ledger.note_write("stale", "vision", chunk, -1000.0)
+        session.ledger.mark_consumed(chunk.id, 0)
+        session._scheduled[1] = [1.0]
+        session.step()
+        assert [e.data["production"] for e in session.trace.by_kind("prune")] == ["stale"]
+        session.step()
+        rewards = [(e.cycle, e.data["source"]) for e in session.trace.by_kind("reward")]
+        assert (1, "schedule") in rewards
+        assert "stale" not in [e.data["production"]
+                               for e in session.trace.by_kind("utility-update")]
+        assert session.ledger.take_consumed() == []
 
     def test_scheduled_rewards_fire_on_their_cycle(self):
         doc = two_system_doc()
@@ -515,12 +569,12 @@ class TestPipelineMode:
         a tag nobody subscribes to, and a vector-only line has no chunk to
         route; each costs an error event and the run goes on."""
         session = Session(load_model(demos.path("bottleneck")), mode="pipeline", seed=0)
-        session.queue.push_raw("peer", 0, json.dumps({
+        session.inbox.put(("peer", 0, json.dumps({
             "type": "prediction", "tag": "nobody",
-            "chunk": {"isa": "percept", "slots": {"value": "x"}}}))
-        session.queue.push_raw("peer", 0, json.dumps({
+            "chunk": {"isa": "percept", "slots": {"value": "x"}}})))
+        session.inbox.put(("peer", 0, json.dumps({
             "type": "prediction", "tag": "vision",
-            "vector": [1.0] + [0.0] * (session.book.dimension - 1)}))
+            "vector": [1.0] + [0.0] * (session.book.dimension - 1)})))
         session.step()
         errors = [(e.cycle, e.data["message"], e.data["predictor"])
                   for e in session.trace.by_kind("error")]
@@ -541,8 +595,8 @@ class TestPipelineMode:
         """A line the chunk grammar rejects is dropped at the wire, before the
         chunk factory could raise mid-cycle."""
         session = Session(load_model(demos.path(demo)), mode=mode, seed=0)
-        session.queue.push_raw("peer", 0, json.dumps(
-            {"type": "prediction", "tag": tag, **extra}))
+        session.inbox.put(("peer", 0, json.dumps(
+            {"type": "prediction", "tag": tag, **extra})))
         session.step()
         errors = [e.data["message"] for e in session.trace.by_kind("error")]
         assert len(errors) == 1

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import queue
+import socket
 import sys
+import threading
 import time
 import warnings
 
@@ -234,6 +237,19 @@ SILENT_PEER = "import sys\nfor line in sys.stdin:\n    pass\n"
 CONTEXT_LINES = "1beaaaf59e40fa37a829fdcefa66f4dc2717a6f89e3fb6735963cf442569c272"
 
 
+def _record_context_lines(monkeypatch) -> list[str]:
+    """Every context line sent to any peer, appended as it is sent."""
+    sent = []
+    send = ExternalPredictor.send_context
+
+    def recording(self, line, cycle):
+        sent.append(line)
+        return send(self, line, cycle)
+
+    monkeypatch.setattr(ExternalPredictor, "send_context", recording)
+    return sent
+
+
 class TestContextLines:
     def test_context_lines_are_unchanged(self, monkeypatch):
         doc = {
@@ -262,14 +278,7 @@ class TestContextLines:
                  "presentations": [-0.5 * (i + 1), -0.1 * (i + 1)]}
                 for i in range(6)],
         }
-        sent = []
-        send = ExternalPredictor.send_context
-
-        def recording(self, line, cycle):
-            sent.append(line)
-            return send(self, line, cycle)
-
-        monkeypatch.setattr(ExternalPredictor, "send_context", recording)
+        sent = _record_context_lines(monkeypatch)
         session = Session(parse_model(doc), mode="mm", seed=0)
         try:
             for _ in range(20):
@@ -281,26 +290,68 @@ class TestContextLines:
         digest = hashlib.sha256("\n".join(sent).encode("utf-8")).hexdigest()
         assert digest == CONTEXT_LINES
 
+    def test_an_infinite_activation_sends_strict_json(self, monkeypatch):
+        """A base-level sum that overflows makes one activation +inf; the
+        context line must still hold only finite numbers."""
+        doc = {
+            "name": "infinite-context",
+            "codebook": {"dimension": 16, "seed": 1},
+            "buffers": [{"name": "goal", "owner": "central"}],
+            "middle_memory": {"decay": 300},
+            "predictors": [{"name": "peer", "kind": "external", "tag": "vision",
+                            "command": [sys.executable, "-c", SILENT_PEER]}],
+            "initial_mm": [{"tag": "t", "chunk": {"isa": "fact", "slots": {"n": "x"}},
+                            "presentations": [0.0]}],
+        }
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        sent = _record_context_lines(monkeypatch)
+        session = Session(parse_model(doc), mode="mm", seed=0)
+        try:
+            for _ in range(3):
+                session.step()
+        finally:
+            session.finish()
+        assert len(sent) == 3
+        for line in sent:
+            assert json.loads(line, parse_constant=reject)["symbols"] == ["x"]
+
 
 class TestTcpTransport:
-    def test_socket_peer_round_trip(self):
-        import socket
-        import threading
+    def test_a_connected_socket_has_no_read_timeout(self):
+        """The connect timeout must not stay on the socket, or a peer quiet
+        for that long would end the reader and stall the predictor."""
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            peer = ExternalPredictor("sock", "vision", host="127.0.0.1",
+                                     port=server.getsockname()[1])
+            peer.start(queue.SimpleQueue().put)
+            try:
+                assert not peer.stalled
+                assert peer._sock.gettimeout() is None
+            finally:
+                peer.close()
 
+    def test_socket_peer_round_trip(self):
         server = socket.create_server(("127.0.0.1", 0))
         port = server.getsockname()[1]
+        disconnected = threading.Event()
 
         def serve():
             conn, _ = server.accept()
-            handle = conn.makefile("rw", encoding="utf-8", newline="\n")
-            for line in handle:
-                msg = json.loads(line)
-                if msg.get("type") != "context":
-                    continue
-                out = {"type": "prediction", "tag": "vision", "salience": 0.5,
-                       "chunk": {"isa": "percept", "slots": {"value": "ping"}}}
-                handle.write(json.dumps(out) + "\n")
-                handle.flush()
+            try:
+                with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as handle:
+                    for line in handle:
+                        msg = json.loads(line)
+                        if msg.get("type") != "context":
+                            continue
+                        out = {"type": "prediction", "tag": "vision", "salience": 0.5,
+                               "chunk": {"isa": "percept", "slots": {"value": "ping"}}}
+                        handle.write(json.dumps(out) + "\n")
+                        handle.flush()
+            except OSError:  # a reply the client no longer reads may reset the connection
+                pass
+            disconnected.set()
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
@@ -329,3 +380,6 @@ class TestTcpTransport:
         finally:
             session.finish()
             server.close()
+        # finishing disconnects the peer: the server's read ends, and so does ours
+        assert disconnected.wait(1.0)
+        assert not session.predictors[0]._reader_thread.is_alive()
