@@ -39,6 +39,11 @@ DEFAULT_FORGET_THRESHOLD = -2.5
 # generated mm-scale models cost the same per cycle either way at about 45
 # entries, and at 3 entries (wordloop) columns cost about a third more.
 COLUMN_MIN_ENTRIES = 48
+# Presentation times kept per slot in the columns' block, 8 bytes each per
+# slot whether used or not.  A longer history leaves the block and its base
+# level is summed in Python.  Generated mm-scale histories are 1 to 5 long;
+# wordloop's grow to thousands, in a memory too small for columns.
+HISTORY_CAP = 16
 
 
 @dataclass
@@ -159,11 +164,14 @@ class _Table:
     any spreading sources and after forgetting.  ``base`` and ``values``
     are by slot of the memory's :class:`_Columns`, NaN at a forgotten
     entry's slot: lists in a per-entry table, arrays in a column table.
+    ``noise`` depends on the whole point, so only a rebuild at the same
+    point after forgetting reuses it.
     """
 
     point: tuple  # (time, version, spreading sources)
     base: list[float] | np.ndarray
     values: list[float] | np.ndarray
+    noise: list[float] | None = None  # the point's draws by slot, when noisy
 
 
 class _Columns:
@@ -181,10 +189,19 @@ class _Columns:
     reach sets that changed since they were posted.  ``codes`` holds the
     slot values of every chunk as symbol codes, in slot order, with the
     owning slot of each in ``owners``.
+
+    ``times`` is the presentation block: a row per slot holding the entry's
+    presentation times, -inf after them, up to :data:`HISTORY_CAP`.  The
+    row of an empty slot is NaN, and so is the row of a history that grew
+    past the cap; those slots are in ``long``.  ``width`` is the longest
+    history in the block (at least 1).
     """
 
     def __init__(self, entries: Iterable[MMEntry]):
         self.entries: list[MMEntry | None] = []
+        self.times = np.full((8, HISTORY_CAP), -math.inf)
+        self.width = 1
+        self.long: set[int] = set()  # live slots whose history passed the cap
         self.slot_of: dict[int, int] = {}  # live id -> slot, in id order
         self.dead = 0
         self.postings: dict[tuple, array] = {}
@@ -207,6 +224,17 @@ class _Columns:
 
     def add(self, entry: MMEntry) -> None:
         slot = len(self.entries)
+        if slot == len(self.times):
+            grown = np.full((2 * slot, self.times.shape[1]), -math.inf)
+            grown[:slot] = self.times
+            self.times = grown
+        history = entry.presentations
+        if len(history) <= self.times.shape[1]:
+            self.times[slot, :len(history)] = history
+            self.width = max(self.width, len(history))
+        else:
+            self.times[slot] = math.nan
+            self.long.add(slot)
         self.entries.append(entry)
         self.posted.append(frozenset())
         self.slot_of[entry.id] = slot
@@ -225,8 +253,41 @@ class _Columns:
         """Empty ``entry``'s slot and return it."""
         slot = self.slot_of.pop(entry.id)
         self.entries[slot] = None
+        self.times[slot] = math.nan
+        self.long.discard(slot)
         self.dead += 1
         return slot
+
+    def present(self, entry: MMEntry) -> None:
+        """Write ``entry``'s newest presentation into its row."""
+        slot, count = self.slot_of[entry.id], len(entry.presentations)
+        if count <= self.times.shape[1]:
+            self.times[slot, count - 1] = entry.presentations[-1]
+            self.width = max(self.width, count)
+        elif count == self.times.shape[1] + 1:  # the history leaves the block
+            self.times[slot] = math.nan
+            self.long.add(slot)
+
+    def base(self, now: float, decay: float) -> np.ndarray:
+        """Each slot's base level at ``now`` from its row, NaN at a slot
+        outside the block (empty, or in ``long``).
+
+        ``np.float_power`` calls the C library's ``pow``, as Python's ``**``
+        does, and the terms are added a column at a time from the oldest,
+        so each value has the bits of :meth:`MiddleMemory.base_level`'s
+        left fold; the padding adds +0.0.  ``now`` must be after every
+        presentation in the block.
+        """
+        rows = self.times[:len(self.entries), :self.width]
+        with np.errstate(over="ignore"):  # an overflowing term is inf, as base_level reads it
+            terms = np.float_power(now - rows, -decay)
+        total = np.zeros(len(rows))
+        for column in terms.T:  # not np.sum: pairwise summation changes bits
+            total += column
+        zero, positive = total == 0.0, total > 0.0
+        total[positive] = list(map(math.log, total[positive].tolist()))
+        total[zero] = -math.inf
+        return total
 
     def post(self, reach_of) -> None:
         """Move every stale entry's postings to its current reach set."""
@@ -272,7 +333,8 @@ class MiddleMemory:
     time and version reuses its column, so each entry's base level is
     computed once per time and version.  Forgetting leaves the version
     alone: it rebuilds the sweep's table at its point from its column, NaN
-    at the gone entries' slots.
+    at the gone entries' slots.  A memory with no live entries reads NaN at
+    every slot, with no table work.
 
     The memory keeps columns (:class:`_Columns`) from its first entry on,
     in step through ``_add``, ``link`` and ``_forget``.  Inside the memory
@@ -285,11 +347,19 @@ class MiddleMemory:
     reach set, so it is ``share`` added k times to 0.0.  From
     :data:`COLUMN_MIN_ENTRIES` entries up a new base-level column is an
     array, and a table is one numpy add to it, k counted from the sources'
-    symbols' reach postings; then each entry's noise draw.  A smaller
-    memory's base is a list, and its tables count k and add the draw entry
-    by entry.  Both equal the reference definitions, :meth:`spreading` and
-    :meth:`activation`, bit for bit.  The base level stays one Python sum
-    per entry: numpy's ``power`` does not give the bits of Python's ``**``.
+    symbols' reach postings; then each entry's noise draw, made once per
+    point.  A smaller memory's base is a list, and its tables count k and
+    add the draw entry by entry.  Both equal the reference definitions,
+    :meth:`base_level`, :meth:`spreading` and :meth:`activation`, bit for
+    bit.
+
+    The columns also keep each entry's presentation times in a block of
+    :data:`HISTORY_CAP` times a slot, written by ``_add`` and by a
+    deposit's merge.  A base-level column is ``np.float_power`` of the lags
+    (the C library's ``pow``, as Python's ``**``), folded a column at a
+    time from the oldest and then logged one entry at a time, so a table
+    needs no Python sum per entry.  A history past the cap leaves the block
+    and keeps :meth:`base_level`.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -344,6 +414,7 @@ class MiddleMemory:
         if existing is not None:
             entry = self.entries[existing]
             entry.presentations.append(now)
+            self._cols.present(entry)
             return existing, False
         entry = MMEntry(id=self._next_id, tag=tag, chunk=chunk, vector=vector,
                         presentations=[now])
@@ -503,6 +574,9 @@ class MiddleMemory:
         return self._where(self._table(wm, now), lambda act: act > threshold)
 
     def _table(self, wm: WorkingMemory, now: float) -> _Table:
+        if not self.entries:  # nothing to evaluate; every slot reads NaN
+            empty = [math.nan] * len(self._cols.entries)
+            return _Table((now, self._version, None), empty, empty)
         sources = spread_sources(wm)
         point = (now, self._version, sources)
         cached = self._cached
@@ -513,18 +587,33 @@ class MiddleMemory:
         else:
             if self._cols.dead > len(self.entries):
                 self._cols = _Columns(self.entries.values())
-            base = [math.nan if entry is None else self.base_level(entry, now)
-                    for entry in self._cols.entries]
             if len(self.entries) >= COLUMN_MIN_ENTRIES:
-                base = np.array(base)
+                base = self._base_column(now)
+            else:
+                base = [math.nan if entry is None else self.base_level(entry, now)
+                        for entry in self._cols.entries]
         self._cached = self._build(point, base)
         return self._cached
 
-    def _build(self, point: tuple, base: list[float] | np.ndarray) -> _Table:
+    def _base_column(self, now: float) -> np.ndarray:
+        """Every slot's base level at ``now``: from the presentation block,
+        or from :meth:`base_level` for a history past the cap."""
+        cols = self._cols
+        if now <= self._latest:  # base_level raises, naming the first such entry
+            for entry in cols.entries:
+                if entry is not None:
+                    self.base_level(entry, now)
+        base = cols.base(now, self.decay)
+        for slot in cols.long:
+            base[slot] = self.base_level(cols.entries[slot], now)
+        return base
+
+    def _build(self, point: tuple, base: list[float] | np.ndarray,
+               noise: list[float] | None = None) -> _Table:
         """The table at ``point``: ``base`` plus each entry's spreading, plus
         its noise draw, the float operations of :meth:`activation` in its
         order.  A list ``base`` gives a per-entry table; an array gives a
-        column table."""
+        column table.  ``noise`` is the point's draws, when already made."""
         now, _, sources = point
         cols = self._cols
         cols.post(self._reach)
@@ -538,12 +627,13 @@ class MiddleMemory:
         else:
             values = base + np.array(fold)[cols.meets(sources)]
         if self.noise > 0.0:
-            key = self._noise_key(now, sources)
-            noise = [0.0 if entry is None else self._noise_sample(key, entry.id)
-                     for entry in cols.entries]
+            if noise is None:
+                key = self._noise_key(now, sources)
+                noise = [0.0 if entry is None else self._noise_sample(key, entry.id)
+                         for entry in cols.entries]
             values = ([act + draw for act, draw in zip(values, noise)]
                       if isinstance(base, list) else values + noise)
-        return _Table(point, base, values)
+        return _Table(point, base, values, noise)
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None = None,
                  tags: frozenset[str] | set[str] | None = None,
@@ -613,9 +703,10 @@ class MiddleMemory:
         from its base-level column, NaN at the gone entries' slots.
 
         Postings keep the gone slots.  Survivors keep their base levels, and
-        their noise draws too, since a draw depends on the version, which
-        forgetting leaves alone.  Only the gone entries' neighbours lose a
-        link, so only their reach sets are posted again.
+        their noise draws too: a draw depends on the point, which forgetting
+        leaves alone, so the rebuild takes the table's and draws none.  Only
+        the gone entries' neighbours lose a link, so only their reach sets
+        are posted again.
         """
         cols, base = self._cols, table.base
         for entry in gone:
@@ -630,7 +721,7 @@ class MiddleMemory:
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
                                default=None)
-        self._cached = self._build(table.point, base)
+        self._cached = self._build(table.point, base, table.noise)
 
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """All entries at or above the retrieval threshold, id order."""

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mmarch import demos, memory
 from mmarch.chunks import Chunk, ChunkFactory, match_query
@@ -214,6 +214,80 @@ class TestActivation:
         entry.presentations[:] = times
         later = now + data.draw(st.floats(0.01, 50.0))
         assert mm.activation(entry, wm, later) < base
+
+
+def assert_same_bits(got, expected):
+    """Equal float bits, with NaN where ``expected`` has NaN."""
+    got, expected = np.asarray(got, float), np.asarray(expected, float)
+    nan = np.isnan(expected)
+    assert np.isnan(got).tolist() == nan.tolist()
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+class TestPresentationBlock:
+    """The base-level column folded from the presentation block must have
+    the bits of :meth:`MiddleMemory.base_level`; a numpy whose
+    ``float_power`` stops calling the C library's ``pow`` fails here."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lags=st.lists(st.one_of(
+               st.floats(1e-4, 1e8),
+               st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+               min_size=1, max_size=40),
+           decay=st.floats(0.05, 300.0))
+    @example(lags=[1e-3, 0.5, 1e7], decay=300.0)  # overflow, and underflow to 0.0
+    @example(lags=[1e300, 2.0], decay=1.035)  # a subnormal power
+    def test_float_power_has_the_bits_of_python_pow(self, lags, decay):
+        expected = []
+        for lag in lags:
+            try:
+                expected.append(lag ** -decay)
+            except OverflowError:  # base_level reads this as inf
+                expected.append(math.inf)
+        with np.errstate(over="ignore"):
+            assert_same_bits(np.float_power(np.array(lags), -decay), expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_block_column_has_the_bits_of_base_level(self, data):
+        """Histories seeded down to -1e7 and grown by merged deposits, on
+        both sides of the cap, with forgotten slots mixed in; a time not
+        after a live presentation raises as :meth:`base_level` does."""
+        cap = data.draw(st.sampled_from([memory.HISTORY_CAP, 2]), label="cap")
+        decay = data.draw(st.floats(0.05, 300.0), label="decay")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(memory, "HISTORY_CAP", cap)
+            patch.setattr(memory, "COLUMN_MIN_ENTRIES", 0)
+            factory, wm = ChunkFactory(), WorkingMemory()
+            mm = MiddleMemory(decay=decay)
+            size = data.draw(st.integers(1, 12), label="size")
+            for i in range(size):
+                history = sorted(data.draw(st.lists(
+                    st.floats(-1e7, 0.0), min_size=1, max_size=cap + 3)))
+                mm.seed_entry("t", chunk=factory.make("fact", [("n", f"n{i}")]),
+                              presentations=history)
+            now = 0.0
+            for entry_id in data.draw(st.lists(st.integers(1, size), max_size=2 * cap)):
+                now += data.draw(st.floats(0.0, 10.0))
+                mm.deposit(now, "t", chunk=mm.entry(entry_id).chunk)
+            gone = data.draw(st.sets(st.integers(1, size)), label="gone")
+            now += 1.0
+            mm._forget([mm.entry(i) for i in sorted(gone)], mm._table(wm, now))
+            now += data.draw(st.floats(1e-3, 1e7), label="lag")
+            base = mm._table(wm, now).base
+            slots = mm._cols.entries
+            assert_same_bits(base, [math.nan if e is None else mm.base_level(e, now)
+                                    for e in slots])
+            assert np.isnan(mm._cols.base(now, decay)).tolist() == [
+                e is None or len(e.presentations) > cap for e in slots]
+            if mm.entries:
+                latest = max(e.presentations[-1] for e in mm.entries.values())
+                with pytest.raises(TemporalOrderError) as by_column:
+                    mm._table(wm, latest)
+                patch.setattr(memory, "COLUMN_MIN_ENTRIES", size + 1)
+                with pytest.raises(TemporalOrderError) as by_entry:
+                    mm._table(wm, latest)
+                assert str(by_column.value) == str(by_entry.value)
 
 
 class TestRetrieveAndSweep:
@@ -574,6 +648,29 @@ class TestActivationTable:
         wm.write("central", "goal", None)
         assert list(mm.activations(wm, 20.0)) == []
 
+    def test_an_empty_memory_does_no_table_work(self, monkeypatch, wm, factory):
+        """With no live entries every read comes back empty without
+        building spreading sources or a table, also once every entry is
+        forgotten and a tagged read probes postings that still hold its
+        slot."""
+        mm = MiddleMemory(forget_threshold=-1.0)
+        mm.deposit(0.0, "t", chunk=factory.make("fact", [("v", "x")]))
+        wm.write("central", "goal", factory.make("goal", [("topic", "x")]))
+        assert len(mm.sweep(wm, 1000.0)) == 1
+
+        def refuse(*args):
+            raise AssertionError("table work on an empty memory")
+
+        monkeypatch.setattr(memory, "spread_sources", refuse)
+        monkeypatch.setattr(MiddleMemory, "_build", refuse)
+        pattern = factory.make_query("fact", [("v", "x")])
+        for store, now in ((mm, 1000.0), (mm, 2000.0), (MiddleMemory(), 1.0)):
+            assert store.retrieve(wm, now, pattern=pattern, tags={"t"}) == []
+            assert store.retrievable(wm, now) == []
+            assert store.activations(wm, now) == {}
+            assert store.sweep(wm, now) == []
+            assert context_symbols(wm, store, now).symbols == ["x"]
+
     @pytest.mark.parametrize("column_min", [memory.COLUMN_MIN_ENTRIES, 0])
     def test_content_forgotten_and_deposited_again_is_retrieved_once(
             self, monkeypatch, wm, factory, column_min):
@@ -619,7 +716,10 @@ class TestActivationTable:
         for entry_id, act in after.items():
             assert act == reference_activation(mm, mm.entry(entry_id), wm, 3.0)
 
-    def test_noise_is_one_draw_per_entry_per_table(self, wm, factory):
+    def test_noise_is_one_draw_per_entry_per_table(self, monkeypatch, wm, factory):
+        draws, sample_noise = [], MiddleMemory._noise_sample
+        monkeypatch.setattr(MiddleMemory, "_noise_sample", lambda self, key, entry_id:
+                            draws.append(entry_id) or sample_noise(self, key, entry_id))
         mm = MiddleMemory(noise=0.4, noise_seed=3, forget_threshold=-1.0)
         hub, _ = mm.deposit(0.0, "t", chunk=factory.make("fact", [("about", "hub")]))
         stale = mm.seed_entry("t", chunk=factory.make("fact", [("about", "x")]),
@@ -632,7 +732,9 @@ class TestActivationTable:
         sample = table[hub] - (mm.base_level(mm.entry(hub), now)
                                + mm.spreading(mm.entry(hub), wm))
         assert sample != 0.0
+        draws.clear()
         assert [e.id for e, _ in mm.sweep(wm, now)] == [stale]
+        assert draws == []  # the rebuild at the same point reuses the draws
         # in the rebuilt table the neighbour lost its spreading and kept its draw
         rebuilt = mm.activations(wm, now)[hub]
         assert rebuilt == mm.activation(mm.entry(hub), wm, now)
@@ -693,19 +795,37 @@ class TestActivationTable:
         assert third.tobytes() == expected.tobytes()
 
 
+def count_base_levels(monkeypatch) -> dict[str, int]:
+    """Count every base level evaluated, in the returned ``["evals"]``: a
+    :meth:`MiddleMemory.base_level` call, or a row that ``_Columns.base``
+    evaluates from the presentation block (each value it gives that is not
+    NaN)."""
+    counts = {"evals": 0}
+    base_level, block = MiddleMemory.base_level, memory._Columns.base
+
+    def counting_base_level(self, entry, now):
+        counts["evals"] += 1
+        return base_level(self, entry, now)
+
+    def counting_block(self, now, decay):
+        column = block(self, now, decay)
+        counts["evals"] += int(np.count_nonzero(~np.isnan(column)))
+        return column
+
+    monkeypatch.setattr(MiddleMemory, "base_level", counting_base_level)
+    monkeypatch.setattr(memory._Columns, "base", counting_block)
+    return counts
+
+
 def test_base_level_evaluated_at_most_once_per_entry_per_cycle(monkeypatch):
     """Over the retrieval demo, on both table kinds, the table after the
     drain computes each entry's base level once; forgetting rebuilds the
     table from the sweep's base-level column, and the table after the
     commit shares the time and version, so it reuses the column (Buddy,
     linked to Fido, is forgotten at cycle 100)."""
-    base_level, sweep = MiddleMemory.base_level, MiddleMemory.sweep
-    calls = budget = unlinked = 0
-
-    def counting_base_level(self, entry, now):
-        nonlocal calls
-        calls += 1
-        return base_level(self, entry, now)
+    sweep = MiddleMemory.sweep
+    budget = unlinked = 0
+    counts = count_base_levels(monkeypatch)
 
     def budgeted_sweep(self, wm, now):
         nonlocal budget, unlinked
@@ -715,16 +835,15 @@ def test_base_level_evaluated_at_most_once_per_entry_per_cycle(monkeypatch):
         unlinked += len(set().union(*(e.links for e, _ in removed)) - gone)
         return removed
 
-    monkeypatch.setattr(MiddleMemory, "base_level", counting_base_level)
     monkeypatch.setattr(MiddleMemory, "sweep", budgeted_sweep)
     for column_min in (memory.COLUMN_MIN_ENTRIES, 0):
         monkeypatch.setattr(memory, "COLUMN_MIN_ENTRIES", column_min)
         unlinked = 0
         session = Session(load_model(demos.path("retrieval")), mode="mm", seed=7)
         for _ in range(200):
-            calls = 0
+            counts["evals"] = 0
             session.step()
-            assert 0 < calls <= budget
+            assert 0 < counts["evals"] <= budget
         session.finish()
         assert unlinked > 0
 
@@ -732,7 +851,8 @@ def test_base_level_evaluated_at_most_once_per_entry_per_cycle(monkeypatch):
 def test_column_upkeep_stays_bounded_below_the_cut_over(factory):
     """Every memory keeps its columns, so one that never reaches
     ``COLUMN_MIN_ENTRIES`` must still drop its forgotten slots, stale ids,
-    symbol codes and postings; each round deposits, links and forgets."""
+    symbol codes, postings and presentation rows; each round deposits,
+    links and forgets."""
     mm = MiddleMemory()
     wm = WorkingMemory()
     wm.add_buffer("goal", "central")
@@ -753,4 +873,5 @@ def test_column_upkeep_stays_bounded_below_the_cut_over(factory):
         assert len(cols.stale) <= bound
         assert len(cols.codes) <= bound
         assert sum(map(len, cols.postings.values())) <= 3 * bound  # tag, type, value
+        assert len(cols.times) <= 2 * bound  # the block's rows double as it grows
     assert forgotten > 900

@@ -8,9 +8,9 @@ table by slot of the memory's entries that the shared
 :meth:`MiddleMemory._where` reads; a retrieval's candidates come from a scan
 of the live slots.  It keeps no table, reads no column and probes no
 posting.  Put in place of the runtime's middle memory, it must reproduce the
-trace bytes of the real one, whose tables, base-level columns, posted reach
-sets, spreading columns, symbol codes and postings are all caches of these
-definitions.
+trace bytes of the real one, whose tables, base-level columns, presentation
+block, posted reach sets, spreading columns, symbol codes and postings are all
+caches of these definitions.
 """
 
 import math
@@ -51,11 +51,14 @@ class NaiveMiddleMemory(MiddleMemory):
 
 def _same_bytes(model, cycles, seed):
     """The naive memory's trace equals the real one's, with the real one
-    switching to columns at ``COLUMN_MIN_ENTRIES`` and with it reading
-    columns at every size."""
+    switching to columns at ``COLUMN_MIN_ENTRIES``, with it reading columns
+    at every size, and with it also keeping one presentation per row of the
+    presentation block, so that every longer history takes the fallback."""
     real = trace_to_bytes(run(model, cycles, mode="mm", seed=seed))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(memory, "COLUMN_MIN_ENTRIES", 0)
+        assert trace_to_bytes(run(model, cycles, mode="mm", seed=seed)) == real
+        patch.setattr(memory, "HISTORY_CAP", 1)
         assert trace_to_bytes(run(model, cycles, mode="mm", seed=seed)) == real
         patch.setattr(runtime, "MiddleMemory", NaiveMiddleMemory)
         assert trace_to_bytes(run(model, cycles, mode="mm", seed=seed)) == real

@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from mmarch import demos, memory
 from mmarch.errors import ModelValidationError
-from mmarch.memory import MiddleMemory
 from mmarch.model import load_model, parse_model
 from mmarch.productions import Condition, Production
 from mmarch.runtime import Session, run, run_session
 from mmarch.trace import trace_to_bytes
+
+from test_memory import count_base_levels
 
 
 def two_system_doc():
@@ -786,24 +787,20 @@ class TestMultiRateSystems:
                             "presentations": [-0.5]} for i in range(50)],
         }
         session = Session(parse_model(doc), mode="mm", seed=0)
-        base_level, table = MiddleMemory.base_level, memory._Table
-        calls = {"base_level": 0, "tables": 0}
-
-        def counting_base_level(self, entry, now):
-            calls["base_level"] += 1
-            return base_level(self, entry, now)
+        table, tables = memory._Table, 0
+        counts = count_base_levels(monkeypatch)
 
         def counting_table(*args, **kwargs):
-            calls["tables"] += 1
+            nonlocal tables
+            tables += 1
             return table(*args, **kwargs)
 
-        monkeypatch.setattr(MiddleMemory, "base_level", counting_base_level)
         monkeypatch.setattr(memory, "_Table", counting_table)
         session.step()
         fires = [e.data["production"] for e in session.trace.by_kind("shadow-fire")]
         assert fires == ["start", "advance", "look"]
         assert len(session.mm) == 50
-        assert calls == {"base_level": 50, "tables": 3}
+        assert (counts["evals"], tables) == (50, 3)
 
 
 class TestFormation:
