@@ -95,7 +95,6 @@ class Codebook:
         """Return the filler atom for ``name``, creating it on first use."""
         vec = self._atoms.get(name)
         if vec is None:
-            validate_symbol(name)
             vec = self._make_atom("atom", name)
             self._atoms[name] = vec
             self._names.append(name)
@@ -111,12 +110,12 @@ class Codebook:
         """
         vec = self._roles.get(name)
         if vec is None:
-            validate_symbol(name)
             vec = self._make_atom("role", name)
             self._roles[name] = vec
         return vec
 
     def _make_atom(self, domain: str, name: str) -> HoloVector:
+        validate_symbol(name)
         rng = _symbol_rng(self.seed, domain, name)
         half = self.dimension // 2
         phases = rng.uniform(0.0, 2.0 * np.pi, size=half + 1)
@@ -164,12 +163,20 @@ class UnpackResult:
     similarities: dict[str, float]
 
 
+def _superpose(ctype: str, slots, book: Codebook) -> HoloVector | None:
+    """Unit-norm sum of the type binding and the slot bindings, added left
+    to right; wildcards are skipped, and None means nothing was known."""
+    total = None
+    for name, value in ((TYPE_SLOT, ctype), *slots):
+        if value != WILDCARD:
+            part = bind(book.role(name), book.atom(value))
+            total = part if total is None else total + part
+    return None if total is None else normalized(total)
+
+
 def pack(c: Chunk, book: Codebook) -> HoloVector:
     """Encode a chunk as the unit-norm superposition of its role bindings."""
-    total = bind(book.role(TYPE_SLOT), book.atom(c.ctype))
-    for name, value in c.slots:
-        total = total + bind(book.role(name), book.atom(value))
-    return normalized(total)
+    return _superpose(c.ctype, c.slots, book)
 
 
 def pack_query(q: Query, book: Codebook) -> HoloVector | None:
@@ -177,18 +184,7 @@ def pack_query(q: Query, book: Codebook) -> HoloVector | None:
 
     Returns None when nothing is known (fully wildcarded query).
     """
-    parts = []
-    if q.ctype != WILDCARD:
-        parts.append(bind(book.role(TYPE_SLOT), book.atom(q.ctype)))
-    for name, value in q.slots:
-        if value != WILDCARD:
-            parts.append(bind(book.role(name), book.atom(value)))
-    if not parts:
-        return None
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return normalized(total)
+    return _superpose(q.ctype, q.slots, book)
 
 
 def unpack(v: HoloVector, slot_names, book: Codebook,

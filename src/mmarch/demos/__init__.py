@@ -1,4 +1,5 @@
-"""Bundled demo models, addressable by short name from the CLI."""
+"""Bundled demo models, addressable by short name from the CLI: each
+``<name>.json`` in this directory."""
 
 from __future__ import annotations
 
@@ -6,20 +7,10 @@ from pathlib import Path
 
 _ROOT = Path(__file__).parent
 
-_DEMOS = {
-    "threat": "threat.json",
-    "retrieval": "retrieval.json",
-    "wordloop": "wordloop.json",
-    "bottleneck": "bottleneck.json",
-}
-
 
 def names() -> list[str]:
-    return sorted(_DEMOS)
+    return sorted(p.stem for p in _ROOT.glob("*.json"))
 
 
 def path(name: str) -> Path | None:
-    filename = _DEMOS.get(name)
-    if filename is None:
-        return None
-    return _ROOT / filename
+    return _ROOT / f"{name}.json" if name in names() else None

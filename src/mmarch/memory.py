@@ -203,7 +203,6 @@ class _Columns:
         self.width = 1
         self.long: set[int] = set()  # live slots whose history passed the cap
         self.slot_of: dict[int, int] = {}  # live id -> slot, in id order
-        self.dead = 0
         self.postings: dict[tuple, array] = {}
         self.reach: dict[str, array] = {}
         self.posted: list[frozenset[str]] = []  # each slot's reach set as posted
@@ -255,7 +254,6 @@ class _Columns:
         self.entries[slot] = None
         self.times[slot] = math.nan
         self.long.discard(slot)
-        self.dead += 1
         return slot
 
     def present(self, entry: MMEntry) -> None:
@@ -343,15 +341,17 @@ class MiddleMemory:
     probes to visit only the entries it can return, hold slots.  A
     forgotten entry leaves NaN at its slot in every table, which fails
     every read's test, and stays in every posting until new columns are
-    built.  Spreading adds ``share`` once per source that meets an entry's
-    reach set, so it is ``share`` added k times to 0.0.  From
-    :data:`COLUMN_MIN_ENTRIES` entries up a new base-level column is an
-    array, and a table is one numpy add to it, k counted from the sources'
-    symbols' reach postings; then each entry's noise draw, made once per
-    point.  A smaller memory's base is a list, and its tables count k and
-    add the draw entry by entry.  Both equal the reference definitions,
-    :meth:`base_level`, :meth:`spreading` and :meth:`activation`, bit for
-    bit.
+    built, once empty slots outnumber live ones.  Spreading adds ``share``
+    once per source that meets an entry's reach set, so it is ``share``
+    added k times to 0.0.  From :data:`COLUMN_MIN_ENTRIES` entries up a new
+    base-level column is an array, and a table is one numpy add to it, k
+    counted from the sources' symbols' reach postings; then each entry's
+    noise draw, made once per point.  A smaller memory's base is a list,
+    and its tables count k and add the draw entry by entry.  Both equal the
+    reference definitions, :meth:`base_level`, :meth:`spreading` and
+    :meth:`activation`, bit for bit, so a trace does not depend on which
+    kind of table runs; the broadcast's symbol scores take the same fork
+    (see :func:`context_symbols`).
 
     The columns also keep each entry's presentation times in a block of
     :data:`HISTORY_CAP` times a slot, written by ``_add`` and by a
@@ -585,7 +585,7 @@ class MiddleMemory:
         if cached is not None and cached.point[:2] == point[:2]:
             base = cached.base
         else:
-            if self._cols.dead > len(self.entries):
+            if len(self._cols.entries) > 2 * len(self.entries):  # empty slots outnumber live
                 self._cols = _Columns(self.entries.values())
             if len(self.entries) >= COLUMN_MIN_ENTRIES:
                 base = self._base_column(now)

@@ -25,6 +25,7 @@ import numpy as np
 from .chunks import pattern_errors, validate_symbol
 from .codec import HoloVector
 from .errors import ChunkError
+from .trace import encode_line
 
 PROTOCOL_CONTEXT = "context"
 PROTOCOL_PREDICTION = "prediction"
@@ -150,7 +151,7 @@ def encode_context(cycle: int, vector: HoloVector, symbols: list[str]) -> str:
                "dim": int(vector.shape[0]),
                "vector": [float(x) for x in vector],
                "symbols": list(symbols)}
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    return encode_line(payload)
 
 
 def decode_prediction(line: str, dim: int) -> dict:

@@ -233,43 +233,34 @@ def resolve(conflict: list[Match]) -> Match | None:
     return min(conflict, key=lambda m: (-m.production.utility, m.production.name))
 
 
-@dataclass
-class Effect:
-    kind: str
-    target: str | None = None
-    content: object = None  # Chunk | Query for writes/queries
-    amount: float = 0.0
-    urgent: bool = False
-
-
 def fire(production: Production, bindings: dict[str, str],
-         factory: ChunkFactory) -> list[Effect]:
-    """Instantiate the production's actions, in listed order.
+         factory: ChunkFactory) -> list[tuple[Action, Chunk | Query | None]]:
+    """Each of the production's actions, in listed order, paired with the
+    chunk or query it instantiates (None for a kind that needs neither).
 
     Pure apart from allocating ids from ``factory``: the caller applies the
-    returned effects and does the engine-specific bookkeeping.
+    actions and does the engine-specific bookkeeping.
     """
-    effects = []
+    fired = []
     for action in production.actions:
         needs = ACTION_KINDS[action.kind].needs
         content = None
         if "chunk" in needs or "query" in needs:
             content = instantiate(action.template, bindings, factory, production.name,
                                   query="query" in needs)
-        effects.append(Effect(action.kind, target=action.target, content=content,
-                              amount=action.amount, urgent=action.urgent))
-    return effects
+        fired.append((action, content))
+    return fired
 
 
-def buffer_write(effect: Effect) -> tuple[Chunk | Query | None, bool] | None:
-    """The ``(content, urgent)`` an effect writes to its target, or None.
+def buffer_write(action: Action, content) -> tuple[Chunk | Query | None, bool] | None:
+    """The ``(content, urgent)`` a fired action writes to its target, or None.
 
     A clear writes ``None``; only a kind that may be urgent writes urgently.
     """
-    kind = ACTION_KINDS[effect.kind]
+    kind = ACTION_KINDS[action.kind]
     if "target" not in kind.needs:
         return None
-    return effect.content, effect.urgent and kind.may_be_urgent
+    return content, action.urgent and kind.may_be_urgent
 
 
 @dataclass

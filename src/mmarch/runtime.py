@@ -20,27 +20,22 @@ unobservable.  Event timestamps use the cycle-start time; activation
 evaluations use the cycle-end time, so a presentation deposited this cycle
 already has a positive lag.  Time is integer milliseconds internally.
 
-Activation is computed by middle-memory reads (see :mod:`.memory`), each
-table built one way, spreading and noise added to a base-level column, and
-read one way, through ``MiddleMemory._where``.  The sweep's table, rebuilt
-from its column after forgetting, serves shadow retrieval, middle-memory
-conditions and formation, so formation tests the activations the shadows
-saw: in mm mode, one read right after the sweep takes the entries above the
-formation threshold, and each system forms from those whose tag it
-subscribes to.  Retrieval visits only the entries its pattern's content
-postings name.  A table built after the commit serves the broadcast, reusing
-the sweep's base-level column.  The broadcast reads that table once for its
-symbols and its ``zero_context`` flag, and packs a context vector only for a
-live external predictor.  A memory of at least ``memory.COLUMN_MIN_ENTRIES``
-entries builds its tables and the broadcast's symbol scores as numpy
-columns, a smaller one entry by entry; both give the same bits, so the trace
-does not depend on which runs.
+Activation is computed by middle-memory reads; how their tables are built,
+cached and read is described once, in :class:`.memory.MiddleMemory`.  The
+sweep's table serves shadow retrieval, middle-memory conditions and
+formation, so formation tests the activations the shadows saw: in mm mode,
+one read right after the sweep takes the entries above the formation
+threshold, and each system forms from those whose tag it subscribes to.  A
+table built after the commit serves the broadcast, which reads it once for
+its symbols and its ``zero_context`` flag and packs a context vector only
+for a live external predictor.
 """
 
 from __future__ import annotations
 
 import copy
 import queue
+from itertools import starmap
 
 import numpy as np
 
@@ -147,7 +142,9 @@ class Session:
         self.ledger = ContributionLedger()
         self._predicted: list[Prediction] = []  # built-in emissions since the last drain
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()  # peers' (predictor, cycle, line)
-        self.inflows: dict[str, list[Chunk]] = {s.buffer: [] for s in self.systems}
+        # each module buffer's directly-routed predictions; pipeline mode only
+        self.inflows: dict[str, list[Chunk]] | None = (
+            {s.buffer: [] for s in self.systems} if mode == "pipeline" else None)
         self._pending_rewards: list[tuple[float, str]] = []
         self._hot: list[tuple[MMEntry, float]] = []  # the sweep's entries that may form
         self._scheduled: dict[int, list[float]] = {}
@@ -198,9 +195,7 @@ class Session:
             buf = self.wm.buffer(item.buffer)
             buf.content = content
             buf.urgent = False
-            self.trace.append(0, "wm-write", {
-                "writer": "initial", "buffer": item.buffer,
-                "content": content_data(content), "urgent": False})
+            self._log_write(0, "initial", item.buffer, content)
         entry_ids = []
         for item in self.model.initial_mm:
             chunk = self.factory.make(item.chunk.ctype, item.chunk.slots)
@@ -237,7 +232,7 @@ class Session:
         self._drain_predictions(n, t_now)
         self._sweep(n, t_eval)
         staged = self._shadow_phase(n, t_eval) if self.mode == "mm" else {}
-        winner_sources = self._central_phase(n, t_now, t_eval)
+        self._central_phase(n, t_now, t_eval)
         self._commit_staged(t_now, staged)
         self._reward_phase(n, t_now)
         if self.mode == "mm":
@@ -257,9 +252,7 @@ class Session:
             try:
                 decoded = decode_prediction(line, self.book.dimension)
             except ValueError as exc:
-                self.trace.append(n, "error", {
-                    "message": f"dropped malformed prediction: {exc}",
-                    "predictor": predictor, "payload": line})
+                self._log_error(n, f"dropped malformed prediction: {exc}", predictor, line)
                 continue
             predictions.append(Prediction(predictor=predictor, produced_at_cycle=cycle,
                                           emission_index=index, **decoded))
@@ -290,21 +283,17 @@ class Session:
                 target = system
                 break
         if target is None:  # an external line names its own tag, unchecked by validation
-            self.trace.append(n, "error", {
-                "message": f"no module subscribes to tag {prediction.tag!r}",
-                "predictor": prediction.predictor, "payload": None})
+            self._log_error(n, f"no module subscribes to tag {prediction.tag!r}",
+                            prediction.predictor)
             return
         if prediction.ctype is None:
-            self.trace.append(n, "error", {
-                "message": "vector-only prediction cannot be routed to a buffer",
-                "predictor": prediction.predictor, "payload": None})
+            self._log_error(n, "vector-only prediction cannot be routed to a buffer",
+                            prediction.predictor)
             return
         chunk = self.factory.make(prediction.ctype, prediction.slots)
         self.wm.write(target.name, target.buffer, chunk)
         self.inflows[target.buffer].append(chunk)
-        self.trace.append(n, "wm-write", {
-            "writer": target.name, "buffer": target.buffer,
-            "content": content_data(chunk), "urgent": False, "route": "pipeline"})
+        self._log_write(n, target.name, target.buffer, chunk, route="pipeline")
 
     # phase 2
     def _sweep(self, n: int, t_eval: float) -> None:
@@ -355,15 +344,13 @@ class Session:
         system = decision.system
         if decision.kind == "fire":
             production = decision.match.production
-            effects = fire(production, decision.match.bindings, self.factory)
+            fired = fire(production, decision.match.bindings, self.factory)
             self.trace.append(n, "shadow-fire", {
                 "system": system.name, "production": production.name,
                 "bindings": dict(decision.match.bindings)})
-            writes = [write for write in map(buffer_write, effects) if write is not None]
+            writes = [write for write in starmap(buffer_write, fired) if write is not None]
             for content, urgent in writes:
-                self.trace.append(n, "wm-write", {
-                    "writer": system.name, "buffer": system.buffer,
-                    "content": content_data(content), "urgent": urgent})
+                self._log_write(n, system.name, system.buffer, content, urgent)
                 if urgent:
                     self.trace.append(n, "interrupt", {
                         "system": system.name, "buffer": system.buffer,
@@ -371,26 +358,22 @@ class Session:
             return (*writes[-1], production.name) if writes else None
         make = answer_chunk if decision.kind == "answer" else failure_chunk
         chunk = make(decision, self.factory)
-        self.trace.append(n, "wm-write", {
-            "writer": system.name, "buffer": system.buffer,
-            "content": content_data(chunk), "urgent": False,
-            "answers_query": decision.query.id,
-            "entry": decision.answered_entry})
+        self._log_write(n, system.name, system.buffer, chunk,
+                        answers_query=decision.query.id, entry=decision.answered_entry)
         return chunk, False, None
 
     # phase 4
-    def _central_phase(self, n: int, t_now: float, t_eval: float):
-        view = MatchView(self.wm, None, t_eval,
-                         inflows=self.inflows if self.mode == "pipeline" else None)
+    def _central_phase(self, n: int, t_now: float, t_eval: float) -> None:
+        view = MatchView(self.wm, None, t_eval, inflows=self.inflows)
         conflict = match_all(self.central_productions, view)
         winner = resolve(conflict)
         conflict_names = [m.production.name for m in conflict]
         if winner is None:
             self.trace.append(n, "idle", {"candidates": view.candidates,
                                           "conflict": conflict_names})
-            return []
+            return
         production = winner.production
-        effects = fire(production, winner.bindings, self.factory)
+        fired = fire(production, winner.bindings, self.factory)
         self.learner.record_fire(production, t_now)
         consumed = self._record_consumption(n, winner.sources)
         self.trace.append(n, "central-fire", {
@@ -398,20 +381,16 @@ class Session:
             "candidates": view.candidates, "conflict": conflict_names,
             "matched": [{"buffer": b, "chunk": c} for b, c in winner.sources],
             "consumed": consumed})
-        for effect in effects:
-            write = buffer_write(effect)
-            if write is not None:
-                content, urgent = write
-                self.wm.write(CENTRAL, effect.target, content, urgent=urgent)
-                self.trace.append(n, "wm-write", {
-                    "writer": CENTRAL, "buffer": effect.target,
-                    "content": content_data(content), "urgent": urgent})
-            elif effect.kind == "emit-reward":
+        for action, content in fired:
+            write = buffer_write(action, content)
+            if write is not None:  # (content, urgent)
+                self.wm.write(CENTRAL, action.target, *write)
+                self._log_write(n, CENTRAL, action.target, *write)
+            elif action.kind == "emit-reward":
                 self._pending_rewards.append(
-                    (effect.amount, f"production:{production.name}"))
-            elif effect.kind == "halt":
+                    (action.amount, f"production:{production.name}"))
+            elif action.kind == "halt":
                 self._halt_reason = "halt-action"
-        return winner.sources
 
     # phase 5 (called from the central phase so the fire event carries it)
     def _record_consumption(self, n: int, sources) -> list[dict]:
@@ -449,6 +428,16 @@ class Session:
                 update = self.learner.credit(production, amount, t_now,
                                              record.deposit_time)
                 self._log_utility_update(n, update)
+
+    def _log_write(self, n: int, writer: str, buffer: str, content,
+                   urgent: bool = False, **extra) -> None:
+        self.trace.append(n, "wm-write", {
+            "writer": writer, "buffer": buffer, "content": content_data(content),
+            "urgent": urgent, **extra})
+
+    def _log_error(self, n: int, message: str, predictor: str, payload=None) -> None:
+        self.trace.append(n, "error", {
+            "message": message, "predictor": predictor, "payload": payload})
 
     def _log_utility_update(self, n: int, update) -> None:
         self.trace.append(n, "utility-update", {
@@ -508,9 +497,8 @@ class Session:
         if predictor.name in self._stall_warned:
             return
         self._stall_warned.add(predictor.name)
-        self.trace.append(n, "error", {
-            "message": f"external predictor {predictor.name!r} stalled; continuing",
-            "predictor": predictor.name, "payload": None})
+        self._log_error(n, f"external predictor {predictor.name!r} stalled; continuing",
+                        predictor.name)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -531,8 +519,7 @@ class Session:
         shadow conditions match against the live middle memory.
         """
         t_eval = self._cycle_time(self.cycle + 1)
-        view = MatchView(self.wm, None, t_eval,
-                         inflows=self.inflows if self.mode == "pipeline" else None)
+        view = MatchView(self.wm, None, t_eval, inflows=self.inflows)
         out = {CENTRAL: [m.production.name
                          for m in match_all(self.central_productions, view)]}
         for system in self.systems:

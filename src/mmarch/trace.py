@@ -64,21 +64,24 @@ def content_data(content: Chunk | Query | None) -> dict | None:
     return data
 
 
-def _dump_line(payload: dict) -> str:
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+# One compact JSON line, non-ASCII kept raw, for the trace file and the wire
+# alike.  ``json.dumps`` with these arguments builds this encoder every call.
+encode_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def trace_to_bytes(trace: Trace) -> bytes:
-    """Canonical byte rendering; equal traces render equal bytes."""
+    """Canonical byte rendering: the header, then one event a line, each
+    through :func:`encode_line`, LF-terminated, UTF-8.  Equal traces render
+    equal bytes."""
     out = io.StringIO()
     header = {"version": TRACE_VERSION, "seed": trace.seed, "mode": trace.mode,
               "cycle_length_ms": trace.cycle_length_ms}
-    out.write(_dump_line(header))
+    out.write(encode_line(header))
     out.write("\n")
     for event in trace.events:
         record = {"cycle": event.cycle, "seq": event.seq, "kind": event.kind,
                   "data": event.data}
-        out.write(_dump_line(record))
+        out.write(encode_line(record))
         out.write("\n")
     return out.getvalue().encode("utf-8")
 
@@ -92,13 +95,35 @@ def write_trace(trace: Trace, destination) -> None:
         Path(destination).write_bytes(data)
 
 
+def _of(*types):
+    return lambda value: type(value) in types  # exact, so a bool is not an int
+
+
+def _objects_with(key: str, test):
+    return lambda items: isinstance(items, list) and all(
+        isinstance(item, dict) and test(item.get(key)) for item in items)
+
+
+# The fields metrics() reads of each event kind, with the test each value
+# must pass.  An absent field reads as [], which only the list fields pass.
+_METRIC_FIELDS = {
+    "idle": {"candidates": _of(int)},
+    "central-fire": {"candidates": _of(int), "matched": _objects_with("chunk", _of(int)),
+                     "consumed": _objects_with("system", _of(str))},
+    "interrupt": {"chunk": _of(int)},
+    "deposit": {"new": _of(bool)},
+    "utility-update": {"owner": _of(str), "production": _of(str), "new": _of(int, float)},
+}
+
+
 def read_trace(source) -> Trace:
     """Parse a trace from a path or file object.
 
     Raises :class:`UnsupportedTraceVersion` on a version mismatch and
     :class:`TraceFormatError` (naming the last good line) on damage,
-    including an event whose cycle or seq is not an int or whose data is
-    not an object.
+    including an event whose cycle or seq is not an int, whose data is not
+    an object, or whose data lacks a field that metrics read or holds it
+    with the wrong type.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -134,6 +159,9 @@ def read_trace(source) -> Trace:
             if not (type(event.cycle) is int and type(event.seq) is int
                     and isinstance(event.data, dict)):
                 raise TypeError("cycle, seq or data")
+            for key, test in _METRIC_FIELDS.get(event.kind, {}).items():
+                if not test(event.data.get(key, [])):
+                    raise TypeError(key)
         except (json.JSONDecodeError, KeyError, TypeError):
             raise TraceFormatError(
                 f"malformed event; last good line was {number - 1}", line=number) from None

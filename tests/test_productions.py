@@ -288,9 +288,9 @@ class TestFire:
             Action("halt"),
         ])
         effects = fire(p, {"level": "high"}, factory)
-        assert [e.kind for e in effects] == ["write-buffer", "emit-reward", "halt"]
-        assert effects[0].content.as_dict() == {"state": "flee", "danger": "high"}
-        assert effects[1].amount == 10.0
+        assert [a.kind for a, _ in effects] == ["write-buffer", "emit-reward", "halt"]
+        assert effects[0][1].as_dict() == {"state": "flee", "danger": "high"}
+        assert effects[1][0].amount == 10.0
 
     def test_unresolved_reference_reports_production(self, factory):
         p = _prod(factory, "broken", [], actions=[
@@ -304,7 +304,7 @@ class TestFire:
             Action("post-query", target="declarative",
                    template=Template("dog", (("name", "?"), ("breed", "labrador"))))])
         effects = fire(p, {}, factory)
-        query = effects[0].content
+        query = effects[0][1]
         assert query.get("name") == "?"
         assert query.get("breed") == "labrador"
 

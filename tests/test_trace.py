@@ -5,6 +5,8 @@ import io
 import pytest
 
 from mmarch.errors import TraceFormatError, UnsupportedTraceVersion
+from mmarch.model import parse_model
+from mmarch.runtime import run
 from mmarch.trace import Trace, read_trace, trace_to_bytes, write_trace
 
 
@@ -88,6 +90,73 @@ def test_mistyped_event_fields_rejected(tmp_path, event):
         read_trace(path)
     assert err.value.line == 3
     assert "last good line was 2" in str(err.value)
+
+
+@pytest.mark.parametrize("event", [
+    '{"cycle":0,"seq":0,"kind":"idle","data":{}}',
+    '{"cycle":0,"seq":0,"kind":"idle","data":{"candidates":"x","conflict":[]}}',
+    '{"cycle":0,"seq":0,"kind":"idle","data":{"candidates":true,"conflict":[]}}',
+    '{"cycle":0,"seq":0,"kind":"central-fire","data":{"candidates":1,"matched":[{}]}}',
+    '{"cycle":0,"seq":0,"kind":"central-fire","data":{"candidates":1,"consumed":[5]}}',
+    '{"cycle":0,"seq":0,"kind":"interrupt","data":{"system":"s","buffer":"b"}}',
+    '{"cycle":0,"seq":0,"kind":"deposit","data":{"entry":1,"new":"yes"}}',
+    '{"cycle":0,"seq":0,"kind":"utility-update","data":{"production":"p","new":1.0}}',
+    '{"cycle":0,"seq":0,"kind":"utility-update","data":{"production":"p","owner":"o",'
+    '"new":"1"}}',
+])
+def test_event_missing_a_metric_field_rejected(tmp_path, event):
+    """``read_trace`` refuses any event that :func:`metrics` could not read."""
+    path = tmp_path / "run.trace"
+    write_trace(_sample_trace(), path)
+    lines = path.read_text().splitlines()
+    lines.insert(2, event)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert err.value.line == 3
+
+
+def test_non_ascii_symbols_stay_raw_end_to_end(tmp_path):
+    """A non-ASCII symbol crosses predictor, middle memory, both engines and
+    the trace file as raw UTF-8, never as a ``\\u`` escape."""
+    doc = {
+        "name": "accents",
+        "codebook": {"dimension": 64, "seed": 3},
+        "buffers": [{"name": "goal", "owner": "central"},
+                    {"name": "sight", "owner": "vision"}],
+        "shadow_systems": [
+            {"name": "vision", "buffer": "sight", "subscriptions": ["vision"],
+             "productions": [
+                 {"name": "see",
+                  "conditions": [{"mm_tags": ["vision"],
+                                  "pattern": {"isa": "percept", "slots": {"value": "?"}}}],
+                  "actions": [{"kind": "write-buffer", "target": "sight",
+                               "chunk": {"isa": "percept", "slots": {"value": "?value"}}}]}]},
+        ],
+        "central_productions": [
+            {"name": "note",
+             "conditions": [{"buffer": "sight",
+                             "pattern": {"isa": "percept", "slots": {"value": "?"}}}],
+             "actions": [{"kind": "write-buffer", "target": "goal",
+                          "chunk": {"isa": "goal", "slots": {"seen": "?value"}}}]},
+        ],
+        "predictors": [
+            {"name": "vision-net", "kind": "associative", "tag": "vision",
+             "pairs": [["watch", "café"]], "emit_isa": "percept", "emit_slot": "value"},
+        ],
+        "initial_wm": [
+            {"buffer": "goal", "chunk": {"isa": "goal", "slots": {"state": "watch"}}},
+        ],
+    }
+    trace = run(parse_model(doc), 6, mode="mm", seed=0)
+    writes = [e.data["content"]["slots"] for e in trace.by_kind("wm-write")]
+    assert {"seen": "café"} in writes
+    data = trace_to_bytes(trace)
+    assert "café".encode("utf-8") in data
+    assert b"\\u00e9" not in data
+    path = tmp_path / "run.trace"
+    path.write_bytes(data)
+    assert read_trace(path) == trace
 
 
 def test_empty_file_rejected(tmp_path):

@@ -55,6 +55,12 @@ class TestFraming:
                        "vector": [0.5, -0.25], "symbols": ["a", "b"]}
         assert "\n" not in line
 
+    def test_context_line_keeps_non_ascii_symbols_raw(self):
+        line = encode_context(0, np.array([1.0, 0.0]), ["café"])
+        assert '"symbols":["café"]' in line
+        assert "\\u00e9" not in line
+        assert json.loads(line)["symbols"] == ["café"]
+
     def test_decode_chunk_prediction_ignores_unknown_fields(self):
         line = json.dumps({"type": "prediction", "tag": "vision",
                            "salience": 0.8, "mystery": 1,
