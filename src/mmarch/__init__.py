@@ -41,7 +41,7 @@ from .metrics import RunMetrics, metrics
 from .model import ModelDefinition, dumps_model, load_model, parse_model, write_model
 from .productions import Action, Condition, Production, UtilityLearner
 from .runtime import Session, run
-from .shadows import ContributionLedger, ShadowSystem
+from .shadows import ShadowSystem
 from .trace import Trace, TraceEvent, read_trace, trace_to_bytes, write_trace
 
 __version__ = "0.1.0"

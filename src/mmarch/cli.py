@@ -26,20 +26,20 @@ def _resolve_model(ref: str) -> ModelDefinition:
                                      f"by that name (have: {', '.join(demos.names())})")])
 
 
-def _cycle_count(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"cycle count must be non-negative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True,
                         help="model file path or bundled demo name")
-    parser.add_argument("--cycles", type=_cycle_count, default=200,
+    parser.add_argument("--cycles", type=_non_negative_int, default=200,
                         help="number of cycles to execute (default 200)")
     parser.add_argument("--mode", choices=("mm", "pipeline"), default="mm")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--trace", help="write the run trace to this file")
     parser.add_argument("--metrics", help="write run metrics JSON to this file")
 
@@ -138,14 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_step = sub.add_parser("step", help="execute cycle by cycle, then dump state")
     _add_common(p_step)
-    p_step.add_argument("--top", type=int, default=5, help="middle-memory rows shown")
+    p_step.add_argument("--top", type=_non_negative_int, default=5,
+                        help="middle-memory rows shown")
     p_step.add_argument("--verbose", action="store_true",
                         help="dump state after every cycle")
     p_step.set_defaults(func=cmd_step)
 
     p_inspect = sub.add_parser("inspect", help="run N cycles and dump state")
     _add_common(p_inspect)
-    p_inspect.add_argument("--top", type=int, default=5,
+    p_inspect.add_argument("--top", type=_non_negative_int, default=5,
                            help="middle-memory rows shown")
     p_inspect.set_defaults(func=cmd_step, cycles=0, verbose=False)
 

@@ -54,6 +54,9 @@ class Buffer:
     owner: str
     content: Chunk | Query | None = None
     urgent: bool = False
+    # (production, write time) of the shadow write the content is, until
+    # the centre uses it or another write replaces it
+    credit: tuple[str, float] | None = None
     # (codebook, content kind, type, slots) -> packed vector, for the broadcast
     _packed: tuple | None = field(default=None, repr=False, compare=False)
     # (content, its spreading sources), for spread_sources
@@ -98,6 +101,7 @@ class WorkingMemory:
             raise ChunkError("an urgent write must carry content")
         buf.content = content
         buf.urgent = urgent if content is not None else False
+        buf.credit = None
         return buf
 
     def non_empty(self) -> list[Buffer]:

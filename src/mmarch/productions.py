@@ -276,9 +276,9 @@ class UtilityUpdate:
 class UtilityLearner:
     """Delta-rule utility learning with a per-second time cost.
 
-    Central firings accumulate in ``pending`` and are all credited (and
-    cleared) at the next reward; shadow productions are credited through
-    :meth:`credit` when one of their deposits was consumed.
+    Everything waiting for a reward is credited (and cleared) at the next
+    one: central firings in ``pending``, and in ``consumed`` the shadow
+    writes the centre used, as ``(chunk id, owner, production, write time)``.
     """
 
     def __init__(self, alpha: float = DEFAULT_LEARNING_RATE,
@@ -288,6 +288,7 @@ class UtilityLearner:
         self.alpha = alpha
         self.rho = rho
         self.pending: list[tuple[Production, float]] = []
+        self.consumed: list[tuple[int, str, str, float]] = []
 
     def record_fire(self, production: Production, fire_time: float) -> None:
         self.pending.append((production, fire_time))
@@ -302,22 +303,27 @@ class UtilityLearner:
         return UtilityUpdate(production.name, production.owner, old,
                              production.utility, effective, made_permanent)
 
-    def apply_reward(self, reward: float, reward_time: float) -> list[UtilityUpdate]:
-        """Credit every pending firing, time-discounted, then clear."""
+    def apply_reward(self, reward: float, reward_time: float, find) -> list[UtilityUpdate]:
+        """Credit every pending firing, then every consumed write, then clear.
+
+        Each is discounted from its own time.  ``find(owner, name)`` gives a
+        consumed write's production, or None once it is pruned, which earns
+        nothing.  Chunk ids are allocated in write order (systems emit in
+        index order and cycles only increase), so consumed writes are
+        credited in the order they were written.
+        """
         if not math.isfinite(reward):
             raise ValueError("reward must be finite")
-        updates = []
-        for production, fire_time in self.pending:
-            effective = reward - self.rho * (reward_time - fire_time)
-            updates.append(self._apply(production, effective))
+        credits = list(self.pending)
+        for _, owner, name, write_time in sorted(self.consumed):
+            production = find(owner, name)
+            if production is not None:
+                credits.append((production, write_time))
+        updates = [self._apply(production, reward - self.rho * (reward_time - time))
+                   for production, time in credits]
         self.pending.clear()
+        self.consumed.clear()
         return updates
-
-    def credit(self, production: Production, reward: float, reward_time: float,
-               deposit_time: float) -> UtilityUpdate:
-        """Same update, anchored at a consumed deposit's time."""
-        effective = reward - self.rho * (reward_time - deposit_time)
-        return self._apply(production, effective)
 
 
 def retrieval_pattern(chunk: Chunk) -> Query:

@@ -8,10 +8,13 @@ index) order; (2) sweep/forget; (3) shadow systems decide their first
 steps, read-only, against the frozen cycle-start state, and each system's
 decisions are then fired once, in system order, with a multi-step system's
 later steps reading only its own staged write; (4) the central engine
-matches, resolves, and fires; then shadow writes commit, (5) consumption is
-recorded, (6) rewards update utilities and propagate credit, (7) retrieval
-productions form and stale provisional ones are pruned, (8) the context
-broadcasts to every predictor, and (9) the clock advances.
+matches, resolves, and fires, and (5) each shadow write it matched hands the
+credit its buffer has kept since the write to the learner, once; then shadow
+writes commit, each credited to its production until the centre uses it or
+another write replaces it; (6) a reward credits every central firing and
+every used shadow write since the last one; (7) retrieval productions form
+and stale provisional ones are pruned, (8) the context broadcasts to every
+predictor, and (9) the clock advances.
 
 Shadow decisions read the cycle-start state and commit after central
 matching, so an urgent shadow write at cycle n reaches the central conflict
@@ -39,7 +42,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .chunks import Chunk, ChunkFactory, Query, Template
+from .chunks import Chunk, ChunkFactory, Query, Template, complete_query
 from .codec import Codebook
 from .memory import (
     CENTRAL,
@@ -73,14 +76,7 @@ from .productions import (
     prune_provisional,
     resolve,
 )
-from .shadows import (
-    ContributionLedger,
-    ShadowDecision,
-    ShadowSystem,
-    answer_chunk,
-    decide_shadow,
-    failure_chunk,
-)
+from .shadows import RETRIEVAL_FAILURE, ShadowDecision, ShadowSystem, decide_shadow
 from .trace import Trace, content_data
 
 CONTEXT_SYMBOL_COUNT = 5
@@ -98,6 +94,8 @@ class Session:
     def __init__(self, model: ModelDefinition, mode: str = "mm", seed: int = 0,
                  shadow_step_order: list[int] | None = None):
         validate_for_mode(model, mode)
+        if seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         self.model = model
         self.mode = mode
         self.seed = seed
@@ -139,7 +137,6 @@ class Session:
 
         self.learner = UtilityLearner(alpha=model.learning.rate,
                                       rho=model.learning.time_cost)
-        self.ledger = ContributionLedger()
         self._predicted: list[Prediction] = []  # built-in emissions since the last drain
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()  # peers' (predictor, cycle, line)
         # each module buffer's directly-routed predictions; pipeline mode only
@@ -356,8 +353,10 @@ class Session:
                         "system": system.name, "buffer": system.buffer,
                         "chunk": content.id})
             return (*writes[-1], production.name) if writes else None
-        make = answer_chunk if decision.kind == "answer" else failure_chunk
-        chunk = make(decision, self.factory)
+        if decision.kind == "answer":
+            chunk = complete_query(decision.query, decision.answer_bindings, self.factory)
+        else:
+            chunk = self.factory.make(RETRIEVAL_FAILURE, [("query-id", str(decision.query.id))])
         self._log_write(n, system.name, system.buffer, chunk,
                         answers_query=decision.query.id, entry=decision.answered_entry)
         return chunk, False, None
@@ -375,7 +374,7 @@ class Session:
         production = winner.production
         fired = fire(production, winner.bindings, self.factory)
         self.learner.record_fire(production, t_now)
-        consumed = self._record_consumption(n, winner.sources)
+        consumed = self._record_consumption(winner.sources)
         self.trace.append(n, "central-fire", {
             "production": production.name, "bindings": dict(winner.bindings),
             "candidates": view.candidates, "conflict": conflict_names,
@@ -393,23 +392,27 @@ class Session:
                 self._halt_reason = "halt-action"
 
     # phase 5 (called from the central phase so the fire event carries it)
-    def _record_consumption(self, n: int, sources) -> list[dict]:
+    def _record_consumption(self, sources) -> list[dict]:
+        """Hand each matched buffer's shadow-write credit to the learner, once."""
         consumed = []
-        for buffer, chunk_id in sources:  # only shadow chunks are in the ledger
-            record = self.ledger.mark_consumed(chunk_id, n)
-            if record is not None:
-                consumed.append({"buffer": buffer, "chunk": chunk_id,
-                                 "producer": record.production,
-                                 "system": record.system})
+        for name, chunk_id in sources:
+            buf = self.wm.buffer(name)
+            if buf.credit is None:
+                continue
+            production, write_time = buf.credit
+            buf.credit = None
+            self.learner.consumed.append((chunk_id, buf.owner, production, write_time))
+            consumed.append({"buffer": name, "chunk": chunk_id,
+                             "producer": production, "system": buf.owner})
         return consumed
 
     # phase 4b
     def _commit_staged(self, t_now: float, staged: dict[int, tuple]) -> None:
         for index, (content, urgent, production) in staged.items():
             system = self.systems[index]
-            self.wm.write(system.name, system.buffer, content, urgent=urgent)
+            buf = self.wm.write(system.name, system.buffer, content, urgent=urgent)
             if production is not None and isinstance(content, Chunk):
-                self.ledger.note_write(production, system.name, content, t_now)
+                buf.credit = (production, t_now)
 
     # phase 6
     def _reward_phase(self, n: int, t_now: float) -> None:
@@ -419,14 +422,7 @@ class Session:
             rewards.append((amount, "schedule"))
         for amount, source in rewards:
             self.trace.append(n, "reward", {"amount": amount, "source": source})
-            for update in self.learner.apply_reward(amount, t_now):
-                self._log_utility_update(n, update)
-            for record in self.ledger.take_consumed():
-                production = self._find_production(record.system, record.production)
-                if production is None:
-                    continue
-                update = self.learner.credit(production, amount, t_now,
-                                             record.deposit_time)
+            for update in self.learner.apply_reward(amount, t_now, self._find_production):
                 self._log_utility_update(n, update)
 
     def _log_write(self, n: int, writer: str, buffer: str, content,
@@ -468,13 +464,12 @@ class Session:
                     self.trace.append(n, "form", {
                         "production": production.name, "owner": system.name,
                         "entry": entry.id, "activation": activation})
-        pools = [(s.name, s.productions) for s in self.systems]
-        for owner, pool in pools + [(CENTRAL, self.central_productions)]:
-            kept, pruned = prune_provisional(pool, t_now, ttl)
-            pool[:] = kept
+        for system in self.systems:  # formation adds only to shadow pools
+            kept, pruned = prune_provisional(system.productions, t_now, ttl)
+            system.productions[:] = kept
             for production in pruned:
                 self.trace.append(n, "prune", {
-                    "production": production.name, "owner": owner,
+                    "production": production.name, "owner": system.name,
                     "age_s": t_now - production.created_at})
 
     # phase 8

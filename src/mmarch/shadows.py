@@ -1,20 +1,16 @@
-"""Shadow production systems and contribution credit bookkeeping.
+"""Shadow production systems.
 
 A shadow system is a peripheral module's own rule engine: it reads any
 working-memory buffer and its subscribed middle-memory tags, but writes
 only the single buffer it owns.  When its owned buffer holds a pending
-query it answers the query instead of running its productions.  The
-contribution ledger records which shadow deposits the central system later
-matched, so rewards can propagate to the shadow productions that earned
-them.
+query it answers the query instead of running its productions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .chunks import Chunk, ChunkFactory, Query, complete_query
+from .chunks import Query
 from .memory import MiddleMemory, WorkingMemory
 from .productions import Match, MatchView, Production, match_all, resolve
 
@@ -71,59 +67,3 @@ def decide_shadow(system: ShadowSystem, wm: WorkingMemory, mm: MiddleMemory,
     if winner is None:
         return ShadowDecision("idle", system)
     return ShadowDecision("fire", system, match=winner)
-
-
-def answer_chunk(decision: ShadowDecision, factory: ChunkFactory) -> Chunk:
-    """Materialize the completed chunk for an ``answer`` decision."""
-    return complete_query(decision.query, decision.answer_bindings, factory)
-
-
-def failure_chunk(decision: ShadowDecision, factory: ChunkFactory) -> Chunk:
-    """Materialize the failure marker for a ``miss`` decision."""
-    return factory.make(RETRIEVAL_FAILURE, [("query-id", str(decision.query.id))])
-
-
-@dataclass
-class ContributionRecord:
-    production: str
-    system: str
-    chunk_id: int
-    deposit_time: float
-    seq: int  # write order, which credit follows
-    consumed_cycle: int | None = None
-
-
-class ContributionLedger:
-    """Tracks shadow buffer deposits and their consumption by the centre.
-
-    A deposit is consumed when a fired central production's conditions
-    matched that chunk in the shadow's buffer.  Only a system's latest
-    deposit can still be in its buffer, so ``pending`` keeps one
-    unconsumed record per system; a newer write replaces it.  Each deposit
-    is consumed at most once (first central cycle recorded), and each
-    consumed record is credited at most once, by the next reward.
-    """
-
-    def __init__(self):
-        self.pending: dict[str, ContributionRecord] = {}
-        self.consumed: list[ContributionRecord] = []
-        self._seq = itertools.count()
-
-    def note_write(self, production: str, system: str, chunk: Chunk, time: float) -> None:
-        self.pending[system] = ContributionRecord(production, system, chunk.id,
-                                                  time, next(self._seq))
-
-    def mark_consumed(self, chunk_id: int, cycle: int) -> ContributionRecord | None:
-        for system, record in self.pending.items():
-            if record.chunk_id == chunk_id:
-                del self.pending[system]
-                record.consumed_cycle = cycle
-                self.consumed.append(record)
-                return record
-        return None
-
-    def take_consumed(self) -> list[ContributionRecord]:
-        """Remove and return every consumed, not-yet-credited record, in write order."""
-        taken = sorted(self.consumed, key=lambda record: record.seq)
-        self.consumed = []
-        return taken

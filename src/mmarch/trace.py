@@ -121,22 +121,24 @@ def read_trace(source) -> Trace:
 
     Raises :class:`UnsupportedTraceVersion` on a version mismatch and
     :class:`TraceFormatError` (naming the last good line) on damage,
-    including an event whose cycle or seq is not an int, whose data is not
-    an object, or whose data lacks a field that metrics read or holds it
-    with the wrong type.
+    including bytes that are not UTF-8, a header that is not an object, and
+    an event whose cycle or seq is not an int, whose data is not an object,
+    or whose data lacks a field that metrics read or holds it with the
+    wrong type.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    raw = source.read() if hasattr(source, "read") else Path(source).read_bytes()
+    try:
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"not UTF-8: {exc}", line=0) from None
     lines = text.splitlines()
     if not lines:
         raise TraceFormatError("empty trace file", line=0)
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError:
+        if not isinstance(header, dict):
+            raise TypeError("header")
+    except (json.JSONDecodeError, TypeError):
         raise TraceFormatError("malformed header; no good lines before it", line=1) from None
     version = header.get("version")
     if version != TRACE_VERSION:

@@ -165,7 +165,7 @@ def test_4_utility_learning_and_credit_soundness():
                                 conditions=(), actions=())
         for n in range(1, 31):
             learner.record_fire(production, 0.0)
-            learner.apply_reward(reward, 0.0)
+            learner.apply_reward(reward, 0.0, lambda owner, name: None)
             closed_form = reward * (1.0 - (1.0 - alpha) ** n)
             assert production.utility == pytest.approx(closed_form, abs=1e-9)
 

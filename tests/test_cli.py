@@ -130,6 +130,23 @@ def test_negative_cycles_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "wordloop", "--cycles", "2", "--seed", "-1"],
+    ["step", "--model", "wordloop", "--cycles", "2", "--top", "-1"],
+    ["inspect", "--model", "wordloop", "--cycles", "2", "--top", "-1"],
+])
+def test_negative_seed_or_top_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_top_zero_shows_no_rows(capsys):
+    assert main(["inspect", "--model", "wordloop", "--cycles", "2", "--top", "0"]) == 0
+    assert "mm: top 0 of " in capsys.readouterr().out
+
+
 def test_wrongly_typed_model_field_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "bad", "middle_memory": {"decay": "fast"}}))

@@ -64,6 +64,18 @@ class TestWorkingMemory:
         wm.write("emotion", "emotion", factory.make("calm"))
         assert not wm.buffer("emotion").urgent
 
+    def test_every_write_clears_the_credit(self, wm, factory):
+        """A shadow write's credit lasts only while the buffer holds it: a
+        newer write by the owner or the centre, a query or a clear replaces
+        it."""
+        for writer, content in [("emotion", factory.make("calm")),
+                                ("central", factory.make("calm")),
+                                ("central", factory.make_query("threat", [("level", "?")])),
+                                ("emotion", None)]:
+            buf = wm.write("emotion", "emotion", factory.make("threat"))
+            buf.credit = ("alarm", 0.05)
+            assert wm.write(writer, "emotion", content).credit is None
+
     def test_capacity_enforced(self):
         wm = WorkingMemory(capacity=1)
         wm.add_buffer("a", "central")

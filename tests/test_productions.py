@@ -49,6 +49,12 @@ def _prod(factory, name, conditions, actions=(), utility=0.0, owner="central",
                       permanent=permanent, created_at=created_at)
 
 
+def _finder(*productions):
+    """A ``find(owner, name)`` over ``productions``, as the runtime passes."""
+    return lambda owner, name: next(
+        (p for p in productions if (p.owner, p.name) == (owner, name)), None)
+
+
 def _full_scan_condition(cond, view):
     """Reference: test the buffer, then every retained prediction oldest-first."""
     buf = view.wm.buffer(cond.buffer)
@@ -314,7 +320,7 @@ class TestUtilityLearning:
         learner = UtilityLearner(alpha=0.2)
         p = _prod(factory, "p", [])
         learner.record_fire(p, 0.0)
-        updates = learner.apply_reward(10.0, 1.0)
+        updates = learner.apply_reward(10.0, 1.0, _finder())
         assert p.utility == pytest.approx(2.0)
         assert updates[0].effective_reward == 10.0
         assert learner.pending == []
@@ -323,16 +329,16 @@ class TestUtilityLearning:
         learner = UtilityLearner(alpha=0.2)
         p = _prod(factory, "p", [])
         learner.record_fire(p, 0.0)
-        learner.apply_reward(10.0, 1.0)
+        learner.apply_reward(10.0, 1.0, _finder())
         learner.record_fire(p, 2.0)
-        learner.apply_reward(10.0, 3.0)
+        learner.apply_reward(10.0, 3.0, _finder())
         assert p.utility == pytest.approx(3.6)
 
     def test_time_cost_discounts_reward(self, factory):
         learner = UtilityLearner(alpha=0.2, rho=1.0)
         p = _prod(factory, "p", [])
         learner.record_fire(p, 0.0)
-        updates = learner.apply_reward(10.0, 3.0)
+        updates = learner.apply_reward(10.0, 3.0, _finder())
         assert updates[0].effective_reward == pytest.approx(7.0)
         assert p.utility == pytest.approx(1.4)
 
@@ -346,7 +352,7 @@ class TestUtilityLearning:
             p = _prod(factory, "p", [])
             for n in range(1, 31):
                 learner.record_fire(p, 0.0)
-                learner.apply_reward(reward, 0.0)
+                learner.apply_reward(reward, 0.0, _finder())
                 expected = reward * (1.0 - (1.0 - alpha) ** n)
                 assert p.utility == pytest.approx(expected, abs=1e-9)
 
@@ -354,7 +360,7 @@ class TestUtilityLearning:
         learner = UtilityLearner(alpha=0.2)
         p = _prod(factory, "p", [], permanent=False, created_at=0.0)
         learner.record_fire(p, 0.0)
-        updates = learner.apply_reward(10.0, 1.0)
+        updates = learner.apply_reward(10.0, 1.0, _finder())
         assert p.permanent
         assert updates[0].made_permanent
 
@@ -362,7 +368,7 @@ class TestUtilityLearning:
         learner = UtilityLearner(alpha=0.2)
         p = _prod(factory, "p", [], permanent=False, created_at=0.0)
         learner.record_fire(p, 0.0)
-        learner.apply_reward(-5.0, 1.0)
+        learner.apply_reward(-5.0, 1.0, _finder())
         assert not p.permanent
 
     def test_invalid_alpha_rejected(self):
@@ -371,11 +377,47 @@ class TestUtilityLearning:
                 UtilityLearner(alpha=alpha)
 
     def test_credit_uses_deposit_time(self, factory):
+        """A consumed write is discounted from the time it was written."""
         learner = UtilityLearner(alpha=0.2, rho=1.0)
         p = _prod(factory, "p", [], owner="emotion")
-        update = learner.credit(p, 10.0, reward_time=5.0, deposit_time=2.0)
+        learner.consumed.append((7, "emotion", "p", 2.0))
+        (update,) = learner.apply_reward(10.0, 5.0, _finder(p))
         assert update.effective_reward == pytest.approx(7.0)
         assert p.utility == pytest.approx(1.4)
+
+    def test_consumed_writes_are_credited_independently(self, factory):
+        """Each consumed write credits its own production; a production
+        with no consumed write is untouched; the reward clears both lists."""
+        learner = UtilityLearner(alpha=0.2)
+        helped = _prod(factory, "helped", [], owner="emotion")
+        also = _prod(factory, "also", [], owner="vision")
+        bystander = _prod(factory, "ignored", [], owner="vision")
+        central = _prod(factory, "c", [])
+        learner.record_fire(central, 0.0)
+        learner.consumed += [(3, "emotion", "helped", 0.05), (4, "vision", "also", 0.05)]
+        updates = learner.apply_reward(10.0, 0.05, _finder(helped, also, bystander))
+        assert [u.production for u in updates] == ["c", "helped", "also"]
+        assert helped.utility == also.utility == central.utility == pytest.approx(2.0)
+        assert bystander.utility == 0.0
+        assert learner.pending == [] and learner.consumed == []
+        assert learner.apply_reward(10.0, 0.1, _finder(helped)) == []
+
+    def test_consumed_writes_are_credited_in_write_order(self, factory):
+        """Writes consumed in reverse are credited oldest write first."""
+        learner = UtilityLearner(alpha=0.2)
+        pool = [_prod(factory, f"p{i}", [], owner=f"s{i}") for i in range(3)]
+        for chunk_id in (12, 11, 10):
+            learner.consumed.append((chunk_id, f"s{chunk_id - 10}", f"p{chunk_id - 10}", 0.0))
+        updates = learner.apply_reward(1.0, 1.0, _finder(*pool))
+        assert [u.production for u in updates] == ["p0", "p1", "p2"]
+
+    def test_a_production_find_no_longer_finds_earns_nothing(self, factory):
+        learner = UtilityLearner(alpha=0.2)
+        kept = _prod(factory, "kept", [], owner="vision")
+        learner.consumed += [(1, "vision", "pruned", 0.0), (2, "vision", "kept", 0.0)]
+        updates = learner.apply_reward(10.0, 1.0, _finder(kept))
+        assert [u.production for u in updates] == ["kept"]
+        assert learner.consumed == []
 
 
 class TestFormation:
@@ -426,7 +468,7 @@ class TestPruning:
         learner = UtilityLearner(alpha=0.2)
         p = _prod(factory, "p", [], permanent=False, created_at=0.0)
         learner.record_fire(p, 0.0)
-        learner.apply_reward(10.0, 1.0)
+        learner.apply_reward(10.0, 1.0, _finder())
         assert p.utility == pytest.approx(2.0) and p.permanent
         kept, pruned = prune_provisional([p], now=61.0, ttl=60.0)
         assert kept == [p] and pruned == []

@@ -324,6 +324,10 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             Session(model, shadow_step_order=[0, 0])
 
+    def test_negative_seed_rejected(self, model):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            Session(model, seed=-1)
+
     def test_different_seed_changes_header_only_when_symbolic(self, model):
         a = run(model, 10, mode="mm", seed=1)
         b = run(model, 10, mode="mm", seed=2)
@@ -467,8 +471,7 @@ class TestRewardsAndCredit:
             actions=(), utility=0.0, permanent=False, created_at=-1000.0)
         vision.productions.append(stale)
         chunk = session.factory.make("percept", [("value", "x")])
-        session.ledger.note_write("stale", "vision", chunk, -1000.0)
-        session.ledger.mark_consumed(chunk.id, 0)
+        session.learner.consumed.append((chunk.id, "vision", "stale", -1000.0))
         session._scheduled[1] = [1.0]
         session.step()
         assert [e.data["production"] for e in session.trace.by_kind("prune")] == ["stale"]
@@ -477,7 +480,54 @@ class TestRewardsAndCredit:
         assert (1, "schedule") in rewards
         assert "stale" not in [e.data["production"]
                                for e in session.trace.by_kind("utility-update")]
-        assert session.ledger.take_consumed() == []
+        assert session.learner.consumed == []
+
+    @staticmethod
+    def _quiet_two_systems():
+        """``two_system_doc`` after two cycles, both shadows holding a
+        credited write, with every shadow production kept but unable to fire."""
+        doc = two_system_doc()
+        doc["middle_memory"] = {"formation_threshold": 100.0}
+        session = Session(parse_model(doc), mode="mm", seed=0)
+        session.step()
+        session.step()
+        never = (Condition(pattern=session.factory.make_query("never"), buffer="goal"),)
+        for system in session.systems:
+            for production in system.productions:
+                production.conditions = never
+        return session
+
+    def test_a_shadow_write_is_consumed_once(self):
+        """The first central firing on a shadow write takes its credit; a
+        later firing on the same chunk takes none, and a reward leaves an
+        unused write's credit on its buffer."""
+        session = self._quiet_two_systems()
+        sight, sound = session.wm.buffer("sight"), session.wm.buffer("sound")
+        assert sight.credit == ("see", 0.05) and sound.credit == ("hear", 0.05)
+        session.step()
+        session.step()
+        fires = session.trace.by_kind("central-fire")
+        assert [(e.cycle, e.data["consumed"]) for e in fires] == [
+            (2, [{"buffer": "sound", "chunk": sound.content.id,
+                  "producer": "hear", "system": "audio"}]),
+            (3, [])]
+        assert sound.credit is None and sight.credit == ("see", 0.05)
+        assert [(e.cycle, e.data["production"])
+                for e in session.trace.by_kind("utility-update")] == [
+            (2, "note"), (2, "hear"), (3, "note")]
+
+    def test_a_write_over_a_shadow_write_takes_its_credit(self):
+        """A chunk the centre wrote over a shadow write is matched but never
+        consumed: the newer write replaced the credit."""
+        session = self._quiet_two_systems()
+        chunk = session.factory.make("percept", [("value", "x")])
+        session.wm.write("central", "sound", chunk)
+        session.step()
+        (fire,) = session.trace.by_kind("central-fire")
+        assert fire.data["matched"] == [{"buffer": "sound", "chunk": chunk.id}]
+        assert fire.data["consumed"] == []
+        assert [e.data["production"] for e in session.trace.by_kind("utility-update")] == [
+            "note"]
 
     def test_scheduled_rewards_fire_on_their_cycle(self):
         doc = two_system_doc()
@@ -489,13 +539,86 @@ class TestRewardsAndCredit:
                 for e in rewards] == [(5, 3.0, "schedule")]
 
 
-    def test_ledger_keeps_one_unconsumed_record_per_system(self):
-        """Only a system's latest write can still be matched, so long runs
-        keep at most one unconsumed record per shadow system."""
+    def test_a_buffer_holds_credit_only_for_its_unused_shadow_write(self):
+        """Over a long run each buffer holds a credit exactly when its content
+        is a chunk a shadow production wrote and the centre has not yet
+        used, and the credit names that production and write time."""
         session = Session(load_model(demos.path("bottleneck")), mode="mm", seed=0)
-        run_session(session, 3000)
-        assert len(session.systems) == 3
-        assert len(session.ledger.pending) <= 3
+        shadows = {s.name for s in session.systems}
+        written, fired, used = {}, {}, set()  # chunk id -> (production, cycle)
+        seen = 0
+
+        def check(session):
+            nonlocal seen
+            for e in session.trace.events[seen:]:
+                if e.kind == "shadow-fire":
+                    fired[e.data["system"]] = e.data["production"]
+                elif (e.kind == "wm-write" and e.data["writer"] in shadows
+                      and "answers_query" not in e.data and e.data["content"]
+                      and not e.data["content"].get("query")):
+                    written[e.data["content"]["id"]] = (fired[e.data["writer"]], e.cycle)
+                elif e.kind == "central-fire":
+                    ids = [item["chunk"] for item in e.data["consumed"]]
+                    assert used.isdisjoint(ids) and len(set(ids)) == len(ids)
+                    used.update(ids)
+            seen = len(session.trace.events)
+            for buf in session.wm.buffers.values():
+                key = getattr(buf.content, "id", None)
+                expected = None
+                if key in written and key not in used:
+                    production, cycle = written[key]
+                    expected = (production, session._cycle_time(cycle))
+                assert buf.credit == expected
+
+        run_session(session, 3000, after_step=check)
+        assert used and len(session.systems) == 3
+
+@st.composite
+def rewarded_multi_step_docs(draw):
+    doc = draw(multi_step_model_docs(0.0))
+    doc["learning"] = {"time_cost": draw(st.sampled_from([0.3, 0.7, 1.3]))}
+    doc["rewards"] = [{"cycle": cycle, "amount": amount} for cycle, amount in draw(
+        st.lists(st.tuples(st.integers(0, 29), st.sampled_from([-2.0, 1.0, 3.5])),
+                 min_size=1, max_size=6))]
+    return doc
+
+
+class TestCreditProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(doc=rewarded_multi_step_docs())
+    def test_a_reward_credits_used_shadow_writes_in_write_order(self, doc):
+        """At each reward, the shadow utility updates follow the order of the
+        wm-write events that wrote the chunks the centre used since the last
+        reward, and each is discounted from its own write time."""
+        model = parse_model(doc)
+        trace = run(model, 30, mode="mm", seed=2)
+        assert not trace.by_kind("prune")  # 1.5 s, under the provisional lifetime
+        shadows = {s.name for s in model.shadow_systems}
+
+        def seconds(cycle):
+            return cycle * model.cycle_length_ms / 1000.0
+
+        writes, used, reward = {}, [], None  # chunk id -> (position, cycle)
+        for position, e in enumerate(trace.events):
+            if e.kind == "wm-write" and e.data["writer"] in shadows and e.data["content"]:
+                writes[e.data["content"]["id"]] = (position, e.cycle)
+            elif e.kind == "central-fire":
+                used += [(item["chunk"], item["system"], item["producer"])
+                         for item in e.data["consumed"]]
+            elif e.kind == "reward":
+                reward = e
+                expected = [(system, producer, writes[chunk][1])
+                            for chunk, system, producer in sorted(
+                                used, key=lambda item: writes[item[0]][0])]
+                used = []
+            elif e.kind == "utility-update" and e.data["owner"] != "central":
+                system, producer, cycle = expected.pop(0)
+                assert (e.cycle, e.data["owner"], e.data["production"]) == (
+                    reward.cycle, system, producer)
+                assert e.data["effective_reward"] == reward.data["amount"] - \
+                    model.learning.time_cost * (seconds(reward.cycle) - seconds(cycle))
+            elif e.kind not in ("utility-update", "reward") and reward is not None:
+                assert expected == []  # every used write was credited
 
 
 class TestHalt:

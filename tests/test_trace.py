@@ -166,6 +166,24 @@ def test_empty_file_rejected(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("header", [b"[1]\n", b"5\n", b'"v"\n'])
+def test_header_that_is_not_an_object_rejected(tmp_path, header):
+    path = tmp_path / "run.trace"
+    path.write_bytes(header)
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert err.value.line == 1
+
+
+def test_non_utf8_trace_rejected(tmp_path):
+    path = tmp_path / "run.trace"
+    path.write_bytes(b"\xff\xfe" + trace_to_bytes(_sample_trace()))
+    with pytest.raises(TraceFormatError, match="not UTF-8"):
+        read_trace(path)
+    with pytest.raises(TraceFormatError, match="not UTF-8"):
+        read_trace(io.BytesIO(path.read_bytes()))
+
+
 def test_unknown_event_kind_rejected():
     trace = _sample_trace()
     with pytest.raises(ValueError):
