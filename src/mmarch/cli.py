@@ -49,11 +49,18 @@ def _execute(args, after_step=None) -> Session:
     return run_session(session, args.cycles, after_step)
 
 
+def _write(write, artifact, path: str) -> None:
+    try:
+        write(artifact, path)
+    except OSError as exc:
+        raise MMArchError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit_artifacts(session: Session, args) -> None:
     if args.trace:
-        write_trace(session.trace, args.trace)
+        _write(write_trace, session.trace, args.trace)
     if args.metrics:
-        write_metrics(metrics(session.trace), args.metrics)
+        _write(write_metrics, metrics(session.trace), args.metrics)
 
 
 def _format_content(content) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
@@ -485,6 +486,8 @@ def _bindable_keys(production: ProductionDef) -> set[str]:
 
 def _check_production_semantics(production: ProductionDef, path: str, owner: str,
                                 model: ModelDefinition, errors: _Collector) -> None:
+    if re.fullmatch(r"retrieve-[0-9]+", production.name):
+        errors.add(f"{path}.name", f"{production.name!r} is reserved for formed productions")
     buffer_names = {b.name for b in model.buffers}
     system = model.system(owner) if owner != CENTRAL else None
     for i, cond in enumerate(production.conditions):
@@ -525,6 +528,8 @@ def _check_production_semantics(production: ProductionDef, path: str, owner: str
                                       "any non-negated condition")
         if action.urgent and not kind.may_be_urgent:
             errors.add(apath, "only write-buffer actions can be urgent")
+
+
 def _validate_semantics(model: ModelDefinition, errors: _Collector) -> None:
     if len(model.buffers) > model.wm_capacity:
         errors.add("buffers", f"{len(model.buffers)} buffers exceed capacity "

@@ -3,7 +3,9 @@
 Matching is strictly binary: a production is in the conflict set exactly
 when every condition holds, and bindings come from single definite sources
 (a buffer's one chunk, or the top-ranked middle-memory entry) with no
-backtracking.  Conflict resolution is argmax by utility with a
+backtracking.  One function finds the first content a condition's pattern
+matches; :func:`match_production` alone decides negation and unifies
+bindings across conditions.  Conflict resolution is argmax by utility with a
 lexicographic tie-break, so runs are deterministic.  Utilities learn by a
 time-discounted delta rule, and sufficiently active middle-memory entries
 spawn provisional retrieval productions that survive only if rewarded.
@@ -111,14 +113,13 @@ def instantiate(template: Template, bindings: dict[str, str], factory: ChunkFact
 
     Only a query keeps bare wildcards, in its type or its slot values.
     """
-    ctype = template.ctype
-    if not (query and ctype == WILDCARD):
-        ctype = _resolve_value(ctype, bindings, production, allow_wildcard=False)
+    ctype = _resolve_value(template.ctype, bindings, production, allow_wildcard=query)
     slots = [(n, _resolve_value(v, bindings, production, allow_wildcard=query))
              for n, v in template.slots]
     return (factory.make_query if query else factory.make)(ctype, slots)
 
 
+@dataclass
 class MatchView:
     """Everything one engine step matches against, plus the candidate counter.
 
@@ -129,13 +130,11 @@ class MatchView:
     it was tested.
     """
 
-    def __init__(self, wm: WorkingMemory, mm: MiddleMemory | None, now: float,
-                 inflows: dict[str, list[Chunk]] | None = None):
-        self.wm = wm
-        self.mm = mm
-        self.now = now
-        self.inflows = inflows
-        self.candidates = 0
+    wm: WorkingMemory
+    mm: MiddleMemory | None
+    now: float
+    inflows: dict[str, list[Chunk]] | None = None
+    candidates: int = 0
 
 
 @dataclass
@@ -146,71 +145,52 @@ class Match:
     sources: list[tuple[str, int]]
 
 
-def _test_content(pattern: Query | None, content) -> dict[str, str] | None:
-    """Binary test of a condition pattern against one buffer content item."""
-    if content is None:
-        return None
+def _first_match(cond: Condition, view: MatchView) -> tuple[dict[str, str], int | None] | None:
+    """``(bindings, chunk id or None)`` for the first content the pattern matches, or None.
+
+    A buffer condition reads the buffer's content, then (pipeline mode) its
+    retained inflow newest first; all of them count as candidates, tested
+    or not.  A pending query satisfies only a bare-presence pattern and
+    gives no id.  A middle-memory condition binds from its top hit alone.
+    """
+    if cond.buffer is None:
+        hits = view.mm.retrieve(view.wm, view.now, pattern=cond.pattern,
+                                tags=frozenset(cond.mm_tags), k=1)
+        return (hits[0][2], None) if hits else None
+    content = view.wm.buffer(cond.buffer).content
+    inflow = (view.inflows or {}).get(cond.buffer, ())
+    view.candidates += (content is not None) + len(inflow)
+    pattern = cond.pattern
     if pattern is None:
-        return {}
-    if not isinstance(content, Chunk):
-        return None  # pending queries never satisfy a shaped pattern
-    return match_query(pattern, content)
-
-
-def _eval_buffer_condition(cond: Condition, view: MatchView):
-    buf = view.wm.buffer(cond.buffer)
-    matched_bindings = None
-    matched_chunk_id = None
-    if buf.content is not None:
-        view.candidates += 1
-        matched_bindings = _test_content(cond.pattern, buf.content)
-        if matched_bindings is not None and isinstance(buf.content, Chunk):
-            matched_chunk_id = buf.content.id
-    if view.inflows is not None:
-        # Ungated pipeline routing: every retained prediction counts as a
-        # candidate.  The buffer's content is preferred for bindings; failing
-        # that, the newest matching prediction supplies them.
-        inflow = view.inflows.get(cond.buffer, ())
-        view.candidates += len(inflow)
-        if matched_bindings is None:
-            for item in reversed(inflow):
-                matched_bindings = _test_content(cond.pattern, item)
-                if matched_bindings is not None:
-                    matched_chunk_id = item.id
-                    break
-    if cond.negated:
-        return (matched_bindings is None), {}, None
-    if matched_bindings is None:
-        return False, {}, None
-    return True, matched_bindings, matched_chunk_id
-
-
-def _eval_mm_condition(cond: Condition, view: MatchView):
-    hits = view.mm.retrieve(view.wm, view.now, pattern=cond.pattern,
-                            tags=frozenset(cond.mm_tags), k=1)
-    if cond.negated:
-        return (not hits), {}, None
-    if not hits:
-        return False, {}, None
-    _, _, bindings = hits[0]
-    return True, bindings, None
+        if content is not None:
+            return {}, (content.id if isinstance(content, Chunk) else None)
+        return ({}, inflow[-1].id) if inflow else None
+    if isinstance(content, Chunk) and (bindings := match_query(pattern, content)) is not None:
+        return bindings, content.id
+    for item in reversed(inflow):
+        if (bindings := match_query(pattern, item)) is not None:
+            return bindings, item.id
+    return None
 
 
 def match_production(production: Production, view: MatchView) -> Match | None:
-    """All-conditions test with cross-condition unification of bindings."""
+    """All-conditions test with cross-condition unification of bindings.
+
+    A negated condition holds exactly when nothing matches it, and it never
+    binds or names a source.
+    """
     merged: dict[str, str] = {}
     sources: list[tuple[str, int]] = []
     for cond in production.conditions:
-        if cond.buffer is not None:
-            ok, bindings, chunk_id = _eval_buffer_condition(cond, view)
-        else:
-            ok, bindings, chunk_id = _eval_mm_condition(cond, view)
-        if not ok:
+        found = _first_match(cond, view)
+        if (found is None) != cond.negated:
             return None
+        if found is None:
+            continue
+        bindings, chunk_id = found
         for key, value in bindings.items():
-            if merged.get(key, value) != value:
+            if merged.setdefault(key, value) != value:
                 return None  # same binding key must unify across conditions
-            merged[key] = value
         if chunk_id is not None:
             sources.append((cond.buffer, chunk_id))
     return Match(production, merged, sources)
@@ -218,12 +198,8 @@ def match_production(production: Production, view: MatchView) -> Match | None:
 
 def match_all(productions, view: MatchView) -> list[Match]:
     """Conflict set, in production declaration order."""
-    out = []
-    for production in productions:
-        match = match_production(production, view)
-        if match is not None:
-            out.append(match)
-    return out
+    return [match for production in productions
+            if (match := match_production(production, view)) is not None]
 
 
 def resolve(conflict: list[Match]) -> Match | None:
@@ -326,11 +302,6 @@ class UtilityLearner:
         return updates
 
 
-def retrieval_pattern(chunk: Chunk) -> Query:
-    """Exact-match pattern for a chunk's full content (no wildcards)."""
-    return Query(chunk.ctype, chunk.slots, -1)
-
-
 def form_retrieval_production(entry, activation: float, system: str, buffer: str,
                               existing, now: float,
                               threshold: float = DEFAULT_FORMATION_THRESHOLD) -> Production | None:
@@ -342,7 +313,7 @@ def form_retrieval_production(entry, activation: float, system: str, buffer: str
     """
     if activation <= threshold or entry.chunk is None:
         return None
-    pattern = retrieval_pattern(entry.chunk)
+    pattern = Query(entry.chunk.ctype, entry.chunk.slots, -1)  # exact: no wildcards
     tags = (entry.tag,)
     for production in existing:
         if production.owner != system:

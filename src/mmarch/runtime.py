@@ -189,9 +189,7 @@ class Session:
         for item in self.model.initial_wm:
             content = (_to_query(item.query, self.factory) if item.chunk is None
                        else self.factory.make(item.chunk.ctype, item.chunk.slots))
-            buf = self.wm.buffer(item.buffer)
-            buf.content = content
-            buf.urgent = False
+            self.wm.write(CENTRAL, item.buffer, content)
             self._log_write(0, "initial", item.buffer, content)
         entry_ids = []
         for item in self.model.initial_mm:
@@ -199,10 +197,7 @@ class Session:
             entry_id = self.mm.seed_entry(item.tag, chunk=chunk,
                                           presentations=list(item.presentations))
             entry_ids.append(entry_id)
-            self.trace.append(0, "deposit", {
-                "entry": entry_id, "tag": item.tag, "new": True,
-                "source": "initial", "salience": None,
-                "content": content_data(chunk), "has_vector": False})
+            self._log_deposit(0, entry_id, item.tag, "initial", chunk)
         for index, item in enumerate(self.model.initial_mm):
             for link in item.links:
                 self.mm.link(entry_ids[index], entry_ids[link])
@@ -266,12 +261,9 @@ class Session:
             chunk = self.factory.make(prediction.ctype, prediction.slots)
         entry_id, created = self.mm.deposit(
             t_now, prediction.tag, chunk=chunk, vector=prediction.vector)
-        self.trace.append(n, "deposit", {
-            "entry": entry_id, "tag": prediction.tag, "new": created,
-            "source": f"predictor:{prediction.predictor}",
-            "salience": prediction.salience,
-            "content": content_data(chunk),
-            "has_vector": prediction.vector is not None})
+        self._log_deposit(n, entry_id, prediction.tag, f"predictor:{prediction.predictor}",
+                          chunk, new=created, salience=prediction.salience,
+                          has_vector=prediction.vector is not None)
 
     def _route_prediction(self, n: int, prediction) -> None:
         target = None
@@ -430,6 +422,13 @@ class Session:
         self.trace.append(n, "wm-write", {
             "writer": writer, "buffer": buffer, "content": content_data(content),
             "urgent": urgent, **extra})
+
+    def _log_deposit(self, n: int, entry_id: int, tag: str, source: str, chunk: Chunk | None,
+                     *, new: bool = True, salience: float | None = None,
+                     has_vector: bool = False) -> None:
+        self.trace.append(n, "deposit", {
+            "entry": entry_id, "tag": tag, "new": new, "source": source,
+            "salience": salience, "content": content_data(chunk), "has_vector": has_vector})
 
     def _log_error(self, n: int, message: str, predictor: str, payload=None) -> None:
         self.trace.append(n, "error", {

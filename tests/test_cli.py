@@ -55,6 +55,15 @@ def test_invalid_model_exits_1(tmp_path, capsys):
     assert "unknown owner" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+def test_unwritable_artifact_path_exits_1(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out"
+    rc = main(["run", "--model", "threat", "--cycles", "2", flag, str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_step_twice_equals_run_two_cycles(tmp_path):
     a = tmp_path / "step.trace"
     b = tmp_path / "run.trace"

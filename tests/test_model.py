@@ -211,6 +211,9 @@ def _append_copy(key, index=0):
     (lambda d: d["shadow_systems"][0]["productions"].append(
         copy.deepcopy(d["shadow_systems"][0]["productions"][0])), "mm",
      ("shadow_systems[0].productions[1].name", "duplicate production 'alarm'")),
+    (lambda d: d["shadow_systems"][0]["productions"][0].update(name="retrieve-12"), "mm",
+     ("shadow_systems[0].productions[0].name",
+      "'retrieve-12' is reserved for formed productions")),
     (lambda d: d["predictors"].append({"name": "scene", "kind": "associative",
                                        "tag": "vision", "pairs": [["a", "b"]]}), "mm",
      ("predictors[1].name", "duplicate predictor 'scene'")),

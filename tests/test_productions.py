@@ -17,8 +17,7 @@ from mmarch.productions import (
     Production,
     Template,
     UtilityLearner,
-    _eval_buffer_condition,
-    _test_content,
+    _first_match,
     fire,
     form_retrieval_production,
     match_all,
@@ -55,33 +54,88 @@ def _finder(*productions):
         (p for p in productions if (p.owner, p.name) == (owner, name)), None)
 
 
+def _content_bindings(pattern, content):
+    """Reference test of one content item; a pending query satisfies only bare presence."""
+    if pattern is None:
+        return {}
+    return match_query(pattern, content) if isinstance(content, Chunk) else None
+
+
 def _full_scan_condition(cond, view):
-    """Reference: test the buffer, then every retained prediction oldest-first."""
+    """Reference ``(bindings, chunk id) | None``: the buffer's content, else the
+    last match of a scan over every retained prediction oldest-first."""
     buf = view.wm.buffer(cond.buffer)
-    matched_bindings = None
-    matched_chunk_id = None
+    found = latest = None
     if buf.content is not None:
         view.candidates += 1
-        matched_bindings = _test_content(cond.pattern, buf.content)
-        if matched_bindings is not None and isinstance(buf.content, Chunk):
-            matched_chunk_id = buf.content.id
-    if view.inflows is not None:
-        inflow_bindings = None
-        inflow_chunk_id = None
-        for item in view.inflows.get(cond.buffer, ()):
-            view.candidates += 1
-            got = _test_content(cond.pattern, item)
-            if got is not None:
-                inflow_bindings = got
-                inflow_chunk_id = item.id
-        if matched_bindings is None and inflow_bindings is not None:
-            matched_bindings = inflow_bindings
-            matched_chunk_id = inflow_chunk_id
-    if cond.negated:
-        return (matched_bindings is None), {}, None
-    if matched_bindings is None:
-        return False, {}, None
-    return True, matched_bindings, matched_chunk_id
+        bindings = _content_bindings(cond.pattern, buf.content)
+        if bindings is not None:
+            found = bindings, (buf.content.id if isinstance(buf.content, Chunk) else None)
+    for item in (view.inflows or {}).get(cond.buffer, ()):
+        view.candidates += 1
+        bindings = _content_bindings(cond.pattern, item)
+        if bindings is not None:
+            latest = bindings, item.id
+    return found if found is not None else latest
+
+
+def _reference_match(production, view):
+    """Reference ``(bindings, sources) | None`` with negation and unification spelled out."""
+    merged, sources = {}, []
+    for cond in production.conditions:
+        found = _full_scan_condition(cond, view)
+        if cond.negated:
+            if found is not None:
+                return None
+            continue
+        if found is None:
+            return None
+        bindings, chunk_id = found
+        for key, value in bindings.items():
+            if merged.setdefault(key, value) != value:
+                return None
+        if chunk_id is not None:
+            sources.append((cond.buffer, chunk_id))
+    return merged, sources
+
+
+def _draw_chunk(data, factory):
+    slots = [("state", data.draw(st.sampled_from(["a", "b", "c"])))]
+    if data.draw(st.booleans()):
+        slots.append(("level", data.draw(st.sampled_from(["a", "b", "c"]))))
+    return factory.make(data.draw(st.sampled_from(["mood", "goal"])), slots)
+
+
+def _draw_pattern(data, factory):
+    """None, an exact pattern, or one whose wildcards bind ``state`` or ``isa``
+    and ``level``, so patterns that share a key can fail to unify."""
+    ctypes = st.sampled_from(["mood", "goal"])
+    kind = data.draw(st.sampled_from(["none", "exact", "wild-slot", "wild-type"]))
+    if kind == "exact":
+        return factory.make_query(data.draw(ctypes),
+                                  [("state", data.draw(st.sampled_from(["a", "b", "c"])))])
+    if kind == "wild-slot":
+        return factory.make_query(data.draw(ctypes), [("state", "?")])
+    if kind == "wild-type":
+        return factory.make_query("?", [("level", "?")])
+    return None
+
+
+def _draw_buffers(data, factory, names):
+    """A working memory whose buffers hold nothing, a pending query or a chunk,
+    and the inflows a view of it sees: none, empty, or up to 8 chunks a buffer."""
+    wm = WorkingMemory()
+    inflow = {}
+    for name in names:
+        wm.add_buffer(name, name)
+        content = data.draw(st.sampled_from(["none", "query", "chunk"]))
+        if content == "query":
+            wm.write(name, name, factory.make_query("mood", [("state", "?")]))
+        elif content == "chunk":  # matching or not, as drawn
+            wm.write(name, name, _draw_chunk(data, factory))
+        inflow[name] = [_draw_chunk(data, factory)
+                        for _ in range(data.draw(st.integers(0, 8)))]
+    return wm, data.draw(st.sampled_from([None, {}, inflow]))
 
 
 class TestMatching:
@@ -197,36 +251,30 @@ class TestMatching:
     @given(data=st.data())
     def test_newest_first_inflow_read_equals_full_scan(self, data):
         factory = ChunkFactory()
-        ctypes = st.sampled_from(["mood", "goal"])
-        values = st.sampled_from(["a", "b", "c"])
-
-        def chunk(draw):
-            slots = [("state", draw(values))]
-            if draw(st.booleans()):
-                slots.append(("level", draw(values)))
-            return factory.make(draw(ctypes), slots)
-
-        kind = data.draw(st.sampled_from(["none", "exact", "wild-slot", "wild-type"]))
-        pattern = None
-        if kind == "exact":
-            pattern = factory.make_query(data.draw(ctypes), [("state", data.draw(values))])
-        elif kind == "wild-slot":
-            pattern = factory.make_query(data.draw(ctypes), [("state", "?")])
-        elif kind == "wild-type":
-            pattern = factory.make_query("?", [("level", "?")])
-        cond = Condition(pattern=pattern, buffer="emotion", negated=data.draw(st.booleans()))
-        content = data.draw(st.sampled_from(["none", "query", "chunk"]))
-        wm = WorkingMemory()
-        wm.add_buffer("emotion", "emotion")
-        if content == "query":
-            wm.write("emotion", "emotion", factory.make_query("mood", [("state", "?")]))
-        elif content == "chunk":  # matching or not, as drawn
-            wm.write("emotion", "emotion", chunk(data.draw))
-        inflow = [chunk(data.draw) for _ in range(data.draw(st.integers(0, 8)))]
-        inflows = data.draw(st.sampled_from([None, {}, {"emotion": inflow}]))
+        cond = Condition(pattern=_draw_pattern(data, factory), buffer="emotion")
+        wm, inflows = _draw_buffers(data, factory, ["emotion"])
         got_view = MatchView(wm, None, 1.0, inflows=inflows)
         want_view = MatchView(wm, None, 1.0, inflows=inflows)
-        assert _eval_buffer_condition(cond, got_view) == _full_scan_condition(cond, want_view)
+        assert _first_match(cond, got_view) == _full_scan_condition(cond, want_view)
+        assert got_view.candidates == want_view.candidates
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_match_production_equals_spelled_out_reference(self, data):
+        factory = ChunkFactory()
+        buffers = ["emotion", "goal"]
+        wm, inflows = _draw_buffers(data, factory, buffers)
+        conditions = [Condition(pattern=_draw_pattern(data, factory),
+                                buffer=data.draw(st.sampled_from(buffers)),
+                                negated=data.draw(st.booleans()))
+                      for _ in range(data.draw(st.integers(1, 3)))]
+        p = _prod(factory, "p", conditions)
+        got_view = MatchView(wm, None, 1.0, inflows=inflows)
+        want_view = MatchView(wm, None, 1.0, inflows=inflows)
+        match = match_production(p, got_view)
+        got = None if match is None else (match.bindings, match.sources)
+        assert got == _reference_match(p, want_view)
+        # matching stops at the first failing condition, so this follows condition order
         assert got_view.candidates == want_view.candidates
 
     def test_central_match_work_does_not_grow_with_inflow(self, wm, factory, monkeypatch):
