@@ -16,7 +16,7 @@ from .chunks import (
     make_query,
     match_query,
 )
-from .codec import Codebook, UnpackResult, bind, cosine, pack, unbind, unpack
+from .codec import Codebook, bind, pack
 from .errors import (
     BindingError,
     ChunkError,

@@ -23,7 +23,7 @@ from functools import cache
 from pathlib import Path
 
 from .chunks import Template, binding_keys, pattern_errors, references, validate_symbol
-from .codec import DEFAULT_CLEANUP_THRESHOLD, DEFAULT_DIMENSION
+from .codec import DEFAULT_DIMENSION
 from .errors import ChunkError, ModelValidationError
 from .memory import (
     CENTRAL,
@@ -41,6 +41,9 @@ from .productions import (
     DEFAULT_PROVISIONAL_TTL,
     DEFAULT_TIME_COST,
 )
+
+# Kept in every canonical model file; nothing in the runtime reads it.
+DEFAULT_CLEANUP_THRESHOLD = 0.2
 
 # Predictor kind -> the optional fields the canonical form always carries for it.
 PREDICTOR_KINDS = {
@@ -274,7 +277,7 @@ class CodebookConfig:
         int, "dimension must be a positive even integer", lambda v: v >= 2 and v % 2 == 0))
     seed: int = _field(0, _scalar(int, "seed must be a non-negative integer", lambda v: v >= 0))
     cleanup_threshold: float = _field(DEFAULT_CLEANUP_THRESHOLD, _scalar(
-        float, "cleanup threshold must be a finite number"))
+        float, "cleanup_threshold must be a finite number"))
 
 
 @dataclass(frozen=True)
@@ -674,7 +677,7 @@ def load_model(path) -> ModelDefinition:
         raise ModelValidationError([("", f"cannot read model file: {exc}")]) from None
     except UnicodeDecodeError as exc:
         raise ModelValidationError([("", f"not UTF-8: {exc}")]) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelValidationError([("", f"not valid JSON: {exc}")]) from None
     return parse_model(document)
 

@@ -162,7 +162,7 @@ def decode_prediction(line: str, dim: int) -> dict:
     """
     try:
         msg = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
     if not isinstance(msg, dict) or msg.get("type") != PROTOCOL_PREDICTION:
         raise ValueError("missing type:prediction")
@@ -192,11 +192,13 @@ def decode_prediction(line: str, dim: int) -> dict:
         out["ctype"] = chunk["isa"]
         out["slots"] = pairs
     if vector is not None:
+        if not isinstance(vector, list) or any(type(x) not in (int, float) for x in vector):
+            raise ValueError("vector must be a list of numbers")
         try:
             arr = np.asarray(vector, dtype=float)
-        except TypeError:
-            raise ValueError("vector must be a list of numbers") from None
-        if arr.ndim != 1 or arr.shape[0] != dim:
+        except OverflowError:  # an integer too large for a float
+            raise ValueError("vector entries must be finite") from None
+        if arr.shape[0] != dim:
             raise ValueError(f"vector must have dimension {dim}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("vector entries must be finite")

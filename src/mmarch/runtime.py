@@ -107,8 +107,7 @@ class Session:
                            cycle_length_ms=model.cycle_length_ms)
 
         mix = np.random.SeedSequence([seed, model.codebook.seed]).generate_state(2)
-        self.book = Codebook(model.codebook.dimension, seed=int(mix[0]),
-                             cleanup_threshold=model.codebook.cleanup_threshold)
+        self.book = Codebook(model.codebook.dimension, seed=int(mix[0]))
         self.wm = WorkingMemory(capacity=model.wm_capacity)
         for buffer in model.buffers:
             self.wm.add_buffer(buffer.name, buffer.owner)

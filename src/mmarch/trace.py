@@ -138,7 +138,7 @@ def read_trace(source) -> Trace:
         header = json.loads(lines[0])
         if not isinstance(header, dict):
             raise TypeError("header")
-    except (json.JSONDecodeError, TypeError):
+    except (json.JSONDecodeError, RecursionError, TypeError):
         raise TraceFormatError("malformed header; no good lines before it", line=1) from None
     version = header.get("version")
     if version != TRACE_VERSION:
@@ -164,7 +164,7 @@ def read_trace(source) -> Trace:
             for key, test in _METRIC_FIELDS.get(event.kind, {}).items():
                 if not test(event.data.get(key, [])):
                     raise TypeError(key)
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError):
             raise TraceFormatError(
                 f"malformed event; last good line was {number - 1}", line=number) from None
         trace.events.append(event)

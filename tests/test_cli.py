@@ -55,6 +55,15 @@ def test_invalid_model_exits_1(tmp_path, capsys):
     assert "unknown owner" in capsys.readouterr().err
 
 
+def test_model_nested_deeper_than_the_parser_exits_1(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    rc = main(["run", "--model", str(deep), "--cycles", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid JSON" in err
+
+
 @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
 def test_unwritable_artifact_path_exits_1(tmp_path, capsys, flag):
     path = tmp_path / "missing" / "out"

@@ -9,11 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from mmarch import demos, memory
 from mmarch.chunks import Chunk, ChunkFactory, match_query
-from mmarch.codec import Codebook, cosine, normalized, pack, pack_query
+from mmarch.codec import Codebook, normalized, pack, pack_query
 from mmarch.errors import ChunkError, OwnershipError, TemporalOrderError, UnknownEntryError
 from mmarch.memory import MiddleMemory, WorkingMemory, context_symbols, context_vector
 from mmarch.model import load_model
 from mmarch.runtime import Session
+
+
+def _cosine(a, b):
+    return float(np.dot(normalized(a), normalized(b)))
 
 
 def _context(wm, mm, book, now):
@@ -205,7 +209,7 @@ class TestActivation:
         assert quiet.activation(quiet.entry(entry_id), wm, 1.0) == \
             pytest.approx(0.0)
 
-    @settings(max_examples=1000, deadline=None)
+    @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_base_level_monotonicity(self, data):
         """More presentations raise activation; mere time passage lowers it."""
@@ -391,7 +395,7 @@ class TestContext:
         mm.deposit(1.0, "t", chunk=chunk)
         vec, is_zero = _context(wm, mm, book, 2.0)
         assert not is_zero
-        assert cosine(vec, pack(chunk, book)) == pytest.approx(1.0)
+        assert _cosine(vec, pack(chunk, book)) == pytest.approx(1.0)
 
     def test_equal_activations_get_equal_softmax_weight(self, factory):
         wm = WorkingMemory()
@@ -405,7 +409,7 @@ class TestContext:
         vec, _ = _context(wm, mm, book, 2.0)
         expected = 0.5 * pack(c1, book) + 0.5 * pack(c2, book)
         expected /= np.linalg.norm(expected)
-        assert cosine(vec, expected) == pytest.approx(1.0)
+        assert _cosine(vec, expected) == pytest.approx(1.0)
 
     def test_wm_outweighs_softmax_shared_entries(self, factory):
         wm = WorkingMemory()
@@ -419,9 +423,9 @@ class TestContext:
         mm.deposit(1.0, "t", chunk=e1)
         mm.deposit(1.0, "t", chunk=e2)
         vec, _ = _context(wm, mm, book, 2.0)
-        wm_cos = cosine(vec, pack(goal, book))
-        assert wm_cos > cosine(vec, pack(e1, book))
-        assert wm_cos > cosine(vec, pack(e2, book))
+        wm_cos = _cosine(vec, pack(goal, book))
+        assert wm_cos > _cosine(vec, pack(e1, book))
+        assert wm_cos > _cosine(vec, pack(e2, book))
 
     def test_empty_state_flagged_zero_vector(self):
         wm = WorkingMemory()
@@ -495,7 +499,7 @@ def on_both_table_kinds(test):
 
 
 class TestActivationTable:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     @on_both_table_kinds
     def test_every_reported_value_is_a_fresh_evaluation(self, data):
@@ -570,7 +574,7 @@ class TestActivationTable:
             for entry_id, act in mm.activations(wm, now).items():
                 assert act == reference_activation(mm, mm.entry(entry_id), wm, now)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     @on_both_table_kinds
     def test_tables_at_one_time_and_version_match_activation(self, data):

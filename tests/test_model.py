@@ -341,7 +341,7 @@ def _replace(doc, path, value):
     return doc
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_any_single_value_mutation_parses_or_reports(data):
     doc = data.draw(st.sampled_from(_DEMO_DOCS), label="demo")

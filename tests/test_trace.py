@@ -159,6 +159,20 @@ def test_non_ascii_symbols_stay_raw_end_to_end(tmp_path):
     assert read_trace(path) == trace
 
 
+@pytest.mark.parametrize("line", [1, 2])
+def test_nesting_deeper_than_the_parser_rejected(tmp_path, line):
+    """A header or event nested past the JSON parser's recursion limit is
+    damage like any other, not a ``RecursionError``."""
+    path = tmp_path / "run.trace"
+    write_trace(_sample_trace(), path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = "[" * 100_000 + "]" * 100_000
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert err.value.line == line
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "run.trace"
     path.write_text("")

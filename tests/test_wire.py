@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmarch import demos
 from mmarch.chunks import ChunkFactory
 from mmarch.errors import ChunkError
-from mmarch.model import parse_model
+from mmarch.model import load_model, parse_model
 from mmarch.predictors import ExternalPredictor, decode_prediction, encode_context
 from mmarch.runtime import Session
 
@@ -45,6 +46,24 @@ _WIRE_SYMBOLS = (st.sampled_from(["percept", "bear", "isa"])
 # Slot names: legal, the reserved type slot, or not symbols.
 _WIRE_SLOT_NAMES = (st.sampled_from(["value", "isa"])
                     | st.sampled_from(["?", "?x", "", "a b", "a:b"]))
+
+
+
+def _vector_line(first: str, dim: int) -> str:
+    """A vector prediction whose first entry is the raw JSON text ``first``."""
+    return ('{"type":"prediction","tag":"language","vector":['
+            + first + ",0.0" * (dim - 1) + "]}")
+
+
+# Peer lines the wire must reject, by the dimension they target: an entry
+# too large for a float, a string or a boolean where a number belongs, and
+# nesting deeper than the JSON parser recurses.
+_BAD_PEER_LINES = {
+    "huge-int": lambda dim: _vector_line("1" + "0" * 400, dim),
+    "string": lambda dim: _vector_line('"1.5"', dim),
+    "bool": lambda dim: _vector_line("true", dim),
+    "deep": lambda dim: "[" * 100_000 + "]" * 100_000,
+}
 
 
 class TestFraming:
@@ -122,7 +141,29 @@ class TestFraming:
         with pytest.raises(ValueError):
             decode_prediction(line, dim=2)
 
-    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("kind", _BAD_PEER_LINES)
+    def test_bad_numbers_and_deep_nesting_raise(self, kind):
+        assert decode_prediction(_vector_line("1.5", 2), dim=2)["vector"] is not None
+        with pytest.raises(ValueError):
+            decode_prediction(_BAD_PEER_LINES[kind](2), dim=2)
+
+    @pytest.mark.parametrize("kind", _BAD_PEER_LINES)
+    def test_bad_peer_line_costs_one_error_event(self, kind):
+        """The step survives the line: it logs one error event for it and
+        deposits nothing from the peer."""
+        session = Session(load_model(demos.path("wordloop")), mode="mm", seed=0)
+        session.inbox.put(("peer", 0, _BAD_PEER_LINES[kind](session.book.dimension)))
+        session.step()
+        errors = [e.data["message"] for e in session.trace.by_kind("error")
+                  if e.data["predictor"] == "peer"]
+        assert len(errors) == 1
+        assert errors[0].startswith("dropped malformed prediction: ")
+        assert not [e for e in session.trace.by_kind("deposit")
+                    if e.data["source"] == "predictor:peer"]
+        session.step()
+        assert session.cycle == 2 and not session.halted
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(isa=_WIRE_SYMBOLS,
            slots=st.dictionaries(_WIRE_SLOT_NAMES, _WIRE_SYMBOLS, max_size=3))
     def test_wire_accepts_exactly_the_chunks_the_factory_makes(self, isa, slots):
