@@ -43,15 +43,15 @@ class Trace:
     def append(self, cycle: int, kind: str, data: dict) -> TraceEvent:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown trace event kind {kind!r}")
+        # Exact, as read_trace requires, so trace_to_bytes's %d is JSON's.
+        if type(cycle) is not int:
+            raise TypeError(f"trace cycle must be an int, not {type(cycle).__name__}")
         event = TraceEvent(cycle=cycle, seq=len(self.events), kind=kind, data=data)
         self.events.append(event)
         return event
 
     def by_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def last_cycle(self) -> int:
-        return self.events[-1].cycle if self.events else 0
 
 
 def content_data(content: Chunk | Query | None) -> dict | None:
@@ -65,24 +65,40 @@ def content_data(content: Chunk | Query | None) -> dict | None:
 
 
 # One compact JSON line, non-ASCII kept raw, for the trace file and the wire
-# alike.  ``json.dumps`` with these arguments builds this encoder every call.
-encode_line = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# alike: the text of ``json.dumps(obj, ensure_ascii=False,
+# separators=(",", ":"))``.  ``JSONEncoder.encode`` builds a new C encoder on
+# every call, so one is built here and reused.  Its ``markers`` is None: a
+# shared markers dict keeps stale ids after a failed encode, and nothing
+# encoded here can be circular.  Its ``default`` is the stock one, so an
+# unserializable value raises the usual "is not JSON serializable".  It
+# needs CPython's ``_json`` accelerator, which every CPython build has.
+_ENCODER = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring, None,
+    ":", ",", False, False, True)
+
+
+def encode_line(obj) -> str:
+    return "".join(_ENCODER(obj, 0))
 
 
 def trace_to_bytes(trace: Trace) -> bytes:
     """Canonical byte rendering: the header, then one event a line, each
-    through :func:`encode_line`, LF-terminated, UTF-8.  Equal traces render
-    equal bytes."""
+    the :func:`encode_line` text of its ``{"cycle","seq","kind","data"}``
+    record, LF-terminated, UTF-8.  Equal traces render equal bytes.  Each
+    event's cycle and seq must be ints and its kind one of
+    :data:`EVENT_KINDS`, as :meth:`Trace.append` and :func:`read_trace`
+    ensure."""
     out = io.StringIO()
     header = {"version": TRACE_VERSION, "seed": trace.seed, "mode": trace.mode,
               "cycle_length_ms": trace.cycle_length_ms}
     out.write(encode_line(header))
     out.write("\n")
     for event in trace.events:
-        record = {"cycle": event.cycle, "seq": event.seq, "kind": event.kind,
-                  "data": event.data}
-        out.write(encode_line(record))
-        out.write("\n")
+        # Only data goes through the encoder: cycle and seq are exact ints
+        # and kind a known name, so %d and %s print what it would.
+        out.write('{"cycle":%d,"seq":%d,"kind":"%s","data":'
+                  % (event.cycle, event.seq, event.kind)
+                  + encode_line(event.data) + "}\n")
     return out.getvalue().encode("utf-8")
 
 
@@ -131,9 +147,11 @@ def read_trace(source) -> Trace:
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"not UTF-8: {exc}", line=0) from None
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise TraceFormatError("empty trace file", line=0)
+    # LF only: str.splitlines() also breaks at U+0085, U+2028 and U+2029,
+    # which JSON strings hold raw.
+    lines = text.split("\n")
     try:
         header = json.loads(lines[0])
         if not isinstance(header, dict):

@@ -1,13 +1,18 @@
 """Trace file format: canonical bytes, round-trip, damage handling."""
 
 import io
+import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmarch.errors import TraceFormatError, UnsupportedTraceVersion
 from mmarch.model import parse_model
 from mmarch.runtime import run
-from mmarch.trace import Trace, read_trace, trace_to_bytes, write_trace
+from mmarch.trace import (
+    EVENT_KINDS, Trace, encode_line, read_trace, trace_to_bytes, write_trace,
+)
 
 
 def _sample_trace():
@@ -202,3 +207,79 @@ def test_unknown_event_kind_rejected():
     trace = _sample_trace()
     with pytest.raises(ValueError):
         trace.append(2, "mystery", {})
+
+
+@pytest.mark.parametrize("cycle", [1.0, True, "1", None])
+def test_cycle_that_is_not_an_int_rejected(cycle):
+    trace = _sample_trace()
+    before = list(trace.events)
+    with pytest.raises(TypeError):
+        trace.append(cycle, "idle", {"candidates": 0, "conflict": []})
+    assert trace.events == before
+
+
+def test_line_separators_inside_strings_round_trip(tmp_path):
+    """JSON keeps U+0085, U+2028 and U+2029 raw inside strings; a line ends at
+    LF only, so a refused peer line holding them reads back."""
+    trace = _sample_trace()
+    payload = '{"type":"prediction","tag":"a\u0085b\u2028c\u2029d"}'
+    trace.append(1, "error", {"message": "unknown tag", "predictor": "peer",
+                              "payload": payload})
+    path = tmp_path / "run.trace"
+    write_trace(trace, path)
+    assert "\u2028".encode("utf-8") in path.read_bytes()
+    assert read_trace(path) == trace
+
+
+def _dumps(value):
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+_TEXT = st.text(st.one_of(
+    st.characters(codec="utf-8"),
+    st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+                     "\u0085", "\u2028", "\u2029", "é", "日", "😀"])))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _TEXT,
+    st.integers(), st.integers(min_value=2**64, max_value=2**80),
+    st.integers(min_value=-2**80, max_value=-2**64),
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20)
+_EVENTS = st.lists(st.tuples(st.integers(min_value=0, max_value=2**40),
+                             st.sampled_from(sorted(EVENT_KINDS)),
+                             st.dictionaries(_TEXT, _VALUES, max_size=4)),
+                   max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_VALUES)
+def test_encode_line_is_compact_json_dumps(value):
+    assert encode_line(value) == _dumps(value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_EVENTS)
+def test_trace_lines_are_compact_json_dumps_of_their_records(events):
+    trace = Trace(seed=3, mode="mm", cycle_length_ms=50)
+    for cycle, kind, data in events:
+        trace.append(cycle, kind, data)
+    lines = trace_to_bytes(trace).decode("utf-8").split("\n")
+    assert lines[-1] == ""
+    assert lines[0] == _dumps({"version": 1, "seed": 3, "mode": "mm",
+                               "cycle_length_ms": 50})
+    assert lines[1:-1] == [
+        _dumps({"cycle": e.cycle, "seq": e.seq, "kind": e.kind, "data": e.data})
+        for e in trace.events]
+
+
+def test_unserializable_value_raises_and_leaves_the_encoder_clean():
+    clean = trace_to_bytes(_sample_trace())
+    bad = _sample_trace()
+    bad.append(2, "error", {"message": "m", "predictor": "p",
+                            "payload": {"nested": [object()]}})
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        trace_to_bytes(bad)
+    assert trace_to_bytes(_sample_trace()) == clean
