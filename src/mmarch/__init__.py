@@ -37,7 +37,7 @@ from .memory import (
     context_symbols,
     context_vector,
 )
-from .metrics import RunMetrics, metrics
+from .metrics import metrics
 from .model import ModelDefinition, dumps_model, load_model, parse_model, write_model
 from .productions import Action, Condition, Production, UtilityLearner
 from .runtime import Session, run

@@ -131,12 +131,6 @@ class Chunk:
                 return value
         return None
 
-    def slot_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.slots)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.slots)
-
     def values(self) -> tuple[str, ...]:
         """Slot values in declaration order (spreading-activation sources)."""
         return tuple(value for _, value in self.slots)
@@ -164,12 +158,6 @@ class Query:
     ctype: str
     slots: tuple[tuple[str, str], ...]
     id: int = field(compare=False)
-
-    def get(self, slot: str) -> str | None:
-        for name, value in self.slots:
-            if name == slot:
-                return value
-        return None
 
     def has_wildcards(self) -> bool:
         return self.ctype == WILDCARD or any(v == WILDCARD for _, v in self.slots)

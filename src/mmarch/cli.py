@@ -109,10 +109,10 @@ def cmd_run(args) -> int:
     session = _execute(args)
     _emit_artifacts(session, args)
     summary = metrics(session.trace)
-    print(f"{session.model.name}: {summary.cycles} cycles, "
-          f"{summary.central_firings} central firings, "
-          f"mean candidates {summary.central_candidates_mean:.2f}, "
-          f"mm size {summary.mm_size_final}")
+    print(f"{session.model.name}: {summary['cycles']} cycles, "
+          f"{summary['central_firings']} central firings, "
+          f"mean candidates {summary['central_candidates']['mean']:.2f}, "
+          f"mm size {summary['mm_size']['final']}")
     return 0
 
 

@@ -8,48 +8,14 @@ middle-memory wiring falls straight out of the trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .trace import Trace
 
 
-@dataclass
-class RunMetrics:
-    cycles: int
-    central_candidates_per_cycle: list[int]
-    central_candidates_mean: float
-    central_candidates_max: int
-    central_firings: int
-    interrupt_latencies: list[int]
-    mm_size_per_cycle: list[int]
-    mm_size_final: int
-    mm_size_max: int
-    utility_trajectories: dict[str, list[list[float]]] = field(default_factory=dict)
-    consumption_by_system: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "cycles": self.cycles,
-            "central_candidates": {
-                "mean": self.central_candidates_mean,
-                "max": self.central_candidates_max,
-                "per_cycle": self.central_candidates_per_cycle,
-            },
-            "central_firings": self.central_firings,
-            "interrupt_latencies": self.interrupt_latencies,
-            "mm_size": {
-                "final": self.mm_size_final,
-                "max": self.mm_size_max,
-                "per_cycle": self.mm_size_per_cycle,
-            },
-            "utility_trajectories": self.utility_trajectories,
-            "consumption_by_system": self.consumption_by_system,
-        }
-
-
-def metrics(trace: Trace) -> RunMetrics:
-    """Summarize a trace; a pure function of its events."""
+def metrics(trace: Trace) -> dict:
+    """Summarize a trace as the document ``--metrics`` writes; a pure
+    function of its events."""
     candidates: list[int] = []
     firings = 0
     latencies: list[int | None] = []  # per interrupt, None until matched
@@ -94,23 +60,25 @@ def metrics(trace: Trace) -> RunMetrics:
             last = per_cycle_size.get(cycle, last)
             mm_sizes.append(last)
 
-    mean = sum(candidates) / len(candidates) if candidates else 0.0
-    return RunMetrics(
-        cycles=len(candidates),
-        central_candidates_per_cycle=candidates,
-        central_candidates_mean=mean,
-        central_candidates_max=max(candidates, default=0),
-        central_firings=firings,
-        interrupt_latencies=[lat for lat in latencies if lat is not None],
-        mm_size_per_cycle=mm_sizes,
-        mm_size_final=size,
-        mm_size_max=max(mm_sizes, default=0),
-        utility_trajectories=trajectories,
-        consumption_by_system=consumption,
-    )
+    return {
+        "cycles": len(candidates),
+        "central_candidates": {
+            "mean": sum(candidates) / len(candidates) if candidates else 0.0,
+            "max": max(candidates, default=0),
+            "per_cycle": candidates,
+        },
+        "central_firings": firings,
+        "interrupt_latencies": [lat for lat in latencies if lat is not None],
+        "mm_size": {
+            "final": size,
+            "max": max(mm_sizes, default=0),
+            "per_cycle": mm_sizes,
+        },
+        "utility_trajectories": trajectories,
+        "consumption_by_system": consumption,
+    }
 
 
-def write_metrics(run_metrics: RunMetrics, path) -> None:
-    Path(path).write_text(
-        json.dumps(run_metrics.to_dict(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8")
+def write_metrics(report: dict, path) -> None:
+    Path(path).write_text(json.dumps(report, ensure_ascii=False, indent=2) + "\n",
+                          encoding="utf-8")

@@ -239,16 +239,6 @@ def buffer_write(action: Action, content) -> tuple[Chunk | Query | None, bool] |
     return content, action.urgent and kind.may_be_urgent
 
 
-@dataclass
-class UtilityUpdate:
-    production: str
-    owner: str
-    old: float
-    new: float
-    effective_reward: float
-    made_permanent: bool
-
-
 class UtilityLearner:
     """Delta-rule utility learning with a per-second time cost.
 
@@ -269,17 +259,18 @@ class UtilityLearner:
     def record_fire(self, production: Production, fire_time: float) -> None:
         self.pending.append((production, fire_time))
 
-    def _apply(self, production: Production, effective: float) -> UtilityUpdate:
+    def _apply(self, production: Production, effective: float) -> dict:
+        """Update one production; return the ``utility-update`` event data."""
         old = production.utility
         production.utility = old + self.alpha * (effective - old)
-        made_permanent = False
-        if effective > 0.0 and not production.permanent:
+        made_permanent = effective > 0.0 and not production.permanent
+        if made_permanent:
             production.permanent = True
-            made_permanent = True
-        return UtilityUpdate(production.name, production.owner, old,
-                             production.utility, effective, made_permanent)
+        return {"production": production.name, "owner": production.owner, "old": old,
+                "new": production.utility, "effective_reward": effective,
+                "made_permanent": made_permanent}
 
-    def apply_reward(self, reward: float, reward_time: float, find) -> list[UtilityUpdate]:
+    def apply_reward(self, reward: float, reward_time: float, find) -> list[dict]:
         """Credit every pending firing, then every consumed write, then clear.
 
         Each is discounted from its own time.  ``find(owner, name)`` gives a

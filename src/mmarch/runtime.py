@@ -12,9 +12,10 @@ matches, resolves, and fires, and (5) each shadow write it matched hands the
 credit its buffer has kept since the write to the learner, once; then shadow
 writes commit, each credited to its production until the centre uses it or
 another write replaces it; (6) a reward credits every central firing and
-every used shadow write since the last one; (7) retrieval productions form
-and stale provisional ones are pruned, (8) the context broadcasts to every
-predictor, and (9) the clock advances.
+every used shadow write since the last one (both are recorded only while a
+reward can still arrive); (7) retrieval productions form and stale
+provisional ones are pruned, (8) the context broadcasts to every predictor,
+and (9) the clock advances.
 
 Shadow decisions read the cycle-start state and commit after central
 matching, so an urgent shadow write at cycle n reaches the central conflict
@@ -146,6 +147,9 @@ class Session:
         self._scheduled: dict[int, list[float]] = {}
         for reward in model.rewards:
             self._scheduled.setdefault(reward.cycle, []).append(reward.amount)
+        # Only central productions emit rewards, and formation adds none.
+        self._emits_reward = any(action.kind == "emit-reward"
+                                 for p in self.central_productions for action in p.actions)
 
         self.predictors = [self._build_predictor(p) for p in model.predictors]
         self._stall_warned: set[str] = set()
@@ -364,8 +368,10 @@ class Session:
             return
         production = winner.production
         fired = fire(production, winner.bindings, self.factory)
-        self.learner.record_fire(production, t_now)
-        consumed = self._record_consumption(winner.sources)
+        credit = self._reward_may_come(n)
+        if credit:
+            self.learner.record_fire(production, t_now)
+        consumed = self._record_consumption(winner.sources, credit)
         self.trace.append(n, "central-fire", {
             "production": production.name, "bindings": dict(winner.bindings),
             "candidates": view.candidates, "conflict": conflict_names,
@@ -382,9 +388,15 @@ class Session:
             elif action.kind == "halt":
                 self._halt_reason = "halt-action"
 
+    def _reward_may_come(self, n: int) -> bool:
+        """Whether a reward can still arrive at cycle ``n`` or later; credit
+        is recorded only while one can, so runs without one stay bounded."""
+        return self._emits_reward or any(cycle >= n for cycle in self._scheduled)
+
     # phase 5 (called from the central phase so the fire event carries it)
-    def _record_consumption(self, sources) -> list[dict]:
-        """Hand each matched buffer's shadow-write credit to the learner, once."""
+    def _record_consumption(self, sources, credit: bool) -> list[dict]:
+        """Hand each matched buffer's shadow-write credit to the learner
+        (when ``credit``), once."""
         consumed = []
         for name, chunk_id in sources:
             buf = self.wm.buffer(name)
@@ -392,7 +404,8 @@ class Session:
                 continue
             production, write_time = buf.credit
             buf.credit = None
-            self.learner.consumed.append((chunk_id, buf.owner, production, write_time))
+            if credit:
+                self.learner.consumed.append((chunk_id, buf.owner, production, write_time))
             consumed.append({"buffer": name, "chunk": chunk_id,
                              "producer": production, "system": buf.owner})
         return consumed
@@ -414,7 +427,7 @@ class Session:
         for amount, source in rewards:
             self.trace.append(n, "reward", {"amount": amount, "source": source})
             for update in self.learner.apply_reward(amount, t_now, self._find_production):
-                self._log_utility_update(n, update)
+                self.trace.append(n, "utility-update", update)
 
     def _log_write(self, n: int, writer: str, buffer: str, content,
                    urgent: bool = False, **extra) -> None:
@@ -432,13 +445,6 @@ class Session:
     def _log_error(self, n: int, message: str, predictor: str, payload=None) -> None:
         self.trace.append(n, "error", {
             "message": message, "predictor": predictor, "payload": payload})
-
-    def _log_utility_update(self, n: int, update) -> None:
-        self.trace.append(n, "utility-update", {
-            "production": update.production, "owner": update.owner,
-            "old": update.old, "new": update.new,
-            "effective_reward": update.effective_reward,
-            "made_permanent": update.made_permanent})
 
     def _find_production(self, system: str, name: str) -> Production | None:
         for owner in self.systems:

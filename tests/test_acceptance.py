@@ -203,9 +203,9 @@ def test_5_interrupt_latency_exactly_one_cycle():
 
 def test_6_pipeline_load_exceeds_mm_load():
     model = load_model(demos.path("bottleneck"))
-    mm_mean = metrics(run(model, 500, mode="mm", seed=7)).central_candidates_mean
+    mm_mean = metrics(run(model, 500, mode="mm", seed=7))["central_candidates"]["mean"]
     pipeline_mean = metrics(
-        run(model, 500, mode="pipeline", seed=7)).central_candidates_mean
+        run(model, 500, mode="pipeline", seed=7))["central_candidates"]["mean"]
     assert pipeline_mean > mm_mean
     assert mm_mean == pytest.approx(PINNED_MEAN_CANDIDATES_MM, abs=1e-9)
     assert pipeline_mean == pytest.approx(PINNED_MEAN_CANDIDATES_PIPELINE, abs=1e-9)

@@ -32,8 +32,7 @@ def test_symbol_rules():
 def test_make_chunk_preserves_slot_order():
     c = make_chunk("dog", [("name", "Fido"), ("breed", "labrador")])
     assert c.ctype == "dog"
-    assert c.slot_names() == ("name", "breed")
-    assert c.as_dict() == {"name": "Fido", "breed": "labrador"}
+    assert c.slots == (("name", "Fido"), ("breed", "labrador"))
 
 
 def test_make_chunk_zero_slots():
@@ -116,7 +115,7 @@ def test_complete_query_substitutes_bindings():
     factory = ChunkFactory()
     q = factory.make_query("dog", [("name", "?"), ("breed", "labrador")])
     chunk = complete_query(q, {"name": "Fido"}, factory)
-    assert chunk.as_dict() == {"name": "Fido", "breed": "labrador"}
+    assert dict(chunk.slots) == {"name": "Fido", "breed": "labrador"}
     assert chunk.ctype == "dog"
 
 

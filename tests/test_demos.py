@@ -6,7 +6,7 @@ import json
 import pytest
 
 from mmarch import demos
-from mmarch.metrics import metrics
+from mmarch.metrics import metrics, write_metrics
 from mmarch.model import dumps_model, load_model, parse_model
 from mmarch.runtime import run
 from mmarch.trace import trace_to_bytes
@@ -23,6 +23,20 @@ GOLDEN = {
         "5bc098519e362fefd9034e8a816194aabb772e7ddc02482e80bcfd6e3a8e97df",
     ("bottleneck", 500, "pipeline"):
         "0663588d80736f8d7648bea587676b005d02bdfb0d53fbda17d99a463e1d805f",
+}
+
+# SHA-256 of the ``write_metrics`` file of each GOLDEN run.
+GOLDEN_METRICS = {
+    ("threat", 200, "mm"):
+        "d877759685a288b28145fe08704adf39ec158c64ff95a7f3ad7a3a3e694ec6e5",
+    ("retrieval", 200, "mm"):
+        "2525606283db2da8a8aab0e77176dddd08ed45dfe06b7338974f391410792717",
+    ("wordloop", 200, "mm"):
+        "a50d203954d5863cd888b373d056441253092ac3be569be87528068ca888a1d1",
+    ("bottleneck", 500, "mm"):
+        "b7b5ef9a3603096e5ab12328bca6fd4a76119a821c2c61673bdde881468e1d16",
+    ("bottleneck", 500, "pipeline"):
+        "f62f7877c73ae76b94071641c6bfb38ba232d31a136f189521d260ddad3ff53c",
 }
 
 
@@ -71,6 +85,14 @@ def test_golden_traces(name, cycles, mode):
     trace = _trace(name, cycles, mode)
     digest = hashlib.sha256(trace_to_bytes(trace)).hexdigest()
     assert digest == GOLDEN[(name, cycles, mode)]
+
+
+@pytest.mark.parametrize("name,cycles,mode", sorted(GOLDEN_METRICS))
+def test_golden_metrics_files(name, cycles, mode, tmp_path):
+    path = tmp_path / "metrics.json"
+    write_metrics(metrics(_trace(name, cycles, mode)), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_METRICS[(name, cycles, mode)]
 
 
 # SHA-256 of the retrieval demo's trace with ``noise: 0.3``: pins the noise
@@ -136,7 +158,7 @@ def test_wordloop_trace_story():
 
 
 def test_bottleneck_demo_direction():
-    mm_mean = metrics(_trace("bottleneck", 500, "mm")).central_candidates_mean
+    mm_mean = metrics(_trace("bottleneck", 500, "mm"))["central_candidates"]["mean"]
     pipeline_mean = metrics(
-        _trace("bottleneck", 500, "pipeline")).central_candidates_mean
+        _trace("bottleneck", 500, "pipeline"))["central_candidates"]["mean"]
     assert pipeline_mean > mm_mean

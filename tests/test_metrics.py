@@ -26,12 +26,12 @@ def test_interrupt_latency_resolved_at_first_later_match():
     _fire(trace, 5, 10, 11)  # repeated matches change nothing
     _fire(trace, 6, 13)
     # 12 is never consumed
-    assert metrics(trace).interrupt_latencies == [3, 1, 3]
+    assert metrics(trace)["interrupt_latencies"] == [3, 1, 3]
 
 
 def test_interrupt_latency_on_threat():
     trace = run(load_model(demos.path("threat")), 30, mode="mm", seed=7)
-    assert metrics(trace).interrupt_latencies == [1]
+    assert metrics(trace)["interrupt_latencies"] == [1]
 
 
 @pytest.mark.parametrize("name", demos.names())
@@ -39,7 +39,7 @@ def test_mm_size_per_cycle_follows_middle_memory(name):
     sizes = []
     session = Session(load_model(demos.path(name)), mode="mm", seed=7)
     run_session(session, 120, after_step=lambda s: sizes.append(len(s.mm)))
-    assert metrics(session.trace).mm_size_per_cycle[:len(sizes)] == sizes
+    assert metrics(session.trace)["mm_size"]["per_cycle"][:len(sizes)] == sizes
 
 
 @pytest.mark.parametrize("name", demos.names())
@@ -47,4 +47,4 @@ def test_consumption_by_system_counts_consumed_items(name):
     trace = run(load_model(demos.path(name)), 120, mode="mm", seed=7)
     counted = Counter(item["system"] for event in trace.by_kind("central-fire")
                       for item in event.data["consumed"])
-    assert metrics(trace).consumption_by_system == dict(counted)
+    assert metrics(trace)["consumption_by_system"] == dict(counted)

@@ -343,7 +343,7 @@ class TestFire:
         ])
         effects = fire(p, {"level": "high"}, factory)
         assert [a.kind for a, _ in effects] == ["write-buffer", "emit-reward", "halt"]
-        assert effects[0][1].as_dict() == {"state": "flee", "danger": "high"}
+        assert dict(effects[0][1].slots) == {"state": "flee", "danger": "high"}
         assert effects[1][0].amount == 10.0
 
     def test_unresolved_reference_reports_production(self, factory):
@@ -359,8 +359,7 @@ class TestFire:
                    template=Template("dog", (("name", "?"), ("breed", "labrador"))))])
         effects = fire(p, {}, factory)
         query = effects[0][1]
-        assert query.get("name") == "?"
-        assert query.get("breed") == "labrador"
+        assert query.slots == (("name", "?"), ("breed", "labrador"))
 
 
 class TestUtilityLearning:
@@ -370,7 +369,7 @@ class TestUtilityLearning:
         learner.record_fire(p, 0.0)
         updates = learner.apply_reward(10.0, 1.0, _finder())
         assert p.utility == pytest.approx(2.0)
-        assert updates[0].effective_reward == 10.0
+        assert updates[0]["effective_reward"] == 10.0
         assert learner.pending == []
 
     def test_second_identical_reward(self, factory):
@@ -387,7 +386,7 @@ class TestUtilityLearning:
         p = _prod(factory, "p", [])
         learner.record_fire(p, 0.0)
         updates = learner.apply_reward(10.0, 3.0, _finder())
-        assert updates[0].effective_reward == pytest.approx(7.0)
+        assert updates[0]["effective_reward"] == pytest.approx(7.0)
         assert p.utility == pytest.approx(1.4)
 
     def test_closed_form_convergence(self, factory):
@@ -410,7 +409,7 @@ class TestUtilityLearning:
         learner.record_fire(p, 0.0)
         updates = learner.apply_reward(10.0, 1.0, _finder())
         assert p.permanent
-        assert updates[0].made_permanent
+        assert updates[0]["made_permanent"] is True
 
     def test_negative_reward_leaves_provisional(self, factory):
         learner = UtilityLearner(alpha=0.2)
@@ -430,7 +429,7 @@ class TestUtilityLearning:
         p = _prod(factory, "p", [], owner="emotion")
         learner.consumed.append((7, "emotion", "p", 2.0))
         (update,) = learner.apply_reward(10.0, 5.0, _finder(p))
-        assert update.effective_reward == pytest.approx(7.0)
+        assert update["effective_reward"] == pytest.approx(7.0)
         assert p.utility == pytest.approx(1.4)
 
     def test_consumed_writes_are_credited_independently(self, factory):
@@ -444,7 +443,7 @@ class TestUtilityLearning:
         learner.record_fire(central, 0.0)
         learner.consumed += [(3, "emotion", "helped", 0.05), (4, "vision", "also", 0.05)]
         updates = learner.apply_reward(10.0, 0.05, _finder(helped, also, bystander))
-        assert [u.production for u in updates] == ["c", "helped", "also"]
+        assert [u["production"] for u in updates] == ["c", "helped", "also"]
         assert helped.utility == also.utility == central.utility == pytest.approx(2.0)
         assert bystander.utility == 0.0
         assert learner.pending == [] and learner.consumed == []
@@ -457,14 +456,14 @@ class TestUtilityLearning:
         for chunk_id in (12, 11, 10):
             learner.consumed.append((chunk_id, f"s{chunk_id - 10}", f"p{chunk_id - 10}", 0.0))
         updates = learner.apply_reward(1.0, 1.0, _finder(*pool))
-        assert [u.production for u in updates] == ["p0", "p1", "p2"]
+        assert [u["production"] for u in updates] == ["p0", "p1", "p2"]
 
     def test_a_production_find_no_longer_finds_earns_nothing(self, factory):
         learner = UtilityLearner(alpha=0.2)
         kept = _prod(factory, "kept", [], owner="vision")
         learner.consumed += [(1, "vision", "pruned", 0.0), (2, "vision", "kept", 0.0)]
         updates = learner.apply_reward(10.0, 1.0, _finder(kept))
-        assert [u.production for u in updates] == ["kept"]
+        assert [u["production"] for u in updates] == ["kept"]
         assert learner.consumed == []
 
 

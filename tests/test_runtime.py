@@ -529,6 +529,41 @@ class TestRewardsAndCredit:
         assert [e.data["production"] for e in session.trace.by_kind("utility-update")] == [
             "note"]
 
+    @pytest.mark.parametrize("name,mode", [("wordloop", "mm"), ("bottleneck", "pipeline")])
+    def test_no_credit_is_kept_once_no_reward_can_come(self, name, mode):
+        """Neither demo emits a reward, and wordloop's last scheduled one is
+        at cycle 150: from then on the learner keeps no record."""
+        session = Session(load_model(demos.path(name)), mode=mode, seed=0)
+        held = []
+        run_session(session, 3000, after_step=lambda s: held.append(
+            (len(s.learner.pending), len(s.learner.consumed))))
+        assert len(held) == 3000 and set(held[150:]) == {(0, 0)}
+
+    def test_a_model_that_emits_rewards_keeps_its_credit(self):
+        """threat's flee-threat emits a reward, so credit is recorded all run:
+        in mm mode the reward reaches every firing and the used emotion
+        write; in pipeline mode flee-threat never fires, so the three walks
+        stay pending."""
+        model = load_model(demos.path("threat"))
+        trace = run(model, 200, mode="mm", seed=7)
+        walk = {"owner": "central", "old": 1.0, "new": 2.8, "effective_reward": 10.0,
+                "made_permanent": False}
+        assert [(e.cycle, e.data) for e in trace.by_kind("utility-update")] == [
+            (4, {"production": "walk-to-trailhead", **walk}),
+            (4, {"production": "walk-to-ridge", **walk}),
+            (4, {"production": "walk-to-campsite", **walk}),
+            (4, {"production": "flee-threat", "owner": "central", "old": 10.0,
+                 "new": 10.0, "effective_reward": 10.0, "made_permanent": False}),
+            (4, {"production": "raise-alarm", "owner": "emotion", "old": 0.0,
+                 "new": 2.0, "effective_reward": 10.0, "made_permanent": False})]
+        assert list(trace.by_kind("utility-update")[0].data) == [
+            "production", "owner", "old", "new", "effective_reward", "made_permanent"]
+        session = Session(model, mode="pipeline", seed=0)
+        run_session(session, 3000)
+        assert [(p.name, t) for p, t in session.learner.pending] == [
+            ("walk-to-trailhead", 0.0), ("walk-to-ridge", 0.05), ("walk-to-campsite", 0.1)]
+        assert session.learner.consumed == []
+
     def test_scheduled_rewards_fire_on_their_cycle(self):
         doc = two_system_doc()
         doc["central_productions"][0]["actions"].pop()  # drop the emit-reward

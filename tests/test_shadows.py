@@ -84,7 +84,7 @@ class TestAnswerQuery:
         decision = decide_shadow(system, wm, mm, 2.0)
         assert decision.kind == "answer"
         chunk = complete_query(decision.query, decision.answer_bindings, factory)
-        assert chunk.as_dict() == {"name": "Fido", "breed": "labrador"}
+        assert dict(chunk.slots) == {"name": "Fido", "breed": "labrador"}
 
     def test_no_match_yields_a_miss_naming_the_query(self, wm, factory):
         """The runtime turns a miss into the failure chunk that names it."""
