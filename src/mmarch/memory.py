@@ -40,9 +40,11 @@ DEFAULT_FORGET_THRESHOLD = -2.5
 # entries, and at 3 entries (wordloop) columns cost about a third more.
 COLUMN_MIN_ENTRIES = 48
 # Presentation times kept per slot in the columns' block, 8 bytes each per
-# slot whether used or not.  A longer history leaves the block and its base
-# level is summed in Python.  Generated mm-scale histories are 1 to 5 long;
-# wordloop's grow to thousands, in a memory too small for columns.
+# slot whether used or not.  A longer history leaves the block for a copy of
+# its own, folded in numpy by either kind of table; a history within the cap
+# is folded in Python by a per-entry table, which at 16 terms is faster.
+# Generated mm-scale histories are 1 to 5 long; wordloop's grow to
+# thousands, in a memory too small for columns.
 HISTORY_CAP = 16
 
 
@@ -197,15 +199,18 @@ class _Columns:
     ``times`` is the presentation block: a row per slot holding the entry's
     presentation times, -inf after them, up to :data:`HISTORY_CAP`.  The
     row of an empty slot is NaN, and so is the row of a history that grew
-    past the cap; those slots are in ``long``.  ``width`` is the longest
-    history in the block (at least 1).
+    past the cap; ``long`` maps each such slot to a copy of its history.
+    ``width`` is the longest history in the block (at least 1).  Both copy
+    the entry's presentations as ``add`` and ``present`` see them, so the
+    memory writes presentation times only through ``deposit`` and
+    ``seed_entry``.
     """
 
     def __init__(self, entries: Iterable[MMEntry]):
         self.entries: list[MMEntry | None] = []
         self.times = np.full((8, HISTORY_CAP), -math.inf)
         self.width = 1
-        self.long: set[int] = set()  # live slots whose history passed the cap
+        self.long: dict[int, array] = {}  # live slot -> its history, once past the cap
         self.slot_of: dict[int, int] = {}  # live id -> slot, in id order
         self.postings: dict[tuple, array] = {}
         self.reach: dict[str, array] = {}
@@ -237,7 +242,7 @@ class _Columns:
             self.width = max(self.width, len(history))
         else:
             self.times[slot] = math.nan
-            self.long.add(slot)
+            self.long[slot] = array("d", history)
         self.entries.append(entry)
         self.posted.append(frozenset())
         self.slot_of[entry.id] = slot
@@ -257,18 +262,21 @@ class _Columns:
         slot = self.slot_of.pop(entry.id)
         self.entries[slot] = None
         self.times[slot] = math.nan
-        self.long.discard(slot)
+        self.long.pop(slot, None)
         return slot
 
     def present(self, entry: MMEntry) -> None:
-        """Write ``entry``'s newest presentation into its row."""
+        """Write ``entry``'s newest presentation into its row, or into its
+        history's copy once the history is past the cap."""
         slot, count = self.slot_of[entry.id], len(entry.presentations)
         if count <= self.times.shape[1]:
             self.times[slot, count - 1] = entry.presentations[-1]
             self.width = max(self.width, count)
         elif count == self.times.shape[1] + 1:  # the history leaves the block
             self.times[slot] = math.nan
-            self.long.add(slot)
+            self.long[slot] = array("d", entry.presentations)
+        else:
+            self.long[slot].append(entry.presentations[-1])
 
     def base(self, now: float, decay: float) -> np.ndarray:
         """Each slot's base level at ``now`` from its row, NaN at a slot
@@ -281,15 +289,33 @@ class _Columns:
         presentation in the block.
         """
         rows = self.times[:len(self.entries), :self.width]
-        with np.errstate(over="ignore"):  # an overflowing term is inf, as base_level reads it
-            terms = np.float_power(now - rows, -decay)
         total = np.zeros(len(rows))
-        for column in terms.T:  # not np.sum: pairwise summation changes bits
-            total += column
+        with np.errstate(over="ignore"):  # an overflowing term or sum is inf, as in base_level
+            terms = np.float_power(now - rows, -decay)
+            for column in terms.T:  # not np.sum: pairwise summation changes bits
+                total += column
         zero, positive = total == 0.0, total > 0.0
         total[positive] = list(map(math.log, total[positive].tolist()))
         total[zero] = -math.inf
         return total
+
+    def long_base(self, now: float, decay: float) -> dict[int, float]:
+        """Each slot in ``long`` with its base level at ``now``.
+
+        The terms are :meth:`base`'s, and ``np.add.accumulate`` adds them
+        strictly from the oldest, so each value has the bits of
+        :meth:`MiddleMemory.base_level`.  ``now`` must be after every
+        history.
+        """
+        folded: dict[int, float] = {}
+        if not self.long:
+            return folded
+        with np.errstate(over="ignore"):  # an overflowing term or sum is inf, as in base_level
+            for slot, history in self.long.items():
+                terms = np.float_power(now - np.frombuffer(history), -decay)
+                total = float(np.add.accumulate(terms)[-1])  # not np.sum, as in base
+                folded[slot] = math.log(total) if total > 0.0 else -math.inf
+        return folded
 
     def post(self, reach_of) -> None:
         """Move every stale entry's postings to its current reach set."""
@@ -363,7 +389,11 @@ class MiddleMemory:
     (the C library's ``pow``, as Python's ``**``), folded a column at a
     time from the oldest and then logged one entry at a time, so a table
     needs no Python sum per entry.  A history past the cap leaves the block
-    and keeps :meth:`base_level`.
+    for a copy of its own, which both kinds of table fold with one
+    ``np.add.accumulate`` (:meth:`_Columns.long_base`); a per-entry table
+    keeps :meth:`base_level` for a history within the cap.  These copies
+    are why presentation times are written only through :meth:`deposit`
+    and :meth:`seed_entry`.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -591,26 +621,22 @@ class MiddleMemory:
         else:
             if len(self._cols.entries) > 2 * len(self.entries):  # empty slots outnumber live
                 self._cols = _Columns(self.entries.values())
+            cols = self._cols
+            if now <= self._latest:  # base_level raises, naming the first such entry
+                for entry in cols.entries:
+                    if entry is not None:
+                        self.base_level(entry, now)
+            long = cols.long_base(now, self.decay)
             if len(self.entries) >= COLUMN_MIN_ENTRIES:
-                base = self._base_column(now)
+                base = cols.base(now, self.decay)
+                for slot, value in long.items():
+                    base[slot] = value
             else:
-                base = [math.nan if entry is None else self.base_level(entry, now)
-                        for entry in self._cols.entries]
+                base = [math.nan if entry is None else long[slot] if slot in long
+                        else self.base_level(entry, now)
+                        for slot, entry in enumerate(cols.entries)]
         self._cached = self._build(point, base)
         return self._cached
-
-    def _base_column(self, now: float) -> np.ndarray:
-        """Every slot's base level at ``now``: from the presentation block,
-        or from :meth:`base_level` for a history past the cap."""
-        cols = self._cols
-        if now <= self._latest:  # base_level raises, naming the first such entry
-            for entry in cols.entries:
-                if entry is not None:
-                    self.base_level(entry, now)
-        base = cols.base(now, self.decay)
-        for slot in cols.long:
-            base[slot] = self.base_level(cols.entries[slot], now)
-        return base
 
     def _build(self, point: tuple, base: list[float] | np.ndarray,
                noise: list[float] | None = None) -> _Table:

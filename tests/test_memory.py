@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -304,6 +305,62 @@ class TestPresentationBlock:
                 with pytest.raises(TemporalOrderError) as by_entry:
                     mm._table(wm, latest)
                 assert str(by_column.value) == str(by_entry.value)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(decay=st.floats(0.05, 300.0),
+           rows=st.lists(st.tuples(
+               st.integers(memory.HISTORY_CAP + 1, 600),  # presentations
+               st.sampled_from([1e-3, 1.0, 1e3, 1e7]),  # the span they fall in
+               st.sampled_from([0.0, 1.0, 1e7]),  # how long before 0.0 the span ends
+               st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=4),
+           deposits=st.lists(st.integers(0, 3), max_size=20),
+           lag=st.floats(1e-3, 1e7), per_entry=st.booleans())
+    @example(decay=300.0, rows=[(40, 1.0, 0.0, 0), (40, 1.0, 1e7, 1)], deposits=[],
+             lag=1e-3, per_entry=False)  # a term past the largest float, and all terms 0.0
+    @example(decay=300.0, rows=[(40, 1.0, 0.0, 0), (40, 1.0, 1e7, 1)], deposits=[],
+             lag=1e-3, per_entry=True)
+    def test_long_fold_has_the_bits_of_base_level(self, decay, rows, deposits, lag,
+                                                  per_entry):
+        """Histories past the cap, hundreds of presentations long, some grown
+        by merged deposits, folded by either kind of table: each value has
+        the bits of :meth:`base_level`, also at inf and -inf.  Terms of one
+        size, as in a short span long after it, are where a pairwise sum
+        such as ``np.sum`` gives other bits."""
+        with pytest.MonkeyPatch.context() as patch:
+            if not per_entry:
+                patch.setattr(memory, "COLUMN_MIN_ENTRIES", 0)
+            factory, wm = ChunkFactory(), WorkingMemory()
+            mm = MiddleMemory(decay=decay)
+            for i, (count, span, gap, seed) in enumerate(rows):
+                draw = random.Random(seed).random
+                mm.seed_entry("t", chunk=factory.make("fact", [("n", f"n{i}")]),
+                              presentations=sorted(-gap - span * draw() for _ in range(count)))
+            now = 0.0
+            for row in deposits:
+                if row < len(rows):
+                    now += 0.5
+                    mm.deposit(now, "t", chunk=mm.entry(row + 1).chunk)
+            now += lag
+            cols = mm._cols
+            assert {slot: history.tolist() for slot, history in cols.long.items()} == {
+                slot: e.presentations for slot, e in enumerate(cols.entries)}
+            assert_same_bits(mm._table(wm, now).base,
+                             [mm.base_level(e, now) for e in cols.entries])
+
+    @pytest.mark.parametrize("count", [memory.HISTORY_CAP, memory.HISTORY_CAP + 4])
+    @pytest.mark.parametrize("others", [3, memory.COLUMN_MIN_ENTRIES + 12])
+    def test_a_sum_past_the_largest_float_is_infinite(self, factory, count, others):
+        """Each term 0.05 ** -236.6 is finite and their sum is not: the
+        block's fold and the long fold read it as inf without a warning, as
+        :meth:`base_level` does, in a per-entry table and in a column
+        table."""
+        wm, mm = WorkingMemory(), MiddleMemory(decay=236.6)
+        hot = mm.seed_entry("t", chunk=factory.make("fact", [("n", "hot")]),
+                            presentations=[0.0] * count)
+        for i in range(others):
+            mm.seed_entry("t", chunk=factory.make("fact", [("n", f"n{i}")]),
+                          presentations=[-1.0])
+        assert mm.activations(wm, 0.05)[hot] == math.inf == mm.base_level(mm.entry(hot), 0.05)
 
 
 class TestRetrieveAndSweep:
@@ -813,11 +870,12 @@ class TestActivationTable:
 
 def count_base_levels(monkeypatch) -> dict[str, int]:
     """Count every base level evaluated, in the returned ``["evals"]``: a
-    :meth:`MiddleMemory.base_level` call, or a row that ``_Columns.base``
+    :meth:`MiddleMemory.base_level` call, a row that ``_Columns.base``
     evaluates from the presentation block (each value it gives that is not
-    NaN)."""
+    NaN), or a history that ``_Columns.long_base`` folds."""
     counts = {"evals": 0}
     base_level, block = MiddleMemory.base_level, memory._Columns.base
+    long_base = memory._Columns.long_base
 
     def counting_base_level(self, entry, now):
         counts["evals"] += 1
@@ -828,8 +886,14 @@ def count_base_levels(monkeypatch) -> dict[str, int]:
         counts["evals"] += int(np.count_nonzero(~np.isnan(column)))
         return column
 
+    def counting_long_base(self, now, decay):
+        folded = long_base(self, now, decay)
+        counts["evals"] += len(folded)
+        return folded
+
     monkeypatch.setattr(MiddleMemory, "base_level", counting_base_level)
     monkeypatch.setattr(memory._Columns, "base", counting_block)
+    monkeypatch.setattr(memory._Columns, "long_base", counting_long_base)
     return counts
 
 
