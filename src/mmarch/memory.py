@@ -40,9 +40,9 @@ DEFAULT_FORGET_THRESHOLD = -2.5
 # entries, and at 3 entries (wordloop) columns cost about a third more.
 COLUMN_MIN_ENTRIES = 48
 # Presentation times kept per slot in the columns' block, 8 bytes each per
-# slot whether used or not.  A longer history leaves the block for a copy of
-# its own, folded in numpy by either kind of table; a history within the cap
-# is folded in Python by a per-entry table, which at 16 terms is faster.
+# slot whether used or not.  A longer history leaves the block, and either
+# kind of table folds it in numpy from the entry's own array; a history within
+# the cap is folded in Python by a per-entry table, which at 16 terms is faster.
 # Generated mm-scale histories are 1 to 5 long; wordloop's grow to
 # thousands, in a memory too small for columns.
 HISTORY_CAP = 16
@@ -143,7 +143,7 @@ class MMEntry:
     tag: str
     chunk: Chunk | None = None
     vector: HoloVector | None = None
-    presentations: list[float] = field(default_factory=list)
+    presentations: array = field(default_factory=lambda: array("d"))  # its one copy
     links: set[int] = field(default_factory=set)
     _packed: HoloVector | None = field(default=None, repr=False)
 
@@ -199,18 +199,18 @@ class _Columns:
     ``times`` is the presentation block: a row per slot holding the entry's
     presentation times, -inf after them, up to :data:`HISTORY_CAP`.  The
     row of an empty slot is NaN, and so is the row of a history that grew
-    past the cap; ``long`` maps each such slot to a copy of its history.
-    ``width`` is the longest history in the block (at least 1).  Both copy
-    the entry's presentations as ``add`` and ``present`` see them, so the
-    memory writes presentation times only through ``deposit`` and
-    ``seed_entry``.
+    past the cap; ``long`` holds each such slot, folded from its entry's own
+    array.  ``width`` is the longest history in the block (at least 1).  The
+    block copies the entry's presentations as ``add`` and ``present`` see
+    them, so the memory writes presentation times only through ``deposit``
+    and ``seed_entry``.
     """
 
     def __init__(self, entries: Iterable[MMEntry]):
         self.entries: list[MMEntry | None] = []
         self.times = np.full((8, HISTORY_CAP), -math.inf)
         self.width = 1
-        self.long: dict[int, array] = {}  # live slot -> its history, once past the cap
+        self.long: set[int] = set()  # live slots whose history is past the cap
         self.slot_of: dict[int, int] = {}  # live id -> slot, in id order
         self.postings: dict[tuple, array] = {}
         self.reach: dict[str, array] = {}
@@ -242,7 +242,7 @@ class _Columns:
             self.width = max(self.width, len(history))
         else:
             self.times[slot] = math.nan
-            self.long[slot] = array("d", history)
+            self.long.add(slot)
         self.entries.append(entry)
         self.posted.append(frozenset())
         self.slot_of[entry.id] = slot
@@ -262,21 +262,18 @@ class _Columns:
         slot = self.slot_of.pop(entry.id)
         self.entries[slot] = None
         self.times[slot] = math.nan
-        self.long.pop(slot, None)
+        self.long.discard(slot)
         return slot
 
     def present(self, entry: MMEntry) -> None:
-        """Write ``entry``'s newest presentation into its row, or into its
-        history's copy once the history is past the cap."""
+        """Write ``entry``'s newest presentation into its row, or its slot into ``long``."""
         slot, count = self.slot_of[entry.id], len(entry.presentations)
         if count <= self.times.shape[1]:
             self.times[slot, count - 1] = entry.presentations[-1]
             self.width = max(self.width, count)
         elif count == self.times.shape[1] + 1:  # the history leaves the block
             self.times[slot] = math.nan
-            self.long[slot] = array("d", entry.presentations)
-        else:
-            self.long[slot].append(entry.presentations[-1])
+            self.long.add(slot)
 
     def base(self, now: float, decay: float) -> np.ndarray:
         """Each slot's base level at ``now`` from its row, NaN at a slot
@@ -305,13 +302,15 @@ class _Columns:
         The terms are :meth:`base`'s, and ``np.add.accumulate`` adds them
         strictly from the oldest, so each value has the bits of
         :meth:`MiddleMemory.base_level`.  ``now`` must be after every
-        history.
+        history.  No view of a history outlives its expression: an array
+        whose buffer is exported cannot grow.
         """
         folded: dict[int, float] = {}
         if not self.long:
             return folded
         with np.errstate(over="ignore"):  # an overflowing term or sum is inf, as in base_level
-            for slot, history in self.long.items():
+            for slot in self.long:
+                history = self.entries[slot].presentations
                 terms = np.float_power(now - np.frombuffer(history), -decay)
                 total = float(np.add.accumulate(terms)[-1])  # not np.sum, as in base
                 folded[slot] = math.log(total) if total > 0.0 else -math.inf
@@ -388,12 +387,12 @@ class MiddleMemory:
     deposit's merge.  A base-level column is ``np.float_power`` of the lags
     (the C library's ``pow``, as Python's ``**``), folded a column at a
     time from the oldest and then logged one entry at a time, so a table
-    needs no Python sum per entry.  A history past the cap leaves the block
-    for a copy of its own, which both kinds of table fold with one
+    needs no Python sum per entry.  A history past the cap leaves the block,
+    and both kinds of table fold the entry's own array with one
     ``np.add.accumulate`` (:meth:`_Columns.long_base`); a per-entry table
-    keeps :meth:`base_level` for a history within the cap.  These copies
-    are why presentation times are written only through :meth:`deposit`
-    and :meth:`seed_entry`.
+    keeps :meth:`base_level` for a history within the cap.  The block is
+    why presentation times are written only through :meth:`deposit` and
+    :meth:`seed_entry`.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -451,13 +450,13 @@ class MiddleMemory:
             self._cols.present(entry)
             return existing, False
         entry = MMEntry(id=self._next_id, tag=tag, chunk=chunk, vector=vector,
-                        presentations=[now])
+                        presentations=array("d", (now,)))
         self._add(entry, key)
         return entry.id, True
 
     def seed_entry(self, tag: str, chunk: Chunk | None = None,
                    vector: HoloVector | None = None,
-                   presentations: list[float] | None = None) -> int:
+                   presentations: Iterable[float] | None = None) -> int:
         """Install an entry with an explicit presentation history.
 
         Used when populating a model's initial middle memory; histories may
@@ -471,7 +470,7 @@ class MiddleMemory:
         if presentations != sorted(presentations):
             raise TemporalOrderError("presentation history must be sorted ascending")
         entry = MMEntry(id=self._next_id, tag=tag, chunk=chunk, vector=vector,
-                        presentations=presentations)
+                        presentations=array("d", presentations))
         key = entry.content_key()
         if key in self._by_key:
             raise ChunkError(f"duplicate initial entry for tag {tag!r}")

@@ -293,22 +293,20 @@ class UtilityLearner:
         return updates
 
 
-def form_retrieval_production(entry, activation: float, system: str, buffer: str,
-                              existing, now: float,
-                              threshold: float = DEFAULT_FORMATION_THRESHOLD) -> Production | None:
+def form_retrieval_production(entry, system: str, buffer: str, existing,
+                              now: float) -> Production | None:
     """Spawn a provisional production that retrieves a hot entry.
 
-    Returns ``None`` below the activation threshold, for vector-only
-    entries (nothing to pattern-match), or when the owner already has a
-    production retrieving the same tagged pattern.
+    The caller picks the hot entries (above the formation threshold) and
+    passes ``existing``, the owner's own pool.  Returns ``None`` for
+    vector-only entries (nothing to pattern-match), or when the pool
+    already has a production retrieving the same tagged pattern.
     """
-    if activation <= threshold or entry.chunk is None:
+    if entry.chunk is None:
         return None
     pattern = Query(entry.chunk.ctype, entry.chunk.slots, -1)  # exact: no wildcards
     tags = (entry.tag,)
     for production in existing:
-        if production.owner != system:
-            continue
         for cond in production.conditions:
             if (cond.mm_tags == tags and cond.pattern is not None
                     and not cond.negated

@@ -198,7 +198,7 @@ class Session:
         for item in self.model.initial_mm:
             chunk = self.factory.make(item.chunk.ctype, item.chunk.slots)
             entry_id = self.mm.seed_entry(item.tag, chunk=chunk,
-                                          presentations=list(item.presentations))
+                                          presentations=item.presentations)
             entry_ids.append(entry_id)
             self._log_deposit(0, entry_id, item.tag, "initial", chunk)
         for index, item in enumerate(self.model.initial_mm):
@@ -454,15 +454,13 @@ class Session:
 
     # phase 7
     def _formation_phase(self, n: int, t_now: float) -> None:
-        threshold = self.model.middle_memory.formation_threshold
         ttl = self.model.learning.provisional_ttl_s
         for system in self.systems:
             for entry, activation in self._hot:
                 if entry.tag not in system.subscriptions:
                     continue
                 production = form_retrieval_production(
-                    entry, activation, system.name, system.buffer,
-                    system.productions, t_now, threshold)
+                    entry, system.name, system.buffer, system.productions, t_now)
                 if production is not None:
                     system.productions.append(production)
                     self.trace.append(n, "form", {

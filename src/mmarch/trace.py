@@ -139,8 +139,9 @@ def read_trace(source) -> Trace:
     :class:`TraceFormatError` (naming the last good line) on damage,
     including bytes that are not UTF-8, a header that is not an object, and
     an event whose cycle or seq is not an int, whose data is not an object,
-    or whose data lacks a field that metrics read or holds it with the
-    wrong type.
+    whose data lacks a field that metrics read or holds it with the wrong
+    type, whose seq is not its position, or whose cycle is below the cycle
+    of the event before it.
     """
     raw = source.read() if hasattr(source, "read") else Path(source).read_bytes()
     try:
@@ -156,7 +157,7 @@ def read_trace(source) -> Trace:
         header = json.loads(lines[0])
         if not isinstance(header, dict):
             raise TypeError("header")
-    except (json.JSONDecodeError, RecursionError, TypeError):
+    except (ValueError, RecursionError, TypeError):  # a JSONDecodeError too
         raise TraceFormatError("malformed header; no good lines before it", line=1) from None
     version = header.get("version")
     if version != TRACE_VERSION:
@@ -182,7 +183,10 @@ def read_trace(source) -> Trace:
             for key, test in _METRIC_FIELDS.get(event.kind, {}).items():
                 if not test(event.data.get(key, [])):
                     raise TypeError(key)
-        except (json.JSONDecodeError, RecursionError, KeyError, TypeError):
+            if event.seq != len(trace.events) or (
+                    trace.events and event.cycle < trace.events[-1].cycle):
+                raise ValueError("out of order")
+        except (ValueError, RecursionError, KeyError, TypeError):  # a JSONDecodeError too
             raise TraceFormatError(
                 f"malformed event; last good line was {number - 1}", line=number) from None
         trace.events.append(event)

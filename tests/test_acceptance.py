@@ -7,6 +7,7 @@ and the measured load numbers.
 import math
 import random
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def test_3_activation_math():
     mm = MiddleMemory(decay=0.5)
     entry_id, _ = mm.deposit(1.0, "t", chunk=factory.make("a"))
     entry = mm.entry(entry_id)
-    entry.presentations[:] = [1.0, 3.0]  # lags 4 s and 2 s at now=5
+    entry.presentations[:] = array("d", [1.0, 3.0])  # lags 4 s and 2 s at now=5
     assert mm.activation(entry, wm, 5.0) == pytest.approx(0.18823, abs=1e-5)
 
     rng = random.Random(123)
@@ -143,8 +144,8 @@ def test_3_activation_math():
         mm = MiddleMemory(decay=rng.uniform(0.1, 0.9))
         entry_id, _ = mm.deposit(0.0, "t", chunk=factory.make("a"))
         entry = mm.entry(entry_id)
-        entry.presentations[:] = sorted(rng.uniform(0.0, 50.0)
-                                        for _ in range(rng.randint(1, 8)))
+        entry.presentations[:] = array("d", sorted(rng.uniform(0.0, 50.0)
+                                                   for _ in range(rng.randint(1, 8))))
         now = entry.presentations[-1] + rng.uniform(0.01, 20.0)
         before = mm.base_level(entry, now)
         entry.presentations.append(

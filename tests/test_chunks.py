@@ -119,6 +119,13 @@ def test_complete_query_substitutes_bindings():
     assert chunk.ctype == "dog"
 
 
+def test_complete_query_needs_a_binding_for_every_wildcard():
+    factory = ChunkFactory()
+    q = factory.make_query("dog", [("name", "?"), ("x", "?")])
+    with pytest.raises(ChunkError, match="no binding for wildcard slot 'x'"):
+        complete_query(q, {"name": "Fido"}, factory)
+
+
 def test_factory_ids_are_sequential_per_factory():
     f1, f2 = ChunkFactory(), ChunkFactory()
     ids1 = [f1.make("a").id for _ in range(3)]

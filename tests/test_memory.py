@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestDeposit:
         id2, created2 = mm.deposit(2.0, "vision", chunk=c2)
         assert (created1, created2) == (True, False)
         assert id1 == id2
-        assert mm.entry(id1).presentations == [1.0, 2.0]
+        assert mm.entry(id1).presentations == array("d", [1.0, 2.0])
 
     def test_same_payload_different_tag_is_distinct(self, factory):
         mm = MiddleMemory()
@@ -119,7 +120,7 @@ class TestDeposit:
     def test_seeded_history_defaults_only_when_absent(self, factory):
         mm = MiddleMemory()
         entry_id = mm.seed_entry("t", chunk=factory.make("a"))
-        assert mm.entry(entry_id).presentations == [0.0]
+        assert mm.entry(entry_id).presentations == array("d", [0.0])
         with pytest.raises(ChunkError):
             mm.seed_entry("t", chunk=factory.make("b"), presentations=[])
         assert len(mm) == 1
@@ -221,14 +222,14 @@ class TestActivation:
             st.floats(0.0, 100.0), min_size=1, max_size=8)))
         entry_id, _ = mm.deposit(times[0], "t", chunk=factory.make("a"))
         entry = mm.entry(entry_id)
-        entry.presentations[:] = times
+        entry.presentations[:] = array("d", times)
         now = times[-1] + data.draw(st.floats(0.01, 50.0))
         base = mm.activation(entry, wm, now)
 
         entry.presentations.append((times[-1] + now) / 2)
         assert mm.activation(entry, wm, now) > base
 
-        entry.presentations[:] = times
+        entry.presentations[:] = array("d", times)
         later = now + data.draw(st.floats(0.01, 50.0))
         assert mm.activation(entry, wm, later) < base
 
@@ -342,8 +343,8 @@ class TestPresentationBlock:
                     mm.deposit(now, "t", chunk=mm.entry(row + 1).chunk)
             now += lag
             cols = mm._cols
-            assert {slot: history.tolist() for slot, history in cols.long.items()} == {
-                slot: e.presentations for slot, e in enumerate(cols.entries)}
+            assert cols.long == {slot for slot, e in enumerate(cols.entries)
+                                 if len(e.presentations) > memory.HISTORY_CAP}
             assert_same_bits(mm._table(wm, now).base,
                              [mm.base_level(e, now) for e in cols.entries])
 
@@ -368,8 +369,8 @@ class TestRetrieveAndSweep:
         mm = MiddleMemory()
         fresh, _ = mm.deposit(4.0, "t", chunk=factory.make("word", [("value", "a")]))
         stale, _ = mm.deposit(4.0, "t", chunk=factory.make("word", [("value", "b")]))
-        mm.entry(fresh).presentations[:] = [1.0, 3.0]   # B ~ 0.188 at t=5
-        mm.entry(stale).presentations[:] = [-3.0]       # B ~ -1.04 at t=5
+        mm.entry(fresh).presentations[:] = array("d", [1.0, 3.0])   # B ~ 0.188 at t=5
+        mm.entry(stale).presentations[:] = array("d", [-3.0])       # B ~ -1.04 at t=5
         return mm, fresh, stale
 
     def test_ranked_by_activation_then_id(self, wm, factory):

@@ -298,6 +298,16 @@ def test_wrong_types_reported_with_path(mutate, path):
     assert path in [p for p, _ in _violations(doc)]
 
 
+def test_an_integer_too_large_for_a_float_rejected(tmp_path):
+    """JSON reads ``1`` followed by 400 zeros as an int that no float holds."""
+    text = json.dumps(base_doc())[:-1] + ', "middle_memory": {"decay": 1' + "0" * 400 + "}}"
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    with pytest.raises(ModelValidationError) as err:
+        load_model(path)
+    assert ("middle_memory.decay", "decay must be positive") in err.value.violations
+
+
 def test_ints_accepted_where_floats_expected():
     doc = base_doc()
     doc["middle_memory"] = {"decay": 1, "noise": 0}

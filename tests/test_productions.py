@@ -20,6 +20,7 @@ from mmarch.productions import (
     _first_match,
     fire,
     form_retrieval_production,
+    instantiate,
     match_all,
     match_production,
     prune_provisional,
@@ -353,6 +354,12 @@ class TestFire:
         with pytest.raises(BindingError, match="broken"):
             fire(p, {}, factory)
 
+    def test_bare_wildcard_in_a_chunk_template_rejected(self, factory):
+        template = Template("goal", (("state", "?"),))
+        with pytest.raises(BindingError, match="'broken': bare wildcard in a chunk template"):
+            instantiate(template, {}, factory, "broken", query=False)
+        assert instantiate(template, {}, factory, "broken", query=True).slots == (("state", "?"),)
+
     def test_post_query_keeps_wildcards(self, factory):
         p = _prod(factory, "ask", [], actions=[
             Action("post-query", target="declarative",
@@ -475,8 +482,7 @@ class TestFormation:
 
     def test_hot_entry_spawns_provisional(self, factory):
         entry = self._entry(factory, MiddleMemory())
-        p = form_retrieval_production(entry, 2.5, "declarative", "declarative",
-                                      [], now=3.0)
+        p = form_retrieval_production(entry, "declarative", "declarative", [], now=3.0)
         assert p is not None
         assert p.name == f"retrieve-{entry.id}"
         assert not p.permanent and p.created_at == 3.0
@@ -484,17 +490,21 @@ class TestFormation:
         assert p.conditions[0].pattern.slots == entry.chunk.slots
         assert p.actions[0].target == "declarative"
 
-    def test_below_threshold_no_production(self, factory):
-        entry = self._entry(factory, MiddleMemory())
-        assert form_retrieval_production(entry, 1.0, "s", "b", [], now=0.0) is None
-        assert form_retrieval_production(entry, 2.0, "s", "b", [], now=0.0) is None
+    def test_an_entry_at_the_threshold_is_not_hot(self, factory):
+        """Formation takes its hot entries from ``MiddleMemory.above``, which
+        returns only activations strictly above the threshold."""
+        mm = MiddleMemory()
+        entry = self._entry(factory, mm)
+        # one presentation 1 s ago and no spreading: activation ln 1 = 0.0
+        assert mm.above(WorkingMemory(), 2.0, 0.0) == []
+        assert mm.above(WorkingMemory(), 2.0, -1e-9) == [(entry, 0.0)]
 
     def test_duplicate_pattern_suppressed(self, factory):
         entry = self._entry(factory, MiddleMemory())
-        first = form_retrieval_production(entry, 2.5, "s", "b", [], now=0.0)
-        again = form_retrieval_production(entry, 2.5, "s", "b", [first], now=1.0)
+        first = form_retrieval_production(entry, "s", "b", [], now=0.0)
+        again = form_retrieval_production(entry, "s", "b", [first], now=1.0)
         assert again is None
-        other_owner = form_retrieval_production(entry, 2.5, "s2", "b2", [first], now=1.0)
+        other_owner = form_retrieval_production(entry, "s2", "b2", [], now=1.0)
         assert other_owner is not None
 
     def test_vector_only_entry_never_forms(self, factory):
@@ -502,7 +512,7 @@ class TestFormation:
         mm = MiddleMemory()
         entry_id, _ = mm.deposit(1.0, "vision", vector=np.ones(8))
         assert form_retrieval_production(
-            mm.entry(entry_id), 5.0, "s", "b", [], now=0.0) is None
+            mm.entry(entry_id), "s", "b", [], now=0.0) is None
 
 
 class TestPruning:

@@ -79,11 +79,13 @@ def test_truncated_line_names_last_good_line(tmp_path):
 
 
 @pytest.mark.parametrize("event", [
-    '{"cycle":"x","seq":0,"kind":"idle","data":{}}',
+    '{"cycle":"x","seq":1,"kind":"idle","data":{}}',
     '{"cycle":0,"seq":1.5,"kind":"idle","data":{}}',
-    '{"cycle":true,"seq":0,"kind":"idle","data":{}}',
-    '{"cycle":0,"seq":0,"kind":"idle","data":5}',
-    '{"cycle":0,"seq":0,"kind":"idle","data":null}',
+    '{"cycle":true,"seq":1,"kind":"idle","data":{}}',
+    '{"cycle":0,"seq":1,"kind":"idle","data":5}',
+    '{"cycle":0,"seq":1,"kind":"idle","data":null}',
+    '{"cycle":0,"seq":1,"kind":"mystery","data":{}}',
+    '{"cycle":0,"seq":' + "1" * 5000 + ',"kind":"idle","data":{}}',  # past int()'s digit limit
 ])
 def test_mistyped_event_fields_rejected(tmp_path, event):
     path = tmp_path / "run.trace"
@@ -98,15 +100,15 @@ def test_mistyped_event_fields_rejected(tmp_path, event):
 
 
 @pytest.mark.parametrize("event", [
-    '{"cycle":0,"seq":0,"kind":"idle","data":{}}',
-    '{"cycle":0,"seq":0,"kind":"idle","data":{"candidates":"x","conflict":[]}}',
-    '{"cycle":0,"seq":0,"kind":"idle","data":{"candidates":true,"conflict":[]}}',
-    '{"cycle":0,"seq":0,"kind":"central-fire","data":{"candidates":1,"matched":[{}]}}',
-    '{"cycle":0,"seq":0,"kind":"central-fire","data":{"candidates":1,"consumed":[5]}}',
-    '{"cycle":0,"seq":0,"kind":"interrupt","data":{"system":"s","buffer":"b"}}',
-    '{"cycle":0,"seq":0,"kind":"deposit","data":{"entry":1,"new":"yes"}}',
-    '{"cycle":0,"seq":0,"kind":"utility-update","data":{"production":"p","new":1.0}}',
-    '{"cycle":0,"seq":0,"kind":"utility-update","data":{"production":"p","owner":"o",'
+    '{"cycle":0,"seq":1,"kind":"idle","data":{}}',
+    '{"cycle":0,"seq":1,"kind":"idle","data":{"candidates":"x","conflict":[]}}',
+    '{"cycle":0,"seq":1,"kind":"idle","data":{"candidates":true,"conflict":[]}}',
+    '{"cycle":0,"seq":1,"kind":"central-fire","data":{"candidates":1,"matched":[{}]}}',
+    '{"cycle":0,"seq":1,"kind":"central-fire","data":{"candidates":1,"consumed":[5]}}',
+    '{"cycle":0,"seq":1,"kind":"interrupt","data":{"system":"s","buffer":"b"}}',
+    '{"cycle":0,"seq":1,"kind":"deposit","data":{"entry":1,"new":"yes"}}',
+    '{"cycle":0,"seq":1,"kind":"utility-update","data":{"production":"p","new":1.0}}',
+    '{"cycle":0,"seq":1,"kind":"utility-update","data":{"production":"p","owner":"o",'
     '"new":"1"}}',
 ])
 def test_event_missing_a_metric_field_rejected(tmp_path, event):
@@ -119,6 +121,41 @@ def test_event_missing_a_metric_field_rejected(tmp_path, event):
     with pytest.raises(TraceFormatError) as err:
         read_trace(path)
     assert err.value.line == 3
+
+
+def _events(trace):
+    return trace_to_bytes(trace).decode("utf-8").splitlines()[1:]
+
+
+def _damaged(lines):
+    header = '{"version":1,"seed":7,"mode":"mm","cycle_length_ms":50}'
+    return io.BytesIO(("\n".join([header, *lines]) + "\n").encode("utf-8"))
+
+
+@pytest.mark.parametrize("damage, bad_line", [
+    # two events swapped: the second event line holds seq 2
+    (lambda lines: [lines[0], lines[2], lines[1], lines[3]], 3),
+    # the last event's seq skips ahead
+    (lambda lines: [*lines[:3], lines[3].replace('"seq":3', '"seq":7')], 5),
+    # the last event's cycle falls from 1 to 0, every seq in place
+    (lambda lines: [*lines[:3], lines[3].replace('"cycle":1', '"cycle":0')], 5),
+])
+def test_events_out_of_order_rejected(damage, bad_line):
+    """Events are read in (cycle, seq) order: each seq is its position and
+    no cycle falls below the one before it."""
+    lines = _events(_sample_trace())
+    assert read_trace(_damaged(lines)) == _sample_trace()
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(_damaged(damage(lines)))
+    assert err.value.line == bad_line
+    assert f"last good line was {bad_line - 1}" in str(err.value)
+
+
+def test_header_missing_cycle_length_rejected():
+    source = io.BytesIO(b'{"version":1,"seed":7,"mode":"mm"}\n')
+    with pytest.raises(TraceFormatError, match="header missing 'cycle_length_ms'") as err:
+        read_trace(source)
+    assert err.value.line == 1
 
 
 def test_non_ascii_symbols_stay_raw_end_to_end(tmp_path):
@@ -191,6 +228,15 @@ def test_header_that_is_not_an_object_rejected(tmp_path, header):
     path.write_bytes(header)
     with pytest.raises(TraceFormatError) as err:
         read_trace(path)
+    assert err.value.line == 1
+
+
+def test_header_number_past_the_digit_limit_rejected():
+    """``json.loads`` raises a plain ``ValueError`` for an int longer than
+    ``int()``'s digit limit; in a header it is damage like any other."""
+    source = io.BytesIO(b'{"version":' + b"1" * 5000 + b"}\n")
+    with pytest.raises(TraceFormatError, match="malformed header") as err:
+        read_trace(source)
     assert err.value.line == 1
 
 

@@ -141,6 +141,17 @@ class TestFraming:
         with pytest.raises(ValueError):
             decode_prediction(line, dim=2)
 
+    @pytest.mark.parametrize("line, message", [
+        # json.loads reads NaN, which passes as a float
+        ('{"type":"prediction","tag":"vision","vector":[NaN,1.0]}',
+         "vector entries must be finite"),
+        ('{"type":"prediction","tag":"vision","chunk":{"isa":"a","slots":[1]}}',
+         "chunk slots must be an object"),
+    ])
+    def test_malformed_lines_name_their_fault(self, line, message):
+        with pytest.raises(ValueError, match=message):
+            decode_prediction(line, dim=2)
+
     @pytest.mark.parametrize("kind", _BAD_PEER_LINES)
     def test_bad_numbers_and_deep_nesting_raise(self, kind):
         assert decode_prediction(_vector_line("1.5", 2), dim=2)["vector"] is not None
