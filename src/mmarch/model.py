@@ -388,7 +388,7 @@ def _check_predictor(values: dict, obj: dict, path: str, errors: _Collector) -> 
         errors.add(f"{path}.corpus", "ngram predictor needs a corpus")
     if kind == "associative" and not values["pairs"]:
         errors.add(f"{path}.pairs", "associative predictor needs pairs")
-    if kind == "external" and values["command"] is None and (
+    if kind == "external" and not values["command"] and (
             values["host"] is None or values["port"] is None):
         errors.add(path, "external predictor needs command or host+port")
     # A built-in predictor emits emit_isa chunks holding one symbol at emit_slot.
@@ -677,7 +677,7 @@ def load_model(path) -> ModelDefinition:
         raise ModelValidationError([("", f"cannot read model file: {exc}")]) from None
     except UnicodeDecodeError as exc:
         raise ModelValidationError([("", f"not UTF-8: {exc}")]) from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # or an int past the digit limit
         raise ModelValidationError([("", f"not valid JSON: {exc}")]) from None
     return parse_model(document)
 

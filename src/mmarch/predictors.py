@@ -154,15 +154,17 @@ def encode_context(cycle: int, vector: HoloVector, symbols: list[str]) -> str:
     return encode_line(payload)
 
 
-def decode_prediction(line: str, dim: int) -> dict:
-    """Parse one prediction line; raises ``ValueError`` when malformed.
+def decode_prediction(line: bytes, dim: int) -> dict:
+    """Parse one UTF-8 prediction line; raises ``ValueError`` when malformed.
 
     Unknown fields are ignored.  The result dict carries ``tag``,
     ``salience``, and either ``ctype``/``slots`` or a validated ``vector``.
     """
     try:
-        msg = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        msg = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8: {exc}") from None
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
     if not isinstance(msg, dict) or msg.get("type") != PROTOCOL_PREDICTION:
         raise ValueError("missing type:prediction")
@@ -219,10 +221,11 @@ class ExternalPredictor:
     """Bridge to a predictor living in a child process or behind a socket.
 
     Context lines go out on every broadcast; a background thread hands each
-    prediction line, with the cycle of the last context sent, to the sink
-    given to :meth:`start`, and the line only becomes a deposit when the
-    runtime drains.  A dead peer marks the predictor stalled: the run
-    continues and no further sends are attempted.
+    prediction line, undecoded bytes with the cycle of the last context
+    sent, to the sink given to :meth:`start`, and the line is decoded, and
+    may become a deposit, only when the runtime drains.  A dead peer marks
+    the predictor stalled: the run continues and no further sends are
+    attempted.
     """
 
     def __init__(self, name: str, tag: str, *, command: list[str] | None = None,
@@ -249,13 +252,13 @@ class ExternalPredictor:
             if self.command is not None:
                 self._proc = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL, text=True, bufsize=1)
+                    stderr=subprocess.DEVNULL)
                 self._writer = self._proc.stdin
                 reader = self._proc.stdout
             else:
                 self._sock = socket.create_connection((self.host, self.port), timeout=5.0)
                 self._sock.settimeout(None)  # the bound is for connecting; a peer may be quiet
-                handle = self._sock.makefile("rw", encoding="utf-8", newline="\n")
+                handle = self._sock.makefile("rwb")
                 self._writer = handle
                 reader = handle
         except OSError:
@@ -281,7 +284,7 @@ class ExternalPredictor:
         if self.stalled or self._writer is None:
             return False
         try:
-            self._writer.write(line + "\n")
+            self._writer.write(line.encode("utf-8") + b"\n")
             self._writer.flush()
         except (OSError, ValueError, BrokenPipeError):
             self.stalled = True
@@ -298,6 +301,7 @@ class ExternalPredictor:
                 self._proc.wait(timeout=2.0)
             except (OSError, subprocess.TimeoutExpired):
                 self._proc.kill()
+                self._proc.wait()
         if self._sock is not None:
             try:  # the reader's file still holds the socket, so close alone sends nothing
                 self._sock.shutdown(socket.SHUT_RDWR)

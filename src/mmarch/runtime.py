@@ -22,7 +22,8 @@ matching, so an urgent shadow write at cycle n reaches the central conflict
 set at exactly cycle n+1, and the order in which systems are stepped is
 unobservable.  Event timestamps use the cycle-start time; activation
 evaluations use the cycle-end time, so a presentation deposited this cycle
-already has a positive lag.  Time is integer milliseconds internally.
+already has a positive lag.  Times are float seconds, ``cycle ×
+cycle_length_ms / 1000``; only the CLI's ``time_ms`` is an integer.
 
 Activation is computed by middle-memory reads; how their tables are built,
 cached and read is described once, in :class:`.memory.MiddleMemory`.  The
@@ -102,7 +103,6 @@ class Session:
         self.seed = seed
         self.cycle = 0
         self.halted = False
-        self._halt_reason: str | None = None
         self.factory = ChunkFactory()
         self.trace = Trace(seed=seed, mode=mode,
                            cycle_length_ms=model.cycle_length_ms)
@@ -142,8 +142,6 @@ class Session:
         # each module buffer's directly-routed predictions; pipeline mode only
         self.inflows: dict[str, list[Chunk]] | None = (
             {s.buffer: [] for s in self.systems} if mode == "pipeline" else None)
-        self._pending_rewards: list[tuple[float, str]] = []
-        self._hot: list[tuple[MMEntry, float]] = []  # the sweep's entries that may form
         self._scheduled: dict[int, list[float]] = {}
         for reward in model.rewards:
             self._scheduled.setdefault(reward.cycle, []).append(reward.amount)
@@ -225,18 +223,18 @@ class Session:
         t_eval = self._cycle_time(n + 1)
 
         self._drain_predictions(n, t_now)
-        self._sweep(n, t_eval)
+        hot = self._sweep(n, t_eval)
         staged = self._shadow_phase(n, t_eval) if self.mode == "mm" else {}
-        self._central_phase(n, t_now, t_eval)
+        rewards, halt = self._central_phase(n, t_now, t_eval)
         self._commit_staged(t_now, staged)
-        self._reward_phase(n, t_now)
+        self._reward_phase(n, t_now, rewards)
         if self.mode == "mm":
-            self._formation_phase(n, t_now)
+            self._formation_phase(n, t_now, hot)
         self._broadcast_phase(n, t_eval)
 
         self.cycle += 1
-        if self._halt_reason is not None:
-            self.trace.append(n, "halt", {"reason": self._halt_reason})
+        if halt:
+            self.trace.append(n, "halt", {"reason": "halt-action"})
             self.halted = True
 
     # phase 1
@@ -247,7 +245,8 @@ class Session:
             try:
                 decoded = decode_prediction(line, self.book.dimension)
             except ValueError as exc:
-                self._log_error(n, f"dropped malformed prediction: {exc}", predictor, line)
+                self._log_error(n, f"dropped malformed prediction: {exc}", predictor,
+                                line.decode(errors="backslashreplace"))
                 continue
             predictions.append(Prediction(predictor=predictor, produced_at_cycle=cycle,
                                           emission_index=index, **decoded))
@@ -288,14 +287,14 @@ class Session:
         self._log_write(n, target.name, target.buffer, chunk, route="pipeline")
 
     # phase 2
-    def _sweep(self, n: int, t_eval: float) -> None:
+    def _sweep(self, n: int, t_eval: float) -> list[tuple[MMEntry, float]]:
+        """Forget what fell below threshold; return the entries that may form."""
         for entry, activation in self.mm.sweep(self.wm, t_eval):
             self.trace.append(n, "forget", {
                 "entry": entry.id, "tag": entry.tag,
                 "activation": activation})
-        if self.mode == "mm":
-            self._hot = self.mm.above(self.wm, t_eval,
-                                      self.model.middle_memory.formation_threshold)
+        threshold = self.model.middle_memory.formation_threshold
+        return self.mm.above(self.wm, t_eval, threshold) if self.mode == "mm" else []
 
     # phase 3
     def _shadow_phase(self, n: int, t_eval: float) -> dict[int, tuple]:
@@ -357,7 +356,8 @@ class Session:
         return chunk, False, None
 
     # phase 4
-    def _central_phase(self, n: int, t_now: float, t_eval: float) -> None:
+    def _central_phase(self, n: int, t_now: float, t_eval: float) -> tuple[list, bool]:
+        """Fire the winner; return its ``(amount, source)`` rewards and whether it halts."""
         view = MatchView(self.wm, None, t_eval, inflows=self.inflows)
         conflict = match_all(self.central_productions, view)
         winner = resolve(conflict)
@@ -365,7 +365,7 @@ class Session:
         if winner is None:
             self.trace.append(n, "idle", {"candidates": view.candidates,
                                           "conflict": conflict_names})
-            return
+            return [], False
         production = winner.production
         fired = fire(production, winner.bindings, self.factory)
         credit = self._reward_may_come(n)
@@ -377,16 +377,17 @@ class Session:
             "candidates": view.candidates, "conflict": conflict_names,
             "matched": [{"buffer": b, "chunk": c} for b, c in winner.sources],
             "consumed": consumed})
+        rewards, halt = [], False
         for action, content in fired:
             write = buffer_write(action, content)
             if write is not None:  # (content, urgent)
                 self.wm.write(CENTRAL, action.target, *write)
                 self._log_write(n, CENTRAL, action.target, *write)
             elif action.kind == "emit-reward":
-                self._pending_rewards.append(
-                    (action.amount, f"production:{production.name}"))
+                rewards.append((action.amount, f"production:{production.name}"))
             elif action.kind == "halt":
-                self._halt_reason = "halt-action"
+                halt = True
+        return rewards, halt
 
     def _reward_may_come(self, n: int) -> bool:
         """Whether a reward can still arrive at cycle ``n`` or later; credit
@@ -410,7 +411,7 @@ class Session:
                              "producer": production, "system": buf.owner})
         return consumed
 
-    # phase 4b
+    # phase 5
     def _commit_staged(self, t_now: float, staged: dict[int, tuple]) -> None:
         for index, (content, urgent, production) in staged.items():
             system = self.systems[index]
@@ -419,11 +420,8 @@ class Session:
                 buf.credit = (production, t_now)
 
     # phase 6
-    def _reward_phase(self, n: int, t_now: float) -> None:
-        rewards = list(self._pending_rewards)
-        self._pending_rewards.clear()
-        for amount in self._scheduled.get(n, ()):
-            rewards.append((amount, "schedule"))
+    def _reward_phase(self, n: int, t_now: float, rewards: list[tuple[float, str]]) -> None:
+        rewards += [(amount, "schedule") for amount in self._scheduled.get(n, ())]
         for amount, source in rewards:
             self.trace.append(n, "reward", {"amount": amount, "source": source})
             for update in self.learner.apply_reward(amount, t_now, self._find_production):
@@ -453,10 +451,10 @@ class Session:
         return None
 
     # phase 7
-    def _formation_phase(self, n: int, t_now: float) -> None:
+    def _formation_phase(self, n: int, t_now: float, hot: list[tuple[MMEntry, float]]) -> None:
         ttl = self.model.learning.provisional_ttl_s
         for system in self.systems:
-            for entry, activation in self._hot:
+            for entry, activation in hot:
                 if entry.tag not in system.subscriptions:
                     continue
                 production = form_retrieval_production(

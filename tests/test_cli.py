@@ -64,6 +64,27 @@ def test_model_nested_deeper_than_the_parser_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "not valid JSON" in err
 
 
+def test_model_number_past_the_int_digit_limit_exits_1(tmp_path, capsys):
+    """CPython refuses to parse an integer of more than 4,300 digits."""
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"name": "huge", "wm_capacity": ' + "9" * 5000 + "}")
+    rc = main(["run", "--model", str(huge), "--cycles", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not valid JSON" in err
+
+
+def test_external_predictor_with_an_empty_command_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "bad", "predictors": [
+        {"name": "peer", "kind": "external", "tag": "vision", "command": []}]}))
+    rc = main(["run", "--model", str(bad), "--cycles", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model validation failed")
+    assert "predictors[0]: external predictor needs command or host+port" in err
+
+
 @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
 def test_unwritable_artifact_path_exits_1(tmp_path, capsys, flag):
     path = tmp_path / "missing" / "out"

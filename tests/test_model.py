@@ -234,6 +234,8 @@ def _append_copy(key, index=0):
      ("predictors[0].pairs[0]", "pair weight must be a positive integer")),
     (lambda d: None, "dream",
      ("mode", "mode must be 'mm' or 'pipeline', got 'dream'")),
+    (lambda d: d["predictors"][0].update(kind="external", pairs=[], command=[]),
+     "mm", ("predictors[0]", "external predictor needs command or host+port")),
 ])
 def test_model_rule_reported_with_path(mutate, mode, violation):
     doc = base_doc()

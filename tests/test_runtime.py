@@ -434,7 +434,7 @@ class TestInbox:
 
         for line in (percept("zeta"), "not json", percept("alpha"),
                      '{"type":"other"}', percept("mid")):
-            session.inbox.put(("peer", 0, line))
+            session.inbox.put(("peer", 0, line.encode()))
         session.step()
         session.step()
 
@@ -730,10 +730,10 @@ class TestPipelineMode:
         session = Session(load_model(demos.path("bottleneck")), mode="pipeline", seed=0)
         session.inbox.put(("peer", 0, json.dumps({
             "type": "prediction", "tag": "nobody",
-            "chunk": {"isa": "percept", "slots": {"value": "x"}}})))
+            "chunk": {"isa": "percept", "slots": {"value": "x"}}}).encode()))
         session.inbox.put(("peer", 0, json.dumps({
             "type": "prediction", "tag": "vision",
-            "vector": [1.0] + [0.0] * (session.book.dimension - 1)})))
+            "vector": [1.0] + [0.0] * (session.book.dimension - 1)}).encode()))
         session.step()
         errors = [(e.cycle, e.data["message"], e.data["predictor"])
                   for e in session.trace.by_kind("error")]
@@ -755,7 +755,7 @@ class TestPipelineMode:
         chunk factory could raise mid-cycle."""
         session = Session(load_model(demos.path(demo)), mode=mode, seed=0)
         session.inbox.put(("peer", 0, json.dumps(
-            {"type": "prediction", "tag": tag, **extra})))
+            {"type": "prediction", "tag": tag, **extra}).encode()))
         session.step()
         errors = [e.data["message"] for e in session.trace.by_kind("error")]
         assert len(errors) == 1

@@ -49,20 +49,21 @@ _WIRE_SLOT_NAMES = (st.sampled_from(["value", "isa"])
 
 
 
-def _vector_line(first: str, dim: int) -> str:
+def _vector_line(first: str, dim: int) -> bytes:
     """A vector prediction whose first entry is the raw JSON text ``first``."""
     return ('{"type":"prediction","tag":"language","vector":['
-            + first + ",0.0" * (dim - 1) + "]}")
+            + first + ",0.0" * (dim - 1) + "]}").encode()
 
 
 # Peer lines the wire must reject, by the dimension they target: an entry
-# too large for a float, a string or a boolean where a number belongs, and
-# nesting deeper than the JSON parser recurses.
+# too large for a float, a string or a boolean where a number belongs,
+# nesting deeper than the JSON parser recurses, and a byte that is not UTF-8.
 _BAD_PEER_LINES = {
     "huge-int": lambda dim: _vector_line("1" + "0" * 400, dim),
     "string": lambda dim: _vector_line('"1.5"', dim),
     "bool": lambda dim: _vector_line("true", dim),
-    "deep": lambda dim: "[" * 100_000 + "]" * 100_000,
+    "deep": lambda dim: b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": lambda dim: _vector_line("1.5", dim).replace(b"language", b"lang\xffuage"),
 }
 
 
@@ -84,7 +85,7 @@ class TestFraming:
         line = json.dumps({"type": "prediction", "tag": "vision",
                            "salience": 0.8, "mystery": 1,
                            "chunk": {"isa": "percept", "slots": {"value": "x"}}})
-        out = decode_prediction(line, dim=8)
+        out = decode_prediction(line.encode(), dim=8)
         assert out["tag"] == "vision"
         assert out["salience"] == 0.8
         assert out["ctype"] == "percept"
@@ -93,7 +94,7 @@ class TestFraming:
     def test_decode_vector_prediction_normalizes(self):
         line = json.dumps({"type": "prediction", "tag": "vision",
                            "salience": 1.0, "vector": [3.0, 4.0]})
-        out = decode_prediction(line, dim=2)
+        out = decode_prediction(line.encode(), dim=2)
         assert np.linalg.norm(out["vector"]) == pytest.approx(1.0)
 
     def test_decode_vector_whose_norm_overflows(self):
@@ -103,11 +104,11 @@ class TestFraming:
                            "vector": [1e308, 1e308]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = decode_prediction(line, dim=2)
+            out = decode_prediction(line.encode(), dim=2)
         assert out["vector"].tolist() == pytest.approx([math.sqrt(0.5)] * 2)
         plain = [1e150, -3e150]
         out = decode_prediction(json.dumps({"type": "prediction", "tag": "vision",
-                                            "vector": plain}), dim=2)
+                                            "vector": plain}).encode(), dim=2)
         arr = np.array(plain)
         assert out["vector"].tobytes() == (arr / np.linalg.norm(arr)).tobytes()
 
@@ -139,7 +140,7 @@ class TestFraming:
     ])
     def test_malformed_lines_raise(self, line):
         with pytest.raises(ValueError):
-            decode_prediction(line, dim=2)
+            decode_prediction(line.encode(), dim=2)
 
     @pytest.mark.parametrize("line, message", [
         # json.loads reads NaN, which passes as a float
@@ -150,7 +151,7 @@ class TestFraming:
     ])
     def test_malformed_lines_name_their_fault(self, line, message):
         with pytest.raises(ValueError, match=message):
-            decode_prediction(line, dim=2)
+            decode_prediction(line.encode(), dim=2)
 
     @pytest.mark.parametrize("kind", _BAD_PEER_LINES)
     def test_bad_numbers_and_deep_nesting_raise(self, kind):
@@ -181,7 +182,7 @@ class TestFraming:
         line = json.dumps({"type": "prediction", "tag": "vision",
                            "chunk": {"isa": isa, "slots": slots}})
         try:
-            decode_prediction(line, dim=2)
+            decode_prediction(line.encode(), dim=2)
             decoded = True
         except ValueError:
             decoded = False
@@ -230,6 +231,28 @@ def _step_until(session, predicate, max_cycles=40, settle=0.05):
     return False
 
 
+# A peer whose first line holds a byte that is not UTF-8; it answers every
+# context, the first one included, with a good prediction.
+BAD_BYTES_PEER = r"""
+import json, sys
+good = json.dumps({"type": "prediction", "tag": "vision",
+                   "chunk": {"isa": "percept", "slots": {"value": "blip"}}}).encode()
+sys.stdout.buffer.write(b'{"type":"prediction","tag":"vi\xffsion"}\n')
+for line in sys.stdin.buffer:
+    sys.stdout.buffer.write(good + b"\n")
+    sys.stdout.buffer.flush()
+"""
+
+# A peer that ignores SIGTERM, says so, and then sleeps.
+STUBBORN_PEER = r"""
+import signal, sys, time
+signal.signal(signal.SIGTERM, signal.SIG_IGN)
+sys.stdout.write("ready\n")
+sys.stdout.flush()
+time.sleep(60)
+"""
+
+
 class TestChildProcess:
     def test_predictions_arrive_tagged_through_middle_memory(self):
         model = _external_model([sys.executable, "-u", "-c", ECHO_PEER])
@@ -268,6 +291,29 @@ class TestChildProcess:
         assert any(e.kind == "deposit" and e.data["source"] == "predictor:peer"
                    for e in session.trace.events)
 
+    def test_a_line_that_is_not_utf8_costs_one_error_event(self):
+        """The reader takes bytes, so a bad byte is caught where the line is
+        decoded: the line is dropped and the peer's later lines still land."""
+        model = _external_model([sys.executable, "-c", BAD_BYTES_PEER])
+        session = Session(model, mode="mm", seed=0)
+
+        def from_peer(s, kind):
+            return [e for e in s.trace.by_kind(kind) if e.data.get("predictor") == "peer"
+                    or e.data.get("source") == "predictor:peer"]
+
+        try:
+            ok = _step_until(
+                session, lambda s: from_peer(s, "error") and any(
+                    e.cycle > from_peer(s, "error")[0].cycle
+                    for e in from_peer(s, "deposit")))
+            assert ok, "no deposit from the peer after its bad line"
+        finally:
+            session.finish()
+        errors = from_peer(session, "error")
+        assert len(errors) == 1
+        assert errors[0].data["message"].startswith("dropped malformed prediction: not UTF-8")
+        assert errors[0].data["payload"] == '{"type":"prediction","tag":"vi\\xffsion"}'
+
     def test_dead_peer_stalls_without_stopping_the_run(self):
         exit_peer = "import sys; sys.exit(0)"
         model = _external_model([sys.executable, "-c", exit_peer])
@@ -285,6 +331,17 @@ class TestChildProcess:
         warnings = [e for e in session.trace.events
                     if e.kind == "error" and "stalled" in e.data["message"]]
         assert len(warnings) == 1  # warned once, not every cycle
+
+    def test_close_reaps_a_peer_that_ignores_sigterm(self):
+        lines = queue.SimpleQueue()
+        peer = ExternalPredictor("stubborn", "vision",
+                                 command=[sys.executable, "-c", STUBBORN_PEER])
+        peer.start(lines.put)
+        try:
+            assert lines.get(timeout=10) == ("stubborn", -1, b"ready")
+        finally:
+            peer.close()
+        assert peer._proc.returncode is not None
 
 
 # A peer that reads every line and answers none, so the run stays deterministic.
