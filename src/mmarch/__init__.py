@@ -38,8 +38,8 @@ from .memory import (
     context_vector,
 )
 from .metrics import metrics
-from .model import ModelDefinition, dumps_model, load_model, parse_model, write_model
-from .productions import Action, Condition, Production, UtilityLearner
+from .model import ActionDef, ModelDefinition, dumps_model, load_model, parse_model, write_model
+from .productions import Condition, Production, UtilityLearner
 from .runtime import Session, run
 from .shadows import ShadowSystem
 from .trace import Trace, TraceEvent, read_trace, trace_to_bytes, write_trace

@@ -34,16 +34,39 @@ from .memory import (
     DEFAULT_SPREAD_WEIGHT,
 )
 from .predictors import DEFAULT_EMIT_ISA, DEFAULT_EMIT_SLOT, DEFAULT_ORDER
-from .productions import (
-    ACTION_KINDS,
-    DEFAULT_FORMATION_THRESHOLD,
-    DEFAULT_LEARNING_RATE,
-    DEFAULT_PROVISIONAL_TTL,
-    DEFAULT_TIME_COST,
-)
+
+DEFAULT_LEARNING_RATE = 0.2
+DEFAULT_TIME_COST = 0.0
+DEFAULT_FORMATION_THRESHOLD = 2.0
+DEFAULT_PROVISIONAL_TTL = 60.0
 
 # Kept in every canonical model file; nothing in the runtime reads it.
 DEFAULT_CLEANUP_THRESHOLD = 0.2
+
+
+@dataclass(frozen=True)
+class ActionKind:
+    """What an action kind needs set, who may use it, and whether it may be urgent.
+
+    ``needs`` names :class:`ActionDef` fields (``target``, ``chunk``,
+    ``query``, ``amount``); a kind that needs ``chunk`` instantiates a chunk
+    template when fired, one that needs ``query`` a query template (see
+    :func:`.productions.fire`), and one that needs ``target`` writes that
+    buffer (see :func:`.productions.buffer_write`).
+    """
+
+    needs: tuple[str, ...] = ()
+    central_only: bool = False
+    may_be_urgent: bool = False
+
+
+ACTION_KINDS = {
+    "write-buffer": ActionKind(("target", "chunk"), may_be_urgent=True),
+    "clear-buffer": ActionKind(("target",)),
+    "post-query": ActionKind(("target", "query")),
+    "emit-reward": ActionKind(("amount",), central_only=True),
+    "halt": ActionKind(central_only=True),
+}
 
 # Predictor kind -> the optional fields the canonical form always carries for it.
 PREDICTOR_KINDS = {

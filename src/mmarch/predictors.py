@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import select
 import socket
 import subprocess
 import threading
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -33,6 +36,9 @@ PROTOCOL_PREDICTION = "prediction"
 DEFAULT_ORDER = 2
 DEFAULT_EMIT_ISA = "word"
 DEFAULT_EMIT_SLOT = "value"
+
+# Seconds a peer gets to take one whole context line, and to exit on close.
+PEER_TIMEOUT_S = 2.0
 
 
 @dataclass
@@ -223,8 +229,9 @@ class ExternalPredictor:
     Context lines go out on every broadcast; a background thread hands each
     prediction line, undecoded bytes with the cycle of the last context
     sent, to the sink given to :meth:`start`, and the line is decoded, and
-    may become a deposit, only when the runtime drains.  A dead peer marks
-    the predictor stalled: the run continues and no further sends are
+    may become a deposit, only when the runtime drains.  A dead peer, or one
+    that takes longer than :data:`PEER_TIMEOUT_S` to take a context line,
+    marks the predictor stalled: the run continues and no further sends are
     attempted.
     """
 
@@ -241,7 +248,7 @@ class ExternalPredictor:
         self.last_context_cycle = -1
         self._proc: subprocess.Popen | None = None
         self._sock: socket.socket | None = None
-        self._writer = None
+        self._out: int | None = None  # the fd context lines are written to
         self._reader_thread: threading.Thread | None = None
         self._sink = None
 
@@ -253,14 +260,14 @@ class ExternalPredictor:
                 self._proc = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                     stderr=subprocess.DEVNULL)
-                self._writer = self._proc.stdin
+                self._out = self._proc.stdin.fileno()
+                os.set_blocking(self._out, False)
                 reader = self._proc.stdout
             else:
                 self._sock = socket.create_connection((self.host, self.port), timeout=5.0)
                 self._sock.settimeout(None)  # the bound is for connecting; a peer may be quiet
-                handle = self._sock.makefile("rwb")
-                self._writer = handle
-                reader = handle
+                self._out = self._sock.fileno()
+                reader = self._sock.makefile("rb")
         except OSError:
             self.stalled = True
             return
@@ -280,13 +287,30 @@ class ExternalPredictor:
         self.stalled = True
 
     def send_context(self, line: str, cycle: int) -> bool:
-        """Write one context line; returns False when the peer is gone."""
-        if self.stalled or self._writer is None:
+        """Write one whole context line; returns False when the peer is gone.
+
+        A peer that has not taken the whole line within
+        :data:`PEER_TIMEOUT_S` is marked stalled too, so a peer that stops
+        reading cannot block the run.  Each socket send is non-blocking on
+        its own (``MSG_DONTWAIT``): the socket stays blocking, since the
+        reader's file shares it.
+        """
+        if self.stalled or self._out is None:
             return False
+        data = memoryview(line.encode("utf-8") + b"\n")
+        deadline = time.monotonic() + PEER_TIMEOUT_S
         try:
-            self._writer.write(line.encode("utf-8") + b"\n")
-            self._writer.flush()
-        except (OSError, ValueError, BrokenPipeError):
+            while data:
+                try:
+                    data = data[os.write(self._out, data) if self._sock is None
+                                else self._sock.send(data, socket.MSG_DONTWAIT):]
+                except BlockingIOError:
+                    wait = deadline - time.monotonic()
+                    if wait <= 0 or not select.select([], [self._out], [], wait)[1]:
+                        break
+        except (OSError, ValueError):  # BrokenPipeError among them
+            pass
+        if data:
             self.stalled = True
             return False
         self.last_context_cycle = cycle
@@ -294,11 +318,12 @@ class ExternalPredictor:
 
     def close(self) -> None:
         """Disconnect the peer and wait, briefly, for the reader to end."""
+        self._out = None  # its fd number may be reused once closed
         if self._proc is not None:
             try:
                 self._proc.stdin.close()
                 self._proc.terminate()
-                self._proc.wait(timeout=2.0)
+                self._proc.wait(timeout=PEER_TIMEOUT_S)
             except (OSError, subprocess.TimeoutExpired):
                 self._proc.kill()
                 self._proc.wait()
@@ -309,4 +334,4 @@ class ExternalPredictor:
                 pass
             self._sock.close()
         if self._reader_thread is not None:
-            self._reader_thread.join(timeout=2.0)
+            self._reader_thread.join(timeout=PEER_TIMEOUT_S)

@@ -9,6 +9,10 @@ bindings across conditions.  Conflict resolution is argmax by utility with a
 lexicographic tie-break, so runs are deterministic.  Utilities learn by a
 time-discounted delta rule, and sufficiently active middle-memory entries
 spawn provisional retrieval productions that survive only if rewarded.
+
+A production fires the model's own :class:`.model.ActionDef` records; the
+action kinds (:class:`.model.ActionKind`, :data:`.model.ACTION_KINDS`) and
+the learning defaults are declared in :mod:`.model`.
 """
 
 from __future__ import annotations
@@ -19,35 +23,13 @@ from dataclasses import dataclass
 from .chunks import WILDCARD, Chunk, ChunkFactory, Query, Template, is_reference, match_query
 from .errors import BindingError
 from .memory import MiddleMemory, WorkingMemory
-
-DEFAULT_LEARNING_RATE = 0.2
-DEFAULT_TIME_COST = 0.0
-DEFAULT_FORMATION_THRESHOLD = 2.0
-DEFAULT_PROVISIONAL_TTL = 60.0
-
-
-@dataclass(frozen=True)
-class ActionKind:
-    """What an action kind needs set, who may use it, and whether it may be urgent.
-
-    ``needs`` names model fields (``target``, ``chunk``, ``query``,
-    ``amount``); a kind that needs ``chunk`` instantiates a chunk template
-    when fired, one that needs ``query`` a query template, and one that
-    needs ``target`` writes that buffer (see :func:`buffer_write`).
-    """
-
-    needs: tuple[str, ...] = ()
-    central_only: bool = False
-    may_be_urgent: bool = False
-
-
-ACTION_KINDS = {
-    "write-buffer": ActionKind(("target", "chunk"), may_be_urgent=True),
-    "clear-buffer": ActionKind(("target",)),
-    "post-query": ActionKind(("target", "query")),
-    "emit-reward": ActionKind(("amount",), central_only=True),
-    "halt": ActionKind(central_only=True),
-}
+from .model import (
+    ACTION_KINDS,
+    DEFAULT_LEARNING_RATE,
+    DEFAULT_PROVISIONAL_TTL,
+    DEFAULT_TIME_COST,
+    ActionDef,
+)
 
 
 @dataclass(frozen=True)
@@ -64,15 +46,6 @@ class Condition:
     negated: bool = False
 
 
-@dataclass(frozen=True)
-class Action:
-    kind: str
-    target: str | None = None
-    template: Template | None = None
-    amount: float = 0.0
-    urgent: bool = False
-
-
 @dataclass
 class Production:
     """Condition/action rule with a learned utility.
@@ -85,7 +58,7 @@ class Production:
     name: str
     owner: str
     conditions: tuple[Condition, ...]
-    actions: tuple[Action, ...]
+    actions: tuple[ActionDef, ...]
     utility: float = 0.0
     permanent: bool = True
     created_at: float | None = None
@@ -210,7 +183,7 @@ def resolve(conflict: list[Match]) -> Match | None:
 
 
 def fire(production: Production, bindings: dict[str, str],
-         factory: ChunkFactory) -> list[tuple[Action, Chunk | Query | None]]:
+         factory: ChunkFactory) -> list[tuple[ActionDef, Chunk | Query | None]]:
     """Each of the production's actions, in listed order, paired with the
     chunk or query it instantiates (None for a kind that needs neither).
 
@@ -222,13 +195,14 @@ def fire(production: Production, bindings: dict[str, str],
         needs = ACTION_KINDS[action.kind].needs
         content = None
         if "chunk" in needs or "query" in needs:
-            content = instantiate(action.template, bindings, factory, production.name,
-                                  query="query" in needs)
+            query = "query" in needs
+            content = instantiate(action.query if query else action.chunk, bindings,
+                                  factory, production.name, query=query)
         fired.append((action, content))
     return fired
 
 
-def buffer_write(action: Action, content) -> tuple[Chunk | Query | None, bool] | None:
+def buffer_write(action: ActionDef, content) -> tuple[Chunk | Query | None, bool] | None:
     """The ``(content, urgent)`` a fired action writes to its target, or None.
 
     A clear writes ``None``; only a kind that may be urgent writes urgently.
@@ -317,8 +291,8 @@ def form_retrieval_production(entry, system: str, buffer: str, existing,
         name=f"retrieve-{entry.id}",
         owner=system,
         conditions=(Condition(pattern=pattern, mm_tags=tags),),
-        actions=(Action("write-buffer", target=buffer,
-                        template=Template.from_chunk(entry.chunk)),),
+        actions=(ActionDef("write-buffer", target=buffer,
+                           chunk=Template.from_chunk(entry.chunk)),),
         utility=0.0,
         permanent=False,
         created_at=now,

@@ -65,8 +65,6 @@ from .predictors import (
     encode_context,
 )
 from .productions import (
-    ACTION_KINDS,
-    Action,
     Condition,
     MatchView,
     Production,
@@ -164,13 +162,8 @@ class Session:
             Condition(pattern=_to_query(c.pattern, self.factory),
                       buffer=c.buffer, mm_tags=c.mm_tags, negated=c.negated)
             for c in pdef.conditions)
-        actions = tuple(
-            Action(kind=a.kind, target=a.target,
-                   template=a.query if "query" in ACTION_KINDS[a.kind].needs else a.chunk,
-                   amount=a.amount, urgent=a.urgent)
-            for a in pdef.actions)
         return Production(name=pdef.name, owner=owner, conditions=conditions,
-                          actions=actions, utility=pdef.utility,
+                          actions=pdef.actions, utility=pdef.utility,
                           permanent=pdef.permanent)
 
     def _build_predictor(self, pdef):

@@ -6,9 +6,10 @@ at most one knob edit (``EDITS``).  Three more cells run generated models: two
 cycles with every entry forming a production, and a noisy linked-facts
 model for 200.
 ``differential.json`` beside this file maps each cell name to its digest;
-``test_differential.py`` recomputes every cell and names each one that
-differs.  A change that alters any cell lists the cells and the reason in
-CHANGES.md, as a golden re-pin does.
+``test_differential.py`` recomputes every cell once, names each one that
+differs, and checks the learner's rules on the same traces.  A change that
+alters any cell lists the cells and the reason in CHANGES.md, as a golden
+re-pin does.
 
     PYTHONPATH=src python tests/differential.py          # name the differing cells
     PYTHONPATH=src python tests/differential.py --write  # rewrite the manifest
@@ -27,9 +28,9 @@ MANIFEST = HERE / "differential.json"
 sys.path.append(str(HERE.parent / "bench"))  # for workloads.mm_scale_document
 
 from mmarch import demos  # noqa: E402
-from mmarch.model import parse_model  # noqa: E402
+from mmarch.model import ModelDefinition, parse_model  # noqa: E402
 from mmarch.runtime import run  # noqa: E402
-from mmarch.trace import trace_to_bytes  # noqa: E402
+from mmarch.trace import Trace, trace_to_bytes  # noqa: E402
 from test_runtime import linked_facts_doc  # noqa: E402
 from workloads import mm_scale_document  # noqa: E402
 
@@ -71,14 +72,14 @@ EDITS = {
 
 
 def _run(doc: dict, mode: str, seed: int, reverse: bool = False,
-         cycles: int = CYCLES) -> bytes:
+         cycles: int = CYCLES) -> tuple[ModelDefinition, Trace]:
     model = parse_model(doc)
     order = list(range(len(model.shadow_systems)))[::-1] if reverse else None
-    return trace_to_bytes(run(model, cycles, mode=mode, seed=seed, shadow_step_order=order))
+    return model, run(model, cycles, mode=mode, seed=seed, shadow_step_order=order)
 
 
 def cells() -> dict:
-    """Cell name -> a function returning that cell's trace bytes."""
+    """Cell name -> a function returning that cell's ``(model, trace)``."""
     out = {}
     for name in demos.names():
         source = demos.path(name).read_text(encoding="utf-8")
@@ -105,8 +106,12 @@ def cells() -> dict:
     return out
 
 
+def digest(trace: Trace) -> str:
+    return hashlib.sha256(trace_to_bytes(trace)).hexdigest()
+
+
 def digests() -> dict[str, str]:
-    return {name: hashlib.sha256(cell()).hexdigest() for name, cell in cells().items()}
+    return {name: digest(cell()[1]) for name, cell in cells().items()}
 
 
 def main(argv=None) -> int:

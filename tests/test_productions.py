@@ -9,9 +9,8 @@ from mmarch import demos, productions
 from mmarch.chunks import Chunk, ChunkFactory, match_query
 from mmarch.errors import BindingError
 from mmarch.memory import MiddleMemory, WorkingMemory
-from mmarch.model import load_model
+from mmarch.model import ActionDef, load_model
 from mmarch.productions import (
-    Action,
     Condition,
     MatchView,
     Production,
@@ -337,10 +336,10 @@ class TestResolve:
 class TestFire:
     def test_effects_in_listed_order_with_bindings(self, factory):
         p = _prod(factory, "p", [], actions=[
-            Action("write-buffer", target="goal",
-                   template=Template("goal", (("state", "flee"), ("danger", "?level")))),
-            Action("emit-reward", amount=10.0),
-            Action("halt"),
+            ActionDef("write-buffer", target="goal",
+                      chunk=Template("goal", (("state", "flee"), ("danger", "?level")))),
+            ActionDef("emit-reward", amount=10.0),
+            ActionDef("halt"),
         ])
         effects = fire(p, {"level": "high"}, factory)
         assert [a.kind for a, _ in effects] == ["write-buffer", "emit-reward", "halt"]
@@ -349,8 +348,8 @@ class TestFire:
 
     def test_unresolved_reference_reports_production(self, factory):
         p = _prod(factory, "broken", [], actions=[
-            Action("write-buffer", target="goal",
-                   template=Template("goal", (("state", "?missing"),)))])
+            ActionDef("write-buffer", target="goal",
+                      chunk=Template("goal", (("state", "?missing"),)))])
         with pytest.raises(BindingError, match="broken"):
             fire(p, {}, factory)
 
@@ -362,8 +361,8 @@ class TestFire:
 
     def test_post_query_keeps_wildcards(self, factory):
         p = _prod(factory, "ask", [], actions=[
-            Action("post-query", target="declarative",
-                   template=Template("dog", (("name", "?"), ("breed", "labrador"))))])
+            ActionDef("post-query", target="declarative",
+                      query=Template("dog", (("name", "?"), ("breed", "labrador"))))])
         effects = fire(p, {}, factory)
         query = effects[0][1]
         assert query.slots == (("name", "?"), ("breed", "labrador"))

@@ -335,6 +335,18 @@ class TestDeterminism:
         assert a.events == b.events  # reference predictors consume symbols
 
 
+class TestConstruction:
+    def test_productions_fire_the_models_own_actions(self, model):
+        session = Session(model, mode="mm", seed=0)
+        pairs = list(zip(session.central_productions, model.central_productions,
+                         strict=True))
+        for system, sdef in zip(session.systems, model.shadow_systems, strict=True):
+            pairs += zip(system.productions, sdef.productions, strict=True)
+        assert len(pairs) > len(model.central_productions) > 0
+        for production, pdef in pairs:
+            assert production.actions is pdef.actions
+
+
 class TestPhases:
     def test_no_central_fire_precedes_cycle_deposits(self, model):
         trace = run(model, 40, mode="mm", seed=0)

@@ -4,7 +4,8 @@ import pytest
 
 from mmarch.chunks import ChunkFactory, complete_query
 from mmarch.memory import MiddleMemory, WorkingMemory
-from mmarch.productions import Action, Condition, Production, Template
+from mmarch.model import ActionDef
+from mmarch.productions import Condition, Production, Template
 from mmarch.shadows import ShadowSystem, decide_shadow
 
 
@@ -33,8 +34,8 @@ def _watch_production(factory, name="watch", tags=("vision", "emotion")):
         conditions=(Condition(
             pattern=factory.make_query("percept", [("value", "?")]),
             mm_tags=tags),),
-        actions=(Action("write-buffer", target="vision",
-                        template=Template("percept", (("value", "?value"),))),))
+        actions=(ActionDef("write-buffer", target="vision",
+                           chunk=Template("percept", (("value", "?value"),))),))
 
 
 class TestShadowStep:
@@ -61,8 +62,8 @@ class TestShadowStep:
             name="context", owner="vision",
             conditions=(Condition(pattern=factory.make_query("goal", [("state", "hunt")]),
                                   buffer="goal"),),
-            actions=(Action("write-buffer", target="vision",
-                            template=Template("alert", ())),))
+            actions=(ActionDef("write-buffer", target="vision",
+                               chunk=Template("alert", ())),))
         system = _system("vision", "vision", ["vision"], [p])
         assert decide_shadow(system, wm, MiddleMemory(), 1.0).kind == "fire"
 
@@ -125,8 +126,8 @@ class TestAnswerQuery:
         always = Production(
             name="always", owner="declarative",
             conditions=(Condition(pattern=None, buffer="goal", negated=True),),
-            actions=(Action("write-buffer", target="declarative",
-                            template=Template("noise", ())),))
+            actions=(ActionDef("write-buffer", target="declarative",
+                               chunk=Template("noise", ())),))
         query = factory.make_query("dog", [("name", "?"), ("breed", "labrador")])
         wm.write("central", "declarative", query)
         system = _system("declarative", "declarative", ["semantic"], [always])

@@ -1,5 +1,6 @@
 """External predictor wire protocol: framing, validation, child processes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmarch import demos
+from mmarch import demos, predictors
 from mmarch.chunks import ChunkFactory
 from mmarch.errors import ChunkError
 from mmarch.model import load_model, parse_model
@@ -343,6 +344,27 @@ class TestChildProcess:
             peer.close()
         assert peer._proc.returncode is not None
 
+    def test_a_peer_that_stops_reading_stalls_within_the_bound(self, monkeypatch):
+        """Context lines of 1,024 floats fill the pipe to a peer that never
+        reads within a few cycles; the run must go on without it."""
+        monkeypatch.setattr(predictors, "PEER_TIMEOUT_S", 0.2)
+        model = _external_model([sys.executable, "-c", "import time; time.sleep(30)"])
+        model = dataclasses.replace(
+            model, codebook=dataclasses.replace(model.codebook, dimension=1024))
+        session = Session(model, mode="mm", seed=0)
+        try:
+            for _ in range(40):
+                session.step()
+        finally:
+            session.finish()
+        assert session.cycle == 40
+        assert session.predictors[0]._proc.returncode is not None
+        stalls = [e for e in session.trace.by_kind("error") if "stalled" in e.data["message"]]
+        assert [e.data["predictor"] for e in stalls] == ["peer"]
+        assert "'peer'" in stalls[0].data["message"]
+        assert not [e for e in session.trace.by_kind("delivery")
+                    if e.data["predictor"] == "peer" and e.seq > stalls[0].seq]
+
 
 # A peer that reads every line and answers none, so the run stays deterministic.
 SILENT_PEER = "import sys\nfor line in sys.stdin:\n    pass\n"
@@ -498,3 +520,29 @@ class TestTcpTransport:
         # finishing disconnects the peer: the server's read ends, and so does ours
         assert disconnected.wait(1.0)
         assert not session.predictors[0]._reader_thread.is_alive()
+
+    def test_a_server_that_stops_reading_stalls_within_the_bound(self, monkeypatch):
+        """Sends never block: once neither side's 8 KB buffer has room for
+        a line, the line times out and the peer is stalled."""
+        monkeypatch.setattr(predictors, "PEER_TIMEOUT_S", 0.2)
+        line = encode_context(0, np.ones(256) / 16.0, ["x"])  # about 2 KB
+        with socket.socket() as server:
+            server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            server.bind(("127.0.0.1", 0))
+            server.listen()
+            peer = ExternalPredictor("sock", "vision", host="127.0.0.1",
+                                     port=server.getsockname()[1])
+            peer.start(queue.SimpleQueue().put)
+            conn, _ = server.accept()  # and never read from
+            try:
+                peer._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                start = time.monotonic()
+                sent = [peer.send_context(line, cycle) for cycle in range(200)]
+                elapsed = time.monotonic() - start
+            finally:
+                peer.close()
+                conn.close()
+        stalled_at = sent.index(False)
+        assert 0 < stalled_at and not any(sent[stalled_at:])
+        assert peer.stalled and peer.last_context_cycle == stalled_at - 1
+        assert elapsed < 2.0
