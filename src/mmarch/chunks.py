@@ -170,14 +170,9 @@ class Query:
         return f"{self.ctype}?({inner})" if inner else f"{self.ctype}?()"
 
 
-def _checked(ctype, slots, *, wildcards: bool) -> tuple[tuple[str, str], ...]:
-    """``slots`` (pairs or a mapping) as a tuple of pairs; raises the first
-    :func:`pattern_errors` violation as a :class:`ChunkError`."""
-    slots = tuple(slots.items() if hasattr(slots, "items") else slots)
-    errors = pattern_errors(ctype, slots, wildcards=wildcards)
-    if errors:
-        raise ChunkError(errors[0][1])
-    return slots
+# Legal contents a factory remembers; at this many it forgets them all and
+# refills, so a run that builds ever-new contents keeps a bounded set.
+_LEGAL_CAP = 4096
 
 
 class ChunkFactory:
@@ -185,18 +180,52 @@ class ChunkFactory:
 
     A run owns one factory so that ids, and therefore traces, are
     reproducible regardless of what else the process has created.
+
+    A factory also remembers the contents it has found legal, as
+    ``(wildcards, ctype, slots)`` keys: a run builds most of its chunks
+    from a handful of contents, and each is checked against the grammar
+    only the first time.  A remembered key is an equal tuple that already
+    passed every check, so no result or message changes.
     """
 
     def __init__(self):
         self._count = itertools.count()
+        self._legal: set[tuple] = set()
+
+    def _checked(self, ctype, slots, *, wildcards: bool) -> tuple[tuple[str, str], ...]:
+        """``slots`` (pairs or a mapping) as a tuple of pairs; raises the first
+        :func:`pattern_errors` violation as a :class:`ChunkError`.
+
+        A content whose key this factory remembers returns at once.  Any
+        other content takes the full check, and its key is remembered only
+        once that check has passed.  ``wildcards`` is part of the key, so a
+        ``"?"`` accepted in a query is still refused in a chunk; an
+        unhashable content (a list from a bad document) is checked in full
+        every time.
+        """
+        slots = tuple(slots.items() if hasattr(slots, "items") else slots)
+        key = (wildcards, ctype, slots)
+        try:
+            if key in self._legal:
+                return slots
+        except TypeError:
+            key = None
+        errors = pattern_errors(ctype, slots, wildcards=wildcards)
+        if errors:
+            raise ChunkError(errors[0][1])
+        if key is not None:
+            if len(self._legal) >= _LEGAL_CAP:
+                self._legal.clear()
+            self._legal.add(key)
+        return slots
 
     def make(self, ctype: str, slots=()) -> Chunk:
         """Build a chunk with this factory's next id."""
-        return Chunk(ctype, _checked(ctype, slots, wildcards=False), next(self._count))
+        return Chunk(ctype, self._checked(ctype, slots, wildcards=False), next(self._count))
 
     def make_query(self, ctype: str, slots=()) -> Query:
         """Build a query with this factory's next id."""
-        return Query(ctype, _checked(ctype, slots, wildcards=True), next(self._count))
+        return Query(ctype, self._checked(ctype, slots, wildcards=True), next(self._count))
 
 
 # Chunks and queries built outside a run take their ids from this one

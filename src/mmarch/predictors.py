@@ -40,6 +40,11 @@ DEFAULT_EMIT_SLOT = "value"
 # Seconds a peer gets to take one whole context line, and to exit on close.
 PEER_TIMEOUT_S = 2.0
 
+# Contexts a built-in predictor remembers its answer to; at this many it
+# forgets them all and refills.
+_ANSWERS_CAP = 4096
+_UNSEEN = object()
+
 
 @dataclass
 class Prediction:
@@ -77,6 +82,7 @@ class NgramPredictor:
         self.rate = rate
         self.emit_ctype = emit_ctype
         self.emit_slot = emit_slot
+        self._answers: dict[tuple[str, ...], tuple[str, float] | None] = {}
         self._counts: dict[tuple[str, ...], Counter] = {}
         for sequence in corpus:
             sequence = list(sequence)
@@ -103,7 +109,21 @@ class NgramPredictor:
         return None
 
     def deliver(self, symbols: list[str], cycle: int) -> list[Prediction]:
-        got = self.predict(symbols)
+        """This cycle's emissions for the context ``symbols``.
+
+        ``predict`` is a pure function of the tables fixed at construction
+        and of the symbols in their order, so each distinct context is
+        answered once and its answer remembered, keyed by the symbols'
+        tuple, until ``_ANSWERS_CAP`` contexts clear the memo.  The
+        emissions built from an answer are new on every call.
+        """
+        key = tuple(symbols)
+        got = self._answers.get(key, _UNSEEN)
+        if got is _UNSEEN:
+            got = self.predict(symbols)
+            if len(self._answers) >= _ANSWERS_CAP:
+                self._answers.clear()
+            self._answers[key] = got
         if got is None or self.rate < 1:
             return []
         symbol, salience = got
@@ -130,6 +150,7 @@ class AssociativePredictor:
         self.rate = rate
         self.emit_ctype = emit_ctype
         self.emit_slot = emit_slot
+        self._answers: dict[tuple[str, ...], tuple[str, float] | None] = {}
         self._table: dict[str, Counter] = {}
         for pair in pairs:
             a, b = pair[0], pair[1]

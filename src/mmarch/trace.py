@@ -25,7 +25,7 @@ EVENT_KINDS = frozenset({
 })
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     cycle: int
     seq: int

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmarch import chunks
 from mmarch.chunks import (
     ChunkFactory,
     Query,
@@ -131,6 +132,89 @@ def test_factory_ids_are_sequential_per_factory():
     ids1 = [f1.make("a").id for _ in range(3)]
     ids2 = [f2.make("a").id for _ in range(3)]
     assert ids1 == [0, 1, 2] == ids2
+
+
+def _refusal(make, ctype, slots) -> str:
+    with pytest.raises(ChunkError) as caught:
+        make(ctype, slots)
+    return str(caught.value)
+
+
+def _count_full_checks(monkeypatch) -> list:
+    """Record each call a factory makes to :func:`pattern_errors`."""
+    calls, full = [], chunks.pattern_errors
+    monkeypatch.setattr(chunks, "pattern_errors",
+                        lambda *args, **kwargs: calls.append(args) or full(*args, **kwargs))
+    return calls
+
+
+class TestLegalContentMemo:
+    """A factory checks each content in full once; what it remembers
+    changes neither what it accepts nor what a refusal says."""
+
+    def test_illegal_symbol_refused_after_thousands_of_legal_contents(self):
+        factory = ChunkFactory()
+        for i in range(3000):
+            factory.make("word", [("value", f"w{i}")])
+            factory.make_query("word", [("value", f"w{i}"), ("next", WILDCARD)])
+        for ctype, slots in (("word", [("value", "a b")]), ("a:b", [("value", "w1")]),
+                             ("word", [("value", "w1"), ("value", "w2")]),
+                             ("word", [("isa", "w1")])):
+            expected = pattern_errors(ctype, slots)[0][1]
+            for _ in range(2):  # a refused content is never remembered
+                assert _refusal(factory.make, ctype, slots) == expected
+                assert _refusal(factory.make_query, ctype, slots) == expected
+
+    @pytest.mark.parametrize("ctype, slots", [
+        ("q", [("v", WILDCARD)]), (WILDCARD, [("v", "x")]), (WILDCARD, ())])
+    def test_query_content_is_still_refused_as_a_chunk(self, ctype, slots):
+        factory = ChunkFactory()
+        query = factory.make_query(ctype, slots)
+        expected = pattern_errors(ctype, slots)[0][1]
+        for _ in range(2):
+            assert _refusal(factory.make, ctype, slots) == expected
+            assert factory.make_query(ctype, slots) == query
+
+    @pytest.mark.parametrize("bad", [["x"], 7, None, {"x": "y"}])
+    def test_bad_value_still_named_after_its_legal_form(self, bad):
+        factory = ChunkFactory()
+        factory.make("t", [("v", "x")])
+        factory.make("t", {"v": "x"})
+        for ctype, slots in (("t", [("v", bad)]), ("t", {"v": bad}), (bad, [("v", "x")])):
+            expected = pattern_errors(ctype, tuple(dict(slots).items()))[0][1]
+            for _ in range(2):
+                assert _refusal(factory.make, ctype, slots) == expected
+
+    def test_at_the_cap_the_set_clears_and_refills(self, monkeypatch):
+        monkeypatch.setattr(chunks, "_LEGAL_CAP", 3)
+        factory = ChunkFactory()
+        for value in "abc":
+            factory.make("t", [("v", value)])
+        calls = _count_full_checks(monkeypatch)
+        factory.make("t", [("v", "c")])
+        assert calls == []  # remembered
+        chunk = factory.make("t", [("v", "d")])  # the fourth content: a full check, then a clear
+        assert chunk.slots == (("v", "d"),) and calls == [("t", (("v", "d"),))]
+        factory.make("t", [("v", "d")])
+        assert len(calls) == 1
+        factory.make("t", [("v", "a")])  # forgotten at the clear, so checked again
+        assert len(calls) == 2
+        with pytest.raises(ChunkError):
+            factory.make("t", [("v", "a b")])
+
+    def test_factories_do_not_share_what_they_remember(self, monkeypatch):
+        first, second = ChunkFactory(), ChunkFactory()
+        first.make("t", [("v", "x")])
+        calls = _count_full_checks(monkeypatch)
+        second.make("t", [("v", "x")])
+        first.make("t", [("v", "x")])
+        assert calls == [("t", (("v", "x"),))]
+
+    def test_ids_are_drawn_on_every_call(self):
+        factory = ChunkFactory()
+        made = [factory.make("t", [("v", "x")]) for _ in range(3)]
+        made.append(factory.make_query("t", [("v", "x")]))
+        assert [c.id for c in made] == [0, 1, 2, 3]
 
 
 @st.composite

@@ -29,6 +29,10 @@ from mmarch.trace import trace_to_bytes
 from test_acceptance import random_model_docs
 from test_runtime import linked_facts_doc, multi_step_model_docs
 
+# Largest linked-facts memory the oracle draws: twice ``COLUMN_MIN_ENTRIES``
+# (48), fixed here so the strategy stays valid if that constant moves to 0.
+LINKED_FACTS_MAX = 96
+
 
 class NaiveMiddleMemory(MiddleMemory):
     """Every read evaluates every entry again; candidate reads scan."""
@@ -87,7 +91,7 @@ def test_multi_step_models_match_the_naive_memory(data):
 
 
 @oracle(15)
-@given(size=st.integers(8, 2 * memory.COLUMN_MIN_ENTRIES),
+@given(size=st.integers(8, LINKED_FACTS_MAX),
        noise=st.sampled_from([0.0, 0.3, 1.0]), links=st.integers(0, 4),
        seed=st.integers(0, 9))
 def test_linked_facts_match_the_naive_memory(size, noise, links, seed):

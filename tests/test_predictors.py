@@ -1,7 +1,9 @@
 """Reference predictors and the order their predictions are drained in."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mmarch import predictors
 from mmarch.predictors import AssociativePredictor, NgramPredictor, Prediction
 
 
@@ -116,6 +118,55 @@ class TestAssociative:
         first = p.predict(["dog"])
         assert first == ("bone", 1.0)
         assert all(p.predict(["dog"]) == first for _ in range(3))
+
+
+symbols = st.sampled_from("abcde")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), cap=st.sampled_from([predictors._ANSWERS_CAP, 1, 2, 3]),
+       rate=st.integers(0, 2), ngram=st.booleans())
+def test_remembered_answers_equal_a_fresh_predictors(data, cap, rate, ngram):
+    """``deliver`` answers as ``predict`` of a predictor that has seen no
+    context, for every context twice, the same symbols in other orders, and
+    runs that clear the memo at a small cap."""
+    if ngram:
+        corpus = data.draw(st.lists(st.lists(symbols, max_size=6), max_size=4), label="corpus")
+        order = data.draw(st.integers(0, 3), label="order")
+
+        def build():
+            return NgramPredictor("n", "language", corpus, order=order, rate=rate)
+    else:
+        pairs = data.draw(st.lists(st.one_of(
+            st.tuples(symbols, symbols),
+            st.tuples(symbols, symbols, st.integers(1, 3))), max_size=6), label="pairs")
+
+        def build():
+            return AssociativePredictor("a", "vision", pairs, rate=rate)
+    contexts = []
+    for context in data.draw(st.lists(st.lists(symbols, max_size=4), min_size=1, max_size=6),
+                             label="contexts"):
+        contexts += [context, data.draw(st.permutations(context), label="reordered")]
+    contexts += contexts  # every context delivered again, after the others
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(predictors, "_ANSWERS_CAP", cap)
+        predictor = build()
+        for cycle, context in enumerate(contexts):
+            got = build().predict(context)
+            expected = [] if got is None else [
+                Prediction(tag=predictor.tag, predictor=predictor.name,
+                           produced_at_cycle=cycle, emission_index=i, ctype="word",
+                           slots=(("value", got[0]),), salience=got[1])
+                for i in range(rate)]
+            assert predictor.deliver(context, cycle) == expected
+            assert predictor.deliver(list(context), cycle) == expected
+
+
+def test_remembered_answers_tell_symbol_orders_apart():
+    corpus = [["a", "b", "c"], ["b", "a", "d"]]
+    p = NgramPredictor("n", "language", corpus, order=2)
+    forward, backward = p.deliver(["b", "a"], 0), p.deliver(["a", "b"], 0)
+    assert [e.slots for e in forward + backward] == [(("value", "c"),), (("value", "d"),)]
 
 
 class TestIngestionQueue:
