@@ -201,7 +201,8 @@ class ChunkFactory:
         once that check has passed.  ``wildcards`` is part of the key, so a
         ``"?"`` accepted in a query is still refused in a chunk; an
         unhashable content (a list from a bad document) is checked in full
-        every time.
+        every time, and once it passes, its pairs (lists, say) become tuples,
+        so every chunk and query hashes.
         """
         slots = tuple(slots.items() if hasattr(slots, "items") else slots)
         key = (wildcards, ctype, slots)
@@ -213,10 +214,11 @@ class ChunkFactory:
         errors = pattern_errors(ctype, slots, wildcards=wildcards)
         if errors:
             raise ChunkError(errors[0][1])
-        if key is not None:
-            if len(self._legal) >= _LEGAL_CAP:
-                self._legal.clear()
-            self._legal.add(key)
+        if key is None:
+            return tuple(map(tuple, slots))
+        if len(self._legal) >= _LEGAL_CAP:
+            self._legal.clear()
+        self._legal.add(key)
         return slots
 
     def make(self, ctype: str, slots=()) -> Chunk:

@@ -14,7 +14,7 @@ import hashlib
 import heapq
 import math
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,13 +171,18 @@ class _Table:
     are by slot of the memory's :class:`_Columns`, NaN at a forgotten
     entry's slot: lists in a per-entry table, arrays in a column table.
     ``noise`` depends on the whole point, so only a rebuild at the same
-    point after forgetting reuses it.
+    point after forgetting reuses it.  ``listed`` is ``values`` as a list of
+    Python floats, for reads over given slots: ``values`` itself in a
+    per-entry table, a column's ``tolist()`` made on the table's first such
+    read.  No table's ``values`` change after it is built (forgetting builds
+    a new table), so the copy is never stale.
     """
 
     point: tuple  # (time, version, spreading sources)
     base: list[float] | np.ndarray
     values: list[float] | np.ndarray
     noise: list[float] | None = None  # the point's draws by slot, when noisy
+    listed: list[float] | None = None
 
 
 class _Columns:
@@ -218,8 +223,8 @@ class _Columns:
         self.stale: set[int] = set()  # ids to post again
         self.symbols: dict[str, int] = {}  # symbol -> code
         self.names: list[str] = []  # code -> symbol
-        self.codes = array("i")
-        self.owners = array("i")
+        self.codes = array("q")  # 64-bit, so numpy reads them as indices with no cast
+        self.owners = array("q")
         for entry in entries:
             self.add(entry)
 
@@ -328,7 +333,7 @@ class _Columns:
             for symbol in new - old:
                 posting = self.reach.get(symbol)
                 if posting is None:
-                    posting = self.reach[symbol] = array("i")
+                    posting = self.reach[symbol] = array("q")
                 posting.append(slot)
             self.posted[slot] = new
         self.stale.clear()
@@ -341,7 +346,7 @@ class _Columns:
             for symbol in symbols:
                 posting = self.reach.get(symbol)
                 if posting:
-                    hit[np.frombuffer(posting, np.intc)] = True
+                    hit[np.frombuffer(posting, np.int64)] = True
             count += hit
         return count
 
@@ -714,17 +719,18 @@ class MiddleMemory:
         ``slots`` in their order, or among all slots in slot (id) order when
         ``slots`` is None.  ``keep`` tests a float, or each element of an
         array, and fails the NaN of a forgotten entry's slot; this is the
-        one way any reader takes values from a table."""
+        one way any reader takes values from a table.  A read over given
+        slots tests floats from ``table.listed``, so a retrieval's few
+        candidates cost list reads, not numpy calls on short vectors."""
         values, entries = table.values, self._cols.entries
+        if slots is not None:
+            listed = table.listed
+            if listed is None:
+                listed = table.listed = values if isinstance(values, list) else values.tolist()
+            return [(entries[slot], listed[slot]) for slot in slots if keep(listed[slot])]
         if isinstance(values, list):
-            return [(entries[slot], values[slot])
-                    for slot in (range(len(values)) if slots is None else slots)
-                    if keep(values[slot])]
-        if slots is None:
-            slots = np.flatnonzero(keep(values))
-        else:
-            slots = np.asarray(slots, np.intp)
-            slots = slots[keep(values[slots])]
+            return [(entry, act) for entry, act in zip(entries, values) if keep(act)]
+        slots = np.flatnonzero(keep(values))
         return list(zip(map(entries.__getitem__, slots.tolist()), values[slots].tolist()))
 
     def _forget(self, gone: list[MMEntry], table: _Table) -> None:
@@ -780,16 +786,19 @@ def _softmax(acts: np.ndarray) -> np.ndarray:
 class Context:
     """One cycle's context broadcast, read in one pass over the table.
 
-    ``buffers`` are the non-empty buffers in name order, ``retrievable`` the
-    retrievable entries in id order with their activations, and ``weights``
-    those entries' softmax weights: what :func:`context_vector` reads, for
-    the peers that receive a vector.
+    ``buffers`` are the non-empty buffers in name order, ``slots`` the
+    retrievable entries' slots in slot (id) order, ``entries`` the memory's
+    entries by slot, and ``weights`` the retrievable entries' softmax
+    weights: what :func:`context_vector` reads, for the peers that receive
+    a vector.  ``entries`` is the memory's own list, so a context is read
+    before the memory next changes.
     """
 
     symbols: list[str]
     zero: bool  # the context's vector is the zero vector
     buffers: list[Buffer]
-    retrievable: list[tuple[MMEntry, float]]
+    slots: Sequence[int]
+    entries: list[MMEntry | None]
     weights: np.ndarray
 
 
@@ -803,7 +812,8 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
     packs to a vector and no entry is retrievable; nothing is packed here.
     A column table scores every symbol with one ``np.bincount`` over symbol
     codes (:func:`_top_by_codes`), a smaller table entry by entry; both
-    give the same scores, bit for bit.
+    give the same scores, bit for bit.  The context keeps the retrievable
+    entries' slots; only :func:`context_vector` looks their entries up.
     """
     buffers = [buf for _, buf in sorted(wm.buffers.items()) if buf.content is not None]
     zero = True
@@ -818,25 +828,27 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
             symbols.extend(values)
             zero = zero and content.ctype == WILDCARD and not values
     table, threshold = mm._table(wm, now), mm.retrieval_threshold
-    ranked = mm._where(table, lambda act: act >= threshold)
-    column = table.values if isinstance(table.values, np.ndarray) else None
-    if column is None:
-        weights = _softmax(np.array([act for _, act in ranked])) if ranked else np.empty(0)
-        top = _top_by_entries(symbols, ranked, weights, k)
+    acts, entries = table.values, mm._cols.entries
+    if isinstance(acts, list):
+        slots = [slot for slot, act in enumerate(acts) if act >= threshold]
+        weights = _softmax(np.array([acts[slot] for slot in slots])) if slots else np.empty(0)
+        top = _top_by_entries(symbols, [entries[slot] for slot in slots], weights, k)
     else:
-        keep = column >= threshold
-        weights = _softmax(column[keep]) if ranked else np.empty(0)
+        keep = acts >= threshold
+        slots = np.flatnonzero(keep)
+        weights = _softmax(acts[slots]) if len(slots) else np.empty(0)
         top = _top_by_codes(mm._cols, symbols, keep, weights, k)
-    return Context([sym for _, sym in top], zero and not ranked, buffers, ranked, weights)
+    return Context([sym for _, sym in top], zero and not len(slots), buffers, slots,
+                   entries, weights)
 
 
-def _top_by_entries(symbols: list[str], ranked: list[tuple[MMEntry, float]],
-                    weights: np.ndarray, k: int) -> list[tuple[float, str]]:
+def _top_by_entries(symbols: list[str], retrieved: list[MMEntry], weights: np.ndarray,
+                    k: int) -> list[tuple[float, str]]:
     """The ``k`` least ``(-score, symbol)``, scored one contribution at a time."""
     scores: dict[str, float] = {}
     for sym in symbols:
         scores[sym] = scores.get(sym, 0.0) + 1.0
-    for (entry, _), w in zip(ranked, weights.tolist()):
+    for entry, w in zip(retrieved, weights.tolist()):
         if entry.chunk is not None:
             for _, sym in entry.chunk.slots:
                 scores[sym] = scores.get(sym, 0.0) + w
@@ -852,12 +864,12 @@ def _top_by_codes(cols: _Columns, symbols: list[str], keep: np.ndarray,
     score is the same left fold.  Only the symbols scoring at least the
     ``k``-th largest score are ranked by name.
     """
-    owners = np.frombuffer(cols.owners, np.intc)
+    owners = np.frombuffer(cols.owners, np.int64)
     picked = keep[owners]
     by_slot = np.zeros(len(keep))
     by_slot[keep] = weights
-    codes = np.concatenate((np.array([cols.code(sym) for sym in symbols], np.intp),
-                            np.frombuffer(cols.codes, np.intc)[picked]))
+    codes = np.concatenate((np.array([cols.code(sym) for sym in symbols], np.int64),
+                            np.frombuffer(cols.codes, np.int64)[picked]))
     contributions = np.concatenate((np.ones(len(symbols)), by_slot[owners[picked]]))
     scores = np.bincount(codes, contributions, minlength=len(cols.names))
     present = np.flatnonzero(np.bincount(codes, minlength=len(cols.names)))
@@ -877,19 +889,20 @@ def context_vector(ctx: Context, book: Codebook) -> HoloVector:
     sum is row 0 of a stack whose rows below are the weighted entry vectors;
     reducing a C-contiguous stack along axis 0 adds the rows in order, so
     the result has the bits of a left fold.  A zero context gives the zero
-    vector; any other is normalized.
+    vector; any other is normalized.  The retrievable entries are read
+    here, from the context's slots, and nowhere else in the broadcast.
     """
     if ctx.zero:
         return np.zeros(book.dimension)
-    stack = np.empty((len(ctx.retrievable) + 1, book.dimension))
+    stack = np.empty((len(ctx.slots) + 1, book.dimension))
     total = stack[0]
     total.fill(0.0)
     for buf in ctx.buffers:
         packed = _packed_content(buf, book)
         if packed is not None:
             np.add(total, packed, out=total)
-    if ctx.retrievable:
+    if len(ctx.slots):
         rows = stack[1:]
-        np.stack([entry.payload_vector(book) for entry, _ in ctx.retrievable], out=rows)
+        np.stack([ctx.entries[slot].payload_vector(book) for slot in ctx.slots], out=rows)
         rows *= ctx.weights[:, None]
     return normalized(np.add.reduce(stack, axis=0))

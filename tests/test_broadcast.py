@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mmarch
-from mmarch import codec, demos, memory
+from mmarch import codec, demos, memory, runtime
 from mmarch.chunks import Chunk, ChunkFactory
 from mmarch.codec import Codebook, normalized, pack, pack_query
 from mmarch.memory import (
@@ -26,6 +26,7 @@ from mmarch.memory import (
     context_vector,
 )
 from mmarch.model import load_model, parse_model
+from mmarch.predictors import ExternalPredictor
 from mmarch.runtime import CONTEXT_SYMBOL_COUNT, Session, run_session
 
 from test_runtime import linked_facts_doc
@@ -128,9 +129,8 @@ class TestStackedReduction:
             vectors = [normalized(rng.standard_normal(dim)) for _ in range(n)]
             acts = rng.normal(0.0, 2.0, size=n)
             weights = _reference_softmax([(None, a) for a in acts]) if n else np.empty(0)
-            retrievable = [(MMEntry(id=i + 1, tag="t", vector=v), float(a))
-                           for i, (v, a) in enumerate(zip(vectors, acts))]
-            ctx = Context([], False, buffers, retrievable, weights)
+            entries = [MMEntry(id=i + 1, tag="t", vector=v) for i, v in enumerate(vectors)]
+            ctx = Context([], False, buffers, range(n), entries, weights)
             expected = self._left_fold(buffers, vectors, weights, book)
             assert np.array_equal(context_vector(ctx, book), expected), (n, dim)
             assert context_vector(ctx, book).tobytes() == expected.tobytes(), (n, dim)
@@ -165,6 +165,40 @@ def test_linked_facts_broadcast_matches_the_reference(noise):
             assert_matches_reference(session.wm, session.mm, session.book,
                                      session._cycle_time(session.cycle))
         session.finish()
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_a_broadcast_without_an_external_peer_reads_no_pairs(monkeypatch, noise):
+    """With no external peer, a broadcast reads no ``(entry, activation)``
+    pairs: symbols, weights and ``zero`` come from the kept slots alone.
+    The context it made still gives the reference vector, bit for bit.
+    Noise forgets facts until the tables are per-entry ones."""
+    session = Session(parse_model(linked_facts_doc(size=80, noise=noise)), mode="mm", seed=3)
+    assert not any(isinstance(p, ExternalPredictor) for p in session.predictors)
+    reads, made = [], []  # per _where read: all slots; per broadcast: (context, reads, columns)
+    where = MiddleMemory._where
+    monkeypatch.setattr(MiddleMemory, "_where", lambda self, table, keep, slots=None: (
+        reads.append(slots is None) or where(self, table, keep, slots)))
+
+    def broadcast(wm, mm, now, k):
+        before = len(reads)
+        ctx = context_symbols(wm, mm, now, k=k)
+        made.append((ctx, reads[before:], isinstance(mm._cached.values, np.ndarray)))
+        return ctx
+
+    monkeypatch.setattr(runtime, "context_symbols", broadcast)
+    for cycle in range(40):
+        session.step()
+        ctx, during, _ = made[cycle]
+        assert True not in during
+        expected, is_zero = reference_vector(session.wm, session.mm, session.book,
+                                             session._cycle_time(session.cycle))
+        assert ctx.zero == is_zero
+        assert context_vector(ctx, session.book).tobytes() == expected.tobytes()
+    assert made[0][2]  # the first broadcasts read column tables, with entries kept
+    assert all(len(ctx.slots) for ctx, _, _ in made[:4])
+    assert True in reads  # the sweep and the reference do read every slot
+    session.finish()
 
 
 @pytest.mark.parametrize("contents, entries", [

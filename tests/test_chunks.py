@@ -19,6 +19,7 @@ from mmarch.chunks import (
     validate_symbol,
 )
 from mmarch.errors import ChunkError
+from mmarch.memory import MiddleMemory
 
 symbols = st.text(alphabet="abcdefg", min_size=1, max_size=4)
 
@@ -215,6 +216,30 @@ class TestLegalContentMemo:
         made = [factory.make("t", [("v", "x")]) for _ in range(3)]
         made.append(factory.make_query("t", [("v", "x")]))
         assert [c.id for c in made] == [0, 1, 2, 3]
+
+
+class TestListPairs:
+    """Slot pairs given as lists pass the full check and are kept as
+    tuples, so the chunk hashes like its tuple form."""
+
+    def test_a_list_pair_chunk_equals_and_hashes_like_its_tuple_form(self):
+        chunk = make_chunk("t", [["v", "x"]])
+        assert chunk.slots == (("v", "x"),)
+        assert chunk == make_chunk("t", [("v", "x")])
+        assert hash(chunk) == hash(make_chunk("t", [("v", "x")]))
+        query = make_query("t", [["v", WILDCARD]])
+        assert hash(query) == hash(make_query("t", [("v", WILDCARD)]))
+
+    def test_a_list_pair_chunk_can_be_deposited(self):
+        mm = MiddleMemory()
+        assert mm.deposit(0.0, "tag", chunk=make_chunk("t", [["v", "x"]])) == (1, True)
+        assert mm.deposit(1.0, "tag", chunk=make_chunk("t", [("v", "x")])) == (1, False)
+
+    def test_a_list_pair_with_a_bad_value_keeps_its_message(self):
+        factory = ChunkFactory()
+        for _ in range(2):
+            assert (_refusal(factory.make, "t", [["v", "x y"]])
+                    == "value of slot 'v' 'x y' may not contain ':' or whitespace")
 
 
 @st.composite

@@ -705,6 +705,55 @@ class TestActivationTable:
             hits = mm.retrieve(wm, now, pattern=pattern, tags=wanted, k=k)
             assert [(e.id, act, b) for e, act, b in hits] == expected[:k]
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_read_over_given_slots_filters_the_all_slot_read(self, data):
+        """Over random slots in a drawn order, ``_where`` gives the all-slot
+        read's pairs for those slots, in that order, each value a Python
+        float with the same bits: on memories on each side of
+        ``COLUMN_MIN_ENTRIES``, with noise on or off, and on the table that
+        forgetting rebuilds after a slot read of the table before it."""
+        factory = ChunkFactory()
+        cut = memory.COLUMN_MIN_ENTRIES
+        size = data.draw(st.one_of(st.integers(1, cut - 1), st.integers(cut, cut + 24)))
+        mm = MiddleMemory(spread_weight=data.draw(st.floats(0.0, 3.0)),
+                          forget_threshold=data.draw(st.floats(-3.0, 0.5)),
+                          retrieval_threshold=1.0,
+                          noise=data.draw(st.sampled_from([0.0, 0.5])),
+                          noise_seed=data.draw(st.integers(0, 3)))
+        for i in range(size):
+            history = sorted(data.draw(st.lists(st.floats(-10.0, 0.0), min_size=1, max_size=3)))
+            chunk = factory.make("fact", [("n", f"n{i}"), ("v", data.draw(SYMBOLS))])
+            mm.seed_entry("t", chunk=chunk, presentations=history)
+        for a, b in data.draw(st.lists(st.tuples(st.integers(1, size), st.integers(1, size)),
+                                       max_size=size)):
+            mm.link(a, b)
+        wm = WorkingMemory()
+        wm.add_buffer("goal", "central")
+        now = data.draw(st.floats(0.01, 20.0))
+
+        def check():
+            table = mm._table(wm, now)
+            threshold = data.draw(st.one_of(st.just(-math.inf), st.floats(-6.0, 4.0)))
+            keep = lambda act: act >= threshold  # noqa: E731
+            by_slot = {mm._cols.slot_of[entry.id]: (entry, act)
+                       for entry, act in mm._where(table, keep)}
+            slots = data.draw(st.lists(st.sampled_from(range(len(mm._cols.entries))),
+                                       unique=True))
+            got = mm._where(table, keep, slots)
+            expected = [by_slot[slot] for slot in slots if slot in by_slot]
+            assert len(got) == len(expected)
+            for (entry, act), (want_entry, want) in zip(got, expected):
+                assert entry is want_entry
+                assert type(act) is float and act.hex() == want.hex()
+
+        for _ in range(data.draw(st.integers(1, 3))):
+            wm.write("central", "goal", data.draw(st.sampled_from([
+                None, factory.make("cue", [("v", data.draw(SYMBOLS))])])))
+            check()  # fills the table's list copy, if the draw reads any slot
+            mm.sweep(wm, now)
+            check()
+
     def test_no_table_read_after_a_sweep_holds_a_forgotten_entry(self, wm, factory):
         """Forgetting the weak entry drops the hub below the floor through the
         lost link; a second sweep at the same point forgets the hub too, and
