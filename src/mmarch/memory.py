@@ -491,17 +491,14 @@ class MiddleMemory:
         self._by_key[key] = entry.id
         self._cols.add(entry)
 
-    def _candidates(self, pattern: Query | None, tags: Iterable[str] | None) -> array | None:
-        """Slots a read of ``pattern`` under ``tags`` must test; None (all
-        slots) when ``tags`` is None.
+    def _candidates(self, pattern: Query | None, tags: Iterable[str]) -> array:
+        """Slots a read of ``pattern`` under ``tags`` must test.
 
         Per tag, the read probes the smallest of the tag's posting and the
         postings of the pattern's known type and values.  Forgotten slots
         stay in postings and only :func:`match_query` decides a match, so a
         candidate may still fail.  Slots are valid until the next new table.
         """
-        if tags is None:
-            return None
         postings, out = self._cols.postings, array("i")
         for tag in tags:
             best = postings.get((tag,), ())
@@ -669,36 +666,29 @@ class MiddleMemory:
                       if isinstance(base, list) else values + noise)
         return _Table(point, base, values, noise)
 
-    def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None = None,
-                 tags: frozenset[str] | set[str] | None = None,
-                 k: int = 1) -> list[tuple[MMEntry, float, dict[str, str]]]:
-        """Ranked retrieval: top-``k`` entries above the retrieval threshold.
+    def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None,
+                 tags: Iterable[str]) -> list[tuple[MMEntry, float, dict[str, str]]]:
+        """The most active match under ``tags`` as ``[(entry, activation,
+        bindings)]``, or ``[]``; a tie in activation goes to the smaller id.
 
-        Entries must carry any of ``tags`` (None = all tags) and, when a
-        pattern is given, have a decoded chunk the pattern matches;
-        vector-only entries are reachable by tag alone.  Reads only: the
-        activations come from the current evaluation point's table, and
-        only the candidates of :meth:`_candidates` are visited.  Result
-        order is (activation desc, id asc) and is a total order.
+        Entries must carry any of ``tags`` (read once; none reads nothing),
+        be at or above the retrieval threshold and, when a pattern is given,
+        have a decoded chunk the pattern matches; vector-only entries are
+        reachable by tag alone.  Reads only: the activations come from the
+        current evaluation point's table, and only the candidates of
+        :meth:`_candidates` are visited.
         """
-        if k < 1:
-            raise ValueError("k must be at least 1")
         threshold = self.retrieval_threshold
         table = self._table(wm, now)  # first: a new table may renumber the slots
         hits = []
         for entry, act in self._where(table, lambda act: act >= threshold,
                                       self._candidates(pattern, tags)):
-            bindings: dict[str, str] = {}
-            if pattern is not None:
-                if entry.chunk is None:
-                    continue
-                matched = match_query(pattern, entry.chunk)
-                if matched is None:
-                    continue
-                bindings = matched
-            hits.append((entry, act, bindings))
-        hits.sort(key=lambda item: (-item[1], item[0].id))
-        return hits[:k]
+            if pattern is None:
+                hits.append((entry, act, {}))
+            elif entry.chunk is not None and (
+                    bindings := match_query(pattern, entry.chunk)) is not None:
+                hits.append((entry, act, bindings))
+        return [min(hits, key=lambda hit: (-hit[1], hit[0].id))] if hits else []
 
     def sweep(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """Forget entries whose activation is below the floor.

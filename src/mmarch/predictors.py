@@ -176,7 +176,7 @@ def encode_context(cycle: int, vector: HoloVector, symbols: list[str]) -> str:
     """One context line of the wire protocol."""
     payload = {"type": PROTOCOL_CONTEXT, "cycle": cycle,
                "dim": int(vector.shape[0]),
-               "vector": [float(x) for x in vector],
+               "vector": vector.tolist(),
                "symbols": list(symbols)}
     return encode_line(payload)
 

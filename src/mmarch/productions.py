@@ -124,11 +124,10 @@ def _first_match(cond: Condition, view: MatchView) -> tuple[dict[str, str], int 
     A buffer condition reads the buffer's content, then (pipeline mode) its
     retained inflow newest first; all of them count as candidates, tested
     or not.  A pending query satisfies only a bare-presence pattern and
-    gives no id.  A middle-memory condition binds from its top hit alone.
+    gives no id.  A middle-memory condition binds from its most active match.
     """
     if cond.buffer is None:
-        hits = view.mm.retrieve(view.wm, view.now, pattern=cond.pattern,
-                                tags=frozenset(cond.mm_tags), k=1)
+        hits = view.mm.retrieve(view.wm, view.now, cond.pattern, cond.mm_tags)
         return (hits[0][2], None) if hits else None
     content = view.wm.buffer(cond.buffer).content
     inflow = (view.inflows or {}).get(cond.buffer, ())

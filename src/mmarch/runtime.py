@@ -80,6 +80,16 @@ from .shadows import RETRIEVAL_FAILURE, ShadowDecision, ShadowSystem, decide_sha
 from .trace import Trace, content_data
 
 CONTEXT_SYMBOL_COUNT = 5
+ERROR_TEXT_MAX = 256  # longest error message or payload kept whole
+
+
+def _clip(text: str | None) -> str | None:
+    """``text``, or its two ends around an ellipsis when longer than
+    ``ERROR_TEXT_MAX``: a peer line costs a bounded event, and the reason
+    at the end of a message survives."""
+    if text is None or len(text) <= ERROR_TEXT_MAX:
+        return text
+    return f"{text[:ERROR_TEXT_MAX // 2]}…{text[-ERROR_TEXT_MAX // 2:]}"
 
 
 def _to_query(pattern: Template | None, factory: ChunkFactory) -> Query | None:
@@ -435,7 +445,7 @@ class Session:
 
     def _log_error(self, n: int, message: str, predictor: str, payload=None) -> None:
         self.trace.append(n, "error", {
-            "message": message, "predictor": predictor, "payload": payload})
+            "message": _clip(message), "predictor": predictor, "payload": _clip(payload)})
 
     def _find_production(self, system: str, name: str) -> Production | None:
         for owner in self.systems:

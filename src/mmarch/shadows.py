@@ -49,14 +49,13 @@ def decide_shadow(system: ShadowSystem, wm: WorkingMemory, mm: MiddleMemory,
                   now: float) -> ShadowDecision:
     """Choose this system's action for the cycle without touching state.
 
-    Answering a pending query in the owned buffer takes precedence over
-    firing a production; either way the system performs at most one write,
-    and that write targets only its owned buffer.
+    Answering a pending query in the owned buffer, with the most active
+    middle-memory match under the subscriptions, precedes firing a
+    production; either way it makes at most one write, to its owned buffer.
     """
     content = wm.buffer(system.buffer).content
     if isinstance(content, Query) and content.has_wildcards():
-        hits = mm.retrieve(wm, now, pattern=content,
-                           tags=frozenset(system.subscriptions), k=1)
+        hits = mm.retrieve(wm, now, content, system.subscriptions)
         if hits:
             entry, _, bindings = hits[0]
             return ShadowDecision("answer", system, query=content,

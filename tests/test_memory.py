@@ -111,11 +111,11 @@ class TestDeposit:
         mm = MiddleMemory()
         vec = np.ones(8) / math.sqrt(8)
         entry_id, _ = mm.deposit(1.0, "vision", vector=vec)
-        hits = mm.retrieve(wm, 2.0, tags={"vision"}, k=5)
+        hits = mm.retrieve(wm, 2.0, None, ("vision",))
         assert [e.id for e, _, _ in hits] == [entry_id]
         # but a shaped pattern can never match a vector-only entry
         q = factory.make_query("percept", [("value", "?")])
-        assert mm.retrieve(wm, 2.0, pattern=q, tags={"vision"}, k=5) == []
+        assert mm.retrieve(wm, 2.0, q, ("vision",)) == []
 
     def test_seeded_history_defaults_only_when_absent(self, factory):
         mm = MiddleMemory()
@@ -375,40 +375,45 @@ class TestRetrieveAndSweep:
 
     def test_ranked_by_activation_then_id(self, wm, factory):
         mm, fresh, stale = self._store(factory)
-        hits = mm.retrieve(wm, 5.0, k=5)
-        assert [e.id for e, _, _ in hits] == [fresh]  # stale below threshold
+        only_stale = factory.make_query("word", [("value", "b")])
+        assert [e.id for e, _, _ in mm.retrieve(wm, 5.0, None, ("t",))] == [fresh]
+        assert mm.retrieve(wm, 5.0, only_stale, ("t",)) == []  # stale below threshold
         mm.retrieval_threshold = -2.0
-        hits = mm.retrieve(wm, 5.0, k=5)
-        assert [e.id for e, _, _ in hits] == [fresh, stale]
-        assert hits[0][1] > hits[1][1]
+        hits = mm.retrieve(wm, 5.0, None, ("t",))
+        assert [e.id for e, _, _ in hits] == [fresh]
+        (_, act_stale, bindings), = mm.retrieve(wm, 5.0, only_stale, ("t",))
+        assert hits[0][1] > act_stale and bindings == {}
+        mm.retrieval_threshold = act_stale  # the threshold itself passes
+        assert [e.id for e, _, _ in mm.retrieve(wm, 5.0, only_stale, ("t",))] == [stale]
 
     def test_rerun_is_identical(self, wm, factory):
         mm, _, _ = self._store(factory)
         mm.retrieval_threshold = -2.0
-        first = [(e.id, act) for e, act, _ in mm.retrieve(wm, 5.0, k=5)]
-        second = [(e.id, act) for e, act, _ in mm.retrieve(wm, 5.0, k=5)]
+        first = [(e.id, act) for e, act, _ in mm.retrieve(wm, 5.0, None, ("t",))]
+        second = [(e.id, act) for e, act, _ in mm.retrieve(wm, 5.0, None, ("t",))]
         assert first == second
-
-    def test_k_limits_results(self, wm, factory):
-        mm, fresh, _ = self._store(factory)
-        mm.retrieval_threshold = -2.0
-        hits = mm.retrieve(wm, 5.0, k=1)
-        assert [e.id for e, _, _ in hits] == [fresh]
 
     def test_tag_filter_accepts_any_listed_tag(self, wm, factory):
         mm = MiddleMemory()
         a, _ = mm.deposit(1.0, "emotion", chunk=factory.make("a"))
         b, _ = mm.deposit(1.0, "vision", chunk=factory.make("b"))
         c, _ = mm.deposit(1.0, "motor", chunk=factory.make("c"))
-        hits = mm.retrieve(wm, 2.0, tags={"emotion", "vision"}, k=10)
-        assert sorted(e.id for e, _, _ in hits) == [a, b]
+        mm.deposit(1.5, "vision", chunk=factory.make("b"))  # b is the most active
+
+        def best(tags):
+            return [e.id for e, _, _ in mm.retrieve(wm, 2.0, None, tags)]
+
+        assert best(("emotion", "vision")) == [b]
+        assert best(("motor", "emotion")) == [a]
+        assert best(("motor",)) == [c]
+        assert best(("sound",)) == best(()) == []
 
     def test_id_breaks_exact_activation_ties(self, wm, factory):
         mm = MiddleMemory()
         a, _ = mm.deposit(1.0, "t", chunk=factory.make("a"))
-        b, _ = mm.deposit(1.0, "t", chunk=factory.make("b"))
-        hits = mm.retrieve(wm, 2.0, k=5)
-        assert [e.id for e, _, _ in hits] == [a, b]
+        b, _ = mm.deposit(1.0, "u", chunk=factory.make("b"))
+        for tags in (("t", "u"), ("u", "t")):  # b is a candidate first here
+            assert [e.id for e, _, _ in mm.retrieve(wm, 2.0, None, tags)] == [a]
 
     def test_sweep_removes_stale_entry(self, wm, factory):
         # single presentation 10,000 s ago at d=0.5: B = ln(10000^-0.5) ~ -4.605
@@ -599,7 +604,7 @@ class TestActivationTable:
                     "fact", [("v", data.draw(st.sampled_from(["?", "a", "b"])))]))
         now = data.draw(st.floats(0.01, 20.0))
         if data.draw(st.booleans()):
-            mm.retrieve(wm, now, tags={"x"}, k=3)  # the sweep reuses this table
+            mm.retrieve(wm, now, None, ("x",))  # the sweep reuses this table
 
         before = {i: reference_activation(mm, e, wm, now) for i, e in mm.entries.items()}
         removed = mm.sweep(wm, now)
@@ -615,7 +620,7 @@ class TestActivationTable:
             i for i, e in mm.entries.items()
             if reference_activation(mm, e, wm, now) >= mm.retrieval_threshold}
         pattern = factory.make_query("fact", [("v", "?")])
-        for entry, act, _ in mm.retrieve(wm, now, pattern=pattern, tags={"y"}, k=10):
+        for entry, act, _ in mm.retrieve(wm, now, pattern, ("y",)):
             assert act == reference_activation(mm, entry, wm, now)
         reference = {i: reference_activation(mm, e, wm, now) for i, e in mm.entries.items()}
         thresholds = st.floats(-5.0, 5.0)
@@ -639,7 +644,7 @@ class TestActivationTable:
         """Tables under several spreading-source sets at one time and version
         share one base-level column, before and after forgetting, with noise
         on or off.  Each value equals :meth:`activation` bit for bit, and a
-        tag-indexed ``retrieve`` equals filtering and sorting the table."""
+        tag-indexed ``retrieve`` gives the first of the table's sorted hits."""
         factory = ChunkFactory()
         forget = data.draw(st.floats(-3.0, 0.5))
         mm = MiddleMemory(spread_weight=data.draw(st.floats(0.0, 3.0)),
@@ -684,16 +689,15 @@ class TestActivationTable:
             for entry_id, act in table.items():
                 assert act == mm.activation(mm.entry(entry_id), wm, now)
 
-            wanted = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(tags))))
+            wanted = data.draw(st.sets(st.sampled_from(tags)))
             pattern = data.draw(st.sampled_from([
                 None, factory.make_query("fact", [("v", "?")]),
                 factory.make_query("fact", [("v", "a")]),
                 factory.make_query("?", [("n", "?")])]))
-            k = data.draw(st.integers(1, 4))
             expected = []
             for entry_id, act in table.items():
                 entry = mm.entries[entry_id]
-                if wanted is not None and entry.tag not in wanted:
+                if entry.tag not in wanted:
                     continue
                 bindings = {}
                 if pattern is not None:
@@ -702,8 +706,8 @@ class TestActivationTable:
                 if bindings is not None and act >= mm.retrieval_threshold:
                     expected.append((entry_id, act, bindings))
             expected.sort(key=lambda hit: (-hit[1], hit[0]))
-            hits = mm.retrieve(wm, now, pattern=pattern, tags=wanted, k=k)
-            assert [(e.id, act, b) for e, act, b in hits] == expected[:k]
+            hits = mm.retrieve(wm, now, pattern, wanted)
+            assert [(e.id, act, b) for e, act, b in hits] == expected[:1]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -788,7 +792,7 @@ class TestActivationTable:
         monkeypatch.setattr(MiddleMemory, "_build", refuse)
         pattern = factory.make_query("fact", [("v", "x")])
         for store, now in ((mm, 1000.0), (mm, 2000.0), (MiddleMemory(), 1.0)):
-            assert store.retrieve(wm, now, pattern=pattern, tags={"t"}) == []
+            assert store.retrieve(wm, now, pattern, ("t",)) == []
             assert store.retrievable(wm, now) == []
             assert store.activations(wm, now) == {}
             assert store.sweep(wm, now) == []
@@ -814,12 +818,13 @@ class TestActivationTable:
         assert len(mm._cols.postings[("t", "v", "x")]) == 2  # the tombstone is still filed
         for pattern in (factory.make_query("fact", [("v", "x")]),
                         factory.make_query("?", [("v", "x")])):
-            for tags in ({"t"}, None):
-                hits = mm.retrieve(wm, 1001.0, pattern=pattern, tags=tags, k=5)
+            for tags in (("t",), ("u", "t")):
+                hits = mm.retrieve(wm, 1001.0, pattern, tags)
                 assert [e.id for e, _, _ in hits] == [new]
         assert len(mm._cols.postings[("t", "v", "x")]) == 1
-        hits = mm.retrieve(wm, 1001.0, tags={"t"}, k=5)
-        assert sorted(e.id for e, _, _ in hits) == [other, new]
+        assert [e.id for e, _, _ in mm.retrieve(wm, 1001.0, None, ("t",))] == [new]
+        hits = mm.retrieve(wm, 1001.0, factory.make_query("fact", [("v", "y")]), ("t",))
+        assert [e.id for e, _, _ in hits] == [other]
         assert list(mm.activations(wm, 1001.0)) == [other, new]
 
     def test_table_follows_deposits_and_links(self, wm, factory):

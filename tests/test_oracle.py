@@ -50,7 +50,7 @@ class NaiveMiddleMemory(MiddleMemory):
 
     def _candidates(self, pattern, tags):
         return [slot for slot, e in enumerate(self._cols.entries)
-                if e is not None and (tags is None or e.tag in tags)]
+                if e is not None and e.tag in tags]
 
 
 def _same_bytes(model, cycles, seed):

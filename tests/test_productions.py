@@ -556,9 +556,8 @@ class TestBinaryMatchingInvariance:
             def __init__(self, inner):
                 self._inner = inner
 
-            def retrieve(self, wm, now, pattern=None, tags=None, k=1):
-                hits = self._inner.retrieve(wm, now, pattern=pattern,
-                                            tags=tags, k=k)
+            def retrieve(self, wm, now, pattern, tags):
+                hits = self._inner.retrieve(wm, now, pattern, tags)
                 return [(e, 3.0 * act + 7.0, b) for e, act, b in hits]
 
         productions = [

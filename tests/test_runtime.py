@@ -461,6 +461,29 @@ class TestInbox:
             (0, "not json"), (0, '{"type":"other"}')]
         assert session.inbox.empty()
 
+    @pytest.mark.parametrize("demo,mode", [("threat", "mm"), ("bottleneck", "pipeline")])
+    def test_a_huge_peer_line_costs_one_bounded_error_event(self, demo, mode):
+        """A multi-MB line keeps its first and last characters in the event,
+        and a message keeps the reason at its end, so each costs under 1 KB
+        of trace; a tag no module subscribes to is bounded the same way."""
+        session = Session(load_model(demos.path(demo)), mode=mode, seed=0)
+        lines = [b"x" * 3_000_000,
+                 json.dumps({"type": "prediction", "tag": "a " + "t" * 1_000_000,
+                             "chunk": {"isa": "percept", "slots": {}}}).encode()]
+        if mode == "pipeline":
+            lines.append(json.dumps({"type": "prediction", "tag": "u" * 1_000_000,
+                                     "chunk": {"isa": "percept", "slots": {}}}).encode())
+        for line in lines:
+            session.inbox.put(("peer", 0, line))
+        session.step()
+        errors = [e for e in session.trace.by_kind("error") if e.data["predictor"] == "peer"]
+        assert len(errors) == len(lines)
+        assert errors[0].data["payload"] == "x" * 128 + "…" + "x" * 128
+        assert errors[1].data["message"].endswith("may not contain ':' or whitespace")
+        encoded = [line for line in trace_to_bytes(session.trace).splitlines()
+                   if b'"kind":"error"' in line]
+        assert len(encoded) == len(lines) and max(map(len, encoded)) < 1024
+
 
 class TestRewardsAndCredit:
     def test_shadow_credit_arrives_with_reward(self, model):
