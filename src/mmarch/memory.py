@@ -130,6 +130,13 @@ def spread_sources(wm: WorkingMemory) -> tuple[frozenset[str], ...]:
     return tuple(out)
 
 
+def _content_key(tag: str, chunk: Chunk | None, vector: HoloVector | None) -> tuple:
+    """An entry's identity: its payload's content and its origin tag."""
+    if chunk is not None:
+        return ("chunk", chunk.content_key(), tag)
+    return ("vector", vector.tobytes(), tag)
+
+
 @dataclass
 class MMEntry:
     """One middle-memory entry: a tagged chunk or prediction vector.
@@ -146,11 +153,6 @@ class MMEntry:
     presentations: array = field(default_factory=lambda: array("d"))  # its one copy
     links: set[int] = field(default_factory=set)
     _packed: HoloVector | None = field(default=None, repr=False)
-
-    def content_key(self) -> tuple:
-        if self.chunk is not None:
-            return ("chunk", self.chunk.content_key(), self.tag)
-        return ("vector", self.vector.tobytes(), self.tag)
 
     def payload_vector(self, book: Codebook) -> HoloVector:
         """The entry's vector form, packing the chunk once if needed."""
@@ -444,8 +446,7 @@ class MiddleMemory:
         if self._latest is not None and now < self._latest:
             raise TemporalOrderError(
                 f"deposit at {now} precedes existing presentation at {self._latest}")
-        probe = MMEntry(id=-1, tag=tag, chunk=chunk, vector=vector)
-        key = probe.content_key()
+        key = _content_key(tag, chunk, vector)
         self._latest = now
         self._version += 1
         existing = self._by_key.get(key)
@@ -474,11 +475,11 @@ class MiddleMemory:
             raise ChunkError("presentation history must be non-empty")
         if presentations != sorted(presentations):
             raise TemporalOrderError("presentation history must be sorted ascending")
-        entry = MMEntry(id=self._next_id, tag=tag, chunk=chunk, vector=vector,
-                        presentations=array("d", presentations))
-        key = entry.content_key()
+        key = _content_key(tag, chunk, vector)
         if key in self._by_key:
             raise ChunkError(f"duplicate initial entry for tag {tag!r}")
+        entry = MMEntry(id=self._next_id, tag=tag, chunk=chunk, vector=vector,
+                        presentations=array("d", presentations))
         self._add(entry, key)
         if self._latest is None or presentations[-1] > self._latest:
             self._latest = presentations[-1]
@@ -736,7 +737,7 @@ class MiddleMemory:
         cols, base = self._cols, table.base
         for entry in gone:
             del self.entries[entry.id]
-            del self._by_key[entry.content_key()]
+            del self._by_key[_content_key(entry.tag, entry.chunk, entry.vector)]
             base[cols.remove(entry)] = math.nan
             for nid in entry.links:
                 other = self.entries.get(nid)

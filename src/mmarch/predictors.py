@@ -7,7 +7,9 @@ context vector with the symbols, and speaks a newline-delimited JSON
 protocol over a child process's stdio or a TCP socket.  Built-in emissions
 and the lines external peers send wait for the runtime, which drains them at
 the next cycle boundary in a deterministic order; the engines never see
-predictor output except through middle-memory deposits.
+predictor output except through middle-memory deposits.  A peer's lines are
+read on the runtime's own thread, without waiting, and a peer hands over at
+most :data:`LINE_MAX` bytes between two drains.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import os
 import select
 import socket
 import subprocess
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -39,6 +40,14 @@ DEFAULT_EMIT_SLOT = "value"
 
 # Seconds a peer gets to take one whole context line, and to exit on close.
 PEER_TIMEOUT_S = 2.0
+
+# Bytes a peer may hand over between two drains, and the bound on one line,
+# its newline counted: 16 MiB holds a vector line at D ≈ 600,000, at about
+# 25 bytes a float.  What a peer writes beyond it waits in the pipe or
+# socket, so a peer that writes faster than the runtime drains is slowed by
+# its own blocked writes instead of growing our memory.
+LINE_MAX = 16 * 1024 * 1024
+_READ_SIZE = 65536  # bytes one read asks for
 
 # Contexts a built-in predictor remembers its answer to; at this many it
 # forgets them all and refills.
@@ -184,9 +193,12 @@ def encode_context(cycle: int, vector: HoloVector, symbols: list[str]) -> str:
 def decode_prediction(line: bytes, dim: int) -> dict:
     """Parse one UTF-8 prediction line; raises ``ValueError`` when malformed.
 
-    Unknown fields are ignored.  The result dict carries ``tag``,
+    A line of :data:`LINE_MAX` bytes or more is too long to parse.  Unknown
+    fields are ignored.  The result dict carries ``tag``,
     ``salience``, and either ``ctype``/``slots`` or a validated ``vector``.
     """
+    if len(line) >= LINE_MAX:
+        raise ValueError(f"line longer than the {LINE_MAX}-byte bound (predictors.LINE_MAX)")
     try:
         msg = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -247,13 +259,16 @@ def decode_prediction(line: bytes, dim: int) -> dict:
 class ExternalPredictor:
     """Bridge to a predictor living in a child process or behind a socket.
 
-    Context lines go out on every broadcast; a background thread hands each
-    prediction line, undecoded bytes with the cycle of the last context
-    sent, to the sink given to :meth:`start`, and the line is decoded, and
-    may become a deposit, only when the runtime drains.  A dead peer, or one
-    that takes longer than :data:`PEER_TIMEOUT_S` to take a context line,
-    marks the predictor stalled: the run continues and no further sends are
-    attempted.
+    Context lines go out on every broadcast.  Prediction lines are read on
+    the runtime's own thread by :meth:`poll`, which never waits: before each
+    send, while a send waits for room, and when the runtime drains.  Each
+    line goes to the sink given to :meth:`start` as undecoded bytes with the
+    cycle of the last context sent, and is decoded, and may become a
+    deposit, only when the runtime drains.  Between two drains a peer hands
+    over at most :data:`LINE_MAX` bytes, and a longer line is skipped.  A
+    dead peer, or one that takes longer than :data:`PEER_TIMEOUT_S` to take
+    a context line, marks the predictor stalled: the run continues and no
+    further sends are attempted.
     """
 
     def __init__(self, name: str, tag: str, *, command: list[str] | None = None,
@@ -270,52 +285,89 @@ class ExternalPredictor:
         self._proc: subprocess.Popen | None = None
         self._sock: socket.socket | None = None
         self._out: int | None = None  # the fd context lines are written to
-        self._reader_thread: threading.Thread | None = None
+        self._in: int | None = None  # the fd lines are read from, until they end
+        self._tail = bytearray()  # the unfinished line
+        self._skipping = False  # inside a line over LINE_MAX, dropped to its newline
+        self._taken = 0  # bytes read since the last drain, the unfinished line's too
         self._sink = None
 
     def start(self, sink) -> None:
-        """Connect and begin reading; ``sink((name, cycle, line))`` takes each line."""
+        """Connect; ``sink((name, cycle, line))`` takes each line :meth:`poll` reads."""
         self._sink = sink
         try:
             if self.command is not None:
                 self._proc = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                     stderr=subprocess.DEVNULL)
-                self._out = self._proc.stdin.fileno()
-                os.set_blocking(self._out, False)
-                reader = self._proc.stdout
+                self._out, self._in = self._proc.stdin.fileno(), self._proc.stdout.fileno()
             else:
                 self._sock = socket.create_connection((self.host, self.port), timeout=5.0)
-                self._sock.settimeout(None)  # the bound is for connecting; a peer may be quiet
-                self._out = self._sock.fileno()
-                reader = self._sock.makefile("rb")
+                self._out = self._in = self._sock.fileno()
+            os.set_blocking(self._out, False)
+            os.set_blocking(self._in, False)
         except OSError:
             self.stalled = True
-            return
-        self._reader_thread = threading.Thread(
-            target=self._read_loop, args=(reader,), daemon=True)
-        self._reader_thread.start()
 
-    def _read_loop(self, reader) -> None:
-        try:
-            with reader:
-                for line in reader:
-                    line = line.strip()
-                    if line:
-                        self._sink((self.name, self.last_context_cycle, line))
-        except (OSError, ValueError):
-            pass
-        self.stalled = True
+    def poll(self, drain: bool = False) -> None:
+        """Hand the sink each whole line already waiting, without blocking.
+
+        An unfinished line waits for the next call.  At the end of the
+        peer's output, or on a read error, it is handed over as a last line
+        and the predictor is stalled.  Polls between two drains (``drain``
+        marks the runtime's) read at most :data:`LINE_MAX` bytes, the
+        unfinished line's included; the rest waits in the pipe or socket.
+        """
+        while self._in is not None and self._taken < LINE_MAX:
+            try:
+                data = os.read(self._in, min(_READ_SIZE, LINE_MAX - self._taken))
+            except BlockingIOError:
+                break
+            except OSError:
+                data = b""
+            if not data:
+                self._in = None
+                self.stalled = True
+                data = b"\n"  # ends the unfinished line
+            self._taken += len(data)
+            self._take(data)
+        if drain:
+            self._taken = len(self._tail)
+
+    def _take(self, data: bytes) -> None:
+        """Add ``data`` to the unfinished line, handing over each line it ends."""
+        *ends, rest = data.split(b"\n")
+        for piece in ends:
+            if not self._skipping:
+                self._tail += piece
+                self._hand()
+            self._skipping = False
+        if not self._skipping:
+            self._tail += rest
+            if len(self._tail) >= LINE_MAX:
+                self._hand()
+                self._skipping = True
+
+    def _hand(self) -> None:
+        """Hand over the unfinished line as a whole one.  A line of
+        :data:`LINE_MAX` bytes or more goes as its first ``LINE_MAX``, which
+        :func:`decode_prediction` rejects for its length."""
+        del self._tail[LINE_MAX:]
+        line, self._tail = bytes(self._tail), bytearray()
+        if len(line) < LINE_MAX:
+            line = line.strip()
+        if line:
+            self._sink((self.name, self.last_context_cycle, line))
 
     def send_context(self, line: str, cycle: int) -> bool:
         """Write one whole context line; returns False when the peer is gone.
 
-        A peer that has not taken the whole line within
-        :data:`PEER_TIMEOUT_S` is marked stalled too, so a peer that stops
-        reading cannot block the run.  Each socket send is non-blocking on
-        its own (``MSG_DONTWAIT``): the socket stays blocking, since the
-        reader's file shares it.
+        The peer is polled first, and again while a full pipe or socket
+        buffer keeps the write waiting, so a peer blocked writing to us can
+        still take the line.  A peer that has not taken the whole line
+        within :data:`PEER_TIMEOUT_S` is marked stalled too, so a peer that
+        stops reading cannot block the run.
         """
+        self.poll()
         if self.stalled or self._out is None:
             return False
         data = memoryview(line.encode("utf-8") + b"\n")
@@ -323,12 +375,14 @@ class ExternalPredictor:
         try:
             while data:
                 try:
-                    data = data[os.write(self._out, data) if self._sock is None
-                                else self._sock.send(data, socket.MSG_DONTWAIT):]
+                    data = data[os.write(self._out, data):]
                 except BlockingIOError:
                     wait = deadline - time.monotonic()
-                    if wait <= 0 or not select.select([], [self._out], [], wait)[1]:
+                    if wait <= 0:
                         break
+                    reading = self._in is not None and self._taken < LINE_MAX
+                    select.select([self._in] if reading else [], [self._out], [], wait)
+                    self.poll()
         except (OSError, ValueError):  # BrokenPipeError among them
             pass
         if data:
@@ -338,8 +392,9 @@ class ExternalPredictor:
         return True
 
     def close(self) -> None:
-        """Disconnect the peer and wait, briefly, for the reader to end."""
-        self._out = None  # its fd number may be reused once closed
+        """Disconnect the peer: terminate a child, killing it if it has not
+        exited within :data:`PEER_TIMEOUT_S`, or close the socket."""
+        self._out = self._in = None  # their fd numbers may be reused once closed
         if self._proc is not None:
             try:
                 self._proc.stdin.close()
@@ -348,11 +403,6 @@ class ExternalPredictor:
             except (OSError, subprocess.TimeoutExpired):
                 self._proc.kill()
                 self._proc.wait()
+            self._proc.stdout.close()
         if self._sock is not None:
-            try:  # the reader's file still holds the socket, so close alone sends nothing
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
             self._sock.close()
-        if self._reader_thread is not None:
-            self._reader_thread.join(timeout=PEER_TIMEOUT_S)

@@ -1,11 +1,12 @@
 """The cycle scheduler: clock, phase order, event logging, run entry point.
 
 Every cycle executes a fixed phase order: (1) drain the predictions made
-since the last drain, built-in emissions and external peers' lines numbered
-in arrival order, into middle memory (or, in pipeline mode, straight into
-module buffers and their unbounded inflow lists) in (cycle, predictor,
-index) order; (2) sweep/forget; (3) shadow systems decide their first
-steps, read-only, against the frozen cycle-start state, and each system's
+since the last drain, built-in emissions and the lines external peers have
+written, read now without waiting and numbered in arrival order, into
+middle memory (or, in pipeline mode, straight into module buffers and
+their unbounded inflow lists) in (cycle, predictor, index) order; (2)
+sweep/forget; (3) shadow systems decide their first steps, read-only,
+against the frozen cycle-start state, and each system's
 decisions are then fired once, in system order, with a multi-step system's
 later steps reading only its own staged write; (4) the central engine
 matches, resolves, and fires, and (5) each shadow write it matched hands the
@@ -39,7 +40,6 @@ for a live external predictor.
 from __future__ import annotations
 
 import copy
-import queue
 from itertools import starmap
 
 import numpy as np
@@ -146,7 +146,7 @@ class Session:
         self.learner = UtilityLearner(alpha=model.learning.rate,
                                       rho=model.learning.time_cost)
         self._predicted: list[Prediction] = []  # built-in emissions since the last drain
-        self.inbox: queue.SimpleQueue = queue.SimpleQueue()  # peers' (predictor, cycle, line)
+        self.inbox: list[tuple[str, int, bytes]] = []  # peers' (predictor, cycle, line)
         # each module buffer's directly-routed predictions; pipeline mode only
         self.inflows: dict[str, list[Chunk]] | None = (
             {s.buffer: [] for s in self.systems} if mode == "pipeline" else None)
@@ -158,10 +158,10 @@ class Session:
                                  for p in self.central_productions for action in p.actions)
 
         self.predictors = [self._build_predictor(p) for p in model.predictors]
+        self._peers = [p for p in self.predictors if isinstance(p, ExternalPredictor)]
         self._stall_warned: set[str] = set()
-        for predictor in self.predictors:
-            if isinstance(predictor, ExternalPredictor):
-                predictor.start(self.inbox.put)
+        for peer in self._peers:
+            peer.start(self.inbox.append)
 
         self._install_initial_state()
 
@@ -242,9 +242,10 @@ class Session:
 
     # phase 1
     def _drain_predictions(self, n: int, t_now: float) -> None:
+        for peer in self._peers:
+            peer.poll(drain=True)
         predictions, self._predicted = self._predicted, []
-        for index in range(self.inbox.qsize()):  # only this thread takes from the inbox
-            predictor, cycle, line = self.inbox.get_nowait()
+        for index, (predictor, cycle, line) in enumerate(self.inbox):
             try:
                 decoded = decode_prediction(line, self.book.dimension)
             except ValueError as exc:
@@ -253,6 +254,7 @@ class Session:
                 continue
             predictions.append(Prediction(predictor=predictor, produced_at_cycle=cycle,
                                           emission_index=index, **decoded))
+        self.inbox.clear()
         predictions.sort(key=lambda p: p.sort_key())
         for prediction in predictions:
             if self.mode == "mm":
@@ -502,9 +504,8 @@ class Session:
 
     def finish(self, reason: str = "cycles-exhausted") -> Trace:
         """Close externals and finalize the trace with a halt event."""
-        for predictor in self.predictors:
-            if isinstance(predictor, ExternalPredictor):
-                predictor.close()
+        for peer in self._peers:
+            peer.close()
         if not self.halted:
             self.trace.append(self.cycle, "halt", {"reason": reason})
             self.halted = True

@@ -446,7 +446,7 @@ class TestInbox:
 
         for line in (percept("zeta"), "not json", percept("alpha"),
                      '{"type":"other"}', percept("mid")):
-            session.inbox.put(("peer", 0, line.encode()))
+            session.inbox.append(("peer", 0, line.encode()))
         session.step()
         session.step()
 
@@ -459,7 +459,7 @@ class TestInbox:
                 for e in from_peer("deposit")] == [(0, "zeta"), (0, "alpha"), (0, "mid")]
         assert [(e.cycle, e.data["payload"]) for e in from_peer("error")] == [
             (0, "not json"), (0, '{"type":"other"}')]
-        assert session.inbox.empty()
+        assert not session.inbox
 
     @pytest.mark.parametrize("demo,mode", [("threat", "mm"), ("bottleneck", "pipeline")])
     def test_a_huge_peer_line_costs_one_bounded_error_event(self, demo, mode):
@@ -474,7 +474,7 @@ class TestInbox:
             lines.append(json.dumps({"type": "prediction", "tag": "u" * 1_000_000,
                                      "chunk": {"isa": "percept", "slots": {}}}).encode())
         for line in lines:
-            session.inbox.put(("peer", 0, line))
+            session.inbox.append(("peer", 0, line))
         session.step()
         errors = [e for e in session.trace.by_kind("error") if e.data["predictor"] == "peer"]
         assert len(errors) == len(lines)
@@ -763,10 +763,10 @@ class TestPipelineMode:
         a tag nobody subscribes to, and a vector-only line has no chunk to
         route; each costs an error event and the run goes on."""
         session = Session(load_model(demos.path("bottleneck")), mode="pipeline", seed=0)
-        session.inbox.put(("peer", 0, json.dumps({
+        session.inbox.append(("peer", 0, json.dumps({
             "type": "prediction", "tag": "nobody",
             "chunk": {"isa": "percept", "slots": {"value": "x"}}}).encode()))
-        session.inbox.put(("peer", 0, json.dumps({
+        session.inbox.append(("peer", 0, json.dumps({
             "type": "prediction", "tag": "vision",
             "vector": [1.0] + [0.0] * (session.book.dimension - 1)}).encode()))
         session.step()
@@ -789,7 +789,7 @@ class TestPipelineMode:
         """A line the chunk grammar rejects is dropped at the wire, before the
         chunk factory could raise mid-cycle."""
         session = Session(load_model(demos.path(demo)), mode=mode, seed=0)
-        session.inbox.put(("peer", 0, json.dumps(
+        session.inbox.append(("peer", 0, json.dumps(
             {"type": "prediction", "tag": tag, **extra}).encode()))
         session.step()
         errors = [e.data["message"] for e in session.trace.by_kind("error")]

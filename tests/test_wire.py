@@ -4,12 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
-import queue
 import socket
 import sys
 import threading
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -165,7 +165,7 @@ class TestFraming:
         """The step survives the line: it logs one error event for it and
         deposits nothing from the peer."""
         session = Session(load_model(demos.path("wordloop")), mode="mm", seed=0)
-        session.inbox.put(("peer", 0, _BAD_PEER_LINES[kind](session.book.dimension)))
+        session.inbox.append(("peer", 0, _BAD_PEER_LINES[kind](session.book.dimension)))
         session.step()
         errors = [e.data["message"] for e in session.trace.by_kind("error")
                   if e.data["predictor"] == "peer"]
@@ -334,12 +334,16 @@ class TestChildProcess:
         assert len(warnings) == 1  # warned once, not every cycle
 
     def test_close_reaps_a_peer_that_ignores_sigterm(self):
-        lines = queue.SimpleQueue()
+        lines = []
         peer = ExternalPredictor("stubborn", "vision",
                                  command=[sys.executable, "-c", STUBBORN_PEER])
-        peer.start(lines.put)
+        peer.start(lines.append)
         try:
-            assert lines.get(timeout=10) == ("stubborn", -1, b"ready")
+            deadline = time.monotonic() + 10
+            while not lines and time.monotonic() < deadline:
+                peer.poll()
+                time.sleep(0.01)
+            assert lines == [("stubborn", -1, b"ready")]
         finally:
             peer.close()
         assert peer._proc.returncode is not None
@@ -364,6 +368,88 @@ class TestChildProcess:
         assert "'peer'" in stalls[0].data["message"]
         assert not [e for e in session.trace.by_kind("delivery")
                     if e.data["predictor"] == "peer" and e.seq > stalls[0].seq]
+
+
+# A peer that first writes one line of 1,000,000 bytes, then answers every
+# context line with one prediction.
+LONG_LINE_PEER = r"""
+import json, sys
+sys.stdout.write('{"pad":"' + "x" * 999_990 + '"}\n')
+for line in sys.stdin:
+    out = {"type": "prediction", "tag": "vision",
+           "chunk": {"isa": "percept", "slots": {"value": "blip"}}}
+    sys.stdout.write(json.dumps(out) + "\n")
+    sys.stdout.flush()
+"""
+
+_BLIP = json.dumps({"type": "prediction", "tag": "vision",
+                    "chunk": {"isa": "percept", "slots": {"value": "blip"}}})
+
+# A peer that writes the same prediction line for as long as it can.
+FLOOD_PEER = f"""
+import sys
+while True:
+    sys.stdout.write({_BLIP!r} + "\\n")
+"""
+
+
+def _from_peer(session, kind):
+    return [e for e in session.trace.by_kind(kind) if e.data.get("predictor") == "peer"
+            or e.data.get("source") == "predictor:peer"]
+
+
+class TestPeerInput:
+    def test_an_over_long_line_costs_one_bounded_event(self, monkeypatch):
+        """A line over ``LINE_MAX`` is skipped up to its newline for one
+        error event that names the bound; the peer's later lines deposit."""
+        monkeypatch.setattr(predictors, "LINE_MAX", 65536)
+        session = Session(_external_model([sys.executable, "-c", LONG_LINE_PEER]),
+                          mode="mm", seed=0)
+        try:
+            ok = _step_until(session, lambda s: _from_peer(s, "deposit"), max_cycles=100)
+            assert ok, "no deposit after the long line"
+        finally:
+            session.finish()
+        errors = _from_peer(session, "error")
+        assert [e.data["message"] for e in errors] == [
+            "dropped malformed prediction: line longer than the 65536-byte bound"
+            " (predictors.LINE_MAX)"]
+        payload = errors[0].data["payload"]
+        assert payload.startswith('{"pad":"xxx') and len(payload) <= 257
+        assert _from_peer(session, "deposit")[0].cycle >= errors[0].cycle
+
+    def test_a_flooding_peer_hands_over_at_most_the_bound_a_cycle(self, monkeypatch):
+        """A peer that writes faster than the runtime drains is held to
+        ``LINE_MAX`` bytes a cycle; the rest waits in its pipe."""
+        monkeypatch.setattr(predictors, "LINE_MAX", 4096)
+        session = Session(_external_model([sys.executable, "-c", FLOOD_PEER]),
+                          mode="mm", seed=0)
+        try:
+            for _ in range(10):
+                session.step()
+                time.sleep(0.05)
+        finally:
+            session.finish()
+        per_cycle = Counter(e.cycle for e in _from_peer(session, "deposit"))
+        most = 4096 // (len(_BLIP) + 1)
+        assert most - 1 <= max(per_cycle.values()) <= most
+        assert not _from_peer(session, "error")
+
+    def test_a_session_with_a_live_peer_starts_no_thread(self):
+        """Peers are read on the runtime's own thread, from construction
+        through ``finish()``."""
+        before = set(threading.enumerate())
+        session = Session(_external_model([sys.executable, "-u", "-c", ECHO_PEER]),
+                          mode="mm", seed=0)
+        started = set(threading.enumerate()) - before
+        try:
+            ok = _step_until(session, lambda s: started.update(
+                set(threading.enumerate()) - before) or _from_peer(s, "deposit"))
+            assert ok, "no deposit from the external peer"
+        finally:
+            session.finish()
+        started |= set(threading.enumerate()) - before
+        assert not started
 
 
 # A peer that reads every line and answers none, so the run stays deterministic.
@@ -456,18 +542,31 @@ class TestContextLines:
 
 
 class TestTcpTransport:
-    def test_a_connected_socket_has_no_read_timeout(self):
-        """The connect timeout must not stay on the socket, or a peer quiet
-        for that long would end the reader and stall the predictor."""
+    def test_a_quiet_socket_peer_is_neither_stalled_nor_given_lines(self):
+        """Polling a peer that writes nothing neither waits nor stalls it,
+        and its next line is taken as soon as it arrives."""
+        lines = []
         with socket.create_server(("127.0.0.1", 0)) as server:
             peer = ExternalPredictor("sock", "vision", host="127.0.0.1",
                                      port=server.getsockname()[1])
-            peer.start(queue.SimpleQueue().put)
+            peer.start(lines.append)
+            conn, _ = server.accept()
             try:
-                assert not peer.stalled
-                assert peer._sock.gettimeout() is None
+                for _ in range(20):
+                    start = time.monotonic()
+                    peer.poll()
+                    assert time.monotonic() - start < 0.5
+                    time.sleep(0.01)
+                assert not peer.stalled and not lines
+                conn.sendall(b"hello\n")
+                deadline = time.monotonic() + 10
+                while not lines and time.monotonic() < deadline:
+                    peer.poll()
+                    time.sleep(0.01)
+                assert lines == [("sock", -1, b"hello")] and not peer.stalled
             finally:
                 peer.close()
+                conn.close()
 
     def test_socket_peer_round_trip(self):
         server = socket.create_server(("127.0.0.1", 0))
@@ -517,9 +616,8 @@ class TestTcpTransport:
         finally:
             session.finish()
             server.close()
-        # finishing disconnects the peer: the server's read ends, and so does ours
+        # finishing disconnects the peer: the server's read ends
         assert disconnected.wait(1.0)
-        assert not session.predictors[0]._reader_thread.is_alive()
 
     def test_a_server_that_stops_reading_stalls_within_the_bound(self, monkeypatch):
         """Sends never block: once neither side's 8 KB buffer has room for
@@ -532,7 +630,7 @@ class TestTcpTransport:
             server.listen()
             peer = ExternalPredictor("sock", "vision", host="127.0.0.1",
                                      port=server.getsockname()[1])
-            peer.start(queue.SimpleQueue().put)
+            peer.start([].append)
             conn, _ = server.accept()  # and never read from
             try:
                 peer._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
