@@ -21,7 +21,13 @@ WILDCARD = "?"
 TYPE_SLOT = "isa"
 
 
-def _symbol_error(value) -> str | None:
+# Legal contents a factory remembers, and legal symbols a factory or a parse
+# remembers; at this many a set forgets them all and refills, so a run that
+# builds ever-new contents keeps a bounded set.
+_LEGAL_CAP = 4096
+
+
+def _grammar_error(value) -> str | None:
     """Why ``value`` is not a legal symbol, or None when it is one."""
     if not isinstance(value, str) or not value:
         return f"must be a non-empty string, got {value!r}"
@@ -32,13 +38,36 @@ def _symbol_error(value) -> str | None:
     return None
 
 
-def validate_symbol(name: str, *, what: str = "symbol") -> str:
+def _symbol_error(value, legal: set[str] | None = None) -> str | None:
+    """:func:`_grammar_error`, skipped for a member of ``legal``.
+
+    ``legal`` is the set of strings one factory or one parse has already
+    found legal: a member passes at once, and a string that passes the
+    check joins it (the set clears first once it holds :data:`_LEGAL_CAP`).
+    Only strings that passed are kept, so every refusal is checked and
+    worded afresh.
+    """
+    if legal is None:
+        return _grammar_error(value)
+    if type(value) is str and value in legal:
+        return None
+    error = _grammar_error(value)
+    if error is None and type(value) is str:
+        if len(legal) >= _LEGAL_CAP:
+            legal.clear()
+        legal.add(value)
+    return error
+
+
+def validate_symbol(name: str, *, what: str = "symbol",
+                    legal: set[str] | None = None) -> str:
     """Check that ``name`` is a legal symbol token and return it.
 
     Symbols are non-empty, contain no whitespace and no ``':'``, and are
-    never the wildcard token.
+    never the wildcard token.  ``legal`` is a set of symbols already found
+    legal (see :func:`_symbol_error`).
     """
-    error = _symbol_error(name)
+    error = _symbol_error(name, legal)
     if error is not None:
         raise ChunkError(f"{what} {error}")
     return name
@@ -49,24 +78,25 @@ def is_reference(value) -> bool:
     return isinstance(value, str) and value != WILDCARD and value.startswith(WILDCARD)
 
 
-def pattern_errors(ctype, slots, *, wildcards: bool = False,
-                   references: bool = False) -> list[tuple[str | None, str]]:
+def pattern_errors(ctype, slots, *, wildcards: bool = False, references: bool = False,
+                   legal: set[str] | None = None) -> list[tuple[str | None, str]]:
     """Every way ``(ctype, slots)`` breaks the chunk grammar, as ``(slot, message)``.
 
     ``slot`` is None for the type.  A chunk holds only symbols, under
     distinct slot names other than ``isa``.  Where ``wildcards`` is set (a
     pattern or query) the type and slot values may also be ``"?"``; where
     ``references`` is set (an action template) they may be ``"?name"``.
-    Each slot reports at most one violation.
+    Each slot reports at most one violation.  ``legal`` is a set of symbols
+    already found legal (see :func:`_symbol_error`).
     """
     errors = []
     if not (wildcards and ctype == WILDCARD or references and is_reference(ctype)):
-        error = _symbol_error(ctype)
+        error = _symbol_error(ctype, legal)
         if error is not None:
             errors.append((None, f"chunk type {error}"))
     seen = set()
     for name, value in slots:
-        error = _symbol_error(name)
+        error = _symbol_error(name, legal)
         if error is not None:
             errors.append((name, f"slot name {error}"))
             continue
@@ -75,7 +105,7 @@ def pattern_errors(ctype, slots, *, wildcards: bool = False,
         elif name in seen:
             errors.append((name, f"duplicate slot name {name!r}"))
         elif not (wildcards and value == WILDCARD or references and is_reference(value)):
-            error = _symbol_error(value)
+            error = _symbol_error(value, legal)
             if error is not None:
                 errors.append((name, f"value of slot {name!r} {error}"))
         seen.add(name)
@@ -170,11 +200,6 @@ class Query:
         return f"{self.ctype}?({inner})" if inner else f"{self.ctype}?()"
 
 
-# Legal contents a factory remembers; at this many it forgets them all and
-# refills, so a run that builds ever-new contents keeps a bounded set.
-_LEGAL_CAP = 4096
-
-
 class ChunkFactory:
     """Allocates chunk and query ids from a private counter.
 
@@ -185,12 +210,15 @@ class ChunkFactory:
     ``(wildcards, ctype, slots)`` keys: a run builds most of its chunks
     from a handful of contents, and each is checked against the grammar
     only the first time.  A remembered key is an equal tuple that already
-    passed every check, so no result or message changes.
+    passed every check, so no result or message changes.  A new content is
+    checked in full, but each symbol in it once per factory: the factory
+    also keeps the symbols it has found legal (see :func:`_symbol_error`).
     """
 
     def __init__(self):
         self._count = itertools.count()
         self._legal: set[tuple] = set()
+        self._symbols: set[str] = set()
 
     def _checked(self, ctype, slots, *, wildcards: bool) -> tuple[tuple[str, str], ...]:
         """``slots`` (pairs or a mapping) as a tuple of pairs; raises the first
@@ -211,7 +239,7 @@ class ChunkFactory:
                 return slots
         except TypeError:
             key = None
-        errors = pattern_errors(ctype, slots, wildcards=wildcards)
+        errors = pattern_errors(ctype, slots, wildcards=wildcards, legal=self._symbols)
         if errors:
             raise ChunkError(errors[0][1])
         if key is None:

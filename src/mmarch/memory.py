@@ -197,7 +197,10 @@ class _Columns:
     outnumber live ones.  Until then a forgotten entry's slot stays in
     every posting, and every table reads NaN there.  ``postings`` maps
     ``(tag,)``, ``(tag, type)`` and ``(tag, slot name, value)`` to the slots
-    of the entries filed under it.  ``reach`` maps each symbol to the slots
+    of the entries filed under it.  ``own`` holds each slot's own symbol set:
+    its chunk's type and slot values, empty for a vector-only entry.  An
+    entry's reach set is the union of its own set and its neighbours'
+    (:meth:`MiddleMemory._reach`).  ``reach`` maps each symbol to the slots
     whose reach set holds it; the entries whose ids are in ``stale`` have
     reach sets that changed since they were posted.  ``codes`` holds the
     slot values of every chunk as symbol codes, in slot order, with the
@@ -221,6 +224,7 @@ class _Columns:
         self.slot_of: dict[int, int] = {}  # live id -> slot, in id order
         self.postings: dict[tuple, array] = {}
         self.reach: dict[str, array] = {}
+        self.own: list[frozenset[str]] = []  # each slot's own symbols
         self.posted: list[frozenset[str]] = []  # each slot's reach set as posted
         self.stale: set[int] = set()  # ids to post again
         self.symbols: dict[str, int] = {}  # symbol -> code
@@ -254,15 +258,25 @@ class _Columns:
         self.posted.append(frozenset())
         self.slot_of[entry.id] = slot
         self.stale.add(entry.id)
-        keys = [(entry.tag,)]
-        if entry.chunk is not None:
-            keys.append((entry.tag, entry.chunk.ctype))
-            for name, value in entry.chunk.slots:
-                keys.append((entry.tag, name, value))
+        tag, chunk = entry.tag, entry.chunk
+        keys = [(tag,)]
+        if chunk is None:
+            self.own.append(frozenset())
+        else:
+            symbols = [chunk.ctype]
+            keys.append((tag, chunk.ctype))
+            for name, value in chunk.slots:
+                symbols.append(value)
+                keys.append((tag, name, value))
                 self.codes.append(self.code(value))
                 self.owners.append(slot)
+            self.own.append(frozenset(symbols))
+        postings = self.postings
         for key in keys:
-            self.postings.setdefault(key, array("i")).append(slot)
+            posting = postings.get(key)
+            if posting is None:
+                posting = postings[key] = array("i")
+            posting.append(slot)
 
     def remove(self, entry: MMEntry) -> int:
         """Empty ``entry``'s slot and return it."""
@@ -562,10 +576,15 @@ class MiddleMemory:
 
     def _reach(self, entry: MMEntry) -> frozenset[str]:
         """The symbols (type and slot values) of the entry's chunk and of
-        every linked chunk; a vector-only entry adds none."""
-        chunks = [self.entries[nid].chunk for nid in entry.links]
-        chunks.append(entry.chunk)
-        return frozenset().union(*(c.symbols() for c in chunks if c is not None))
+        every linked chunk; a vector-only entry adds none.  It is the union
+        of the own sets the columns keep for the entry and its neighbours,
+        every one of them live: forgetting drops the links to a gone entry."""
+        cols = self._cols
+        own, slot_of = cols.own, cols.slot_of
+        mine = own[slot_of[entry.id]]
+        if not entry.links:
+            return mine
+        return mine.union(*[own[slot_of[nid]] for nid in entry.links])
 
     def activation(self, entry: MMEntry, wm: WorkingMemory, now: float, *,
                    sources: tuple[frozenset[str], ...] | None = None) -> float:

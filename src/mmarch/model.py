@@ -77,10 +77,15 @@ PREDICTOR_KINDS = {
 
 
 class _Collector:
-    """Accumulates (path, message) violations during parse and validation."""
+    """Accumulates (path, message) violations during parse and validation.
+
+    It also keeps the symbols found legal so far, so a parse checks each
+    symbol against the grammar once (see :func:`.chunks._symbol_error`).
+    """
 
     def __init__(self):
         self.violations: list[tuple[str, str]] = []
+        self.legal: set[str] = set()
 
     def add(self, path: str, message: str) -> None:
         self.violations.append((path, message))
@@ -144,7 +149,7 @@ def _scalars(kind, message: str, test=None):
 def _symbol(what: str):
     def read(value, path, errors):
         try:
-            return validate_symbol(value, what=what)
+            return validate_symbol(value, what=what, legal=errors.legal)
         except ChunkError as exc:
             errors.add(path, str(exc))
             return _INVALID
@@ -188,8 +193,8 @@ def _pair(value, path, errors):
         errors.add(path, "pairs are [a, b] or [a, b, weight]")
         return _INVALID
     try:
-        validate_symbol(value[0], what="pair symbol")
-        validate_symbol(value[1], what="pair symbol")
+        validate_symbol(value[0], what="pair symbol", legal=errors.legal)
+        validate_symbol(value[1], what="pair symbol", legal=errors.legal)
     except ChunkError as exc:
         errors.add(path, str(exc))
         return _INVALID
@@ -215,7 +220,7 @@ def _pattern(*, wildcards: bool, refs: bool):
         slots = obj.get("slots", {})
         pairs = slots.items() if type(slots) is dict else ()
         for slot, message in pattern_errors(ctype, pairs, wildcards=wildcards,
-                                            references=refs):
+                                            references=refs, legal=errors.legal):
             errors.add(f"{path}.isa" if slot is None else f"{path}.slots.{slot}", message)
         if type(slots) is not dict:
             errors.add(f"{path}.slots", f"slots has wrong type {type(slots).__name__}")
@@ -416,7 +421,7 @@ def _check_predictor(values: dict, obj: dict, path: str, errors: _Collector) -> 
         errors.add(path, "external predictor needs command or host+port")
     # A built-in predictor emits emit_isa chunks holding one symbol at emit_slot.
     emitted = ((values["emit_slot"], values["emit_isa"]),)
-    for _, message in pattern_errors(values["emit_isa"], emitted):
+    for _, message in pattern_errors(values["emit_isa"], emitted, legal=errors.legal):
         errors.add(f"{path}.emit_slot", message)
 
 

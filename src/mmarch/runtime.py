@@ -92,6 +92,25 @@ def _clip(text: str | None) -> str | None:
     return f"{text[:ERROR_TEXT_MAX // 2]}…{text[-ERROR_TEXT_MAX // 2:]}"
 
 
+def _line_text(line: bytes) -> str:
+    """``line`` decoded as an ``error`` payload, with what :func:`_clip`
+    keeps of the whole line's ``backslashreplace`` decoding.
+
+    A line over ``4 * ERROR_TEXT_MAX`` bytes is cut, and only its first and
+    last ``2 * ERROR_TEXT_MAX`` bytes are decoded.  Each character takes at
+    most four bytes and each invalid byte renders on its own as four
+    characters, so the ``ERROR_TEXT_MAX // 2`` characters kept at each end
+    come from no more bytes than that, and a sequence broken by a cut falls
+    outside them.
+    """
+    ends = 2 * ERROR_TEXT_MAX
+    if len(line) <= 2 * ends:
+        return line.decode(errors="backslashreplace")
+    head = line[:ends].decode(errors="backslashreplace")
+    tail = line[-ends:].decode(errors="backslashreplace")
+    return f"{head[:ERROR_TEXT_MAX // 2]}…{tail[-ERROR_TEXT_MAX // 2:]}"
+
+
 def _to_query(pattern: Template | None, factory: ChunkFactory) -> Query | None:
     if pattern is None:
         return None
@@ -250,7 +269,7 @@ class Session:
                 decoded = decode_prediction(line, self.book.dimension)
             except ValueError as exc:
                 self._log_error(n, f"dropped malformed prediction: {exc}", predictor,
-                                line.decode(errors="backslashreplace"))
+                                _line_text(line))
                 continue
             predictions.append(Prediction(predictor=predictor, produced_at_cycle=cycle,
                                           emission_index=index, **decoded))

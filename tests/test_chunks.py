@@ -1,5 +1,7 @@
 """Chunk, query, and matching semantics."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from mmarch import chunks
 from mmarch.chunks import (
     ChunkFactory,
     Query,
+    Template,
     WILDCARD,
     binding_keys,
     complete_query,
@@ -20,6 +23,10 @@ from mmarch.chunks import (
 )
 from mmarch.errors import ChunkError
 from mmarch.memory import MiddleMemory
+from mmarch.model import parse_model
+from mmarch.runtime import Session
+
+from test_model import _violations, base_doc
 
 symbols = st.text(alphabet="abcdefg", min_size=1, max_size=4)
 
@@ -216,6 +223,103 @@ class TestLegalContentMemo:
         made = [factory.make("t", [("v", "x")]) for _ in range(3)]
         made.append(factory.make_query("t", [("v", "x")]))
         assert [c.id for c in made] == [0, 1, 2, 3]
+
+
+def _count_grammar_checks(monkeypatch) -> list:
+    """Record each value the full symbol check runs on."""
+    calls, full = [], chunks._grammar_error
+    monkeypatch.setattr(chunks, "_grammar_error",
+                        lambda value: calls.append(value) or full(value))
+    return calls
+
+
+def _facts_doc(*facts):
+    """``base_doc`` with one initial ``emotion`` entry per ``(isa, slots)``."""
+    doc = base_doc()
+    doc["initial_mm"] = [{"tag": "emotion", "chunk": {"isa": ctype, "slots": slots}}
+                         for ctype, slots in facts]
+    return doc
+
+
+BAD_SYMBOLS = ("a b", "a:b", "?a")
+THOUSANDS = 3000
+
+
+class TestLegalSymbolMemo:
+    """A factory and a parse each check a symbol against the grammar once;
+    what they remember changes neither what they accept nor what a refusal
+    says, and nothing is shared between two of them."""
+
+    @pytest.mark.parametrize("bad", BAD_SYMBOLS)
+    def test_factory_refuses_an_illegal_symbol_after_thousands_of_legal_ones(self, bad):
+        factory = ChunkFactory()
+        for i in range(THOUSANDS):
+            factory.make("word", [("value", f"w{i}")])
+        for ctype, slots in (("word", [("value", bad)]), (bad, [("value", "w1")]),
+                             ("word", [(bad, "w1")])):
+            for _ in range(2):  # a refused symbol is never remembered
+                assert (_refusal(factory.make, ctype, slots)
+                        == pattern_errors(ctype, slots)[0][1])
+                assert (_refusal(factory.make_query, ctype, slots)
+                        == pattern_errors(ctype, slots, wildcards=True)[0][1])
+
+    @pytest.mark.parametrize("bad", BAD_SYMBOLS)
+    def test_parse_refuses_an_illegal_symbol_after_thousands_of_legal_ones(self, bad):
+        legal = [("fact", {"v": f"w{i}"}) for i in range(THOUSANDS)]
+        for fact in (("fact", {"v": bad}), (bad, {"v": "w1"}), ("fact", {bad: "w1"})):
+            [(path, message)] = _violations(_facts_doc(fact))
+            later = path.replace("initial_mm[0]", f"initial_mm[{THOUSANDS}]")
+            assert _violations(_facts_doc(*legal, fact)) == [(later, message)]
+
+    def test_the_same_illegal_value_is_reported_at_each_path(self):
+        violations = _violations(_facts_doc(("fact", {"v": "a b"}), ("fact", {"v": "ok"}),
+                                            ("other", {"v": "a b"})))
+        message = "value of slot 'v' 'a b' may not contain ':' or whitespace"
+        assert violations == [("initial_mm[0].chunk.slots.v", message),
+                              ("initial_mm[2].chunk.slots.v", message)]
+
+    def test_a_parse_checks_each_symbol_once_and_two_parses_share_nothing(self, monkeypatch):
+        doc = _facts_doc(("fact", {"v": "x"}), ("fact", {"v": "y"}))
+        calls = _count_grammar_checks(monkeypatch)
+        parse_model(doc)
+        first = list(calls)
+        assert all(first.count(symbol) == 1 for symbol in ("fact", "v", "emotion"))
+        calls.clear()
+        parse_model(doc)
+        assert calls == first
+
+    def test_two_factories_share_nothing(self, monkeypatch):
+        first, second = ChunkFactory(), ChunkFactory()
+        first.make("t", [("v", "x")])
+        calls = _count_grammar_checks(monkeypatch)
+        first.make("t", [("v", "y")])  # a new content, but only one new symbol
+        assert calls == ["y"]
+        second.make("t", [("v", "x")])
+        assert calls == ["y", "t", "v", "x"]
+
+    def test_a_session_checks_the_chunks_its_model_carries(self):
+        """A model built past the parser, carrying a chunk the parser would
+        refuse, is refused by the session's own factory with the same message."""
+        model = parse_model(base_doc())
+        bad = Template("percept", (("value", "a b"),))
+        model = dataclasses.replace(model, initial_mm=(
+            dataclasses.replace(model.initial_mm[0], chunk=bad),))
+        with pytest.raises(ChunkError) as caught:
+            Session(model)
+        assert str(caught.value) == pattern_errors(bad.ctype, bad.slots)[0][1]
+
+    def test_at_the_cap_the_set_clears_and_refills(self, monkeypatch):
+        monkeypatch.setattr(chunks, "_LEGAL_CAP", 3)
+        legal = set()
+        for symbol in "abc":
+            assert chunks._symbol_error(symbol, legal) is None
+        calls = _count_grammar_checks(monkeypatch)
+        assert chunks._symbol_error("c", legal) is None and calls == []  # remembered
+        assert chunks._symbol_error("d", legal) is None  # a full check, then a clear
+        assert calls == ["d"] and legal == {"d"}
+        assert chunks._symbol_error("a", legal) is None  # forgotten at the clear
+        assert calls == ["d", "a"] and legal == {"a", "d"}
+        assert chunks._symbol_error("a b", legal) is not None and legal == {"a", "d"}
 
 
 class TestListPairs:

@@ -3,14 +3,15 @@
 :class:`NaiveMiddleMemory` answers every read from scratch.  Each read
 recomputes every live entry's activation through
 :meth:`MiddleMemory.activation`, the reference definition, from reach sets
-built from the links and freshly built spreading sources, into a per-entry
-table by slot of the memory's entries that the shared
-:meth:`MiddleMemory._where` reads; a retrieval's candidates come from a scan
-of the live slots.  It keeps no table, reads no column and probes no
-posting.  Put in place of the runtime's middle memory, it must reproduce the
-trace bytes of the real one, whose tables, base-level columns, presentation
-block, posted reach sets, spreading columns, symbol codes and postings are all
-caches of these definitions.
+built from :meth:`Chunk.symbols` of the entry and its linked entries and
+from freshly built spreading sources, into a per-entry table by slot of the
+memory's entries that the shared :meth:`MiddleMemory._where` reads; a
+retrieval's candidates come from a scan of the live slots.  It keeps no
+table, reads no column and probes no posting.  Put in place of the runtime's
+middle memory, it must reproduce the trace bytes of the real one, whose
+tables, base-level columns, presentation block, own symbol sets, posted
+reach sets, spreading columns, symbol codes and postings are all caches of
+these definitions.
 """
 
 import math
@@ -51,6 +52,11 @@ class NaiveMiddleMemory(MiddleMemory):
     def _candidates(self, pattern, tags):
         return [slot for slot, e in enumerate(self._cols.entries)
                 if e is not None and e.tag in tags]
+
+    def _reach(self, entry):
+        chunks = [self.entries[nid].chunk for nid in entry.links]
+        chunks.append(entry.chunk)
+        return frozenset().union(*(c.symbols() for c in chunks if c is not None))
 
 
 def _same_bytes(model, cycles, seed):
@@ -93,9 +99,10 @@ def test_multi_step_models_match_the_naive_memory(data):
 @oracle(15)
 @given(size=st.integers(8, LINKED_FACTS_MAX),
        noise=st.sampled_from([0.0, 0.3, 1.0]), links=st.integers(0, 4),
-       seed=st.integers(0, 9))
-def test_linked_facts_match_the_naive_memory(size, noise, links, seed):
+       seed=st.integers(0, 9), domain=st.booleans())
+def test_linked_facts_match_the_naive_memory(size, noise, links, seed, domain):
     """Sizes fall on both sides of ``COLUMN_MIN_ENTRIES``; noisy runs also
-    forget their way across it."""
-    doc = linked_facts_doc(size=size, seed=seed, noise=noise, links=links)
+    forget their way across it.  With ``domain`` the goal reaches every fact
+    through its type, so a reach set must hold the chunk type too."""
+    doc = linked_facts_doc(size=size, seed=seed, noise=noise, links=links, domain=domain)
     _same_bytes(parse_model(doc), 30, seed)

@@ -5,18 +5,25 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmarch import demos, memory
+from mmarch import demos, memory, predictors
 from mmarch.errors import ModelValidationError
 from mmarch.model import load_model, parse_model
 from mmarch.productions import Condition, Production
-from mmarch.runtime import Session, run, run_session
+from mmarch.runtime import Session, _clip, _line_text, run, run_session
 from mmarch.trace import trace_to_bytes
 
 from test_memory import count_base_levels
+
+# Pieces of a peer line: one- to four-byte characters, and invalid bytes, a
+# lone continuation byte and truncated sequences, each rendered per byte.
+EMOJI = "😀".encode()
+LINE_PIECES = (b"a", "é".encode(), "€".encode(), EMOJI, b"\xff", b"\x80",
+               b"\xe2\x82", b"\xf0\x9f\x98", b"\xc0")
 
 
 def two_system_doc():
@@ -71,11 +78,14 @@ def model():
     return parse_model(two_system_doc())
 
 
-def linked_facts_doc(size=60, seed=1, noise=0.3, links=2):
+def linked_facts_doc(size=60, seed=1, noise=0.3, links=2, domain=False):
     """A ring of ``size`` linked facts walked by the centre through a
     declarative shadow, while an associative predictor deposits cues that
     an attention shadow reads back from middle memory.  Each fact draws
-    ``links`` link targets (duplicates and self-links are dropped)."""
+    ``links`` link targets (duplicates and self-links are dropped).  With
+    ``domain`` the goal also holds ``domain: fact``, as in the benchmark's
+    generated model, so it spreads to every fact through the fact's type."""
+    goal = {"state": "walk", "domain": "fact"} if domain else {"state": "walk"}
     rng = random.Random(seed)
     order = list(range(size))
     rng.shuffle(order)
@@ -122,7 +132,7 @@ def linked_facts_doc(size=60, seed=1, noise=0.3, links=2):
                  {"kind": "post-query", "target": "declarative",
                   "query": {"isa": "fact", "slots": {"name": "?next", "next": "?"}}},
                  {"kind": "write-buffer", "target": "goal",
-                  "chunk": {"isa": "goal", "slots": {"state": "walk", "at": "?name"}}}]},
+                  "chunk": {"isa": "goal", "slots": {**goal, "at": "?name"}}}]},
             {"name": "recover",
              "conditions": [
                  {"buffer": "goal", "pattern": {"isa": "goal", "slots": {"state": "walk"}}},
@@ -135,7 +145,7 @@ def linked_facts_doc(size=60, seed=1, noise=0.3, links=2):
                         "pairs": [[f"f{i}", f"cue{i}"] for i in range(size)],
                         "emit_isa": "percept", "emit_slot": "value"}],
         "initial_wm": [
-            {"buffer": "goal", "chunk": {"isa": "goal", "slots": {"state": "walk"}}},
+            {"buffer": "goal", "chunk": {"isa": "goal", "slots": goal}},
             {"buffer": "declarative", "query": walk_query},
             {"buffer": "attention", "chunk": {"isa": "percept", "slots": {"value": "none"}}},
         ],
@@ -483,6 +493,33 @@ class TestInbox:
         encoded = [line for line in trace_to_bytes(session.trace).splitlines()
                    if b'"kind":"error"' in line]
         assert len(encoded) == len(lines) and max(map(len, encoded)) < 1024
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(head=st.integers(120, 128), tail=st.integers(120, 128),
+           middle=st.lists(st.sampled_from(LINE_PIECES), max_size=48))
+    def test_a_dropped_line_keeps_what_clipping_its_whole_decoding_keeps(
+            self, head, middle, tail):
+        """Lines of about ``4 * ERROR_TEXT_MAX`` bytes: a run of four-byte
+        characters at each end puts the middle's pieces across the cuts
+        ``2 * ERROR_TEXT_MAX`` bytes from either end."""
+        line = EMOJI * head + b"".join(middle) + EMOJI * tail
+        assert _clip(_line_text(line)) == _clip(line.decode(errors="backslashreplace"))
+
+    def test_dropping_a_line_max_head_decodes_only_its_ends(self):
+        """A ``LINE_MAX`` head costs its error event under 1 MiB of memory
+        at peak, and its payload is what the whole decoding would clip to."""
+        session = Session(load_model(demos.path("wordloop")), mode="mm", seed=0)
+        line = "é".encode() + b"\xff" + b"x" * (predictors.LINE_MAX - 6) + "€".encode()
+        session.inbox.append(("peer", 0, line))
+        tracemalloc.start()
+        try:
+            session.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+        [error] = [e for e in session.trace.by_kind("error") if e.data["predictor"] == "peer"]
+        assert error.data["payload"] == _clip(line.decode(errors="backslashreplace"))
 
 
 class TestRewardsAndCredit:
