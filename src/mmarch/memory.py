@@ -46,6 +46,9 @@ COLUMN_MIN_ENTRIES = 48
 # Generated mm-scale histories are 1 to 5 long; wordloop's grow to
 # thousands, in a memory too small for columns.
 HISTORY_CAP = 16
+# Buffer-only broadcasts a memory remembers the top symbols of; at this many
+# it forgets them all and refills.
+CONTEXTS_CAP = 4096
 
 
 @dataclass
@@ -381,8 +384,10 @@ class MiddleMemory:
     time and version reuses its column, so each entry's base level is
     computed once per time and version.  Forgetting leaves the version
     alone: it rebuilds the sweep's table at its point from its column, NaN
-    at the gone entries' slots.  A memory with no live entries reads NaN at
-    every slot, with no table work.
+    at the gone entries' slots.  A memory with no live entry has no table:
+    :meth:`_table` gives None, every read returns its empty result at once,
+    and the broadcast answers from its buffers alone, each distinct
+    buffer-only context once (see :func:`context_symbols`).
 
     The memory keeps columns (:class:`_Columns`) from its first entry on,
     in step through ``_add``, ``link`` and ``_forget``.  Inside the memory
@@ -438,6 +443,8 @@ class MiddleMemory:
         self._version = 0
         self._cached: _Table | None = None  # the last table read
         self._cols = _Columns(())
+        # (k, buffer symbols) -> top-k symbols of a broadcast with no live entry
+        self._contexts: dict[tuple, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -628,10 +635,10 @@ class MiddleMemory:
         """Every entry whose activation exceeds ``threshold``, in id order."""
         return self._where(self._table(wm, now), lambda act: act > threshold)
 
-    def _table(self, wm: WorkingMemory, now: float) -> _Table:
-        if not self.entries:  # nothing to evaluate; every slot reads NaN
-            empty = [math.nan] * len(self._cols.entries)
-            return _Table((now, self._version, None), empty, empty)
+    def _table(self, wm: WorkingMemory, now: float) -> _Table | None:
+        """The table at ``now`` under ``wm``, or None when no entry is live."""
+        if not self.entries:  # the one liveness test every read shares
+            return None
         sources = spread_sources(wm)
         point = (now, self._version, sources)
         cached = self._cached
@@ -723,15 +730,18 @@ class MiddleMemory:
             self._forget([entry for entry, _ in removed], table)
         return removed
 
-    def _where(self, table: _Table, keep,
+    def _where(self, table: _Table | None, keep,
                slots: Iterable[int] | None = None) -> list[tuple[MMEntry, float]]:
         """Each entry whose activation passes ``keep``, with it: among
         ``slots`` in their order, or among all slots in slot (id) order when
-        ``slots`` is None.  ``keep`` tests a float, or each element of an
-        array, and fails the NaN of a forgotten entry's slot; this is the
-        one way any reader takes values from a table.  A read over given
-        slots tests floats from ``table.listed``, so a retrieval's few
-        candidates cost list reads, not numpy calls on short vectors."""
+        ``slots`` is None; none from no table.  ``keep`` tests a float, or
+        each element of an array, and fails the NaN of a forgotten entry's
+        slot; this is the one way any reader takes values from a table.  A
+        read over given slots tests floats from ``table.listed``, so a
+        retrieval's few candidates cost list reads, not numpy calls on short
+        vectors."""
+        if table is None:
+            return []
         values, entries = table.values, self._cols.entries
         if slots is not None:
             listed = table.listed
@@ -751,7 +761,7 @@ class MiddleMemory:
         their noise draws too: a draw depends on the point, which forgetting
         leaves alone, so the rebuild takes the table's and draws none.  Only
         the gone entries' neighbours lose a link, so only their reach sets
-        are posted again.
+        are posted again.  With no survivor there is nothing to rebuild.
         """
         cols, base = self._cols, table.base
         for entry in gone:
@@ -766,7 +776,7 @@ class MiddleMemory:
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
                                default=None)
-        self._cached = self._build(table.point, base, table.noise)
+        self._cached = self._build(table.point, base, table.noise) if self.entries else None
 
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """All entries at or above the retrieval threshold, id order."""
@@ -783,6 +793,10 @@ def _packed_content(buf: Buffer, book: Codebook) -> HoloVector | None:
         else:
             buf._packed = (key, pack_query(content, book))
     return buf._packed[1]
+
+
+_NO_WEIGHTS = np.empty(0)  # the weights of a context with no retrievable entry
+_NO_WEIGHTS.flags.writeable = False
 
 
 def _softmax(acts: np.ndarray) -> np.ndarray:
@@ -824,6 +838,12 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
     codes (:func:`_top_by_codes`), a smaller table entry by entry; both
     give the same scores, bit for bit.  The context keeps the retrievable
     entries' slots; only :func:`context_vector` looks their entries up.
+
+    With no live entry there is no table, and the top-``k`` depends only on
+    ``k`` and the buffers' symbols in order: the memory answers each such
+    pair once and keeps the answer until :data:`CONTEXTS_CAP` of them clear
+    its memo.  The memo is the memory's own, so nothing passes between two
+    sessions.
     """
     buffers = [buf for _, buf in sorted(wm.buffers.items()) if buf.content is not None]
     zero = True
@@ -837,8 +857,17 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
             values = content.known_values()
             symbols.extend(values)
             zero = zero and content.ctype == WILDCARD and not values
-    table, threshold = mm._table(wm, now), mm.retrieval_threshold
-    acts, entries = table.values, mm._cols.entries
+    table = mm._table(wm, now)
+    if table is None:
+        key = (k, tuple(symbols))
+        top = mm._contexts.get(key)
+        if top is None:
+            if len(mm._contexts) >= CONTEXTS_CAP:
+                mm._contexts.clear()
+            top = mm._contexts[key] = tuple(
+                sym for _, sym in _top_by_entries(symbols, [], _NO_WEIGHTS, k))
+        return Context(list(top), zero, buffers, (), mm._cols.entries, _NO_WEIGHTS)
+    threshold, acts, entries = mm.retrieval_threshold, table.values, mm._cols.entries
     if isinstance(acts, list):
         slots = [slot for slot, act in enumerate(acts) if act >= threshold]
         weights = _softmax(np.array([acts[slot] for slot in slots])) if slots else np.empty(0)

@@ -136,11 +136,10 @@ class NgramPredictor:
         if got is None or self.rate < 1:
             return []
         symbol, salience = got
-        return [Prediction(tag=self.tag, predictor=self.name,
-                           produced_at_cycle=cycle, emission_index=i,
-                           ctype=self.emit_ctype,
-                           slots=((self.emit_slot, symbol),),
-                           salience=salience)
+        slots = ((self.emit_slot, symbol),)
+        # Positional, in field order: a keyword call costs a dict per emission.
+        return [Prediction(self.tag, self.name, cycle, i, self.emit_ctype, slots, None,
+                           salience)
                 for i in range(self.rate)]
 
 

@@ -34,7 +34,10 @@ one read right after the sweep takes the entries above the formation
 threshold, and each system forms from those whose tag it subscribes to.  A
 table built after the commit serves the broadcast, which reads it once for
 its symbols and its ``zero_context`` flag and packs a context vector only
-for a live external predictor.
+for a live external predictor.  While middle memory holds no live entry,
+as in a pipeline run with no initial entries, no read builds a table, and
+the broadcast ranks the buffers' symbols alone, answering each distinct
+context once per session.
 """
 
 from __future__ import annotations
@@ -157,6 +160,10 @@ class Session:
                              for p in sdef.productions],
                 steps_per_cycle=sdef.steps_per_cycle)
             self.systems.append(system)
+        self._routes: dict[str, ShadowSystem] = {}  # tag -> first subscribing system
+        for system in self.systems:
+            for tag in system.subscriptions:
+                self._routes.setdefault(tag, system)
         if shadow_step_order is not None:
             if sorted(shadow_step_order) != list(range(len(self.systems))):
                 raise ValueError("shadow_step_order must permute the system indices")
@@ -172,6 +179,7 @@ class Session:
         self._scheduled: dict[int, list[float]] = {}
         for reward in model.rewards:
             self._scheduled.setdefault(reward.cycle, []).append(reward.amount)
+        self._last_scheduled = max(self._scheduled, default=-1)
         # Only central productions emit rewards, and formation adds none.
         self._emits_reward = any(action.kind == "emit-reward"
                                  for p in self.central_productions for action in p.actions)
@@ -292,11 +300,7 @@ class Session:
                           has_vector=prediction.vector is not None)
 
     def _route_prediction(self, n: int, prediction) -> None:
-        target = None
-        for system in self.systems:
-            if prediction.tag in system.subscriptions:
-                target = system
-                break
+        target = self._routes.get(prediction.tag)
         if target is None:  # an external line names its own tag, unchecked by validation
             self._log_error(n, f"no module subscribes to tag {prediction.tag!r}",
                             prediction.predictor)
@@ -382,7 +386,7 @@ class Session:
     # phase 4
     def _central_phase(self, n: int, t_now: float, t_eval: float) -> tuple[list, bool]:
         """Fire the winner; return its ``(amount, source)`` rewards and whether it halts."""
-        view = MatchView(self.wm, None, t_eval, inflows=self.inflows)
+        view = MatchView(self.wm, None, t_eval, self.inflows)
         conflict = match_all(self.central_productions, view)
         winner = resolve(conflict)
         conflict_names = [m.production.name for m in conflict]
@@ -416,7 +420,7 @@ class Session:
     def _reward_may_come(self, n: int) -> bool:
         """Whether a reward can still arrive at cycle ``n`` or later; credit
         is recorded only while one can, so runs without one stay bounded."""
-        return self._emits_reward or any(cycle >= n for cycle in self._scheduled)
+        return self._emits_reward or self._last_scheduled >= n
 
     # phase 5 (called from the central phase so the fire event carries it)
     def _record_consumption(self, sources, credit: bool) -> list[dict]:
@@ -537,7 +541,7 @@ class Session:
         shadow conditions match against the live middle memory.
         """
         t_eval = self._cycle_time(self.cycle + 1)
-        view = MatchView(self.wm, None, t_eval, inflows=self.inflows)
+        view = MatchView(self.wm, None, t_eval, self.inflows)
         out = {CENTRAL: [m.production.name
                          for m in match_all(self.central_productions, view)]}
         for system in self.systems:

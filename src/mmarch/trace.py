@@ -46,7 +46,7 @@ class Trace:
         # Exact, as read_trace requires, so trace_to_bytes's %d is JSON's.
         if type(cycle) is not int:
             raise TypeError(f"trace cycle must be an int, not {type(cycle).__name__}")
-        event = TraceEvent(cycle=cycle, seq=len(self.events), kind=kind, data=data)
+        event = TraceEvent(cycle, len(self.events), kind, data)  # positional: keywords cost a dict
         self.events.append(event)
         return event
 

@@ -11,10 +11,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmarch
 from mmarch import codec, demos, memory, runtime
-from mmarch.chunks import Chunk, ChunkFactory
+from mmarch.chunks import WILDCARD, Chunk, ChunkFactory, Query
 from mmarch.codec import Codebook, normalized, pack, pack_query
 from mmarch.memory import (
     Buffer,
@@ -282,6 +283,106 @@ def test_built_in_predictors_never_pack(monkeypatch, load, cycles):
     assert session.cycle == cycles
     assert any(e.kind == "delivery" for e in session.trace.events)
     assert calls == []
+
+
+BUFFER_SYMBOLS = st.sampled_from(["a", "b", "c"])
+
+
+def buffer_contents(factory):
+    """Empty, a chunk, or a query whose type and values may be wildcards;
+    the few symbols repeat within and across buffers."""
+    def slots(values):
+        return [(f"s{i}", value) for i, value in enumerate(values)]
+
+    chunks = st.lists(BUFFER_SYMBOLS, max_size=4).map(
+        lambda values: factory.make("cue", slots(values)))
+    queries = st.tuples(st.sampled_from(["cue", WILDCARD]),
+                        st.lists(st.one_of(BUFFER_SYMBOLS, st.just(WILDCARD)), max_size=4))
+    return st.one_of(st.none(), chunks, queries.map(
+        lambda drawn: factory.make_query(drawn[0], slots(drawn[1]))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), emptied=st.booleans())
+def test_a_memory_with_no_live_entry_broadcasts_its_buffers_alone(data, emptied):
+    """On a fresh memory, and on one whose every entry is forgotten, each
+    broadcast of a drawn sequence gives a fresh ``_top_by_entries`` over
+    the buffers' symbols, whatever the memory remembers of the broadcasts
+    before it: the same symbols in other counts or orders, or the same
+    buffers at another ``k``."""
+    factory, wm = ChunkFactory(), WorkingMemory()
+    for name in ("b0", "b1", "b2"):
+        wm.add_buffer(name, "central")
+    mm = MiddleMemory(forget_threshold=-1.0)
+    if emptied:
+        mm.deposit(0.0, "t", chunk=factory.make("cue", [("s0", "a")]))
+        assert len(mm.sweep(wm, 1000.0)) == 1 and mm._cols.entries == [None]
+    contents = buffer_contents(factory)
+    for _ in range(data.draw(st.integers(1, 8))):
+        if not data.draw(st.booleans(), label="keep the buffers"):
+            for name in wm.buffers:
+                wm.write("central", name, data.draw(contents))
+        k = data.draw(st.integers(0, 6), label="k")
+        held = [buf.content for _, buf in sorted(wm.buffers.items()) if buf.content is not None]
+        symbols = [sym for content in held for sym in (
+            content.values() if isinstance(content, Chunk) else content.known_values())]
+        fresh = memory._top_by_entries(symbols, [], np.empty(0), k)
+        ctx = context_symbols(wm, mm, 1000.0, k=k)
+        assert ctx.symbols == [sym for _, sym in fresh] == reference_symbols(wm, mm, 1000.0, k)
+        assert ctx.zero == all(isinstance(c, Query) and c.ctype == WILDCARD
+                               and not c.known_values() for c in held)
+        assert len(ctx.slots) == 0 and len(ctx.weights) == 0
+
+
+def test_the_buffer_only_memo_keys_on_k_and_the_symbols_in_order():
+    """Contexts with one symbol set in other counts, and one context at two
+    ``k``, each get their own answer."""
+    factory, wm, mm = ChunkFactory(), WorkingMemory(), MiddleMemory()
+    wm.add_buffer("goal", "central")
+
+    def top(values, k):
+        wm.write("central", "goal",
+                 factory.make("cue", [(f"s{i}", v) for i, v in enumerate(values)]))
+        return context_symbols(wm, mm, 1.0, k=k).symbols
+
+    assert top(["b", "a", "b"], 1) == ["b"]
+    assert top(["a", "b", "a"], 1) == ["a"]
+    assert top(["a", "b", "a"], 2) == ["a", "b"]
+    assert top(["b", "a", "b"], 1) == ["b"]
+    assert len(mm._contexts) == 3
+
+
+def test_the_buffer_only_memo_clears_at_its_cap(monkeypatch):
+    monkeypatch.setattr(memory, "CONTEXTS_CAP", 2)
+    factory, wm, mm = ChunkFactory(), WorkingMemory(), MiddleMemory()
+    wm.add_buffer("goal", "central")
+    sizes = []
+    for value in ("a", "b", "c", "a"):
+        wm.write("central", "goal", factory.make("cue", [("s", value)]))
+        assert context_symbols(wm, mm, 1.0).symbols == [value]
+        sizes.append(len(mm._contexts))
+    assert sizes == [1, 2, 1, 2]
+
+
+def test_two_sessions_share_no_buffer_only_memo(monkeypatch):
+    """A second session answers again every context the first answered:
+    the memo lives and dies with its middle memory, so a repeated run pays
+    what a single run pays."""
+    calls = []
+    top = memory._top_by_entries
+    monkeypatch.setattr(memory, "_top_by_entries",
+                        lambda *args: calls.append(args[0]) or top(*args))
+    model = load_model(demos.path("bottleneck"))
+    first = Session(model, mode="pipeline", seed=0)
+    run_session(first, 20)
+    answered = len(calls)
+    assert 0 < answered < 20 and len(first.mm._contexts) == answered
+    second = Session(model, mode="pipeline", seed=0)
+    assert second.mm._contexts == {}
+    run_session(second, 20)
+    assert len(calls) == 2 * answered
+    assert second.mm._contexts == first.mm._contexts
+    assert second.mm._contexts is not first.mm._contexts
 
 
 def test_the_package_exports_the_broadcast():

@@ -292,10 +292,12 @@ class TestPresentationBlock:
             now += 1.0
             mm._forget([mm.entry(i) for i in sorted(gone)], mm._table(wm, now))
             now += data.draw(st.floats(1e-3, 1e7), label="lag")
-            base = mm._table(wm, now).base
+            table = mm._table(wm, now)
             slots = mm._cols.entries
-            assert_same_bits(base, [math.nan if e is None else mm.base_level(e, now)
-                                    for e in slots])
+            assert (table is None) == (not mm.entries)  # no live entry, no table
+            if table is not None:
+                assert_same_bits(table.base, [math.nan if e is None else mm.base_level(e, now)
+                                              for e in slots])
             assert np.isnan(mm._cols.base(now, decay)).tolist() == [
                 e is None or len(e.presentations) > cap for e in slots]
             if mm.entries:
@@ -777,13 +779,24 @@ class TestActivationTable:
 
     def test_an_empty_memory_does_no_table_work(self, monkeypatch, wm, factory):
         """With no live entries every read comes back empty without
-        building spreading sources or a table, also once every entry is
-        forgotten and a tagged read probes postings that still hold its
-        slot."""
+        building spreading sources or a table, in a fresh memory and once
+        every entry is forgotten, when the columns hold only empty slots and
+        a tagged read probes postings that still hold them.  The broadcast
+        reads its buffers alone, again and again.  The sweep that empties
+        the memory builds its own table only, and no rebuild for nobody."""
+        table, tables = memory._Table, 0
+
+        def counting_table(*args, **kwargs):
+            nonlocal tables
+            tables += 1
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(memory, "_Table", counting_table)
         mm = MiddleMemory(forget_threshold=-1.0)
         mm.deposit(0.0, "t", chunk=factory.make("fact", [("v", "x")]))
         wm.write("central", "goal", factory.make("goal", [("topic", "x")]))
         assert len(mm.sweep(wm, 1000.0)) == 1
+        assert mm._cols.entries == [None] and tables == 1
 
         def refuse(*args):
             raise AssertionError("table work on an empty memory")
@@ -795,8 +808,12 @@ class TestActivationTable:
             assert store.retrieve(wm, now, pattern, ("t",)) == []
             assert store.retrievable(wm, now) == []
             assert store.activations(wm, now) == {}
+            assert store.above(wm, now, -math.inf) == []
             assert store.sweep(wm, now) == []
-            assert context_symbols(wm, store, now).symbols == ["x"]
+            for _ in range(2):
+                ctx = context_symbols(wm, store, now)
+                assert (ctx.symbols, ctx.zero, len(ctx.slots)) == (["x"], False, 0)
+        assert tables == 1
 
     @pytest.mark.parametrize("column_min", [memory.COLUMN_MIN_ENTRIES, 0])
     def test_content_forgotten_and_deposited_again_is_retrieved_once(

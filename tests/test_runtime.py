@@ -222,6 +222,53 @@ def multi_step_doc():
     }
 
 
+def emptying_doc():
+    """Six facts, each seeded with three recent presentations, are forgotten
+    two cycles apart, so middle memory is empty from cycle 20.  The centre
+    walks a 40-step goal chain and then holds its goal, so the broadcast
+    repeats one context.  At ``s30`` the predictor emits ``ping``: in mm
+    mode it refills the memory for two cycles, below the retrieval
+    threshold, so it never enters the context; in pipeline mode it is routed
+    to ``notice``, and from then on the predictor alternates ``ping`` and
+    ``s30`` through that buffer."""
+    chain = [{"name": f"step{i}",
+              "conditions": [{"buffer": "goal",
+                              "pattern": {"isa": "goal", "slots": {"at": f"s{i}"}}}],
+              "actions": [{"kind": "write-buffer", "target": "goal",
+                           "chunk": {"isa": "goal", "slots": {"at": f"s{i + 1}"}}}]}
+             for i in range(40)]
+
+    def shadow(name, buffer, tag, production, pattern, write):
+        return {"name": name, "buffer": buffer, "subscriptions": [tag],
+                "productions": [{"name": production,
+                                 "conditions": [{"mm_tags": [tag], "pattern": pattern}],
+                                 "actions": [{"kind": "write-buffer", "target": buffer,
+                                              "chunk": write}]}]}
+
+    return {
+        "name": "emptying", "codebook": {"dimension": 64, "seed": 5},
+        "middle_memory": {"retrieval_threshold": 1.6, "forget_threshold": 1.0},
+        "buffers": [{"name": "goal", "owner": "central"},
+                    {"name": "decl", "owner": "decl"},
+                    {"name": "notice", "owner": "attention"}],
+        "shadow_systems": [
+            shadow("decl", "decl", "semantic", "recall",
+                   {"isa": "fact", "slots": {"name": "?"}}, {"isa": "seen", "slots": {}}),
+            shadow("attention", "notice", "cue", "look",
+                   {"isa": "percept", "slots": {"value": "?"}},
+                   {"isa": "percept", "slots": {"value": "?value"}})],
+        "central_productions": chain,
+        "predictors": [{"name": "sensor", "kind": "associative", "tag": "cue",
+                        "pairs": [["s30", "ping"]], "emit_isa": "percept",
+                        "emit_slot": "value"}],
+        "initial_wm": [{"buffer": "goal", "chunk": {"isa": "goal", "slots": {"at": "s0"}}}],
+        "initial_mm": [{"tag": "semantic",
+                        "chunk": {"isa": "fact", "slots": {"name": f"f{i}", "kind": f"k{i % 2}"}},
+                        "presentations": [-0.3 - 0.1 * i, -0.2 - 0.1 * i, -0.1 - 0.1 * i]}
+                       for i in range(6)],
+    }
+
+
 # SHA-256 of 20 cycles of ``multi_step_doc`` at seed 3.
 MULTI_STEP_GOLDEN = "e84adf077e255861fa507bda5d5ec6c39c3192e387b9d11e779d07d214e2924c"
 
@@ -238,6 +285,14 @@ LINKED_FACTS_GOLDENS = {
 LARGE_LINKED_FACTS_GOLDENS = {
     0.0: "f56c0fdb6cb62e560951996bcdc335a9a6bc1fa728cf1b9d73ee5a9f1de34754",
     0.3: "f5da9b7bf5495cfd66dcb4a98b7cc5b6ac3edc73a296dc03580081749063b5fd",
+}
+
+# SHA-256 of 80 cycles of ``emptying_doc`` at seed 2, by mode: middle-memory
+# reads on a memory that empties mid-run, and in mm mode refills and empties
+# again.
+EMPTYING_GOLDENS = {
+    "mm": "c20caeeb6e9e9d8c12ef29214b83b4c1661b4c8f23ce69cfba655754f53417b2",
+    "pipeline": "8e12a58d6e5c947bc07a4d7258f85c5d3332fa62b22200ed451f02cf81be6ad8",
 }
 
 
@@ -645,6 +700,24 @@ class TestRewardsAndCredit:
         assert [(e.cycle, e.data["amount"], e.data["source"])
                 for e in rewards] == [(5, 3.0, "schedule")]
 
+    def test_a_reward_may_come_while_one_is_scheduled_ahead(self):
+        """The kept last scheduled cycle answers as a scan of every scheduled
+        cycle does, at each cycle of a run with many scheduled rewards, and
+        past its last; a model with none never records credit."""
+        doc = two_system_doc()
+        doc["central_productions"][0]["actions"].pop()  # drop the emit-reward
+        doc["rewards"] = [{"cycle": cycle, "amount": 1.0}
+                          for cycle in random.Random(4).sample(range(300), 60) + [7, 7]]
+        session = Session(parse_model(doc), mode="mm", seed=0)
+        assert not session._emits_reward
+        answers = []
+        run_session(session, 310, after_step=lambda s: answers.append(
+            (s._reward_may_come(s.cycle), any(c >= s.cycle for c in s._scheduled))))
+        assert [new for new, _ in answers] == [old for _, old in answers]
+        assert {new for new, _ in answers} == {True, False}
+        del doc["rewards"]
+        assert not Session(parse_model(doc), mode="mm", seed=0)._reward_may_come(0)
+
 
     def test_a_buffer_holds_credit_only_for_its_unused_shadow_write(self):
         """Over a long run each buffer holds a credit exactly when its content
@@ -794,6 +867,18 @@ class TestPipelineMode:
                            if e.data.get("route") == "pipeline")
         first_fire = next(e.cycle for e in trace.by_kind("central-fire"))
         assert first_fire == first_route  # ungated: no one-cycle filter delay
+
+    def test_a_tag_routes_to_its_first_subscriber(self):
+        doc = two_system_doc()
+        doc["shadow_systems"][1]["subscriptions"].append("vision")
+        trace = run(parse_model(doc), 10, mode="pipeline", seed=0)
+        routed = {(e.data["writer"], e.data["buffer"]) for e in trace.by_kind("wm-write")
+                  if e.data.get("route") == "pipeline"}
+        assert routed == {("vision", "sight"), ("audio", "sound")}
+        doc["shadow_systems"].reverse()
+        trace = run(parse_model(doc), 10, mode="pipeline", seed=0)
+        assert {e.data["buffer"] for e in trace.by_kind("wm-write")
+                if e.data.get("route") == "pipeline"} == {"sound"}
 
     def test_unroutable_external_lines_are_errors(self):
         """An external line names its own tag, so validation cannot rule out
@@ -967,6 +1052,18 @@ class TestMultiRateSystems:
         assert sum(e.data["tag"] == "semantic" for e in trace.by_kind("forget")) >= 200
         assert hashlib.sha256(trace_to_bytes(trace)).hexdigest() == \
             LARGE_LINKED_FACTS_GOLDENS[noise]
+
+    @pytest.mark.parametrize("mode", sorted(EMPTYING_GOLDENS))
+    def test_emptying_golden(self, mode):
+        """Reads switch from tables to the empty path when the last entry
+        is forgotten, and in mm mode back again when a deposit refills it."""
+        session, sizes = Session(parse_model(emptying_doc()), mode=mode, seed=2), []
+        run_session(session, 80, after_step=lambda s: sizes.append(len(s.mm)))
+        assert sizes[:20] == [6] * 10 + [5, 5, 4, 4, 3, 3, 2, 2, 1, 1]
+        refill = [1, 1] if mode == "mm" else [0, 0]
+        assert sizes[20:] == [0] * 10 + refill + [0] * 48
+        assert hashlib.sha256(trace_to_bytes(session.trace)).hexdigest() == \
+            EMPTYING_GOLDENS[mode]
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     @settings(max_examples=40, deadline=None, derandomize=True)
