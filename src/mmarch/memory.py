@@ -193,49 +193,77 @@ class _Table:
 class _Columns:
     """Middle memory's entries by slot, with their postings and symbol codes.
 
-    The slot is the one address of an entry inside middle memory.  The
-    memory keeps one ``_Columns`` from its first entry on.  Slots are handed
-    out in id order and a forgotten entry leaves its slot empty (None), so
-    slot order is id order; the memory builds new columns once empty slots
-    outnumber live ones.  Until then a forgotten entry's slot stays in
-    every posting, and every table reads NaN there.  ``postings`` maps
-    ``(tag,)``, ``(tag, type)`` and ``(tag, slot name, value)`` to the slots
-    of the entries filed under it.  ``own`` holds each slot's own symbol set:
-    its chunk's type and slot values, empty for a vector-only entry.  An
-    entry's reach set is the union of its own set and its neighbours'
-    (:meth:`MiddleMemory._reach`).  ``reach`` maps each symbol to the slots
-    whose reach set holds it; the entries whose ids are in ``stale`` have
-    reach sets that changed since they were posted.  ``codes`` holds the
-    slot values of every chunk as symbol codes, in slot order, with the
-    owning slot of each in ``owners``.
+    The slot is the one address of an entry inside middle memory.  Slots are
+    handed out in id order and a forgotten entry leaves its slot empty
+    (None), so slot order is id order; the memory builds new columns at its
+    first read that needs them and again once empty slots outnumber live
+    ones.  Until then a forgotten entry's slot stays in every posting, and
+    every table reads NaN there.  ``postings`` maps ``(tag,)``, ``(tag,
+    type)`` and ``(tag, slot name, value)`` to the slots of the entries
+    filed under it.  ``own`` holds each slot's own symbol set: its chunk's
+    type and slot values, empty for a vector-only entry.  An entry's reach
+    set is the union of its own set and its neighbours' (:meth:`reach_set`).
+    ``reach`` maps each symbol to the slots whose reach set holds it; the
+    entries whose ids are in ``stale`` have reach sets that changed since
+    they were posted.  ``codes`` holds the slot values of every chunk as
+    symbol codes, in slot order, with the owning slot of each in ``owners``.
+
+    The constructor files its entries in one pass: each slot as :meth:`add`
+    files it (:meth:`_file`), then the presentation block in one numpy
+    assignment and every reach set posted, so nothing is stale.  After it,
+    a new entry is filed by :meth:`add`, a merged presentation is written
+    by :meth:`present`, and a link marks both its ends stale.
 
     ``times`` is the presentation block: a row per slot holding the entry's
     presentation times, -inf after them, up to :data:`HISTORY_CAP`.  The
     row of an empty slot is NaN, and so is the row of a history that grew
     past the cap; ``long`` holds each such slot, folded from its entry's own
     array.  ``width`` is the longest history in the block (at least 1).  The
-    block copies the entry's presentations as ``add`` and ``present`` see
-    them, so the memory writes presentation times only through ``deposit``
-    and ``seed_entry``.
+    block copies the entry's presentations as the constructor, ``add`` and
+    ``present`` see them, so the memory writes presentation times only
+    through ``deposit`` and ``seed_entry``.
     """
 
     def __init__(self, entries: Iterable[MMEntry]):
         self.entries: list[MMEntry | None] = []
-        self.times = np.full((8, HISTORY_CAP), -math.inf)
-        self.width = 1
         self.long: set[int] = set()  # live slots whose history is past the cap
         self.slot_of: dict[int, int] = {}  # live id -> slot, in id order
         self.postings: dict[tuple, array] = {}
         self.reach: dict[str, array] = {}
         self.own: list[frozenset[str]] = []  # each slot's own symbols
-        self.posted: list[frozenset[str]] = []  # each slot's reach set as posted
         self.stale: set[int] = set()  # ids to post again
         self.symbols: dict[str, int] = {}  # symbol -> code
         self.names: list[str] = []  # code -> symbol
         self.codes = array("q")  # 64-bit, so numpy reads them as indices with no cast
         self.owners = array("q")
         for entry in entries:
-            self.add(entry)
+            self._file(entry)
+        reach = self.reach
+        self.posted: list[frozenset[str]] = []  # each slot's reach set as posted
+        lengths, flat = [], array("d")  # each row's length in the block, and its times
+        for slot, entry in enumerate(self.entries):
+            history = entry.presentations
+            if len(history) <= HISTORY_CAP:
+                lengths.append(len(history))
+                flat.extend(history)
+            else:
+                lengths.append(0)
+                self.long.add(slot)
+            symbols = self.reach_set(entry)
+            self.posted.append(symbols)
+            for symbol in symbols:
+                posting = reach.get(symbol)
+                if posting is None:
+                    posting = reach[symbol] = array("q")
+                posting.append(slot)
+        rows = 8  # as many as filing entry by entry grows to
+        while rows < len(self.entries):
+            rows *= 2
+        self.times = np.full((rows, HISTORY_CAP), -math.inf)
+        fill = np.arange(HISTORY_CAP) < np.array(lengths, np.intp)[:, None]
+        self.times[:len(lengths)][fill] = np.frombuffer(flat)  # row by row, in order
+        self.times[sorted(self.long)] = math.nan
+        self.width = max([1, *lengths])
 
     def code(self, symbol: str) -> int:
         code = self.symbols.get(symbol)
@@ -244,23 +272,12 @@ class _Columns:
             self.names.append(symbol)
         return code
 
-    def add(self, entry: MMEntry) -> None:
+    def _file(self, entry: MMEntry) -> int:
+        """Give ``entry`` the next slot, with its postings, own symbol set
+        and symbol codes, and return the slot."""
         slot = len(self.entries)
-        if slot == len(self.times):
-            grown = np.full((2 * slot, self.times.shape[1]), -math.inf)
-            grown[:slot] = self.times
-            self.times = grown
-        history = entry.presentations
-        if len(history) <= self.times.shape[1]:
-            self.times[slot, :len(history)] = history
-            self.width = max(self.width, len(history))
-        else:
-            self.times[slot] = math.nan
-            self.long.add(slot)
         self.entries.append(entry)
-        self.posted.append(frozenset())
         self.slot_of[entry.id] = slot
-        self.stale.add(entry.id)
         tag, chunk = entry.tag, entry.chunk
         keys = [(tag,)]
         if chunk is None:
@@ -280,6 +297,33 @@ class _Columns:
             if posting is None:
                 posting = postings[key] = array("i")
             posting.append(slot)
+        return slot
+
+    def add(self, entry: MMEntry) -> None:
+        """File ``entry`` at a new slot, write its row and mark it stale."""
+        slot = self._file(entry)
+        if slot == len(self.times):
+            grown = np.full((2 * slot, self.times.shape[1]), -math.inf)
+            grown[:slot] = self.times
+            self.times = grown
+        history = entry.presentations
+        if len(history) <= self.times.shape[1]:
+            self.times[slot, :len(history)] = history
+            self.width = max(self.width, len(history))
+        else:
+            self.times[slot] = math.nan
+            self.long.add(slot)
+        self.posted.append(frozenset())
+        self.stale.add(entry.id)
+
+    def reach_set(self, entry: MMEntry) -> frozenset[str]:
+        """The union of the own sets of ``entry`` and of every linked entry,
+        every one of them live: forgetting drops the links to a gone entry."""
+        own, slot_of = self.own, self.slot_of
+        mine = own[slot_of[entry.id]]
+        if not entry.links:
+            return mine
+        return mine.union(*[own[slot_of[nid]] for nid in entry.links])
 
     def remove(self, entry: MMEntry) -> int:
         """Empty ``entry``'s slot and return it."""
@@ -340,13 +384,13 @@ class _Columns:
                 folded[slot] = math.log(total) if total > 0.0 else -math.inf
         return folded
 
-    def post(self, reach_of) -> None:
+    def post(self) -> None:
         """Move every stale entry's postings to its current reach set."""
         for entry_id in self.stale:
             slot = self.slot_of.get(entry_id)
             if slot is None:
                 continue
-            old, new = self.posted[slot], reach_of(self.entries[slot])
+            old, new = self.posted[slot], self.reach_set(self.entries[slot])
             for symbol in old - new:
                 self.reach[symbol].remove(slot)
             for symbol in new - old:
@@ -389,8 +433,10 @@ class MiddleMemory:
     and the broadcast answers from its buffers alone, each distinct
     buffer-only context once (see :func:`context_symbols`).
 
-    The memory keeps columns (:class:`_Columns`) from its first entry on,
-    in step through ``_add``, ``link`` and ``_forget``.  Inside the memory
+    The memory builds its columns (:class:`_Columns`) at the first read
+    that needs them, filing every entry seeded, deposited or linked so far
+    in one pass, and keeps them in step from then on through ``_add``,
+    ``deposit``, ``link`` and ``_forget``.  Inside the memory
     an entry is addressed by its slot there only: every table is by slot,
     and the postings of tag and content, which a tagged or patterned read
     probes to visit only the entries it can return, hold slots.  A
@@ -442,12 +488,21 @@ class MiddleMemory:
         self._latest: float | None = None  # newest presentation of a live entry
         self._version = 0
         self._cached: _Table | None = None  # the last table read
-        self._cols = _Columns(())
+        self._filed: _Columns | None = None  # the columns, once a read needs them
         # (k, buffer symbols) -> top-k symbols of a broadcast with no live entry
         self._contexts: dict[tuple, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def _cols(self) -> _Columns:
+        """The columns, built in one pass from every live entry the first
+        time they are read."""
+        cols = self._filed
+        if cols is None:
+            cols = self._filed = _Columns(self.entries.values())
+        return cols
 
     def entry(self, entry_id: int) -> MMEntry:
         try:
@@ -460,10 +515,14 @@ class MiddleMemory:
         """Record a presentation of (payload, tag) at time ``now``.
 
         Returns ``(entry id, created)``; a deposit whose content and tag
-        match an existing entry merges into it as a new presentation.
+        match an existing entry merges into it as a new presentation.  A
+        time that is not finite, or precedes a live entry's presentation,
+        is refused before anything changes.
         """
         if chunk is None and vector is None:
             raise ChunkError("a deposit needs a chunk or a vector payload")
+        if not math.isfinite(now):
+            raise TemporalOrderError(f"deposit at {now} is not a finite time")
         if self._latest is not None and now < self._latest:
             raise TemporalOrderError(
                 f"deposit at {now} precedes existing presentation at {self._latest}")
@@ -474,12 +533,10 @@ class MiddleMemory:
         if existing is not None:
             entry = self.entries[existing]
             entry.presentations.append(now)
-            self._cols.present(entry)
+            if self._filed is not None:
+                self._filed.present(entry)
             return existing, False
-        entry = MMEntry(id=self._next_id, tag=tag, chunk=chunk, vector=vector,
-                        presentations=array("d", (now,)))
-        self._add(entry, key)
-        return entry.id, True
+        return self._add(key, tag, chunk, vector, array("d", (now,))).id, True
 
     def seed_entry(self, tag: str, chunk: Chunk | None = None,
                    vector: HoloVector | None = None,
@@ -487,31 +544,40 @@ class MiddleMemory:
         """Install an entry with an explicit presentation history.
 
         Used when populating a model's initial middle memory; histories may
-        predate the run (negative times) and must be sorted ascending.
+        predate the run (negative times), must be finite and sorted
+        ascending.  Before the columns are first read, the entry is only
+        kept: the first read files every entry in one pass
+        (:class:`_Columns`).  After it, the entry is filed at once.
         """
         if chunk is None and vector is None:
             raise ChunkError("an entry needs a chunk or a vector payload")
         presentations = [0.0] if presentations is None else list(presentations)
         if not presentations:
             raise ChunkError("presentation history must be non-empty")
+        if not all(map(math.isfinite, presentations)):
+            raise TemporalOrderError("presentation times must be finite")
         if presentations != sorted(presentations):
             raise TemporalOrderError("presentation history must be sorted ascending")
         key = _content_key(tag, chunk, vector)
         if key in self._by_key:
             raise ChunkError(f"duplicate initial entry for tag {tag!r}")
-        entry = MMEntry(id=self._next_id, tag=tag, chunk=chunk, vector=vector,
-                        presentations=array("d", presentations))
-        self._add(entry, key)
+        entry = self._add(key, tag, chunk, vector, array("d", presentations))
         if self._latest is None or presentations[-1] > self._latest:
             self._latest = presentations[-1]
         self._version += 1
         return entry.id
 
-    def _add(self, entry: MMEntry, key: tuple) -> None:
+    def _add(self, key: tuple, tag: str, chunk: Chunk | None, vector: HoloVector | None,
+             presentations: array) -> MMEntry:
+        """Keep a new entry under the next id, filed at once if the columns exist."""
+        # Positional, in field order: a keyword call costs a dict per entry.
+        entry = MMEntry(self._next_id, tag, chunk, vector, presentations)
         self._next_id += 1
         self.entries[entry.id] = entry
         self._by_key[key] = entry.id
-        self._cols.add(entry)
+        if self._filed is not None:
+            self._filed.add(entry)
+        return entry
 
     def _candidates(self, pattern: Query | None, tags: Iterable[str]) -> array:
         """Slots a read of ``pattern`` under ``tags`` must test.
@@ -543,7 +609,8 @@ class MiddleMemory:
             return
         a.links.add(id_b)
         b.links.add(id_a)
-        self._cols.stale.update((id_a, id_b))
+        if self._filed is not None:
+            self._filed.stale.update((id_a, id_b))
         self._version += 1
 
     def base_level(self, entry: MMEntry, now: float) -> float:
@@ -583,15 +650,9 @@ class MiddleMemory:
 
     def _reach(self, entry: MMEntry) -> frozenset[str]:
         """The symbols (type and slot values) of the entry's chunk and of
-        every linked chunk; a vector-only entry adds none.  It is the union
-        of the own sets the columns keep for the entry and its neighbours,
-        every one of them live: forgetting drops the links to a gone entry."""
-        cols = self._cols
-        own, slot_of = cols.own, cols.slot_of
-        mine = own[slot_of[entry.id]]
-        if not entry.links:
-            return mine
-        return mine.union(*[own[slot_of[nid]] for nid in entry.links])
+        every linked chunk; a vector-only entry adds none
+        (:meth:`_Columns.reach_set`)."""
+        return self._cols.reach_set(entry)
 
     def activation(self, entry: MMEntry, wm: WorkingMemory, now: float, *,
                    sources: tuple[frozenset[str], ...] | None = None) -> float:
@@ -647,9 +708,9 @@ class MiddleMemory:
         if cached is not None and cached.point[:2] == point[:2]:
             base = cached.base
         else:
-            if len(self._cols.entries) > 2 * len(self.entries):  # empty slots outnumber live
-                self._cols = _Columns(self.entries.values())
             cols = self._cols
+            if len(cols.entries) > 2 * len(self.entries):  # empty slots outnumber live
+                cols = self._filed = _Columns(self.entries.values())
             if now <= self._latest:  # base_level raises, naming the first such entry
                 for entry in cols.entries:
                     if entry is not None:
@@ -674,7 +735,7 @@ class MiddleMemory:
         column table.  ``noise`` is the point's draws, when already made."""
         now, _, sources = point
         cols = self._cols
-        cols.post(self._reach)
+        cols.post()
         share = self.spread_weight / len(sources) if sources else 0.0
         fold = [0.0]
         for _ in sources:

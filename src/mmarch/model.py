@@ -135,12 +135,17 @@ def _scalar(kind, message: str, test=None):
 
 
 def _scalars(kind, message: str, test=None):
-    """A list of ``kind`` values, rejected whole."""
+    """A list of ``kind`` values, rejected whole.  A value of exactly
+    ``kind`` passes as it is, a float only when finite; any other goes
+    through :func:`_as`."""
+    exact = kind is not float
+
     def read(value, path, errors):
         if type(value) is list:
-            got = tuple(_as(kind, x) for x in value)
+            got = [x if type(x) is kind and (exact or math.isfinite(x)) else _as(kind, x)
+                   for x in value]
             if _INVALID not in got and (test is None or test(got)):
-                return got
+                return tuple(got)
         errors.add(path, message)
         return _INVALID
     return read

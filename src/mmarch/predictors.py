@@ -21,7 +21,6 @@ import select
 import socket
 import subprocess
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +71,16 @@ class Prediction:
         return (self.produced_at_cycle, self.predictor, self.emission_index)
 
 
+def _count(table: dict, key, symbol: str, weight: int) -> None:
+    """Add ``weight`` to ``symbol``'s count in ``table``'s row for ``key``.
+
+    Rows are plain dicts, made only for a new key, in first-seen order."""
+    row = table.get(key)
+    if row is None:
+        row = table[key] = {}
+    row[symbol] = row.get(symbol, 0) + weight
+
+
 class NgramPredictor:
     """Order-``k`` next-symbol table with backoff.
 
@@ -92,15 +101,14 @@ class NgramPredictor:
         self.emit_ctype = emit_ctype
         self.emit_slot = emit_slot
         self._answers: dict[tuple[str, ...], tuple[str, float] | None] = {}
-        self._counts: dict[tuple[str, ...], Counter] = {}
+        self._counts: dict[tuple[str, ...], dict[str, int]] = {}
         for sequence in corpus:
             sequence = list(sequence)
             for i, nxt in enumerate(sequence):
                 for n in range(0, order + 1):
                     if n > i:
                         break
-                    context = tuple(sequence[i - n:i])
-                    self._counts.setdefault(context, Counter())[nxt] += 1
+                    _count(self._counts, tuple(sequence[i - n:i]), nxt, 1)
 
     def predict(self, symbols: list[str]) -> tuple[str, float] | None:
         """Most probable next symbol after the longest matching suffix."""
@@ -159,12 +167,12 @@ class AssociativePredictor:
         self.emit_ctype = emit_ctype
         self.emit_slot = emit_slot
         self._answers: dict[tuple[str, ...], tuple[str, float] | None] = {}
-        self._table: dict[str, Counter] = {}
+        self._table: dict[str, dict[str, int]] = {}
         for pair in pairs:
             a, b = pair[0], pair[1]
             weight = int(pair[2]) if len(pair) > 2 else 1
-            self._table.setdefault(a, Counter())[b] += weight
-            self._table.setdefault(b, Counter())[a] += weight
+            _count(self._table, a, b, weight)
+            _count(self._table, b, a, weight)
 
     def predict(self, symbols: list[str]) -> tuple[str, float] | None:
         scores: dict[str, int] = {}

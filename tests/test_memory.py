@@ -131,6 +131,37 @@ class TestDeposit:
         with pytest.raises(TemporalOrderError):
             mm.deposit(4.0, "vision", chunk=factory.make("b"))
 
+    @pytest.mark.parametrize("column_min", [memory.COLUMN_MIN_ENTRIES, 0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_time_that_is_not_finite_is_refused(self, monkeypatch, wm, factory,
+                                                  column_min, bad):
+        """A deposit or seeded history at a non-finite time raises before the
+        memory changes, whether or not its columns are built yet; afterwards
+        the order check and forgetting work as if the call never came, on
+        either kind of table."""
+        monkeypatch.setattr(memory, "COLUMN_MIN_ENTRIES", column_min)
+        mm = MiddleMemory(forget_threshold=-1.0)
+        mm.deposit(0.0, "t", chunk=factory.make("fact", [("v", "old")]))
+        for read in (False, True):
+            if read:
+                mm.activations(wm, 19.5)
+            state = (len(mm), mm._version, mm._latest)
+            for call in (
+                    lambda: mm.deposit(bad, "t", chunk=factory.make("fact", [("v", "old")])),
+                    lambda: mm.deposit(bad, "t", chunk=factory.make("fact", [("v", "new")])),
+                    lambda: mm.seed_entry("t", chunk=factory.make("fact", [("v", "seeded")]),
+                                          presentations=[-1.0, bad]),
+                    lambda: mm.seed_entry("t", vector=np.ones(4), presentations=[bad])):
+                with pytest.raises(TemporalOrderError):
+                    call()
+                assert (len(mm), mm._version, mm._latest) == state
+        assert mm.entry(1).presentations == array("d", [0.0])
+        mm.deposit(19.0, "t", chunk=factory.make("fact", [("v", "new")]))
+        with pytest.raises(TemporalOrderError):
+            mm.deposit(18.0, "t", chunk=factory.make("fact", [("v", "late")]))
+        assert [e.chunk.get("v") for e, _ in mm.sweep(wm, 20.0)] == ["old"]
+        assert len(mm) == 1
+
 
 class TestLinks:
     def test_links_are_symmetric(self, factory):
@@ -998,6 +1029,92 @@ def test_base_level_evaluated_at_most_once_per_entry_per_cycle(monkeypatch):
             assert 0 < counts["evals"] <= budget
         session.finish()
         assert unlinked > 0
+
+
+def filed_one_by_one(entries) -> memory._Columns:
+    """Columns filed by ``add`` one entry at a time, then posted."""
+    cols = memory._Columns(())
+    for entry in entries:
+        cols.add(entry)
+    cols.post()
+    return cols
+
+
+def assert_filed_alike(got: memory._Columns, mm: MiddleMemory) -> None:
+    """``got`` holds every field as filing ``mm``'s live entries one at a
+    time gives it.  A reach posting is compared as a set of slots: ``post``
+    appends in the order of its stale ids, and nothing reads that order.
+    Each reach set is also checked against the chunks' own symbols."""
+    want = filed_one_by_one(mm.entries.values())
+    for name in ("entries", "slot_of", "own", "posted", "codes", "owners", "names",
+                 "symbols", "width", "long", "stale"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert list(got.postings.items()) == list(want.postings.items())
+    assert {symbol: sorted(slots) for symbol, slots in got.reach.items()} == \
+        {symbol: sorted(slots) for symbol, slots in want.reach.items()}
+    assert got.times.shape == want.times.shape
+    rows = len(want.entries)
+    assert np.array_equal(got.times[:rows], want.times[:rows], equal_nan=True)
+    for entry, posted in zip(got.entries, got.posted):
+        reach = set() if entry.chunk is None else set(entry.chunk.symbols())
+        for nid in entry.links:
+            neighbour = mm.entries[nid].chunk
+            reach |= set() if neighbour is None else neighbour.symbols()
+        assert posted == reach
+
+
+class TestOnePassFiling:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    @on_both_table_kinds
+    def test_one_pass_filing_equals_filing_entry_by_entry(self, data):
+        """The columns that a first read builds in one pass, and those that
+        compaction builds after forgetting, equal ``add`` entry by entry
+        followed by ``post``: linked facts and vector-only entries, some
+        histories past :data:`HISTORY_CAP`, and entries deposited and
+        linked after the first read."""
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        size = data.draw(st.integers(0, 120), label="size")
+        factory = ChunkFactory()
+        mm = MiddleMemory(forget_threshold=-3.0, retrieval_threshold=5.0)
+
+        def history(end):
+            count = rng.choice([1, 2, 5, memory.HISTORY_CAP, memory.HISTORY_CAP + 1, 24])
+            return sorted(rng.uniform(end - 50.0, end) for _ in range(count))
+
+        def entry(i, end):
+            tag = rng.choice(["x", "y"])
+            if rng.random() < 0.15:
+                return mm.seed_entry(tag, vector=np.full(4, float(i)),
+                                     presentations=history(end))
+            slots = [("name", f"f{i}"), ("kind", f"k{rng.randrange(6)}")]
+            if rng.random() < 0.5:
+                slots.append(("next", f"f{rng.randrange(max(size, 1))}"))
+            return mm.seed_entry(tag, chunk=factory.make("fact", slots),
+                                 presentations=history(end))
+
+        def link(count):
+            ids = sorted(mm.entries)
+            for _ in range(count if ids else 0):
+                mm.link(rng.choice(ids), rng.choice(ids))
+
+        for i in range(size):
+            entry(i, -1.0)
+        link(rng.randrange(2 * size + 1))
+        assert mm._filed is None
+        wm = WorkingMemory()
+        wm.add_buffer("goal", "central")
+        mm.activations(wm, 0.0)  # the first read files every entry
+        assert_filed_alike(mm._cols, mm)
+        for i in range(size, size + rng.randrange(4)):  # filed by add
+            entry(i, 0.0)
+        link(rng.randrange(4))
+        mm.forget_threshold = rng.uniform(-3.0, 1.5)
+        mm.sweep(wm, 1.0)
+        mm.activations(wm, 2.0)  # a new base: compacts once empty slots outnumber live
+        if len(mm._cols.entries) == len(mm):
+            assert_filed_alike(mm._cols, mm)
+        assert_filed_alike(memory._Columns(mm.entries.values()), mm)
 
 
 def test_column_upkeep_stays_bounded_below_the_cut_over(factory):

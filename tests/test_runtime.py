@@ -411,6 +411,40 @@ class TestConstruction:
         for production, pdef in pairs:
             assert production.actions is pdef.actions
 
+    def test_set_up_files_middle_memory_once(self, monkeypatch):
+        """A linked-facts session keeps its seeded entries and links unfiled
+        until its first cycle reads middle memory, which builds the columns
+        once, in one pass: ``add`` files no seeded entry, and the first
+        ``post`` finds no stale id."""
+        columns = memory._Columns
+        init, add, post = columns.__init__, columns.add, columns.post
+        builds, added, stale = [], [], []
+
+        def counting_init(self, entries):
+            init(self, entries)
+            builds.append(len(self.entries))
+
+        def counting_add(self, entry):
+            added.append(entry.id)
+            add(self, entry)
+
+        def counting_post(self):
+            stale.append(len(self.stale))
+            post(self)
+
+        monkeypatch.setattr(columns, "__init__", counting_init)
+        monkeypatch.setattr(columns, "add", counting_add)
+        monkeypatch.setattr(columns, "post", counting_post)
+        session = Session(parse_model(linked_facts_doc()), mode="mm", seed=1)
+        seeded = set(session.mm.entries)
+        assert len(seeded) == 60
+        assert sum(len(entry.links) for entry in session.mm.entries.values()) > 60
+        assert (builds, added, stale) == ([], [], [])
+        session.step()
+        assert builds == [60]
+        assert not seeded & set(added)
+        assert stale[0] == 0
+
 
 class TestPhases:
     def test_no_central_fire_precedes_cycle_deposits(self, model):
