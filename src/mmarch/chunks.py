@@ -163,7 +163,7 @@ class Chunk:
 
     def values(self) -> tuple[str, ...]:
         """Slot values in declaration order (spreading-activation sources)."""
-        return tuple(value for _, value in self.slots)
+        return tuple([value for _, value in self.slots])
 
     def symbols(self) -> frozenset[str]:
         """Symbols this chunk can be reached by: its type plus slot values."""

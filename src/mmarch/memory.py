@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
 from array import array
 from collections.abc import Iterable, Sequence
@@ -50,6 +51,9 @@ HISTORY_CAP = 16
 # it forgets them all and refills.
 CONTEXTS_CAP = 4096
 
+# One counter for the whole process, so no two working-memory states share a stamp.
+_STAMPS = itertools.count()
+
 
 @dataclass
 class Buffer:
@@ -69,13 +73,21 @@ class Buffer:
 
 
 class WorkingMemory:
-    """Named buffers; the central engine's entire match surface."""
+    """Named buffers; the central engine's entire match surface.
+
+    ``stamp`` names the buffers' current state: a new working memory,
+    :meth:`add_buffer`, :meth:`write` and :meth:`staged` each take a fresh
+    one from a process-wide counter, so two states never share a stamp.
+    Middle memory keys its last table by it (:meth:`MiddleMemory._table`),
+    which is why buffers change only through those methods.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("working-memory capacity must be positive")
         self.capacity = capacity
         self.buffers: dict[str, Buffer] = {}
+        self.stamp = next(_STAMPS)
 
     def add_buffer(self, name: str, owner: str) -> Buffer:
         if name in self.buffers:
@@ -84,6 +96,7 @@ class WorkingMemory:
             raise ValueError(f"working-memory capacity {self.capacity} exceeded")
         buf = Buffer(name=name, owner=owner)
         self.buffers[name] = buf
+        self.stamp = next(_STAMPS)
         return buf
 
     def buffer(self, name: str) -> Buffer:
@@ -107,7 +120,20 @@ class WorkingMemory:
         buf.content = content
         buf.urgent = urgent if content is not None else False
         buf.credit = None
+        self.stamp = next(_STAMPS)
         return buf
+
+    def staged(self, buffer: str, content: Chunk | Query | None,
+               urgent: bool) -> WorkingMemory:
+        """A read-only view of these buffers in which ``buffer`` holds
+        ``content``, under a fresh stamp; this working memory is unchanged.
+        The view shares the other buffers, so it is read before this
+        working memory is next written.  A multi-step shadow system decides
+        its next step against it."""
+        view = WorkingMemory(self.capacity)
+        view.buffers = {**self.buffers, buffer: Buffer(
+            name=buffer, owner=self.buffers[buffer].owner, content=content, urgent=urgent)}
+        return view
 
     def non_empty(self) -> list[Buffer]:
         return [b for b in self.buffers.values() if b.content is not None]
@@ -168,7 +194,9 @@ class MMEntry:
 
 @dataclass
 class _Table:
-    """Every entry's activation at one evaluation point, read by ``_where``.
+    """Every entry's activation at one evaluation point, read by
+    :meth:`MiddleMemory._where`, :meth:`MiddleMemory.retrieve` and the
+    broadcast.
 
     ``base`` is the base-level column, which depends on the point's time
     and version only: the tables at one time and version share it, under
@@ -177,10 +205,12 @@ class _Table:
     entry's slot: lists in a per-entry table, arrays in a column table.
     ``noise`` depends on the whole point, so only a rebuild at the same
     point after forgetting reuses it.  ``listed`` is ``values`` as a list of
-    Python floats, for reads over given slots: ``values`` itself in a
-    per-entry table, a column's ``tolist()`` made on the table's first such
-    read.  No table's ``values`` change after it is built (forgetting builds
-    a new table), so the copy is never stale.
+    Python floats, for a retrieval's few candidates: ``values`` itself in a
+    per-entry table, a column's ``tolist()`` made on the table's first
+    retrieval.  No table's ``values`` change after it is built (forgetting
+    builds a new table), so the copy is never stale.  ``stamp`` is the
+    :attr:`WorkingMemory.stamp` the table was built under, or last found
+    valid under; it is in no point, noise key or trace.
     """
 
     point: tuple  # (time, version, spreading sources)
@@ -188,6 +218,7 @@ class _Table:
     values: list[float] | np.ndarray
     noise: list[float] | None = None  # the point's draws by slot, when noisy
     listed: list[float] | None = None
+    stamp: int | None = None
 
 
 class _Columns:
@@ -422,8 +453,11 @@ class MiddleMemory:
     sources, and a version that every deposit, seeded entry and link bumps)
     into a table, kept while its point holds, so sweeping, shadow retrieval,
     formation and middle-memory conditions share one; each selects
-    ``(entry, activation)`` pairs from it through :meth:`_where`.  One table
-    is cached, the last one read.  :meth:`_build` makes every table: a
+    ``(entry, activation)`` pairs from it, through :meth:`_where` or, for a
+    retrieval, in one pass over its candidates.  One table is cached, the
+    last one read, with the :attr:`WorkingMemory.stamp` it was last read
+    under: a read at its time and version under that stamp takes it without
+    building the spreading sources.  :meth:`_build` makes every table: a
     base-level column plus spreading plus noise.  The next table at the same
     time and version reuses its column, so each entry's base level is
     computed once per time and version.  Forgetting leaves the version
@@ -585,9 +619,10 @@ class MiddleMemory:
         Per tag, the read probes the smallest of the tag's posting and the
         postings of the pattern's known type and values.  Forgotten slots
         stay in postings and only :func:`match_query` decides a match, so a
-        candidate may still fail.  Slots are valid until the next new table.
+        candidate may still fail.  Slots are valid until the next new table,
+        so a reader takes them after its table, and with it the columns.
         """
-        postings, out = self._cols.postings, array("i")
+        postings, out = self._filed.postings, array("i")
         for tag in tags:
             best = postings.get((tag,), ())
             if pattern is not None:
@@ -697,13 +732,22 @@ class MiddleMemory:
         return self._where(self._table(wm, now), lambda act: act > threshold)
 
     def _table(self, wm: WorkingMemory, now: float) -> _Table | None:
-        """The table at ``now`` under ``wm``, or None when no entry is live."""
+        """The table at ``now`` under ``wm``, or None when no entry is live.
+
+        The cached table serves at once when its time, version and stamp
+        are ``wm``'s, since one working-memory state has one set of
+        spreading sources; under another stamp it serves if its point still
+        holds, and then takes the new stamp."""
         if not self.entries:  # the one liveness test every read shares
             return None
+        cached, stamp = self._cached, wm.stamp
+        if (cached is not None and cached.stamp == stamp
+                and cached.point[0] == now and cached.point[1] == self._version):
+            return cached
         sources = spread_sources(wm)
         point = (now, self._version, sources)
-        cached = self._cached
         if cached is not None and cached.point == point:
+            cached.stamp = stamp
             return cached
         if cached is not None and cached.point[:2] == point[:2]:
             base = cached.base
@@ -724,15 +768,16 @@ class MiddleMemory:
                 base = [math.nan if entry is None else long[slot] if slot in long
                         else self.base_level(entry, now)
                         for slot, entry in enumerate(cols.entries)]
-        self._cached = self._build(point, base)
+        self._cached = self._build(point, stamp, base)
         return self._cached
 
-    def _build(self, point: tuple, base: list[float] | np.ndarray,
+    def _build(self, point: tuple, stamp: int, base: list[float] | np.ndarray,
                noise: list[float] | None = None) -> _Table:
-        """The table at ``point``: ``base`` plus each entry's spreading, plus
-        its noise draw, the float operations of :meth:`activation` in its
-        order.  A list ``base`` gives a per-entry table; an array gives a
-        column table.  ``noise`` is the point's draws, when already made."""
+        """The table at ``point``, under ``stamp``: ``base`` plus each
+        entry's spreading, plus its noise draw, the float operations of
+        :meth:`activation` in its order.  A list ``base`` gives a per-entry
+        table; an array gives a column table.  ``noise`` is the point's
+        draws, when already made."""
         now, _, sources = point
         cols = self._cols
         cols.post()
@@ -752,7 +797,7 @@ class MiddleMemory:
                          for entry in cols.entries]
             values = ([act + draw for act, draw in zip(values, noise)]
                       if isinstance(base, list) else values + noise)
-        return _Table(point, base, values, noise)
+        return _Table(point, base, values, noise, stamp=stamp)
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None,
                  tags: Iterable[str]) -> list[tuple[MMEntry, float, dict[str, str]]]:
@@ -763,20 +808,32 @@ class MiddleMemory:
         be at or above the retrieval threshold and, when a pattern is given,
         have a decoded chunk the pattern matches; vector-only entries are
         reachable by tag alone.  Reads only: the activations come from the
-        current evaluation point's table, and only the candidates of
-        :meth:`_candidates` are visited.
+        current evaluation point's table, as ``listed`` floats.  One pass
+        over the candidates of :meth:`_candidates` keeps the best hit so
+        far, and :func:`match_query` tests only a candidate that would beat
+        it.  Slot order is id order, so the smaller slot wins a tie.
         """
-        threshold = self.retrieval_threshold
         table = self._table(wm, now)  # first: a new table may renumber the slots
-        hits = []
-        for entry, act in self._where(table, lambda act: act >= threshold,
-                                      self._candidates(pattern, tags)):
+        if table is None:
+            return []
+        listed = table.listed
+        if listed is None:
+            values = table.values
+            listed = table.listed = values if isinstance(values, list) else values.tolist()
+        entries, best, best_bindings = self._filed.entries, None, None
+        # the threshold, at a slot past every slot, stands in for the first hit
+        best_act, best_slot = self.retrieval_threshold, len(listed)
+        for slot in self._candidates(pattern, tags):
+            act = listed[slot]
+            if not act >= best_act or (act == best_act and slot > best_slot):  # NaN fails
+                continue
+            entry = entries[slot]
             if pattern is None:
-                hits.append((entry, act, {}))
-            elif entry.chunk is not None and (
-                    bindings := match_query(pattern, entry.chunk)) is not None:
-                hits.append((entry, act, bindings))
-        return [min(hits, key=lambda hit: (-hit[1], hit[0].id))] if hits else []
+                bindings = {}
+            elif entry.chunk is None or (bindings := match_query(pattern, entry.chunk)) is None:
+                continue
+            best, best_act, best_slot, best_bindings = entry, act, slot, bindings
+        return [] if best is None else [(best, best_act, best_bindings)]
 
     def sweep(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """Forget entries whose activation is below the floor.
@@ -791,24 +848,16 @@ class MiddleMemory:
             self._forget([entry for entry, _ in removed], table)
         return removed
 
-    def _where(self, table: _Table | None, keep,
-               slots: Iterable[int] | None = None) -> list[tuple[MMEntry, float]]:
-        """Each entry whose activation passes ``keep``, with it: among
-        ``slots`` in their order, or among all slots in slot (id) order when
-        ``slots`` is None; none from no table.  ``keep`` tests a float, or
-        each element of an array, and fails the NaN of a forgotten entry's
-        slot; this is the one way any reader takes values from a table.  A
-        read over given slots tests floats from ``table.listed``, so a
-        retrieval's few candidates cost list reads, not numpy calls on short
-        vectors."""
+    def _where(self, table: _Table | None, keep) -> list[tuple[MMEntry, float]]:
+        """Each entry whose activation passes ``keep``, with it, in slot
+        (id) order; none from no table.  ``keep`` tests a float, or each
+        element of an array, and fails the NaN of a forgotten entry's slot.
+        Sweeping, formation and the reference reads select through it; a
+        retrieval reads its candidates' floats itself (:meth:`retrieve`),
+        and the broadcast its table's values (:func:`context_symbols`)."""
         if table is None:
             return []
-        values, entries = table.values, self._cols.entries
-        if slots is not None:
-            listed = table.listed
-            if listed is None:
-                listed = table.listed = values if isinstance(values, list) else values.tolist()
-            return [(entries[slot], listed[slot]) for slot in slots if keep(listed[slot])]
+        values, entries = table.values, self._filed.entries
         if isinstance(values, list):
             return [(entry, act) for entry, act in zip(entries, values) if keep(act)]
         slots = np.flatnonzero(keep(values))
@@ -837,7 +886,8 @@ class MiddleMemory:
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
                                default=None)
-        self._cached = self._build(table.point, base, table.noise) if self.entries else None
+        self._cached = (self._build(table.point, table.stamp, base, table.noise)
+                        if self.entries else None)
 
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """All entries at or above the retrieval threshold, id order."""
@@ -928,7 +978,7 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
             top = mm._contexts[key] = tuple(
                 sym for _, sym in _top_by_entries(symbols, [], _NO_WEIGHTS, k))
         return Context(list(top), zero, buffers, (), mm._cols.entries, _NO_WEIGHTS)
-    threshold, acts, entries = mm.retrieval_threshold, table.values, mm._cols.entries
+    threshold, acts, entries = mm.retrieval_threshold, table.values, mm._filed.entries
     if isinstance(acts, list):
         slots = [slot for slot, act in enumerate(acts) if act >= threshold]
         weights = _softmax(np.array([acts[slot] for slot in slots])) if slots else np.empty(0)
@@ -937,7 +987,7 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
         keep = acts >= threshold
         slots = np.flatnonzero(keep)
         weights = _softmax(acts[slots]) if len(slots) else np.empty(0)
-        top = _top_by_codes(mm._cols, symbols, keep, weights, k)
+        top = _top_by_codes(mm._filed, symbols, keep, weights, k)
     return Context([sym for _, sym in top], zero and not len(slots), buffers, slots,
                    entries, weights)
 

@@ -266,32 +266,39 @@ class UtilityLearner:
         return updates
 
 
-def form_retrieval_production(entry, system: str, buffer: str, existing,
+def pattern_keys(production: Production) -> list[tuple]:
+    """The ``(mm_tags, ctype, slots)`` key of each of ``production``'s
+    non-negated middle-memory conditions that has a pattern: what
+    formation's duplicate test compares.  A plain tuple, because comparing
+    whole :class:`Condition` records made formation about twice as slow."""
+    return [(cond.mm_tags, cond.pattern.ctype, cond.pattern.slots)
+            for cond in production.conditions
+            if cond.mm_tags is not None and cond.pattern is not None and not cond.negated]
+
+
+def form_retrieval_production(entry, system: str, buffer: str, patterns,
                               now: float) -> Production | None:
     """Spawn a provisional production that retrieves a hot entry.
 
     The caller picks the hot entries (above the formation threshold) and
-    passes ``existing``, the owner's own pool.  Returns ``None`` for
-    vector-only entries (nothing to pattern-match), or when the pool
-    already has a production retrieving the same tagged pattern.
+    passes ``patterns``, the :func:`pattern_keys` of the owner's own pool.
+    Returns ``None`` for vector-only entries (nothing to pattern-match), or
+    when the pool already has a production retrieving the same tagged
+    pattern, that is when the formed production's key is in ``patterns``.
     """
-    if entry.chunk is None:
+    chunk = entry.chunk
+    if chunk is None:
         return None
-    pattern = Query(entry.chunk.ctype, entry.chunk.slots, -1)  # exact: no wildcards
     tags = (entry.tag,)
-    for production in existing:
-        for cond in production.conditions:
-            if (cond.mm_tags == tags and cond.pattern is not None
-                    and not cond.negated
-                    and cond.pattern.ctype == pattern.ctype
-                    and cond.pattern.slots == pattern.slots):
-                return None
+    if (tags, chunk.ctype, chunk.slots) in patterns:
+        return None
     return Production(
         name=f"retrieve-{entry.id}",
         owner=system,
-        conditions=(Condition(pattern=pattern, mm_tags=tags),),
+        conditions=(Condition(pattern=Query(chunk.ctype, chunk.slots, -1),  # exact
+                              mm_tags=tags),),
         actions=(ActionDef("write-buffer", target=buffer,
-                           chunk=Template.from_chunk(entry.chunk)),),
+                           chunk=Template.from_chunk(chunk)),),
         utility=0.0,
         permanent=False,
         created_at=now,

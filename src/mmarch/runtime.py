@@ -6,17 +6,17 @@ written, read now without waiting and numbered in arrival order, into
 middle memory (or, in pipeline mode, straight into module buffers and
 their unbounded inflow lists) in (cycle, predictor, index) order; (2)
 sweep/forget; (3) shadow systems decide their first steps, read-only,
-against the frozen cycle-start state, and each system's
-decisions are then fired once, in system order, with a multi-step system's
-later steps reading only its own staged write; (4) the central engine
-matches, resolves, and fires, and (5) each shadow write it matched hands the
-credit its buffer has kept since the write to the learner, once; then shadow
-writes commit, each credited to its production until the centre uses it or
-another write replaces it; (6) a reward credits every central firing and
-every used shadow write since the last one (both are recorded only while a
-reward can still arrive); (7) retrieval productions form and stale
-provisional ones are pruned, (8) the context broadcasts to every predictor,
-and (9) the clock advances.
+against the frozen cycle-start state, and each system's decisions are then
+fired once, in system order, with a multi-step system's later steps reading
+only its own staged write, through a staged view of working memory under
+its own stamp; (4) the central engine matches, resolves, and fires, and (5)
+each shadow write it matched hands the credit its buffer has kept since the
+write to the learner, once; then shadow writes commit, each credited to its
+production until the centre uses it or another write replaces it; (6) a
+reward credits every central firing and every used shadow write since the
+last one (both are recorded only while a reward can still arrive); (7)
+retrieval productions form and stale provisional ones are pruned, (8) the
+context broadcasts to every predictor, and (9) the clock advances.
 
 Shadow decisions read the cycle-start state and commit after central
 matching, so an urgent shadow write at cycle n reaches the central conflict
@@ -31,10 +31,12 @@ cached and read is described once, in :class:`.memory.MiddleMemory`.  The
 sweep's table serves shadow retrieval, middle-memory conditions and
 formation, so formation tests the activations the shadows saw: in mm mode,
 one read right after the sweep takes the entries above the formation
-threshold, and each system forms from those whose tag it subscribes to.  A
-table built after the commit serves the broadcast, which reads it once for
-its symbols and its ``zero_context`` flag and packs a context vector only
-for a live external predictor.  While middle memory holds no live entry,
+threshold, and each system forms from those whose tag it subscribes to,
+unless its pool's pattern keys (:class:`.shadows.ShadowSystem`) already
+hold the entry's exact pattern under its tag.  A table built after the
+commit serves the broadcast, which reads it once for its symbols and its
+``zero_context`` flag and packs a context vector only for a live external
+predictor.  While middle memory holds no live entry,
 as in a pipeline run with no initial entries, no read builds a table, and
 the broadcast ranks the buffers' symbols alone, answering each distinct
 context once per session.
@@ -42,7 +44,6 @@ context once per session.
 
 from __future__ import annotations
 
-import copy
 from itertools import starmap
 
 import numpy as np
@@ -51,7 +52,6 @@ from .chunks import Chunk, ChunkFactory, Query, Template, complete_query
 from .codec import Codebook
 from .memory import (
     CENTRAL,
-    Buffer,
     MiddleMemory,
     MMEntry,
     WorkingMemory,
@@ -76,6 +76,7 @@ from .productions import (
     fire,
     form_retrieval_production,
     match_all,
+    pattern_keys,
     prune_provisional,
     resolve,
 )
@@ -351,10 +352,7 @@ class Session:
                 view = self.wm
                 if index in staged:
                     content, urgent, _ = staged[index]
-                    view = copy.copy(self.wm)
-                    view.buffers = {**self.wm.buffers, system.buffer: Buffer(
-                        name=system.buffer, owner=system.name,
-                        content=content, urgent=urgent)}
+                    view = self.wm.staged(system.buffer, content, urgent)
                 decision = decide_shadow(system, view, self.mm, t_eval)
         return staged
 
@@ -486,9 +484,10 @@ class Session:
                 if entry.tag not in system.subscriptions:
                     continue
                 production = form_retrieval_production(
-                    entry, system.name, system.buffer, system.productions, t_now)
+                    entry, system.name, system.buffer, system.patterns, t_now)
                 if production is not None:
                     system.productions.append(production)
+                    system.patterns.update(pattern_keys(production))
                     self.trace.append(n, "form", {
                         "production": production.name, "owner": system.name,
                         "entry": entry.id, "activation": activation})
@@ -496,6 +495,7 @@ class Session:
             kept, pruned = prune_provisional(system.productions, t_now, ttl)
             system.productions[:] = kept
             for production in pruned:
+                system.patterns.difference_update(pattern_keys(production))
                 self.trace.append(n, "prune", {
                     "production": production.name, "owner": system.name,
                     "age_s": t_now - production.created_at})

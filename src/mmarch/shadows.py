@@ -12,20 +12,33 @@ from dataclasses import dataclass, field
 
 from .chunks import Query
 from .memory import MiddleMemory, WorkingMemory
-from .productions import Match, MatchView, Production, match_all, resolve
+from .productions import Match, MatchView, Production, match_all, pattern_keys, resolve
 
 RETRIEVAL_FAILURE = "retrieval-failure"
 
 
 @dataclass
 class ShadowSystem:
-    """One peripheral module: productions, subscriptions, one owned buffer."""
+    """One peripheral module: productions, subscriptions, one owned buffer.
+
+    ``patterns`` holds the :func:`.productions.pattern_keys` of every
+    production in the pool, built from the productions the system is made
+    with.  After that the pool changes only through formation, which adds a
+    formed production's key, and pruning, which discards a pruned one's:
+    formation never forms a key the pool holds, and only formed productions
+    are pruned, so the set stays exactly the pool's keys.
+    """
 
     name: str
     buffer: str
     subscriptions: tuple[str, ...]
     productions: list[Production] = field(default_factory=list)
     steps_per_cycle: int = 1
+    patterns: set[tuple] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.patterns = {key for production in self.productions
+                         for key in pattern_keys(production)}
 
 
 @dataclass

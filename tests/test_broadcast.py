@@ -176,10 +176,10 @@ def test_a_broadcast_without_an_external_peer_reads_no_pairs(monkeypatch, noise)
     Noise forgets facts until the tables are per-entry ones."""
     session = Session(parse_model(linked_facts_doc(size=80, noise=noise)), mode="mm", seed=3)
     assert not any(isinstance(p, ExternalPredictor) for p in session.predictors)
-    reads, made = [], []  # per _where read: all slots; per broadcast: (context, reads, columns)
+    reads, made = [], []  # per _where read: True; per broadcast: (context, reads, columns)
     where = MiddleMemory._where
-    monkeypatch.setattr(MiddleMemory, "_where", lambda self, table, keep, slots=None: (
-        reads.append(slots is None) or where(self, table, keep, slots)))
+    monkeypatch.setattr(MiddleMemory, "_where", lambda self, table, keep: (
+        reads.append(True) or where(self, table, keep)))
 
     def broadcast(wm, mm, now, k):
         before = len(reads)

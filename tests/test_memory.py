@@ -745,11 +745,12 @@ class TestActivationTable:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_a_read_over_given_slots_filters_the_all_slot_read(self, data):
-        """Over random slots in a drawn order, ``_where`` gives the all-slot
-        read's pairs for those slots, in that order, each value a Python
-        float with the same bits: on memories on each side of
+        """Over random slots in a drawn order, the list copy of a table that
+        a retrieval reads its candidates from gives the all-slot read's
+        pairs for those slots, in that order, each value a Python float
+        with the same bits: on memories on each side of
         ``COLUMN_MIN_ENTRIES``, with noise on or off, and on the table that
-        forgetting rebuilds after a slot read of the table before it."""
+        forgetting rebuilds after a retrieval from the table before it."""
         factory = ChunkFactory()
         cut = memory.COLUMN_MIN_ENTRIES
         size = data.draw(st.one_of(st.integers(1, cut - 1), st.integers(cut, cut + 24)))
@@ -777,7 +778,9 @@ class TestActivationTable:
                        for entry, act in mm._where(table, keep)}
             slots = data.draw(st.lists(st.sampled_from(range(len(mm._cols.entries))),
                                        unique=True))
-            got = mm._where(table, keep, slots)
+            mm.retrieve(wm, now, None, ("t",))  # fills the table's list copy
+            got = [] if table is None else [(mm._cols.entries[slot], table.listed[slot])
+                                            for slot in slots if keep(table.listed[slot])]
             expected = [by_slot[slot] for slot in slots if slot in by_slot]
             assert len(got) == len(expected)
             for (entry, act), (want_entry, want) in zip(got, expected):
@@ -787,7 +790,7 @@ class TestActivationTable:
         for _ in range(data.draw(st.integers(1, 3))):
             wm.write("central", "goal", data.draw(st.sampled_from([
                 None, factory.make("cue", [("v", data.draw(SYMBOLS))])])))
-            check()  # fills the table's list copy, if the draw reads any slot
+            check()  # fills the table's list copy
             mm.sweep(wm, now)
             check()
 
@@ -891,6 +894,56 @@ class TestActivationTable:
         assert after[b] == before[b] and after[c] == before[c]
         for entry_id, act in after.items():
             assert act == reference_activation(mm, mm.entry(entry_id), wm, 3.0)
+
+    @staticmethod
+    def _stamped_memory(factory, noise=0.3):
+        mm = MiddleMemory(noise=noise, noise_seed=2)
+        for i in range(6):
+            mm.seed_entry("t", chunk=factory.make("fact", [("n", f"n{i}"), ("v", f"v{i % 3}")]),
+                          presentations=[-2.0 - i, -1.0])
+        mm.link(1, 2)
+        return mm
+
+    @pytest.mark.parametrize("column_min", [memory.COLUMN_MIN_ENTRIES, 0])
+    def test_a_write_between_two_reads_at_one_point_reads_the_new_sources(
+            self, monkeypatch, wm, factory, column_min):
+        """Reads at one time and version under one working memory: each
+        write between them gives it a new stamp, so the next read builds its
+        table under the new spreading sources, as :meth:`activation` gives
+        them, on both kinds of table."""
+        monkeypatch.setattr(memory, "COLUMN_MIN_ENTRIES", column_min)
+        mm, now = self._stamped_memory(factory), 1.0
+        for content in (factory.make("cue", [("v", "v0")]), factory.make("cue", [("v", "v1")]),
+                        None, factory.make_query("cue", [("v", "v2")])):
+            stamp = wm.stamp
+            wm.write("central", "goal", content)
+            assert wm.stamp != stamp
+            expected = {entry.id: mm.activation(entry, wm, now)
+                        for entry in mm.entries.values()}
+            for _ in range(2):
+                assert mm.activations(wm, now) == expected
+                [(entry, act, _)] = mm.retrieve(wm, now, None, ("t",))
+                assert act == max(expected.values()) == expected[entry.id]
+
+    def test_a_staged_view_never_gets_the_base_table(self, wm, factory):
+        """A staged view has its own stamp, so a read under it never gets
+        the table of the working memory it was staged from, nor the other
+        way round, even at one time and version.  ``test_multi_step_golden``
+        (``tests/test_runtime.py``) covers the same end to end: the
+        stepper's and decl's second steps read views staged from it."""
+        mm, now = self._stamped_memory(factory), 1.0
+        wm.write("central", "goal", factory.make("cue", [("v", "v0")]))
+        staged = factory.make("cue", [("v", "v1")])
+        base = mm._table(wm, now)
+        view = wm.staged("vision", staged, True)
+        assert view.stamp not in (wm.stamp, base.stamp)
+        assert wm.buffer("vision").content is None
+        assert view.buffer("vision").content is staged and view.buffer("vision").urgent
+        for _ in range(2):
+            for reader in (view, wm):
+                assert mm._table(reader, now).point[2] == memory.spread_sources(reader)
+                assert mm.activations(reader, now) == {
+                    entry.id: mm.activation(entry, reader, now) for entry in mm.entries.values()}
 
     def test_noise_is_one_draw_per_entry_per_table(self, monkeypatch, wm, factory):
         draws, sample_noise = [], MiddleMemory._noise_sample

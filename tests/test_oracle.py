@@ -6,7 +6,7 @@ recomputes every live entry's activation through
 built from :meth:`Chunk.symbols` of the entry and its linked entries and
 from freshly built spreading sources, into a per-entry table by slot of the
 memory's entries that the shared :meth:`MiddleMemory._where` reads; a
-retrieval's candidates come from a scan of the live slots.  It keeps no
+retrieval scans the live slots, keeps every hit and sorts them.  It keeps no
 table, reads no column and probes no posting.  Put in place of the runtime's
 middle memory, it must reproduce the trace bytes of the real one, whose
 tables, base-level columns, presentation block, own symbol sets, posted
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mmarch import memory, runtime
-from mmarch.chunks import Chunk
+from mmarch.chunks import Chunk, match_query
 from mmarch.errors import ModelValidationError
 from mmarch.memory import MiddleMemory, _Table
 from mmarch.model import parse_model
@@ -52,6 +52,21 @@ class NaiveMiddleMemory(MiddleMemory):
     def _candidates(self, pattern, tags):
         return [slot for slot, e in enumerate(self._cols.entries)
                 if e is not None and e.tag in tags]
+
+    def retrieve(self, wm, now, pattern, tags):
+        """Every hit at or above the threshold, then the most active one,
+        the smaller id on a tie."""
+        table, hits = self._table(wm, now), []
+        for slot in self._candidates(pattern, tags):
+            entry, act = self._cols.entries[slot], table.values[slot]
+            if act < self.retrieval_threshold:
+                continue
+            if pattern is None:
+                hits.append((entry, act, {}))
+            elif entry.chunk is not None and (
+                    bindings := match_query(pattern, entry.chunk)) is not None:
+                hits.append((entry, act, bindings))
+        return sorted(hits, key=lambda hit: (-hit[1], hit[0].id))[:1]
 
     def _reach(self, entry):
         chunks = [self.entries[nid].chunk for nid in entry.links]

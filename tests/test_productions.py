@@ -22,6 +22,7 @@ from mmarch.productions import (
     instantiate,
     match_all,
     match_production,
+    pattern_keys,
     prune_provisional,
     resolve,
 )
@@ -481,7 +482,7 @@ class TestFormation:
 
     def test_hot_entry_spawns_provisional(self, factory):
         entry = self._entry(factory, MiddleMemory())
-        p = form_retrieval_production(entry, "declarative", "declarative", [], now=3.0)
+        p = form_retrieval_production(entry, "declarative", "declarative", set(), now=3.0)
         assert p is not None
         assert p.name == f"retrieve-{entry.id}"
         assert not p.permanent and p.created_at == 3.0
@@ -500,10 +501,10 @@ class TestFormation:
 
     def test_duplicate_pattern_suppressed(self, factory):
         entry = self._entry(factory, MiddleMemory())
-        first = form_retrieval_production(entry, "s", "b", [], now=0.0)
-        again = form_retrieval_production(entry, "s", "b", [first], now=1.0)
+        first = form_retrieval_production(entry, "s", "b", set(), now=0.0)
+        again = form_retrieval_production(entry, "s", "b", set(pattern_keys(first)), now=1.0)
         assert again is None
-        other_owner = form_retrieval_production(entry, "s2", "b2", [], now=1.0)
+        other_owner = form_retrieval_production(entry, "s2", "b2", set(), now=1.0)
         assert other_owner is not None
 
     def test_vector_only_entry_never_forms(self, factory):
@@ -511,7 +512,7 @@ class TestFormation:
         mm = MiddleMemory()
         entry_id, _ = mm.deposit(1.0, "vision", vector=np.ones(8))
         assert form_retrieval_production(
-            mm.entry(entry_id), "s", "b", [], now=0.0) is None
+            mm.entry(entry_id), "s", "b", set(), now=0.0) is None
 
 
 class TestPruning:

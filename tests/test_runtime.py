@@ -1163,6 +1163,27 @@ class TestMultiRateSystems:
         assert len(session.mm) == 50
         assert (counts["evals"], tables) == (50, 3)
 
+    def test_a_wordloop_cycle_builds_spreading_sources_at_most_twice(self, monkeypatch):
+        """In steady state a wordloop cycle builds the spreading sources
+        once for the sweep's new time and once for the broadcast after the
+        cycle's writes.  Every other read (formation, each retrieval) finds
+        the cached table under the working memory's unchanged stamp."""
+        session = Session(load_model(demos.path("wordloop")), mode="mm", seed=0)
+        for _ in range(30):
+            session.step()
+        sources, calls = memory.spread_sources, 0
+
+        def counting_sources(wm):
+            nonlocal calls
+            calls += 1
+            return sources(wm)
+
+        monkeypatch.setattr(memory, "spread_sources", counting_sources)
+        for _ in range(40):
+            calls = 0
+            session.step()
+            assert calls <= 2
+
 
 class TestFormation:
     def test_hot_entries_form_in_id_order_across_tags(self):
