@@ -21,10 +21,19 @@ WILDCARD = "?"
 TYPE_SLOT = "isa"
 
 
-# Legal contents a factory remembers, and legal symbols a factory or a parse
-# remembers; at this many a set forgets them all and refills, so a run that
-# builds ever-new contents keeps a bounded set.
-_LEGAL_CAP = 4096
+# Keys one memo holds (legal contents and symbols, predictor answers,
+# buffer-only contexts, codebook vectors); a full memo forgets them all and
+# refills, so a run that meets ever-new keys keeps it bounded.
+MEMO_CAP = 4096
+
+
+def remember(memo: dict, key, value):
+    """Store ``value`` under ``key`` in ``memo`` and return it, clearing
+    ``memo`` first once it holds :data:`MEMO_CAP` keys."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _grammar_error(value) -> str | None:
@@ -38,12 +47,12 @@ def _grammar_error(value) -> str | None:
     return None
 
 
-def _symbol_error(value, legal: set[str] | None = None) -> str | None:
-    """:func:`_grammar_error`, skipped for a member of ``legal``.
+def _symbol_error(value, legal: dict[str, None] | None = None) -> str | None:
+    """:func:`_grammar_error`, skipped for a key of ``legal``.
 
-    ``legal`` is the set of strings one factory or one parse has already
-    found legal: a member passes at once, and a string that passes the
-    check joins it (the set clears first once it holds :data:`_LEGAL_CAP`).
+    ``legal`` is the memo of strings one factory or one parse has already
+    found legal: a key passes at once, and a string that passes the check
+    joins it through :func:`remember`, so it holds at most :data:`MEMO_CAP`.
     Only strings that passed are kept, so every refusal is checked and
     worded afresh.
     """
@@ -53,18 +62,16 @@ def _symbol_error(value, legal: set[str] | None = None) -> str | None:
         return None
     error = _grammar_error(value)
     if error is None and type(value) is str:
-        if len(legal) >= _LEGAL_CAP:
-            legal.clear()
-        legal.add(value)
+        remember(legal, value, None)
     return error
 
 
 def validate_symbol(name: str, *, what: str = "symbol",
-                    legal: set[str] | None = None) -> str:
+                    legal: dict[str, None] | None = None) -> str:
     """Check that ``name`` is a legal symbol token and return it.
 
     Symbols are non-empty, contain no whitespace and no ``':'``, and are
-    never the wildcard token.  ``legal`` is a set of symbols already found
+    never the wildcard token.  ``legal`` is a memo of symbols already found
     legal (see :func:`_symbol_error`).
     """
     error = _symbol_error(name, legal)
@@ -79,14 +86,14 @@ def is_reference(value) -> bool:
 
 
 def pattern_errors(ctype, slots, *, wildcards: bool = False, references: bool = False,
-                   legal: set[str] | None = None) -> list[tuple[str | None, str]]:
+                   legal: dict[str, None] | None = None) -> list[tuple[str | None, str]]:
     """Every way ``(ctype, slots)`` breaks the chunk grammar, as ``(slot, message)``.
 
     ``slot`` is None for the type.  A chunk holds only symbols, under
     distinct slot names other than ``isa``.  Where ``wildcards`` is set (a
     pattern or query) the type and slot values may also be ``"?"``; where
     ``references`` is set (an action template) they may be ``"?name"``.
-    Each slot reports at most one violation.  ``legal`` is a set of symbols
+    Each slot reports at most one violation.  ``legal`` is a memo of symbols
     already found legal (see :func:`_symbol_error`).
     """
     errors = []
@@ -213,12 +220,13 @@ class ChunkFactory:
     passed every check, so no result or message changes.  A new content is
     checked in full, but each symbol in it once per factory: the factory
     also keeps the symbols it has found legal (see :func:`_symbol_error`).
+    Each memo holds at most :data:`MEMO_CAP` keys (see :func:`remember`).
     """
 
     def __init__(self):
         self._count = itertools.count()
-        self._legal: set[tuple] = set()
-        self._symbols: set[str] = set()
+        self._legal: dict[tuple, None] = {}
+        self._symbols: dict[str, None] = {}
 
     def _checked(self, ctype, slots, *, wildcards: bool) -> tuple[tuple[str, str], ...]:
         """``slots`` (pairs or a mapping) as a tuple of pairs; raises the first
@@ -244,9 +252,7 @@ class ChunkFactory:
             raise ChunkError(errors[0][1])
         if key is None:
             return tuple(map(tuple, slots))
-        if len(self._legal) >= _LEGAL_CAP:
-            self._legal.clear()
-        self._legal.add(key)
+        remember(self._legal, key, None)
         return slots
 
     def make(self, ctype: str, slots=()) -> Chunk:

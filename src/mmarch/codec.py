@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from .chunks import TYPE_SLOT, WILDCARD, Chunk, Query, validate_symbol
+from .chunks import TYPE_SLOT, WILDCARD, Chunk, Query, remember, validate_symbol
 
 DEFAULT_DIMENSION = 1024
 
@@ -39,9 +39,10 @@ def _symbol_rng(seed: int, domain: str, name: str) -> np.random.Generator:
 class Codebook:
     """Deterministic symbol -> atom map for one vector space.
 
-    Atoms are pure functions of (seed, symbol name) and are memoized on
-    first use.  The dimension must be even (the unitary construction fixes
-    the two real spectrum bins).
+    Atoms are pure functions of (seed, domain, symbol name), kept in one
+    memo of at most :data:`.chunks.MEMO_CAP` vectors, so an atom made again
+    after the memo clears has the same bits.  The dimension must be even
+    (the unitary construction fixes the two real spectrum bins).
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, seed: int = 0):
@@ -51,16 +52,11 @@ class Codebook:
             raise ValueError("seed must be a non-negative integer")
         self.dimension = dimension
         self.seed = seed
-        self._atoms: dict[str, HoloVector] = {}
-        self._roles: dict[str, HoloVector] = {}
+        self._vectors: dict[tuple[str, str], HoloVector] = {}
 
     def atom(self, name: str) -> HoloVector:
-        """Return the filler atom for ``name``, creating it on first use."""
-        vec = self._atoms.get(name)
-        if vec is None:
-            vec = self._make_atom("atom", name)
-            self._atoms[name] = vec
-        return vec
+        """Return the filler atom for ``name``."""
+        return self._vector("atom", name)
 
     def role(self, name: str) -> HoloVector:
         """Return the role atom used to bind slot ``name``.
@@ -69,10 +65,12 @@ class Codebook:
         commutativity would make slot ``x`` holding ``y`` pack the same as
         slot ``y`` holding ``x``.
         """
-        vec = self._roles.get(name)
+        return self._vector("role", name)
+
+    def _vector(self, domain: str, name: str) -> HoloVector:
+        vec = self._vectors.get((domain, name))
         if vec is None:
-            vec = self._make_atom("role", name)
-            self._roles[name] = vec
+            vec = remember(self._vectors, (domain, name), self._make_atom(domain, name))
         return vec
 
     def _make_atom(self, domain: str, name: str) -> HoloVector:

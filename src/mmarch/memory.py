@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chunks import WILDCARD, Chunk, Query, match_query
+from .chunks import WILDCARD, Chunk, Query, match_query, remember
 from .codec import Codebook, HoloVector, normalized, pack, pack_query
 from .errors import ChunkError, OwnershipError, TemporalOrderError, UnknownEntryError
 
@@ -47,9 +47,6 @@ COLUMN_MIN_ENTRIES = 48
 # Generated mm-scale histories are 1 to 5 long; wordloop's grow to
 # thousands, in a memory too small for columns.
 HISTORY_CAP = 16
-# Buffer-only broadcasts a memory remembers the top symbols of; at this many
-# it forgets them all and refills.
-CONTEXTS_CAP = 4096
 
 # One counter for the whole process, so no two working-memory states share a stamp.
 _STAMPS = itertools.count()
@@ -952,9 +949,9 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
 
     With no live entry there is no table, and the top-``k`` depends only on
     ``k`` and the buffers' symbols in order: the memory answers each such
-    pair once and keeps the answer until :data:`CONTEXTS_CAP` of them clear
-    its memo.  The memo is the memory's own, so nothing passes between two
-    sessions.
+    pair once and keeps the answer in a memo of at most
+    :data:`.chunks.MEMO_CAP` pairs.  The memo is the memory's own, so
+    nothing passes between two sessions.
     """
     buffers = [buf for _, buf in sorted(wm.buffers.items()) if buf.content is not None]
     zero = True
@@ -973,10 +970,8 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
         key = (k, tuple(symbols))
         top = mm._contexts.get(key)
         if top is None:
-            if len(mm._contexts) >= CONTEXTS_CAP:
-                mm._contexts.clear()
-            top = mm._contexts[key] = tuple(
-                sym for _, sym in _top_by_entries(symbols, [], _NO_WEIGHTS, k))
+            top = remember(mm._contexts, key, tuple(
+                sym for _, sym in _top_by_entries(symbols, [], _NO_WEIGHTS, k)))
         return Context(list(top), zero, buffers, (), mm._cols.entries, _NO_WEIGHTS)
     threshold, acts, entries = mm.retrieval_threshold, table.values, mm._filed.entries
     if isinstance(acts, list):

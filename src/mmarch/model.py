@@ -85,7 +85,7 @@ class _Collector:
 
     def __init__(self):
         self.violations: list[tuple[str, str]] = []
-        self.legal: set[str] = set()
+        self.legal: dict[str, None] = {}
 
     def add(self, path: str, message: str) -> None:
         self.violations.append((path, message))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chunks import pattern_errors, validate_symbol
+from .chunks import pattern_errors, remember, validate_symbol
 from .codec import HoloVector
 from .errors import ChunkError
 from .trace import encode_line
@@ -48,9 +48,6 @@ PEER_TIMEOUT_S = 2.0
 LINE_MAX = 16 * 1024 * 1024
 _READ_SIZE = 65536  # bytes one read asks for
 
-# Contexts a built-in predictor remembers its answer to; at this many it
-# forgets them all and refills.
-_ANSWERS_CAP = 4096
 _UNSEEN = object()
 
 
@@ -131,16 +128,13 @@ class NgramPredictor:
         ``predict`` is a pure function of the tables fixed at construction
         and of the symbols in their order, so each distinct context is
         answered once and its answer remembered, keyed by the symbols'
-        tuple, until ``_ANSWERS_CAP`` contexts clear the memo.  The
+        tuple, in a memo of at most :data:`.chunks.MEMO_CAP` contexts.  The
         emissions built from an answer are new on every call.
         """
         key = tuple(symbols)
         got = self._answers.get(key, _UNSEEN)
         if got is _UNSEEN:
-            got = self.predict(symbols)
-            if len(self._answers) >= _ANSWERS_CAP:
-                self._answers.clear()
-            self._answers[key] = got
+            got = remember(self._answers, key, self.predict(symbols))
         if got is None or self.rate < 1:
             return []
         symbol, salience = got

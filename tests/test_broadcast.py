@@ -353,7 +353,7 @@ def test_the_buffer_only_memo_keys_on_k_and_the_symbols_in_order():
 
 
 def test_the_buffer_only_memo_clears_at_its_cap(monkeypatch):
-    monkeypatch.setattr(memory, "CONTEXTS_CAP", 2)
+    monkeypatch.setattr(mmarch.chunks, "MEMO_CAP", 2)
     factory, wm, mm = ChunkFactory(), WorkingMemory(), MiddleMemory()
     wm.add_buffer("goal", "central")
     sizes = []

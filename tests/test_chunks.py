@@ -194,7 +194,7 @@ class TestLegalContentMemo:
                 assert _refusal(factory.make, ctype, slots) == expected
 
     def test_at_the_cap_the_set_clears_and_refills(self, monkeypatch):
-        monkeypatch.setattr(chunks, "_LEGAL_CAP", 3)
+        monkeypatch.setattr(chunks, "MEMO_CAP", 3)
         factory = ChunkFactory()
         for value in "abc":
             factory.make("t", [("v", value)])
@@ -309,17 +309,17 @@ class TestLegalSymbolMemo:
         assert str(caught.value) == pattern_errors(bad.ctype, bad.slots)[0][1]
 
     def test_at_the_cap_the_set_clears_and_refills(self, monkeypatch):
-        monkeypatch.setattr(chunks, "_LEGAL_CAP", 3)
-        legal = set()
+        monkeypatch.setattr(chunks, "MEMO_CAP", 3)
+        legal = {}
         for symbol in "abc":
             assert chunks._symbol_error(symbol, legal) is None
         calls = _count_grammar_checks(monkeypatch)
         assert chunks._symbol_error("c", legal) is None and calls == []  # remembered
         assert chunks._symbol_error("d", legal) is None  # a full check, then a clear
-        assert calls == ["d"] and legal == {"d"}
+        assert calls == ["d"] and set(legal) == {"d"}
         assert chunks._symbol_error("a", legal) is None  # forgotten at the clear
-        assert calls == ["d", "a"] and legal == {"a", "d"}
-        assert chunks._symbol_error("a b", legal) is not None and legal == {"a", "d"}
+        assert calls == ["d", "a"] and set(legal) == {"a", "d"}
+        assert chunks._symbol_error("a b", legal) is not None and set(legal) == {"a", "d"}
 
 
 class TestListPairs:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmarch import predictors
+from mmarch import chunks
 from mmarch.predictors import AssociativePredictor, NgramPredictor, Prediction
 
 
@@ -124,7 +124,7 @@ symbols = st.sampled_from("abcde")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data(), cap=st.sampled_from([predictors._ANSWERS_CAP, 1, 2, 3]),
+@given(data=st.data(), cap=st.sampled_from([chunks.MEMO_CAP, 1, 2, 3]),
        rate=st.integers(0, 2), ngram=st.booleans())
 def test_remembered_answers_equal_a_fresh_predictors(data, cap, rate, ngram):
     """``deliver`` answers as ``predict`` of a predictor that has seen no
@@ -149,7 +149,7 @@ def test_remembered_answers_equal_a_fresh_predictors(data, cap, rate, ngram):
         contexts += [context, data.draw(st.permutations(context), label="reordered")]
     contexts += contexts  # every context delivered again, after the others
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(predictors, "_ANSWERS_CAP", cap)
+        patch.setattr(chunks, "MEMO_CAP", cap)
         predictor = build()
         for cycle, context in enumerate(contexts):
             got = build().predict(context)

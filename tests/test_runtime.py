@@ -313,6 +313,7 @@ def _multi_step_system(draw, i, n_systems):
             "isa": "fact", "slots": {"name": draw(st.sampled_from("abz")), "next": "?"}}}]),
         "peek": ([{"buffer": f"buf{(i + 1) % n_systems}", "pattern": None}], write("peer")),
         "drop": ([marked], [{"kind": "clear-buffer", "target": own}]),
+        "mark": ([empty], write(draw(st.sampled_from("abz")))),  # new spreading sources
         "wait": ([{"buffer": own, "pattern": None}], []),
     }
     chosen = draw(st.lists(st.sampled_from(sorted(menu)), min_size=1, max_size=3,
@@ -328,9 +329,12 @@ def _multi_step_system(draw, i, n_systems):
 def multi_step_model_docs(draw, noise):
     """2-3 shadow systems of 1-3 steps a cycle that read middle memory, read
     each other's buffers, post queries and clear their own buffers, while
-    a predictor deposits and the centre empties one buffer a cycle."""
+    a predictor deposits and the centre empties one buffer a cycle.  With
+    ``tied`` every fact has the same history, so facts whose reach meets the
+    same sources tie exactly and spreading alone tells the others apart."""
     n_systems = draw(st.integers(2, 3))
     chain = ["a", "b", "c", "d"]
+    tied = draw(st.booleans())
     return {
         "name": "generated-multi-step", "codebook": {"dimension": 64, "seed": 1},
         "middle_memory": {"noise": noise, "retrieval_threshold": -1.5,
@@ -350,7 +354,8 @@ def multi_step_model_docs(draw, noise):
         "initial_wm": [{"buffer": "goal", "chunk": {"isa": "goal", "slots": {"at": "a"}}}],
         "initial_mm": [{"tag": "facts",
                         "chunk": {"isa": "fact", "slots": {"name": name, "next": following}},
-                        "presentations": [-1.0, -0.5 + 0.1 * i], "links": [(i + 1) % 4]}
+                        "presentations": [-1.0, -0.5 + (0.0 if tied else 0.1 * i)],
+                        "links": [(i + 1) % 4]}
                        for i, (name, following) in enumerate(zip(chain, "bcde"))],
     }
 
