@@ -231,25 +231,29 @@ class _Columns:
     filed under it.  ``own`` holds each slot's own symbol set: its chunk's
     type and slot values, empty for a vector-only entry.  An entry's reach
     set is the union of its own set and its neighbours' (:meth:`reach_set`).
-    ``reach`` maps each symbol to the slots whose reach set holds it; the
-    entries whose ids are in ``stale`` have reach sets that changed since
-    they were posted.  ``codes`` holds the slot values of every chunk as
-    symbol codes, in slot order, with the owning slot of each in ``owners``.
+    ``reach`` maps each symbol to the slots whose reach set holds it, as
+    ``posted`` records it by slot.  ``codes`` holds the slot values of every
+    chunk as symbol codes, in slot order, with the owning slot of each in
+    ``owners``.
 
-    The constructor files its entries in one pass: each slot as :meth:`add`
-    files it (:meth:`_file`), then the presentation block in one numpy
-    assignment and every reach set posted, so nothing is stale.  After it,
-    a new entry is filed by :meth:`add`, a merged presentation is written
-    by :meth:`present`, and a link marks both its ends stale.
+    Every entry is filed by :meth:`_file`: its slot, postings, own set,
+    codes and presentation row.  The constructor files each entry so and
+    then posts every reach set, once all the own sets it unites are filed;
+    :meth:`add` files one entry and posts its reach set.  A merged
+    presentation is written by :meth:`present`.  The memory posts a reach
+    set again (:meth:`repost`) when a link or a forgotten neighbour changes
+    it, so the columns are always in step and a table only reads them.
 
-    ``times`` is the presentation block: a row per slot holding the entry's
-    presentation times, -inf after them, up to :data:`HISTORY_CAP`.  The
-    row of an empty slot is NaN, and so is the row of a history that grew
-    past the cap; ``long`` holds each such slot, folded from its entry's own
-    array.  ``width`` is the longest history in the block (at least 1).  The
-    block copies the entry's presentations as the constructor, ``add`` and
-    ``present`` see them, so the memory writes presentation times only
-    through ``deposit`` and ``seed_entry``.
+    ``times`` is the presentation block, one flat array with a row of
+    ``cap`` cells per slot (the :data:`HISTORY_CAP` when built): the
+    entry's presentation times, then -inf from ``padding``.  The row of an
+    empty slot is NaN, and so is the row of a history that grew past the
+    cap; ``long`` holds each such slot, folded from its entry's own array.
+    ``width`` is the longest history in the block (at least 1).  The block
+    copies the entry's presentations as :meth:`_file` and :meth:`present`
+    see them, so the memory writes presentation times only through
+    ``deposit`` and ``seed_entry``.  Only :meth:`base` views the block, and
+    no view outlives it: an array whose buffer is exported cannot grow.
     """
 
     def __init__(self, entries: Iterable[MMEntry]):
@@ -259,39 +263,25 @@ class _Columns:
         self.postings: dict[tuple, array] = {}
         self.reach: dict[str, array] = {}
         self.own: list[frozenset[str]] = []  # each slot's own symbols
-        self.stale: set[int] = set()  # ids to post again
+        self.posted: list[frozenset[str]] = []  # each slot's reach set as posted
         self.symbols: dict[str, int] = {}  # symbol -> code
         self.names: list[str] = []  # code -> symbol
         self.codes = array("q")  # 64-bit, so numpy reads them as indices with no cast
         self.owners = array("q")
+        self.cap = HISTORY_CAP
+        self.times = array("d")
+        self.padding = array("d", (-math.inf,)) * self.cap  # a row's cells after its history
+        self.width = 1
         for entry in entries:
             self._file(entry)
         reach = self.reach
-        self.posted: list[frozenset[str]] = []  # each slot's reach set as posted
-        lengths, flat = [], array("d")  # each row's length in the block, and its times
         for slot, entry in enumerate(self.entries):
-            history = entry.presentations
-            if len(history) <= HISTORY_CAP:
-                lengths.append(len(history))
-                flat.extend(history)
-            else:
-                lengths.append(0)
-                self.long.add(slot)
-            symbols = self.reach_set(entry)
-            self.posted.append(symbols)
+            symbols = self.posted[slot] = self.reach_set(entry)
             for symbol in symbols:
                 posting = reach.get(symbol)
                 if posting is None:
                     posting = reach[symbol] = array("q")
                 posting.append(slot)
-        rows = 8  # as many as filing entry by entry grows to
-        while rows < len(self.entries):
-            rows *= 2
-        self.times = np.full((rows, HISTORY_CAP), -math.inf)
-        fill = np.arange(HISTORY_CAP) < np.array(lengths, np.intp)[:, None]
-        self.times[:len(lengths)][fill] = np.frombuffer(flat)  # row by row, in order
-        self.times[sorted(self.long)] = math.nan
-        self.width = max([1, *lengths])
 
     def code(self, symbol: str) -> int:
         code = self.symbols.get(symbol)
@@ -301,8 +291,9 @@ class _Columns:
         return code
 
     def _file(self, entry: MMEntry) -> int:
-        """Give ``entry`` the next slot, with its postings, own symbol set
-        and symbol codes, and return the slot."""
+        """Give ``entry`` the next slot, with its postings, own symbol set,
+        symbol codes and presentation row, and return the slot; its reach
+        set is not posted yet."""
         slot = len(self.entries)
         self.entries.append(entry)
         self.slot_of[entry.id] = slot
@@ -319,30 +310,26 @@ class _Columns:
                 self.codes.append(self.code(value))
                 self.owners.append(slot)
             self.own.append(frozenset(symbols))
+        self.posted.append(frozenset())
         postings = self.postings
         for key in keys:
             posting = postings.get(key)
             if posting is None:
-                posting = postings[key] = array("i")
+                posting = postings[key] = array("q")
             posting.append(slot)
+        history, cap = entry.presentations, self.cap
+        if len(history) <= cap:
+            self.times += history
+            self.times += self.padding[len(history):]
+            self.width = max(self.width, len(history))
+        else:
+            self.times += array("d", (math.nan,)) * cap
+            self.long.add(slot)
         return slot
 
     def add(self, entry: MMEntry) -> None:
-        """File ``entry`` at a new slot, write its row and mark it stale."""
-        slot = self._file(entry)
-        if slot == len(self.times):
-            grown = np.full((2 * slot, self.times.shape[1]), -math.inf)
-            grown[:slot] = self.times
-            self.times = grown
-        history = entry.presentations
-        if len(history) <= self.times.shape[1]:
-            self.times[slot, :len(history)] = history
-            self.width = max(self.width, len(history))
-        else:
-            self.times[slot] = math.nan
-            self.long.add(slot)
-        self.posted.append(frozenset())
-        self.stale.add(entry.id)
+        """File ``entry`` at a new slot and post its reach set."""
+        self.repost(self._file(entry))
 
     def reach_set(self, entry: MMEntry) -> frozenset[str]:
         """The union of the own sets of ``entry`` and of every linked entry,
@@ -353,22 +340,34 @@ class _Columns:
             return mine
         return mine.union(*[own[slot_of[nid]] for nid in entry.links])
 
+    def repost(self, slot: int) -> None:
+        """Move ``slot``'s reach postings to its entry's current reach set."""
+        old, new = self.posted[slot], self.reach_set(self.entries[slot])
+        for symbol in old - new:
+            self.reach[symbol].remove(slot)
+        for symbol in new - old:
+            posting = self.reach.get(symbol)
+            if posting is None:
+                posting = self.reach[symbol] = array("q")
+            posting.append(slot)
+        self.posted[slot] = new
+
     def remove(self, entry: MMEntry) -> int:
         """Empty ``entry``'s slot and return it."""
-        slot = self.slot_of.pop(entry.id)
+        slot, cap = self.slot_of.pop(entry.id), self.cap
         self.entries[slot] = None
-        self.times[slot] = math.nan
+        self.times[slot * cap:(slot + 1) * cap] = array("d", (math.nan,)) * cap
         self.long.discard(slot)
         return slot
 
     def present(self, entry: MMEntry) -> None:
         """Write ``entry``'s newest presentation into its row, or its slot into ``long``."""
-        slot, count = self.slot_of[entry.id], len(entry.presentations)
-        if count <= self.times.shape[1]:
-            self.times[slot, count - 1] = entry.presentations[-1]
+        slot, count, cap = self.slot_of[entry.id], len(entry.presentations), self.cap
+        if count <= cap:
+            self.times[slot * cap + count - 1] = entry.presentations[-1]
             self.width = max(self.width, count)
-        elif count == self.times.shape[1] + 1:  # the history leaves the block
-            self.times[slot] = math.nan
+        elif count == cap + 1:  # the history leaves the block
+            self.times[slot * cap:(slot + 1) * cap] = array("d", (math.nan,)) * cap
             self.long.add(slot)
 
     def base(self, now: float, decay: float) -> np.ndarray:
@@ -379,12 +378,13 @@ class _Columns:
         does, and the terms are added a column at a time from the oldest,
         so each value has the bits of :meth:`MiddleMemory.base_level`'s
         left fold; the padding adds +0.0.  ``now`` must be after every
-        presentation in the block.
+        presentation in the block.  The block's view lives only inside the
+        expression that takes the lags.
         """
-        rows = self.times[:len(self.entries), :self.width]
-        total = np.zeros(len(rows))
+        total = np.zeros(len(self.entries))
         with np.errstate(over="ignore"):  # an overflowing term or sum is inf, as in base_level
-            terms = np.float_power(now - rows, -decay)
+            lags = now - np.frombuffer(self.times).reshape(-1, self.cap)[:, :self.width]
+            terms = np.float_power(lags, -decay)
             for column in terms.T:  # not np.sum: pairwise summation changes bits
                 total += column
         zero, positive = total == 0.0, total > 0.0
@@ -411,23 +411,6 @@ class _Columns:
                 total = float(np.add.accumulate(terms)[-1])  # not np.sum, as in base
                 folded[slot] = math.log(total) if total > 0.0 else -math.inf
         return folded
-
-    def post(self) -> None:
-        """Move every stale entry's postings to its current reach set."""
-        for entry_id in self.stale:
-            slot = self.slot_of.get(entry_id)
-            if slot is None:
-                continue
-            old, new = self.posted[slot], self.reach_set(self.entries[slot])
-            for symbol in old - new:
-                self.reach[symbol].remove(slot)
-            for symbol in new - old:
-                posting = self.reach.get(symbol)
-                if posting is None:
-                    posting = self.reach[symbol] = array("q")
-                posting.append(slot)
-            self.posted[slot] = new
-        self.stale.clear()
 
     def meets(self, sources: tuple[frozenset[str], ...]) -> np.ndarray:
         """How many of ``sources`` meet each slot's reach set."""
@@ -466,8 +449,10 @@ class MiddleMemory:
 
     The memory builds its columns (:class:`_Columns`) at the first read
     that needs them, filing every entry seeded, deposited or linked so far
-    in one pass, and keeps them in step from then on through ``_add``,
-    ``deposit``, ``link`` and ``_forget``.  Inside the memory
+    in one pass.  From then on each change files itself at once: ``_add``
+    files a new entry, a deposit's merge writes its presentation, and
+    ``link`` and ``_forget`` post again the reach sets they change, so a
+    table build only reads the columns.  Inside the memory
     an entry is addressed by its slot there only: every table is by slot,
     and the postings of tag and content, which a tagged or patterned read
     probes to visit only the entries it can return, hold slots.  A
@@ -485,8 +470,8 @@ class MiddleMemory:
     kind of table runs; the broadcast's symbol scores take the same fork
     (see :func:`context_symbols`).
 
-    The columns also keep each entry's presentation times in a block of
-    :data:`HISTORY_CAP` times a slot, written by ``_add`` and by a
+    The columns also keep each entry's presentation times in a flat block
+    of :data:`HISTORY_CAP` times a slot, written by ``_add`` and by a
     deposit's merge.  A base-level column is ``np.float_power`` of the lags
     (the C library's ``pow``, as Python's ``**``), folded a column at a
     time from the oldest and then logged one entry at a time, so a table
@@ -617,9 +602,10 @@ class MiddleMemory:
         postings of the pattern's known type and values.  Forgotten slots
         stay in postings and only :func:`match_query` decides a match, so a
         candidate may still fail.  Slots are valid until the next new table,
-        so a reader takes them after its table, and with it the columns.
+        so a reader takes them after its table, and with it the columns.  The
+        slots come in one ``array("q")``, the typecode of every posting.
         """
-        postings, out = self._filed.postings, array("i")
+        postings, out = self._filed.postings, array("q")
         for tag in tags:
             best = postings.get((tag,), ())
             if pattern is not None:
@@ -641,8 +627,10 @@ class MiddleMemory:
             return
         a.links.add(id_b)
         b.links.add(id_a)
-        if self._filed is not None:
-            self._filed.stale.update((id_a, id_b))
+        cols = self._filed
+        if cols is not None:
+            cols.repost(cols.slot_of[id_a])
+            cols.repost(cols.slot_of[id_b])
         self._version += 1
 
     def base_level(self, entry: MMEntry, now: float) -> float:
@@ -774,10 +762,10 @@ class MiddleMemory:
         entry's spreading, plus its noise draw, the float operations of
         :meth:`activation` in its order.  A list ``base`` gives a per-entry
         table; an array gives a column table.  ``noise`` is the point's
-        draws, when already made."""
+        draws, when already made.  The build only reads the columns: every
+        reach set was posted when its link or forgetting changed it."""
         now, _, sources = point
-        cols = self._cols
-        cols.post()
+        cols = self._filed
         share = self.spread_weight / len(sources) if sources else 0.0
         fold = [0.0]
         for _ in sources:
@@ -868,7 +856,8 @@ class MiddleMemory:
         their noise draws too: a draw depends on the point, which forgetting
         leaves alone, so the rebuild takes the table's and draws none.  Only
         the gone entries' neighbours lose a link, so only their reach sets
-        are posted again.  With no survivor there is nothing to rebuild.
+        are posted again, one neighbour at a time as it loses its link.
+        With no survivor there is nothing to rebuild.
         """
         cols, base = self._cols, table.base
         for entry in gone:
@@ -879,7 +868,7 @@ class MiddleMemory:
                 other = self.entries.get(nid)
                 if other is not None:
                     other.links.discard(entry.id)
-                    cols.stale.add(nid)
+                    cols.repost(cols.slot_of[nid])
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
                                default=None)
@@ -972,16 +961,16 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
         if top is None:
             top = remember(mm._contexts, key, tuple(
                 sym for _, sym in _top_by_entries(symbols, [], _NO_WEIGHTS, k)))
-        return Context(list(top), zero, buffers, (), mm._cols.entries, _NO_WEIGHTS)
+        return Context(list(top), zero, buffers, (), [], _NO_WEIGHTS)
     threshold, acts, entries = mm.retrieval_threshold, table.values, mm._filed.entries
     if isinstance(acts, list):
         slots = [slot for slot, act in enumerate(acts) if act >= threshold]
-        weights = _softmax(np.array([acts[slot] for slot in slots])) if slots else np.empty(0)
+        weights = _softmax(np.array([acts[slot] for slot in slots])) if slots else _NO_WEIGHTS
         top = _top_by_entries(symbols, [entries[slot] for slot in slots], weights, k)
     else:
         keep = acts >= threshold
         slots = np.flatnonzero(keep)
-        weights = _softmax(acts[slots]) if len(slots) else np.empty(0)
+        weights = _softmax(acts[slots]) if len(slots) else _NO_WEIGHTS
         top = _top_by_codes(mm._filed, symbols, keep, weights, k)
     return Context([sym for _, sym in top], zero and not len(slots), buffers, slots,
                    entries, weights)

@@ -1084,48 +1084,58 @@ def test_base_level_evaluated_at_most_once_per_entry_per_cycle(monkeypatch):
         assert unlinked > 0
 
 
-def filed_one_by_one(entries) -> memory._Columns:
-    """Columns filed by ``add`` one entry at a time, then posted."""
-    cols = memory._Columns(())
-    for entry in entries:
-        cols.add(entry)
-    cols.post()
-    return cols
+def assert_in_step(got: memory._Columns, mm: MiddleMemory) -> None:
+    """``got``, columns kept in step with ``mm``, posts each live slot under
+    its entry's reach set, checked against the chunks' own symbols too, and
+    holds for each live entry the postings, own set, symbol codes and
+    presentation row that columns built in one pass from the live entries
+    hold, with slots mapped to ids.  A reach posting is compared as a set:
+    a repost appends in set-difference order, and nothing reads that
+    order.  An empty slot's row is NaN."""
+    want = memory._Columns(mm.entries.values())
+    live = [(slot, entry) for slot, entry in enumerate(got.entries) if entry is not None]
+    assert [entry for _, entry in live] == want.entries
+    assert got.slot_of == {entry.id: slot for slot, entry in live}
 
+    def by_id(cols, postings, order):
+        return {key: ids for key, slots in postings.items()
+                if (ids := order(cols.entries[slot].id for slot in slots
+                                 if cols.entries[slot] is not None))}
 
-def assert_filed_alike(got: memory._Columns, mm: MiddleMemory) -> None:
-    """``got`` holds every field as filing ``mm``'s live entries one at a
-    time gives it.  A reach posting is compared as a set of slots: ``post``
-    appends in the order of its stale ids, and nothing reads that order.
-    Each reach set is also checked against the chunks' own symbols."""
-    want = filed_one_by_one(mm.entries.values())
-    for name in ("entries", "slot_of", "own", "posted", "codes", "owners", "names",
-                 "symbols", "width", "long", "stale"):
-        assert getattr(got, name) == getattr(want, name), name
-    assert list(got.postings.items()) == list(want.postings.items())
-    assert {symbol: sorted(slots) for symbol, slots in got.reach.items()} == \
-        {symbol: sorted(slots) for symbol, slots in want.reach.items()}
-    assert got.times.shape == want.times.shape
-    rows = len(want.entries)
-    assert np.array_equal(got.times[:rows], want.times[:rows], equal_nan=True)
-    for entry, posted in zip(got.entries, got.posted):
+    assert by_id(got, got.postings, list) == by_id(want, want.postings, list)
+    assert by_id(got, got.reach, set) == by_id(want, want.reach, set)
+    assert all(len(set(slots)) == len(slots) for slots in got.reach.values())
+    assert [got.names[code] for code, slot in zip(got.codes, got.owners)
+            if got.entries[slot] is not None] == [want.names[code] for code in want.codes]
+    rows = np.array(got.times).reshape(-1, got.cap)  # a copy: the block must stay growable
+    want_rows = np.array(want.times).reshape(-1, want.cap)
+    assert len(rows) == len(got.entries) and got.width >= want.width
+    for slot, entry in enumerate(got.entries):
+        if entry is None:
+            assert np.isnan(rows[slot]).all()
+            continue
+        theirs = want.slot_of[entry.id]
         reach = set() if entry.chunk is None else set(entry.chunk.symbols())
         for nid in entry.links:
             neighbour = mm.entries[nid].chunk
             reach |= set() if neighbour is None else neighbour.symbols()
-        assert posted == reach
+        assert got.posted[slot] == got.reach_set(entry) == want.posted[theirs] == reach
+        assert got.own[slot] == want.own[theirs]
+        assert np.array_equal(rows[slot], want_rows[theirs], equal_nan=True)
+        assert (slot in got.long) == (theirs in want.long)
 
 
 class TestOnePassFiling:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     @on_both_table_kinds
-    def test_one_pass_filing_equals_filing_entry_by_entry(self, data):
-        """The columns that a first read builds in one pass, and those that
-        compaction builds after forgetting, equal ``add`` entry by entry
-        followed by ``post``: linked facts and vector-only entries, some
-        histories past :data:`HISTORY_CAP`, and entries deposited and
-        linked after the first read."""
+    def test_columns_kept_in_step_equal_one_pass_filing(self, data):
+        """The columns that a first read builds in one pass, then kept in
+        step through new entries, merged deposits, links and forgetting
+        (and built again once empty slots outnumber live ones), hold after
+        every change what one pass over the live entries gives: linked
+        facts and vector-only entries, some histories past
+        :data:`HISTORY_CAP` or leaving the block by a merge."""
         rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
         size = data.draw(st.integers(0, 120), label="size")
         factory = ChunkFactory()
@@ -1158,22 +1168,30 @@ class TestOnePassFiling:
         wm = WorkingMemory()
         wm.add_buffer("goal", "central")
         mm.activations(wm, 0.0)  # the first read files every entry
-        assert_filed_alike(mm._cols, mm)
-        for i in range(size, size + rng.randrange(4)):  # filed by add
-            entry(i, 0.0)
-        link(rng.randrange(4))
-        mm.forget_threshold = rng.uniform(-3.0, 1.5)
-        mm.sweep(wm, 1.0)
-        mm.activations(wm, 2.0)  # a new base: compacts once empty slots outnumber live
-        if len(mm._cols.entries) == len(mm):
-            assert_filed_alike(mm._cols, mm)
-        assert_filed_alike(memory._Columns(mm.entries.values()), mm)
+        assert_in_step(mm._cols, mm)
+        now, i = 0.0, size
+        for _ in range(rng.randrange(1, 5)):
+            for _ in range(rng.randrange(4)):  # filed by add
+                entry(i, now)
+                i += 1
+            for merged in rng.sample(sorted(mm.entries), min(len(mm), rng.randrange(4))):
+                mm.deposit(now, mm.entry(merged).tag, mm.entry(merged).chunk,
+                           mm.entry(merged).vector)
+            link(rng.randrange(4))
+            assert_in_step(mm._cols, mm)
+            mm.forget_threshold = rng.uniform(-3.0, 1.5)
+            now += 1.0
+            mm.sweep(wm, now)
+            assert_in_step(mm._cols, mm)
+            now += 1.0
+            mm.activations(wm, now)  # a new base: rebuilds once empty slots outnumber live
+            assert_in_step(mm._cols, mm)
 
 
 def test_column_upkeep_stays_bounded_below_the_cut_over(factory):
     """Every memory keeps its columns, so one that never reaches
-    ``COLUMN_MIN_ENTRIES`` must still drop its forgotten slots, stale ids,
-    symbol codes, postings and presentation rows; each round deposits,
+    ``COLUMN_MIN_ENTRIES`` must still drop its forgotten slots, symbol
+    codes, postings and presentation rows; each round deposits,
     links and forgets."""
     mm = MiddleMemory()
     wm = WorkingMemory()
@@ -1192,8 +1210,7 @@ def test_column_upkeep_stays_bounded_below_the_cut_over(factory):
         # several entries may leave a few more dead slots than live ones
         cols, bound = mm._cols, 2 * len(mm) + 4
         assert len(cols.entries) <= bound
-        assert len(cols.stale) <= bound
         assert len(cols.codes) <= bound
         assert sum(map(len, cols.postings.values())) <= 3 * bound  # tag, type, value
-        assert len(cols.times) <= 2 * bound  # the block's rows double as it grows
+        assert len(cols.times) <= memory.HISTORY_CAP * bound  # a row of cells per slot
     assert forgotten > 900

@@ -419,36 +419,36 @@ class TestConstruction:
     def test_set_up_files_middle_memory_once(self, monkeypatch):
         """A linked-facts session keeps its seeded entries and links unfiled
         until its first cycle reads middle memory, which builds the columns
-        once, in one pass: ``add`` files no seeded entry, and the first
-        ``post`` finds no stale id."""
+        once, in one pass, from all 60: no ``add`` or ``repost`` runs
+        before that build, and ``add`` files no seeded entry."""
         columns = memory._Columns
-        init, add, post = columns.__init__, columns.add, columns.post
-        builds, added, stale = [], [], []
+        init, add, repost = columns.__init__, columns.add, columns.repost
+        calls = []
 
         def counting_init(self, entries):
             init(self, entries)
-            builds.append(len(self.entries))
+            calls.append(("build", len(self.entries)))
 
         def counting_add(self, entry):
-            added.append(entry.id)
+            calls.append(("add", entry.id))
             add(self, entry)
 
-        def counting_post(self):
-            stale.append(len(self.stale))
-            post(self)
+        def counting_repost(self, slot):
+            calls.append(("repost", self.entries[slot].id))
+            repost(self, slot)
 
         monkeypatch.setattr(columns, "__init__", counting_init)
         monkeypatch.setattr(columns, "add", counting_add)
-        monkeypatch.setattr(columns, "post", counting_post)
+        monkeypatch.setattr(columns, "repost", counting_repost)
         session = Session(parse_model(linked_facts_doc()), mode="mm", seed=1)
         seeded = set(session.mm.entries)
         assert len(seeded) == 60
         assert sum(len(entry.links) for entry in session.mm.entries.values()) > 60
-        assert (builds, added, stale) == ([], [], [])
+        assert calls == []
         session.step()
-        assert builds == [60]
-        assert not seeded & set(added)
-        assert stale[0] == 0
+        assert calls[0] == ("build", 60)
+        assert [call for call in calls if call[0] == "build"] == [("build", 60)]
+        assert not seeded & {entry_id for kind, entry_id in calls if kind == "add"}
 
 
 class TestPhases:
@@ -890,6 +890,14 @@ class TestPipelineMode:
         counts = [e.data["candidates"] for e in trace.events
                   if e.kind in ("central-fire", "idle")]
         assert counts[-1] > counts[5] > counts[1]
+
+    def test_an_empty_middle_memory_builds_no_columns(self):
+        """A pipeline run bypasses middle memory, so every broadcast answers
+        from the buffers alone and the run never builds the columns."""
+        session = Session(load_model(demos.path("bottleneck")), mode="pipeline", seed=0)
+        for _ in range(50):
+            session.step()
+        assert not session.mm.entries and session.mm._filed is None
 
     def test_pipeline_needs_subscribers_for_every_tag(self, model):
         doc = two_system_doc()
