@@ -283,13 +283,6 @@ class _Columns:
                     posting = reach[symbol] = array("q")
                 posting.append(slot)
 
-    def code(self, symbol: str) -> int:
-        code = self.symbols.get(symbol)
-        if code is None:
-            code = self.symbols[symbol] = len(self.names)
-            self.names.append(symbol)
-        return code
-
     def _file(self, entry: MMEntry) -> int:
         """Give ``entry`` the next slot, with its postings, own symbol set,
         symbol codes and presentation row, and return the slot; its reach
@@ -307,7 +300,11 @@ class _Columns:
             for name, value in chunk.slots:
                 symbols.append(value)
                 keys.append((tag, name, value))
-                self.codes.append(self.code(value))
+                code = self.symbols.get(value)
+                if code is None:
+                    code = self.symbols[value] = len(self.names)
+                    self.names.append(value)
+                self.codes.append(code)
                 self.owners.append(slot)
             self.own.append(frozenset(symbols))
         self.posted.append(frozenset())
@@ -377,20 +374,19 @@ class _Columns:
         ``np.float_power`` calls the C library's ``pow``, as Python's ``**``
         does, and the terms are added a column at a time from the oldest,
         so each value has the bits of :meth:`MiddleMemory.base_level`'s
-        left fold; the padding adds +0.0.  ``now`` must be after every
-        presentation in the block.  The block's view lives only inside the
-        expression that takes the lags.
+        left fold; the padding adds +0.0, and each log is ``math.log``'s.
+        ``now`` must be after every presentation in the block.  The block's
+        view lives only inside the expression that takes the lags.
         """
-        total = np.zeros(len(self.entries))
-        with np.errstate(over="ignore"):  # an overflowing term or sum is inf, as in base_level
+        sums = np.zeros(len(self.entries) + 1)  # the sums in sums[1:]
+        with np.errstate(over="ignore", divide="ignore"):  # inf, and log(0.0) is -inf
             lags = now - np.frombuffer(self.times).reshape(-1, self.cap)[:, :self.width]
             terms = np.float_power(lags, -decay)
             for column in terms.T:  # not np.sum: pairwise summation changes bits
-                total += column
-        zero, positive = total == 0.0, total > 0.0
-        total[positive] = list(map(math.log, total[positive].tolist()))
-        total[zero] = -math.inf
-        return total
+                sums[1:] += column
+            # The output overlaps the input by one cell, so numpy runs its element loop,
+            # which calls the C library's log as math.log does (its AVX-512 loop does not).
+            return np.log(sums[1:], out=sums[:-1])
 
     def long_base(self, now: float, decay: float) -> dict[int, float]:
         """Each slot in ``long`` with its base level at ``now``.
@@ -474,13 +470,13 @@ class MiddleMemory:
     of :data:`HISTORY_CAP` times a slot, written by ``_add`` and by a
     deposit's merge.  A base-level column is ``np.float_power`` of the lags
     (the C library's ``pow``, as Python's ``**``), folded a column at a
-    time from the oldest and then logged one entry at a time, so a table
-    needs no Python sum per entry.  A history past the cap leaves the block,
-    and both kinds of table fold the entry's own array with one
-    ``np.add.accumulate`` (:meth:`_Columns.long_base`); a per-entry table
-    keeps :meth:`base_level` for a history within the cap.  The block is
-    why presentation times are written only through :meth:`deposit` and
-    :meth:`seed_entry`.
+    time from the oldest and logged by one ``np.log`` that calls the C
+    library's ``log``, so a table does no Python work per entry.  A history
+    past the cap leaves the block, and both kinds of table fold the entry's
+    own array with one ``np.add.accumulate`` (:meth:`_Columns.long_base`);
+    a per-entry table keeps :meth:`base_level` for a history within the
+    cap.  The block is why presentation times are written only through
+    :meth:`deposit` and :meth:`seed_entry`.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -994,25 +990,31 @@ def _top_by_codes(cols: _Columns, symbols: list[str], keep: np.ndarray,
     """:func:`_top_by_entries` from the symbol codes of the slots in ``keep``.
 
     ``np.bincount`` sums each bin in input order, so with the buffers'
-    codes first and then the kept slots' codes in slot (id) order, every
-    score is the same left fold.  Only the symbols scoring at least the
-    ``k``-th largest score are ranked by name.
+    codes first (one no entry holds is coded for this call only) and then
+    the kept slots' codes in slot (id) order, every score is the same left
+    fold.  Only the symbols scoring at least the ``k``-th largest score are
+    ranked by name.
     """
     owners = np.frombuffer(cols.owners, np.int64)
     picked = keep[owners]
     by_slot = np.zeros(len(keep))
     by_slot[keep] = weights
-    codes = np.concatenate((np.array([cols.code(sym) for sym in symbols], np.int64),
+    known, unseen = cols.symbols, {}
+    buffered = [known[sym] if sym in known
+                else unseen.setdefault(sym, len(cols.names) + len(unseen)) for sym in symbols]
+    codes = np.concatenate((np.array(buffered, np.int64),
                             np.frombuffer(cols.codes, np.int64)[picked]))
     contributions = np.concatenate((np.ones(len(symbols)), by_slot[owners[picked]]))
-    scores = np.bincount(codes, contributions, minlength=len(cols.names))
-    present = np.flatnonzero(np.bincount(codes, minlength=len(cols.names)))
+    scores = np.bincount(codes, contributions)
+    present = np.flatnonzero(np.bincount(codes))
     found = scores[present]
     if 0 < k < len(found):
         best = found >= np.partition(found, len(found) - k)[len(found) - k]
         present, found = present[best], found[best]
-    return heapq.nsmallest(k, zip((-found).tolist(),
-                                  map(cols.names.__getitem__, present.tolist())))
+    names, extra = cols.names, list(unseen)  # not names + extra: a copy per broadcast
+    labels = [names[code] if code < len(names) else extra[code - len(names)]
+              for code in present.tolist()]
+    return heapq.nsmallest(k, zip((-found).tolist(), labels))
 
 
 def context_vector(ctx: Context, book: Codebook) -> HoloVector:

@@ -256,6 +256,32 @@ def test_an_infinite_activation_scores_as_the_per_entry_loop(monkeypatch):
         assert ctx.weights[0] == 1.0 and not ctx.weights[1:].any()
 
 
+def test_buffer_only_symbols_get_no_column_codes():
+    """A symbol that only a buffer holds, such as a failed query's id, is
+    scored under a code for that broadcast alone: a hundred broadcasts, each
+    with a fresh symbol in two buffers, leave the columns' symbol codes as
+    they were, and each ranks as :func:`memory._top_by_entries` does."""
+    factory, wm, mm = ChunkFactory(), WorkingMemory(), MiddleMemory()
+    for i in range(memory.COLUMN_MIN_ENTRIES + 2):
+        mm.seed_entry("t", chunk=factory.make("fact", [("a", f"v{i % 7}"), ("b", f"n{i}")]),
+                      presentations=[0.0])
+    wm.add_buffer("goal", "central")
+    wm.add_buffer("query", "central")
+    codes = set()  # how many symbols the columns have coded, after each broadcast
+    for i in range(100):
+        wm.write("central", "goal", factory.make("goal", [("topic", "v3"), ("id", f"q{i}")]))
+        wm.write("central", "query", factory.make("failure", [("id", f"q{i}")]))
+        ctx = context_symbols(wm, mm, 1.0 + i)
+        assert isinstance(mm._cached.values, np.ndarray)  # a column table
+        codes.add(len(mm._filed.names))
+        symbols = [sym for buf in ctx.buffers for sym in buf.content.values()]
+        expected = memory._top_by_entries(symbols, [ctx.entries[slot] for slot in ctx.slots],
+                                          ctx.weights, CONTEXT_SYMBOL_COUNT)
+        assert ctx.symbols == [sym for _, sym in expected]
+        assert ctx.symbols[0] == f"q{i}"  # held twice, it scores 2.0
+    assert len(codes) == 1
+
+
 def _count_packs(monkeypatch):
     """Count every ``pack``/``pack_query`` call made through any mmarch module."""
     calls = []

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import warnings
 from array import array
 
 import numpy as np
@@ -380,6 +381,30 @@ class TestPresentationBlock:
                                  if len(e.presentations) > memory.HISTORY_CAP}
             assert_same_bits(mm._table(wm, now).base,
                              [mm.base_level(e, now) for e in cols.entries])
+
+    def test_the_column_log_has_the_bits_of_math_log(self):
+        """Where a contiguous ``np.log`` differs from ``math.log`` in the last
+        bit, the column's log must not.  At decay -1 an entry presented once
+        at ``-x`` sums to exactly ``x`` at time 0.0, so :meth:`_Columns.base`
+        logs the probed floats themselves; 0.0 gives -inf, inf gives inf and
+        an empty slot NaN, with no warning.
+
+        Only a numpy with a vectorised float64 log (numpy 2.4.6 has one on
+        x86 only with AVX-512) differs from ``math.log``; elsewhere nothing
+        is probed and the column is checked at 0.0, inf and the empty slot.
+        """
+        draws = np.random.default_rng(39).uniform(0.0, 10.0, 100_000)
+        probed = draws[np.log(draws) != [math.log(x) for x in draws.tolist()]].tolist()
+        assert not probed or len(probed) >= 32  # where the vector loop differs, it often does
+        sums = [*probed, 0.0, math.inf, 1.0]
+        entries = [memory.MMEntry(i, "t", presentations=array("d", (-x,)))
+                   for i, x in enumerate(sums)]
+        cols = memory._Columns(entries)
+        cols.remove(entries[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            column = cols.base(0.0, -1.0)
+        assert_same_bits(column, [*map(math.log, probed), -math.inf, math.inf, math.nan])
 
     @pytest.mark.parametrize("count", [memory.HISTORY_CAP, memory.HISTORY_CAP + 4])
     @pytest.mark.parametrize("others", [3, memory.COLUMN_MIN_ENTRIES + 12])
