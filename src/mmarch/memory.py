@@ -736,10 +736,9 @@ class MiddleMemory:
             cols = self._cols
             if len(cols.entries) > 2 * len(self.entries):  # empty slots outnumber live
                 cols = self._filed = _Columns(self.entries.values())
-            if now <= self._latest:  # base_level raises, naming the first such entry
-                for entry in cols.entries:
-                    if entry is not None:
-                        self.base_level(entry, now)
+            if now <= self._latest:  # some live entry's base_level would raise
+                raise TemporalOrderError(
+                    f"activation time {now} not after latest presentation {self._latest}")
             long = cols.long_base(now, self.decay)
             if len(self.entries) >= COLUMN_MIN_ENTRIES:
                 base = cols.base(now, self.decay)

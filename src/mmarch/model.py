@@ -384,12 +384,6 @@ class ModelDefinition:
     initial_wm: tuple[InitialWMDef, ...] = _field((), _records(InitialWMDef, "initial wm item"))
     initial_mm: tuple[InitialMMDef, ...] = _field((), _records(InitialMMDef, "initial mm item"))
 
-    def system(self, name: str) -> ShadowSystemDef | None:
-        for system in self.shadow_systems:
-            if system.name == name:
-                return system
-        return None
-
 
 # --- parsing -------------------------------------------------------------------
 
@@ -512,48 +506,42 @@ def parse_model(document: dict) -> ModelDefinition:
     return model
 
 
-def _bindable_keys(production: ProductionDef) -> set[str]:
-    keys: set[str] = set()
-    for cond in production.conditions:
-        if not cond.negated and cond.pattern is not None:
-            keys.update(binding_keys(cond.pattern.ctype, cond.pattern.slots))
-    return keys
-
-
-def _check_production_semantics(production: ProductionDef, path: str, owner: str,
-                                model: ModelDefinition, errors: _Collector) -> None:
+def _check_production_semantics(production: ProductionDef, path: str,
+                                system: ShadowSystemDef | None, buffers: dict,
+                                errors: _Collector) -> None:
+    """Check one production; ``system`` is its owner, None for central."""
     if re.fullmatch(r"retrieve-[0-9]+", production.name):
         errors.add(f"{path}.name", f"{production.name!r} is reserved for formed productions")
-    buffer_names = {b.name for b in model.buffers}
-    system = model.system(owner) if owner != CENTRAL else None
+    bindable: set[str] = set()
     for i, cond in enumerate(production.conditions):
         cpath = f"{path}.conditions[{i}]"
-        if cond.buffer is not None and cond.buffer not in buffer_names:
+        if cond.buffer is not None and cond.buffer not in buffers:
             errors.add(f"{cpath}.buffer", f"unknown buffer {cond.buffer!r}")
         if cond.mm_tags is not None:
             if not cond.mm_tags:
                 errors.add(f"{cpath}.mm_tags", "mm_tags must name at least one tag")
-            if owner == CENTRAL:
+            if system is None:
                 errors.add(cpath, "central productions match working memory only")
-            elif system is not None:
+            else:
                 extra = set(cond.mm_tags) - set(system.subscriptions)
                 if extra:
                     errors.add(f"{cpath}.mm_tags",
-                               f"tags {sorted(extra)} outside {owner!r} subscriptions")
-    bindable = _bindable_keys(production)
+                               f"tags {sorted(extra)} outside {system.name!r} subscriptions")
+        if not cond.negated and cond.pattern is not None:
+            bindable.update(binding_keys(cond.pattern.ctype, cond.pattern.slots))
     for i, action in enumerate(production.actions):
         apath = f"{path}.actions[{i}]"
         kind = ACTION_KINDS[action.kind]
-        if owner != CENTRAL and kind.central_only:
+        if system is not None and kind.central_only:
             errors.add(f"{apath}.kind",
                        f"{action.kind} is reserved for central productions")
         if action.target is not None:
-            if action.target not in buffer_names:
+            if action.target not in buffers:
                 errors.add(f"{apath}.target", f"unknown buffer {action.target!r}")
-            elif (owner != CENTRAL and system is not None and system.buffer is not None
+            elif (system is not None and system.buffer is not None
                   and action.target != system.buffer):
                 errors.add(f"{apath}.target",
-                           f"shadow system {owner!r} may write only its own buffer "
+                           f"shadow system {system.name!r} may write only its own buffer "
                            f"{system.buffer!r}, not {action.target!r}")
         for template in (action.chunk, action.query):
             if template is None:
@@ -567,76 +555,69 @@ def _check_production_semantics(production: ProductionDef, path: str, owner: str
 
 
 def _validate_semantics(model: ModelDefinition, errors: _Collector) -> None:
+    """The rules that span records.  Each name index keeps the first item
+    with a name (``index.setdefault(name, ...)``): a name stands for that
+    item, and a later item with the name is a duplicate."""
     if len(model.buffers) > model.wm_capacity:
         errors.add("buffers", f"{len(model.buffers)} buffers exceed capacity "
                               f"{model.wm_capacity}")
-    seen_buffers = set()
+    systems: dict[str, ShadowSystemDef] = {}
+    for system in model.shadow_systems:
+        systems.setdefault(system.name, system)
+    buffers: dict[str, int] = {}
     for i, buffer in enumerate(model.buffers):
-        if buffer.name in seen_buffers:
+        if buffers.setdefault(buffer.name, i) != i:
             errors.add(f"buffers[{i}].name", f"duplicate buffer {buffer.name!r}")
-        seen_buffers.add(buffer.name)
-        if buffer.owner != CENTRAL and model.system(buffer.owner) is None:
+        if buffer.owner != CENTRAL and buffer.owner not in systems:
             errors.add(f"buffers[{i}].owner", f"unknown owner {buffer.owner!r}")
 
-    seen_systems = set()
     for i, system in enumerate(model.shadow_systems):
         path = f"shadow_systems[{i}]"
         if system.name == CENTRAL:
             errors.add(f"{path}.name", "'central' is reserved")
-        if system.name in seen_systems:
+        if systems[system.name] is not system:
             errors.add(f"{path}.name", f"duplicate system {system.name!r}")
-        seen_systems.add(system.name)
         if not system.subscriptions:
             errors.add(f"{path}.subscriptions", "subscriptions must be non-empty")
         if errors.reported(f"{path}.buffer"):
             continue  # a buffer that failed to parse is reported once, by the parser
-        declared = [b for b in model.buffers if b.owner == system.name]
-        if len(declared) != 1 or system.buffer not in {b.name for b in declared}:
+        if [b.name for b in model.buffers if b.owner == system.name] != [system.buffer]:
             errors.add(f"{path}.buffer",
                        f"system {system.name!r} must own exactly one declared buffer "
                        f"named {system.buffer!r}")
 
-    seen_productions = set()
-    for i, production in enumerate(model.central_productions):
-        path = f"central_productions[{i}]"
-        if production.name in seen_productions:
+    # (path, production, owning system); the system is None for a central
+    # production, and for one of a shadow system named "central" (reported above).
+    owned = [(f"central_productions[{i}]", production, None)
+             for i, production in enumerate(model.central_productions)]
+    owned += [(f"shadow_systems[{i}].productions[{j}]", production,
+               None if system.name == CENTRAL else systems[system.name])
+              for i, system in enumerate(model.shadow_systems)
+              for j, production in enumerate(system.productions)]
+    first: dict = {}
+    for i, (path, production, system) in enumerate(owned):
+        if first.setdefault(production.name, i) != i:
             errors.add(f"{path}.name", f"duplicate production {production.name!r}")
-        seen_productions.add(production.name)
-        _check_production_semantics(production, path, CENTRAL, model, errors)
-    for i, system in enumerate(model.shadow_systems):
-        for j, production in enumerate(system.productions):
-            path = f"shadow_systems[{i}].productions[{j}]"
-            if production.name in seen_productions:
-                errors.add(f"{path}.name", f"duplicate production {production.name!r}")
-            seen_productions.add(production.name)
-            _check_production_semantics(production, path, system.name, model, errors)
+        _check_production_semantics(production, path, system, buffers, errors)
 
-    seen_tags = set()
-    seen_names = set()
+    names, tags = {}, {}
     for i, predictor in enumerate(model.predictors):
-        path = f"predictors[{i}]"
-        if predictor.name in seen_names:
-            errors.add(f"{path}.name", f"duplicate predictor {predictor.name!r}")
-        seen_names.add(predictor.name)
-        if predictor.tag in seen_tags:
-            errors.add(f"{path}.tag", f"duplicate origin tag {predictor.tag!r}")
-        seen_tags.add(predictor.tag)
+        if names.setdefault(predictor.name, i) != i:
+            errors.add(f"predictors[{i}].name", f"duplicate predictor {predictor.name!r}")
+        if tags.setdefault(predictor.tag, i) != i:
+            errors.add(f"predictors[{i}].tag", f"duplicate origin tag {predictor.tag!r}")
 
-    buffer_names = {b.name for b in model.buffers}
-    seen_initial = set()
+    first = {}
     for i, item in enumerate(model.initial_wm):
-        path = f"initial_wm[{i}]"
-        if item.buffer not in buffer_names:
-            errors.add(f"{path}.buffer", f"unknown buffer {item.buffer!r}")
-        if item.buffer in seen_initial:
-            errors.add(f"{path}.buffer", f"buffer {item.buffer!r} initialized twice")
-        seen_initial.add(item.buffer)
-    seen_entries = set()
+        path = f"initial_wm[{i}].buffer"
+        if item.buffer not in buffers:
+            errors.add(path, f"unknown buffer {item.buffer!r}")
+        if first.setdefault(item.buffer, i) != i:
+            errors.add(path, f"buffer {item.buffer!r} initialized twice")
+    first = {}
     for i, item in enumerate(model.initial_mm):
-        identity = (item.tag, item.chunk)
-        if identity in seen_entries:
+        if first.setdefault((item.tag, item.chunk), i) != i:
             errors.add(f"initial_mm[{i}]", "duplicate (tag, content) entry")
-        seen_entries.add(identity)
         for j, link in enumerate(item.links):
             if link == i:
                 errors.add(f"initial_mm[{i}].links[{j}]", "self-links are not allowed")

@@ -253,6 +253,124 @@ def test_all_violations_reported_together():
     assert len(_violations(doc)) >= 3
 
 
+# Documents with many faults, each with its whole violation list in order.
+
+def _threat_with_a_shadow_named_central(d):
+    d["shadow_systems"][0]["name"] = "central"
+
+
+def _bad_buffers_and_systems(d):
+    d["buffers"].append({"name": "goal", "owner": "central"})
+    d["buffers"][2]["owner"] = "hearing"
+    d["shadow_systems"][0]["subscriptions"] = []
+    twin = copy.deepcopy(d["shadow_systems"][1])
+    twin["subscriptions"] = ["emotion"]
+    twin["productions"] = [{
+        "name": "look",
+        "conditions": [{"mm_tags": ["emotion"],
+                        "pattern": {"isa": "percept", "slots": {"value": "?"}}}],
+        "actions": [{"kind": "write-buffer", "target": "emotion",
+                     "chunk": {"isa": "seen", "slots": {"what": "?value"}}}]}]
+    d["shadow_systems"].append(twin)
+
+
+def _bad_productions(d):
+    d["central_productions"].append({
+        "name": "alarm",
+        "conditions": [{"buffer": "goal", "negated": True,
+                        "pattern": {"isa": "goal", "slots": {"state": "?"}}}],
+        "actions": [{"kind": "write-buffer", "target": "sky",
+                     "chunk": {"isa": "goal", "slots": {"state": "?state"}}},
+                    {"kind": "clear-buffer", "target": "goal", "urgent": True}]})
+    d["shadow_systems"][0]["productions"][0]["actions"] += [
+        {"kind": "halt"}, {"kind": "clear-buffer", "target": "goal"}]
+    d["shadow_systems"][1]["productions"].append({
+        "name": "react",
+        "conditions": [{"buffer": "fog", "pattern": {"isa": "x", "slots": {}}}],
+        "actions": [{"kind": "emit-reward", "amount": 1}]})
+
+
+def _bad_predictors(d):
+    for name, tag in (("scene", "emotion"), ("other", "emotion"), ("other", "vision")):
+        d["predictors"].append({"name": name, "kind": "associative", "tag": tag,
+                                "pairs": [["a", "b"]]})
+
+
+def _bad_initial_contents(d):
+    d["initial_wm"].append({"buffer": "hearing", "chunk": {"isa": "goal", "slots": {}}})
+    d["initial_wm"].append(copy.deepcopy(d["initial_wm"][0]))
+    d["initial_mm"].append(copy.deepcopy(d["initial_mm"][0]))
+    d["initial_mm"].append({"tag": "vision", "links": [2, 3, 0],
+                            "chunk": {"isa": "percept", "slots": {"value": "bear"}}})
+
+
+def _threat_doc():
+    return json.loads(demos.path("threat").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("make, mutate, expected", [
+    # A shadow system named "central" is not the central system: the central
+    # productions keep writing "goal" without a shadow system's write rule.
+    (_threat_doc, _threat_with_a_shadow_named_central, [
+        ("buffers[1].owner", "unknown owner 'emotion'"),
+        ("shadow_systems[0].name", "'central' is reserved"),
+        ("shadow_systems[0].buffer",
+         "system 'central' must own exactly one declared buffer named 'emotion'"),
+        ("shadow_systems[0].productions[0].conditions[0]",
+         "central productions match working memory only"),
+    ]),
+    # A repeated system name resolves to the first system of that name.
+    (base_doc, _bad_buffers_and_systems, [
+        ("buffers[2].owner", "unknown owner 'hearing'"),
+        ("buffers[3].name", "duplicate buffer 'goal'"),
+        ("shadow_systems[0].subscriptions", "subscriptions must be non-empty"),
+        ("shadow_systems[1].buffer",
+         "system 'vision' must own exactly one declared buffer named 'vision'"),
+        ("shadow_systems[2].name", "duplicate system 'vision'"),
+        ("shadow_systems[2].buffer",
+         "system 'vision' must own exactly one declared buffer named 'vision'"),
+        ("shadow_systems[0].productions[0].conditions[0].mm_tags",
+         "tags ['emotion'] outside 'emotion' subscriptions"),
+        ("shadow_systems[2].productions[0].conditions[0].mm_tags",
+         "tags ['emotion'] outside 'vision' subscriptions"),
+        ("shadow_systems[2].productions[0].actions[0].target",
+         "shadow system 'vision' may write only its own buffer 'vision', not 'emotion'"),
+    ]),
+    (base_doc, _bad_productions, [
+        ("central_productions[1].actions[0].target", "unknown buffer 'sky'"),
+        ("central_productions[1].actions[0]",
+         "binding reference ?state is not bound by any non-negated condition"),
+        ("central_productions[1].actions[1]", "only write-buffer actions can be urgent"),
+        ("shadow_systems[0].productions[0].name", "duplicate production 'alarm'"),
+        ("shadow_systems[0].productions[0].actions[1].kind",
+         "halt is reserved for central productions"),
+        ("shadow_systems[0].productions[0].actions[2].target",
+         "shadow system 'emotion' may write only its own buffer 'emotion', not 'goal'"),
+        ("shadow_systems[1].productions[0].name", "duplicate production 'react'"),
+        ("shadow_systems[1].productions[0].conditions[0].buffer", "unknown buffer 'fog'"),
+        ("shadow_systems[1].productions[0].actions[0].kind",
+         "emit-reward is reserved for central productions"),
+    ]),
+    (base_doc, _bad_predictors, [
+        ("predictors[1].name", "duplicate predictor 'scene'"),
+        ("predictors[1].tag", "duplicate origin tag 'emotion'"),
+        ("predictors[2].tag", "duplicate origin tag 'emotion'"),
+        ("predictors[3].name", "duplicate predictor 'other'"),
+    ]),
+    (base_doc, _bad_initial_contents, [
+        ("initial_wm[1].buffer", "unknown buffer 'hearing'"),
+        ("initial_wm[2].buffer", "buffer 'goal' initialized twice"),
+        ("initial_mm[1]", "duplicate (tag, content) entry"),
+        ("initial_mm[2].links[0]", "self-links are not allowed"),
+        ("initial_mm[2].links[1]", "no initial item 3"),
+    ]),
+])
+def test_every_violation_of_a_faulty_document_in_order(make, mutate, expected):
+    doc = make()
+    mutate(doc)
+    assert _violations(doc) == expected
+
+
 def test_round_trip_law(tmp_path):
     model = parse_model(base_doc())
     path = tmp_path / "model.json"
