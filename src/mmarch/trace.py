@@ -120,6 +120,13 @@ def _objects_with(key: str, test):
         isinstance(item, dict) and test(item.get(key)) for item in items)
 
 
+# The header's fields, each with the test its value must pass.
+_HEADER_FIELDS = {
+    "seed": lambda value: type(value) is int and value >= 0,
+    "mode": lambda value: value in ("mm", "pipeline"),
+    "cycle_length_ms": lambda value: type(value) is int and value > 0,
+}
+
 # The fields metrics() reads of each event kind, with the test each value
 # must pass.  An absent field reads as [], which only the list fields pass.
 _METRIC_FIELDS = {
@@ -137,8 +144,11 @@ def read_trace(source) -> Trace:
 
     Raises :class:`UnsupportedTraceVersion` on a version mismatch and
     :class:`TraceFormatError` (naming the last good line) on damage,
-    including bytes that are not UTF-8, a header that is not an object, and
-    an event whose cycle or seq is not an int, whose data is not an object,
+    including bytes that are not UTF-8, a header that is not an object or
+    whose seed is not a non-negative int, whose mode is not ``"mm"`` or
+    ``"pipeline"`` or whose cycle length is not a positive int, and an event
+    whose cycle is not a non-negative int or whose seq is not an int, whose
+    data is not an object,
     whose data lacks a field that metrics read or holds it with the wrong
     type, whose seq is not its position, or whose cycle is below the cycle
     of the event before it.
@@ -163,9 +173,11 @@ def read_trace(source) -> Trace:
     if version != TRACE_VERSION:
         raise UnsupportedTraceVersion(
             f"trace version {version!r} unsupported (expected {TRACE_VERSION})")
-    for key in ("seed", "mode", "cycle_length_ms"):
+    for key, test in _HEADER_FIELDS.items():
         if key not in header:
             raise TraceFormatError(f"header missing {key!r}", line=1)
+        if not test(header[key]):
+            raise TraceFormatError(f"header {key} {header[key]!r} is invalid", line=1)
     trace = Trace(seed=header["seed"], mode=header["mode"],
                   cycle_length_ms=header["cycle_length_ms"])
     for number, line in enumerate(lines[1:], start=2):
@@ -177,8 +189,8 @@ def read_trace(source) -> Trace:
                                kind=record["kind"], data=record["data"])
             if event.kind not in EVENT_KINDS:
                 raise KeyError("kind")
-            if not (type(event.cycle) is int and type(event.seq) is int
-                    and isinstance(event.data, dict)):
+            if not (type(event.cycle) is int and event.cycle >= 0
+                    and type(event.seq) is int and isinstance(event.data, dict)):
                 raise TypeError("cycle, seq or data")
             for key, test in _METRIC_FIELDS.get(event.kind, {}).items():
                 if not test(event.data.get(key, [])):

@@ -71,7 +71,7 @@ def test_each_decision_fires_once(monkeypatch):
     event, also for shadows that run several steps a cycle."""
     monkeypatch.syspath_prepend(str(BENCH))
     from layers import Tracer
-    from test_runtime import multi_step_doc
+    from pins import multi_step_doc
 
     from mmarch.model import parse_model
 

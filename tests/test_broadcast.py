@@ -30,7 +30,7 @@ from mmarch.model import load_model, parse_model
 from mmarch.predictors import ExternalPredictor
 from mmarch.runtime import CONTEXT_SYMBOL_COUNT, Session, run_session
 
-from test_runtime import linked_facts_doc
+from pins import linked_facts_doc
 
 
 def _reference_softmax(ranked):

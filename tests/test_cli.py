@@ -7,6 +7,7 @@ import pytest
 from mmarch.cli import main
 from mmarch.metrics import metrics
 from mmarch.trace import read_trace
+from pins import digest, inspect_output, pinned
 
 
 def test_run_writes_trace_and_metrics(tmp_path, capsys):
@@ -112,10 +113,8 @@ def test_inspect_initial_state(capsys):
     assert "goal [central] goal(state:navigate)" in out
 
 
-def test_inspect_golden_after_five_cycles(capsys):
-    rc = main(["inspect", "--model", "threat", "--cycles", "5"])
-    assert rc == 0
-    out = capsys.readouterr().out
+def test_inspect_golden_after_five_cycles():
+    out = inspect_output()
     lines = out.splitlines()
     assert lines[0] == "model: threat-demo"
     assert lines[1] == "mode: mm"
@@ -125,6 +124,7 @@ def test_inspect_golden_after_five_cycles(capsys):
     assert "  #1 act=2.24820 tag=emotion percept(value:bear) pres=2" in out
     assert "  central/flee-threat = 10" in out
     assert "  emotion/raise-alarm = 2" in out
+    assert digest(out) == pinned("cli/inspect/threat/5")
 
 
 def test_inspect_mm_rows_sorted_by_activation(capsys):

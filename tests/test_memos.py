@@ -21,7 +21,7 @@ from mmarch.model import load_model, parse_model
 from mmarch.runtime import run
 from mmarch.trace import trace_to_bytes
 
-from test_runtime import linked_facts_doc
+from pins import linked_facts_doc
 
 def _at_both_caps(compute):
     """``compute()`` at the default cap, then at a cap of one key."""

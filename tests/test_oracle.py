@@ -27,8 +27,9 @@ from mmarch.model import parse_model
 from mmarch.runtime import run
 from mmarch.trace import trace_to_bytes
 
+from pins import linked_facts_doc
 from test_acceptance import random_model_docs
-from test_runtime import linked_facts_doc, multi_step_model_docs
+from test_runtime import multi_step_model_docs
 
 # Largest linked-facts memory the oracle draws: twice ``COLUMN_MIN_ENTRIES``
 # (48), fixed here so the strategy stays valid if that constant moves to 0.

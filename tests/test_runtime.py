@@ -1,6 +1,5 @@
 """Cycle scheduler behavior: determinism, phases, staging, modes."""
 
-import hashlib
 import itertools
 import json
 import math
@@ -17,6 +16,7 @@ from mmarch.productions import Condition, Production
 from mmarch.runtime import Session, _clip, _line_text, run, run_session
 from mmarch.trace import trace_to_bytes
 
+from pins import digest, emptying_run, linked_facts_doc, linked_facts_run, multi_step_run, pinned
 from test_memory import count_base_levels
 
 # Pieces of a peer line: one- to four-byte characters, and invalid bytes, a
@@ -76,224 +76,6 @@ def two_system_doc():
 @pytest.fixture
 def model():
     return parse_model(two_system_doc())
-
-
-def linked_facts_doc(size=60, seed=1, noise=0.3, links=2, domain=False):
-    """A ring of ``size`` linked facts walked by the centre through a
-    declarative shadow, while an associative predictor deposits cues that
-    an attention shadow reads back from middle memory.  Each fact draws
-    ``links`` link targets (duplicates and self-links are dropped).  With
-    ``domain`` the goal also holds ``domain: fact``, as in the benchmark's
-    generated model, so it spreads to every fact through the fact's type."""
-    goal = {"state": "walk", "domain": "fact"} if domain else {"state": "walk"}
-    rng = random.Random(seed)
-    order = list(range(size))
-    rng.shuffle(order)
-    successor = {order[i]: order[(i + 1) % size] for i in range(size)}
-    facts = [{
-        "tag": "semantic",
-        "chunk": {"isa": "fact", "slots": {"name": f"f{i}", "next": f"f{successor[i]}",
-                                           "kind": f"k{i % 8}"}},
-        "presentations": sorted(round(-rng.uniform(2.0, 6.0), 3)
-                                for _ in range(rng.randint(4, 5))),
-        "links": sorted({rng.randrange(size) for _ in range(links)} - {i}),
-    } for i in range(size)]
-    first = f"f{order[0]}"
-    walk_query = {"isa": "fact", "slots": {"name": first, "next": "?"}}
-    return {
-        "name": "linked-facts",
-        "codebook": {"dimension": 64, "seed": seed},
-        "middle_memory": {"spread_weight": 1.5, "retrieval_threshold": 0.3,
-                          "forget_threshold": 0.3, "formation_threshold": 2.5,
-                          "noise": noise},
-        "learning": {"provisional_ttl_s": 2.0},
-        "buffers": [{"name": "goal", "owner": "central"},
-                    {"name": "declarative", "owner": "declarative"},
-                    {"name": "attention", "owner": "attention"}],
-        "shadow_systems": [
-            {"name": "declarative", "buffer": "declarative",
-             "subscriptions": ["semantic"], "productions": []},
-            {"name": "attention", "buffer": "attention", "subscriptions": ["percept"],
-             "productions": [{
-                 "name": "notice",
-                 "conditions": [{"mm_tags": ["percept"],
-                                 "pattern": {"isa": "percept", "slots": {"value": "?"}}}],
-                 "actions": [{"kind": "write-buffer", "target": "attention",
-                              "chunk": {"isa": "percept",
-                                        "slots": {"value": "?value"}}}]}]},
-        ],
-        "central_productions": [
-            {"name": "walk",
-             "conditions": [
-                 {"buffer": "goal", "pattern": {"isa": "goal", "slots": {"state": "walk"}}},
-                 {"buffer": "declarative",
-                  "pattern": {"isa": "fact", "slots": {"name": "?", "next": "?"}}}],
-             "actions": [
-                 {"kind": "post-query", "target": "declarative",
-                  "query": {"isa": "fact", "slots": {"name": "?next", "next": "?"}}},
-                 {"kind": "write-buffer", "target": "goal",
-                  "chunk": {"isa": "goal", "slots": {**goal, "at": "?name"}}}]},
-            {"name": "recover",
-             "conditions": [
-                 {"buffer": "goal", "pattern": {"isa": "goal", "slots": {"state": "walk"}}},
-                 {"buffer": "declarative",
-                  "pattern": {"isa": "retrieval-failure", "slots": {}}}],
-             "actions": [{"kind": "post-query", "target": "declarative",
-                          "query": walk_query}]},
-        ],
-        "predictors": [{"name": "sensor", "kind": "associative", "tag": "percept",
-                        "pairs": [[f"f{i}", f"cue{i}"] for i in range(size)],
-                        "emit_isa": "percept", "emit_slot": "value"}],
-        "initial_wm": [
-            {"buffer": "goal", "chunk": {"isa": "goal", "slots": goal}},
-            {"buffer": "declarative", "query": walk_query},
-            {"buffer": "attention", "chunk": {"isa": "percept", "slots": {"value": "none"}}},
-        ],
-        "initial_mm": facts,
-    }
-
-
-def multi_step_doc():
-    """Two two-step shadows: ``stepper`` reads middle memory in both of its
-    sub-steps, every cycle, and ``decl`` posts a query in its first and
-    answers it, or misses at the end of the chain, in its second."""
-    names = ["a", "b", "c", "d"]
-    facts = [{"tag": "facts",
-              "chunk": {"isa": "fact", "slots": {"name": name, "next": following}},
-              "presentations": [-2.0, -1.0 + 0.1 * i], "links": [(i + 1) % 4]}
-             for i, (name, following) in enumerate(zip(names, ["b", "c", "d", "e"]))]
-    cue = {"mm_tags": ["cue"], "pattern": {"isa": "percept", "slots": {"value": "?"}}}
-
-    def stage(name, n, holds):
-        return {"name": name,
-                "conditions": [{"buffer": "scratch", "pattern": holds,
-                                "negated": holds is None}, cue],
-                "actions": [{"kind": "write-buffer", "target": "scratch",
-                             "chunk": {"isa": "stage",
-                                       "slots": {"n": n, "cue": "?value"}}}]}
-
-    def move_to(at, *extra):
-        return [{"kind": "clear-buffer", "target": "decl"},
-                {"kind": "write-buffer", "target": "goal",
-                 "chunk": {"isa": "goal", "slots": {"at": at}}}, *extra]
-
-    return {
-        "name": "multi-step", "codebook": {"dimension": 64, "seed": 4},
-        "middle_memory": {"noise": 0.2, "retrieval_threshold": -1.5,
-                          "forget_threshold": -3.0, "formation_threshold": 50.0},
-        "buffers": [{"name": "goal", "owner": "central"},
-                    {"name": "scratch", "owner": "stepper"},
-                    {"name": "decl", "owner": "decl"}],
-        "shadow_systems": [
-            {"name": "stepper", "buffer": "scratch", "subscriptions": ["cue"],
-             "steps_per_cycle": 2,
-             "productions": [
-                stage("start", "one", None),
-                stage("advance", "two", {"isa": "stage", "slots": {"n": "one", "cue": "?"}}),
-                stage("again", "one", {"isa": "stage", "slots": {"n": "two", "cue": "?"}})]},
-            {"name": "decl", "buffer": "decl", "subscriptions": ["facts"],
-             "steps_per_cycle": 2,
-             "productions": [
-                {"name": "ask",
-                 "conditions": [{"buffer": "decl", "pattern": None, "negated": True},
-                                {"buffer": "goal",
-                                 "pattern": {"isa": "goal", "slots": {"at": "?"}}}],
-                 "actions": [{"kind": "post-query", "target": "decl",
-                              "query": {"isa": "fact",
-                                        "slots": {"name": "?at", "next": "?"}}}]}]}],
-        "central_productions": [
-            {"name": "walk", "utility": 1.0,
-             "conditions": [{"buffer": "decl", "pattern": {
-                 "isa": "fact", "slots": {"name": "?", "next": "?"}}}],
-             "actions": move_to("?next")},
-            {"name": "recover", "utility": 1.0,
-             "conditions": [{"buffer": "decl", "pattern": {
-                 "isa": "retrieval-failure", "slots": {}}}],
-             "actions": move_to("a", {"kind": "emit-reward", "amount": 1.0})},
-            {"name": "use",
-             "conditions": [{"buffer": "scratch", "pattern": {
-                 "isa": "stage", "slots": {"n": "two", "cue": "?"}}}],
-             "actions": [{"kind": "clear-buffer", "target": "scratch"}]}],
-        "predictors": [{"name": "sensor", "kind": "associative", "tag": "cue",
-                        "pairs": [[name, f"cue-{name}"] for name in names + ["e"]],
-                        "emit_isa": "percept", "emit_slot": "value"}],
-        "initial_wm": [{"buffer": "goal", "chunk": {"isa": "goal", "slots": {"at": "a"}}}],
-        "initial_mm": facts,
-    }
-
-
-def emptying_doc():
-    """Six facts, each seeded with three recent presentations, are forgotten
-    two cycles apart, so middle memory is empty from cycle 20.  The centre
-    walks a 40-step goal chain and then holds its goal, so the broadcast
-    repeats one context.  At ``s30`` the predictor emits ``ping``: in mm
-    mode it refills the memory for two cycles, below the retrieval
-    threshold, so it never enters the context; in pipeline mode it is routed
-    to ``notice``, and from then on the predictor alternates ``ping`` and
-    ``s30`` through that buffer."""
-    chain = [{"name": f"step{i}",
-              "conditions": [{"buffer": "goal",
-                              "pattern": {"isa": "goal", "slots": {"at": f"s{i}"}}}],
-              "actions": [{"kind": "write-buffer", "target": "goal",
-                           "chunk": {"isa": "goal", "slots": {"at": f"s{i + 1}"}}}]}
-             for i in range(40)]
-
-    def shadow(name, buffer, tag, production, pattern, write):
-        return {"name": name, "buffer": buffer, "subscriptions": [tag],
-                "productions": [{"name": production,
-                                 "conditions": [{"mm_tags": [tag], "pattern": pattern}],
-                                 "actions": [{"kind": "write-buffer", "target": buffer,
-                                              "chunk": write}]}]}
-
-    return {
-        "name": "emptying", "codebook": {"dimension": 64, "seed": 5},
-        "middle_memory": {"retrieval_threshold": 1.6, "forget_threshold": 1.0},
-        "buffers": [{"name": "goal", "owner": "central"},
-                    {"name": "decl", "owner": "decl"},
-                    {"name": "notice", "owner": "attention"}],
-        "shadow_systems": [
-            shadow("decl", "decl", "semantic", "recall",
-                   {"isa": "fact", "slots": {"name": "?"}}, {"isa": "seen", "slots": {}}),
-            shadow("attention", "notice", "cue", "look",
-                   {"isa": "percept", "slots": {"value": "?"}},
-                   {"isa": "percept", "slots": {"value": "?value"}})],
-        "central_productions": chain,
-        "predictors": [{"name": "sensor", "kind": "associative", "tag": "cue",
-                        "pairs": [["s30", "ping"]], "emit_isa": "percept",
-                        "emit_slot": "value"}],
-        "initial_wm": [{"buffer": "goal", "chunk": {"isa": "goal", "slots": {"at": "s0"}}}],
-        "initial_mm": [{"tag": "semantic",
-                        "chunk": {"isa": "fact", "slots": {"name": f"f{i}", "kind": f"k{i % 2}"}},
-                        "presentations": [-0.3 - 0.1 * i, -0.2 - 0.1 * i, -0.1 - 0.1 * i]}
-                       for i in range(6)],
-    }
-
-
-# SHA-256 of 20 cycles of ``multi_step_doc`` at seed 3.
-MULTI_STEP_GOLDEN = "e84adf077e255861fa507bda5d5ec6c39c3192e387b9d11e779d07d214e2924c"
-
-# SHA-256 of 200 mm cycles of ``linked_facts_doc(noise=n)`` at seed 1, by noise n.
-LINKED_FACTS_GOLDENS = {
-    0.0: "dcb97245c25ec9e9484a21cfc15ced55332d012196b7c2f9081159f269fc45b5",
-    0.3: "03a105ffa54556af6af6f0356273d1a455982cbea7e0a470e4dae31fb5ebd341",
-}
-
-# SHA-256 of 200 mm cycles of ``linked_facts_doc(size=300, noise=n)`` at seed 1.
-# At noise 0.0 middle memory holds 77-315 entries; at 0.3 it falls from 250
-# to 1, so these runs read middle memory at sizes on both sides of
-# ``memory.COLUMN_MIN_ENTRIES``.
-LARGE_LINKED_FACTS_GOLDENS = {
-    0.0: "f56c0fdb6cb62e560951996bcdc335a9a6bc1fa728cf1b9d73ee5a9f1de34754",
-    0.3: "f5da9b7bf5495cfd66dcb4a98b7cc5b6ac3edc73a296dc03580081749063b5fd",
-}
-
-# SHA-256 of 80 cycles of ``emptying_doc`` at seed 2, by mode: middle-memory
-# reads on a memory that empties mid-run, and in mm mode refills and empties
-# again.
-EMPTYING_GOLDENS = {
-    "mm": "c20caeeb6e9e9d8c12ef29214b83b4c1661b4c8f23ce69cfba655754f53417b2",
-    "pipeline": "8e12a58d6e5c947bc07a4d7258f85c5d3332fa62b22200ed451f02cf81be6ad8",
-}
 
 
 def _multi_step_system(draw, i, n_systems):
@@ -1070,47 +852,41 @@ class TestMultiRateSystems:
     def test_multi_step_golden(self):
         """Pinned when each shadow decision was first fired once, in system
         order; stepping the systems in the other order gives the same bytes."""
-        model = parse_model(multi_step_doc())
-        trace = run(model, 20, mode="mm", seed=3)
+        trace = multi_step_run()
         fires = [e.data["production"] for e in trace.by_kind("shadow-fire")]
         assert {"start", "advance", "again", "ask"} <= set(fires)
         replies = [e.data for e in trace.by_kind("wm-write") if "answers_query" in e.data]
         assert {r["entry"] is None for r in replies} == {True, False}  # answers and misses
-        data = trace_to_bytes(trace)
-        assert hashlib.sha256(data).hexdigest() == MULTI_STEP_GOLDEN
-        assert trace_to_bytes(run(model, 20, mode="mm", seed=3,
-                                  shadow_step_order=[1, 0])) == data
+        assert digest(trace) == pinned("runtime/multi-step")
+        assert trace_to_bytes(multi_step_run([1, 0])) == trace_to_bytes(trace)
 
-    @pytest.mark.parametrize("noise", sorted(LINKED_FACTS_GOLDENS))
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
     def test_linked_facts_golden(self, noise):
         """Forgetting linked facts changes their neighbours' reach, so these
         runs pin spreading over a graph that loses edges as it runs."""
-        trace = run(parse_model(linked_facts_doc(noise=noise)), 200, mode="mm", seed=1)
+        trace = linked_facts_run(60, noise)
         assert sum(e.data["tag"] == "semantic" for e in trace.by_kind("forget")) >= 40
-        assert hashlib.sha256(trace_to_bytes(trace)).hexdigest() == \
-            LINKED_FACTS_GOLDENS[noise]
+        assert digest(trace) == pinned(f"runtime/linked-facts/noise={noise}")
 
-    @pytest.mark.parametrize("noise", sorted(LARGE_LINKED_FACTS_GOLDENS))
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
     def test_large_linked_facts_golden(self, noise):
-        """300 linked facts: the same walk over a memory large enough that
-        its reads take the column path for part or all of the run."""
-        trace = run(parse_model(linked_facts_doc(size=300, noise=noise)), 200,
-                    mode="mm", seed=1)
+        """300 linked facts: middle memory holds 77-315 entries at noise 0.0
+        and falls from 250 to 1 at 0.3, so reads take the column path for part
+        or all of the run (``memory.COLUMN_MIN_ENTRIES``)."""
+        trace = linked_facts_run(300, noise)
         assert sum(e.data["tag"] == "semantic" for e in trace.by_kind("forget")) >= 200
-        assert hashlib.sha256(trace_to_bytes(trace)).hexdigest() == \
-            LARGE_LINKED_FACTS_GOLDENS[noise]
+        assert digest(trace) == pinned(f"runtime/large-linked-facts/noise={noise}")
 
-    @pytest.mark.parametrize("mode", sorted(EMPTYING_GOLDENS))
+    @pytest.mark.parametrize("mode", ["mm", "pipeline"])
     def test_emptying_golden(self, mode):
         """Reads switch from tables to the empty path when the last entry
         is forgotten, and in mm mode back again when a deposit refills it."""
-        session, sizes = Session(parse_model(emptying_doc()), mode=mode, seed=2), []
-        run_session(session, 80, after_step=lambda s: sizes.append(len(s.mm)))
+        sizes = []
+        trace = emptying_run(mode, after_step=lambda s: sizes.append(len(s.mm)))
         assert sizes[:20] == [6] * 10 + [5, 5, 4, 4, 3, 3, 2, 2, 1, 1]
         refill = [1, 1] if mode == "mm" else [0, 0]
         assert sizes[20:] == [0] * 10 + refill + [0] * 48
-        assert hashlib.sha256(trace_to_bytes(session.trace)).hexdigest() == \
-            EMPTYING_GOLDENS[mode]
+        assert digest(trace) == pinned(f"runtime/emptying/{mode}")
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -99,6 +99,24 @@ def test_mistyped_event_fields_rejected(tmp_path, event):
     assert "last good line was 2" in str(err.value)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", "x"), ("seed", -1), ("seed", True), ("seed", 7.0), ("mode", 5), ("mode", "fast"),
+    ("cycle_length_ms", None), ("cycle_length_ms", 0), ("cycle_length_ms", 50.0),
+    ("cycle_length_ms", True)])
+def test_mistyped_header_field_rejected(key, value):
+    header = {"version": 1, "seed": 7, "mode": "mm", "cycle_length_ms": 50, key: value}
+    with pytest.raises(TraceFormatError, match=f"header {key} ") as err:
+        read_trace(io.BytesIO(json.dumps(header).encode() + b"\n"))
+    assert err.value.line == 1
+
+
+def test_negative_first_event_cycle_rejected():
+    event = '{"cycle":-5,"seq":0,"kind":"idle","data":{"candidates":0,"conflict":[]}}'
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(_damaged([event]))
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("event", [
     '{"cycle":0,"seq":1,"kind":"idle","data":{}}',
     '{"cycle":0,"seq":1,"kind":"idle","data":{"candidates":"x","conflict":[]}}',

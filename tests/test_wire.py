@@ -1,7 +1,6 @@
 """External predictor wire protocol: framing, validation, child processes."""
 
 import dataclasses
-import hashlib
 import json
 import math
 import socket
@@ -21,6 +20,7 @@ from mmarch.errors import ChunkError
 from mmarch.model import load_model, parse_model
 from mmarch.predictors import ExternalPredictor, decode_prediction, encode_context
 from mmarch.runtime import Session
+from pins import SILENT_PEER, context_lines, digest, pinned
 
 # A minimal peer: answers every context line with one fixed prediction,
 # plus one malformed line when asked via argv.
@@ -452,68 +452,16 @@ class TestPeerInput:
         assert not started
 
 
-# A peer that reads every line and answers none, so the run stays deterministic.
-SILENT_PEER = "import sys\nfor line in sys.stdin:\n    pass\n"
-
-# SHA-256 of the context lines sent over 20 cycles of the model below,
-# captured when the context vector was still a per-entry left fold.
-CONTEXT_LINES = "1beaaaf59e40fa37a829fdcefa66f4dc2717a6f89e3fb6735963cf442569c272"
-
-
-def _record_context_lines(monkeypatch) -> list[str]:
-    """Every context line sent to any peer, appended as it is sent."""
-    sent = []
-    send = ExternalPredictor.send_context
-
-    def recording(self, line, cycle):
-        sent.append(line)
-        return send(self, line, cycle)
-
-    monkeypatch.setattr(ExternalPredictor, "send_context", recording)
-    return sent
-
-
 class TestContextLines:
-    def test_context_lines_are_unchanged(self, monkeypatch):
-        doc = {
-            "name": "wire-lines",
-            "codebook": {"dimension": 64, "seed": 1},
-            "buffers": [{"name": "goal", "owner": "central"},
-                        {"name": "sight", "owner": "vision"},
-                        {"name": "ask", "owner": "central"}],
-            "shadow_systems": [
-                {"name": "vision", "buffer": "sight", "subscriptions": ["vision"],
-                 "productions": [
-                    {"name": "see",
-                     "conditions": [{"mm_tags": ["vision"],
-                                     "pattern": {"isa": "percept",
-                                                 "slots": {"value": "?"}}}],
-                     "actions": [{"kind": "write-buffer", "target": "sight",
-                                  "chunk": {"isa": "percept",
-                                            "slots": {"value": "?value"}}}]}]}],
-            "predictors": [{"name": "peer", "kind": "external", "tag": "vision",
-                            "command": [sys.executable, "-c", SILENT_PEER]}],
-            "initial_wm": [
-                {"buffer": "goal", "chunk": {"isa": "goal", "slots": {"state": "watch"}}},
-                {"buffer": "ask", "query": {"isa": "?", "slots": {"value": "?"}}}],
-            "initial_mm": [
-                {"tag": "vision", "chunk": {"isa": "percept", "slots": {"value": f"p{i}"}},
-                 "presentations": [-0.5 * (i + 1), -0.1 * (i + 1)]}
-                for i in range(6)],
-        }
-        sent = _record_context_lines(monkeypatch)
-        session = Session(parse_model(doc), mode="mm", seed=0)
-        try:
-            for _ in range(20):
-                session.step()
-        finally:
-            session.finish()
+    def test_context_lines_are_unchanged(self):
+        """Host-dependent: ``pins.json`` says where ``wire/context-lines`` holds."""
+        text = context_lines()
+        sent = text.split("\n")
         assert len(sent) == 20
         assert all(json.loads(line)["symbols"] for line in sent)
-        digest = hashlib.sha256("\n".join(sent).encode("utf-8")).hexdigest()
-        assert digest == CONTEXT_LINES
+        assert digest(text) == pinned("wire/context-lines")
 
-    def test_an_infinite_activation_sends_strict_json(self, monkeypatch):
+    def test_an_infinite_activation_sends_strict_json(self):
         """A base-level sum that overflows makes one activation +inf; the
         context line must still hold only finite numbers."""
         doc = {
@@ -529,13 +477,7 @@ class TestContextLines:
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        sent = _record_context_lines(monkeypatch)
-        session = Session(parse_model(doc), mode="mm", seed=0)
-        try:
-            for _ in range(3):
-                session.step()
-        finally:
-            session.finish()
+        sent = context_lines(doc, 3).split("\n")
         assert len(sent) == 3
         for line in sent:
             assert json.loads(line, parse_constant=reject)["symbols"] == ["x"]
