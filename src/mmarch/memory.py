@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import math
 from array import array
 from collections.abc import Iterable, Sequence
@@ -48,9 +47,6 @@ COLUMN_MIN_ENTRIES = 48
 # thousands, in a memory too small for columns.
 HISTORY_CAP = 16
 
-# One counter for the whole process, so no two working-memory states share a stamp.
-_STAMPS = itertools.count()
-
 
 @dataclass
 class Buffer:
@@ -65,18 +61,16 @@ class Buffer:
     credit: tuple[str, float] | None = None
     # (codebook, content kind, type, slots) -> packed vector, for the broadcast
     _packed: tuple | None = field(default=None, repr=False, compare=False)
-    # (content, its spreading sources), for spread_sources
-    _sources: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class WorkingMemory:
     """Named buffers; the central engine's entire match surface.
 
-    ``stamp`` names the buffers' current state: a new working memory,
-    :meth:`add_buffer`, :meth:`write` and :meth:`staged` each take a fresh
-    one from a process-wide counter, so two states never share a stamp.
-    Middle memory keys its last table by it (:meth:`MiddleMemory._table`),
-    which is why buffers change only through those methods.
+    ``_sources`` is :func:`spread_sources` of the buffers' current state,
+    once built, or None: :meth:`write` drops it and a :meth:`staged` view
+    starts without it, which is why buffer contents change only through
+    :meth:`write`.  A buffer :meth:`add_buffer` adds is empty and spreads
+    nothing, so it leaves the value standing.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -84,7 +78,7 @@ class WorkingMemory:
             raise ValueError("working-memory capacity must be positive")
         self.capacity = capacity
         self.buffers: dict[str, Buffer] = {}
-        self.stamp = next(_STAMPS)
+        self._sources: tuple[frozenset[str], ...] | None = None
 
     def add_buffer(self, name: str, owner: str) -> Buffer:
         if name in self.buffers:
@@ -93,7 +87,6 @@ class WorkingMemory:
             raise ValueError(f"working-memory capacity {self.capacity} exceeded")
         buf = Buffer(name=name, owner=owner)
         self.buffers[name] = buf
-        self.stamp = next(_STAMPS)
         return buf
 
     def buffer(self, name: str) -> Buffer:
@@ -117,16 +110,16 @@ class WorkingMemory:
         buf.content = content
         buf.urgent = urgent if content is not None else False
         buf.credit = None
-        self.stamp = next(_STAMPS)
+        self._sources = None
         return buf
 
     def staged(self, buffer: str, content: Chunk | Query | None,
                urgent: bool) -> WorkingMemory:
         """A read-only view of these buffers in which ``buffer`` holds
-        ``content``, under a fresh stamp; this working memory is unchanged.
-        The view shares the other buffers, so it is read before this
-        working memory is next written.  A multi-step shadow system decides
-        its next step against it."""
+        ``content``; this working memory is unchanged.  The view builds its
+        own spreading sources, and shares the other buffers, so it is read
+        before this working memory is next written.  A multi-step shadow
+        system decides its next step against it."""
         view = WorkingMemory(self.capacity)
         view.buffers = {**self.buffers, buffer: Buffer(
             name=buffer, owner=self.buffers[buffer].owner, content=content, urgent=urgent)}
@@ -141,19 +134,14 @@ def spread_sources(wm: WorkingMemory) -> tuple[frozenset[str], ...]:
 
     A chunk spreads from its slot values and a query from its known values.
     A fully wildcarded query gives an empty set, which still takes its share
-    of the spreading weight.  Each buffer keeps its content's set until the
-    content changes.
+    of the spreading weight.  Working memory keeps the tuple until its next
+    write, so one state builds it once.
     """
-    out = []
-    for buf in wm.non_empty():
-        content = buf.content
-        cached = buf._sources
-        if cached is None or cached[0] is not content:
-            symbols = frozenset(content.values() if isinstance(content, Chunk)
-                                else content.known_values())
-            cached = buf._sources = (content, symbols)
-        out.append(cached[1])
-    return tuple(out)
+    if wm._sources is None:
+        wm._sources = tuple(frozenset(buf.content.values() if isinstance(buf.content, Chunk)
+                                      else buf.content.known_values())
+                            for buf in wm.non_empty())
+    return wm._sources
 
 
 def _content_key(tag: str, chunk: Chunk | None, vector: HoloVector | None) -> tuple:
@@ -205,9 +193,7 @@ class _Table:
     Python floats, for a retrieval's few candidates: ``values`` itself in a
     per-entry table, a column's ``tolist()`` made on the table's first
     retrieval.  No table's ``values`` change after it is built (forgetting
-    builds a new table), so the copy is never stale.  ``stamp`` is the
-    :attr:`WorkingMemory.stamp` the table was built under, or last found
-    valid under; it is in no point, noise key or trace.
+    builds a new table), so the copy is never stale.
     """
 
     point: tuple  # (time, version, spreading sources)
@@ -215,7 +201,6 @@ class _Table:
     values: list[float] | np.ndarray
     noise: list[float] | None = None  # the point's draws by slot, when noisy
     listed: list[float] | None = None
-    stamp: int | None = None
 
 
 class _Columns:
@@ -431,9 +416,9 @@ class MiddleMemory:
     formation and middle-memory conditions share one; each selects
     ``(entry, activation)`` pairs from it, through :meth:`_where` or, for a
     retrieval, in one pass over its candidates.  One table is cached, the
-    last one read, with the :attr:`WorkingMemory.stamp` it was last read
-    under: a read at its time and version under that stamp takes it without
-    building the spreading sources.  :meth:`_build` makes every table: a
+    last one read, keyed by its point alone; working memory keeps its own
+    spreading sources (:func:`spread_sources`), so a read under an unchanged
+    state compares the same tuple.  :meth:`_build` makes every table: a
     base-level column plus spreading plus noise.  The next table at the same
     time and version reuses its column, so each entry's base level is
     computed once per time and version.  Forgetting leaves the version
@@ -715,20 +700,13 @@ class MiddleMemory:
     def _table(self, wm: WorkingMemory, now: float) -> _Table | None:
         """The table at ``now`` under ``wm``, or None when no entry is live.
 
-        The cached table serves at once when its time, version and stamp
-        are ``wm``'s, since one working-memory state has one set of
-        spreading sources; under another stamp it serves if its point still
-        holds, and then takes the new stamp."""
+        The cached table serves when its point is ``(now, version,
+        spreading sources of wm)``; at its time and version alone, a new
+        table takes its base-level column; otherwise a new column is made."""
         if not self.entries:  # the one liveness test every read shares
             return None
-        cached, stamp = self._cached, wm.stamp
-        if (cached is not None and cached.stamp == stamp
-                and cached.point[0] == now and cached.point[1] == self._version):
-            return cached
-        sources = spread_sources(wm)
-        point = (now, self._version, sources)
+        cached, point = self._cached, (now, self._version, spread_sources(wm))
         if cached is not None and cached.point == point:
-            cached.stamp = stamp
             return cached
         if cached is not None and cached.point[:2] == point[:2]:
             base = cached.base
@@ -748,17 +726,17 @@ class MiddleMemory:
                 base = [math.nan if entry is None else long[slot] if slot in long
                         else self.base_level(entry, now)
                         for slot, entry in enumerate(cols.entries)]
-        self._cached = self._build(point, stamp, base)
+        self._cached = self._build(point, base)
         return self._cached
 
-    def _build(self, point: tuple, stamp: int, base: list[float] | np.ndarray,
+    def _build(self, point: tuple, base: list[float] | np.ndarray,
                noise: list[float] | None = None) -> _Table:
-        """The table at ``point``, under ``stamp``: ``base`` plus each
-        entry's spreading, plus its noise draw, the float operations of
-        :meth:`activation` in its order.  A list ``base`` gives a per-entry
-        table; an array gives a column table.  ``noise`` is the point's
-        draws, when already made.  The build only reads the columns: every
-        reach set was posted when its link or forgetting changed it."""
+        """The table at ``point``: ``base`` plus each entry's spreading,
+        plus its noise draw, the float operations of :meth:`activation` in
+        its order.  A list ``base`` gives a per-entry table; an array gives
+        a column table.  ``noise`` is the point's draws, when already made.
+        The build only reads the columns: every reach set was posted when
+        its link or forgetting changed it."""
         now, _, sources = point
         cols = self._filed
         share = self.spread_weight / len(sources) if sources else 0.0
@@ -777,7 +755,7 @@ class MiddleMemory:
                          for entry in cols.entries]
             values = ([act + draw for act, draw in zip(values, noise)]
                       if isinstance(base, list) else values + noise)
-        return _Table(point, base, values, noise, stamp=stamp)
+        return _Table(point, base, values, noise)
 
     def retrieve(self, wm: WorkingMemory, now: float, pattern: Query | None,
                  tags: Iterable[str]) -> list[tuple[MMEntry, float, dict[str, str]]]:
@@ -867,7 +845,7 @@ class MiddleMemory:
         if any(entry.presentations[-1] == self._latest for entry in gone):
             self._latest = max((e.presentations[-1] for e in self.entries.values()),
                                default=None)
-        self._cached = (self._build(table.point, table.stamp, base, table.noise)
+        self._cached = (self._build(table.point, base, table.noise)
                         if self.entries else None)
 
     def retrievable(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:

@@ -40,9 +40,6 @@ DEFAULT_TIME_COST = 0.0
 DEFAULT_FORMATION_THRESHOLD = 2.0
 DEFAULT_PROVISIONAL_TTL = 60.0
 
-# Kept in every canonical model file; nothing in the runtime reads it.
-DEFAULT_CLEANUP_THRESHOLD = 0.2
-
 
 @dataclass(frozen=True)
 class ActionKind:
@@ -67,6 +64,10 @@ ACTION_KINDS = {
     "emit-reward": ActionKind(("amount",), central_only=True),
     "halt": ActionKind(central_only=True),
 }
+
+# A formed retrieval production is named this prefix and its entry's id;
+# a model's own production may not take such a name.
+FORMED_PREFIX = "retrieve-"
 
 # Predictor kind -> the optional fields the canonical form always carries for it.
 PREDICTOR_KINDS = {
@@ -289,7 +290,6 @@ class PredictorDef:
                                     PREDICTOR_KINDS.__contains__), drop=True)
     tag: str = _field(read=_symbol("origin tag"), drop=True)
     rate: int = _field(1, _scalar(int, "rate must be a non-negative integer", lambda v: v >= 0))
-    seed: int = _field(0, _scalar(int, "seed must be an integer"))
     order: int = _field(DEFAULT_ORDER, _scalar(int, "order must be a positive integer",
                                                lambda v: v >= 1))
     corpus: tuple[tuple[str, ...], ...] = _field((), _items(_items(
@@ -309,8 +309,6 @@ class CodebookConfig:
     dimension: int = _field(DEFAULT_DIMENSION, _scalar(
         int, "dimension must be a positive even integer", lambda v: v >= 2 and v % 2 == 0))
     seed: int = _field(0, _scalar(int, "seed must be a non-negative integer", lambda v: v >= 0))
-    cleanup_threshold: float = _field(DEFAULT_CLEANUP_THRESHOLD, _scalar(
-        float, "cleanup_threshold must be a finite number"))
 
 
 @dataclass(frozen=True)
@@ -510,7 +508,7 @@ def _check_production_semantics(production: ProductionDef, path: str,
                                 system: ShadowSystemDef | None, buffers: dict,
                                 errors: _Collector) -> None:
     """Check one production; ``system`` is its owner, None for central."""
-    if re.fullmatch(r"retrieve-[0-9]+", production.name):
+    if re.fullmatch(re.escape(FORMED_PREFIX) + "[0-9]+", production.name):
         errors.add(f"{path}.name", f"{production.name!r} is reserved for formed productions")
     bindable: set[str] = set()
     for i, cond in enumerate(production.conditions):

@@ -28,6 +28,7 @@ from .model import (
     DEFAULT_LEARNING_RATE,
     DEFAULT_PROVISIONAL_TTL,
     DEFAULT_TIME_COST,
+    FORMED_PREFIX,
     ActionDef,
 )
 
@@ -293,7 +294,7 @@ def form_retrieval_production(entry, system: str, buffer: str, patterns,
     if (tags, chunk.ctype, chunk.slots) in patterns:
         return None
     return Production(
-        name=f"retrieve-{entry.id}",
+        name=f"{FORMED_PREFIX}{entry.id}",
         owner=system,
         conditions=(Condition(pattern=Query(chunk.ctype, chunk.slots, -1),  # exact
                               mm_tags=tags),),

@@ -24,6 +24,8 @@ from mmarch.productions import UtilityLearner, Production
 from mmarch.runtime import run
 from mmarch.trace import trace_to_bytes
 
+from pins import demo_run
+
 DEMO_RUNS = [("threat", 200, "mm"), ("retrieval", 200, "mm"),
              ("wordloop", 200, "mm"), ("bottleneck", 500, "mm")]
 
@@ -38,16 +40,12 @@ def _report(number: int, name: str, detail: str = "") -> None:
     print(f"[ACCEPTANCE {number}] {name}: PASS{suffix}")
 
 
-def _demo_trace(name, cycles, mode, seed=7):
-    return run(load_model(demos.path(name)), cycles, mode=mode, seed=seed)
-
-
 def test_1_seriality_and_demo_runtime():
     """At most one central firing per cycle, on every bundled demo."""
     slowest = 0.0
     for name, cycles, mode in DEMO_RUNS:
-        start = time.perf_counter()
-        trace = _demo_trace(name, cycles, mode)
+        start = time.perf_counter()  # a fresh run, not the pinned one, since it is timed
+        trace = run(load_model(demos.path(name)), cycles, mode=mode, seed=7)
         elapsed = time.perf_counter() - start
         slowest = max(slowest, elapsed)
         assert elapsed < 5.0, f"{name} took {elapsed:.2f}s"
@@ -171,7 +169,7 @@ def test_4_utility_learning_and_credit_soundness():
             assert production.utility == pytest.approx(closed_form, abs=1e-9)
 
     for name, cycles, mode in DEMO_RUNS:
-        trace = _demo_trace(name, cycles, mode)
+        trace = demo_run(name, cycles, mode)  # the pinned run, not made again
         consumed_window: set[str] = set()
         window: set[str] = set()
         for event in trace.events:
@@ -203,10 +201,9 @@ def test_5_interrupt_latency_exactly_one_cycle():
 
 
 def test_6_pipeline_load_exceeds_mm_load():
-    model = load_model(demos.path("bottleneck"))
-    mm_mean = metrics(run(model, 500, mode="mm", seed=7))["central_candidates"]["mean"]
+    mm_mean = metrics(demo_run("bottleneck", 500, "mm"))["central_candidates"]["mean"]
     pipeline_mean = metrics(
-        run(model, 500, mode="pipeline", seed=7))["central_candidates"]["mean"]
+        demo_run("bottleneck", 500, "pipeline"))["central_candidates"]["mean"]
     assert pipeline_mean > mm_mean
     assert mm_mean == pytest.approx(PINNED_MEAN_CANDIDATES_MM, abs=1e-9)
     assert pipeline_mean == pytest.approx(PINNED_MEAN_CANDIDATES_PIPELINE, abs=1e-9)

@@ -19,6 +19,12 @@ from mmarch.model import load_model
 from mmarch.runtime import Session
 
 
+def fresh_sources(wm):
+    """The spreading sources of ``wm``'s buffers, built afresh."""
+    return tuple(frozenset(buf.content.values() if isinstance(buf.content, Chunk)
+                           else buf.content.known_values()) for buf in wm.non_empty())
+
+
 def _cosine(a, b):
     return float(np.dot(normalized(a), normalized(b)))
 
@@ -921,7 +927,7 @@ class TestActivationTable:
             assert act == reference_activation(mm, mm.entry(entry_id), wm, 3.0)
 
     @staticmethod
-    def _stamped_memory(factory, noise=0.3):
+    def _linked_memory(factory, noise=0.3):
         mm = MiddleMemory(noise=noise, noise_seed=2)
         for i in range(6):
             mm.seed_entry("t", chunk=factory.make("fact", [("n", f"n{i}"), ("v", f"v{i % 3}")]),
@@ -933,16 +939,18 @@ class TestActivationTable:
     def test_a_write_between_two_reads_at_one_point_reads_the_new_sources(
             self, monkeypatch, wm, factory, column_min):
         """Reads at one time and version under one working memory: each
-        write between them gives it a new stamp, so the next read builds its
-        table under the new spreading sources, as :meth:`activation` gives
+        write between them drops its spreading sources, so the next read
+        builds its table under the new ones, as :meth:`activation` gives
         them, on both kinds of table."""
         monkeypatch.setattr(memory, "COLUMN_MIN_ENTRIES", column_min)
-        mm, now = self._stamped_memory(factory), 1.0
+        mm, now = self._linked_memory(factory), 1.0
         for content in (factory.make("cue", [("v", "v0")]), factory.make("cue", [("v", "v1")]),
                         None, factory.make_query("cue", [("v", "v2")])):
-            stamp = wm.stamp
+            before = mm._table(wm, now)
             wm.write("central", "goal", content)
-            assert wm.stamp != stamp
+            assert wm._sources is None
+            table = mm._table(wm, now)
+            assert table is not before and table.point[2] == fresh_sources(wm)
             expected = {entry.id: mm.activation(entry, wm, now)
                         for entry in mm.entries.values()}
             for _ in range(2):
@@ -951,24 +959,60 @@ class TestActivationTable:
                 assert act == max(expected.values()) == expected[entry.id]
 
     def test_a_staged_view_never_gets_the_base_table(self, wm, factory):
-        """A staged view has its own stamp, so a read under it never gets
-        the table of the working memory it was staged from, nor the other
-        way round, even at one time and version.  ``test_multi_step_golden``
-        (``tests/test_runtime.py``) covers the same end to end: the
-        stepper's and decl's second steps read views staged from it."""
-        mm, now = self._stamped_memory(factory), 1.0
+        """A staged view builds its own spreading sources, so a read under
+        it never gets the table of the working memory it was staged from,
+        nor the other way round, even at one time and version.
+        ``test_multi_step_golden`` (``tests/test_runtime.py``) covers the
+        same end to end: the stepper's and decl's second steps read views
+        staged from it."""
+        mm, now = self._linked_memory(factory), 1.0
         wm.write("central", "goal", factory.make("cue", [("v", "v0")]))
         staged = factory.make("cue", [("v", "v1")])
         base = mm._table(wm, now)
         view = wm.staged("vision", staged, True)
-        assert view.stamp not in (wm.stamp, base.stamp)
+        assert view._sources is None and wm._sources is base.point[2]
         assert wm.buffer("vision").content is None
         assert view.buffer("vision").content is staged and view.buffer("vision").urgent
+        assert mm._table(view, now).point[2] == fresh_sources(view) != base.point[2]
         for _ in range(2):
             for reader in (view, wm):
-                assert mm._table(reader, now).point[2] == memory.spread_sources(reader)
+                assert mm._table(reader, now).point[2] == fresh_sources(reader)
                 assert mm.activations(reader, now) == {
                     entry.id: mm.activation(entry, reader, now) for entry in mm.entries.values()}
+        assert wm._sources is base.point[2]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_spreading_sources_follow_writes_and_views(self, data):
+        """After drawn writes (chunk, query, clear, urgent) and staged
+        views, :func:`spread_sources` of the working memory and of each
+        view equals the sources built afresh from its buffers, and reading
+        a view leaves its base's kept value as it was."""
+        factory = ChunkFactory()
+        wm = WorkingMemory()
+        for name in ("goal", "emotion", "vision"):
+            wm.add_buffer(name, "central")
+        symbols = st.sampled_from(["a", "b", "c", "?"])
+        contents = st.one_of(
+            st.none(),
+            st.builds(lambda t, v: factory.make(t, [("v", v)]),
+                      st.sampled_from(["x", "y"]), st.sampled_from(["a", "b", "c"])),
+            st.builds(lambda t, v: factory.make_query(t, [("v", v)]),
+                      st.sampled_from(["x", "?"]), symbols))
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            buffer = data.draw(st.sampled_from(sorted(wm.buffers)), label="buffer")
+            content = data.draw(contents, label="content")
+            urgent = content is not None and data.draw(st.booleans(), label="urgent")
+            if data.draw(st.booleans(), label="read first"):
+                memory.spread_sources(wm)
+            if data.draw(st.booleans(), label="staged"):
+                kept = wm._sources
+                view = wm.staged(buffer, content, urgent)
+                assert memory.spread_sources(view) == fresh_sources(view)
+                assert wm._sources is kept
+            else:
+                wm.write("central", buffer, content, urgent)
+            assert memory.spread_sources(wm) == fresh_sources(wm)
 
     def test_noise_is_one_draw_per_entry_per_table(self, monkeypatch, wm, factory):
         draws, sample_noise = [], MiddleMemory._noise_sample

@@ -66,7 +66,6 @@ def test_valid_model_parses_with_defaults():
     assert model.cycle_length_ms == 50
     assert model.middle_memory.decay == 0.5
     assert model.learning.rate == 0.2
-    assert model.codebook.cleanup_threshold == 0.2
 
 
 def test_foreign_shadow_write_rejected_with_path():
@@ -195,6 +194,18 @@ def test_unknown_keys_rejected():
     doc = base_doc()
     doc["mystery"] = 1
     assert any(path == ".mystery" for path, _ in _violations(doc))
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d["codebook"].update(cleanup_threshold=0.2), "codebook.cleanup_threshold"),
+    (lambda d: d["predictors"][0].update(seed=1), "predictors[0].seed"),
+])
+def test_fields_nothing_reads_are_unknown_keys(mutate, path):
+    """A codebook's cleanup threshold and a predictor's seed had no effect
+    on a run, and are no model fields."""
+    doc = base_doc()
+    mutate(doc)
+    assert _violations(doc) == [(path, "unknown key")]
 
 
 def _append_copy(key, index=0):
@@ -407,8 +418,8 @@ def test_shadow_reward_or_halt_rejected():
     (lambda d: d["initial_wm"][0].update(buffer=["goal"]), "initial_wm[0].buffer"),
     (lambda d: d["central_productions"][0]["conditions"][0].update(negated="false"),
      "central_productions[0].conditions[0].negated"),
-    (lambda d: d["codebook"].update(cleanup_threshold="0.2"), "codebook.cleanup_threshold"),
-    (lambda d: d["predictors"][0].update(seed="1"), "predictors[0].seed"),
+    (lambda d: d["codebook"].update(seed="1"), "codebook.seed"),
+    (lambda d: d["predictors"][0].update(rate="1"), "predictors[0].rate"),
     (lambda d: d["predictors"][0].update(port="80"), "predictors[0].port"),
     (lambda d: d.update(learning={"rate": True}), "learning.rate"),
 ])

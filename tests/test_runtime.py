@@ -1,5 +1,6 @@
 """Cycle scheduler behavior: determinism, phases, staging, modes."""
 
+import io
 import itertools
 import json
 import math
@@ -14,9 +15,10 @@ from mmarch.errors import ModelValidationError
 from mmarch.model import load_model, parse_model
 from mmarch.productions import Condition, Production
 from mmarch.runtime import Session, _clip, _line_text, run, run_session
-from mmarch.trace import trace_to_bytes
+from mmarch.trace import read_trace, trace_to_bytes
 
-from pins import digest, emptying_run, linked_facts_doc, linked_facts_run, multi_step_run, pinned
+from pins import (demo_run, digest, emptying_run, linked_facts_doc, linked_facts_run,
+                  multi_step_run, pinned)
 from test_memory import count_base_levels
 
 # Pieces of a peer line: one- to four-byte characters, and invalid bytes, a
@@ -179,6 +181,18 @@ class TestDeterminism:
     def test_negative_seed_rejected(self, model):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             Session(model, seed=-1)
+
+    @pytest.mark.parametrize("seed", [True, False, 3.0, "3", None])
+    def test_seed_that_is_not_an_int_rejected(self, seed):
+        """A seed a trace header may not hold is refused before the run
+        (a bool is not an int), so every trace a session writes reads back."""
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            Session(load_model(demos.path("threat")), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 70])
+    def test_trace_of_an_accepted_seed_reads_back(self, seed):
+        trace = run(load_model(demos.path("threat")), 3, seed=seed)
+        assert read_trace(io.BytesIO(trace_to_bytes(trace))) == trace
 
     def test_different_seed_changes_header_only_when_symbolic(self, model):
         a = run(model, 10, mode="mm", seed=1)
@@ -492,8 +506,7 @@ class TestRewardsAndCredit:
         in mm mode the reward reaches every firing and the used emotion
         write; in pipeline mode flee-threat never fires, so the three walks
         stay pending."""
-        model = load_model(demos.path("threat"))
-        trace = run(model, 200, mode="mm", seed=7)
+        trace = demo_run("threat", 200, "mm")
         walk = {"owner": "central", "old": 1.0, "new": 2.8, "effective_reward": 10.0,
                 "made_permanent": False}
         assert [(e.cycle, e.data) for e in trace.by_kind("utility-update")] == [
@@ -506,7 +519,7 @@ class TestRewardsAndCredit:
                  "new": 2.0, "effective_reward": 10.0, "made_permanent": False})]
         assert list(trace.by_kind("utility-update")[0].data) == [
             "production", "owner", "old", "new", "effective_reward", "made_permanent"]
-        session = Session(model, mode="pipeline", seed=0)
+        session = Session(load_model(demos.path("threat")), mode="pipeline", seed=0)
         run_session(session, 3000)
         assert [(p.name, t) for p, t in session.learner.pending] == [
             ("walk-to-trailhead", 0.0), ("walk-to-ridge", 0.05), ("walk-to-campsite", 0.1)]
@@ -953,25 +966,25 @@ class TestMultiRateSystems:
         assert (counts["evals"], tables) == (50, 3)
 
     def test_a_wordloop_cycle_builds_spreading_sources_at_most_twice(self, monkeypatch):
-        """In steady state a wordloop cycle builds the spreading sources
-        once for the sweep's new time and once for the broadcast after the
-        cycle's writes.  Every other read (formation, each retrieval) finds
-        the cached table under the working memory's unchanged stamp."""
+        """In steady state a wordloop cycle builds the spreading sources at
+        most twice: a read finds them kept by working memory unless a write
+        came after the last build.  Every other read (the sweep,
+        formation, each retrieval) takes the kept tuple."""
         session = Session(load_model(demos.path("wordloop")), mode="mm", seed=0)
         for _ in range(30):
             session.step()
-        sources, calls = memory.spread_sources, 0
+        sources, builds = memory.spread_sources, 0
 
         def counting_sources(wm):
-            nonlocal calls
-            calls += 1
+            nonlocal builds
+            builds += wm._sources is None
             return sources(wm)
 
         monkeypatch.setattr(memory, "spread_sources", counting_sources)
         for _ in range(40):
-            calls = 0
+            builds = 0
             session.step()
-            assert calls <= 2
+            assert builds <= 2
 
 
 class TestFormation:
