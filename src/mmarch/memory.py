@@ -357,18 +357,26 @@ class _Columns:
         outside the block (empty, or in ``long``).
 
         ``np.float_power`` calls the C library's ``pow``, as Python's ``**``
-        does, and the terms are added a column at a time from the oldest,
-        so each value has the bits of :meth:`MiddleMemory.base_level`'s
-        left fold; the padding adds +0.0, and each log is ``math.log``'s.
-        ``now`` must be after every presentation in the block.  The block's
-        view lives only inside the expression that takes the lags.
+        does.  The terms lie one presentation column to a row, and the rows
+        are added in order from the oldest, so each value has the bits of
+        :meth:`MiddleMemory.base_level`'s left fold; the padding adds +0.0,
+        and each log is ``math.log``'s.  ``now`` must be after every
+        presentation in the block.  The block's view lives only inside the
+        call that takes the lags.
         """
-        sums = np.zeros(len(self.entries) + 1)  # the sums in sums[1:]
+        slots = len(self.entries)
+        sums = np.empty(slots + 1)  # the sums in sums[1:]
+        terms = np.empty((self.width, slots))
         with np.errstate(over="ignore", divide="ignore"):  # inf, and log(0.0) is -inf
-            lags = now - np.frombuffer(self.times).reshape(-1, self.cap)[:, :self.width]
-            terms = np.float_power(lags, -decay)
-            for column in terms.T:  # not np.sum: pairwise summation changes bits
-                sums[1:] += column
+            np.subtract(now, np.frombuffer(self.times).reshape(-1, self.cap)[:, :self.width].T,
+                        out=terms)
+            np.float_power(terms, -decay, out=terms)
+            # Reducing the outer axis adds whole rows in order; a lone column has no
+            # other axis, and numpy would sum it pairwise, which changes bits.
+            if slots > 1:
+                np.add.reduce(terms, axis=0, out=sums[1:])
+            else:
+                sums[1:] = np.add.accumulate(terms, axis=0)[-1]
             # The output overlaps the input by one cell, so numpy runs its element loop,
             # which calls the C library's log as math.log does (its AVX-512 loop does not).
             return np.log(sums[1:], out=sums[:-1])
@@ -818,7 +826,7 @@ class MiddleMemory:
         values, entries = table.values, self._filed.entries
         if isinstance(values, list):
             return [(entry, act) for entry, act in zip(entries, values) if keep(act)]
-        slots = np.flatnonzero(keep(values))
+        slots = keep(values).nonzero()[0]
         return list(zip(map(entries.__getitem__, slots.tolist()), values[slots].tolist()))
 
     def _forget(self, gone: list[MMEntry], table: _Table) -> None:
@@ -942,7 +950,7 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
         top = _top_by_entries(symbols, [entries[slot] for slot in slots], weights, k)
     else:
         keep = acts >= threshold
-        slots = np.flatnonzero(keep)
+        slots = keep.nonzero()[0]
         weights = _softmax(acts[slots]) if len(slots) else _NO_WEIGHTS
         top = _top_by_codes(mm._filed, symbols, keep, weights, k)
     return Context([sym for _, sym in top], zero and not len(slots), buffers, slots,
@@ -983,7 +991,7 @@ def _top_by_codes(cols: _Columns, symbols: list[str], keep: np.ndarray,
                             np.frombuffer(cols.codes, np.int64)[picked]))
     contributions = np.concatenate((np.ones(len(symbols)), by_slot[owners[picked]]))
     scores = np.bincount(codes, contributions)
-    present = np.flatnonzero(np.bincount(codes))
+    present = np.bincount(codes).nonzero()[0]
     found = scores[present]
     if 0 < k < len(found):
         best = found >= np.partition(found, len(found) - k)[len(found) - k]

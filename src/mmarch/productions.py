@@ -6,7 +6,11 @@ when every condition holds, and bindings come from single definite sources
 backtracking.  One function finds the first content a condition's pattern
 matches; :func:`match_production` alone decides negation and unifies
 bindings across conditions.  Conflict resolution is argmax by utility with a
-lexicographic tie-break, so runs are deterministic.  Utilities learn by a
+lexicographic tie-break, so runs are deterministic.  The central engine
+builds its whole conflict set (:func:`match_all`, then :func:`resolve`),
+because the trace records it; a shadow system needs only the winner, and
+:func:`first_match` matches its pool in resolution order up to the winner,
+so a production ranked after it costs nothing.  Utilities learn by a
 time-discounted delta rule, and sufficiently active middle-memory entries
 spawn provisional retrieval productions that survive only if rewarded.
 
@@ -175,11 +179,29 @@ def match_all(productions, view: MatchView) -> list[Match]:
             if (match := match_production(production, view)) is not None]
 
 
+def _rank(production: Production) -> tuple[float, str]:
+    return -production.utility, production.name
+
+
 def resolve(conflict: list[Match]) -> Match | None:
     """Highest utility wins; exact ties go to the smaller production name."""
     if not conflict:
         return None
-    return min(conflict, key=lambda m: (-m.production.utility, m.production.name))
+    return min(conflict, key=lambda m: _rank(m.production))
+
+
+def first_match(productions, view: MatchView) -> Match | None:
+    """:func:`resolve`'s winner of :func:`match_all`, matching no production after it.
+
+    Productions are tried in :func:`resolve`'s order.  Names are unique
+    within a pool and utilities finite, so that order is total and its first
+    match is the winner.  ``view`` counts only the candidates of the
+    productions tried.
+    """
+    for production in sorted(productions, key=_rank):
+        if (match := match_production(production, view)) is not None:
+            return match
+    return None
 
 
 def fire(production: Production, bindings: dict[str, str],

@@ -6,18 +6,20 @@ written, read now without waiting and numbered in arrival order, into
 middle memory (or, in pipeline mode, straight into module buffers and
 their unbounded inflow lists) in (cycle, predictor, index) order; (2)
 sweep/forget; (3) shadow systems decide their first steps, read-only,
-against the frozen cycle-start state, and each system's decisions are then
-fired once, in system order, with a multi-step system's later steps reading
-only its own staged write, through a staged view of working memory with
-its own spreading sources; (4) the central engine matches, resolves, and
-fires, and (5) each shadow write it matched hands the credit its buffer
-has kept since the write to the learner, once; then shadow writes commit,
-each credited to its production until the centre uses it or another write
-replaces it; (6) a reward credits every central firing and every used
-shadow write since the last one (both are recorded only while a reward can
-still arrive); (7) retrieval productions form and stale provisional ones
-are pruned, (8) the context broadcasts to every predictor, and (9) the
-clock advances.
+against the frozen cycle-start state, each stopping at its first matching
+production in resolution order, since only its winner acts; each system's
+decisions are then fired once, in system order, with a multi-step system's
+later steps reading only its own staged write, through a staged view of
+working memory with its own spreading sources; (4) the central engine
+matches every production, since the trace records its whole conflict set,
+resolves, and fires, and (5) each shadow write it matched hands the credit
+its buffer has kept since the write to the learner, once; then shadow
+writes commit, each credited to its production until the centre uses it
+or another write replaces it; (6) a reward credits every central firing
+and every used shadow write since the last one (both are recorded only
+while a reward can still arrive); (7) retrieval productions form and stale
+provisional ones are pruned, (8) the context broadcasts to every
+predictor, and (9) the clock advances.
 
 Shadow decisions read the cycle-start state and commit after central
 matching, so an urgent shadow write at cycle n reaches the central conflict

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .chunks import Query
 from .memory import MiddleMemory, WorkingMemory
-from .productions import Match, MatchView, Production, match_all, pattern_keys, resolve
+from .productions import Match, MatchView, Production, first_match, pattern_keys
 
 RETRIEVAL_FAILURE = "retrieval-failure"
 
@@ -65,6 +65,9 @@ def decide_shadow(system: ShadowSystem, wm: WorkingMemory, mm: MiddleMemory,
     Answering a pending query in the owned buffer, with the most active
     middle-memory match under the subscriptions, precedes firing a
     production; either way it makes at most one write, to its owned buffer.
+    Only the winner acts, so the system stops at its first match in
+    resolution order (:func:`.productions.first_match`) and builds no
+    conflict set.
     """
     content = wm.buffer(system.buffer).content
     if isinstance(content, Query) and content.has_wildcards():
@@ -74,8 +77,7 @@ def decide_shadow(system: ShadowSystem, wm: WorkingMemory, mm: MiddleMemory,
             return ShadowDecision("answer", system, query=content,
                                   answer_bindings=bindings, answered_entry=entry.id)
         return ShadowDecision("miss", system, query=content)
-    view = MatchView(wm, mm, now)
-    winner = resolve(match_all(system.productions, view))
+    winner = first_match(system.productions, MatchView(wm, mm, now))
     if winner is None:
         return ShadowDecision("idle", system)
     return ShadowDecision("fire", system, match=winner)

@@ -388,6 +388,28 @@ class TestPresentationBlock:
             assert_same_bits(mm._table(wm, now).base,
                              [mm.base_level(e, now) for e in cols.entries])
 
+    def test_random_blocks_have_the_bits_of_base_level(self):
+        """Blocks of 1 to 60 slots, a few of them emptied, with histories of
+        1 to :data:`HISTORY_CAP` presentations spread over a wide or a short
+        span: each value of :meth:`_Columns.base` has the bits of
+        :meth:`MiddleMemory.base_level`, and an empty slot is NaN.  One slot
+        is the shape where numpy would sum the rows pairwise."""
+        rng = random.Random(43)
+        for _ in range(400):
+            decay = rng.choice([0.5, rng.uniform(0.05, 3.0)])
+            span = rng.choice([1e-3, 1.0, 50.0])
+            entries = [memory.MMEntry(i, "t", presentations=array("d", sorted(
+                           -1e-3 - span * rng.random()
+                           for _ in range(rng.randint(1, memory.HISTORY_CAP)))))
+                       for i in range(rng.choice([1, 2, rng.randint(1, 60)]))]
+            cols = memory._Columns(entries)
+            for entry in rng.sample(entries, rng.randint(0, len(entries) // 4)):
+                cols.remove(entry)
+            now, mm = rng.uniform(0.0, 10.0), MiddleMemory(decay=decay)
+            assert_same_bits(cols.base(now, decay),
+                             [math.nan if e is None else mm.base_level(e, now)
+                              for e in cols.entries])
+
     def test_the_column_log_has_the_bits_of_math_log(self):
         """Where a contiguous ``np.log`` differs from ``math.log`` in the last
         bit, the column's log must not.  At decay -1 an entry presented once
