@@ -132,6 +132,11 @@ def references(ctype: str, slots) -> tuple[str, ...]:
                  if is_reference(value))
 
 
+def _render(head: str, slots) -> str:
+    """``head(name:value ...)``, the text of a chunk or a query."""
+    return f"{head}({' '.join(f'{n}:{v}' for n, v in slots)})"
+
+
 @dataclass(frozen=True)
 class Template:
     """Chunk-shaped record: a type plus ordered slot pairs.
@@ -181,8 +186,7 @@ class Chunk:
         return (self.ctype, self.slots)
 
     def __str__(self) -> str:
-        inner = " ".join(f"{n}:{v}" for n, v in self.slots)
-        return f"{self.ctype}({inner})" if inner else f"{self.ctype}()"
+        return _render(self.ctype, self.slots)
 
 
 @dataclass(frozen=True)
@@ -203,8 +207,7 @@ class Query:
         return tuple(v for _, v in self.slots if v != WILDCARD)
 
     def __str__(self) -> str:
-        inner = " ".join(f"{n}:{v}" for n, v in self.slots)
-        return f"{self.ctype}?({inner})" if inner else f"{self.ctype}?()"
+        return _render(f"{self.ctype}?", self.slots)
 
 
 class ChunkFactory:

@@ -10,6 +10,7 @@ slot-name (x) value bindings plus an ``isa`` (x) type binding.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -21,14 +22,24 @@ HoloVector = np.ndarray
 
 
 def bind(a: HoloVector, b: HoloVector) -> HoloVector:
-    """Circular convolution of two vectors."""
-    n = a.shape[0]
-    return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=n)
+    """Circular convolution of two vectors.  Each part of the spectra's
+    product comes from separately rounded multiplies and adds, the same bits
+    on every host; numpy's complex loop fuses them where it runs FMA."""
+    fa, fb = np.fft.rfft(a), np.fft.rfft(b)
+    product = np.empty_like(fa)
+    np.subtract(fa.real * fb.real, fa.imag * fb.imag, out=product.real)
+    np.add(fa.real * fb.imag, fa.imag * fb.real, out=product.imag)
+    return np.fft.irfft(product, n=a.shape[0])
+
+
+def norm(v: HoloVector) -> float:
+    """Euclidean norm, the squares added left to right on every host (no BLAS
+    kernel picks the order); inf when a square or the sum overflows."""
+    return math.sqrt(np.add.accumulate(v * v)[-1])
 
 
 def normalized(v: HoloVector) -> HoloVector:
-    n = float(np.linalg.norm(v))
-    return v / n if n > 0.0 else v
+    return v / n if (n := norm(v)) > 0.0 else v
 
 
 def _symbol_rng(seed: int, domain: str, name: str) -> np.random.Generator:

@@ -14,8 +14,10 @@ import hashlib
 import heapq
 import math
 from array import array
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -59,8 +61,7 @@ class Buffer:
     # (production, write time) of the shadow write the content is, until
     # the centre uses it or another write replaces it
     credit: tuple[str, float] | None = None
-    # (codebook, content kind, type, slots) -> packed vector, for the broadcast
-    _packed: tuple | None = field(default=None, repr=False, compare=False)
+    _packed: tuple | None = field(default=None, repr=False, compare=False)  # see _packed()
 
 
 class WorkingMemory:
@@ -166,15 +167,22 @@ class MMEntry:
     vector: HoloVector | None = None
     presentations: array = field(default_factory=lambda: array("d"))  # its one copy
     links: set[int] = field(default_factory=set)
-    _packed: HoloVector | None = field(default=None, repr=False)
+    _packed: tuple | None = field(default=None, repr=False, compare=False)  # see _packed()
 
     def payload_vector(self, book: Codebook) -> HoloVector:
-        """The entry's vector form, packing the chunk once if needed."""
-        if self.vector is not None:
-            return self.vector
-        if self._packed is None:
-            self._packed = pack(self.chunk, book)
-        return self._packed
+        """The entry's vector form: its vector, or its chunk packed under ``book``."""
+        return self.vector if self.vector is not None else _packed(self, self.chunk, book)
+
+
+def _packed(holder: Buffer | MMEntry, content: Chunk | Query, book: Codebook) -> HoloVector | None:
+    """``content`` packed under ``book``, kept on ``holder`` and packed again
+    only when the codebook, the content's kind, type or slots change."""
+    chunk = isinstance(content, Chunk)
+    key = (book, chunk, content.ctype, content.slots)
+    kept = holder._packed
+    if kept is None or kept[0] != key:
+        kept = holder._packed = (key, pack(content, book) if chunk else pack_query(content, book))
+    return kept[1]
 
 
 @dataclass
@@ -189,18 +197,15 @@ class _Table:
     are by slot of the memory's :class:`_Columns`, NaN at a forgotten
     entry's slot: lists in a per-entry table, arrays in a column table.
     ``noise`` depends on the whole point, so only a rebuild at the same
-    point after forgetting reuses it.  ``listed`` is ``values`` as a list of
-    Python floats, for a retrieval's few candidates: ``values`` itself in a
-    per-entry table, a column's ``tolist()`` made on the table's first
-    retrieval.  No table's ``values`` change after it is built (forgetting
-    builds a new table), so the copy is never stale.
+    point after forgetting reuses it.  No table's ``values`` change after it
+    is built (forgetting builds a new table), and a retrieval indexes them
+    at its few candidate slots.
     """
 
     point: tuple  # (time, version, spreading sources)
     base: list[float] | np.ndarray
     values: list[float] | np.ndarray
     noise: list[float] | None = None  # the point's draws by slot, when noisy
-    listed: list[float] | None = None
 
 
 class _Columns:
@@ -232,8 +237,9 @@ class _Columns:
     ``times`` is the presentation block, one flat array with a row of
     ``cap`` cells per slot (the :data:`HISTORY_CAP` when built): the
     entry's presentation times, then -inf from ``padding``.  The row of an
-    empty slot is NaN, and so is the row of a history that grew past the
-    cap; ``long`` holds each such slot, folded from its entry's own array.
+    empty slot is NaN (``blank``), and so is the row of a history that grew
+    past the cap; ``long`` holds each such slot, folded from its entry's own
+    array.
     ``width`` is the longest history in the block (at least 1).  The block
     copies the entry's presentations as :meth:`_file` and :meth:`present`
     see them, so the memory writes presentation times only through
@@ -245,8 +251,8 @@ class _Columns:
         self.entries: list[MMEntry | None] = []
         self.long: set[int] = set()  # live slots whose history is past the cap
         self.slot_of: dict[int, int] = {}  # live id -> slot, in id order
-        self.postings: dict[tuple, array] = {}
-        self.reach: dict[str, array] = {}
+        self.postings: defaultdict[tuple, array] = defaultdict(partial(array, "q"))
+        self.reach: defaultdict[str, array] = defaultdict(partial(array, "q"))
         self.own: list[frozenset[str]] = []  # each slot's own symbols
         self.posted: list[frozenset[str]] = []  # each slot's reach set as posted
         self.symbols: dict[str, int] = {}  # symbol -> code
@@ -256,6 +262,7 @@ class _Columns:
         self.cap = HISTORY_CAP
         self.times = array("d")
         self.padding = array("d", (-math.inf,)) * self.cap  # a row's cells after its history
+        self.blank = array("d", (math.nan,)) * self.cap  # the row of a slot outside the block
         self.width = 1
         for entry in entries:
             self._file(entry)
@@ -263,10 +270,7 @@ class _Columns:
         for slot, entry in enumerate(self.entries):
             symbols = self.posted[slot] = self.reach_set(entry)
             for symbol in symbols:
-                posting = reach.get(symbol)
-                if posting is None:
-                    posting = reach[symbol] = array("q")
-                posting.append(slot)
+                reach[symbol].append(slot)
 
     def _file(self, entry: MMEntry) -> int:
         """Give ``entry`` the next slot, with its postings, own symbol set,
@@ -295,17 +299,14 @@ class _Columns:
         self.posted.append(frozenset())
         postings = self.postings
         for key in keys:
-            posting = postings.get(key)
-            if posting is None:
-                posting = postings[key] = array("q")
-            posting.append(slot)
-        history, cap = entry.presentations, self.cap
-        if len(history) <= cap:
+            postings[key].append(slot)
+        history = entry.presentations
+        if len(history) <= self.cap:
             self.times += history
             self.times += self.padding[len(history):]
             self.width = max(self.width, len(history))
         else:
-            self.times += array("d", (math.nan,)) * cap
+            self.times += self.blank
             self.long.add(slot)
         return slot
 
@@ -328,17 +329,14 @@ class _Columns:
         for symbol in old - new:
             self.reach[symbol].remove(slot)
         for symbol in new - old:
-            posting = self.reach.get(symbol)
-            if posting is None:
-                posting = self.reach[symbol] = array("q")
-            posting.append(slot)
+            self.reach[symbol].append(slot)
         self.posted[slot] = new
 
     def remove(self, entry: MMEntry) -> int:
         """Empty ``entry``'s slot and return it."""
         slot, cap = self.slot_of.pop(entry.id), self.cap
         self.entries[slot] = None
-        self.times[slot * cap:(slot + 1) * cap] = array("d", (math.nan,)) * cap
+        self.times[slot * cap:(slot + 1) * cap] = self.blank
         self.long.discard(slot)
         return slot
 
@@ -349,7 +347,7 @@ class _Columns:
             self.times[slot * cap + count - 1] = entry.presentations[-1]
             self.width = max(self.width, count)
         elif count == cap + 1:  # the history leaves the block
-            self.times[slot * cap:(slot + 1) * cap] = array("d", (math.nan,)) * cap
+            self.times[slot * cap:(slot + 1) * cap] = self.blank
             self.long.add(slot)
 
     def base(self, now: float, decay: float) -> np.ndarray:
@@ -422,54 +420,45 @@ class MiddleMemory:
     sources, and a version that every deposit, seeded entry and link bumps)
     into a table, kept while its point holds, so sweeping, shadow retrieval,
     formation and middle-memory conditions share one; each selects
-    ``(entry, activation)`` pairs from it, through :meth:`_where` or, for a
-    retrieval, in one pass over its candidates.  One table is cached, the
-    last one read, keyed by its point alone; working memory keeps its own
-    spreading sources (:func:`spread_sources`), so a read under an unchanged
-    state compares the same tuple.  :meth:`_build` makes every table: a
-    base-level column plus spreading plus noise.  The next table at the same
-    time and version reuses its column, so each entry's base level is
-    computed once per time and version.  Forgetting leaves the version
-    alone: it rebuilds the sweep's table at its point from its column, NaN
-    at the gone entries' slots.  A memory with no live entry has no table:
-    :meth:`_table` gives None, every read returns its empty result at once,
-    and the broadcast answers from its buffers alone, each distinct
+    ``(entry, activation)`` pairs from it through :meth:`_where`, or, for a
+    retrieval, indexes its values at the candidates' slots.  One table is
+    cached, the last one read, keyed by its point alone; working memory
+    keeps its own spreading sources (:func:`spread_sources`), so a read
+    under an unchanged state compares the same tuple.  :meth:`_build` makes
+    every table: a base-level column plus spreading plus noise.  The next
+    table at the same time and version reuses its column, so each entry's
+    base level is computed once per time and version.  Forgetting leaves the
+    version alone: it rebuilds the sweep's table at its point from its
+    column, NaN at the gone entries' slots.  A memory with no live entry has
+    no table: :meth:`_table` gives None, every read returns its empty result
+    at once, and the broadcast answers from its buffers alone, each distinct
     buffer-only context once (see :func:`context_symbols`).
 
-    The memory builds its columns (:class:`_Columns`) at the first read
-    that needs them, filing every entry seeded, deposited or linked so far
-    in one pass.  From then on each change files itself at once: ``_add``
-    files a new entry, a deposit's merge writes its presentation, and
-    ``link`` and ``_forget`` post again the reach sets they change, so a
-    table build only reads the columns.  Inside the memory
-    an entry is addressed by its slot there only: every table is by slot,
-    and the postings of tag and content, which a tagged or patterned read
-    probes to visit only the entries it can return, hold slots.  A
-    forgotten entry leaves NaN at its slot in every table, which fails
-    every read's test, and stays in every posting until new columns are
-    built, once empty slots outnumber live ones.  Spreading adds ``share``
-    once per source that meets an entry's reach set, so it is ``share``
-    added k times to 0.0.  From :data:`COLUMN_MIN_ENTRIES` entries up a new
-    base-level column is an array, and a table is one numpy add to it, k
-    counted from the sources' symbols' reach postings; then each entry's
-    noise draw, made once per point.  A smaller memory's base is a list,
-    and its tables count k and add the draw entry by entry.  Both equal the
-    reference definitions, :meth:`base_level`, :meth:`spreading` and
-    :meth:`activation`, bit for bit, so a trace does not depend on which
+    The memory builds its columns (:class:`_Columns`) at the first read that
+    needs them, filing every entry seeded, deposited or linked so far in one
+    pass.  From then on each change files itself at once: ``_add`` files a
+    new entry, a deposit's merge writes its presentation, and ``link`` and
+    ``_forget`` post again the reach sets they change, so a table build only
+    reads the columns.  Inside the memory an entry is addressed by its slot
+    there only: every table is by slot, and so are the postings of tag and
+    content that a tagged or patterned read probes.  A forgotten entry
+    leaves NaN at its slot in every table, which fails every read's test,
+    and stays in every posting until new columns are built, once empty
+    slots outnumber live ones.  From :data:`COLUMN_MIN_ENTRIES` entries up a
+    table is numpy columns: a base-level column, plus spreading counted from
+    the sources' reach postings, plus each entry's noise draw, made once per
+    point.  A smaller memory's table is a list, built entry by entry.  Both
+    equal the reference definitions, :meth:`base_level`, :meth:`spreading`
+    and :meth:`activation`, bit for bit, so a trace does not depend on which
     kind of table runs; the broadcast's symbol scores take the same fork
     (see :func:`context_symbols`).
 
-    The columns also keep each entry's presentation times in a flat block
-    of :data:`HISTORY_CAP` times a slot, written by ``_add`` and by a
-    deposit's merge.  A base-level column is ``np.float_power`` of the lags
-    (the C library's ``pow``, as Python's ``**``), folded a column at a
-    time from the oldest and logged by one ``np.log`` that calls the C
-    library's ``log``, so a table does no Python work per entry.  A history
-    past the cap leaves the block, and both kinds of table fold the entry's
-    own array with one ``np.add.accumulate`` (:meth:`_Columns.long_base`);
-    a per-entry table keeps :meth:`base_level` for a history within the
-    cap.  The block is why presentation times are written only through
-    :meth:`deposit` and :meth:`seed_entry`.
+    The columns keep each entry's presentation times in a block of
+    :data:`HISTORY_CAP` cells a slot, from which :meth:`_Columns.base` folds
+    a base-level column with the bits of :meth:`base_level` and no Python
+    work per entry; a longer history is folded from the entry's own array
+    (:meth:`_Columns.long_base`).  The block is why presentation times are
+    written only through :meth:`deposit` and :meth:`seed_entry`.
     """
 
     def __init__(self, decay: float = DEFAULT_DECAY,
@@ -773,24 +762,20 @@ class MiddleMemory:
         Entries must carry any of ``tags`` (read once; none reads nothing),
         be at or above the retrieval threshold and, when a pattern is given,
         have a decoded chunk the pattern matches; vector-only entries are
-        reachable by tag alone.  Reads only: the activations come from the
-        current evaluation point's table, as ``listed`` floats.  One pass
-        over the candidates of :meth:`_candidates` keeps the best hit so
-        far, and :func:`match_query` tests only a candidate that would beat
-        it.  Slot order is id order, so the smaller slot wins a tie.
+        reachable by tag alone.  Reads only: one pass over the candidates of
+        :meth:`_candidates` indexes the current table's values at their
+        slots, keeps the best hit so far, and tests with :func:`match_query`
+        only a candidate that would beat it.  Slot order is id order, so the
+        smaller slot wins a tie.  The activation is a Python float.
         """
         table = self._table(wm, now)  # first: a new table may renumber the slots
         if table is None:
             return []
-        listed = table.listed
-        if listed is None:
-            values = table.values
-            listed = table.listed = values if isinstance(values, list) else values.tolist()
-        entries, best, best_bindings = self._filed.entries, None, None
+        values, entries, best, best_bindings = table.values, self._filed.entries, None, None
         # the threshold, at a slot past every slot, stands in for the first hit
-        best_act, best_slot = self.retrieval_threshold, len(listed)
+        best_act, best_slot = self.retrieval_threshold, len(values)
         for slot in self._candidates(pattern, tags):
-            act = listed[slot]
+            act = values[slot]
             if not act >= best_act or (act == best_act and slot > best_slot):  # NaN fails
                 continue
             entry = entries[slot]
@@ -799,7 +784,7 @@ class MiddleMemory:
             elif entry.chunk is None or (bindings := match_query(pattern, entry.chunk)) is None:
                 continue
             best, best_act, best_slot, best_bindings = entry, act, slot, bindings
-        return [] if best is None else [(best, best_act, best_bindings)]
+        return [] if best is None else [(best, float(best_act), best_bindings)]
 
     def sweep(self, wm: WorkingMemory, now: float) -> list[tuple[MMEntry, float]]:
         """Forget entries whose activation is below the floor.
@@ -819,7 +804,7 @@ class MiddleMemory:
         (id) order; none from no table.  ``keep`` tests a float, or each
         element of an array, and fails the NaN of a forgotten entry's slot.
         Sweeping, formation and the reference reads select through it; a
-        retrieval reads its candidates' floats itself (:meth:`retrieve`),
+        retrieval indexes its candidates' values itself (:meth:`retrieve`),
         and the broadcast its table's values (:func:`context_symbols`)."""
         if table is None:
             return []
@@ -861,26 +846,23 @@ class MiddleMemory:
         return self._where(self._table(wm, now), lambda act: act >= self.retrieval_threshold)
 
 
-def _packed_content(buf: Buffer, book: Codebook) -> HoloVector | None:
-    """The buffer's packed content, packed again only when the content changes."""
-    content = buf.content
-    key = (book, isinstance(content, Chunk), content.ctype, content.slots)
-    if buf._packed is None or buf._packed[0] != key:
-        if isinstance(content, Chunk):
-            buf._packed = (key, pack(content, book))
-        else:
-            buf._packed = (key, pack_query(content, book))
-    return buf._packed[1]
-
-
 _NO_WEIGHTS = np.empty(0)  # the weights of a context with no retrievable entry
 _NO_WEIGHTS.flags.writeable = False
 
 
-def _softmax(acts: np.ndarray) -> np.ndarray:
-    """Softmax weights; ``+inf`` activations share them equally, the limit."""
-    top = acts.max()
-    weights = (acts == top).astype(float) if top == math.inf else np.exp(acts - top)
+def _softmax(cells: np.ndarray, top: float) -> np.ndarray:
+    """Softmax weights of the activations in ``cells[1:]``, which it
+    overwrites, given their largest, ``top``; ``+inf`` activations share
+    them equally, the limit.  Each exponential goes one cell before its lag,
+    into the spare ``cells[0]`` first: with its output overlapping its input,
+    ``np.exp`` runs the C library's ``exp`` as ``math.exp`` does, on every
+    host (see :meth:`_Columns.base`)."""
+    acts = cells[1:]
+    if top == math.inf:
+        weights = (acts == top).astype(float)
+    else:
+        acts -= top
+        weights = np.exp(acts, cells[:-1])
     return weights / weights.sum()
 
 
@@ -946,12 +928,15 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
     threshold, acts, entries = mm.retrieval_threshold, table.values, mm._filed.entries
     if isinstance(acts, list):
         slots = [slot for slot, act in enumerate(acts) if act >= threshold]
-        weights = _softmax(np.array([acts[slot] for slot in slots])) if slots else _NO_WEIGHTS
+        picked = [acts[slot] for slot in slots]
+        weights = _softmax(np.array([0.0, *picked]), max(picked)) if slots else _NO_WEIGHTS
         top = _top_by_entries(symbols, [entries[slot] for slot in slots], weights, k)
     else:
         keep = acts >= threshold
         slots = keep.nonzero()[0]
-        weights = _softmax(acts[slots]) if len(slots) else _NO_WEIGHTS
+        cells = np.empty(len(slots) + 1)  # with _softmax's spare cell
+        picked = acts.take(slots, out=cells[1:])
+        weights = _softmax(cells, picked.max()) if len(slots) else _NO_WEIGHTS
         top = _top_by_codes(mm._filed, symbols, keep, weights, k)
     return Context([sym for _, sym in top], zero and not len(slots), buffers, slots,
                    entries, weights)
@@ -1019,7 +1004,7 @@ def context_vector(ctx: Context, book: Codebook) -> HoloVector:
     total = stack[0]
     total.fill(0.0)
     for buf in ctx.buffers:
-        packed = _packed_content(buf, book)
+        packed = _packed(buf, buf.content, book)
         if packed is not None:
             np.add(total, packed, out=total)
     if len(ctx.slots):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chunks import pattern_errors, remember, validate_symbol
-from .codec import HoloVector
+from .codec import HoloVector, norm
 from .errors import ChunkError
 from .trace import encode_line
 
@@ -66,6 +66,12 @@ class Prediction:
 
     def sort_key(self) -> tuple:
         return (self.produced_at_cycle, self.predictor, self.emission_index)
+
+
+def _strongest(counts: dict[str, int]) -> tuple[str, float]:
+    """The highest count's symbol, the smallest name on a tie, and its share."""
+    best, count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return best, count / sum(counts.values())
 
 
 def _count(table: dict, key, symbol: str, weight: int) -> None:
@@ -115,11 +121,8 @@ class NgramPredictor:
         for n in range(min(self.order, len(sequence)), -1, -1):
             context = tuple(sequence[len(sequence) - n:]) if n else ()
             bucket = self._counts.get(context)
-            if not bucket:
-                continue
-            total = sum(bucket.values())
-            best = min(bucket.items(), key=lambda kv: (-kv[1], kv[0]))
-            return best[0], best[1] / total
+            if bucket:
+                return _strongest(bucket)
         return None
 
     def deliver(self, symbols: list[str], cycle: int) -> list[Prediction]:
@@ -173,11 +176,7 @@ class AssociativePredictor:
         for sym in symbols:
             for partner, count in self._table.get(sym, {}).items():
                 scores[partner] = scores.get(partner, 0) + count
-        if not scores:
-            return None
-        total = sum(scores.values())
-        best = min(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        return best[0], best[1] / total
+        return _strongest(scores) if scores else None
 
     deliver = NgramPredictor.deliver
 
@@ -245,13 +244,13 @@ def decode_prediction(line: bytes, dim: int) -> dict:
         if not np.all(np.isfinite(arr)):
             raise ValueError("vector entries must be finite")
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(arr))
-        if not math.isfinite(norm):  # finite entries whose squares overflow
+            length = norm(arr)
+        if not math.isfinite(length):  # finite entries whose squares overflow
             arr = arr / np.abs(arr).max()
-            norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
+            length = norm(arr)
+        if length == 0.0:
             raise ValueError("vector must be non-zero")
-        out["vector"] = arr / norm
+        out["vector"] = arr / length
     if chunk is None and vector is None:
         raise ValueError("prediction needs a chunk or a vector")
     return out

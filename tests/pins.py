@@ -10,9 +10,8 @@ The ``differential/...`` pins are cells: a bundled demo run for 200 cycles
 in one mode at one seed with at most one knob edit (``EDITS``), two
 200-fact ``mm_scale_document`` models (``bench/workloads.py``) run for 60
 cycles with every entry forming a production, and a noisy linked-facts
-model run for 200.  A pin under ``host-dependent`` in ``pins.json`` holds
-only on hosts like the one it was taken on.  A change that moves a pin
-re-pins with ``--write`` and lists each pin and why in CHANGES.md.
+model run for 200.  A change that moves a pin re-pins with ``--write``
+and lists each pin and why in CHANGES.md.
 
     PYTHONPATH=src python tests/pins.py          # name every moved pin; exit 1 if any
     PYTHONPATH=src python tests/pins.py --write  # re-pin: rewrite pins.json
@@ -428,8 +427,7 @@ def main(argv=None) -> int:
     moved = sorted(name for name in held.keys() | current.keys()
                    if held.get(name) != current.get(name))
     for name in moved:
-        note = doc["host-dependent"].get(name)
-        print(f"{name}  (host-dependent: {note})" if note else name)
+        print(name)
     print(f"{len(moved)} of {len(held)} pins differ")
     return 1 if moved else 0
 

@@ -109,6 +109,47 @@ def test_the_tree_stepped_first_alternates_from_pair_to_pair(monkeypatch, trees)
     assert stepped[2 * warmup + 24:4 * warmup + 24] == warm[::-1]
 
 
+def test_setup_times_each_build_after_a_gc_collect(monkeypatch, trees):
+    """With ``setup`` a round's one pair is the change's build over the
+    base's, each build (parse or load, ``Session()`` and the warm-up) timed
+    just after a ``gc.collect()``, the build order alternating from round to
+    round, after one untimed build of each imported copy; nothing steps
+    after the warm-up, whose trace the digests read."""
+    clock, stepped = plant(monkeypatch, trees, lambda tree, _: 21 if tree == "change" else 20)
+    events, build = [], ab.build
+
+    class Recording(Clock):
+        def __call__(self):
+            events.append("clock")
+            return clock.now
+
+    def recorded_build(package, workload, seed):
+        events.append(package.__name__)
+        return build(package, workload, seed)
+
+    monkeypatch.setattr(ab.gc, "collect", lambda: events.append("collect"))
+    monkeypatch.setattr(ab, "build", recorded_build)
+    report = ab.compare(trees, "bottleneck-pipeline", 3, rounds=4, setup=True,
+                        clock=Recording())
+    assert report.ratios == [1.05] * 4
+    untimed = ["ab_base_0", "ab_base_1", "ab_change_0", "ab_change_1"]
+    order = ["ab_base_0", "ab_change_0", "ab_change_1", "ab_base_1"] * 2
+    assert events == untimed + [event for package in order
+                                for event in ("collect", "clock", package, "clock")]
+    warmup = ab.workloads.WORKLOADS["bottleneck-pipeline"].warmup
+    assert len(stepped) == 12 * warmup
+    package = trees["base"][0]
+    warmed = build(package, ab.workloads.WORKLOADS["bottleneck-pipeline"], 3)
+    assert report.digests == {tree: ab.digest(package, warmed) for tree in ab.TREES}
+    assert report.lines()[0].endswith("4 rounds, 4 pairs of set-ups")
+
+
+def test_an_a_a_setup_run_exits_zero(capsys):
+    args = ["--workload", "bottleneck-pipeline", "--setup", "--rounds", "2"]
+    assert ab.main(["--base", str(ROOT), "--change", str(ROOT), *args]) == 0
+    assert "2 pairs of set-ups" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("workload", sorted(ab.workloads.WORKLOADS))
 def test_an_a_a_run_gives_equal_digests(trees, workload):
     report = ab.compare(trees, workload, 3, rounds=2, block=10, cycles=20)

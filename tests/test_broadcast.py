@@ -34,8 +34,8 @@ from pins import linked_facts_doc
 
 
 def _reference_softmax(ranked):
-    acts = np.array([act for _, act in ranked])
-    weights = np.exp(acts - acts.max())
+    top = max(act for _, act in ranked)
+    weights = np.array([math.exp(act - top) for _, act in ranked])
     return weights / weights.sum()
 
 
@@ -254,6 +254,50 @@ def test_an_infinite_activation_scores_as_the_per_entry_loop(monkeypatch):
     for ctx in (by_columns, by_entries):
         assert np.isfinite(ctx.weights).all()
         assert ctx.weights[0] == 1.0 and not ctx.weights[1:].any()
+
+
+@pytest.mark.parametrize("size", [memory.COLUMN_MIN_ENTRIES - 8, 6 * memory.COLUMN_MIN_ENTRIES])
+def test_the_softmax_has_the_bits_of_math_exp(size):
+    """The broadcast's weights are the softmax of the retrievable
+    activations through ``math.exp``, bit for bit, in a per-entry table and
+    in a column table.
+
+    numpy's vector loop for ``exp`` (numpy 2.4.6 has one on x86 with
+    AVX-512) differs from ``math.exp`` in the last bit at many of these
+    lags; where numpy has none, the check holds with nothing probed."""
+    rng = np.random.default_rng(44)
+    factory = ChunkFactory()
+    wm = WorkingMemory()
+    wm.add_buffer("goal", "central")
+    mm = MiddleMemory(retrieval_threshold=-50.0, forget_threshold=-60.0)
+    for i in range(size):
+        history = np.sort(rng.uniform(-10.0, 0.0, int(rng.integers(1, 5))))
+        mm.seed_entry("t", chunk=factory.make("fact", [("n", f"n{i}")]),
+                      presentations=history.tolist())
+    acts = [act for _, act in mm.retrievable(wm, 1.0)]
+    assert len(acts) == size
+    exact = [math.exp(act - max(acts)) for act in acts]
+    weights = context_symbols(wm, mm, 1.0).weights
+    assert weights.tobytes() == (np.array(exact) / np.array(exact).sum()).tobytes()
+
+
+def test_an_entry_vector_follows_the_codebook():
+    """A context packed under one codebook and then another gives, under
+    each, the vector of a fresh pack under that codebook: neither a buffer
+    nor an entry keeps the first codebook's pack for the second."""
+    factory = ChunkFactory()
+    wm = WorkingMemory()
+    wm.add_buffer("goal", "central")
+    goal = factory.make("goal", [("want", "x")])
+    wm.write("central", "goal", goal)
+    mm = MiddleMemory()
+    fact = factory.make("fact", [("n", "y")])
+    mm.seed_entry("t", chunk=fact, presentations=[-1.0])
+    ctx = context_symbols(wm, mm, 1.0)
+    assert ctx.weights.tolist() == [1.0]
+    for book in (Codebook(dimension=64, seed=1), Codebook(dimension=64, seed=2)):
+        expected = normalized(pack(goal, book) + pack(fact, book))
+        assert context_vector(ctx, book).tobytes() == expected.tobytes()
 
 
 def test_buffer_only_symbols_get_no_column_codes():

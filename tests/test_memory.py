@@ -798,12 +798,12 @@ class TestActivationTable:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_a_read_over_given_slots_filters_the_all_slot_read(self, data):
-        """Over random slots in a drawn order, the list copy of a table that
-        a retrieval reads its candidates from gives the all-slot read's
-        pairs for those slots, in that order, each value a Python float
-        with the same bits: on memories on each side of
-        ``COLUMN_MIN_ENTRIES``, with noise on or off, and on the table that
-        forgetting rebuilds after a retrieval from the table before it."""
+        """Over random slots in a drawn order, a table's values, which a
+        retrieval indexes at its candidates' slots, give the all-slot read's
+        pairs for those slots, in that order, each value with the same bits:
+        on memories on each side of ``COLUMN_MIN_ENTRIES``, with noise on or
+        off, and on the table that forgetting rebuilds after a read of the
+        table before it."""
         factory = ChunkFactory()
         cut = memory.COLUMN_MIN_ENTRIES
         size = data.draw(st.one_of(st.integers(1, cut - 1), st.integers(cut, cut + 24)))
@@ -831,19 +831,18 @@ class TestActivationTable:
                        for entry, act in mm._where(table, keep)}
             slots = data.draw(st.lists(st.sampled_from(range(len(mm._cols.entries))),
                                        unique=True))
-            mm.retrieve(wm, now, None, ("t",))  # fills the table's list copy
-            got = [] if table is None else [(mm._cols.entries[slot], table.listed[slot])
-                                            for slot in slots if keep(table.listed[slot])]
+            got = [] if table is None else [(mm._cols.entries[slot], table.values[slot])
+                                            for slot in slots if keep(table.values[slot])]
             expected = [by_slot[slot] for slot in slots if slot in by_slot]
             assert len(got) == len(expected)
             for (entry, act), (want_entry, want) in zip(got, expected):
                 assert entry is want_entry
-                assert type(act) is float and act.hex() == want.hex()
+                assert act.hex() == want.hex()
 
         for _ in range(data.draw(st.integers(1, 3))):
             wm.write("central", "goal", data.draw(st.sampled_from([
                 None, factory.make("cue", [("v", data.draw(SYMBOLS))])])))
-            check()  # fills the table's list copy
+            check()
             mm.sweep(wm, now)
             check()
 

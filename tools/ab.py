@@ -1,13 +1,20 @@
 """Paired A/B timing of two source trees, in one process, on one benchmark workload.
 
     python tools/ab.py --base DIR --change DIR --workload wordloop-long --seed 3
+    python tools/ab.py --base DIR --change DIR --workload mm-scale --setup --rounds 40
 
 Each tree's ``src/mmarch`` is imported under its own package name (the
 sources import one another only relatively), so both trees run in one
 process on the same host at the same moment.  A round builds one session per
 tree, runs the workload's warm-up, then steps the two sessions through the
 timed cycles in alternating blocks of ``--block`` cycles.  Each block of the
-change, over the same cycles' block of the base, is one pair's ratio.
+change, over the same cycles' block of the base, is one pair's ratio.  With
+``--setup`` a round times the build instead (parse or load, ``Session()``
+and the warm-up), and its one pair's ratio is the change's build time over
+the base's; nothing is stepped after the warm-up.  A ``gc.collect()`` runs
+before every build, so that neither tree pays for the other's garbage, and
+each imported copy builds once untimed before the first round, so that no
+round pays for the process's first build (lazy imports, cold caches).
 
 Position is balanced: within a round the tree that steps first alternates
 from pair to pair, and from round to round which tree is built first
@@ -19,7 +26,8 @@ each position equally often.
 
 The report gives the median ratio with a bootstrap 95% interval (resampled
 from a fixed seed), the number of pairs in which the change was slower, and
-each tree's trace digest (SHA-256 of its canonical trace bytes).  The
+each tree's trace digest (SHA-256 of its canonical trace bytes; with
+``--setup``, of the trace as the warm-up leaves it).  The
 process exits 1 if the two trees' traces differ.  Workloads are those of
 ``bench/workloads.py`` in this checkout; ``bench/run.py`` remains the
 benchmark, and no number here gates anything.
@@ -28,6 +36,7 @@ benchmark, and no number here gates anything.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -115,6 +124,7 @@ class Report:
     block: int
     ratios: list[float]  # change seconds / base seconds, one per pair
     digests: dict[str, str]  # tree -> trace digest, the same in every round
+    setup: bool = False  # the pairs time builds, not blocks of cycles
 
     @property
     def equal(self) -> bool:
@@ -123,9 +133,10 @@ class Report:
     def lines(self) -> list[str]:
         low, high = bootstrap_median(self.ratios)
         slower = sum(ratio > 1.0 for ratio in self.ratios)
+        timed = "set-ups" if self.setup else f"up to {self.block} cycles"
         return [
             f"{self.workload} seed {self.seed}: {self.rounds} rounds, {len(self.ratios)} pairs "
-            f"of up to {self.block} cycles",
+            f"of {timed}",
             f"change/base median {statistics.median(self.ratios):.3f}, 95% interval "
             f"[{low:.3f}, {high:.3f}], change slower in {slower} of {len(self.ratios)} pairs",
             f"base digest   {self.digests['base']}",
@@ -135,22 +146,34 @@ class Report:
 
 
 def compare(trees: dict[str, list], workload_name: str, seed: int, *, rounds: int = 4,
-            block: int | None = None, cycles: int | None = None,
+            block: int | None = None, cycles: int | None = None, setup: bool = False,
             clock=time.perf_counter) -> Report:
-    """Time ``trees`` (from :func:`load_trees`) against each other.
+    """Time ``trees`` (from :func:`load_trees`) against each other: blocks
+    of cycles, or with ``setup`` each round's builds.
 
     ``cycles`` shortens a round's timed part (its trace is then not the
     workload's); ``block`` defaults to a thirtieth of the timed cycles.
     """
     workload = workloads.WORKLOADS[workload_name]
-    cycles = workload.cycles if cycles is None else cycles
+    cycles = 0 if setup else workload.cycles if cycles is None else cycles
     block = block or max(1, cycles // 30)
     ratios: list[float] = []
     digests: dict[str, set[str]] = {tree: set() for tree in TREES}
+    if setup:  # untimed: a process's first build costs more than any later one
+        for copies in trees.values():
+            for package in copies:
+                build(package, workload, seed)
     for round_ in range(rounds):
         copy = round_ % 2
         built_first = TREES if round_ % 2 == 0 else TREES[::-1]
-        sessions = {tree: build(trees[tree][copy], workload, seed) for tree in built_first}
+        sessions, built = {}, {}
+        for tree in built_first:
+            gc.collect()
+            began = clock()
+            sessions[tree] = build(trees[tree][copy], workload, seed)
+            built[tree] = clock() - began
+        if setup:
+            ratios.append(built["change"] / built["base"])
         for start in range(0, cycles, block):
             steps = min(block, cycles - start)
             first = TREES if len(ratios) % 2 == 0 else TREES[::-1]
@@ -168,7 +191,7 @@ def compare(trees: dict[str, list], workload_name: str, seed: int, *, rounds: in
         if len(seen) != 1:
             raise RuntimeError(f"the {tree} tree's trace differs between rounds")
     return Report(workload_name, seed, rounds, block, ratios,
-                  {tree: seen.pop() for tree, seen in digests.items()})
+                  {tree: seen.pop() for tree, seen in digests.items()}, setup)
 
 
 def main(argv=None) -> int:
@@ -184,12 +207,16 @@ def main(argv=None) -> int:
                         help="cycles per block (default: a thirtieth of the timed cycles)")
     parser.add_argument("--cycles", type=int, default=None,
                         help="timed cycles per round (default: the workload's)")
+    parser.add_argument("--setup", action="store_true",
+                        help="time each round's builds (parse, Session() and warm-up) "
+                             "instead of its cycles")
     args = parser.parse_args(argv)
     if args.rounds < 1 or (args.block is not None and args.block < 1) or (
             args.cycles is not None and args.cycles < 1):
         parser.error("--rounds, --block and --cycles must be positive")
     report = compare(load_trees(args.base, args.change), args.workload, args.seed,
-                     rounds=args.rounds, block=args.block, cycles=args.cycles)
+                     rounds=args.rounds, block=args.block, cycles=args.cycles,
+                     setup=args.setup)
     print("\n".join(report.lines()))
     return 0 if report.equal else 1
 
