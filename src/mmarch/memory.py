@@ -224,7 +224,15 @@ class _Columns:
     ``reach`` maps each symbol to the slots whose reach set holds it, as
     ``posted`` records it by slot.  ``codes`` holds the slot values of every
     chunk as symbol codes, in slot order, with the owning slot of each in
-    ``owners``.
+    ``owners``.  The carriers posting reads those pairs by code
+    (:meth:`carriers`): the first broadcast that needs it orders the owners
+    filed so far by code (:meth:`index`), into ``carried`` with each code's
+    start in ``starts``, and from then on :meth:`_file` keeps each new
+    slot's codes in ``later``.  ``most`` is then the most slots one code
+    has, a slot counted once for each of its values equal to the symbol,
+    and ``repeat`` at least the most times one chunk holds one value (its
+    slot count, once a chunk holds a symbol twice); the two bound the score
+    of a symbol that no buffer holds (:func:`_top_by_codes`).
 
     Every entry is filed by :meth:`_file`: its slot, postings, own set,
     codes and presentation row.  The constructor files each entry so and
@@ -259,6 +267,11 @@ class _Columns:
         self.names: list[str] = []  # code -> symbol
         self.codes = array("q")  # 64-bit, so numpy reads them as indices with no cast
         self.owners = array("q")
+        self.carried: list[int] | None = None  # the owners ordered by code, once indexed
+        self.starts: list[int] = []  # code -> where its owners start in ``carried``
+        self.later: defaultdict[int, list[int]] = defaultdict(list)  # code -> owners filed since
+        self.most = 1  # once indexed, the most slots one code has
+        self.repeat = 1  # at least the most times one chunk holds one value
         self.cap = HISTORY_CAP
         self.times = array("d")
         self.padding = array("d", (-math.inf,)) * self.cap  # a row's cells after its history
@@ -295,7 +308,14 @@ class _Columns:
                     self.names.append(value)
                 self.codes.append(code)
                 self.owners.append(slot)
-            self.own.append(frozenset(symbols))
+            if self.carried is not None:  # indexed: this slot's codes go to ``later``
+                for code in self.codes[len(self.codes) - len(chunk.slots):]:
+                    self.later[code].append(slot)
+                    self.most = max(self.most, len(self.carriers(code)))
+            own = frozenset(symbols)
+            if len(own) < len(symbols):  # a value held twice, or the type held as a value
+                self.repeat = max(self.repeat, len(chunk.slots))
+            self.own.append(own)
         self.posted.append(frozenset())
         postings = self.postings
         for key in keys:
@@ -309,6 +329,25 @@ class _Columns:
             self.times += self.blank
             self.long.add(slot)
         return slot
+
+    def index(self) -> None:
+        """Index the owners of every code filed so far by code, in slot
+        order, and set ``most``; from then on :meth:`_file` adds each new
+        slot's codes to ``later``."""
+        codes = np.frombuffer(self.codes, np.int64)
+        counts = np.bincount(codes, minlength=len(self.names))
+        order = np.argsort(codes, kind="stable")  # stable: slot order within a code
+        self.carried = np.frombuffer(self.owners, np.int64)[order].tolist()
+        self.starts = [0, *np.cumsum(counts).tolist()]
+        self.most = max(1, int(counts.max(initial=0)))
+
+    def carriers(self, code: int) -> list[int]:
+        """The slots whose chunks hold the symbol ``code``, in slot order, a
+        slot once for each of its chunk's slots that holds it; the columns
+        are indexed (:meth:`index`)."""
+        starts = self.starts
+        held = self.carried[starts[code]:starts[code + 1]] if code + 1 < len(starts) else []
+        return held + self.later[code] if code in self.later else held
 
     def add(self, entry: MMEntry) -> None:
         """File ``entry`` at a new slot and post its reach set."""
@@ -894,10 +933,12 @@ def context_symbols(wm: WorkingMemory, mm: MiddleMemory, now: float,
     a symbol accumulates the weight of every contributor that carries it,
     and ties break by name.  The context is zero when no buffer content
     packs to a vector and no entry is retrievable; nothing is packed here.
-    A column table scores every symbol with one ``np.bincount`` over symbol
-    codes (:func:`_top_by_codes`), a smaller table entry by entry; both
-    give the same scores, bit for bit.  The context keeps the retrievable
-    entries' slots; only :func:`context_vector` looks their entries up.
+    A column table ranks the buffers' symbols alone when a bound shows that
+    no other symbol can reach the top ``k``, and otherwise scores every
+    symbol with one ``np.bincount`` over symbol codes (:func:`_top_by_codes`);
+    a smaller table scores entry by entry.  All give the same scores, bit
+    for bit.  The context keeps the retrievable entries' slots; only
+    :func:`context_vector` looks their entries up.
 
     With no live entry there is no table, and the top-``k`` depends only on
     ``k`` and the buffers' symbols in order: the memory answers each such
@@ -957,7 +998,70 @@ def _top_by_entries(symbols: list[str], retrieved: list[MMEntry], weights: np.nd
 
 def _top_by_codes(cols: _Columns, symbols: list[str], keep: np.ndarray,
                   weights: np.ndarray, k: int) -> list[tuple[float, str]]:
-    """:func:`_top_by_entries` from the symbol codes of the slots in ``keep``.
+    """:func:`_top_by_entries` from the columns, for the slots in ``keep``
+    with their ``weights``: by the buffer symbols alone when a bound shows
+    that no other symbol reaches the top ``k`` (:func:`_top_of_buffers`),
+    otherwise by scoring every symbol (:func:`_top_by_bincount`).  Both
+    give the same list, bit for bit.
+
+    The bound.  A symbol held in the buffers scores at least 1.0: its fold
+    starts from its buffer count and adds only weights, none negative.  A
+    symbol that no buffer holds scores the weight of each kept slot once
+    for each of the slot's chunk values equal to it: at most M =
+    ``cols.most`` slots, each at most D = ``cols.repeat`` times, so at most
+    D times the sum of the M largest weights, itself at most D·M times the
+    largest.  Rounding raises the computed fold of at most M terms, and
+    lowers each computed bound, by a relative (M + 1)·2**-53 at most, which
+    together the margin ``1 + 2**-30`` covers while M is below 2**20.  So when
+    the bound times the margin is below 1.0, every buffer symbol outranks
+    every other, and when the buffers hold at least ``k`` distinct
+    symbols the top ``k`` are buffer symbols.
+    """
+    by_slot = np.zeros(len(keep))
+    by_slot[keep] = weights
+    top = _top_of_buffers(cols, symbols, by_slot, weights, k)
+    return _top_by_bincount(cols, symbols, keep, by_slot, k) if top is None else top
+
+
+def _top_of_buffers(cols: _Columns, symbols: list[str], by_slot: np.ndarray,
+                    weights: np.ndarray, k: int) -> list[tuple[float, str]] | None:
+    """The ``k`` least ``(-score, symbol)`` of the buffer symbols, or None
+    when fewer than ``k`` are distinct or the bound of :func:`_top_by_codes`
+    fails.  Each score is the left fold :func:`_top_by_bincount` makes: the
+    symbol's buffer count, then the weight of each of its carriers in slot
+    order (0.0 at a slot not kept, which leaves the sum as it is)."""
+    counts: dict[str, int] = {}
+    for sym in symbols:
+        counts[sym] = counts.get(sym, 0) + 1
+    if len(counts) < k:
+        return None
+    if cols.carried is None:
+        cols.index()
+    if len(weights):
+        most, margin = cols.most, cols.repeat * (1 + 2 ** -30)
+        # every weight, about 1.0 in all, or more terms than the margin covers
+        if most >= min(len(weights), 1 << 20):
+            return None
+        if not most * float(weights.max()) * margin < 1.0:  # NaN fails too
+            heaviest = np.partition(weights, len(weights) - most)[len(weights) - most:]
+            if not float(heaviest.sum()) * margin < 1.0:
+                return None
+    weight, known = by_slot.item, cols.symbols  # by_slot.item gives a Python float
+    scored = []
+    for sym, count in counts.items():
+        score = float(count)
+        code = known.get(sym)
+        if code is not None:
+            for slot in cols.carriers(code):
+                score += weight(slot)
+        scored.append((-score, sym))
+    return heapq.nsmallest(k, scored)
+
+
+def _top_by_bincount(cols: _Columns, symbols: list[str], keep: np.ndarray,
+                     by_slot: np.ndarray, k: int) -> list[tuple[float, str]]:
+    """Every symbol scored by one ``np.bincount`` over symbol codes, and the
+    ``k`` least ``(-score, symbol)``.
 
     ``np.bincount`` sums each bin in input order, so with the buffers'
     codes first (one no entry holds is coded for this call only) and then
@@ -967,8 +1071,6 @@ def _top_by_codes(cols: _Columns, symbols: list[str], keep: np.ndarray,
     """
     owners = np.frombuffer(cols.owners, np.int64)
     picked = keep[owners]
-    by_slot = np.zeros(len(keep))
-    by_slot[keep] = weights
     known, unseen = cols.symbols, {}
     buffered = [known[sym] if sym in known
                 else unseen.setdefault(sym, len(cols.names) + len(unseen)) for sym in symbols]

@@ -157,12 +157,42 @@ def test_an_a_a_run_gives_equal_digests(trees, workload):
     assert len(report.ratios) == 4
 
 
-def test_unequal_traces_exit_non_zero(tmp_path, capsys):
-    """A change tree whose bundled demo names its goal state otherwise."""
+def _renamed_goal_tree(tmp_path):
+    """A copy of this checkout's ``src`` whose bundled bottleneck demo names
+    its goal state otherwise."""
     shutil.copytree(ROOT / "src", tmp_path / "src")
     demo = tmp_path / "src" / "mmarch" / "demos" / "bottleneck.json"
     demo.write_text(demo.read_text().replace('"watch"', '"wait"'))
+    return tmp_path
+
+
+def test_unequal_traces_exit_non_zero(tmp_path, capsys):
+    changed = _renamed_goal_tree(tmp_path)
     args = ["--workload", "bottleneck-pipeline", "--rounds", "2", "--cycles", "4"]
-    assert ab.main(["--base", str(ROOT), "--change", str(tmp_path), *args]) == 1
+    assert ab.main(["--base", str(ROOT), "--change", str(changed), *args]) == 1
     assert capsys.readouterr().out.rstrip().endswith("TRACES DIFFER")
     assert ab.main(["--base", str(ROOT), "--change", str(ROOT), *args]) == 0
+
+
+PIN_RUN = ["--workload", "bottleneck-pipeline", "--seed", "0", "--rounds", "2"]
+
+
+def test_a_full_run_at_the_reference_seed_checks_the_pin(capsys):
+    """The workload's full cycles at seed 0: both digests are the pin."""
+    assert ab.main(["--base", str(ROOT), "--change", str(ROOT), *PIN_RUN]) == 0
+    out = capsys.readouterr().out
+    assert out.count(ab.workloads.PINNED["bottleneck-pipeline"]) == 2
+    assert "PIN DIFFERS" not in out
+
+
+def test_a_digest_off_the_pin_exits_non_zero(tmp_path, capsys):
+    """Only the tree whose trace moved is marked; a shortened run carries
+    no pin, so it marks nothing."""
+    changed = _renamed_goal_tree(tmp_path)
+    assert ab.main(["--base", str(ROOT), "--change", str(changed), *PIN_RUN]) == 1
+    base, change = capsys.readouterr().out.splitlines()[2:]
+    assert not base.endswith("PIN DIFFERS")
+    assert change.endswith("TRACES DIFFER  PIN DIFFERS")
+    report = ab.compare(ab.load_trees(ROOT, changed), "bottleneck-pipeline", 0,
+                        rounds=2, cycles=4)
+    assert report.pinned is None and "PIN DIFFERS" not in "".join(report.lines())

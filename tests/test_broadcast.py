@@ -7,6 +7,7 @@ same ``zero_context`` flag and, when a vector is built, the same bytes.
 """
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -30,7 +31,7 @@ from mmarch.model import load_model, parse_model
 from mmarch.predictors import ExternalPredictor
 from mmarch.runtime import CONTEXT_SYMBOL_COUNT, Session, run_session
 
-from pins import linked_facts_doc
+from pins import linked_facts_doc, mm_scale_document
 
 
 def _reference_softmax(ranked):
@@ -324,6 +325,107 @@ def test_buffer_only_symbols_get_no_column_codes():
         assert ctx.symbols == [sym for _, sym in expected]
         assert ctx.symbols[0] == f"q{i}"  # held twice, it scores 2.0
     assert len(codes) == 1
+
+
+def _column_table(rng):
+    """Columns of generated facts with a kept mask, softmax weights, buffer
+    symbols and ``k``, as :func:`context_symbols` passes them to
+    :func:`memory._top_by_codes`; and whether heavy entries carry the value
+    ``a0``, which no buffer holds, to a score of 1.0 or more: four entries
+    of infinite activation (weight 0.25 each), or one entry of weight 2/3
+    or more that holds ``a0`` in two slots.
+
+    Some entries are filed after the carriers are indexed, some are
+    forgotten, some are vector-only or below the threshold, some chunks
+    hold a value in two slots, and some buffer symbols no entry holds."""
+    factory, pool = ChunkFactory(), ["a0", "s1", "s2", "s3", "s4", "s5"]
+    heavy = rng.choice([None, None, None, "shared", "doubled"])
+    share, spread = rng.choice([0.05, 0.2, 0.6]), rng.choice([0.5, 6.0])
+
+    def fact(*values):
+        return factory.make("fact", [(f"n{j}", value) for j, value in enumerate(values)])
+
+    def entry(i):
+        if rng.random() < 0.1:
+            return MMEntry(i, "t", vector=np.full(4, float(i)))
+        values = [rng.choice(pool) if rng.random() < share else f"u{i}x{j}"
+                  for j in range(rng.randint(1, 3))]
+        if rng.random() < 0.05:
+            values.append(values[0])  # one value in two slots
+        return MMEntry(i, "t", chunk=fact(*values))
+
+    light = [entry(i) for i in range(1, rng.randint(2, 80))]
+    heavies = {None: [], "shared": [fact("a0", f"h{j}") for j in range(4)],
+               "doubled": [fact("a0", "a0")]}[heavy]
+    entries = light + [MMEntry(len(light) + 1 + j, "t", chunk=chunk)
+                       for j, chunk in enumerate(heavies)]
+    filed = rng.randint(1, len(entries))
+    cols = memory._Columns(entries[:filed])
+    if rng.random() < 0.5:
+        cols.index()  # the rest are filed after the first broadcast
+    for entry_ in entries[filed:]:
+        cols.add(entry_)
+    for entry_ in rng.sample(light, min(len(light) - 1, rng.randint(0, 3))):
+        cols.remove(entry_)  # forgotten, leaving one light entry at least
+    acts = np.array([math.nan if entry_ is None
+                     else rng.choice([-3.0, rng.uniform(0.0, spread), rng.uniform(0.0, spread)])
+                     for entry_ in cols.entries[:len(light)]] + [math.inf] * len(heavies))
+    if heavy == "doubled":  # twice the weight of all the others together
+        acts[-1] = np.nanmax(acts[:-1], initial=0.0) + math.log(2 * len(light))
+    keep = acts >= 0.0
+    slots = keep.nonzero()[0]
+    cells = np.empty(len(slots) + 1)
+    picked = acts.take(slots, out=cells[1:])
+    weights = memory._softmax(cells, picked.max()) if len(slots) else np.empty(0)
+    symbols = [rng.choice(pool[1:] + [f"b{j}" for j in range(4)])
+               for _ in range(rng.randint(0, 12))]
+    return cols, symbols, keep, weights, rng.randint(1, 8), heavy is not None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_the_buffer_path_ranks_as_the_bincount(seed):
+    """On generated column tables, :func:`memory._top_of_buffers` declines
+    or gives the list :func:`memory._top_by_bincount` gives, each score bit
+    for bit, and both give what :func:`memory._top_by_entries` gives.  It
+    declines when the buffers hold fewer than ``k`` distinct symbols and
+    when heavy entries carry a symbol to 1.0 or more; with no entry kept it
+    answers whenever the buffers hold ``k``."""
+    cols, symbols, keep, weights, k, heavy = _column_table(random.Random(seed))
+    by_slot = np.zeros(len(keep))
+    by_slot[keep] = weights
+    full = memory._top_by_bincount(cols, symbols, keep, by_slot, k)
+    kept = [cols.entries[slot] for slot in keep.nonzero()[0]]
+    assert full == memory._top_by_entries(symbols, kept, weights, k)
+    fast = memory._top_of_buffers(cols, symbols, by_slot, weights, k)
+    assert memory._top_by_codes(cols, symbols, keep, weights, k) == full
+    distinct = len(set(symbols))
+    if distinct < k or heavy:
+        assert fast is None
+    elif not keep.any():
+        assert fast == full
+    if fast is not None:
+        assert fast == full
+
+
+def test_the_buffer_path_answers_most_mm_scale_broadcasts(monkeypatch):
+    """In a 200-fact ``mm_scale_document`` run every broadcast reads a
+    column table, and the buffer symbols alone answer at least nine in ten."""
+    answered = []
+    top_of_buffers = memory._top_of_buffers
+
+    def counted(*args):
+        top = top_of_buffers(*args)
+        answered.append(top is not None)
+        return top
+
+    monkeypatch.setattr(memory, "_top_of_buffers", counted)
+    session = Session(parse_model(mm_scale_document(3, 200)), mode="mm", seed=3)
+    for _ in range(60):
+        session.step()
+    session.finish()
+    assert len(answered) == 60
+    assert sum(answered) >= 0.9 * len(answered)
 
 
 def _count_packs(monkeypatch):

@@ -1181,8 +1181,13 @@ def assert_in_step(got: memory._Columns, mm: MiddleMemory) -> None:
     presentation row that columns built in one pass from the live entries
     hold, with slots mapped to ids.  A reach posting is compared as a set:
     a repost appends in set-difference order, and nothing reads that
-    order.  An empty slot's row is NaN."""
+    order.  An empty slot's row is NaN.  The carriers are indexed at the
+    first call, so later ones check those filed since, and ``most`` and
+    ``repeat`` bound what the live entries' chunks hold."""
+    if got.carried is None:
+        got.index()
     want = memory._Columns(mm.entries.values())
+    want.index()
     live = [(slot, entry) for slot, entry in enumerate(got.entries) if entry is not None]
     assert [entry for _, entry in live] == want.entries
     assert got.slot_of == {entry.id: slot for slot, entry in live}
@@ -1197,6 +1202,15 @@ def assert_in_step(got: memory._Columns, mm: MiddleMemory) -> None:
     assert all(len(set(slots)) == len(slots) for slots in got.reach.values())
     assert [got.names[code] for code, slot in zip(got.codes, got.owners)
             if got.entries[slot] is not None] == [want.names[code] for code in want.codes]
+    assert {got.names[code]: ids for code in range(len(got.names))
+            if (ids := [got.entries[slot].id for slot in got.carriers(code)
+                        if got.entries[slot] is not None])} == {
+        want.names[code]: [want.entries[slot].id for slot in want.carriers(code)]
+        for code in range(len(want.names)) if want.carriers(code)}
+    assert got.most >= max(map(len, map(got.carriers, range(len(got.names)))), default=0)
+    assert got.repeat >= want.repeat >= max(
+        (entry.chunk.values().count(value) for entry in mm.entries.values()
+         if entry.chunk is not None for value in entry.chunk.values()), default=1)
     rows = np.array(got.times).reshape(-1, got.cap)  # a copy: the block must stay growable
     want_rows = np.array(want.times).reshape(-1, want.cap)
     assert len(rows) == len(got.entries) and got.width >= want.width

@@ -2,6 +2,7 @@
 
     python tools/ab.py --base DIR --change DIR --workload wordloop-long --seed 3
     python tools/ab.py --base DIR --change DIR --workload mm-scale --setup --rounds 40
+    python tools/ab.py --base DIR --change DIR --workload mm-scale --seed 0 --rounds 2
 
 Each tree's ``src/mmarch`` is imported under its own package name (the
 sources import one another only relatively), so both trees run in one
@@ -28,8 +29,12 @@ The report gives the median ratio with a bootstrap 95% interval (resampled
 from a fixed seed), the number of pairs in which the change was slower, and
 each tree's trace digest (SHA-256 of its canonical trace bytes; with
 ``--setup``, of the trace as the warm-up leaves it).  The
-process exits 1 if the two trees' traces differ.  Workloads are those of
-``bench/workloads.py`` in this checkout; ``bench/run.py`` remains the
+process exits 1 if the two trees' traces differ.  A run of the workload's
+full cycles at the reference seed (``--seed 0``, with neither ``--cycles``
+nor ``--setup``) also checks each digest against the workload's pin,
+``PINNED`` in ``bench/workloads.py``: a tree whose digest differs has its
+line marked ``PIN DIFFERS``, and the process exits 1.  Workloads are those
+of ``bench/workloads.py`` in this checkout; ``bench/run.py`` remains the
 benchmark, and no number here gates anything.
 """
 
@@ -125,10 +130,19 @@ class Report:
     ratios: list[float]  # change seconds / base seconds, one per pair
     digests: dict[str, str]  # tree -> trace digest, the same in every round
     setup: bool = False  # the pairs time builds, not blocks of cycles
+    pinned: str | None = None  # the digest both trees must have, when one is pinned
 
     @property
     def equal(self) -> bool:
         return self.digests["base"] == self.digests["change"]
+
+    def differs(self, tree: str) -> bool:
+        """Whether ``tree``'s digest is not the pinned one."""
+        return self.pinned is not None and self.digests[tree] != self.pinned
+
+    @property
+    def passed(self) -> bool:
+        return self.equal and not any(map(self.differs, TREES))
 
     def lines(self) -> list[str]:
         low, high = bootstrap_median(self.ratios)
@@ -139,9 +153,11 @@ class Report:
             f"of {timed}",
             f"change/base median {statistics.median(self.ratios):.3f}, 95% interval "
             f"[{low:.3f}, {high:.3f}], change slower in {slower} of {len(self.ratios)} pairs",
-            f"base digest   {self.digests['base']}",
+            f"base digest   {self.digests['base']}"
+            + ("  PIN DIFFERS" if self.differs("base") else ""),
             f"change digest {self.digests['change']}"
-            + ("" if self.equal else "  TRACES DIFFER"),
+            + ("" if self.equal else "  TRACES DIFFER")
+            + ("  PIN DIFFERS" if self.differs("change") else ""),
         ]
 
 
@@ -153,8 +169,11 @@ def compare(trees: dict[str, list], workload_name: str, seed: int, *, rounds: in
 
     ``cycles`` shortens a round's timed part (its trace is then not the
     workload's); ``block`` defaults to a thirtieth of the timed cycles.
+    The workload's full cycles at the reference seed carry its pin.
     """
     workload = workloads.WORKLOADS[workload_name]
+    pinned = (workloads.PINNED[workload_name]
+              if seed == workloads.REFERENCE_SEED and cycles is None and not setup else None)
     cycles = 0 if setup else workload.cycles if cycles is None else cycles
     block = block or max(1, cycles // 30)
     ratios: list[float] = []
@@ -191,7 +210,7 @@ def compare(trees: dict[str, list], workload_name: str, seed: int, *, rounds: in
         if len(seen) != 1:
             raise RuntimeError(f"the {tree} tree's trace differs between rounds")
     return Report(workload_name, seed, rounds, block, ratios,
-                  {tree: seen.pop() for tree, seen in digests.items()}, setup)
+                  {tree: seen.pop() for tree, seen in digests.items()}, setup, pinned)
 
 
 def main(argv=None) -> int:
@@ -218,7 +237,7 @@ def main(argv=None) -> int:
                      rounds=args.rounds, block=args.block, cycles=args.cycles,
                      setup=args.setup)
     print("\n".join(report.lines()))
-    return 0 if report.equal else 1
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":
