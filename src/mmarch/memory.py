@@ -224,15 +224,13 @@ class _Columns:
     ``reach`` maps each symbol to the slots whose reach set holds it, as
     ``posted`` records it by slot.  ``codes`` holds the slot values of every
     chunk as symbol codes, in slot order, with the owning slot of each in
-    ``owners``.  The carriers posting reads those pairs by code
-    (:meth:`carriers`): the first broadcast that needs it orders the owners
-    filed so far by code (:meth:`index`), into ``carried`` with each code's
-    start in ``starts``, and from then on :meth:`_file` keeps each new
-    slot's codes in ``later``.  ``most`` is then the most slots one code
-    has, a slot counted once for each of its values equal to the symbol,
-    and ``repeat`` at least the most times one chunk holds one value (its
-    slot count, once a chunk holds a symbol twice); the two bound the score
-    of a symbol that no buffer holds (:func:`_top_by_codes`).
+    ``owners``.  ``carriers`` is the same pairs posted by code: each code's
+    slots in slot order, a slot once for each of its chunk's values equal
+    to the symbol, forgotten slots included, as ``codes`` keeps them.
+    ``most`` is the longest of those lists (at least 1), and ``repeat`` at
+    least the most times one chunk holds one value (its slot count, once a
+    chunk holds a symbol twice); the two bound the score of a symbol that
+    no buffer holds (:func:`_top_by_codes`).
 
     Every entry is filed by :meth:`_file`: its slot, postings, own set,
     codes and presentation row.  The constructor files each entry so and
@@ -267,10 +265,8 @@ class _Columns:
         self.names: list[str] = []  # code -> symbol
         self.codes = array("q")  # 64-bit, so numpy reads them as indices with no cast
         self.owners = array("q")
-        self.carried: list[int] | None = None  # the owners ordered by code, once indexed
-        self.starts: list[int] = []  # code -> where its owners start in ``carried``
-        self.later: defaultdict[int, list[int]] = defaultdict(list)  # code -> owners filed since
-        self.most = 1  # once indexed, the most slots one code has
+        self.carriers: list[list[int]] = []  # code -> the slots holding it, in slot order
+        self.most = 1  # the most slots one code has
         self.repeat = 1  # at least the most times one chunk holds one value
         self.cap = HISTORY_CAP
         self.times = array("d")
@@ -299,19 +295,21 @@ class _Columns:
         else:
             symbols = [chunk.ctype]
             keys.append((tag, chunk.ctype))
+            known, carriers = self.symbols, self.carriers
             for name, value in chunk.slots:
                 symbols.append(value)
                 keys.append((tag, name, value))
-                code = self.symbols.get(value)
+                code = known.get(value)
                 if code is None:
-                    code = self.symbols[value] = len(self.names)
+                    code = known[value] = len(carriers)
                     self.names.append(value)
+                    carriers.append([])
                 self.codes.append(code)
                 self.owners.append(slot)
-            if self.carried is not None:  # indexed: this slot's codes go to ``later``
-                for code in self.codes[len(self.codes) - len(chunk.slots):]:
-                    self.later[code].append(slot)
-                    self.most = max(self.most, len(self.carriers(code)))
+                held = carriers[code]
+                held.append(slot)
+                if len(held) > self.most:
+                    self.most = len(held)
             own = frozenset(symbols)
             if len(own) < len(symbols):  # a value held twice, or the type held as a value
                 self.repeat = max(self.repeat, len(chunk.slots))
@@ -329,25 +327,6 @@ class _Columns:
             self.times += self.blank
             self.long.add(slot)
         return slot
-
-    def index(self) -> None:
-        """Index the owners of every code filed so far by code, in slot
-        order, and set ``most``; from then on :meth:`_file` adds each new
-        slot's codes to ``later``."""
-        codes = np.frombuffer(self.codes, np.int64)
-        counts = np.bincount(codes, minlength=len(self.names))
-        order = np.argsort(codes, kind="stable")  # stable: slot order within a code
-        self.carried = np.frombuffer(self.owners, np.int64)[order].tolist()
-        self.starts = [0, *np.cumsum(counts).tolist()]
-        self.most = max(1, int(counts.max(initial=0)))
-
-    def carriers(self, code: int) -> list[int]:
-        """The slots whose chunks hold the symbol ``code``, in slot order, a
-        slot once for each of its chunk's slots that holds it; the columns
-        are indexed (:meth:`index`)."""
-        starts = self.starts
-        held = self.carried[starts[code]:starts[code + 1]] if code + 1 < len(starts) else []
-        return held + self.later[code] if code in self.later else held
 
     def add(self, entry: MMEntry) -> None:
         """File ``entry`` at a new slot and post its reach set."""
@@ -1035,8 +1014,6 @@ def _top_of_buffers(cols: _Columns, symbols: list[str], by_slot: np.ndarray,
         counts[sym] = counts.get(sym, 0) + 1
     if len(counts) < k:
         return None
-    if cols.carried is None:
-        cols.index()
     if len(weights):
         most, margin = cols.most, cols.repeat * (1 + 2 ** -30)
         # every weight, about 1.0 in all, or more terms than the margin covers
@@ -1052,7 +1029,7 @@ def _top_of_buffers(cols: _Columns, symbols: list[str], by_slot: np.ndarray,
         score = float(count)
         code = known.get(sym)
         if code is not None:
-            for slot in cols.carriers(code):
+            for slot in cols.carriers[code]:
                 score += weight(slot)
         scored.append((-score, sym))
     return heapq.nsmallest(k, scored)

@@ -32,6 +32,7 @@ from mmarch.predictors import ExternalPredictor
 from mmarch.runtime import CONTEXT_SYMBOL_COUNT, Session, run_session
 
 from pins import linked_facts_doc, mm_scale_document
+from test_memory import assert_carriers_scanned
 
 
 def _reference_softmax(ranked):
@@ -335,7 +336,7 @@ def _column_table(rng):
     of infinite activation (weight 0.25 each), or one entry of weight 2/3
     or more that holds ``a0`` in two slots.
 
-    Some entries are filed after the carriers are indexed, some are
+    Some entries are filed by ``add`` after the columns are built, some are
     forgotten, some are vector-only or below the threshold, some chunks
     hold a value in two slots, and some buffer symbols no entry holds."""
     factory, pool = ChunkFactory(), ["a0", "s1", "s2", "s3", "s4", "s5"]
@@ -361,8 +362,6 @@ def _column_table(rng):
                        for j, chunk in enumerate(heavies)]
     filed = rng.randint(1, len(entries))
     cols = memory._Columns(entries[:filed])
-    if rng.random() < 0.5:
-        cols.index()  # the rest are filed after the first broadcast
     for entry_ in entries[filed:]:
         cols.add(entry_)
     for entry_ in rng.sample(light, min(len(light) - 1, rng.randint(0, 3))):
@@ -390,8 +389,10 @@ def test_the_buffer_path_ranks_as_the_bincount(seed):
     for bit, and both give what :func:`memory._top_by_entries` gives.  It
     declines when the buffers hold fewer than ``k`` distinct symbols and
     when heavy entries carry a symbol to 1.0 or more; with no entry kept it
-    answers whenever the buffers hold ``k``."""
+    answers whenever the buffers hold ``k``.  The carriers are as
+    :func:`assert_carriers_scanned` finds them."""
     cols, symbols, keep, weights, k, heavy = _column_table(random.Random(seed))
+    assert_carriers_scanned(cols)
     by_slot = np.zeros(len(keep))
     by_slot[keep] = weights
     full = memory._top_by_bincount(cols, symbols, keep, by_slot, k)

@@ -1174,6 +1174,17 @@ def test_base_level_evaluated_at_most_once_per_entry_per_cycle(monkeypatch):
         assert unlinked > 0
 
 
+def assert_carriers_scanned(cols: memory._Columns) -> None:
+    """Each code's carriers, forgotten slots included, are its slot-order
+    scan of ``codes`` and ``owners``, and ``most`` is the longest of them
+    (at least 1)."""
+    scanned = [[] for _ in cols.names]
+    for code, slot in zip(cols.codes, cols.owners):
+        scanned[code].append(slot)
+    assert cols.carriers == scanned
+    assert cols.most == max([1, *map(len, scanned)])
+
+
 def assert_in_step(got: memory._Columns, mm: MiddleMemory) -> None:
     """``got``, columns kept in step with ``mm``, posts each live slot under
     its entry's reach set, checked against the chunks' own symbols too, and
@@ -1181,13 +1192,10 @@ def assert_in_step(got: memory._Columns, mm: MiddleMemory) -> None:
     presentation row that columns built in one pass from the live entries
     hold, with slots mapped to ids.  A reach posting is compared as a set:
     a repost appends in set-difference order, and nothing reads that
-    order.  An empty slot's row is NaN.  The carriers are indexed at the
-    first call, so later ones check those filed since, and ``most`` and
-    ``repeat`` bound what the live entries' chunks hold."""
-    if got.carried is None:
-        got.index()
+    order.  An empty slot's row is NaN.  The carriers are as
+    :func:`assert_carriers_scanned` finds them, and ``repeat`` bounds what
+    the live entries' chunks hold."""
     want = memory._Columns(mm.entries.values())
-    want.index()
     live = [(slot, entry) for slot, entry in enumerate(got.entries) if entry is not None]
     assert [entry for _, entry in live] == want.entries
     assert got.slot_of == {entry.id: slot for slot, entry in live}
@@ -1202,12 +1210,7 @@ def assert_in_step(got: memory._Columns, mm: MiddleMemory) -> None:
     assert all(len(set(slots)) == len(slots) for slots in got.reach.values())
     assert [got.names[code] for code, slot in zip(got.codes, got.owners)
             if got.entries[slot] is not None] == [want.names[code] for code in want.codes]
-    assert {got.names[code]: ids for code in range(len(got.names))
-            if (ids := [got.entries[slot].id for slot in got.carriers(code)
-                        if got.entries[slot] is not None])} == {
-        want.names[code]: [want.entries[slot].id for slot in want.carriers(code)]
-        for code in range(len(want.names)) if want.carriers(code)}
-    assert got.most >= max(map(len, map(got.carriers, range(len(got.names)))), default=0)
+    assert_carriers_scanned(got)
     assert got.repeat >= want.repeat >= max(
         (entry.chunk.values().count(value) for entry in mm.entries.values()
          if entry.chunk is not None for value in entry.chunk.values()), default=1)

@@ -11,21 +11,29 @@ default.
 
 Shadow order: shadow systems decide on the state the cycle started from,
 so stepping them in any order writes the same bytes.
+
+Renaming: every tie between names is broken by name order, so a renaming
+that keeps that order writes the same trace, renamed.  Appending ``!`` to
+each name the model declares keeps it: ``!`` sorts below every symbol
+character, so the map is strictly increasing over the declared names and
+the names the program makes (``central``, ``?``, ``retrieval-failure``,
+``query-id`` and ``retrieve-<id>``), which stay as they are.
 """
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mmarch import demos, memory
 from mmarch.errors import ModelValidationError
-from mmarch.model import load_model, parse_model
+from mmarch.model import load_model, model_to_dict, parse_model
 from mmarch.runtime import run
 from mmarch.trace import trace_to_bytes
 
-from pins import DEMO_RUNS, demo_run
+from pins import DEMO_RUNS, demo_run, mm_scale_document
 from test_acceptance import random_model_docs
 from test_runtime import multi_step_model_docs
 
@@ -130,3 +138,53 @@ def test_a_generated_model_does_not_depend_on_the_shadow_order(doc):
     for order in others:
         assert trace_to_bytes(run(model, 15, mode="mm", seed=0,
                                   shadow_step_order=list(order))) == made
+
+
+_MADE = re.compile(r"central|\?|retrieval-failure|query-id|retrieve-[0-9]+")
+
+
+def _marked(value, key=None):
+    """``value``, a canonical model document or part of one, with ``!``
+    appended to every name it declares: every string but an action's or a
+    predictor's ``kind`` and the names the program makes, and every slot
+    name."""
+    if isinstance(value, dict):
+        if key == "slots":
+            return {_marked(name): _marked(item) for name, item in value.items()}
+        return {name: _marked(item, name) for name, item in value.items()}
+    if isinstance(value, list):
+        return [_marked(item, key) for item in value]
+    if isinstance(value, str) and key != "kind" and not _MADE.fullmatch(value):
+        return value + "!"
+    return value
+
+
+def _unmarked(value):
+    """``value``, a parsed trace line, with one trailing ``!`` stripped from
+    every string and key."""
+    if isinstance(value, dict):
+        return {_unmarked(name): _unmarked(item) for name, item in value.items()}
+    if isinstance(value, list):
+        return [_unmarked(item) for item in value]
+    if isinstance(value, str) and value.endswith("!"):
+        return value[:-1]
+    return value
+
+
+def _lines(trace):
+    return [json.loads(line) for line in trace_to_bytes(trace).splitlines()]
+
+
+@pytest.mark.parametrize("mode", ("mm", "pipeline"))
+@pytest.mark.parametrize("name", [*demos.names(), "mm-scale"])
+def test_an_order_preserving_renaming_renames_the_trace(name, mode):
+    """Noiseless, for 150 cycles; ``mm-scale`` is ``mm_scale_document(3, 100)``."""
+    doc = (mm_scale_document(3, 100) if name == "mm-scale"
+           else json.loads(demos.path(name).read_text()))
+    doc = model_to_dict(_noiseless(doc))
+    renamed = {**_marked(doc), "name": doc["name"]}
+    assert renamed != doc
+    want = _lines(run(parse_model(doc), 150, mode=mode, seed=7))
+    got = _lines(run(parse_model(renamed), 150, mode=mode, seed=7))
+    assert got != want
+    assert [_unmarked(line) for line in got] == want
