@@ -44,6 +44,22 @@ def _grammar_error(value) -> str | None:
         return f"may not start with the reserved token {WILDCARD!r}"
     if ":" in value or value.split() != [value]:
         return f"{value!r} may not contain ':' or whitespace"
+    return utf8_error(value)
+
+
+def utf8_error(value: str) -> str | None:
+    """Why ``value`` cannot be written as UTF-8, or None when it can.
+
+    Only a lone surrogate, such as JSON's ``"\\ud800"`` escape decodes
+    to, cannot; the trace is UTF-8, so such a string would stop it from
+    being written.  The message shows the string escaped.
+    """
+    if value.isascii():
+        return None
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return f"{value!r} holds a lone surrogate, which UTF-8 cannot encode"
     return None
 
 
@@ -70,9 +86,9 @@ def validate_symbol(name: str, *, what: str = "symbol",
                     legal: dict[str, None] | None = None) -> str:
     """Check that ``name`` is a legal symbol token and return it.
 
-    Symbols are non-empty, contain no whitespace and no ``':'``, and are
-    never the wildcard token.  ``legal`` is a memo of symbols already found
-    legal (see :func:`_symbol_error`).
+    Symbols are non-empty, contain no whitespace and no ``':'``, are
+    never the wildcard token, and UTF-8 can encode them.  ``legal`` is a
+    memo of symbols already found legal (see :func:`_symbol_error`).
     """
     error = _symbol_error(name, legal)
     if error is not None:

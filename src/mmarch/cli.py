@@ -56,11 +56,14 @@ def _write(write, artifact, path: str) -> None:
         raise MMArchError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit_artifacts(session: Session, args) -> None:
+def _emit_artifacts(session: Session, args, summary: dict | None = None) -> None:
+    """Write the requested artifacts; ``summary`` is the trace's metrics
+    when the caller has them already."""
     if args.trace:
         _write(write_trace, session.trace, args.trace)
     if args.metrics:
-        _write(write_metrics, metrics(session.trace), args.metrics)
+        _write(write_metrics, metrics(session.trace) if summary is None else summary,
+               args.metrics)
 
 
 def _format_content(content) -> str:
@@ -107,8 +110,8 @@ def format_state(session: Session, top: int = 5) -> str:
 
 def cmd_run(args) -> int:
     session = _execute(args)
-    _emit_artifacts(session, args)
     summary = metrics(session.trace)
+    _emit_artifacts(session, args, summary)
     print(f"{session.model.name}: {summary['cycles']} cycles, "
           f"{summary['central_firings']} central firings, "
           f"mean candidates {summary['central_candidates']['mean']:.2f}, "

@@ -22,7 +22,9 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 
-from .chunks import Template, binding_keys, pattern_errors, references, validate_symbol
+from .chunks import (
+    Template, binding_keys, pattern_errors, references, utf8_error, validate_symbol,
+)
 from .codec import DEFAULT_DIMENSION
 from .errors import ChunkError, ModelValidationError
 from .memory import (
@@ -162,6 +164,13 @@ def _symbol(what: str):
     return read
 
 
+def _name(what: str):
+    """A non-empty name that UTF-8 can encode, as the trace and the
+    terminal that show it need."""
+    return _scalar(str, what + " needs a non-empty name that UTF-8 can encode, got {value!r}",
+                   lambda v: bool(v) and utf8_error(v) is None)
+
+
 def _items(read_item, message: str | None = None):
     """A list whose bad items are reported at their index and left out."""
     def read(value, path, errors):
@@ -260,7 +269,7 @@ class ActionDef:
 
 @dataclass(frozen=True)
 class ProductionDef:
-    name: str = _field(read=_scalar(str, "production needs a name", bool), drop=True)
+    name: str = _field(read=_name("production"), drop=True)
     conditions: tuple[ConditionDef, ...] = _field((), _records(ConditionDef, "condition"))
     actions: tuple[ActionDef, ...] = _field((), _records(ActionDef, "action"))
     utility: float = _field(0.0, _scalar(float, "utility must be finite"))
@@ -285,7 +294,7 @@ class ShadowSystemDef:
 
 @dataclass(frozen=True)
 class PredictorDef:
-    name: str = _field(read=_scalar(str, "predictor needs a name", bool), drop=True)
+    name: str = _field(read=_name("predictor"), drop=True)
     kind: str = _field(read=_scalar(str, f"kind must be one of {tuple(PREDICTOR_KINDS)}",
                                     PREDICTOR_KINDS.__contains__), drop=True)
     tag: str = _field(read=_symbol("origin tag"), drop=True)
@@ -361,7 +370,7 @@ class InitialMMDef:
 
 @dataclass(frozen=True)
 class ModelDefinition:
-    name: str = _field(read=_scalar(str, "model needs a non-empty name", bool))
+    name: str = _field(read=_name("model"))
     codebook: CodebookConfig = _field(
         CodebookConfig(), _record(CodebookConfig, "codebook must be an object"))
     wm_capacity: int = _field(DEFAULT_CAPACITY, _scalar(

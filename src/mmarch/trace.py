@@ -3,13 +3,17 @@
 The trace is the substrate for every metric and invariant check: one
 header line, then one JSON object per event, totally ordered by
 (cycle, sequence number).  Serialization is canonical (fixed key order,
-UTF-8, LF), so identical runs produce byte-identical files.
+UTF-8, LF), so identical runs produce byte-identical files.  It is
+rendered once, a piece at a time, straight into its destination: a file
+receives it as it is made, and :func:`trace_to_bytes` holds the one copy
+it returns, so no second whole-trace string or buffer ever exists.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,34 +85,73 @@ def encode_line(obj) -> str:
     return "".join(_ENCODER(obj, 0))
 
 
+# The renderer hands its bytes on a piece of this many events at a time,
+# so it never holds more of its rendering than one piece.
+_PIECE_EVENTS = 64
+
+
+def _render(trace: Trace, write) -> None:
+    """Pass the canonical rendering of ``trace`` to ``write`` as UTF-8 bytes:
+    the header, then one piece of :data:`_PIECE_EVENTS` events at a time."""
+    header = {"version": TRACE_VERSION, "seed": trace.seed, "mode": trace.mode,
+              "cycle_length_ms": trace.cycle_length_ms}
+    write((encode_line(header) + "\n").encode("utf-8"))
+    events = trace.events
+    parts: list[str] = []
+    for start in range(0, len(events), _PIECE_EVENTS):
+        for event in events[start:start + _PIECE_EVENTS]:
+            # Only data goes through the encoder: cycle and seq are exact ints
+            # and kind a known name, so %d and %s print what it would.  Its
+            # chunks join the piece as they are, which is what encode_line joins.
+            parts.append('{"cycle":%d,"seq":%d,"kind":"%s","data":'
+                         % (event.cycle, event.seq, event.kind))
+            parts.extend(_ENCODER(event.data, 0))
+            parts.append("}\n")
+        write("".join(parts).encode("utf-8"))
+        parts.clear()
+
+
 def trace_to_bytes(trace: Trace) -> bytes:
     """Canonical byte rendering: the header, then one event a line, each
     the :func:`encode_line` text of its ``{"cycle","seq","kind","data"}``
     record, LF-terminated, UTF-8.  Equal traces render equal bytes.  Each
     event's cycle and seq must be ints and its kind one of
     :data:`EVENT_KINDS`, as :meth:`Trace.append` and :func:`read_trace`
-    ensure."""
-    out = io.StringIO()
-    header = {"version": TRACE_VERSION, "seed": trace.seed, "mode": trace.mode,
-              "cycle_length_ms": trace.cycle_length_ms}
-    out.write(encode_line(header))
-    out.write("\n")
-    for event in trace.events:
-        # Only data goes through the encoder: cycle and seq are exact ints
-        # and kind a known name, so %d and %s print what it would.
-        out.write('{"cycle":%d,"seq":%d,"kind":"%s","data":'
-                  % (event.cycle, event.seq, event.kind)
-                  + encode_line(event.data) + "}\n")
-    return out.getvalue().encode("utf-8")
+    ensure.
+
+    The bytes are made once, into a buffer that is handed over without a
+    copy, so rendering holds little more than the bytes it returns."""
+    out = io.BytesIO()
+    _render(trace, out.write)
+    return out.getvalue()
 
 
 def write_trace(trace: Trace, destination) -> None:
-    """Write a trace to a path or binary file object."""
-    data = trace_to_bytes(trace)
+    """Stream the bytes of :func:`trace_to_bytes` into a path or into any
+    object with a ``write(bytes)`` method, holding one piece of them at a
+    time.  A file object is left open.
+
+    A path gets the whole trace or, if rendering raises, nothing: the bytes
+    go to a file beside it that replaces it once complete.  A path that
+    exists but is no regular file, such as a pipe or a device, is written
+    straight."""
     if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        Path(destination).write_bytes(data)
+        _render(trace, destination.write)
+        return
+    path = Path(destination)
+    if path.exists() and not path.is_file():
+        with path.open("wb") as out:
+            _render(trace, out.write)
+        return
+    path = path.resolve()  # through a link, so the link stays one
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with partial.open("wb") as out:
+            _render(trace, out.write)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _of(*types):

@@ -10,15 +10,24 @@ from mmarch.trace import read_trace
 from pins import digest, inspect_output, pinned
 
 
-def test_run_writes_trace_and_metrics(tmp_path, capsys):
+def test_run_writes_trace_and_metrics(tmp_path, capsys, monkeypatch):
+    """The summary line and the metrics file come from one walk of the trace."""
+    calls = []
+
+    def counted(trace):
+        calls.append(trace)
+        return metrics(trace)
+
+    monkeypatch.setattr("mmarch.cli.metrics", counted)
     trace_path = tmp_path / "run.trace"
     metrics_path = tmp_path / "run.json"
     rc = main(["run", "--model", "threat", "--cycles", "50",
                "--trace", str(trace_path), "--metrics", str(metrics_path)])
     assert rc == 0
+    assert len(calls) == 1
     trace = read_trace(trace_path)
     assert trace.cycle_length_ms == 50
-    report = json.loads(metrics_path.read_text())
+    report = json.loads(metrics_path.read_text(encoding="utf-8"))
     assert report["central_firings"] == 4
     assert report["interrupt_latencies"] == [1]
     # metrics recomputed from the written trace are the written report

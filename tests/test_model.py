@@ -256,6 +256,31 @@ def test_model_rule_reported_with_path(mutate, mode, violation):
     assert violation in err.value.violations
 
 
+# What a JSON "\ud800" escape decodes to: a string UTF-8 cannot encode.
+LONE_SURROGATE = "\ud800"
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda d: d.update(name="m" + LONE_SURROGATE), "name"),
+    (lambda d: d["central_productions"][0].update(name="react" + LONE_SURROGATE),
+     "central_productions[0].name"),
+    (lambda d: d["predictors"][0].update(name=LONE_SURROGATE), "predictors[0].name"),
+    (lambda d: d["predictors"][0].update(kind="ngram", pairs=[],
+                                         corpus=[["a", "b" + LONE_SURROGATE]]),
+     "predictors[0].corpus[0][1]"),
+    (lambda d: d["initial_mm"][0]["chunk"]["slots"].update(value=LONE_SURROGATE),
+     "initial_mm[0].chunk.slots.value"),
+])
+def test_a_name_or_symbol_utf8_cannot_encode_is_refused_at_its_field(mutate, path):
+    """Such a string would stop the run's trace from being written."""
+    doc = base_doc()
+    mutate(doc)
+    text = json.dumps(doc)
+    assert "\\ud800" in text
+    violations = _violations(json.loads(text))
+    assert [p for p, message in violations if "UTF-8" in message] == [path]
+
+
 def test_all_violations_reported_together():
     doc = base_doc()
     doc["shadow_systems"][0]["productions"][0]["actions"][0]["target"] = "vision"

@@ -748,10 +748,12 @@ class TestPipelineMode:
                                                ("bottleneck", "pipeline", "vision")])
     @pytest.mark.parametrize("extra", [
         {"chunk": {"isa": "percept", "slots": {"isa": "bear"}}},
-        {"salience": True, "chunk": {"isa": "percept", "slots": {"value": "bear"}}}])
+        {"salience": True, "chunk": {"isa": "percept", "slots": {"value": "bear"}}},
+        # a lone surrogate, as the escape "\ud800" decodes to, which UTF-8 cannot encode
+        {"chunk": {"isa": "percept", "slots": {"value": "\ud800"}}}])
     def test_malformed_peer_chunk_costs_only_the_line(self, demo, mode, tag, extra):
         """A line the chunk grammar rejects is dropped at the wire, before the
-        chunk factory could raise mid-cycle."""
+        chunk factory could raise mid-cycle, and the trace still renders."""
         session = Session(load_model(demos.path(demo)), mode=mode, seed=0)
         session.inbox.append(("peer", 0, json.dumps(
             {"type": "prediction", "tag": tag, **extra}).encode()))
@@ -761,6 +763,7 @@ class TestPipelineMode:
         assert errors[0].startswith("dropped malformed prediction: ")
         session.step()
         assert session.cycle == 2 and not session.halted
+        assert read_trace(io.BytesIO(trace_to_bytes(session.trace))) == session.trace
 
 
 class TestMultiRateSystems:

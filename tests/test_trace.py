@@ -3,12 +3,14 @@
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmarch import demos
 from mmarch.errors import TraceFormatError, UnsupportedTraceVersion
-from mmarch.model import parse_model
+from mmarch.model import load_model, parse_model
 from mmarch.runtime import run
 from mmarch.trace import (
     EVENT_KINDS, Trace, encode_line, read_trace, trace_to_bytes, write_trace,
@@ -347,3 +349,89 @@ def test_unserializable_value_raises_and_leaves_the_encoder_clean():
     with pytest.raises(TypeError, match="is not JSON serializable"):
         trace_to_bytes(bad)
     assert trace_to_bytes(_sample_trace()) == clean
+
+
+class _Pieces:
+    """A destination with nothing but ``write(bytes)``."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, data):
+        self.pieces.append(data)
+
+
+def _long_trace():
+    trace = _sample_trace()
+    for cycle in range(2, 1000):
+        trace.append(cycle, "error", {"message": f"caf\u00e9 {cycle}", "predictor": "p",
+                                      "payload": None})
+    return trace
+
+
+def test_write_trace_streams_into_any_object_with_write():
+    trace = _long_trace()
+    sink = _Pieces()
+    write_trace(trace, sink)
+    assert len(sink.pieces) > 1
+    assert b"".join(sink.pieces) == trace_to_bytes(trace)
+
+
+def test_write_trace_leaves_a_file_object_open(tmp_path):
+    with (tmp_path / "run.trace").open("wb") as out:
+        write_trace(_sample_trace(), out)
+        assert not out.closed
+        out.write(b"more")
+    assert (tmp_path / "run.trace").read_bytes() == trace_to_bytes(_sample_trace()) + b"more"
+
+
+def test_write_trace_leaves_no_partial_file_when_rendering_raises(tmp_path):
+    """Neither the path nor anything beside it gets a byte, and a file
+    already at the path keeps its bytes."""
+    bad = _long_trace()
+    bad.append(1000, "error", {"message": "m", "predictor": "p", "payload": object()})
+    fresh, old = tmp_path / "fresh.trace", tmp_path / "old.trace"
+    old.write_bytes(b"before")
+    for path in (fresh, old):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_trace(bad, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["old.trace"]
+    assert old.read_bytes() == b"before"
+
+
+@pytest.fixture(scope="module")
+def wordloop_trace():
+    return run(load_model(demos.path("wordloop")), 3000, mode="mm", seed=7)
+
+
+def _peak_above_start(render):
+    """``render()``'s result and the most memory it held at once beyond what
+    was live when it was called, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = render()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_rendering_holds_about_one_copy_of_the_bytes(wordloop_trace):
+    """Also once an ellipsis, and then an emoji, would widen a whole-trace
+    string to two and four bytes a character."""
+    trace = Trace(wordloop_trace.seed, wordloop_trace.mode, wordloop_trace.cycle_length_ms,
+                  list(wordloop_trace.events))
+    for text in (None, "clipped\u2026end", "\U0001f600"):
+        if text is not None:
+            trace.append(3000, "error", {"message": text, "predictor": "p", "payload": None})
+        data, peak = _peak_above_start(lambda: trace_to_bytes(trace))
+        assert len(data) > 3_000_000
+        assert peak <= 1.25 * len(data), (text, peak / len(data))
+
+
+def test_writing_a_file_holds_a_small_part_of_its_bytes(wordloop_trace, tmp_path):
+    path = tmp_path / "run.trace"
+    _, peak = _peak_above_start(lambda: write_trace(wordloop_trace, path))
+    size = path.stat().st_size
+    assert size > 3_000_000
+    assert peak < 0.05 * size, peak / size
